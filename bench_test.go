@@ -305,22 +305,14 @@ func BenchmarkExecThroughput(b *testing.B) {
 		name     string
 		baseline bool
 		cpus     int
-		parallel bool
 	}{
-		{"fastpath", false, 1, false},
-		{"baseline", true, 1, false},
+		{"fastpath", false, 1},
+		{"baseline", true, 1},
 		// fastpath-2cpu drives the deterministic SMP scheduler: the same
 		// mix pinned to both cores of a 2-vCPU machine, budget split by
 		// round-robin quanta. Guards the scheduler + shared-generation
 		// overhead on top of the 1-vCPU fast path.
-		{"fastpath-2cpu", false, 2, false},
-		// parallel-Ncpu runs the same per-core mix under the truly-parallel
-		// engine (one goroutine per vCPU over the shared bus): aggregate
-		// instr/s should approach N× single-core on a host with ≥ N cores.
-		// cmd/benchgate enforces the 2-vCPU scaling floor when the bench
-		// host is multi-core.
-		{"parallel-2cpu", false, 2, true},
-		{"parallel-4cpu", false, 4, true},
+		{"fastpath-2cpu", false, 2},
 	}
 	mixProgram := func(u *kernel.UserASM) {
 		u.MovImm(insn.X5, 1<<40) // effectively endless
@@ -338,7 +330,7 @@ func BenchmarkExecThroughput(b *testing.B) {
 		for _, mode := range modes {
 			lv, mode := lv, mode
 			b.Run(lv.name+"/"+mode.name, func(b *testing.B) {
-				systems, err := ReplicateSystems(lv.level, Options{Seed: 3, CPUs: mode.cpus, Parallel: mode.parallel}, 1)
+				systems, err := ReplicateSystems(lv.level, Options{Seed: 3, CPUs: mode.cpus}, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -45,8 +45,8 @@ type ExperimentsRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// ExperimentsResponse carries the rendering and the same per-experiment
-// stats cmd/experiments writes to BENCH_results.json.
+// ExperimentsResponse carries the rendering, per-experiment wall time
+// and simulated work, and the daemon's warm-pool counters.
 type ExperimentsResponse struct {
 	Output      string             `json:"output"`
 	Parallel    bool               `json:"parallel"`
@@ -104,16 +104,8 @@ type MachineRequest struct {
 	Compat bool `json:"compat,omitempty"`
 	// CPUs is the machine's vCPU count (0/1: uniprocessor; up to
 	// kernel.MaxCPUs). Leased SMP machines run their cores under the
-	// deterministic round-robin scheduler on every /run step unless
-	// ParallelSMP opts them into truly-parallel execution.
+	// deterministic round-robin scheduler on every /run step.
 	CPUs int `json:"cpus,omitempty"`
-	// ParallelSMP runs the leased machine's cores truly in parallel
-	// (one goroutine per vCPU) on every /run step instead of the
-	// deterministic scheduler. Runtime-only: machines with and without
-	// it share warm pool entries. Requires CPUs >= 2 to have any
-	// effect; results are well-defined only for data-race-free guest
-	// workloads (see DESIGN.md §10).
-	ParallelSMP bool `json:"parallel_smp,omitempty"`
 }
 
 // MachineResponse identifies a granted lease.

@@ -35,13 +35,6 @@
 //     for the same reason — a burst during one phase of the run must
 //     not move a ratio the code didn't change.
 //
-//   - parallel-SMP scaling (-parallel-scale): on a multi-core bench
-//     host, the truly-parallel 2-vCPU ExecThroughput variant must
-//     deliver the floor's multiple of single-core aggregate instr/s.
-//     The gate reads the bench host's parallelism from the -N
-//     GOMAXPROCS name suffix, so a single-core bench host skips it
-//     loudly rather than failing spuriously.
-//
 // Usage:
 //
 //	go test -run '^$' -bench '...' -benchtime=3x -count=3 -benchmem . | tee bench.txt
@@ -117,14 +110,6 @@ type trajectory struct {
 	SpeedupVsRef float64 `json:"speedup_vs_ref,omitempty"`
 	SpeedupFloor float64 `json:"speedup_floor,omitempty"`
 
-	// ParallelScale2/4 are aggregate-throughput multiples of the
-	// truly-parallel 2- and 4-vCPU ExecThroughput variants over
-	// single-core none/fastpath, measured within one run (0 when not
-	// run); ParallelFloor gates the 2-vCPU value on multi-core hosts.
-	ParallelScale2 float64 `json:"parallel_scale_2,omitempty"`
-	ParallelScale4 float64 `json:"parallel_scale_4,omitempty"`
-	ParallelFloor  float64 `json:"parallel_floor,omitempty"`
-
 	// ObsOverhead is the scraped/quiet ns/op ratio of
 	// BenchmarkObsOverhead (0 when not run); ObsBudget the -obs-overhead
 	// fraction it must stay within.
@@ -169,10 +154,6 @@ var execFastpathVariants = []string{
 	"BenchmarkExecThroughput/full/fastpath",
 	"BenchmarkExecThroughput/none/fastpath-2cpu",
 	"BenchmarkExecThroughput/full/fastpath-2cpu",
-	// The truly-parallel engine must hold the same steady-state budget:
-	// its per-Run setup (goroutines, the stop array) amortizes to zero
-	// across a benchmark's instruction budget.
-	"BenchmarkExecThroughput/none/parallel-2cpu",
 }
 
 func main() {
@@ -199,10 +180,6 @@ func main() {
 		"minimum canary-normalized speedup of BenchmarkExecThroughput/none/fastpath over -speedup-ref "+
 			"(0 disables). Normalization divides out machine-speed drift using the untouched "+
 			"none/baseline interpreter: ref_fast/cur_fast * cur_base/ref_base")
-	parallelScale := flag.Float64("parallel-scale", 0,
-		"minimum aggregate-throughput multiple of the parallel-2cpu ExecThroughput variant over "+
-			"single-core none/fastpath (0 disables; gated only when the bench host ran with "+
-			"GOMAXPROCS >= 2, as recorded in the benchmark name suffix)")
 	obsOverhead := flag.Float64("obs-overhead", 0,
 		"max fractional slowdown of BenchmarkObsOverhead/scraped over /quiet (0 disables): the "+
 			"observability registry must stay off the hot path even under continuous scraping")
@@ -405,44 +382,6 @@ func main() {
 		}
 	}
 
-	// Parallel-SMP scaling gate: aggregate instr/s of the truly-parallel
-	// variants against single-core, within this one run (no cross-run
-	// normalization needed). ns/op is host time per simulated
-	// instruction of the whole budget, so the throughput multiple is the
-	// plain ns/op ratio. Only the bench host's real parallelism makes
-	// the 2-vCPU floor meaningful.
-	var scale2, scale4 float64
-	if *parallelScale > 0 {
-		// Minima again: the ratio of each variant's quietest repeat is the
-		// cleanest scaling estimate a noisy host can produce.
-		curFast, okFast := benchparse.MinNsPerOp(entries, fastName)
-		par2, okPar2 := benchparse.MinNsPerOp(entries, fastName[:len(fastName)-len("fastpath")]+"parallel-2cpu")
-		par4, okPar4 := benchparse.MinNsPerOp(entries, fastName[:len(fastName)-len("fastpath")]+"parallel-4cpu")
-		if okPar4 && par4 > 0 && okFast {
-			scale4 = curFast / par4
-		}
-		switch {
-		case !okFast || !okPar2 || par2 <= 0:
-			disable("parallel-2cpu/fastpath pair missing; the parallel scaling gate is NOT running")
-		case benchCPUs < 2:
-			fmt.Fprintf(os.Stderr,
-				"benchgate: note — bench host ran at GOMAXPROCS=%d; parallel scaling recorded but not gated\n",
-				benchCPUs)
-			scale2 = curFast / par2
-		default:
-			scale2 = curFast / par2
-			fmt.Printf("benchgate: parallel 2-vCPU aggregate throughput %.2fx single-core (floor %.2fx", scale2, *parallelScale)
-			if scale4 > 0 {
-				fmt.Printf("; 4-vCPU %.2fx", scale4)
-			}
-			fmt.Println(")")
-			if scale2 < *parallelScale {
-				fmt.Printf("benchgate: FAIL — parallel 2-vCPU scaling below the %.2fx floor\n", *parallelScale)
-				failed = true
-			}
-		}
-	}
-
 	// Observability overhead gate: the counter design (per-core plain
 	// cells, atomic shards touched only at Run exit) promises scrapes are
 	// invisible to execution; hold the A/B benchmark to that promise.
@@ -503,9 +442,6 @@ func main() {
 		ExecVsBase:     execVsBase,
 		SpeedupVsRef:   speedup,
 		SpeedupFloor:   *speedupFloor,
-		ParallelScale2: scale2,
-		ParallelScale4: scale4,
-		ParallelFloor:  *parallelScale,
 		ObsOverhead:    obsRatio,
 		ObsBudget:      *obsOverhead,
 		FaultOverhead:  faultRatio,

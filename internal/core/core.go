@@ -88,13 +88,6 @@ type Options struct {
 	// CPUs is the vCPU count of the machine (0/1: uniprocessor,
 	// bit-identical to pre-SMP builds; up to kernel.MaxCPUs).
 	CPUs int
-	// Parallel runs a multi-core machine truly in parallel — one
-	// goroutine per vCPU — instead of the deterministic round-robin
-	// scheduler. Runtime-only: it does not enter the build or the
-	// snapshot pool key, so parallel and deterministic requests share
-	// warm pool entries. See kernel.Kernel.Parallel for the memory-model
-	// contract.
-	Parallel bool
 }
 
 // System is a booted Camouflage machine.
@@ -107,7 +100,7 @@ type System struct {
 
 // KernelOptionsFor lowers (level, opts) to the kernel build options —
 // the normalization every pool consumer must share so that equivalent
-// requests land on the same snapshot.KeyForOptions key. The service
+// requests land on the same snapshot.KeyFor key. The service
 // daemon's machine-lease admission uses it directly.
 func KernelOptionsFor(level ProtectionLevel, opts Options) kernel.Options {
 	return kernelOptions(level, opts)
@@ -143,7 +136,6 @@ func New(level ProtectionLevel, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.Parallel = opts.Parallel
 	return &System{Kernel: k, Level: level}, nil
 }
 
@@ -205,7 +197,6 @@ func ReplicateContext(ctx context.Context, level ProtectionLevel, opts Options, 
 		if err != nil {
 			return err
 		}
-		k.Parallel = opts.Parallel
 		systems[i] = &System{Kernel: k, Level: level}
 		return nil
 	})

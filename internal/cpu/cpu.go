@@ -19,8 +19,8 @@ import (
 
 // totalCycles/totalRetired aggregate, across every CPU in the process,
 // the work done by completed Run calls. The experiment harness snapshots
-// them around each experiment to report simulated throughput
-// (BENCH_results.json) without threading counters through every layer.
+// them around each experiment to report simulated throughput (RunStats)
+// without threading counters through every layer.
 var totalCycles, totalRetired atomic.Uint64
 
 // TotalCounters returns the process-wide simulated (cycles, instructions)

@@ -86,11 +86,8 @@ func Lookup(id string) (Experiment, bool) {
 // process-wide is harmless when the service daemon runs overlapping
 // requests with different modes: either strategy produces the same
 // bytes. It is atomic so overlapping RunAllContext calls are race-free.
+// RunAll's parallel argument sets it.
 var parallelMode atomic.Bool
-
-// SetParallel sets the process-wide execution strategy (normally through
-// RunAll's parallel argument, not directly).
-func SetParallel(p bool) { parallelMode.Store(p) }
 
 // IsParallel reports the current execution strategy.
 func IsParallel() bool { return parallelMode.Load() }
@@ -116,11 +113,6 @@ func CPUCount() int {
 	return 1
 }
 
-// RunWithCPUs runs f — typically direct Experiment.Run calls — under
-// the experiment-wide CPU-count regime (the exported form of the
-// regime RunAllWith applies itself).
-func RunWithCPUs(n int, f func() error) error { return withCPUMode(n, f) }
-
 // withCPUMode runs f under the experiment-wide CPU-count regime.
 func withCPUMode(n int, f func() error) error {
 	if n <= 1 {
@@ -135,8 +127,8 @@ func withCPUMode(n int, f func() error) error {
 	return f()
 }
 
-// RunStats records one experiment execution for the machine-readable
-// bench log (BENCH_results.json).
+// RunStats records one experiment execution: its wall time and the
+// simulated work it retired.
 type RunStats struct {
 	ID    string `json:"id"`
 	Title string `json:"title"`
@@ -157,11 +149,10 @@ type RunStats struct {
 
 // RunAll runs the selected experiments (every registered one when ids is
 // empty), writing each rendering to w in registry order framed by
-// "==== id ====" headers, and returns per-experiment stats for the bench
-// log. Sequential runs stream each rendering as it completes. With
-// parallel=true, experiments execute concurrently into private buffers
-// and are emitted in order — byte-for-byte identical to the sequential
-// run.
+// "==== id ====" headers, and returns per-experiment stats. Sequential
+// runs stream each rendering as it completes. With parallel=true,
+// experiments execute concurrently into private buffers and are emitted
+// in order — byte-for-byte identical to the sequential run.
 func RunAll(w io.Writer, ids []string, parallel bool) ([]RunStats, error) {
 	return RunAllContext(context.Background(), w, ids, parallel)
 }
@@ -203,7 +194,7 @@ func RunAllContext(ctx context.Context, w io.Writer, ids []string, parallel bool
 }
 
 func runAll(ctx context.Context, w io.Writer, ids []string, parallel bool, trace *obs.Run) ([]RunStats, error) {
-	SetParallel(parallel)
+	parallelMode.Store(parallel)
 	var exps []Experiment
 	if len(ids) == 0 {
 		exps = All()

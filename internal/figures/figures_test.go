@@ -108,7 +108,7 @@ func TestParallelRunAllMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetParallel(false)
+	defer parallelMode.Store(false)
 	parStats, err := RunAll(&par, ids, true)
 	if err != nil {
 		t.Fatal(err)

@@ -98,10 +98,9 @@ func emitPerCPUAddr(a *asm.Assembler, cfg *codegen.Config, rd insn.Reg) {
 // emitServiceCall invokes the host service device: code goes to the
 // doorbell; arguments must already be in the per-CPU slots. Clobbers x12
 // and x13. SMP images ring a per-CPU doorbell slot (SvcBase + cpu*8,
-// the core number from MPIDR_EL1.Aff0) so the host service layer can
-// attribute the call to the ringing core even when cores execute truly
-// in parallel; 1-vCPU images keep the plain offset-0 store and stay
-// bit-identical to pre-SMP builds.
+// the core number from MPIDR_EL1.Aff0), which names the ringing core to
+// the host service layer; 1-vCPU images keep the plain offset-0 store
+// and stay bit-identical to pre-SMP builds.
 func emitServiceCall(a *asm.Assembler, cfg *codegen.Config, code uint64) {
 	emitMov64(a, insn.X12, SvcBase)
 	if cfg.CPUs() > 1 {

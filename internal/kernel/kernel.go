@@ -2,8 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"camouflage/internal/asm"
 	"camouflage/internal/boot"
@@ -146,14 +144,6 @@ type Kernel struct {
 
 	// BootCycles is the cycle count consumed by start_kernel.
 	BootCycles uint64
-
-	// Parallel opts a multi-core machine into truly-parallel execution:
-	// Run drives one goroutine per unparked core instead of the
-	// deterministic round-robin scheduler. Runtime-only — it is not part
-	// of the built image or any snapshot key, so the same machine (or
-	// snapshot pool entry) can be run both ways. See runParallel for the
-	// memory-model contract.
-	Parallel bool
 }
 
 // serviceCost models the cycle cost of the host-side portion of each
@@ -478,12 +468,9 @@ func (k *Kernel) readFaultInfo() (esr, far uint64) {
 	return
 }
 
-// serviceFrom dispatches a doorbell rung by a specific core. Under the
-// deterministic scheduler k.active already names the ringing core (the
-// scheduler sets it before running a quantum), so the assignment is a
-// no-op; in parallel mode it is what binds the service handlers to the
-// right per-CPU frame and current task. Callers in parallel mode hold
-// the bus service lock.
+// serviceFrom dispatches a doorbell rung by a specific core. The
+// scheduler sets k.active before running a quantum, so it already names
+// the ringing core and the assignment is a no-op.
 func (k *Kernel) serviceFrom(cpu int, code uint64) error {
 	if cpu < len(k.CPUs) {
 		k.active = cpu
@@ -1221,101 +1208,7 @@ func (k *Kernel) Run(maxInstrs uint64) cpu.Stop {
 		k.active = 0
 		return k.CPU.Run(maxInstrs)
 	}
-	if k.Parallel {
-		return k.runParallel(maxInstrs)
-	}
 	return k.runSMP(maxInstrs)
-}
-
-// runParallel executes every unparked core on its own goroutine over the
-// shared bus: the opt-in truly-parallel mode. The cores pull fixed
-// quanta from one shared instruction budget and run concurrently;
-// devices and the kernel service layer are serialized at the bus
-// (mem.Bus.SetParallel), page faults take the RAM page lock, and the
-// cluster's atomic generation cells — the same shootdown protocol the
-// deterministic scheduler uses — keep decoded blocks, traces and host
-// TLB pointers coherent across cores.
-//
-// The memory model matches real hardware more than the round-robin
-// scheduler does: instruction interleaving is nondeterministic, so only
-// guest workloads that are data-race-free (no unsynchronized cross-core
-// stores to shared guest pages) produce well-defined results, and
-// host-side snapshot operations (Fork/Reset/Freeze) as well as kernel
-// map/unmap of guest-visible pages must not run during the phase. The
-// deterministic scheduler remains the default; see DESIGN.md §10.
-func (k *Kernel) runParallel(maxInstrs uint64) cpu.Stop {
-	bus := k.CPU.Bus
-	bus.SetParallel(true)
-	defer bus.SetParallel(false)
-
-	var budget atomic.Int64
-	budget.Store(int64(maxInstrs))
-	var stopAll atomic.Bool
-	stops := make([]cpu.Stop, len(k.CPUs))
-	var wg sync.WaitGroup
-	for i := range k.CPUs {
-		if k.parked[i] {
-			continue
-		}
-		wg.Add(1)
-		//camo:nondet opt-in truly-parallel SMP mode trades determinism for throughput by design (DESIGN.md §8)
-		go func(i int) {
-			defer wg.Done()
-			c := k.CPUs[i]
-			for !stopAll.Load() {
-				avail := budget.Load()
-				if avail <= 0 {
-					return
-				}
-				slice := int64(SMPQuantum)
-				if slice > avail {
-					slice = avail
-				}
-				if !budget.CompareAndSwap(avail, avail-slice) {
-					continue
-				}
-				before := c.Retired
-				stop := c.Run(uint64(slice))
-				if used := int64(c.Retired - before); used < slice {
-					budget.Add(slice - used)
-				}
-				switch stop.Kind {
-				case cpu.StopError:
-					stops[i] = stop
-					stopAll.Store(true)
-					return
-				case cpu.StopHLT:
-					// The core finished (workload exit, park request,
-					// panic): it leaves the run. parked[i] is only ever
-					// written by the owning goroutine here and read
-					// after the join below.
-					k.parked[i] = true
-					stops[i] = stop
-					bus.DevLock()
-					halted := k.Halted
-					bus.DevUnlock()
-					if i == 0 || halted {
-						stopAll.Store(true)
-					}
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	k.active = 0
-	// Boot-core stop wins (error or HLT), then any secondary error, then
-	// budget exhaustion — mirroring the deterministic scheduler's
-	// reporting.
-	if stops[0].Kind == cpu.StopHLT || stops[0].Kind == cpu.StopError {
-		return stops[0]
-	}
-	for _, s := range stops[1:] {
-		if s.Kind == cpu.StopError {
-			return s
-		}
-	}
-	return cpu.Stop{Kind: cpu.StopLimit}
 }
 
 func (k *Kernel) runSMP(maxInstrs uint64) cpu.Stop {

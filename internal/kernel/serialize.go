@@ -179,7 +179,7 @@ func (st *State) ImageDigest() string {
 // --- encode ---
 
 // optionsWire appends the normalized build options. Every field that
-// shapes the post-boot state participates, mirroring KeyForOptions.
+// shapes the post-boot state participates, mirroring snapshot.KeyFor.
 func encodeOptions(e *wireEnc, opts Options) {
 	cfg := opts.Config
 	e.u64(uint64(cfg.Scheme))

@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"camouflage/internal/obs"
@@ -49,20 +48,7 @@ type Phys struct {
 	// pointers on CPU 1 at its next probe (the memory-side half of the
 	// DESIGN.md §9 shootdown protocol).
 	gen atomic.Uint64
-
-	// parallel engages the page-map lock for truly-parallel SMP runs. It
-	// is flipped only while no guest goroutine is running (before the
-	// parallel phase starts, after it joins), so the single-goroutine
-	// fast paths stay branch-only: deterministic runs never lock.
-	parallel bool
-	mu       sync.RWMutex
 }
-
-// SetParallel engages (or releases) concurrent-access mode: page-map
-// lookups and copy-on-write materializations take an internal lock so
-// multiple CPU goroutines may fault pages in simultaneously. Must only
-// be called while no guest code is executing.
-func (p *Phys) SetParallel(on bool) { p.parallel = on }
 
 // NewPhys returns an empty physical memory.
 func NewPhys() *Phys {
@@ -124,9 +110,6 @@ func (p *Phys) DirtyPages() int { return len(p.pages) }
 //camo:hotpath
 func (p *Phys) page(addr uint64, create bool) *[PageSize]byte {
 	pn := addr >> PageShift
-	if p.parallel {
-		return p.pageLocked(pn, create)
-	}
 	if pg := p.pages[pn]; pg != nil {
 		return pg
 	}
@@ -136,39 +119,6 @@ func (p *Phys) page(addr uint64, create bool) *[PageSize]byte {
 	}
 	pg := new([PageSize]byte) //camo:alloc copy-on-write materialization; once per page per fork
 	if shared != nil {
-		*pg = *shared
-	}
-	p.pages[pn] = pg
-	p.gen.Add(1)
-	obs.Add(obs.CCOWMaterialize, 1)
-	return pg
-}
-
-// pageLocked is page() under the parallel-mode lock. Reads share an
-// RLock; copy-on-write materialization takes the write lock and
-// re-checks the overlay, so two cores faulting the same page race to
-// one canonical copy instead of losing writes to a double insert.
-//
-//camo:hotpath
-func (p *Phys) pageLocked(pn uint64, create bool) *[PageSize]byte {
-	p.mu.RLock()
-	pg := p.pages[pn]
-	p.mu.RUnlock()
-	if pg != nil {
-		return pg
-	}
-	if !create {
-		// base is immutable while guest goroutines run (Freeze/ResetTo
-		// are forbidden mid-phase), so the fall-through needs no lock.
-		return p.base[pn]
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock() //camo:alloc deferred unlock sits on the materialize slow path only
-	if pg := p.pages[pn]; pg != nil {
-		return pg
-	}
-	pg = new([PageSize]byte) //camo:alloc copy-on-write materialization; once per page per fork
-	if shared := p.base[pn]; shared != nil {
 		*pg = *shared
 	}
 	p.pages[pn] = pg
@@ -383,31 +333,7 @@ type Bus struct {
 	// goroutines sharing a Bus any other way — would otherwise race on
 	// it (caught by -race; pinned by TestSMPBusFindRace).
 	last atomic.Pointer[mapping]
-
-	// parallel engages devMu around every device access: devices (and
-	// the kernel service layer behind the doorbell device) are not
-	// internally synchronized, so truly-parallel SMP serializes them at
-	// the bus. Flipped only while no guest goroutine runs.
-	parallel bool
-	devMu    sync.Mutex
 }
-
-// SetParallel engages (or releases) concurrent-access mode on the bus
-// and its RAM. Must only be called while no guest code is executing.
-func (b *Bus) SetParallel(on bool) {
-	b.parallel = on
-	b.RAM.SetParallel(on)
-}
-
-// DevLock acquires the parallel-mode device mutex — the lock under
-// which every device access and kernel service handler runs. Hosts use
-// it to read service-layer state (task tables, halt flags) while CPU
-// goroutines are live. No-op locking discipline aside, it may be taken
-// even when parallel mode is off.
-func (b *Bus) DevLock() { b.devMu.Lock() }
-
-// DevUnlock releases DevLock.
-func (b *Bus) DevUnlock() { b.devMu.Unlock() }
 
 // NewBus returns a bus backed by fresh RAM.
 func NewBus() *Bus {
@@ -474,10 +400,6 @@ func (b *Bus) findOverlap(lo, hi uint64) bool {
 // Load reads size bytes (1, 4 or 8) at physical address addr.
 func (b *Bus) Load(addr uint64, size int) (uint64, error) {
 	if m := b.find(addr); m != nil {
-		if b.parallel {
-			b.devMu.Lock()
-			defer b.devMu.Unlock()
-		}
 		return m.dev.Load(addr-m.base, size)
 	}
 	switch size {
@@ -522,10 +444,6 @@ func (b *Bus) MemGen() uint64 { return b.RAM.gen.Load() }
 // Store writes size bytes (1, 4 or 8) at physical address addr.
 func (b *Bus) Store(addr uint64, size int, v uint64) error {
 	if m := b.find(addr); m != nil {
-		if b.parallel {
-			b.devMu.Lock()
-			defer b.devMu.Unlock()
-		}
 		return m.dev.Store(addr-m.base, size, v)
 	}
 	switch size {

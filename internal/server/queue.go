@@ -24,9 +24,9 @@ var errBusy = errors.New("server: work queue full")
 // queue is the daemon's bounded admission layer: Capacity jobs run
 // concurrently, at most MaxQueue more wait for a slot, anything beyond
 // that is rejected immediately. Every admitted job is tagged with an
-// admission key — machine leases use their snapshot.KeyForOptions pool
-// key, experiments and campaigns synthetic ones — so /v1/stats can show
-// which configurations the daemon is serving. Boot dedup itself lives
+// admission key — machine leases use the Norm string of their
+// snapshot.KeyFor pool key, experiments and campaigns synthetic ones —
+// so /v1/stats can show which configurations the daemon is serving. Boot dedup itself lives
 // in the pool: concurrent jobs admitted under one cold key block on the
 // pool's once-per-key boot and then fan out as copy-on-write forks.
 type queue struct {

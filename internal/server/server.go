@@ -563,9 +563,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		failRun(w, err)
 		return
 	}
-	// Runtime-only execution mode: set unconditionally so a pooled
-	// machine never inherits the previous lease's choice.
-	m.K.Parallel = req.ParallelSMP
 	l, err := s.leases.add(m)
 	if err != nil {
 		m.Release()

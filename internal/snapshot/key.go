@@ -60,15 +60,6 @@ func (k Key) Norm() string {
 		k.Options.Seed, thr, bool(k.Options.Compat), k.Options.V80, cfg.CPUs())
 }
 
-// KeyForOptions derives the legacy string pool key for the given
-// options.
-//
-// Deprecated: use KeyFor, which carries the options alongside the
-// digest so pools can boot and persist without a separate closure
-// contract. KeyForOptions remains only so external callers keep
-// compiling; it returns KeyFor(opts).Norm().
-func KeyForOptions(opts kernel.Options) string { return KeyFor(opts).Norm() }
-
 // ErrNotFound reports that a store holds no snapshot for the requested
 // key or digest.
 var ErrNotFound = errors.New("snapshot: not found in store")

@@ -109,7 +109,7 @@ func (s *Snapshot) BootCycles() uint64 { return s.st.BootCycles() }
 
 // BootOptions returns a boot closure for Pool.Acquire that builds,
 // §4.1-verifies and boots a kernel with the given options (the standard
-// pairing with KeyForOptions). Verification is mandatory on every path
+// pairing with KeyFor). Verification is mandatory on every path
 // that can seed the shared pool: core.Replicate and the suites share
 // one key space, so a key warmed here must be as trustworthy as one
 // warmed through core.New.

@@ -268,9 +268,9 @@ func TestPoolConcurrentAcquire(t *testing.T) {
 	}
 }
 
-// TestKeyForOptionsDistinguishesLevels: option sets that build different
+// TestKeyForDistinguishesLevels: option sets that build different
 // machines never share a pool key.
-func TestKeyForOptionsDistinguishesLevels(t *testing.T) {
+func TestKeyForDistinguishesLevels(t *testing.T) {
 	keys := map[string]string{}
 	for name, opts := range map[string]kernel.Options{
 		"none":     {Config: codegen.ConfigNone(), Seed: 1},
@@ -279,7 +279,7 @@ func TestKeyForOptionsDistinguishesLevels(t *testing.T) {
 		"seed2":    {Config: codegen.ConfigFull(), Seed: 2},
 		"thr":      {Config: codegen.ConfigFull(), Seed: 1, FailureThreshold: 64},
 	} {
-		k := KeyForOptions(opts)
+		k := KeyFor(opts).Digest
 		if prev, dup := keys[k]; dup {
 			t.Fatalf("options %q and %q collide on key %q", name, prev, k)
 		}
