@@ -162,37 +162,51 @@ func TestRunExperimentByID(t *testing.T) {
 // a hard floor). A per-instruction allocation regression — the failure
 // mode this test exists for — sits orders of magnitude above the
 // budget.
+//
+// LevelFull runs the same mix with every kernel entry and exit signing
+// and authenticating and the syscall path rewriting key registers, so it
+// also pins the allocation-free MSR key install (pac.Signer.SetKey).
 func TestExecSteadyStateZeroAllocs(t *testing.T) {
-	sys, err := NewSystem(LevelNone, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := kernel.BuildProgram("mix", func(u *kernel.UserASM) {
-		u.MovImm(insn.X5, 1<<40)
-		u.A.Label("loop")
-		for i := 0; i < 4; i++ {
-			u.A.I(insn.ADDi(insn.X6, insn.X6, 3))
-			u.A.I(insn.EORr(insn.X7, insn.X7, insn.X6))
-		}
-		u.SyscallReg(kernel.SysGetppid)
-		u.A.I(insn.SUBi(insn.X5, insn.X5, 1))
-		u.A.CBNZ(insn.X5, "loop")
-		u.Exit(0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Kernel.RegisterProgram(1, prog)
-	if _, err := sys.Kernel.Spawn(1); err != nil {
-		t.Fatal(err)
-	}
-	sys.Kernel.Run(500_000) // warm: decode, TLB, host pointers, chains
-	const instrsPerRun = 5_000
-	allocs := testing.AllocsPerRun(20, func() {
-		sys.Kernel.Run(instrsPerRun)
-	})
-	if perInstr := allocs / instrsPerRun; perInstr > 0.01 {
-		t.Fatalf("steady-state Run allocates %.4f times per instruction (%.1f per %d-instruction slice); the fast path must not allocate per instruction",
-			perInstr, allocs, instrsPerRun)
+	for _, lv := range []struct {
+		name  string
+		level ProtectionLevel
+	}{
+		{"none", LevelNone},
+		{"full", LevelFull},
+	} {
+		t.Run(lv.name, func(t *testing.T) {
+			sys, err := NewSystem(lv.level, Options{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := kernel.BuildProgram("mix", func(u *kernel.UserASM) {
+				u.MovImm(insn.X5, 1<<40)
+				u.A.Label("loop")
+				for i := 0; i < 4; i++ {
+					u.A.I(insn.ADDi(insn.X6, insn.X6, 3))
+					u.A.I(insn.EORr(insn.X7, insn.X7, insn.X6))
+				}
+				u.SyscallReg(kernel.SysGetppid)
+				u.A.I(insn.SUBi(insn.X5, insn.X5, 1))
+				u.A.CBNZ(insn.X5, "loop")
+				u.Exit(0)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Kernel.RegisterProgram(1, prog)
+			if _, err := sys.Kernel.Spawn(1); err != nil {
+				t.Fatal(err)
+			}
+			sys.Kernel.Run(500_000) // warm: decode, TLB, host pointers, chains
+			const instrsPerRun = 5_000
+			allocs := testing.AllocsPerRun(20, func() {
+				sys.Kernel.Run(instrsPerRun)
+			})
+			if perInstr := allocs / instrsPerRun; perInstr > 0.01 {
+				t.Fatalf("steady-state Run allocates %.4f times per instruction (%.1f per %d-instruction slice); the fast path must not allocate per instruction",
+					perInstr, allocs, instrsPerRun)
+			}
+		})
 	}
 }

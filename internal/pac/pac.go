@@ -18,6 +18,7 @@ package pac
 
 import (
 	"fmt"
+	"math/bits"
 
 	"camouflage/internal/qarma"
 )
@@ -172,12 +173,46 @@ type KeySet struct {
 	Keys [NumKeys]Key
 }
 
-// Signer computes and checks PACs under a fixed layout configuration. The
-// QARMA cipher instances are cached per key value.
+// field is the PAC geometry of one side of the address space, derived once
+// per Config so that signing and authenticating never rebuild it.
+type field struct {
+	mask uint64 // PAC bits (Config.PACField)
+	ext  uint64 // the field's canonical content: mask for kernel, 0 for user
+	// poison holds the bit Auth flips on failure for instruction keys
+	// ([0]) and for the other keys ([1]); see poisonBit.
+	poison [2]uint64
+	// runs scatter the low MAC bits into the field, lowest first: the PAC
+	// is the union of (mac << shift) & mask over both runs. Bit 55 splits
+	// the field into at most two contiguous runs, below and above it.
+	runs [2]struct {
+		shift uint
+		mask  uint64
+	}
+}
+
+func newField(c Config, kernel bool) field {
+	mask, _ := c.PACField(kernel)
+	f := field{mask: mask}
+	if kernel {
+		f.ext = mask
+	}
+	f.poison = [2]uint64{poisonBit(mask, KeyIA), poisonBit(mask, KeyDA)}
+	lo := mask & (1<<selectBit - 1)
+	f.runs[0].shift, f.runs[0].mask = uint(bits.TrailingZeros64(lo)), lo
+	f.runs[1].shift, f.runs[1].mask = selectBit+1-uint(bits.OnesCount64(lo)), mask&^lo
+	return f
+}
+
+// canonical is Config.Canonical over a precomputed field.
+func (f *field) canonical(ptr uint64) uint64 { return ptr&^f.mask | f.ext }
+
+// Signer computes and checks PACs under a fixed layout configuration. It
+// holds one QARMA cipher per key slot by value, so installing a key never
+// allocates.
 type Signer struct {
 	cfg    Config
-	rounds int
-	cipher [NumKeys]*qarma.Cipher
+	sides  [2]field // indexed by bit 55: user, kernel
+	cipher [NumKeys]qarma.Cipher
 	keys   [NumKeys]Key
 
 	// Auths and Fails count Auth calls and authentication failures per
@@ -190,21 +225,30 @@ type Signer struct {
 }
 
 // NewSigner returns a Signer for the given layout using QARMA-64 with the
-// default PAC round count.
+// default PAC round count. Every slot starts on the all-zero key: ARM
+// behaviour with an unprovisioned key is still a MAC.
 func NewSigner(cfg Config) *Signer {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Signer{cfg: cfg, rounds: qarma.DefaultRounds}
+	s := &Signer{cfg: cfg, sides: [2]field{newField(cfg, false), newField(cfg, true)}}
+	for i := range s.cipher {
+		s.cipher[i] = *qarma.New(qarma.Key{}, qarma.DefaultRounds)
+	}
+	return s
 }
 
 // Config returns the layout configuration of the signer.
 func (s *Signer) Config() Config { return s.cfg }
 
-// SetKey installs the 128-bit key for the given slot.
+// side returns the field geometry for ptr's side of the address space.
+func (s *Signer) side(ptr uint64) *field { return &s.sides[ptr>>selectBit&1] }
+
+// SetKey installs the 128-bit key for the given slot, re-keying its cipher
+// in place.
 func (s *Signer) SetKey(id KeyID, k Key) {
 	s.keys[id] = k
-	s.cipher[id] = qarma.New(qarma.Key{W0: k.Hi, K0: k.Lo}, s.rounds)
+	s.cipher[id] = *qarma.New(qarma.Key{W0: k.Hi, K0: k.Lo}, qarma.DefaultRounds)
 }
 
 // Key returns the currently installed key for the slot.
@@ -222,46 +266,19 @@ func (s *Signer) Keys() KeySet {
 	return KeySet{Keys: s.keys}
 }
 
-// pacFor computes the PAC bits for ptr under modifier, positioned within
-// the PAC field mask. The MAC input is the canonical form of the pointer so
-// that signing is independent of any stale PAC bits.
-func (s *Signer) pacFor(ptr, modifier uint64, id KeyID) uint64 {
-	mask, _ := s.cfg.PACField(s.cfg.IsKernel(ptr))
-	c := s.cipher[id]
-	if c == nil {
-		// Unprovisioned key: ARM behaviour with a zero key is still a MAC;
-		// we model an explicit all-zero key.
-		c = qarma.New(qarma.Key{}, s.rounds)
-		s.cipher[id] = c
-	}
-	mac := c.Encrypt(s.cfg.Canonical(ptr), modifier)
-	// Scatter the low MAC bits into the PAC field positions.
-	var pacBits uint64
-	bit := 0
-	for i := 0; i < 64; i++ {
-		if mask&(1<<i) != 0 {
-			if mac&(1<<bit) != 0 {
-				pacBits |= 1 << i
-			}
-			bit++
-		}
-	}
-	return pacBits
+// pacFor computes the PAC bits for the canonical pointer canon under
+// modifier, positioned within f's PAC field. The MAC input is the canonical
+// form of the pointer so that signing is independent of any stale PAC bits.
+func (s *Signer) pacFor(f *field, canon, modifier uint64, id KeyID) uint64 {
+	mac := s.cipher[id].Encrypt(canon, modifier)
+	return mac<<f.runs[0].shift&f.runs[0].mask | mac<<f.runs[1].shift&f.runs[1].mask
 }
 
 // Sign returns ptr with its PAC field replaced by the PAC computed under
 // the key and modifier (the PAC* instructions).
 func (s *Signer) Sign(ptr, modifier uint64, id KeyID) uint64 {
-	kernel := s.cfg.IsKernel(ptr)
-	mask, _ := s.cfg.PACField(kernel)
-	pacBits := s.pacFor(ptr, modifier, id)
-	if kernel {
-		// Kernel canonical extension is all-ones: the PAC is stored
-		// inverted relative to the extension so that a zero MAC still
-		// yields a canonical-looking pointer only when it should.
-		return (ptr &^ mask) | pacBits
-	}
-	return (ptr &^ mask) | pacBits
+	f := s.side(ptr)
+	return ptr&^f.mask | s.pacFor(f, f.canonical(ptr), modifier, id)
 }
 
 // poisonBit returns the extension bit flipped on authentication failure so
@@ -293,25 +310,25 @@ func poisonBit(mask uint64, id KeyID) uint64 {
 // poisoned, guaranteed-non-canonical pointer and ok = false; dereferencing
 // or branching to that pointer raises a translation fault in the MMU model.
 func (s *Signer) Auth(signed, modifier uint64, id KeyID) (ptr uint64, ok bool) {
-	kernel := s.cfg.IsKernel(signed)
-	mask, _ := s.cfg.PACField(kernel)
-	want := s.pacFor(signed, modifier, id)
-	got := signed & mask
-	canonical := s.cfg.Canonical(signed)
+	f := s.side(signed)
+	canonical := f.canonical(signed)
 	s.Auths[id]++
-	if got == want {
+	if signed&f.mask == s.pacFor(f, canonical, modifier, id) {
 		return canonical, true
 	}
 	s.Fails[id]++
 	// Poison: canonicalise, then flip a checked extension bit so the
 	// pointer is invalid regardless of address-space side.
-	return canonical ^ poisonBit(mask, id), false
+	if id.IsInstruction() {
+		return canonical ^ f.poison[0], false
+	}
+	return canonical ^ f.poison[1], false
 }
 
 // Strip removes the PAC, restoring the canonical pointer without any
 // authentication (the XPAC* instructions; debugging only).
 func (s *Signer) Strip(ptr uint64) uint64 {
-	return s.cfg.Canonical(ptr)
+	return s.side(ptr).canonical(ptr)
 }
 
 // GenericMAC computes the 32-bit PACGA-style MAC over value with the given
@@ -319,25 +336,15 @@ func (s *Signer) Strip(ptr uint64) uint64 {
 // does for PACGA's destination register.
 func (s *Signer) GenericMAC(value, modifier uint64) uint64 {
 	s.Auths[KeyGA]++
-	c := s.cipher[KeyGA]
-	if c == nil {
-		c = qarma.New(qarma.Key{}, s.rounds)
-		s.cipher[KeyGA] = c
-	}
-	return uint64(c.MAC(value, modifier)) << 32
+	return uint64(s.cipher[KeyGA].MAC(value, modifier)) << 32
 }
 
 // IsPoisoned reports whether ptr carries the authentication-failure marker
 // of either key class (and is therefore guaranteed non-canonical).
 func (s *Signer) IsPoisoned(ptr uint64) bool {
-	if s.cfg.IsCanonical(ptr) {
-		return false
-	}
-	mask, _ := s.cfg.PACField(s.cfg.IsKernel(ptr))
-	for _, id := range []KeyID{KeyIA, KeyDA} {
-		if s.cfg.IsCanonical(ptr ^ poisonBit(mask, id)) {
-			return true
-		}
-	}
-	return false
+	f := s.side(ptr)
+	// A poison bit lies inside the field, so flipping it back from a
+	// poisoned pointer leaves exactly the canonical pointer.
+	c := f.canonical(ptr)
+	return ptr == c^f.poison[0] || ptr == c^f.poison[1]
 }

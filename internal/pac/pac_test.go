@@ -1,12 +1,17 @@
 package pac
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"camouflage/internal/qarma"
 )
 
-func testSigner() *Signer {
-	s := NewSigner(DefaultConfig)
+func testSigner() *Signer { return testSignerFor(DefaultConfig) }
+
+func testSignerFor(cfg Config) *Signer {
+	s := NewSigner(cfg)
 	s.SetKey(KeyIA, Key{Hi: 0x1111, Lo: 0xAAAA})
 	s.SetKey(KeyIB, Key{Hi: 0x2222, Lo: 0xBBBB})
 	s.SetKey(KeyDA, Key{Hi: 0x3333, Lo: 0xCCCC})
@@ -363,5 +368,94 @@ func TestPoisonedPointerNotCanonicalBothSides(t *testing.T) {
 		if s.cfg.IsCanonical(got) {
 			t.Errorf("poisoned %#x canonical", got)
 		}
+	}
+}
+
+// scatterLoop deposits the low bits of mac into the set bits of mask,
+// lowest first.
+func scatterLoop(mask, mac uint64) uint64 {
+	var out uint64
+	b := 0
+	for i := 0; i < 64; i++ {
+		if mask&(1<<i) != 0 {
+			if mac&(1<<b) != 0 {
+				out |= 1 << i
+			}
+			b++
+		}
+	}
+	return out
+}
+
+// TestSignerMatchesFieldDefinition checks the signer's precomputed field
+// geometry against the bit-loop Config.PACField definition on every
+// supported layout: Sign, Auth (success and the poisoned failure), Strip
+// and IsPoisoned, on both sides of the address space and for both key
+// classes.
+func TestSignerMatchesFieldDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for va := 36; va <= 52; va++ {
+		for _, tbiU := range []bool{false, true} {
+			for _, tbiK := range []bool{false, true} {
+				cfg := Config{VABits: va, TBIUser: tbiU, TBIKernel: tbiK}
+				s := testSignerFor(cfg)
+				for _, kernel := range []bool{false, true} {
+					mask, size := cfg.PACField(kernel)
+					for i := 0; i < 32; i++ {
+						ptr := rng.Uint64() &^ (1 << selectBit)
+						if kernel {
+							ptr |= 1 << selectBit
+						}
+						canon := cfg.Canonical(ptr)
+						if got := s.Strip(ptr); got != canon {
+							t.Fatalf("%+v: Strip(%#x) = %#x, want %#x", cfg, ptr, got, canon)
+						}
+						mod := rng.Uint64()
+						for _, id := range []KeyID{KeyIB, KeyDA} {
+							k := s.Key(id)
+							mac := qarma.New(qarma.Key{W0: k.Hi, K0: k.Lo}, qarma.DefaultRounds).Encrypt(canon, mod)
+							want := canon&^mask | scatterLoop(mask, mac)
+							signed := s.Sign(ptr, mod, id)
+							if signed != want {
+								t.Fatalf("%+v: Sign(%#x, %#x, %v) = %#x, want %#x", cfg, ptr, mod, id, signed, want)
+							}
+							if got, ok := s.Auth(signed, mod, id); !ok || got != canon {
+								t.Fatalf("%+v: Auth(%#x, %v) = (%#x, %v), want (%#x, true)", cfg, signed, id, got, ok, canon)
+							}
+							// Flip one PAC bit: authentication must fail and
+							// poison the canonical pointer.
+							forged := signed ^ scatterLoop(mask, 1<<uint(rng.Intn(size)))
+							poisoned := canon ^ poisonBit(mask, id)
+							if got, ok := s.Auth(forged, mod, id); ok || got != poisoned {
+								t.Fatalf("%+v: Auth(forged %#x, %v) = (%#x, %v), want (%#x, false)", cfg, forged, id, got, ok, poisoned)
+							}
+							if !s.IsPoisoned(poisoned) || cfg.IsCanonical(poisoned) {
+								t.Fatalf("%+v: poisoned %#x: IsPoisoned = %v, IsCanonical = %v", cfg, poisoned, s.IsPoisoned(poisoned), cfg.IsCanonical(poisoned))
+							}
+						}
+						if s.IsPoisoned(canon) {
+							t.Fatalf("%+v: IsPoisoned(canonical %#x) = true", cfg, canon)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSignerDoesNotAllocate pins the allocation-free key install, sign and
+// authenticate that key-register MSR writes and RestoreState rely on.
+func TestSignerDoesNotAllocate(t *testing.T) {
+	s := testSigner()
+	ptr := uint64(KernelBase) | 0x4000
+	allocs := testing.AllocsPerRun(100, func() {
+		s.SetKey(KeyIB, Key{Hi: ptr, Lo: ^ptr})
+		signed := s.Sign(ptr, 1, KeyIB)
+		s.Auth(signed, 1, KeyIB)
+		s.Auth(signed, 2, KeyIB)
+		s.GenericMAC(ptr, 3)
+	})
+	if allocs != 0 {
+		t.Fatalf("SetKey/Sign/Auth/GenericMAC allocate %.1f times per run, want 0", allocs)
 	}
 }

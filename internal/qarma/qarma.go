@@ -7,21 +7,26 @@
 //
 // QARMA is a three-stage reflection cipher: r forward rounds, a keyed
 // pseudo-reflector, and r backward rounds that are the functional inverses of
-// the forward rounds. All building blocks (the σ1 S-box, the MixColumns-like
-// matrix M, the cell permutation τ) are involutions, which is what makes the
-// reflective construction work. This implementation provides both directions;
-// Decrypt is the exact inverse of Encrypt, which the package tests verify
-// exhaustively and property-based.
+// the forward rounds. The σ1 S-box and the MixColumns-like matrix M are
+// involutions, which is what makes the reflective construction work; the
+// backward rounds undo the cell permutation τ with τ⁻¹.
+//
+// Encrypt runs in table and bit-parallel form: σ1 is a byte-wide table, M is
+// three 64-bit rotations of nibble-rotated words, and τ, τ⁻¹ and the tweak
+// update are per-nibble-position tables. The package tests hold the
+// straightforward nibble-at-a-time cipher and its inverse as the reference
+// the fast path must equal on every input.
 //
 // The instantiation here follows the QARMA-64-σ1 parameter set with r
 // configurable (the ARM reference PAC uses a 5-round variant). Round
 // constants are the π-derived constants of the QARMA paper.
 package qarma
 
-// Rounds is the number of forward (and hence also backward) rounds. The
-// QARMA paper recommends r = 7 for QARMA-64; the ARMv8.3 ComputePAC
-// reference instantiation uses a 5-round variant. Five rounds is the default
-// used by package pac.
+import "math/bits"
+
+// DefaultRounds is the number of forward (and hence also backward) rounds
+// package pac passes to New. The QARMA paper recommends r = 7 for QARMA-64;
+// the ARMv8.3 ComputePAC reference instantiation uses a 5-round variant.
 const DefaultRounds = 5
 
 // alpha is the reflector constant α of the QARMA paper.
@@ -45,29 +50,52 @@ var sigma1 = [16]byte{0xA, 0xD, 0xE, 0x6, 0xF, 0x7, 0x3, 0x5, 0x9, 0x8, 0x0, 0xC
 // tau is the cell permutation τ: output cell i takes input cell tau[i].
 var tau = [16]int{0, 11, 6, 13, 10, 1, 12, 7, 5, 14, 3, 8, 15, 4, 9, 2}
 
-// tauInv is the inverse of tau.
-var tauInv [16]int
-
 // tweakPerm is the tweak cell permutation h.
 var tweakPerm = [16]int{6, 5, 14, 15, 0, 1, 2, 3, 7, 12, 13, 4, 8, 9, 10, 11}
-
-// tweakPermInv is the inverse of tweakPerm.
-var tweakPermInv [16]int
 
 // lfsrCells lists the tweak cells to which the ω LFSR is applied each round.
 var lfsrCells = [4]int{0, 1, 3, 4}
 
+// Cells are numbered from the most significant nibble (cell 0, bits 63..60)
+// as in the QARMA paper, so the 4x4 state matrix has row r in the 16-bit
+// lane at bits 63-16r..48-16r.
+
+// sbox applies σ1 to both nibbles of a byte.
+var sbox [256]byte
+
+// tauTab, tauInvTab and tweakTab hold τ, τ⁻¹ and the tweak update (h, then
+// ω on lfsrCells) as one entry per input cell and cell value: the map's
+// image of that value alone in that cell. All three maps are GF(2)-linear
+// and move each input cell to exactly one output cell, so the image of a
+// whole state is the XOR of its sixteen cells' entries.
+var tauTab, tauInvTab, tweakTab [16][16]uint64
+
+// cellShift is the bit offset of cell i.
+func cellShift(i int) uint { return uint(60 - 4*i) }
+
 func init() {
-	for i, v := range tau {
-		tauInv[v] = i
-	}
-	for i, v := range tweakPerm {
-		tweakPermInv[v] = i
-	}
 	// σ1 must be an involution; the reflector depends on it.
 	for i, v := range sigma1 {
 		if sigma1[v] != byte(i) {
 			panic("qarma: sigma1 is not an involution")
+		}
+	}
+	for b := range sbox {
+		sbox[b] = sigma1[b>>4]<<4 | sigma1[b&0xF]
+	}
+	var omega [16]bool
+	for _, i := range lfsrCells {
+		omega[i] = true
+	}
+	for i := 0; i < 16; i++ {
+		for v := byte(0); v < 16; v++ {
+			tauTab[tau[i]][v] = uint64(v) << cellShift(i)
+			tauInvTab[i][v] = uint64(v) << cellShift(tau[i])
+			w := v
+			if omega[i] {
+				w = lfsr(v)
+			}
+			tweakTab[tweakPerm[i]][v] = uint64(w) << cellShift(i)
 		}
 	}
 }
@@ -108,80 +136,6 @@ func orthoW(x uint64) uint64 {
 	return (x>>1 | x<<63) ^ (x >> 63)
 }
 
-// cells unpacks a 64-bit block into 16 nibbles, cell 0 being the most
-// significant nibble (the convention of the QARMA paper).
-func cells(x uint64) [16]byte {
-	var c [16]byte
-	for i := 0; i < 16; i++ {
-		c[i] = byte(x>>(60-4*i)) & 0xF
-	}
-	return c
-}
-
-// pack is the inverse of cells.
-func pack(c [16]byte) uint64 {
-	var x uint64
-	for i := 0; i < 16; i++ {
-		x |= uint64(c[i]&0xF) << (60 - 4*i)
-	}
-	return x
-}
-
-// subCells applies the σ1 S-box to every cell of the state.
-func subCells(x uint64) uint64 {
-	var y uint64
-	for i := 0; i < 64; i += 4 {
-		y |= uint64(sigma1[(x>>i)&0xF]) << i
-	}
-	return y
-}
-
-// shuffleCells applies the cell permutation τ.
-func shuffleCells(x uint64) uint64 {
-	c := cells(x)
-	var d [16]byte
-	for i := 0; i < 16; i++ {
-		d[i] = c[tau[i]]
-	}
-	return pack(d)
-}
-
-// shuffleCellsInv applies τ⁻¹.
-func shuffleCellsInv(x uint64) uint64 {
-	c := cells(x)
-	var d [16]byte
-	for i := 0; i < 16; i++ {
-		d[i] = c[tauInv[i]]
-	}
-	return pack(d)
-}
-
-// rotNibble rotates a 4-bit cell left by n.
-func rotNibble(v byte, n uint) byte {
-	v &= 0xF
-	return byte((v<<n | v>>(4-n)) & 0xF)
-}
-
-// mixColumns multiplies the state, viewed as a 4x4 cell matrix in row-major
-// order, by the involutory almost-MDS matrix M = circ(0, ρ¹, ρ², ρ¹), where
-// ρ is a one-bit left rotation of a cell. Columns of the matrix are the
-// state columns c, c+4, c+8, c+12.
-func mixColumns(x uint64) uint64 {
-	c := cells(x)
-	var d [16]byte
-	for col := 0; col < 4; col++ {
-		a0 := c[col]
-		a1 := c[col+4]
-		a2 := c[col+8]
-		a3 := c[col+12]
-		d[col] = rotNibble(a1, 1) ^ rotNibble(a2, 2) ^ rotNibble(a3, 1)
-		d[col+4] = rotNibble(a0, 1) ^ rotNibble(a2, 1) ^ rotNibble(a3, 2)
-		d[col+8] = rotNibble(a0, 2) ^ rotNibble(a1, 1) ^ rotNibble(a3, 1)
-		d[col+12] = rotNibble(a0, 1) ^ rotNibble(a1, 2) ^ rotNibble(a2, 1)
-	}
-	return pack(d)
-}
-
 // lfsr applies the ω LFSR to a cell: (b3,b2,b1,b0) → (b0⊕b1, b3, b2, b1).
 func lfsr(v byte) byte {
 	b0 := v & 1
@@ -189,126 +143,63 @@ func lfsr(v byte) byte {
 	return (v >> 1) | ((b0 ^ b1) << 3)
 }
 
-// lfsrInv is the inverse of lfsr.
-func lfsrInv(v byte) byte {
-	b3 := (v >> 3) & 1
-	b0 := v & 1
-	return ((v << 1) & 0xF) | (b3 ^ b0)
+// sub applies σ1 to every cell of the state.
+func sub(x uint64) uint64 {
+	return uint64(sbox[byte(x)]) |
+		uint64(sbox[byte(x>>8)])<<8 |
+		uint64(sbox[byte(x>>16)])<<16 |
+		uint64(sbox[byte(x>>24)])<<24 |
+		uint64(sbox[byte(x>>32)])<<32 |
+		uint64(sbox[byte(x>>40)])<<40 |
+		uint64(sbox[byte(x>>48)])<<48 |
+		uint64(sbox[byte(x>>56)])<<56
 }
 
-// updateTweak advances the tweak by one round: cell permutation h followed
-// by the ω LFSR on cells 0, 1, 3 and 4.
-func updateTweak(t uint64) uint64 {
-	c := cells(t)
-	var d [16]byte
-	for i := 0; i < 16; i++ {
-		d[i] = c[tweakPerm[i]]
-	}
-	for _, i := range lfsrCells {
-		d[i] = lfsr(d[i])
-	}
-	return pack(d)
+// permute applies a cell map given as per-cell tables (tauTab, tauInvTab,
+// tweakTab).
+func permute(t *[16][16]uint64, x uint64) uint64 {
+	return t[0][x>>60] ^ t[1][x>>56&0xF] ^ t[2][x>>52&0xF] ^ t[3][x>>48&0xF] ^
+		t[4][x>>44&0xF] ^ t[5][x>>40&0xF] ^ t[6][x>>36&0xF] ^ t[7][x>>32&0xF] ^
+		t[8][x>>28&0xF] ^ t[9][x>>24&0xF] ^ t[10][x>>20&0xF] ^ t[11][x>>16&0xF] ^
+		t[12][x>>12&0xF] ^ t[13][x>>8&0xF] ^ t[14][x>>4&0xF] ^ t[15][x&0xF]
 }
 
-// updateTweakInv is the inverse of updateTweak.
-func updateTweakInv(t uint64) uint64 {
-	c := cells(t)
-	for _, i := range lfsrCells {
-		c[i] = lfsrInv(c[i])
-	}
-	var d [16]byte
-	for i := 0; i < 16; i++ {
-		d[i] = c[tweakPermInv[i]]
-	}
-	return pack(d)
-}
-
-// forwardRound applies one forward round with round tweakey tk. Short rounds
-// (the first round) omit the diffusion layer.
-func forwardRound(is, tk uint64, short bool) uint64 {
-	is ^= tk
-	if !short {
-		is = shuffleCells(is)
-		is = mixColumns(is)
-	}
-	return subCells(is)
-}
-
-// backwardRound is the exact inverse of forwardRound.
-func backwardRound(is, tk uint64, short bool) uint64 {
-	is = subCells(is) // σ1 is an involution
-	if !short {
-		is = mixColumns(is) // M is an involution
-		is = shuffleCellsInv(is)
-	}
-	return is ^ tk
-}
-
-// reflector applies the keyed pseudo-reflector: τ, multiplication by the
-// involutory matrix Q = M, key addition, τ⁻¹.
-func (c *Cipher) reflector(is uint64) uint64 {
-	is = shuffleCells(is)
-	is = mixColumns(is)
-	is ^= c.k1
-	return shuffleCellsInv(is)
+// mix multiplies the state by the involutory almost-MDS matrix
+// M = circ(0, ρ, ρ², ρ), where ρ rotates a cell left by one bit: output row
+// i is ρ(row i+1) ⊕ ρ²(row i+2) ⊕ ρ(row i+3), rows counted mod 4. Rotating
+// every cell at once and then the whole word by 16k bits lines row i+k up
+// with row i.
+func mix(x uint64) uint64 {
+	r1 := x<<1&0xEEEE_EEEE_EEEE_EEEE | x>>3&0x1111_1111_1111_1111
+	r2 := x<<2&0xCCCC_CCCC_CCCC_CCCC | x>>2&0x3333_3333_3333_3333
+	return bits.RotateLeft64(r1, 16) ^ bits.RotateLeft64(r2, 32) ^ bits.RotateLeft64(r1, 48)
 }
 
 // Encrypt enciphers the 64-bit plaintext p under tweak t.
 func (c *Cipher) Encrypt(p, t uint64) uint64 {
-	is := p ^ c.w0
-	tw := t
-	for i := 0; i < c.rounds; i++ {
-		is = forwardRound(is, c.k0^tw^roundConst[i], i == 0)
-		tw = updateTweak(tw)
+	// The forward rounds use tweaks tw[0..rounds-1], the central rounds
+	// tw[rounds], and the backward rounds replay tw[rounds-1..0].
+	var tw [9]uint64
+	tw[0] = t
+	// The first forward round is short: no diffusion layer.
+	is := sub(p ^ c.w0 ^ c.k0 ^ t ^ roundConst[0])
+	for i := 1; i < c.rounds; i++ {
+		tw[i] = permute(&tweakTab, tw[i-1])
+		is = sub(mix(permute(&tauTab, is^c.k0^tw[i]^roundConst[i])))
 	}
-	// Central whitening round and reflector.
-	is = forwardRound(is, c.w1^tw, false)
-	is = c.reflector(is)
-	is = backwardRound(is, c.w0^tw, false)
-	// Backward rounds replay the forward tweak schedule in reverse, with α
-	// folded into the round tweakey.
-	for i := c.rounds - 1; i >= 0; i-- {
-		tw = updateTweakInv(tw)
-		is = backwardRound(is, c.k0^tw^roundConst[i]^alpha, i == 0)
+	r := c.rounds
+	tw[r] = permute(&tweakTab, tw[r-1])
+	// Central whitening round, reflector (τ, Q = M, key addition, τ⁻¹) and
+	// the inverse of the central round.
+	is = sub(mix(permute(&tauTab, is^c.w1^tw[r])))
+	is = permute(&tauInvTab, mix(permute(&tauTab, is))^c.k1)
+	is = permute(&tauInvTab, mix(sub(is))) ^ c.w0 ^ tw[r]
+	// Backward rounds: the inverses of the forward rounds, with α folded
+	// into the round tweakey.
+	for i := r - 1; i > 0; i-- {
+		is = permute(&tauInvTab, mix(sub(is))) ^ c.k0 ^ tw[i] ^ roundConst[i] ^ alpha
 	}
-	return is ^ c.w1
-}
-
-// reflectorInv is the exact inverse of reflector. Because Q is an
-// involution, the inverse differs from the forward reflector only in that
-// the key is diffused through Q before being added.
-func (c *Cipher) reflectorInv(is uint64) uint64 {
-	is = shuffleCells(is)
-	is ^= c.k1
-	is = mixColumns(is)
-	return shuffleCellsInv(is)
-}
-
-// Decrypt deciphers the 64-bit ciphertext ct under tweak t. It is the
-// explicit inverse circuit of Encrypt; the package tests verify
-// Decrypt(Encrypt(p, t), t) == p for all keys, tweaks and round counts.
-func (c *Cipher) Decrypt(ct, t uint64) uint64 {
-	// Reconstruct the forward tweak schedule tw_0 .. tw_rounds.
-	tws := make([]uint64, c.rounds+1)
-	tws[0] = t
-	for i := 0; i < c.rounds; i++ {
-		tws[i+1] = updateTweak(tws[i])
-	}
-	is := ct ^ c.w1
-	// Invert the backward rounds (they consumed tw_0..tw_{rounds-1} in
-	// descending order, so the inverse walks them ascending).
-	for i := 0; i < c.rounds; i++ {
-		is = forwardRound(is, c.k0^tws[i]^roundConst[i]^alpha, i == 0)
-	}
-	// Invert the central construction.
-	is = forwardRound(is, c.w0^tws[c.rounds], false)
-	is = c.reflectorInv(is)
-	is = backwardRound(is, c.w1^tws[c.rounds], false)
-	// Invert the forward rounds.
-	for i := c.rounds - 1; i >= 0; i-- {
-		is = backwardRound(is, c.k0^tws[i]^roundConst[i], i == 0)
-	}
-	return is ^ c.w0
+	return sub(is) ^ c.k0 ^ t ^ roundConst[0] ^ alpha ^ c.w1
 }
 
 // MAC computes a 32-bit message authentication code over the 64-bit value v

@@ -115,19 +115,21 @@ func TestMachineKey(t *testing.T) {
 }
 
 // fakeStore is an in-memory snapshot.Store for pool-level tests: Load
-// always misses, Save hands back a fixed digest.
+// always misses, Save hands back the digest listed for the key. Distinct
+// keys get distinct digests, as in the content-addressed store, so Pin
+// finds exactly one entry.
 type fakeStore struct {
-	mu     sync.Mutex
-	digest string
-	saves  int
+	mu      sync.Mutex
+	digests map[Key]string
+	saves   int
 }
 
 func (f *fakeStore) Load(Key) (*Snapshot, string, error) { return nil, "", ErrNotFound }
-func (f *fakeStore) Save(Key, *Snapshot) (string, error) {
+func (f *fakeStore) Save(k Key, _ *Snapshot) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.saves++
-	return f.digest, nil
+	return f.digests[k], nil
 }
 
 // TestPinnedKeySurvivesEvictIdle: regression test for the pinned-evict
@@ -136,10 +138,10 @@ func (f *fakeStore) Save(Key, *Snapshot) (string, error) {
 // same key — while unpinned keys are still trimmed.
 func TestPinnedKeySurvivesEvictIdle(t *testing.T) {
 	pool := NewPool()
-	pool.Store = &fakeStore{digest: "pinned-digest"}
 	optsPinned := kernel.Options{Config: codegen.ConfigBackward(), Seed: 61}
 	optsPlain := kernel.Options{Config: codegen.ConfigBackward(), Seed: 62}
 	keyPinned, keyPlain := KeyFor(optsPinned), KeyFor(optsPlain)
+	pool.Store = &fakeStore{digests: map[Key]string{keyPinned: "pinned-digest", keyPlain: "plain-digest"}}
 
 	mp, err := pool.Acquire(keyPinned, BootOptions(optsPinned))
 	if err != nil {
