@@ -314,18 +314,6 @@ func BenchmarkExecThroughput(b *testing.B) {
 		// overhead on top of the 1-vCPU fast path.
 		{"fastpath-2cpu", false, 2},
 	}
-	mixProgram := func(u *kernel.UserASM) {
-		u.MovImm(insn.X5, 1<<40) // effectively endless
-		u.A.Label("loop")
-		for i := 0; i < 4; i++ {
-			u.A.I(insn.ADDi(insn.X6, insn.X6, 3))
-			u.A.I(insn.EORr(insn.X7, insn.X7, insn.X6))
-		}
-		u.SyscallReg(kernel.SysGetppid)
-		u.A.I(insn.SUBi(insn.X5, insn.X5, 1))
-		u.A.CBNZ(insn.X5, "loop")
-		u.Exit(0)
-	}
 	for _, lv := range levels {
 		for _, mode := range modes {
 			lv, mode := lv, mode
@@ -335,16 +323,7 @@ func BenchmarkExecThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 				sys := systems[0]
-				for cpuID := 0; cpuID < mode.cpus; cpuID++ {
-					prog, err := kernel.BuildProgram("mix", mixProgram)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sys.Kernel.RegisterProgram(1+cpuID, prog)
-					if _, err := sys.Kernel.SpawnOn(cpuID, 1+cpuID); err != nil {
-						b.Fatal(err)
-					}
-				}
+				spawnMix(b, sys, mode.cpus)
 				c := sys.Kernel.CPU
 				c.NoBlockCache = mode.baseline
 				c.MMU.NoTLB = mode.baseline
@@ -358,46 +337,59 @@ func BenchmarkExecThroughput(b *testing.B) {
 	}
 }
 
+// spawnMix starts the ExecThroughput mix on each of sys's first cpus
+// cores: four ADDi/EORr pairs, a getppid round trip, then SUBi/CBNZ
+// back to the top, with a count that makes the loop effectively endless.
+func spawnMix(tb testing.TB, sys *System, cpus int) {
+	tb.Helper()
+	for cpuID := 0; cpuID < cpus; cpuID++ {
+		prog, err := kernel.BuildProgram("mix", func(u *kernel.UserASM) {
+			u.MovImm(insn.X5, 1<<40)
+			u.A.Label("loop")
+			for i := 0; i < 4; i++ {
+				u.A.I(insn.ADDi(insn.X6, insn.X6, 3))
+				u.A.I(insn.EORr(insn.X7, insn.X7, insn.X6))
+			}
+			u.SyscallReg(kernel.SysGetppid)
+			u.A.I(insn.SUBi(insn.X5, insn.X5, 1))
+			u.A.CBNZ(insn.X5, "loop")
+			u.Exit(0)
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sys.Kernel.RegisterProgram(1+cpuID, prog)
+		if _, err := sys.Kernel.SpawnOn(cpuID, 1+cpuID); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// runNoneMix times b.N instructions of the mix on a LevelNone
+// uniprocessor: the measured body of both sides of the ObsOverhead and
+// FaultOverhead A/B pairs.
+func runNoneMix(b *testing.B) {
+	systems, err := ReplicateSystems(LevelNone, Options{Seed: 3}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := systems[0]
+	spawnMix(b, sys, 1)
+	b.ResetTimer()
+	sys.Kernel.Run(uint64(b.N))
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+}
+
 // BenchmarkObsOverhead is the A/B cost measurement for the counter
 // registry (DESIGN.md §11): the none/fastpath ExecThroughput mix run
 // quiet, then again while a scraper goroutine continuously renders the
 // Prometheus exposition and takes JSON snapshots. The hot path only
 // bumps per-core plain cells and flushes at Run exit, so the scraped
 // variant's ns/op must stay within a small budget of the quiet one —
-// cmd/benchgate's -obs-overhead flag gates the ratio.
+// cmd/benchgate's obs-overhead row gates the ratio.
 func BenchmarkObsOverhead(b *testing.B) {
-	mix := func(u *kernel.UserASM) {
-		u.MovImm(insn.X5, 1<<40) // effectively endless
-		u.A.Label("loop")
-		for i := 0; i < 4; i++ {
-			u.A.I(insn.ADDi(insn.X6, insn.X6, 3))
-			u.A.I(insn.EORr(insn.X7, insn.X7, insn.X6))
-		}
-		u.SyscallReg(kernel.SysGetppid)
-		u.A.I(insn.SUBi(insn.X5, insn.X5, 1))
-		u.A.CBNZ(insn.X5, "loop")
-		u.Exit(0)
-	}
-	run := func(b *testing.B) {
-		systems, err := ReplicateSystems(LevelNone, Options{Seed: 3}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys := systems[0]
-		prog, err := kernel.BuildProgram("mix", mix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys.Kernel.RegisterProgram(1, prog)
-		if _, err := sys.Kernel.Spawn(1); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		sys.Kernel.Run(uint64(b.N))
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instr/s")
-	}
-	b.Run("quiet", run)
+	b.Run("quiet", runNoneMix)
 	b.Run("scraped", func(b *testing.B) {
 		// Scrape at a 10ms cadence — already ~three orders of magnitude
 		// hotter than a real Prometheus interval — rather than in a busy
@@ -422,7 +414,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				obs.TakeSnapshot()
 			}
 		}()
-		run(b)
+		runNoneMix(b)
 		close(stop)
 		<-done
 	})
@@ -434,46 +426,15 @@ func BenchmarkObsOverhead(b *testing.B) {
 // load per injection point, all of them off the instruction loop), then
 // again with a registry armed on store/pool points that never fire
 // during execution. The armed variant's ns/op must stay within a small
-// budget of the disabled one — cmd/benchgate's -fault-overhead flag
+// budget of the disabled one — cmd/benchgate's fault-overhead row
 // gates the ratio, so injection points can never creep into the hot
 // path unnoticed.
 func BenchmarkFaultOverhead(b *testing.B) {
-	mix := func(u *kernel.UserASM) {
-		u.MovImm(insn.X5, 1<<40) // effectively endless
-		u.A.Label("loop")
-		for i := 0; i < 4; i++ {
-			u.A.I(insn.ADDi(insn.X6, insn.X6, 3))
-			u.A.I(insn.EORr(insn.X7, insn.X7, insn.X6))
-		}
-		u.SyscallReg(kernel.SysGetppid)
-		u.A.I(insn.SUBi(insn.X5, insn.X5, 1))
-		u.A.CBNZ(insn.X5, "loop")
-		u.Exit(0)
-	}
-	run := func(b *testing.B) {
-		systems, err := ReplicateSystems(LevelNone, Options{Seed: 3}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys := systems[0]
-		prog, err := kernel.BuildProgram("mix", mix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys.Kernel.RegisterProgram(1, prog)
-		if _, err := sys.Kernel.Spawn(1); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		sys.Kernel.Run(uint64(b.N))
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instr/s")
-	}
 	b.Run("off", func(b *testing.B) {
 		prev := fault.Active()
 		fault.Disable()
 		defer fault.Install(prev)
-		run(b)
+		runNoneMix(b)
 	})
 	b.Run("armed", func(b *testing.B) {
 		r, err := fault.ParseSpec("seed=1,store.chunk.read=all,pool.boot=all,client.reset=all")
@@ -483,7 +444,7 @@ func BenchmarkFaultOverhead(b *testing.B) {
 		prev := fault.Active()
 		fault.Install(r)
 		defer fault.Install(prev)
-		run(b)
+		runNoneMix(b)
 	})
 }
 
@@ -493,7 +454,8 @@ func BenchmarkFaultOverhead(b *testing.B) {
 // disables only host-pointer caching (MMU.NoHostPtr), so every access
 // still hits the TLB but pays translation bookkeeping plus bus routing
 // and the page-map lookup — isolating exactly what the pointer cache
-// buys. cmd/benchgate enforces a floor on the hostptr/buspath ratio.
+// buys. cmd/benchgate's host-pointer row enforces a floor on the
+// buspath/hostptr ratio.
 func BenchmarkMemFastPath(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
@@ -629,7 +591,7 @@ const warmStartBatch = 8
 // image rebuild — and forks the rest copy-on-write. Every iteration
 // opens a fresh Store handle so the memoized-load fast path never
 // fires: the number reported is the honest cold-restart cost. The
-// committed floor (benchgate -warmstart-floor) pins the advantage.
+// committed floor (benchgate's warm-start row) pins the advantage.
 func BenchmarkWarmStart(b *testing.B) {
 	prog, err := kernel.BuildProgram("short", shortWorkload)
 	if err != nil {

@@ -152,8 +152,8 @@ func TestRunExperimentByID(t *testing.T) {
 // steady state with testing.AllocsPerRun, which reports a float average
 // — unlike `go test -benchmem`, whose allocs/op is truncated to an
 // integer and would let a conditional allocation on ~90% of
-// instructions read as 0. cmd/benchgate's -max-allocs gate guards the
-// CI trajectory; this test guards the sub-1.0 band the gate cannot see.
+// instructions read as 0. cmd/benchgate's allocs row guards the CI
+// trajectory; this test guards the sub-1.0 band the row cannot see.
 //
 // The budget is per-instruction, not absolutely zero: timer-dependent
 // kernel branches occasionally enter already-decoded code at a new
@@ -179,25 +179,7 @@ func TestExecSteadyStateZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := kernel.BuildProgram("mix", func(u *kernel.UserASM) {
-				u.MovImm(insn.X5, 1<<40)
-				u.A.Label("loop")
-				for i := 0; i < 4; i++ {
-					u.A.I(insn.ADDi(insn.X6, insn.X6, 3))
-					u.A.I(insn.EORr(insn.X7, insn.X7, insn.X6))
-				}
-				u.SyscallReg(kernel.SysGetppid)
-				u.A.I(insn.SUBi(insn.X5, insn.X5, 1))
-				u.A.CBNZ(insn.X5, "loop")
-				u.Exit(0)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys.Kernel.RegisterProgram(1, prog)
-			if _, err := sys.Kernel.Spawn(1); err != nil {
-				t.Fatal(err)
-			}
+			spawnMix(t, sys, 1)
 			sys.Kernel.Run(500_000) // warm: decode, TLB, host pointers, chains
 			const instrsPerRun = 5_000
 			allocs := testing.AllocsPerRun(20, func() {

@@ -1,7 +1,7 @@
 // Package benchparse parses `go test -bench` text output into
 // structured entries and aggregates repeated runs (-count=N) — the
-// substrate of the CI bench-trajectory gate, which pins the fork-vs-boot
-// advantage and records throughput trajectories across revisions.
+// substrate of cmd/benchgate, whose gate table pins the CI performance
+// bounds and records throughput trajectories across revisions.
 package benchparse
 
 import (
@@ -193,39 +193,4 @@ func MinNsPerOp(entries []Entry, name string) (min float64, ok bool) {
 		}
 	}
 	return min, ok
-}
-
-// MeanNsPerOp averages ns/op over every entry named name (the -count
-// repeats); ok reports whether any matched.
-func MeanNsPerOp(entries []Entry, name string) (mean float64, ok bool) {
-	var sum float64
-	var n int
-	for _, e := range entries {
-		if e.Name == name {
-			sum += e.NsPerOp
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
-}
-
-// MeanMetric averages a custom metric over every entry named name.
-func MeanMetric(entries []Entry, name, unit string) (mean float64, ok bool) {
-	var sum float64
-	var n int
-	for _, e := range entries {
-		if e.Name == name {
-			if v, has := e.Metrics[unit]; has {
-				sum += v
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
 }

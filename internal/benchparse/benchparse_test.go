@@ -40,31 +40,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestMeans(t *testing.T) {
-	entries, err := Parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot, ok := MeanNsPerOp(entries, "BenchmarkForkVsBoot/boot+run")
-	if !ok || boot != 100000000 {
-		t.Fatalf("boot mean = %v ok=%v, want 1e8", boot, ok)
-	}
-	fork, ok := MeanNsPerOp(entries, "BenchmarkForkVsBoot/fork+run")
-	if !ok || fork != 10000000 {
-		t.Fatalf("fork mean = %v ok=%v, want 1e7", fork, ok)
-	}
-	if ratio := boot / fork; ratio != 10 {
-		t.Fatalf("ratio = %v, want 10", ratio)
-	}
-	ips, ok := MeanMetric(entries, "BenchmarkExecThroughput/none/fastpath", "instr/s")
-	if !ok || ips != 23000000 {
-		t.Fatalf("instr/s mean = %v ok=%v", ips, ok)
-	}
-	if _, ok := MeanNsPerOp(entries, "BenchmarkMissing"); ok {
-		t.Fatal("MeanNsPerOp matched a missing name")
-	}
-}
-
 func TestNumCPURecorded(t *testing.T) {
 	entries, err := Parse(strings.NewReader(sample))
 	if err != nil {

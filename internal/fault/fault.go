@@ -21,8 +21,8 @@
 //
 // When no registry is installed — every production run — an injection
 // point costs one atomic pointer load and a branch, allocates nothing,
-// and is benchgate-gated (≤2% on the scraped execution A/B, like the
-// observability registry it is modeled on).
+// and is held by benchgate's fault-overhead row (≤2% on the execution
+// A/B, like the observability registry it is modeled on).
 package fault
 
 import (

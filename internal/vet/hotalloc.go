@@ -6,9 +6,9 @@ import (
 	"go/types"
 )
 
-// HotAlloc is the compile-time face of the benchgate 0 allocs/op
-// contract (DESIGN.md §5, §14): functions marked //camo:hotpath run
-// inside the steady-state execution loop, where a single heap
+// HotAlloc is the compile-time face of benchgate's allocs row (the 0
+// allocs/op contract, DESIGN.md §5, §14): functions marked //camo:hotpath
+// run inside the steady-state execution loop, where a single heap
 // allocation per op shows up as a throughput cliff and fails the bench
 // job — hours after the commit that introduced it. This analyzer moves
 // that tripwire to vet time by flagging the allocating constructs the

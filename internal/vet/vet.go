@@ -4,10 +4,10 @@
 // tests cannot see — atomically-published generation cells that must
 // never be read plainly, determinism-critical packages that must never
 // consult wall clocks or iterate maps into output, hot-path functions
-// benchgate holds to 0 allocs/op, the obs.CounterID exposition
-// registry, the fault-point spec grammar — and this package encodes
-// each one as a static analyzer run over the whole module on every
-// commit (cmd/camovet, the required CI job).
+// benchgate's allocs row holds to 0 allocs/op, the obs.CounterID
+// exposition registry, the fault-point spec grammar — and this package
+// encodes each one as a static analyzer run over the whole module on
+// every commit (cmd/camovet, the required CI job).
 //
 // The framework deliberately mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer / Pass / Diagnostic) so the
