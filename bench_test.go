@@ -1,241 +1,33 @@
 package camouflage
 
-// The benchmark harness: one benchmark per table and figure of the
-// paper's evaluation (DESIGN.md §4 experiment index), plus ablations and
-// substrate micro-benchmarks. Custom metrics report the quantities the
-// paper's figures plot (cycles per call, relative overhead, ns per
-// iteration); wall-clock ns/op measures the simulator itself.
+// The benchmark harness: the trajectory benchmarks that cmd/benchgate's
+// gate rows read (ExecThroughput, MemFastPath, ForkVsBoot, WarmStart,
+// ObsOverhead, FaultOverhead), plus per-layer micro-benchmarks (QARMA,
+// PAC signing, boot, the SVC round trip, key-setter emission). The
+// paper's tables and figures are regenerated and checked by the figures
+// tests (TestAllExperimentsRun) and timed per experiment by the repo
+// benchmark in perfbench/, so they have no benchmark here.
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 
 import (
-	"bytes"
-	"fmt"
 	"io"
-	"strings"
 	"testing"
 	"time"
 
-	"camouflage/internal/attack"
 	"camouflage/internal/boot"
-	"camouflage/internal/codegen"
 	"camouflage/internal/core"
 	"camouflage/internal/fault"
-	"camouflage/internal/figures"
-	"camouflage/internal/hyp"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
-	"camouflage/internal/lmbench"
 	"camouflage/internal/obs"
 	"camouflage/internal/pac"
 	"camouflage/internal/qarma"
 	"camouflage/internal/snapshot"
 	"camouflage/internal/store"
-	"camouflage/internal/workload"
 )
-
-// --- E1: key-switch cost (§6.1.1) ---
-
-func BenchmarkKeySwitch(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		st, err := figures.MeasureKeySwitch(20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean = st.Mean
-	}
-	b.ReportMetric(mean, "cycles/key")
-}
-
-// --- E2: Figure 2, per-call overhead by scheme ---
-
-func BenchmarkCallOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.MeasureFigure2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range rows {
-				name := strings.NewReplacer(" ", "", "(", "", ")", "", "/", "-").Replace(r.Scheme.String())
-				b.ReportMetric(r.NsPerCall, name+"_ns/call")
-			}
-		}
-	}
-}
-
-// --- E3: Figure 3, lmbench rows ---
-
-func BenchmarkLmbench(b *testing.B) {
-	for _, bench := range lmbench.Suite() {
-		bench := bench
-		for _, lv := range lmbench.Levels() {
-			lv := lv
-			b.Run(fmt.Sprintf("%s/%s", bench.Name, lv.Name), func(b *testing.B) {
-				var r lmbench.Result
-				var err error
-				for i := 0; i < b.N; i++ {
-					r, err = lmbench.Measure(lv.Cfg, lv.Name, bench)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(r.NsPerIter, "model_ns/iter")
-				b.ReportMetric(r.CyclesPerIter, "model_cycles/iter")
-			})
-		}
-	}
-}
-
-// --- E4: Figure 4, user workloads ---
-
-func BenchmarkWorkload(b *testing.B) {
-	for _, wl := range workload.Suite() {
-		wl := wl
-		for _, lv := range []struct {
-			name string
-			cfg  func() *codegen.Config
-		}{
-			{"none", codegen.ConfigNone},
-			{"backward-edge", codegen.ConfigBackward},
-			{"full", codegen.ConfigFull},
-		} {
-			lv := lv
-			b.Run(fmt.Sprintf("%s/%s", wl.Name, lv.name), func(b *testing.B) {
-				var r workload.Result
-				var err error
-				for i := 0; i < b.N; i++ {
-					r, err = workload.Run(lv.cfg, lv.name, wl)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(r.Cycles), "model_cycles")
-			})
-		}
-	}
-}
-
-// --- E5/E6: Tables 1 and 2 ---
-
-func BenchmarkTable1Render(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := figures.RenderTable1(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2Render(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := figures.RenderTable2(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E7: §5.3 Coccinelle statistics ---
-
-func BenchmarkCoccinelleStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := figures.RenderCoccinelle(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E8: §6.2 security evaluation ---
-
-func BenchmarkAttackROP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := attack.ROPFrameRecord(codegen.ConfigFull(), "full")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Outcome != attack.OutcomeDetected {
-			b.Fatalf("outcome = %v", r.Outcome)
-		}
-	}
-}
-
-func BenchmarkAttackFOpsSwap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := attack.FOpsSwap(codegen.ConfigFull(), "full")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Outcome != attack.OutcomeDetected {
-			b.Fatalf("outcome = %v", r.Outcome)
-		}
-	}
-}
-
-func BenchmarkBruteForceToHalt(b *testing.B) {
-	var attempts int
-	for i := 0; i < b.N; i++ {
-		rep, err := attack.BruteForcePAC(codegen.ConfigFull(), "full", 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		attempts = rep.Attempts
-	}
-	b.ReportMetric(float64(attempts), "attempts")
-}
-
-// --- E9: key-management ablation (XOM vs EL2 trap) ---
-
-func BenchmarkKeyManagementAblation(b *testing.B) {
-	k, err := kernel.New(kernel.Options{Config: codegen.ConfigFull(), Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := k.Boot(); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("xom-setter", func(b *testing.B) {
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			before := k.CPU.Cycles
-			if err := k.CallGuest(k.Img.Symbols["key_setter"]); err != nil {
-				b.Fatal(err)
-			}
-			cycles = k.CPU.Cycles - before
-		}
-		b.ReportMetric(float64(cycles), "model_cycles")
-	})
-	b.Run("el2-trap", func(b *testing.B) {
-		k.Hyp.EscrowKeys(k.KernelKeysForTest())
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			before := k.CPU.Cycles
-			if err := k.Hyp.TrapInstallKeys(pac.KeyIB, pac.KeyIA, pac.KeyDB); err != nil {
-				b.Fatal(err)
-			}
-			cycles = k.CPU.Cycles - before
-		}
-		b.ReportMetric(float64(cycles), "model_cycles")
-		if hyp.TrapCycles < 100 {
-			b.Fatal("trap model implausibly cheap")
-		}
-	})
-}
-
-// --- E10: replay census ---
-
-func BenchmarkReplayCensus(b *testing.B) {
-	var collisions int
-	for i := 0; i < b.N; i++ {
-		r := attack.ReplayCensus(pac.ModifierClangSP, 16, 32, 16)
-		collisions = r.CollidingPairs
-	}
-	b.ReportMetric(float64(collisions), "clangsp_collisions")
-}
 
 // --- substrate micro-benchmarks ---
 
@@ -257,32 +49,6 @@ func BenchmarkPACSign(b *testing.B) {
 		sink = s.Sign(ptr, uint64(i), pac.KeyIB)
 	}
 	_ = sink
-}
-
-// BenchmarkSimulatorMIPS measures raw interpreter throughput: a tight
-// guest ALU loop, reported as simulated instructions per host second.
-func BenchmarkSimulatorMIPS(b *testing.B) {
-	sys, err := NewSystem(LevelNone, Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := kernel.BuildProgram("spin", func(u *kernel.UserASM) {
-		u.MovImm(insn.X5, 1_000_000_000) // effectively endless
-		u.A.Label("loop")
-		u.A.I(insn.SUBi(insn.X5, insn.X5, 1))
-		u.A.CBNZ(insn.X5, "loop")
-		u.Exit(0)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys.Kernel.RegisterProgram(1, prog)
-	if _, err := sys.Kernel.Spawn(1); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	sys.Kernel.Run(uint64(b.N))
-	b.ReportMetric(float64(b.N), "instrs")
 }
 
 // BenchmarkExecThroughput measures end-to-end simulator throughput

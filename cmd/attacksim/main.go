@@ -1,18 +1,14 @@
-// Command attacksim regenerates the §6.2 security evaluation: the attack
-// outcome matrix across kernel builds, the brute-force threshold
-// behaviour, and the replay-surface census of the modifier schemes.
-//
-// With -campaign it instead runs the differential attack campaign: for
-// each (attack, protection level) cell one machine is booted and run to
-// the attack window, then N copy-on-write forks are struck with mutated
+// Command attacksim runs the differential attack campaign: for each
+// (attack, protection level) cell one machine is booted and run to the
+// attack window, then N copy-on-write forks are struck with mutated
 // corruptions (guessed PAC bits, varied smash sets, transplant
-// variants), yielding a per-level defeat/bypass matrix.
+// variants), yielding a per-level defeat/bypass matrix. The §6.2 attack
+// matrix itself is `experiments attacks`.
 //
 // Usage:
 //
-//	attacksim                      — §6.2 matrix + replay census
-//	attacksim -campaign            — differential campaign, all levels
-//	attacksim -campaign -mutations 64 -levels none,full -seq
+//	attacksim                      — differential campaign, all levels
+//	attacksim -mutations 64 -levels none,full -seq
 package main
 
 import (
@@ -24,12 +20,9 @@ import (
 
 	"camouflage/internal/attack"
 	"camouflage/internal/fault"
-	"camouflage/internal/figures"
 )
 
 func main() {
-	campaign := flag.Bool("campaign", false,
-		"run the differential attack campaign (forked mutations against one armed snapshot per cell)")
 	mutations := flag.Int("mutations", 32, "mutated attempts per (attack, level) cell")
 	seed := flag.Uint64("seed", 1, "campaign mutation seed")
 	levels := flag.String("levels", "", "comma-separated level filter (e.g. none,full); empty = all")
@@ -50,30 +43,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "attacksim: FAULT INJECTION ARMED: %s\n", r)
 	}
 
-	if *campaign {
-		var lv []string
-		if *levels != "" {
-			lv = strings.Split(*levels, ",")
-		}
-		rep, err := attack.RunCampaign(attack.CampaignOptions{
-			Mutations: *mutations,
-			Seed:      *seed,
-			Parallel:  !*seq,
-			Levels:    lv,
-			CPUs:      *cpus,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep.Render(os.Stdout)
-		return
+	var lv []string
+	if *levels != "" {
+		lv = strings.Split(*levels, ",")
 	}
-
-	for _, id := range []string{"attacks", "ablation-replay"} {
-		e, _ := figures.Lookup(id)
-		if err := e.Run(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.WriteString("\n")
+	rep, err := attack.RunCampaign(attack.CampaignOptions{
+		Mutations: *mutations,
+		Seed:      *seed,
+		Parallel:  !*seq,
+		Levels:    lv,
+		CPUs:      *cpus,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	rep.Render(os.Stdout)
 }

@@ -9,11 +9,22 @@
 // injection, pointer reuse/replay, brute force against the 15-bit PAC,
 // and verification-oracle probing — each against the protection levels
 // the paper compares.
+//
+// Each uniprocessor attack is defined once, as a scenario: arm runs the
+// victim to the attack window, strike corrupts it, judge classifies the
+// aftermath. The §6.2 matrix and the differential campaign (campaign.go)
+// run the same scenario table through the same strike path: a matrix
+// row is the scenario struck once with the paper's exact corruption (a
+// nil PRNG), a campaign cell is the same armed machine forked and struck
+// with mutated corruptions. Only the cross-core replay keeps two forms
+// over one shared arm: its matrix row drains in-flight dispatches before
+// planting the sentinel, its campaign strike does not.
 package attack
 
 import (
 	"fmt"
 
+	"camouflage/internal/boot"
 	"camouflage/internal/codegen"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
@@ -55,27 +66,24 @@ type Report struct {
 	Detail      string
 }
 
+// sentinel fills a replay victim's read buffer: a genuine /dev/zero read
+// clears it, a silently replayed null_ops read (EOF) leaves it.
+const sentinel = 0x5E5E5E5E5E5E5E5E
+
 // gadgetCounter reads the hijack marker: the work counter incremented by
 // work_handler, which all attacks use as their "attacker code" target.
 func gadgetCounter(k *kernel.Kernel) uint64 {
 	return k.CPU.Bus.RAM.Read64(kernel.KVAToPA(kernel.DataBase) + kernel.StaticWorkOffset + kernel.WorkData)
 }
 
-// classify turns post-run state into an outcome. Hijack wins: if the
-// gadget ran, detection afterwards does not undo the damage.
-func classify(k *kernel.Kernel, before uint64) (Outcome, string) {
-	if gadgetCounter(k) > before {
-		return OutcomeHijacked, fmt.Sprintf("gadget executed %d time(s)", gadgetCounter(k)-before)
-	}
-	if k.PACFailures > 0 {
-		return OutcomeDetected, fmt.Sprintf("%d PAC failure(s), offender killed", k.PACFailures)
-	}
+// kernelOopsed reports a kernel-mode fault: a crash, not a hijack.
+func kernelOopsed(k *kernel.Kernel) bool {
 	for _, o := range k.Oops {
 		if o.Kernel {
-			return OutcomeDetected, "kernel fault without PAC (crash, not hijack)"
+			return true
 		}
 	}
-	return OutcomeInconclusive, ""
+	return false
 }
 
 // bootWith builds and boots a kernel for an attack run (warm-pooled:
@@ -145,58 +153,213 @@ func replayVictimProgram() func(u *kernel.UserASM) {
 	}
 }
 
-// credVictimProgram opens /dev/zero and loops fstat — the permission
-// check the f_cred attack subverts — recording each result for the host.
-func credVictimProgram() func(u *kernel.UserASM) {
-	return func(u *kernel.UserASM) {
-		u.Syscall(kernel.SysOpenat, 0, kernel.PathDevZero, 0)
-		u.A.I(insn.ORRr(insn.X20, insn.XZR, insn.X0, 0))
-		u.A.Label("spin")
-		u.A.I(insn.ORRr(insn.X0, insn.XZR, insn.X20, 0))
-		u.SyscallReg(kernel.SysFstat)
-		u.MovImm(insn.X1, kernel.UserDataBase)
-		u.A.I(insn.STR(insn.X0, insn.X1, 0))
-		u.A.B("spin")
+// window is the attack window located by arming a scenario: VAs and
+// slots that are valid in every fork of the armed machine, because
+// forking is exact.
+type window struct {
+	fileVA  uint64   // victim's open file (f_ops / f_cred scenarios)
+	fileVA2 uint64   // second file (replay donor/recipient)
+	slots   []uint64 // saved-return-address slots (ROP scenario)
+	gadget  uint64
+	pacMask uint64
+}
+
+// newWindow fills the fields every scenario shares.
+func newWindow(k *kernel.Kernel) window {
+	mask, _ := k.CPU.Signer.Config().PACField(true)
+	return window{gadget: k.Img.Symbols["work_handler"], pacMask: mask}
+}
+
+// scenario is one §6.2 attack: arm runs the victim on a machine booted
+// from seed to the attack window, strike corrupts it (a nil rng means
+// the paper's exact corruption, a campaign PRNG a mutation of it), and
+// judge classifies the aftermath after budget instructions, with the
+// detail the matrix prints.
+type scenario struct {
+	name   string
+	seed   uint64
+	budget uint64
+	arm    func(k *kernel.Kernel) (window, error)
+	strike func(k *kernel.Kernel, w window, rng *boot.PRNG)
+	judge  func(k *kernel.Kernel, w window, before uint64) (Outcome, string)
+}
+
+// attempt strikes an armed machine, runs it for the scenario's budget
+// and judges the aftermath: the one strike path of the matrix and the
+// campaign.
+func (sc scenario) attempt(k *kernel.Kernel, w window, rng *boot.PRNG) (Outcome, string) {
+	before := gadgetCounter(k)
+	sc.strike(k, w, rng)
+	k.CPU.InvalidateDecode()
+	k.Run(sc.budget)
+	return sc.judge(k, w, before)
+}
+
+// report is the scenario's matrix row: one unmutated strike on a
+// freshly armed machine.
+func (sc scenario) report(cfg *codegen.Config, level string) (Report, error) {
+	k, err := bootWith(cfg, sc.seed)
+	if err != nil {
+		return Report{}, err
 	}
+	w, err := sc.arm(k)
+	if err != nil {
+		return Report{}, fmt.Errorf("%s/%s: %w", sc.name, level, err)
+	}
+	out, detail := sc.attempt(k, w, nil)
+	return Report{Attack: sc.name, Level: level, Outcome: out,
+		PACFailures: k.PACFailures, Detail: detail}, nil
+}
+
+// mutatePointer forges a pointer at the target address. A nil rng
+// returns the target itself; otherwise one in four mutations leaves the
+// pointer canonical (the corruption that defeats an *unprotected*
+// kernel), the rest guess random PAC-field bits (the §5.4 forgery
+// against a signed slot).
+func mutatePointer(rng *boot.PRNG, target, mask uint64) uint64 {
+	if rng == nil || rng.Uint64()%4 == 0 {
+		return target
+	}
+	return (target &^ mask) | (rng.Uint64() & mask)
+}
+
+// judgeByGadget is the default classifier. Hijack wins: if the gadget
+// ran, detection afterwards does not undo the damage. Then PAC failures,
+// then plain kernel crashes.
+func judgeByGadget(k *kernel.Kernel, _ window, before uint64) (Outcome, string) {
+	if n := gadgetCounter(k); n > before {
+		return OutcomeHijacked, fmt.Sprintf("gadget executed %d time(s)", n-before)
+	}
+	if k.PACFailures > 0 {
+		return OutcomeDetected, fmt.Sprintf("%d PAC failure(s), offender killed", k.PACFailures)
+	}
+	if kernelOopsed(k) {
+		return OutcomeDetected, "kernel fault without PAC (crash, not hijack)"
+	}
+	return OutcomeInconclusive, ""
+}
+
+// baseScenarios returns the uniprocessor attacks in matrix order.
+func baseScenarios() []scenario {
+	return []scenario{ropScenario, fopsSwapScenario, fopsReplayScenario, credSwapScenario}
+}
+
+// ROPFrameRecord is the backward-edge attack of §2.1: overwrite saved
+// return addresses in the frame records of a task blocked inside the
+// kernel, then let it resume.
+func ROPFrameRecord(cfg *codegen.Config, level string) (Report, error) {
+	return ropScenario.report(cfg, level)
+}
+
+var ropScenario = scenario{
+	name: "ROP (frame-record smash)", seed: 23, budget: 5_000_000,
+	arm: func(k *kernel.Kernel) (window, error) {
+		w := newWindow(k)
+		prog, err := kernel.BuildProgram("blocker", pipeBlockerProgram())
+		if err != nil {
+			return w, err
+		}
+		k.RegisterProgram(1, prog)
+		if _, err := k.Spawn(1); err != nil {
+			return w, err
+		}
+		// Run until the child (pid 2) is blocked in pipe_read.
+		var victim *kernel.Task
+		for i := 0; i < 300; i++ {
+			k.Run(5_000)
+			if t := k.Task(2); t != nil && t.State == kernel.TaskBlocked {
+				victim = t
+				break
+			}
+			if k.Halted {
+				break
+			}
+		}
+		if victim == nil {
+			return w, fmt.Errorf("victim never blocked")
+		}
+		// Saved return addresses: any quad on the victim's kernel stack
+		// whose PAC-stripped value lands in kernel text.
+		textLo := k.Img.Symbols["start_kernel"] &^ 0xFFFF
+		textHi := textLo + 0x4_0000
+		ram := k.CPU.Bus.RAM
+		stackBase := victim.StackTop - kernel.StackSize
+		for off := uint64(0); off < kernel.StackSize; off += 8 {
+			va := stackBase + off
+			v := ram.Read64(kernel.KVAToPA(va))
+			if v == 0 {
+				continue
+			}
+			if s := k.CPU.Signer.Strip(v); s >= textLo && s < textHi {
+				w.slots = append(w.slots, va)
+			}
+		}
+		if len(w.slots) == 0 {
+			return w, fmt.Errorf("no return addresses on victim stack")
+		}
+		return w, nil
+	},
+	// Unmutated, every located slot gets the gadget; a campaign strike
+	// smashes a random non-empty subset with mutated pointers.
+	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
+		ram := k.CPU.Bus.RAM
+		smashed := false
+		for _, va := range w.slots {
+			if rng != nil && rng.Uint64()&1 == 0 {
+				continue
+			}
+			ram.Write64(kernel.KVAToPA(va), mutatePointer(rng, w.gadget, w.pacMask))
+			smashed = true
+		}
+		if !smashed {
+			va := w.slots[rng.Uint64()%uint64(len(w.slots))]
+			ram.Write64(kernel.KVAToPA(va), mutatePointer(rng, w.gadget, w.pacMask))
+		}
+	},
+	// The detail counts the slots the unmutated strike smashes (all of
+	// them); the campaign discards it.
+	judge: func(k *kernel.Kernel, w window, before uint64) (Outcome, string) {
+		out, detail := judgeByGadget(k, w, before)
+		return out, fmt.Sprintf("%s; %d slots smashed", detail, len(w.slots))
+	},
 }
 
 // FOpsSwap is the forward-edge/DFI attack of §4.5: replace an open file's
 // f_ops pointer with a forged operations table in writable memory whose
 // read member is the attacker's gadget.
 func FOpsSwap(cfg *codegen.Config, level string) (Report, error) {
-	k, err := bootWith(cfg, 21)
-	if err != nil {
-		return Report{}, err
-	}
-	prog, err := kernel.BuildProgram("victim", spinReadProgram(kernel.PathDevZero))
-	if err != nil {
-		return Report{}, err
-	}
-	k.RegisterProgram(1, prog)
-	if _, err := k.Spawn(1); err != nil {
-		return Report{}, err
-	}
-	k.Run(400_000) // open + a few benign reads
-	fileVA := k.FileAddrByFD(0)
-	if fileVA == 0 {
-		return Report{}, fmt.Errorf("fopsswap: victim fd not open")
-	}
+	return fopsSwapScenario.report(cfg, level)
+}
 
-	before := gadgetCounter(k)
+var fopsSwapScenario = scenario{
+	name: "f_ops swap (JOP)", seed: 21, budget: 3_000_000,
+	arm: func(k *kernel.Kernel) (window, error) {
+		w := newWindow(k)
+		prog, err := kernel.BuildProgram("victim", spinReadProgram(kernel.PathDevZero))
+		if err != nil {
+			return w, err
+		}
+		k.RegisterProgram(1, prog)
+		if _, err := k.Spawn(1); err != nil {
+			return w, err
+		}
+		k.Run(400_000) // open + a few benign reads
+		if w.fileVA = k.FileAddrByFD(0); w.fileVA == 0 {
+			return w, fmt.Errorf("victim fd not open")
+		}
+		return w, nil
+	},
 	// Arbitrary kernel R/W: forge an ops table pointing read at the
 	// gadget, then swap f_ops. (.rodata itself is unwritable — §3.1 — so
 	// the forgery must live in writable memory, which is exactly why the
 	// pointer *to* the table needs DFI.)
-	forged := k.AllocScratch(kernel.OpsSize)
-	ram := k.CPU.Bus.RAM
-	ram.Write64(kernel.KVAToPA(forged)+kernel.OpsRead, k.Img.Symbols["work_handler"])
-	ram.Write64(kernel.KVAToPA(fileVA)+kernel.FileOps, forged)
-	k.CPU.InvalidateDecode()
-
-	k.Run(3_000_000)
-	out, detail := classify(k, before)
-	return Report{Attack: "f_ops swap (JOP)", Level: level, Outcome: out,
-		PACFailures: k.PACFailures, Detail: detail}, nil
+	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
+		forged := k.AllocScratch(kernel.OpsSize)
+		ram := k.CPU.Bus.RAM
+		ram.Write64(kernel.KVAToPA(forged)+kernel.OpsRead, w.gadget)
+		ram.Write64(kernel.KVAToPA(w.fileVA)+kernel.FileOps, mutatePointer(rng, forged, w.pacMask))
+	},
+	judge: judgeByGadget,
 }
 
 // FOpsReplay is the §6.2.1 reuse attack: transplant a correctly signed
@@ -205,49 +368,65 @@ func FOpsSwap(cfg *codegen.Config, level string) (Report, error) {
 // ablation (Apple's vtable scheme, §7) it succeeds if the two files use
 // different operations tables (privilege confusion between drivers).
 func FOpsReplay(cfg *codegen.Config, level string) (Report, error) {
-	k, err := bootWith(cfg, 22)
-	if err != nil {
-		return Report{}, err
-	}
-	prog, err := kernel.BuildProgram("replayvictim", replayVictimProgram())
-	if err != nil {
-		return Report{}, err
-	}
-	k.RegisterProgram(1, prog)
-	if _, err := k.Spawn(1); err != nil {
-		return Report{}, err
-	}
-	k.Run(500_000)
-	nullFile := k.FileAddrByFD(0)
-	zeroFile := k.FileAddrByFD(1)
-	if nullFile == 0 || zeroFile == 0 {
-		return Report{}, fmt.Errorf("fopsreplay: fds not open")
-	}
+	return fopsReplayScenario.report(cfg, level)
+}
 
+var fopsReplayScenario = scenario{
+	name: "f_ops replay (reuse)", seed: 22, budget: 2_000_000,
+	arm: func(k *kernel.Kernel) (window, error) {
+		w := newWindow(k)
+		prog, err := kernel.BuildProgram("replayvictim", replayVictimProgram())
+		if err != nil {
+			return w, err
+		}
+		k.RegisterProgram(1, prog)
+		if _, err := k.Spawn(1); err != nil {
+			return w, err
+		}
+		k.Run(500_000)
+		w.fileVA = k.FileAddrByFD(0)  // /dev/null
+		w.fileVA2 = k.FileAddrByFD(1) // /dev/zero
+		if w.fileVA == 0 || w.fileVA2 == 0 {
+			return w, fmt.Errorf("fds not open")
+		}
+		return w, nil
+	},
 	// Transplant the signed f_ops of the *null* file into the *zero*
 	// file: subsequent reads of /dev/zero would dispatch through
-	// null_ops (read = EOF), silently redirecting the driver — the
-	// "pointer replaced with another pointer of the same type" case.
+	// null_ops (read = EOF), silently redirecting the driver.
+	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
+		transplant(k, w, rng)
+		k.CPU.Bus.RAM.Write64(kernel.UVAToPA(1, kernel.UserDataBase), sentinel)
+	},
+	judge: func(k *kernel.Kernel, _ window, _ uint64) (Outcome, string) {
+		if k.PACFailures > 0 {
+			return OutcomeDetected, "cross-object transplant rejected"
+		}
+		if k.CPU.Bus.RAM.Read64(kernel.UVAToPA(1, kernel.UserDataBase)) == sentinel && k.Task(1) != nil {
+			return OutcomeHijacked, "driver silently swapped: /dev/zero reads dispatch to null_ops"
+		}
+		return OutcomeInconclusive, ""
+	},
+}
+
+// transplant copies the donor file's signed f_ops (w.fileVA) into the
+// recipient file (w.fileVA2) — the "pointer replaced with another
+// pointer of the same type" case. A nil rng moves the pointer
+// unmodified; a campaign PRNG may instead flip a MAC bit or splice the
+// donor's PAC onto the recipient's own ops target.
+func transplant(k *kernel.Kernel, w window, rng *boot.PRNG) {
 	ram := k.CPU.Bus.RAM
-	signedNullOps := ram.Read64(kernel.KVAToPA(nullFile) + kernel.FileOps)
-	ram.Write64(kernel.KVAToPA(zeroFile)+kernel.FileOps, signedNullOps)
-	k.CPU.InvalidateDecode()
-
-	// Observe: fill the buffer with a sentinel; a genuine /dev/zero read
-	// zeroes it; a replayed null_ops read (EOF) leaves it untouched.
-	sentPA := kernel.UVAToPA(1, kernel.UserDataBase)
-	ram.Write64(sentPA, 0x5E5E5E5E5E5E5E5E)
-	k.Run(2_000_000)
-
-	if k.PACFailures > 0 {
-		return Report{Attack: "f_ops replay (reuse)", Level: level, Outcome: OutcomeDetected,
-			PACFailures: k.PACFailures, Detail: "cross-object transplant rejected"}, nil
+	signed := ram.Read64(kernel.KVAToPA(w.fileVA) + kernel.FileOps)
+	if rng != nil {
+		switch rng.Uint64() % 3 {
+		case 1:
+			signed ^= 1 << 50 // also break the MAC itself
+		case 2:
+			own := ram.Read64(kernel.KVAToPA(w.fileVA2) + kernel.FileOps)
+			signed = (own &^ w.pacMask) | (signed & w.pacMask)
+		}
 	}
-	if ram.Read64(sentPA) == 0x5E5E5E5E5E5E5E5E && k.Task(1) != nil {
-		return Report{Attack: "f_ops replay (reuse)", Level: level, Outcome: OutcomeHijacked,
-			Detail: "driver silently swapped: /dev/zero reads dispatch to null_ops"}, nil
-	}
-	return Report{Attack: "f_ops replay (reuse)", Level: level, Outcome: OutcomeInconclusive}, nil
+	ram.Write64(kernel.KVAToPA(w.fileVA2)+kernel.FileOps, signed)
 }
 
 // crossCoreVictimProgram is the second core's victim: open /dev/zero
@@ -260,6 +439,49 @@ func crossCoreVictimProgram() func(u *kernel.UserASM) {
 		u.Syscall(kernel.SysRead, 0, kernel.UserDataBase, 8)
 		u.A.B("spin")
 	}
+}
+
+// armCrossCore arms both cross-core forms: the donor (pid 1, core 0)
+// holds a correctly signed null_ops, the recipient (pid 2, core 1)
+// keeps reading /dev/zero through the slot the transplant overwrites.
+func armCrossCore(k *kernel.Kernel) (window, error) {
+	w := newWindow(k)
+	donor, err := kernel.BuildProgram("replayvictim", replayVictimProgram())
+	if err != nil {
+		return w, err
+	}
+	sink, err := kernel.BuildProgram("ccvictim", crossCoreVictimProgram())
+	if err != nil {
+		return w, err
+	}
+	k.RegisterProgram(1, donor)
+	k.RegisterProgram(2, sink)
+	if _, err := k.Spawn(1); err != nil {
+		return w, err
+	}
+	if _, err := k.SpawnOn(1, 2); err != nil {
+		return w, err
+	}
+	// Both victims open their files and settle into reads.
+	k.Run(1_000_000)
+	w.fileVA = k.FileAddrByFD(0)       // donor's /dev/null (core 0)
+	w.fileVA2 = k.FileAddrByFDOn(1, 0) // recipient's /dev/zero (core 1)
+	if w.fileVA == 0 || w.fileVA2 == 0 {
+		return w, fmt.Errorf("fds not open")
+	}
+	return w, nil
+}
+
+// crossCoreVerdict classifies a cross-core transplant; swapped is the
+// form's own evidence that the recipient dispatched through null_ops.
+func crossCoreVerdict(k *kernel.Kernel, swapped bool) (Outcome, string) {
+	if k.PACFailures > 0 {
+		return OutcomeDetected, "cross-core transplant rejected on sibling core"
+	}
+	if swapped && k.Task(2) != nil {
+		return OutcomeHijacked, "driver silently swapped across cores: core-1 reads dispatch to null_ops"
+	}
+	return OutcomeInconclusive, ""
 }
 
 // CrossCoreReplay is the SMP form of the §6.2.1 reuse attack, run on a
@@ -282,35 +504,11 @@ func CrossCoreReplay(cfg *codegen.Config, level string) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	donorProg, err := kernel.BuildProgram("replayvictim", replayVictimProgram())
+	w, err := armCrossCore(k)
 	if err != nil {
-		return Report{}, err
+		return Report{}, fmt.Errorf("%s/%s: %w", crossCoreScenario.name, level, err)
 	}
-	sinkProg, err := kernel.BuildProgram("ccvictim", crossCoreVictimProgram())
-	if err != nil {
-		return Report{}, err
-	}
-	k.RegisterProgram(1, donorProg)
-	k.RegisterProgram(2, sinkProg)
-	if _, err := k.Spawn(1); err != nil {
-		return Report{}, err
-	}
-	sink, err := k.SpawnOn(1, 2)
-	if err != nil {
-		return Report{}, err
-	}
-	k.Run(1_000_000) // both victims open their files and settle into reads
-
-	nullFile := k.FileAddrByFD(0)      // core 0 victim's /dev/null
-	zeroFile := k.FileAddrByFDOn(1, 0) // core 1 victim's /dev/zero
-	if nullFile == 0 || zeroFile == 0 {
-		return Report{}, fmt.Errorf("crosscore replay: fds not open")
-	}
-
-	// Transplant the signed f_ops across cores.
-	ram := k.CPU.Bus.RAM
-	signedNullOps := ram.Read64(kernel.KVAToPA(nullFile) + kernel.FileOps)
-	ram.Write64(kernel.KVAToPA(zeroFile)+kernel.FileOps, signedNullOps)
+	transplant(k, w, nil)
 	k.CPU.InvalidateDecode()
 
 	// Drain: core 1 may be suspended mid-vfs_read with the *old* f_ops
@@ -319,86 +517,34 @@ func CrossCoreReplay(cfg *codegen.Config, level string) (Report, error) {
 	// before the sentinel goes in, so the sentinel then witnesses only
 	// post-transplant dispatches.
 	k.Run(200_000)
-
-	// Sentinel in the core-1 victim's buffer: a genuine /dev/zero read
-	// zeroes it; a replayed null_ops read (EOF) leaves it untouched.
-	sentPA := kernel.UVAToPA(sink.PID, kernel.UserDataBase)
-	ram.Write64(sentPA, 0x5E5E5E5E5E5E5E5E)
+	sentPA := kernel.UVAToPA(2, kernel.UserDataBase)
+	k.CPU.Bus.RAM.Write64(sentPA, sentinel)
 	k.Run(4_000_000)
-
-	if k.PACFailures > 0 {
-		return Report{Attack: "cross-core f_ops replay", Level: level, Outcome: OutcomeDetected,
-			PACFailures: k.PACFailures, Detail: "cross-core transplant rejected on sibling core"}, nil
-	}
-	if ram.Read64(sentPA) == 0x5E5E5E5E5E5E5E5E && k.Task(sink.PID) != nil {
-		return Report{Attack: "cross-core f_ops replay", Level: level, Outcome: OutcomeHijacked,
-			Detail: "driver silently swapped across cores: core-1 reads dispatch to null_ops"}, nil
-	}
-	return Report{Attack: "cross-core f_ops replay", Level: level, Outcome: OutcomeInconclusive}, nil
+	out, detail := crossCoreVerdict(k, k.CPU.Bus.RAM.Read64(sentPA) == sentinel)
+	return Report{Attack: crossCoreScenario.name, Level: level, Outcome: out,
+		PACFailures: k.PACFailures, Detail: detail}, nil
 }
 
-// ROPFrameRecord is the backward-edge attack of §2.1: overwrite saved
-// return addresses in the frame records of a task blocked inside the
-// kernel, then let it resume.
-func ROPFrameRecord(cfg *codegen.Config, level string) (Report, error) {
-	k, err := bootWith(cfg, 23)
-	if err != nil {
-		return Report{}, err
-	}
-	prog, err := kernel.BuildProgram("blocker", pipeBlockerProgram())
-	if err != nil {
-		return Report{}, err
-	}
-	k.RegisterProgram(1, prog)
-	if _, err := k.Spawn(1); err != nil {
-		return Report{}, err
-	}
-
-	// Run until the child (pid 2) is blocked in pipe_read.
-	var victim *kernel.Task
-	for i := 0; i < 300; i++ {
-		k.Run(5_000)
-		if t := k.Task(2); t != nil && t.State == kernel.TaskBlocked {
-			victim = t
-			break
-		}
-		if k.Halted {
-			break
-		}
-	}
-	if victim == nil {
-		return Report{}, fmt.Errorf("rop: victim never blocked")
-	}
-
-	before := gadgetCounter(k)
-	gadget := k.Img.Symbols["work_handler"]
-	textLo := k.Img.Symbols["start_kernel"] &^ 0xFFFF
-	textHi := textLo + 0x4_0000
-	// Scan the victim's kernel stack for saved return addresses (any
-	// quad whose PAC-stripped value lands in kernel text) and smash them.
-	ram := k.CPU.Bus.RAM
-	smashed := 0
-	stackBase := victim.StackTop - kernel.StackSize
-	for off := uint64(0); off < kernel.StackSize; off += 8 {
-		va := stackBase + off
-		v := ram.Read64(kernel.KVAToPA(va))
-		if v == 0 {
-			continue
-		}
-		stripped := k.CPU.Signer.Strip(v)
-		if stripped >= textLo && stripped < textHi {
-			ram.Write64(kernel.KVAToPA(va), gadget)
-			smashed++
-		}
-	}
-	if smashed == 0 {
-		return Report{}, fmt.Errorf("rop: no return addresses found on victim stack")
-	}
-	k.CPU.InvalidateDecode()
-	k.Run(5_000_000)
-	out, detail := classify(k, before)
-	return Report{Attack: "ROP (frame-record smash)", Level: level, Outcome: out,
-		PACFailures: k.PACFailures, Detail: fmt.Sprintf("%s; %d slots smashed", detail, smashed)}, nil
+// crossCoreScenario is the campaign form of CrossCoreReplay: the strike
+// transplants mutated forms of the donor's signed pointer across cores
+// and plants the sentinel at once, with no drain.
+var crossCoreScenario = scenario{
+	name: "cross-core f_ops replay", seed: 29, budget: 6_000_000,
+	arm: armCrossCore,
+	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
+		transplant(k, w, rng)
+		k.CPU.Bus.RAM.Write64(kernel.UVAToPA(2, kernel.UserDataBase), sentinel)
+	},
+	// A dispatch in flight on core 1 when the strike landed may consume
+	// the sentinel with the old ops (real SMP timing), so "transplanted
+	// pointer still installed under a live victim" counts as the silent
+	// swap too.
+	judge: func(k *kernel.Kernel, w window, _ uint64) (Outcome, string) {
+		ram := k.CPU.Bus.RAM
+		planted := ram.Read64(kernel.KVAToPA(w.fileVA2)+kernel.FileOps) ==
+			ram.Read64(kernel.KVAToPA(w.fileVA)+kernel.FileOps)
+		return crossCoreVerdict(k, planted || ram.Read64(kernel.UVAToPA(2, kernel.UserDataBase)) == sentinel)
+	},
 }
 
 // BruteReport is the result of the §5.4 brute-force experiment.
@@ -482,22 +628,17 @@ func Levels() []struct {
 	}
 }
 
-// Matrix runs every attack against every configuration: the §6.2
-// security-evaluation table.
-func Matrix() ([]Report, error) { return MatrixCPUs(1) }
-
-// MatrixCPUs is Matrix on machines with the given vCPU count (the
-// victims stay pinned to the boot core; the cross-core scenario lives
-// in CrossCoreReplay and the campaign driver).
-func MatrixCPUs(cpus int) ([]Report, error) {
+// Matrix runs every uniprocessor attack against every configuration on
+// machines with the given vCPU count (the victims stay pinned to the
+// boot core): the §6.2 security-evaluation table, one unmutated strike
+// of each scenario per level.
+func Matrix(cpus int) ([]Report, error) {
 	var out []Report
 	for _, lv := range Levels() {
-		for _, run := range []func(*codegen.Config, string) (Report, error){
-			ROPFrameRecord, FOpsSwap, FOpsReplay, CredSwap,
-		} {
+		for _, sc := range baseScenarios() {
 			cfg := lv.Cfg()
 			cfg.NumCPUs = cpus
-			r, err := run(cfg, lv.Name)
+			r, err := sc.report(cfg, lv.Name)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 
 	"camouflage/internal/codegen"
 	"camouflage/internal/pac"
+	"camouflage/internal/snapshot"
 )
 
 // TestCampaignMatrix: the differential campaign reproduces the §6.2
@@ -177,7 +178,7 @@ func TestBruteForceHaltsAtThreshold(t *testing.T) {
 // property: the full build detects everything; the unprotected build is
 // hijacked by everything.
 func TestMatrixComplete(t *testing.T) {
-	reports, err := Matrix()
+	reports, err := Matrix(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +278,53 @@ func TestVerificationOracle(t *testing.T) {
 		}
 		if r.UserAuthSucceeded {
 			t.Fatalf("seed %d: user keys verified a kernel PAC — oracle exists", seed)
+		}
+	}
+}
+
+// TestUnmutatedStrikeOnForkMatchesMatrix checks the assumption the
+// campaign rests on: an attack window located on the armed machine is
+// valid in every fork of it, because forking is exact. For every base
+// scenario at every level and at 1 and 2 vCPUs, an unmutated strike on
+// a fork of the armed machine must reproduce the matrix row struck on
+// the armed machine itself: outcome, detail (which carries gadget
+// counts) and PAC failures.
+func TestUnmutatedStrikeOnForkMatchesMatrix(t *testing.T) {
+	for _, cpus := range []int{1, 2} {
+		rows, err := Matrix(cpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(Levels()) * len(baseScenarios()); len(rows) != want {
+			t.Fatalf("%d vCPU: matrix has %d rows, want %d", cpus, len(rows), want)
+		}
+		i := 0
+		for _, lv := range Levels() {
+			for _, sc := range baseScenarios() {
+				want := rows[i]
+				i++
+				cfg := lv.Cfg()
+				cfg.NumCPUs = cpus
+				k, err := bootWith(cfg, sc.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := sc.arm(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fork, err := snapshot.Take(k).Fork()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, detail := sc.attempt(fork, w, nil)
+				got := Report{Attack: sc.name, Level: lv.Name, Outcome: out,
+					PACFailures: fork.PACFailures, Detail: detail}
+				if got != want {
+					t.Errorf("%d vCPU: fork strike differs from the matrix row:\n fork:   %+v\n matrix: %+v",
+						cpus, got, want)
+				}
+			}
 		}
 	}
 }

@@ -10,6 +10,11 @@ package attack
 // security argument is implicitly about, and one that full reboots make
 // prohibitively slow (each attempt would re-pay codegen + verification +
 // boot + victim warm-up).
+//
+// The cells are the scenarios of attack.go, the same table the §6.2
+// matrix strikes once unmutated: each fork goes through scenario.attempt
+// with a per-mutation PRNG where the matrix passes nil, and the campaign
+// keeps the outcome and discards the detail.
 
 import (
 	"context"
@@ -17,7 +22,6 @@ import (
 	"io"
 
 	"camouflage/internal/boot"
-	"camouflage/internal/kernel"
 	"camouflage/internal/snapshot"
 )
 
@@ -69,322 +73,14 @@ type CampaignReport struct {
 	Armed int    `json:"armed"`
 }
 
-// campaignWindow is the attack window located by arming a scenario: VAs
-// and slots that are valid in every fork of the armed snapshot, because
-// forking is exact.
-type campaignWindow struct {
-	fileVA  uint64   // victim's open file (f_ops / f_cred scenarios)
-	fileVA2 uint64   // second file (replay donor/recipient)
-	slots   []uint64 // saved-return-address slots (ROP scenario)
-	gadget  uint64
-	pacMask uint64
-}
-
-// scenario is one campaign attack: arm runs the victim to the window
-// (paid once per cell), strike applies a mutated corruption to a fork,
-// judge classifies the aftermath.
-type scenario struct {
-	name   string
-	seed   uint64
-	budget uint64
-	arm    func(k *kernel.Kernel) (campaignWindow, error)
-	strike func(k *kernel.Kernel, w campaignWindow, rng *boot.PRNG) error
-	judge  func(k *kernel.Kernel, w campaignWindow, before uint64) Outcome
-}
-
-// mutatePointer forges a pointer at the target address with mutated
-// authentication bits: one in four mutations leaves the pointer
-// canonical (the corruption that defeats an *unprotected* kernel), the
-// rest guess random PAC-field bits (the §5.4 forgery against a signed
-// slot).
-func mutatePointer(rng *boot.PRNG, target, mask uint64) uint64 {
-	if rng.Uint64()%4 == 0 {
-		return target
-	}
-	return (target &^ mask) | (rng.Uint64() & mask)
-}
-
-// newWindow fills the fields every scenario shares.
-func newWindow(k *kernel.Kernel) campaignWindow {
-	mask, _ := k.CPU.Signer.Config().PACField(true)
-	return campaignWindow{gadget: k.Img.Symbols["work_handler"], pacMask: mask}
-}
-
-// judgeByGadget is the default classifier (hijack marker, then PAC
-// failures, then plain kernel crashes).
-func judgeByGadget(k *kernel.Kernel, _ campaignWindow, before uint64) Outcome {
-	out, _ := classify(k, before)
-	return out
-}
-
-// judgeByVictimAlive classifies silent-corruption scenarios (f_cred):
-// detection is a PAC failure or a kernel fault; a victim still running
-// against the corrupted state is a hijack.
-func judgeByVictimAlive(k *kernel.Kernel, _ campaignWindow, _ uint64) Outcome {
-	if k.PACFailures > 0 {
-		return OutcomeDetected
-	}
-	for _, o := range k.Oops {
-		if o.Kernel {
-			return OutcomeDetected
-		}
-	}
-	if k.Task(1) != nil {
-		return OutcomeHijacked
-	}
-	return OutcomeInconclusive
-}
-
-// campaignScenarios returns the §6.2 attacks in their mutated campaign
-// form; at 2+ vCPUs the cross-core replay scenario joins the list.
+// campaignScenarios returns the campaign's cells: the uniprocessor
+// attacks, plus the cross-core replay at 2+ vCPUs.
 func campaignScenarios(cpus int) []scenario {
 	scs := baseScenarios()
 	if cpus >= 2 {
-		scs = append(scs, crossCoreScenario())
+		scs = append(scs, crossCoreScenario)
 	}
 	return scs
-}
-
-// crossCoreScenario is the SMP campaign cell: arm two victims on two
-// cores (donor holds a correctly signed f_ops, recipient dispatches
-// through the slot the strike corrupts), then transplant mutated forms
-// of the donor's signed pointer across cores.
-func crossCoreScenario() scenario {
-	return scenario{
-		name: "cross-core f_ops replay", seed: 29, budget: 6_000_000,
-		arm: func(k *kernel.Kernel) (campaignWindow, error) {
-			w := newWindow(k)
-			donor, err := kernel.BuildProgram("replayvictim", replayVictimProgram())
-			if err != nil {
-				return w, err
-			}
-			sink, err := kernel.BuildProgram("ccvictim", crossCoreVictimProgram())
-			if err != nil {
-				return w, err
-			}
-			k.RegisterProgram(1, donor)
-			k.RegisterProgram(2, sink)
-			if _, err := k.Spawn(1); err != nil {
-				return w, err
-			}
-			if _, err := k.SpawnOn(1, 2); err != nil {
-				return w, err
-			}
-			k.Run(1_000_000)
-			w.fileVA = k.FileAddrByFD(0)       // donor: signed null_ops holder (core 0)
-			w.fileVA2 = k.FileAddrByFDOn(1, 0) // recipient (core 1)
-			if w.fileVA == 0 || w.fileVA2 == 0 {
-				return w, fmt.Errorf("campaign crosscore: fds not open")
-			}
-			return w, nil
-		},
-		strike: func(k *kernel.Kernel, w campaignWindow, rng *boot.PRNG) error {
-			ram := k.CPU.Bus.RAM
-			signed := ram.Read64(kernel.KVAToPA(w.fileVA) + kernel.FileOps)
-			switch rng.Uint64() % 3 {
-			case 1:
-				signed ^= 1 << 50 // also break the MAC itself
-			case 2:
-				own := ram.Read64(kernel.KVAToPA(w.fileVA2) + kernel.FileOps)
-				signed = (own &^ w.pacMask) | (signed & w.pacMask)
-			}
-			ram.Write64(kernel.KVAToPA(w.fileVA2)+kernel.FileOps, signed)
-			ram.Write64(kernel.UVAToPA(2, kernel.UserDataBase), 0x5E5E5E5E5E5E5E5E)
-			return nil
-		},
-		judge: func(k *kernel.Kernel, w campaignWindow, _ uint64) Outcome {
-			if k.PACFailures > 0 {
-				return OutcomeDetected
-			}
-			ram := k.CPU.Bus.RAM
-			sent := ram.Read64(kernel.UVAToPA(2, kernel.UserDataBase))
-			// A dispatch in flight on core 1 when the strike landed may
-			// consume the sentinel with the old ops (real SMP timing), so
-			// "transplanted pointer still installed under a live victim"
-			// counts as the silent swap too.
-			planted := ram.Read64(kernel.KVAToPA(w.fileVA2)+kernel.FileOps) ==
-				ram.Read64(kernel.KVAToPA(w.fileVA)+kernel.FileOps)
-			if (sent == 0x5E5E5E5E5E5E5E5E || planted) && k.Task(2) != nil {
-				return OutcomeHijacked // driver silently swapped across cores
-			}
-			return OutcomeInconclusive
-		},
-	}
-}
-
-// baseScenarios returns the uniprocessor campaign cells.
-func baseScenarios() []scenario {
-	return []scenario{
-		{
-			name: "ROP (frame-record smash)", seed: 23, budget: 5_000_000,
-			arm: func(k *kernel.Kernel) (campaignWindow, error) {
-				w := newWindow(k)
-				prog, err := kernel.BuildProgram("blocker", pipeBlockerProgram())
-				if err != nil {
-					return w, err
-				}
-				k.RegisterProgram(1, prog)
-				if _, err := k.Spawn(1); err != nil {
-					return w, err
-				}
-				var victim *kernel.Task
-				for i := 0; i < 300; i++ {
-					k.Run(5_000)
-					if t := k.Task(2); t != nil && t.State == kernel.TaskBlocked {
-						victim = t
-						break
-					}
-					if k.Halted {
-						break
-					}
-				}
-				if victim == nil {
-					return w, fmt.Errorf("campaign rop: victim never blocked")
-				}
-				textLo := k.Img.Symbols["start_kernel"] &^ 0xFFFF
-				textHi := textLo + 0x4_0000
-				ram := k.CPU.Bus.RAM
-				stackBase := victim.StackTop - kernel.StackSize
-				for off := uint64(0); off < kernel.StackSize; off += 8 {
-					va := stackBase + off
-					v := ram.Read64(kernel.KVAToPA(va))
-					if v == 0 {
-						continue
-					}
-					if s := k.CPU.Signer.Strip(v); s >= textLo && s < textHi {
-						w.slots = append(w.slots, va)
-					}
-				}
-				if len(w.slots) == 0 {
-					return w, fmt.Errorf("campaign rop: no return addresses on victim stack")
-				}
-				return w, nil
-			},
-			strike: func(k *kernel.Kernel, w campaignWindow, rng *boot.PRNG) error {
-				ram := k.CPU.Bus.RAM
-				smashed := false
-				for _, va := range w.slots {
-					if rng.Uint64()&1 == 0 {
-						continue
-					}
-					ram.Write64(kernel.KVAToPA(va), mutatePointer(rng, w.gadget, w.pacMask))
-					smashed = true
-				}
-				if !smashed {
-					va := w.slots[rng.Uint64()%uint64(len(w.slots))]
-					ram.Write64(kernel.KVAToPA(va), mutatePointer(rng, w.gadget, w.pacMask))
-				}
-				return nil
-			},
-			judge: judgeByGadget,
-		},
-		{
-			name: "f_ops swap (JOP)", seed: 21, budget: 3_000_000,
-			arm: func(k *kernel.Kernel) (campaignWindow, error) {
-				w := newWindow(k)
-				prog, err := kernel.BuildProgram("victim", spinReadProgram(kernel.PathDevZero))
-				if err != nil {
-					return w, err
-				}
-				k.RegisterProgram(1, prog)
-				if _, err := k.Spawn(1); err != nil {
-					return w, err
-				}
-				k.Run(400_000)
-				if w.fileVA = k.FileAddrByFD(0); w.fileVA == 0 {
-					return w, fmt.Errorf("campaign fops: victim fd not open")
-				}
-				return w, nil
-			},
-			strike: func(k *kernel.Kernel, w campaignWindow, rng *boot.PRNG) error {
-				forged := k.AllocScratch(kernel.OpsSize)
-				ram := k.CPU.Bus.RAM
-				ram.Write64(kernel.KVAToPA(forged)+kernel.OpsRead, w.gadget)
-				ram.Write64(kernel.KVAToPA(w.fileVA)+kernel.FileOps,
-					mutatePointer(rng, forged, w.pacMask))
-				return nil
-			},
-			judge: judgeByGadget,
-		},
-		{
-			name: "f_ops replay (reuse)", seed: 22, budget: 2_000_000,
-			arm: func(k *kernel.Kernel) (campaignWindow, error) {
-				w := newWindow(k)
-				prog, err := kernel.BuildProgram("replayvictim", replayVictimProgram())
-				if err != nil {
-					return w, err
-				}
-				k.RegisterProgram(1, prog)
-				if _, err := k.Spawn(1); err != nil {
-					return w, err
-				}
-				k.Run(500_000)
-				w.fileVA = k.FileAddrByFD(0)  // /dev/null
-				w.fileVA2 = k.FileAddrByFD(1) // /dev/zero
-				if w.fileVA == 0 || w.fileVA2 == 0 {
-					return w, fmt.Errorf("campaign replay: fds not open")
-				}
-				return w, nil
-			},
-			strike: func(k *kernel.Kernel, w campaignWindow, rng *boot.PRNG) error {
-				ram := k.CPU.Bus.RAM
-				signed := ram.Read64(kernel.KVAToPA(w.fileVA) + kernel.FileOps)
-				switch rng.Uint64() % 3 {
-				case 1:
-					// Bit-flipped transplant: also breaks the MAC itself.
-					signed ^= 1 << 50
-				case 2:
-					// PAC-field splice: graft the donor's PAC onto the
-					// recipient's own ops target.
-					own := ram.Read64(kernel.KVAToPA(w.fileVA2) + kernel.FileOps)
-					signed = (own &^ w.pacMask) | (signed & w.pacMask)
-				}
-				ram.Write64(kernel.KVAToPA(w.fileVA2)+kernel.FileOps, signed)
-				// Sentinel: a genuine /dev/zero read clears it; a silently
-				// replayed null_ops read (EOF) leaves it.
-				ram.Write64(kernel.UVAToPA(1, kernel.UserDataBase), 0x5E5E5E5E5E5E5E5E)
-				return nil
-			},
-			judge: func(k *kernel.Kernel, w campaignWindow, _ uint64) Outcome {
-				if k.PACFailures > 0 {
-					return OutcomeDetected
-				}
-				sent := k.CPU.Bus.RAM.Read64(kernel.UVAToPA(1, kernel.UserDataBase))
-				if sent == 0x5E5E5E5E5E5E5E5E && k.Task(1) != nil {
-					return OutcomeHijacked // driver silently swapped
-				}
-				return OutcomeInconclusive
-			},
-		},
-		{
-			name: "f_cred swap (priv-esc)", seed: 27, budget: 3_000_000,
-			arm: func(k *kernel.Kernel) (campaignWindow, error) {
-				w := newWindow(k)
-				prog, err := kernel.BuildProgram("credvictim", credVictimProgram())
-				if err != nil {
-					return w, err
-				}
-				k.RegisterProgram(1, prog)
-				if _, err := k.Spawn(1); err != nil {
-					return w, err
-				}
-				k.Run(500_000)
-				if w.fileVA = k.FileAddrByFD(0); w.fileVA == 0 {
-					return w, fmt.Errorf("campaign cred: victim fd not open")
-				}
-				return w, nil
-			},
-			strike: func(k *kernel.Kernel, w campaignWindow, rng *boot.PRNG) error {
-				forged := k.AllocScratch(64)
-				ram := k.CPU.Bus.RAM
-				ram.Write64(kernel.KVAToPA(forged), 0) // uid 0: root
-				ram.Write64(kernel.KVAToPA(w.fileVA)+kernel.FileCred,
-					mutatePointer(rng, forged, w.pacMask))
-				return nil
-			},
-			judge: judgeByVictimAlive,
-		},
-	}
 }
 
 // RunCampaign executes the differential campaign and returns the
@@ -460,13 +156,7 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 					return err
 				}
 				rng := boot.NewPRNG(o.Seed ^ sc.seed<<32 ^ uint64(m)*0x9E3779B97F4A7C15)
-				before := gadgetCounter(fork)
-				if err := sc.strike(fork, w, rng); err != nil {
-					return err
-				}
-				fork.CPU.InvalidateDecode()
-				fork.Run(sc.budget)
-				outcomes[m] = sc.judge(fork, w, before)
+				outcomes[m], _ = sc.attempt(fork, w, rng)
 				dirty[m] = fork.CPU.Bus.RAM.DirtyPages()
 				return nil
 			})

@@ -3,7 +3,9 @@ package attack
 import (
 	"fmt"
 
+	"camouflage/internal/boot"
 	"camouflage/internal/codegen"
+	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
 	"camouflage/internal/pac"
 )
@@ -16,44 +18,65 @@ import (
 // authenticated f_cred dereference) either reads the forged root
 // credentials (hijack) or faults on the unauthenticated pointer.
 func CredSwap(cfg *codegen.Config, level string) (Report, error) {
-	k, err := bootWith(cfg, 27)
-	if err != nil {
-		return Report{}, err
-	}
-	prog, err := kernel.BuildProgram("credvictim", credVictimProgram())
-	if err != nil {
-		return Report{}, err
-	}
-	k.RegisterProgram(1, prog)
-	if _, err := k.Spawn(1); err != nil {
-		return Report{}, err
-	}
-	k.Run(500_000)
-	fileVA := k.FileAddrByFD(0)
-	if fileVA == 0 {
-		return Report{}, fmt.Errorf("credswap: fd not open")
-	}
+	return credSwapScenario.report(cfg, level)
+}
 
+// credVictimProgram opens /dev/zero and loops fstat — the permission
+// check the f_cred attack subverts — recording each result for the host.
+func credVictimProgram() func(u *kernel.UserASM) {
+	return func(u *kernel.UserASM) {
+		u.Syscall(kernel.SysOpenat, 0, kernel.PathDevZero, 0)
+		u.A.I(insn.ORRr(insn.X20, insn.XZR, insn.X0, 0))
+		u.A.Label("spin")
+		u.A.I(insn.ORRr(insn.X0, insn.XZR, insn.X20, 0))
+		u.SyscallReg(kernel.SysFstat)
+		u.MovImm(insn.X1, kernel.UserDataBase)
+		u.A.I(insn.STR(insn.X0, insn.X1, 0))
+		u.A.B("spin")
+	}
+}
+
+var credSwapScenario = scenario{
+	name: "f_cred swap (priv-esc)", seed: 27, budget: 3_000_000,
+	arm: func(k *kernel.Kernel) (window, error) {
+		w := newWindow(k)
+		prog, err := kernel.BuildProgram("credvictim", credVictimProgram())
+		if err != nil {
+			return w, err
+		}
+		k.RegisterProgram(1, prog)
+		if _, err := k.Spawn(1); err != nil {
+			return w, err
+		}
+		k.Run(500_000)
+		if w.fileVA = k.FileAddrByFD(0); w.fileVA == 0 {
+			return w, fmt.Errorf("fd not open")
+		}
+		return w, nil
+	},
 	// Forge root credentials in writable kernel memory and swap f_cred.
-	forgedCred := k.AllocScratch(64)
-	ram := k.CPU.Bus.RAM
-	ram.Write64(kernel.KVAToPA(forgedCred), 0) // uid 0: root
-	ram.Write64(kernel.KVAToPA(fileVA)+kernel.FileCred, forgedCred)
-	k.CPU.InvalidateDecode()
-
-	k.Run(3_000_000)
-	if k.PACFailures > 0 {
-		return Report{Attack: "f_cred swap (priv-esc)", Level: level, Outcome: OutcomeDetected,
-			PACFailures: k.PACFailures, Detail: "forged credentials rejected"}, nil
-	}
-	// Without DFI the swap is silent: the victim keeps running and fstat
-	// keeps succeeding against the forged (root) credentials.
-	if k.Task(1) != nil {
-		lastRet := int64(ram.Read64(kernel.UVAToPA(1, kernel.UserDataBase)))
-		return Report{Attack: "f_cred swap (priv-esc)", Level: level, Outcome: OutcomeHijacked,
-			Detail: fmt.Sprintf("permission checks now consult forged root creds (fstat=%d)", lastRet)}, nil
-	}
-	return Report{Attack: "f_cred swap (priv-esc)", Level: level, Outcome: OutcomeInconclusive}, nil
+	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
+		forged := k.AllocScratch(64)
+		ram := k.CPU.Bus.RAM
+		ram.Write64(kernel.KVAToPA(forged), 0) // uid 0: root
+		ram.Write64(kernel.KVAToPA(w.fileVA)+kernel.FileCred, mutatePointer(rng, forged, w.pacMask))
+	},
+	// Detection is a PAC failure or a kernel fault. Without DFI the swap
+	// is silent: the victim keeps running and fstat keeps succeeding
+	// against the forged (root) credentials.
+	judge: func(k *kernel.Kernel, _ window, _ uint64) (Outcome, string) {
+		if k.PACFailures > 0 {
+			return OutcomeDetected, "forged credentials rejected"
+		}
+		if kernelOopsed(k) {
+			return OutcomeDetected, "kernel fault without PAC (crash, not hijack)"
+		}
+		if k.Task(1) != nil {
+			fstat := int64(k.CPU.Bus.RAM.Read64(kernel.UVAToPA(1, kernel.UserDataBase)))
+			return OutcomeHijacked, fmt.Sprintf("permission checks now consult forged root creds (fstat=%d)", fstat)
+		}
+		return OutcomeInconclusive, ""
+	},
 }
 
 // OracleReport is the §6.2.3 verification-oracle check.

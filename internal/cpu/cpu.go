@@ -194,8 +194,6 @@ type CPU struct {
 	// NoBlockCache.
 	legacyDecode map[uint64]insn.Instr
 
-	tracer Tracer
-
 	// obsLocal is this core's block of observability counter cells:
 	// plain unsynchronized increments while the core runs (one
 	// goroutine owns a running CPU, the same discipline its registers

@@ -171,31 +171,27 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 		// its validity clauses hold and the budget covers one body (the
 		// remainder runs block-by-block below). A trace whose constituent
 		// code went stale is dropped for a rebuild; a transient regime
-		// mismatch (context switch) keeps it. Tracing per retired
-		// instruction is incompatible with the inline dispatch loop, so
-		// an attached Tracer disables trace formation and entry entirely.
-		if c.tracer == nil {
-			if t := b.tr; t != nil {
-				if c.traceValid(t, blockVA) {
-					if maxInstrs-n >= uint64(len(t.instrs)) {
-						stop, done := c.runTrace(t, &n, maxInstrs)
-						if done {
-							return stop
-						}
-						b, pending = nil, nil
-						continue
+		// mismatch (context switch) keeps it.
+		if t := b.tr; t != nil {
+			if c.traceValid(t, blockVA) {
+				if maxInstrs-n >= uint64(len(t.instrs)) {
+					stop, done := c.runTrace(t, &n, maxInstrs)
+					if done {
+						return stop
 					}
-				} else if traceStale(t) {
-					b.tr, b.heat = nil, 0
-					c.obsLocal.V[obs.CTraceSeverStale]++
-				} else {
-					// Transient regime mismatch (context switch): the
-					// trace is kept but this entry was rejected.
-					c.obsLocal.V[obs.CTraceSeverEntry]++
+					b, pending = nil, nil
+					continue
 				}
-			} else if b.heat++; b.heat == hotThreshold {
-				c.buildTrace(b, blockVA)
+			} else if traceStale(t) {
+				b.tr, b.heat = nil, 0
+				c.obsLocal.V[obs.CTraceSeverStale]++
+			} else {
+				// Transient regime mismatch (context switch): the
+				// trace is kept but this entry was rejected.
+				c.obsLocal.V[obs.CTraceSeverEntry]++
 			}
+		} else if b.heat++; b.heat == hotThreshold {
+			c.buildTrace(b, blockVA)
 		}
 		startGen := c.cluster.execGen.Load()
 		last := len(b.instrs) - 1
@@ -360,7 +356,6 @@ func FaultKindFromISS(iss uint64) mmu.FaultKind {
 func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 	cy := costTab[i.Op]
 	next := c.PC + insn.Size
-	branched := false
 
 	switch i.Op {
 	case insn.OpNOP, insn.OpISB:
@@ -620,36 +615,28 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 
 	case insn.OpB:
 		next = c.PC + uint64(i.Imm)
-		branched = true
 	case insn.OpBL:
 		c.X[insn.LR] = c.PC + insn.Size
 		next = c.PC + uint64(i.Imm)
-		branched = true
 	case insn.OpBcond:
 		if c.condHolds(i.Cond) {
 			next = c.PC + uint64(i.Imm)
-			branched = true
 		}
 	case insn.OpCBZ:
 		if c.Reg(i.Rd) == 0 {
 			next = c.PC + uint64(i.Imm)
-			branched = true
 		}
 	case insn.OpCBNZ:
 		if c.Reg(i.Rd) != 0 {
 			next = c.PC + uint64(i.Imm)
-			branched = true
 		}
 	case insn.OpBR:
 		next = c.Reg(i.Rn)
-		branched = true
 	case insn.OpBLR:
 		c.X[insn.LR] = c.PC + insn.Size
 		next = c.Reg(i.Rn)
-		branched = true
 	case insn.OpRET:
 		next = c.Reg(i.Rn)
-		branched = true
 
 	case insn.OpPACIA:
 		if !c.requirePAuth() {
@@ -734,7 +721,6 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 		target := c.authBranchTarget(i.Rn, c.Reg(i.Rm), id)
 		c.X[insn.LR] = c.PC + insn.Size
 		next = target
-		branched = true
 	case insn.OpBRAA, insn.OpBRAB:
 		if !c.requirePAuth() {
 			return Stop{}, false
@@ -744,7 +730,6 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 			id = pac.KeyIB
 		}
 		next = c.authBranchTarget(i.Rn, c.Reg(i.Rm), id)
-		branched = true
 	case insn.OpRETAA, insn.OpRETAB:
 		if !c.requirePAuth() {
 			return Stop{}, false
@@ -754,7 +739,6 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 			id = pac.KeyIB
 		}
 		next = c.authBranchTarget(insn.LR, c.sp[c.EL], id)
-		branched = true
 
 	case insn.OpPACIA1716, insn.OpPACIB1716, insn.OpAUTIA1716, insn.OpAUTIB1716:
 		// HINT space: NOP on pre-8.3 cores (§5.5), PAuth op on 8.3.
@@ -814,10 +798,6 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 
 	c.Cycles += cy
 	c.Retired++
-	if c.tracer != nil {
-		c.tracer.Retire(c.PC, c.EL, *i)
-	}
-	_ = branched
 	c.PC = next
 	return Stop{}, false
 }

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"strings"
 	"testing"
 
 	"camouflage/internal/asm"
@@ -493,48 +492,6 @@ func TestZeroRegisterSemantics(t *testing.T) {
 	})
 	if c.X[3] != 0 {
 		t.Fatalf("str xzr stored %#x", c.X[3])
-	}
-}
-
-func TestRingTrace(t *testing.T) {
-	ring := NewRingTrace(4)
-	c := runSnippet(t, func(c *CPU) {
-		c.AttachTracer(ring)
-	}, func(a *asm.Assembler) {
-		a.I(insn.MOVZ(insn.X0, 1, 0))
-		a.I(insn.MOVZ(insn.X1, 2, 0))
-		a.I(insn.MOVZ(insn.X2, 3, 0))
-		a.I(insn.MOVZ(insn.X3, 4, 0))
-		a.I(insn.MOVZ(insn.X4, 5, 0))
-		a.I(insn.HLT(0))
-	})
-	_ = c
-	entries := ring.Entries()
-	if len(entries) != 4 {
-		t.Fatalf("ring holds %d entries, want 4", len(entries))
-	}
-	// Ring keeps the most recent: movz x2..x4 + nothing for HLT (which
-	// retires via an early return) — the last entry must be movz x4.
-	last := entries[len(entries)-1]
-	if last.Ins.Op != insn.OpMOVZ || last.Ins.Rd != insn.X4 {
-		t.Fatalf("last traced = %+v", last.Ins)
-	}
-	if !strings.Contains(ring.String(), "movz") {
-		t.Fatal("trace rendering missing disassembly")
-	}
-	// Detach: no more entries recorded.
-	c2 := runSnippet(t, func(c *CPU) {
-		c.AttachTracer(ring)
-		c.AttachTracer(nil)
-	}, func(a *asm.Assembler) {
-		a.I(insn.MOVZ(insn.X9, 9, 0))
-		a.I(insn.HLT(0))
-	})
-	_ = c2
-	for _, e := range ring.Entries() {
-		if e.Ins.Op == insn.OpMOVZ && e.Ins.Rd == insn.X9 {
-			t.Fatal("detached tracer still recording")
-		}
 	}
 }
 

@@ -318,7 +318,7 @@ func (c *CPU) fusable(e *chainEdge, nextVA uint64, t *trace) bool {
 // block-by-block execution.
 //
 // The caller guarantees: traceValid just passed, no IRQ is deliverable,
-// no tracer is attached, and at least len(t.instrs) budget remains.
+// and at least len(t.instrs) budget remains.
 func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done bool) {
 	c.TraceFollows++
 	startGen := c.cluster.execGen.Load()

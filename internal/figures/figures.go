@@ -585,7 +585,7 @@ func RenderCoccinelle(w io.Writer) error {
 
 // RenderAttacks reproduces the §6.2 security matrix.
 func RenderAttacks(w io.Writer) error {
-	reports, err := attack.MatrixCPUs(CPUCount())
+	reports, err := attack.Matrix(CPUCount())
 	if err != nil {
 		return err
 	}

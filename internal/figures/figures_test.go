@@ -3,6 +3,8 @@ package figures
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -167,5 +169,36 @@ func TestSMPFigureDeterminism(t *testing.T) {
 	}
 	if first == "" {
 		t.Fatal("empty rendering")
+	}
+}
+
+// TestAttackRenderingsGolden pins the §6.2 renderings byte for byte:
+// the attack matrix at 1 and 2 vCPUs and the cross-core replay table.
+// Their details carry gadget-execution counts, so any drift in a
+// victim, a corruption, a budget or a verdict shows up here.
+func TestAttackRenderingsGolden(t *testing.T) {
+	for _, c := range []struct {
+		id, golden string
+		cpus       int
+	}{
+		{"attacks", "attacks.golden", 1},
+		{"attacks", "attacks-2cpu.golden", 2},
+		{"smp-replay", "smp-replay.golden", 1},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, err := RunAllWith(context.Background(), &buf, RunOptions{
+				IDs: []string{c.id}, CPUs: c.cpus,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := buf.String(); got != string(want) {
+				t.Errorf("%s drifted from testdata/%s:\n--- got ---\n%s--- want ---\n%s", c.id, c.golden, got, want)
+			}
+		})
 	}
 }
