@@ -3,6 +3,9 @@ package attack
 import (
 	"bytes"
 	"testing"
+
+	"camouflage/internal/obs"
+	"camouflage/internal/pac"
 )
 
 // TestSMPCampaignDeterminism pins the acceptance criterion that a
@@ -58,4 +61,32 @@ func TestSMPCampaignUniprocessorUnchanged(t *testing.T) {
 			t.Fatal("uniprocessor campaign includes the cross-core cell")
 		}
 	}
+}
+
+// TestCampaignPACMemoHitRate reads the PAC sign and QARMA-run counters
+// over one backward-edge campaign level, where every syscall signs and
+// authenticates the same few return addresses: the signers' memos must
+// serve all but 1% of those MACs, so a degenerate memo index (or a memo
+// flushed on every key switch) fails here.
+func TestCampaignPACMemoHitRate(t *testing.T) {
+	before := obs.CounterTotals()
+	if _, err := RunCampaign(CampaignOptions{Mutations: 4, Levels: []string{"backward-edge"}}); err != nil {
+		t.Fatal(err)
+	}
+	after := obs.CounterTotals()
+	delta := func(id obs.CounterID) uint64 { return after[id] - before[id] }
+	var signs, auths uint64
+	for k := obs.CounterID(0); k < pac.NumKeys; k++ {
+		signs += delta(obs.CPACSignIA + k)
+		auths += delta(obs.CPACAuthIA + k)
+	}
+	runs := delta(obs.CPACQARMARun)
+	if signs == 0 || auths == 0 {
+		t.Fatalf("signs = %d, auths = %d; the backward-edge level did no PAC work", signs, auths)
+	}
+	if runs*100 > signs+auths {
+		t.Fatalf("%d QARMA runs for %d signs + %d auths (%.2f%%), want at most 1%%",
+			runs, signs, auths, 100*float64(runs)/float64(signs+auths))
+	}
+	t.Logf("%d QARMA runs for %d signs + %d auths", runs, signs, auths)
 }

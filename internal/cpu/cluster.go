@@ -73,18 +73,6 @@ func (cl *Cluster) lookup(page uint64) *atomic.Uint64 {
 	return g
 }
 
-// noteStore runs the code-invalidation contract for a store to physical
-// page pn: if the page ever held code (on any CPU), bump its cell and
-// execGen. Returns whether a bump happened.
-func (cl *Cluster) noteStore(pn uint64) bool {
-	if g := cl.lookup(pn); g != nil {
-		g.Add(1)
-		cl.execGen.Add(1)
-		return true
-	}
-	return false
-}
-
 // invalidateAll bumps every cell (killing every cached block on every
 // CPU of the cluster) and execGen. Cells are kept, not replaced, so
 // pointers held by other CPUs' blocks and memos stay meaningful.

@@ -179,13 +179,13 @@ type CPU struct {
 	ibtb [ibtbSize]chainEdge
 
 	// sgenPN/sgenCell are a tiny direct-mapped memo of cluster cell
-	// lookups for the store fast path: stores cluster on a handful of
-	// pages (stack, per-CPU block, the workload's data), so most stores
-	// resolve their code-invalidation check against this array instead
-	// of the shared map. A nil cell is a valid memo ("page never held
-	// code") only within one cellEpoch: any CPU decoding from a fresh
-	// page moves the epoch, and noteGuestStore clears the memo before
-	// trusting it.
+	// lookups, the one lookup path of every store route: stores cluster
+	// on a handful of pages (stack, per-CPU block, the workload's data),
+	// so most stores resolve their code-invalidation check against this
+	// array instead of the shared map. A nil cell is a valid memo ("page
+	// never held code") only within one cellEpoch: any CPU decoding from
+	// a fresh page moves the epoch, storeCellMemo then distrusts every
+	// slot, and noteGuestStore empties the memo before refilling it.
 	sgenPN    [8]uint64
 	sgenCell  [8]*atomic.Uint64
 	memoEpoch uint64
@@ -213,7 +213,8 @@ type obsBaseline struct {
 	cycles, retired                         uint64
 	chainFollows, tracesBuilt, traceFollows uint64
 	mmuHits, mmuMisses, mmuRearms, mmuWalks uint64
-	pacAuths, pacFails                      [pac.NumKeys]uint64
+	pacSigns, pacAuths, pacFails            [pac.NumKeys]uint64
+	qarmaRuns                               uint64
 }
 
 // obsDelta returns cur minus *base and re-baselines, treating a rewound
@@ -248,9 +249,11 @@ func (c *CPU) flushObs() {
 	}
 	if s := c.Signer; s != nil {
 		for k := 0; k < pac.NumKeys; k++ {
+			l.V[obs.CPACSignIA+obs.CounterID(k)] += obsDelta(s.Signs[k], &b.pacSigns[k])
 			l.V[obs.CPACAuthIA+obs.CounterID(k)] += obsDelta(s.Auths[k], &b.pacAuths[k])
 			l.V[obs.CPACFailIA+obs.CounterID(k)] += obsDelta(s.Fails[k], &b.pacFails[k])
 		}
+		l.V[obs.CPACQARMARun] += obsDelta(s.QARMARuns, &b.qarmaRuns)
 	}
 	l.Flush(c.ID)
 }
@@ -606,9 +609,7 @@ func (c *CPU) storeMem(va uint64, size int, v uint64) (*mmu.Fault, error) {
 	}
 	last := (pa + uint64(size) - 1) >> mmu.PageShift
 	for p := pa >> mmu.PageShift; p <= last; p++ {
-		if c.cluster.noteStore(p) {
-			c.obsLocal.V[obs.CBlockSever]++
-		}
+		c.noteGuestStore(p)
 	}
 	if c.NoBlockCache && c.legacyDecode != nil {
 		for a := pa &^ 3; a < pa+uint64(size); a += 4 {
@@ -628,30 +629,38 @@ func (c *CPU) hostStorePair(addr uint64) (*[mem.PageSize]byte, uint64, uint64, b
 	return c.MMU.HostData(addr, c.EL, 16, mmu.Store)
 }
 
-// noteGuestStore runs the block-cache invalidation contract for a
-// fast-path store to physical page pn: if the page ever held code — on
-// any CPU of the cluster — bump its generation cell and the shared
-// execGen. The direct-mapped memo keeps the common no-code case to an
-// array probe; it is trusted only while the cluster's cell epoch is
-// unchanged, because a peer decoding from a fresh page turns a memoized
-// nil verdict stale.
+// noteGuestStore runs the block-cache invalidation contract for a guest
+// store to physical page pn: if the page ever held code — on any CPU of
+// the cluster — bump its generation cell and the shared execGen. Every
+// store route calls it: execute's and the trace's host-pointer stores,
+// and storeMem's slow path once per touched page. The cell comes from
+// the direct-mapped sgenPN/sgenCell memo when storeCellMemo trusts it,
+// else from the cluster map, and the memo is refilled.
 func (c *CPU) noteGuestStore(pn uint64) {
-	if e := c.cluster.cellEpoch.Load(); e != c.memoEpoch {
-		c.clearStoreGenMemo()
-	}
-	i := pn & 7
-	var g *atomic.Uint64
-	if c.sgenPN[i] == pn {
-		g = c.sgenCell[i]
-	} else {
+	g, ok := c.storeCellMemo(pn)
+	if !ok {
+		if c.cluster.cellEpoch.Load() != c.memoEpoch {
+			c.clearStoreGenMemo()
+		}
 		g = c.cluster.lookup(pn)
-		c.sgenPN[i], c.sgenCell[i] = pn, g
+		c.sgenPN[pn&7], c.sgenCell[pn&7] = pn, g
 	}
 	if g != nil {
 		g.Add(1)
 		c.cluster.execGen.Add(1)
 		c.obsLocal.V[obs.CBlockSever]++
 	}
+}
+
+// storeCellMemo probes the store-cell memo for page pn: the memoized
+// cell (nil: the page never held code) and whether it may be trusted.
+// It may while the slot holds pn and the cluster's cell epoch has not
+// moved since the memo was last emptied, because a peer decoding from a
+// fresh page turns a memoized nil verdict stale. Small enough to inline,
+// so the trace's stores to data pages cost no call.
+func (c *CPU) storeCellMemo(pn uint64) (*atomic.Uint64, bool) {
+	i := pn & 7
+	return c.sgenCell[i], c.sgenPN[i] == pn && c.cluster.cellEpoch.Load() == c.memoEpoch
 }
 
 // fetchBlock translates PC and returns the decoded basic block starting

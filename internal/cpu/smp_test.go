@@ -11,6 +11,7 @@ import (
 
 	"camouflage/internal/asm"
 	"camouflage/internal/insn"
+	"camouflage/internal/mmu"
 )
 
 // buildPeers loads one image into a shared bus and returns two cores of
@@ -184,6 +185,85 @@ func TestSMPPeerDecodeInvalidatesStoreMemo(t *testing.T) {
 	}
 	if c1.X[0] != 8 {
 		t.Fatalf("peer store after decode not observed: x0 = %d, want 8", c1.X[0])
+	}
+}
+
+// TestSMPPeerDecodeInvalidatesStoreMemoInTrace is the same scenario
+// with CPU 0's stores retiring inside a fused looping trace, whose
+// inline stores read the store-cell memo in place: CPU 0 stops on its
+// budget mid-trace with a nil verdict memoized for the target page, CPU
+// 1 decodes from that page, and CPU 0 resumes the trace and patches
+// again. The trace's first store after the resume must distrust the
+// verdict (the cell epoch moved) and bump the page's new cell.
+func TestSMPPeerDecodeInvalidatesStoreMemoInTrace(t *testing.T) {
+	const iters = 100
+	c0, c1, img := buildPeers(t, func(a *asm.Assembler) {
+		a.Label("patcher") // CPU 0: iteration i stores movz x0,#i at target
+		a.I(insn.MOVImm64(insn.X9, uint64(insn.MOVZ(insn.X0, 0, 0).Encode()))...)
+		a.ADR(insn.X10, "target")
+		a.I(insn.MOVZ(insn.X11, 1<<5, 0)) // +1 in the MOVZ imm16 field
+		a.I(insn.MOVZ(insn.X5, iters, 0))
+		a.Label("loop")
+		a.I(insn.ADDr(insn.X9, insn.X9, insn.X11))
+		a.I(insn.STRW(insn.X9, insn.X10, 0))
+		a.I(insn.SUBi(insn.X5, insn.X5, 1))
+		a.CBNZ(insn.X5, "loop")
+		a.I(insn.HLT(0))
+		a.Label("runner") // CPU 1
+		a.BL("target")
+		a.I(insn.HLT(0))
+		// target sits on its own page: no code is decoded from it before
+		// CPU 0's stores, so they memoize a nil cell for it.
+		a.PadTo(0x1000)
+		a.Label("target")
+		a.I(insn.MOVZ(insn.X0, 1, 0))
+		a.I(insn.RET())
+	})
+
+	// Map the image flat and writable with the MMU on, so the trace's
+	// stores take its inline host-pointer path (TT1 is shared).
+	c0.MMU.Enabled, c1.MMU.Enabled = true, true
+	for off := uint64(0); off < 0x2000; off += mmu.PageSize {
+		c0.MMU.TT1.Map(textBase+off, textBase+off, mmu.KernelText|mmu.W1)
+	}
+
+	// CPU 0 runs the prologue and 40 iterations, stopping on its budget
+	// at the loop head with the looping trace warm.
+	const done = 40
+	prologue := (img.Symbols["loop"] - img.Symbols["patcher"]) / insn.Size
+	c0.PC = img.Symbols["patcher"]
+	if stop := c0.Run(prologue + 4*done); stop.Kind != StopLimit {
+		t.Fatalf("cpu0 first run: %+v", stop)
+	}
+	if c0.PC != img.Symbols["loop"] || c0.TraceFollows == 0 || c0.LiveTraces() == 0 {
+		t.Fatalf("cpu0 stopped at %#x with TraceFollows = %d, LiveTraces = %d; want the loop head mid-trace",
+			c0.PC, c0.TraceFollows, c0.LiveTraces())
+	}
+
+	// CPU 1 decodes and runs the patched target: the page becomes code
+	// and the cluster's cell epoch moves.
+	c1.PC = img.Symbols["runner"]
+	if stop := c1.Run(100); stop.Kind != StopHLT {
+		t.Fatalf("cpu1 run: %+v", stop)
+	}
+	if c1.X[0] != done {
+		t.Fatalf("cpu1 x0 = %d, want %d (the patch CPU 0 stored last)", c1.X[0], done)
+	}
+
+	// CPU 0 resumes inside its trace and patches the rest of the way.
+	follows := c0.TraceFollows
+	if stop := c0.Run(10_000); stop.Kind != StopHLT {
+		t.Fatalf("cpu0 resume: %+v", stop)
+	}
+	if c0.TraceFollows == follows {
+		t.Fatal("cpu0 resumed outside its trace; test premise broken")
+	}
+	c1.PC = img.Symbols["runner"]
+	if stop := c1.Run(100); stop.Kind != StopHLT {
+		t.Fatalf("cpu1 rerun: %+v", stop)
+	}
+	if c1.X[0] != iters {
+		t.Fatalf("in-trace store after a peer decode not observed: x0 = %d, want %d", c1.X[0], iters)
 	}
 }
 

@@ -2,21 +2,12 @@ package cpu
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"camouflage/internal/insn"
 	"camouflage/internal/mem"
 	"camouflage/internal/mmu"
 	"camouflage/internal/obs"
 )
-
-// storeCellFor snapshots the cluster's cell epoch and the generation
-// cell of physical page pn — the pair the in-trace store memo caches so
-// that memoed stores run the code-invalidation contract without a
-// noteGuestStore call.
-func (c *CPU) storeCellFor(pn uint64) (uint64, *atomic.Uint64) {
-	return c.cluster.cellEpoch.Load(), c.cluster.lookup(pn)
-}
 
 // hostLoad64/hostStore64 are the host-pointer page accessors shared by
 // the inline LDP/STP cases (identical to execute's inlined forms).
@@ -339,14 +330,9 @@ func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done b
 	// separately: the access kinds carry different permissions.
 	ldVP, stVP := ^uint64(0), ^uint64(0)
 	var ldPG, stPG *[mem.PageSize]byte
+	// Inline stores probe the CPU's store-cell memo in place and call
+	// noteGuestStore only for a code page or an untrusted memo slot.
 	var stPN uint64
-	// The store memo also caches the page's generation cell and the
-	// cell-epoch it was looked up under: a memoed store then pays one
-	// epoch load for the code-invalidation contract instead of a
-	// noteGuestStore call (same trust rule as the CPU-wide cell memo —
-	// a peer decoding from a fresh page bumps the epoch).
-	var stCell *atomic.Uint64
-	var stEpoch uint64
 	for {
 		for idx := 0; idx < len(code); idx++ {
 			ins := &code[idx]
@@ -559,22 +545,14 @@ func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done b
 					addr := c.regSP(ins.Rn) + uint64(ins.Imm)
 					off := addr & (mem.PageSize - 1)
 					if addr>>mem.PageShift == stVP && off+size <= mem.PageSize {
-						if c.cluster.cellEpoch.Load() != stEpoch {
-							stEpoch, stCell = c.storeCellFor(stPN)
-						}
-						if stCell != nil {
-							stCell.Add(1)
-							c.cluster.execGen.Add(1)
-							c.obsLocal.V[obs.CBlockSever]++
+						if g, trusted := c.storeCellMemo(stPN); g != nil || !trusted {
+							c.noteGuestStore(stPN)
 						}
 						hostStoreN(stPG, off, size, c.Reg(ins.Rd))
 					} else if pg, o, pn, ok := c.MMU.HostData(addr, c.EL, size, mmu.Store); ok {
 						stVP, stPG, stPN = addr>>mem.PageShift, pg, pn
-						stEpoch, stCell = c.storeCellFor(pn)
-						if stCell != nil {
-							stCell.Add(1)
-							c.cluster.execGen.Add(1)
-							c.obsLocal.V[obs.CBlockSever]++
+						if g, trusted := c.storeCellMemo(pn); g != nil || !trusted {
+							c.noteGuestStore(pn)
 						}
 						hostStoreN(pg, o, size, c.Reg(ins.Rd))
 					} else {
@@ -603,23 +581,15 @@ func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done b
 					addr := base + uint64(ins.Imm)
 					off := addr & (mem.PageSize - 1)
 					if addr>>mem.PageShift == stVP && off+16 <= mem.PageSize {
-						if c.cluster.cellEpoch.Load() != stEpoch {
-							stEpoch, stCell = c.storeCellFor(stPN)
-						}
-						if stCell != nil {
-							stCell.Add(1)
-							c.cluster.execGen.Add(1)
-							c.obsLocal.V[obs.CBlockSever]++
+						if g, trusted := c.storeCellMemo(stPN); g != nil || !trusted {
+							c.noteGuestStore(stPN)
 						}
 						hostStore64(stPG, off, c.Reg(ins.Rd))
 						hostStore64(stPG, off+8, c.Reg(ins.Rm))
 					} else if pg, o, pn, ok := c.hostStorePair(addr); ok {
 						stVP, stPG, stPN = addr>>mem.PageShift, pg, pn
-						stEpoch, stCell = c.storeCellFor(pn)
-						if stCell != nil {
-							stCell.Add(1)
-							c.cluster.execGen.Add(1)
-							c.obsLocal.V[obs.CBlockSever]++
+						if g, trusted := c.storeCellMemo(pn); g != nil || !trusted {
+							c.noteGuestStore(pn)
 						}
 						hostStore64(pg, o, c.Reg(ins.Rd))
 						hostStore64(pg, o+8, c.Reg(ins.Rm))

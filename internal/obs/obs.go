@@ -78,6 +78,12 @@ const (
 	CPACFailDA
 	CPACFailDB
 	CPACFailGA
+	CPACSignIA
+	CPACSignIB
+	CPACSignDA
+	CPACSignDB
+	CPACSignGA
+	CPACQARMARun
 
 	// internal/snapshot — warm pool.
 	CPoolBoot
@@ -162,6 +168,13 @@ var counterMetas = [NumCounters]counterMeta{
 	CPACFailDA: {"camouflage_pac_auth_failures_total", "Pointer authentication failures by key.", `key="DA"`},
 	CPACFailDB: {"camouflage_pac_auth_failures_total", "Pointer authentication failures by key.", `key="DB"`},
 	CPACFailGA: {"camouflage_pac_auth_failures_total", "Pointer authentication failures by key.", `key="GA"`},
+	CPACSignIA: {"camouflage_pac_signs_total", "Pointer signs by key.", `key="IA"`},
+	CPACSignIB: {"camouflage_pac_signs_total", "Pointer signs by key.", `key="IB"`},
+	CPACSignDA: {"camouflage_pac_signs_total", "Pointer signs by key.", `key="DA"`},
+	CPACSignDB: {"camouflage_pac_signs_total", "Pointer signs by key.", `key="DB"`},
+	CPACSignGA: {"camouflage_pac_signs_total", "Pointer signs by key.", `key="GA"`},
+
+	CPACQARMARun: {"camouflage_pac_qarma_runs_total", "QARMA cipher runs: sign and auth MACs the signer's memo did not hold, plus every generic MAC.", ""},
 
 	CPoolBoot:  {"camouflage_snapshot_pool_boots_total", "Machines built+verified+booted from scratch (pool misses that paid a boot).", ""},
 	CPoolHit:   {"camouflage_snapshot_pool_hits_total", "Machines served from the warm pool (idle reuse).", ""},

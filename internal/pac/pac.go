@@ -206,22 +206,62 @@ func newField(c Config, kernel bool) field {
 // canonical is Config.Canonical over a precomputed field.
 func (f *field) canonical(ptr uint64) uint64 { return ptr&^f.mask | f.ext }
 
+// memoBits sizes the MAC memo: 1<<memoBits direct-mapped entries.
+const (
+	memoBits = 6
+	memoSize = 1 << memoBits
+)
+
 // Signer computes and checks PACs under a fixed layout configuration. It
 // holds one QARMA cipher per key slot by value, so installing a key never
-// allocates.
+// allocates, and a memo of recent MACs, so a MAC the signer computed
+// shortly before costs a table probe instead of a cipher run. The memo is
+// host state only: no snapshot or store format holds it, so the Signer of
+// a forked or loaded machine starts with it empty. A reset keeps it,
+// which is sound because every entry names the key value it was computed
+// under.
 type Signer struct {
 	cfg    Config
 	sides  [2]field // indexed by bit 55: user, kernel
 	cipher [NumKeys]qarma.Cipher
 	keys   [NumKeys]Key
+	memo   [memoSize]memoEntry
 
-	// Auths and Fails count Auth calls and authentication failures per
-	// key (GenericMAC counts under KeyGA). Plain fields by design: a
-	// Signer is owned by one CPU, which is run by one goroutine at a
-	// time, so increments are unsynchronized and free; the owning CPU
-	// drains them into the obs registry when its Run returns.
-	Auths [NumKeys]uint64
-	Fails [NumKeys]uint64
+	// Signs, Auths and Fails count Sign calls, Auth calls and
+	// authentication failures per key (GenericMAC counts under KeyGA);
+	// QARMARuns counts cipher runs: memo misses plus every GenericMAC.
+	// Plain fields by design: a Signer is owned by one CPU, which is run
+	// by one goroutine at a time, so increments are unsynchronized and
+	// free; the owning CPU drains them into the obs registry when its
+	// Run returns.
+	Signs     [NumKeys]uint64
+	Auths     [NumKeys]uint64
+	Fails     [NumKeys]uint64
+	QARMARuns uint64
+}
+
+// memoEntry is one memo slot: the QARMA output mac of plaintext ptr
+// under tweak mod and key. The tag is the key's value, not its slot:
+// key_setter rewrites the IB, IA and DB slots on every syscall entry and
+// exit, and a value tag keeps the kernel keys' entries alive across the
+// round trip through the user keys. valid marks a filled slot; without
+// it a zeroed slot would claim that the all-zero key maps (0, 0) to 0.
+type memoEntry struct {
+	key      Key
+	ptr, mod uint64
+	mac      uint64
+	valid    bool
+}
+
+// memoIndex picks the memo slot of (ptr, mod). The modifier is rotated
+// so that its halves (the SP and function-address halves of a return
+// modifier) fold onto different pointer bits, a shift folds the high half
+// down, and the multiply makes the top memoBits bits depend on every bit.
+// The key is left out: a (pointer, modifier) pair is almost always signed
+// under one key value.
+func memoIndex(ptr, mod uint64) uint64 {
+	x := ptr ^ bits.RotateLeft64(mod, 17)
+	return (x ^ x>>29) * 0xBF58476D1CE4E5B9 >> (64 - memoBits)
 }
 
 // NewSigner returns a Signer for the given layout using QARMA-64 with the
@@ -245,7 +285,9 @@ func (s *Signer) Config() Config { return s.cfg }
 func (s *Signer) side(ptr uint64) *field { return &s.sides[ptr>>selectBit&1] }
 
 // SetKey installs the 128-bit key for the given slot, re-keying its cipher
-// in place.
+// in place. The memo keeps its entries: each is tagged with the key value
+// it was computed under, so none can answer for the new key, and the old
+// key's entries hit again once key_setter installs it back.
 func (s *Signer) SetKey(id KeyID, k Key) {
 	s.keys[id] = k
 	s.cipher[id] = *qarma.New(qarma.Key{W0: k.Hi, K0: k.Lo}, qarma.DefaultRounds)
@@ -269,15 +311,29 @@ func (s *Signer) Keys() KeySet {
 // pacFor computes the PAC bits for the canonical pointer canon under
 // modifier, positioned within f's PAC field. The MAC input is the canonical
 // form of the pointer so that signing is independent of any stale PAC bits.
+// The MAC comes from the memo when the slot holds this exact (key value,
+// pointer, modifier); otherwise the slot's cipher computes it and the
+// memo slot is refilled.
+//
+//camo:hotpath
 func (s *Signer) pacFor(f *field, canon, modifier uint64, id KeyID) uint64 {
-	mac := s.cipher[id].Encrypt(canon, modifier)
+	k := s.keys[id]
+	e := &s.memo[memoIndex(canon, modifier)]
+	if !e.valid || e.ptr != canon || e.mod != modifier || e.key != k {
+		*e = memoEntry{key: k, ptr: canon, mod: modifier, mac: s.cipher[id].Encrypt(canon, modifier), valid: true}
+		s.QARMARuns++
+	}
+	mac := e.mac
 	return mac<<f.runs[0].shift&f.runs[0].mask | mac<<f.runs[1].shift&f.runs[1].mask
 }
 
 // Sign returns ptr with its PAC field replaced by the PAC computed under
 // the key and modifier (the PAC* instructions).
+//
+//camo:hotpath
 func (s *Signer) Sign(ptr, modifier uint64, id KeyID) uint64 {
 	f := s.side(ptr)
+	s.Signs[id]++
 	return ptr&^f.mask | s.pacFor(f, f.canonical(ptr), modifier, id)
 }
 
@@ -309,6 +365,8 @@ func poisonBit(mask uint64, id KeyID) uint64 {
 // it returns the canonical pointer and ok = true. On failure it returns a
 // poisoned, guaranteed-non-canonical pointer and ok = false; dereferencing
 // or branching to that pointer raises a translation fault in the MMU model.
+//
+//camo:hotpath
 func (s *Signer) Auth(signed, modifier uint64, id KeyID) (ptr uint64, ok bool) {
 	f := s.side(signed)
 	canonical := f.canonical(signed)
@@ -336,6 +394,7 @@ func (s *Signer) Strip(ptr uint64) uint64 {
 // does for PACGA's destination register.
 func (s *Signer) GenericMAC(value, modifier uint64) uint64 {
 	s.Auths[KeyGA]++
+	s.QARMARuns++
 	return uint64(s.cipher[KeyGA].MAC(value, modifier)) << 32
 }
 

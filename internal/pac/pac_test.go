@@ -459,3 +459,144 @@ func TestSignerDoesNotAllocate(t *testing.T) {
 		t.Fatalf("SetKey/Sign/Auth/GenericMAC allocate %.1f times per run, want 0", allocs)
 	}
 }
+
+// memoRef checks a long-lived Signer, memo and all, against fresh
+// ciphers: every Sign must equal the key's QARMA output scattered through
+// Config.PACField, and every Auth must succeed exactly when the PAC bits
+// match that output, and otherwise poison the canonical pointer.
+type memoRef struct {
+	t testing.TB
+	s *Signer
+}
+
+// want returns ptr signed under modifier mod with the key installed in
+// slot id, computed by a fresh cipher, and the PAC field mask.
+func (r memoRef) want(ptr, mod uint64, id KeyID) (signed, mask uint64) {
+	cfg := r.s.Config()
+	canon := cfg.Canonical(ptr)
+	mask, _ = cfg.PACField(cfg.IsKernel(ptr))
+	k := r.s.Key(id)
+	mac := qarma.New(qarma.Key{W0: k.Hi, K0: k.Lo}, qarma.DefaultRounds).Encrypt(canon, mod)
+	return canon&^mask | scatterLoop(mask, mac), mask
+}
+
+func (r memoRef) sign(ptr, mod uint64, id KeyID) uint64 {
+	r.t.Helper()
+	want, _ := r.want(ptr, mod, id)
+	if got := r.s.Sign(ptr, mod, id); got != want {
+		r.t.Fatalf("Sign(%#x, %#x, %v) under %+v = %#x, want %#x", ptr, mod, id, r.s.Key(id), got, want)
+	}
+	return want
+}
+
+// auth authenticates signed and reports whether the reference accepts it.
+func (r memoRef) auth(signed, mod uint64, id KeyID) bool {
+	r.t.Helper()
+	want, mask := r.want(signed, mod, id)
+	ok := signed&mask == want&mask
+	wantPtr := r.s.Config().Canonical(signed)
+	if !ok {
+		wantPtr ^= poisonBit(mask, id)
+	}
+	if got, gotOK := r.s.Auth(signed, mod, id); got != wantPtr || gotOK != ok {
+		r.t.Fatalf("Auth(%#x, %#x, %v) under %+v = (%#x, %v), want (%#x, %v)",
+			signed, mod, id, r.s.Key(id), got, gotOK, wantPtr, ok)
+	}
+	return ok
+}
+
+// TestSignerMemoMatchesCipher runs one Signer through the pattern the
+// memo is built for and against: each slot switches between a kernel and
+// a user key as key_setter does (the two keys share Lo, so only Hi tells
+// them apart), the same (pointer, modifier) pairs are signed under both
+// keys, and pairs that share a memo slot evict each other.
+func TestSignerMemoMatchesCipher(t *testing.T) {
+	s := NewSigner(DefaultConfig)
+	r := memoRef{t, s}
+	// A fresh memo is zeroed: the all-zero key signing pointer 0 under
+	// modifier 0 must still run the cipher.
+	r.sign(0, 0, KeyIA)
+
+	kernelKey := func(id KeyID) Key { return Key{Hi: 0x1111 * uint64(id+1), Lo: 0xC0FFEE} }
+	userKey := func(id KeyID) Key { return Key{Hi: 0x2222 * uint64(id+1), Lo: 0xC0FFEE} }
+	type pair struct{ ptr, mod uint64 }
+	work := []pair{
+		{KernelBase | 0x40_1000, ReturnModifierCamouflage(KernelBase|0x80_3F40, KernelBase|0x40_0F00)},
+		{KernelBase | 0x40_2004, ReturnModifierCamouflage(KernelBase|0x80_3F20, KernelBase|0x40_1F00)},
+		{KernelBase | 0x0DE0_0040, ObjectModifier(KernelBase|0x0DE0_0000, 0xFB45)},
+		{0x0000_7FFF_0000_1000, 7},
+	}
+	// Pairs sharing the first pair's memo slot, found by search.
+	slot := memoIndex(work[0].ptr, work[0].mod)
+	for p := uint64(KernelBase | 0x50_0000); len(work) < 7; p += 4 {
+		if memoIndex(p, work[0].mod) == slot {
+			work = append(work, pair{p, work[0].mod})
+		}
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 50; round++ {
+		for id := KeyID(0); id < NumKeys; id++ {
+			// Syscall entry: the kernel key signs and authenticates the
+			// working set, in a fresh order each time.
+			s.SetKey(id, kernelKey(id))
+			rng.Shuffle(len(work), func(i, j int) { work[i], work[j] = work[j], work[i] })
+			signed := make([]uint64, len(work))
+			for i, p := range work {
+				signed[i] = r.sign(p.ptr, p.mod, id)
+				if !r.auth(signed[i], p.mod, id) {
+					t.Fatalf("round %d: %v rejected its own signature %#x", round, id, signed[i])
+				}
+			}
+			// Syscall exit: the user key signs the same pairs, and the
+			// kernel key's signatures must fail under it.
+			s.SetKey(id, userKey(id))
+			for i, p := range work {
+				r.sign(p.ptr, p.mod, id)
+				if r.auth(signed[i], p.mod, id) && s.Config().IsKernel(p.ptr) {
+					t.Fatalf("round %d: %v accepted %#x, signed under the kernel key, under the user key", round, id, signed[i])
+				}
+			}
+		}
+	}
+}
+
+// FuzzSigner drives one Signer through fuzzer-chosen sequences of key
+// installs, signs and authentications, four bytes per operation, over
+// small value spaces so inputs repeat, collide in the memo and switch
+// keys under it; memoRef checks every result against fresh ciphers. The
+// operation byte is kind*NumKeys + slot, kind 0 installing a key, 1
+// signing and 2 authenticating the last signed pointer.
+func FuzzSigner(f *testing.F) {
+	// Re-sign one pair after a key change that keeps Lo, authenticate,
+	// and authenticate again after switching back.
+	f.Add([]byte{1, 1, 2, 0, 6, 9, 9, 0, 1, 3, 2, 0, 6, 9, 9, 0, 11, 9, 9, 0, 1, 1, 2, 0, 11, 9, 9, 0})
+	// The all-zero key signs pointer 0 under modifier 0 on a fresh memo.
+	f.Add([]byte{5, 0, 0, 0, 10, 0, 0, 0})
+	// User and kernel pointers with stale PAC bits, across slots.
+	f.Add([]byte{6, 200, 7, 0x5A, 8, 201, 7, 1, 13, 201, 7, 1, 3, 7, 7, 7, 8, 201, 7, 1, 13, 201, 7, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := NewSigner(DefaultConfig)
+		r := memoRef{t, s}
+		var last uint64
+		for ; len(ops) >= 4; ops = ops[4:] {
+			op, a, b, c := ops[0], uint64(ops[1]), uint64(ops[2]), uint64(ops[3])
+			id := KeyID(op % NumKeys)
+			// a picks the pointer (bit 0: kernel side), c also plants
+			// stale bits in its PAC field; b and c make the modifier.
+			ptr := a<<11 | (c&0x7F)<<48
+			if a&1 != 0 {
+				ptr |= KernelBase
+			}
+			mod := b | c<<32
+			switch op / NumKeys % 3 {
+			case 0:
+				s.SetKey(id, Key{Hi: a, Lo: b})
+			case 1:
+				last = r.sign(ptr, mod, id)
+			default:
+				r.auth(last, mod, id)
+			}
+		}
+	})
+}

@@ -176,6 +176,8 @@ func mix(x uint64) uint64 {
 }
 
 // Encrypt enciphers the 64-bit plaintext p under tweak t.
+//
+//camo:hotpath
 func (c *Cipher) Encrypt(p, t uint64) uint64 {
 	// The forward rounds use tweaks tw[0..rounds-1], the central rounds
 	// tw[rounds], and the backward rounds replay tw[rounds-1..0].
