@@ -7,14 +7,14 @@ import (
 
 // Cluster is the invalidation state shared by every CPU of one simulated
 // machine (the SMP analogue of a cache-coherent interconnect). The
-// decoded-block cache, chain edges and host-pointer TLB stay strictly
-// per-CPU — only the *generation cells* they validate against live here,
-// as atomically published values, so a store retired on CPU 0 severs
-// chains and kills cached blocks on CPU 1 without any cross-CPU walk:
-// the next validation on CPU 1 simply observes the moved cell. This is
-// the software shootdown protocol of DESIGN.md §9; the memory-side half
-// (warm host pointers) rides the same scheme through mem.Phys's atomic
-// generation.
+// decoded-block cache, entry memo, traces and host-pointer TLB stay
+// strictly per-CPU — only the *generation cells* they validate against
+// live here, as atomically published values, so a store retired on CPU 0
+// kills cached blocks, memo slots and traces on CPU 1 without any
+// cross-CPU walk: the next validation on CPU 1 simply observes the moved
+// cell. This is the software shootdown protocol of DESIGN.md §9; the
+// memory-side half (warm host pointers) rides the same scheme through
+// mem.Phys's atomic generation.
 //
 // The map itself is mutated only on cold paths (a page holding code for
 // the first time, a full InvalidateDecode) and is guarded by mu; hot

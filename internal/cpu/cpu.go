@@ -151,8 +151,8 @@ type CPU struct {
 
 	// cluster is the shared invalidation domain: code-page generation
 	// cells, the execution generation and the memo epoch, published
-	// atomically so stores on one CPU invalidate cached blocks, chain
-	// edges and memo verdicts on its peers (DESIGN.md §9).
+	// atomically so stores on one CPU invalidate cached blocks, entry
+	// memo slots and memo verdicts on its peers (DESIGN.md §9).
 	cluster *Cluster
 
 	// blocks caches decoded straight-line runs keyed by entry PA — a
@@ -161,22 +161,21 @@ type CPU struct {
 	// block suffices for precise invalidation: the cells live in the
 	// shared cluster, so peer stores invalidate this CPU's blocks too.
 	blocks map[uint64]*codeBlock
-	// ChainFollows counts block transitions served by a direct chain edge
+	// EntryMemoHits counts block entries served by the entry memo
 	// instead of a full fetchBlock (diagnostics).
-	ChainFollows uint64
-	// TracesBuilt counts superblock traces fused from hot chains;
-	// TraceFollows counts trace entries served by runTrace (diagnostics;
-	// see superblock.go).
+	EntryMemoHits uint64
+	// TracesBuilt counts superblock traces fused from hot blocks;
+	// TraceFollows counts entries into fused traces (diagnostics; see
+	// superblock.go). One-block runs are not trace entries.
 	TracesBuilt  uint64
 	TraceFollows uint64
 
-	// ibtb is the direct-mapped indirect-branch target cache: memoized
-	// fetchBlock resolutions for the transitions direct chaining cannot
-	// cover (BR/BLR/RET and the authenticated forms, ERET returns,
-	// exception-vector entries), keyed by the low bits of the target PC.
-	// Each slot is an ordinary chainEdge, so the same chainValid contract
-	// — and the same severing conditions — apply on every hit.
-	ibtb [ibtbSize]chainEdge
+	// entryMemo is the direct-mapped block-entry memo: memoized
+	// fetchBlock resolutions keyed by the low bits of the entry PC. Every
+	// block entry probes it first — whether reached by a sequential exit,
+	// a direct or indirect branch, an ERET or an exception vector — and
+	// every miss fills the slot right away.
+	entryMemo [entryMemoSize]blockEntry
 
 	// sgenPN/sgenCell are a tiny direct-mapped memo of cluster cell
 	// lookups, the one lookup path of every store route: stores cluster
@@ -199,7 +198,7 @@ type CPU struct {
 	// goroutine owns a running CPU, the same discipline its registers
 	// rely on), drained into the process-wide obs registry by flushObs
 	// when Run returns. obsBase snapshots the pre-existing cumulative
-	// diagnostics (Cycles, Retired, chain/trace counts, MMU and PAC
+	// diagnostics (Cycles, Retired, memo/trace counts, MMU and PAC
 	// counters) at the last flush so only deltas are published; a
 	// counter that moved backwards (snapshot restore rewound it)
 	// re-baselines instead of underflowing.
@@ -211,7 +210,7 @@ type CPU struct {
 // diagnostic counters flushObs publishes as deltas.
 type obsBaseline struct {
 	cycles, retired                         uint64
-	chainFollows, tracesBuilt, traceFollows uint64
+	memoHits, tracesBuilt, traceFollows     uint64
 	mmuHits, mmuMisses, mmuRearms, mmuWalks uint64
 	pacSigns, pacAuths, pacFails            [pac.NumKeys]uint64
 	qarmaRuns                               uint64
@@ -238,7 +237,7 @@ func (c *CPU) flushObs() {
 	b := &c.obsBase
 	l.V[obs.CCycles] += obsDelta(c.Cycles, &b.cycles)
 	l.V[obs.CRetired] += obsDelta(c.Retired, &b.retired)
-	l.V[obs.CChainFollow] += obsDelta(c.ChainFollows, &b.chainFollows)
+	l.V[obs.CChainFollow] += obsDelta(c.EntryMemoHits, &b.memoHits)
 	l.V[obs.CTraceBuild] += obsDelta(c.TracesBuilt, &b.tracesBuilt)
 	l.V[obs.CTraceEnter] += obsDelta(c.TraceFollows, &b.traceFollows)
 	if m := c.MMU; m != nil {
@@ -263,43 +262,45 @@ func (c *CPU) flushObs() {
 // page boundary).
 type codeBlock struct {
 	instrs []insn.Instr
-	page   uint64
 	gen    uint64
 	// genp points at the page's shared generation cell; genp.Load() ==
 	// gen while the block is valid (the same condition fetchBlock checks
 	// via the cluster map, without the map). The cell is shared across
 	// the machine's CPUs, so a peer's store invalidates this block too.
 	genp *atomic.Uint64
-	// fall and taken are the lazily resolved direct successor links: fall
-	// covers the sequential exit (a conditional not taken, or a
-	// straight-line run spilling past the page boundary / size cap),
-	// taken the immediate-target branch exit (B, BL, B.cond, CBZ, CBNZ).
-	fall, taken chainEdge
-	// heat counts entries into the block; at hotThreshold the chain
-	// starting here is fused into tr, a superblock trace (superblock.go).
+	// heat counts entries into the block; at hotThreshold the run of
+	// blocks starting here is fused into tr, a superblock trace
+	// (superblock.go).
 	heat uint32
 	tr   *trace
 }
 
-// chainEdge is a memoized fetchBlock result: "starting PC e.pc resolved
-// to block e.to under this translation regime". Following an edge is
-// sound only while every snapshot still matches — the same §3 contract a
-// TLB entry obeys — and while the target block itself is valid
-// (to.gen == *to.genp, the pageGen/execGen clause). The regime snapshot
-// pins the stage-1 table identity+generation for e.pc's address side,
-// the stage-2 generation+enable, the EL and the MMU enable; any
-// Map/Unmap, context-switch table swap, stage-2 Restrict/Clear or
-// exception-level change therefore severs the chain automatically.
-type chainEdge struct {
-	to    *codeBlock
-	pc    uint64
+// regime is the translation state a cached fetch result depends on —
+// the same §3 contract a TLB entry obeys: the stage-1 table identity
+// and generation for the VA's address side, the stage-2 generation and
+// enable, the EL and the MMU enable. Any Map/Unmap, context-switch
+// table swap, stage-2 Restrict/Clear or exception-level change moves
+// one of them. Entry-memo slots and traces each hold one, taken by
+// captureRegime and checked by regimeHolds, so a validity input added
+// to the contract reaches both.
+type regime struct {
 	table *mmu.Table
 	tgen  uint64
 	s2gen uint64
 	s2en  bool
-	tt1   bool // e.pc translates through TT1 (kernel side)
+	tt1   bool // the VA translates through TT1 (kernel side)
 	mmuOn bool
 	el    int8
+}
+
+// blockEntry is a memoized fetchBlock result: "entry PC pc resolved to
+// block to under regime rg". Using it is sound only while rg holds and
+// the target block itself is valid (to.gen == *to.genp, the pageGen
+// clause).
+type blockEntry struct {
+	to *codeBlock
+	pc uint64
+	rg regime
 }
 
 // maxBlockInstrs bounds decode-ahead waste on pathological straight-line
@@ -332,8 +333,8 @@ func New(feat Features) *CPU {
 // NewPeer returns a sibling core of the same simulated machine: it
 // shares c's physical bus (RAM and device windows), stage-1 kernel
 // table, stage-2 overlay, MMU-enable state and invalidation cluster, but
-// owns its own architectural state, TLB, decoded-block cache and chain
-// edges — exactly the per-core/shared split of real SMP hardware. The
+// owns its own architectural state, TLB, decoded-block cache and entry
+// memo — exactly the per-core/shared split of real SMP hardware. The
 // peer starts with its own empty user table (TT0 is swapped per-CPU on
 // context switch) and its own PAuth key bank (keys are installed per
 // core by the secondary boot path, as on hardware).
@@ -693,7 +694,7 @@ func (c *CPU) decodeBlock(pa uint64) (*codeBlock, *mmu.Fault, error) {
 	// cell epoch then, which invalidates every CPU's memoized "no cell"
 	// verdict for this page.
 	genp := c.cluster.cell(page)
-	b := &codeBlock{page: page, gen: genp.Load(), genp: genp}
+	b := &codeBlock{gen: genp.Load(), genp: genp}
 	end := (page + 1) << mmu.PageShift
 	for a := pa; a < end && len(b.instrs) < maxBlockInstrs; a += insn.Size {
 		w, err := c.Bus.Load(a, 4)
@@ -752,16 +753,16 @@ func (c *CPU) fetchLegacy() (insn.Instr, *mmu.Fault, error) {
 
 // InvalidateDecode drops every decoded instruction (used after host-side
 // writes to guest code, e.g. module loading or bootloader key-hiding,
-// which bypass storeMem's tracking). This CPU's block map is replaced;
-// every *other* CPU's blocks and chain edges die through the shared
-// cluster: invalidateAll bumps every generation cell, and a block (or
-// the target of a chain edge) validates only while its cell is
+// which bypass storeMem's tracking). This CPU's block map and entry memo
+// are replaced; every *other* CPU's blocks and memo slots die through
+// the shared cluster: invalidateAll bumps every generation cell, and a
+// block (or the target of a memo slot) validates only while its cell is
 // unchanged — so nothing stale stays reachable anywhere in the machine.
 func (c *CPU) InvalidateDecode() {
 	c.blocks = make(map[uint64]*codeBlock)
 	c.cluster.invalidateAll()
 	c.legacyDecode = nil
-	c.ibtb = [ibtbSize]chainEdge{}
+	c.entryMemo = [entryMemoSize]blockEntry{}
 	c.clearStoreGenMemo()
 }
 

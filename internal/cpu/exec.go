@@ -10,27 +10,22 @@ import (
 	"camouflage/internal/pac"
 )
 
-// storeClass marks the ops whose execution can write guest memory and
-// therefore move execGen (guest stores, including stores into the
-// service doorbell whose host handler may invalidate code). The block
-// execution loop re-checks execGen only after these: nothing else can
-// patch code mid-block, so the per-instruction re-check the seed paid is
-// unnecessary. Indexed by insn.Op; sized for the whole uint8 op space.
-var storeClass [256]bool
+// seqSucc[k] is the successor offset, from the entry VA, of the k-th
+// instruction of a straight-line run: a block's one-block view stays on
+// the block only while every instruction advances the PC sequentially.
+var seqSucc [maxBlockInstrs]uint64
 
 func init() {
-	for _, op := range []insn.Op{
-		insn.OpSTR, insn.OpSTRW, insn.OpSTRB,
-		insn.OpSTRpre, insn.OpSTP, insn.OpSTPpre,
-	} {
-		storeClass[op] = true
+	for k := range seqSucc {
+		seqSucc[k] = uint64(k+1) * insn.Size
 	}
 }
 
 // directBranch reports whether op is a direct (immediate-target) branch
-// whose taken exit may be chained: B, BL, B.cond, CBZ, CBNZ. Indirect
-// and authenticated branches (BR/BLR/RET and the *AA/*AB forms), ERET,
-// SVC and everything else always re-enter through fetchBlock.
+// whose taken exit may be fused into a trace: B, BL, B.cond, CBZ, CBNZ.
+// Indirect and authenticated branches (BR/BLR/RET and the *AA/*AB
+// forms), ERET, SVC and everything else always re-enter through the
+// dispatch loop.
 func directBranch(op insn.Op) bool {
 	switch op {
 	case insn.OpB, insn.OpBL, insn.OpBcond, insn.OpCBZ, insn.OpCBNZ:
@@ -39,65 +34,47 @@ func directBranch(op insn.Op) bool {
 	return false
 }
 
-// chainValid reports whether e may be followed right now: the PC must be
-// the one the edge memoizes, the target block must still be valid
-// (pageGen clause), and every translation-regime snapshot must still
-// match (§3 contract — see chainEdge).
-func (c *CPU) chainValid(e *chainEdge) bool {
-	b := e.to
-	if b == nil || c.PC != e.pc || b.gen != b.genp.Load() {
-		return false
-	}
+// captureRegime snapshots the translation regime a fetch at va depends
+// on (§3 contract — see regime).
+func (c *CPU) captureRegime(va uint64) regime {
 	m := c.MMU
-	if m.Enabled != e.mmuOn || int8(c.EL) != e.el {
+	r := regime{mmuOn: m.Enabled, el: int8(c.EL)}
+	if m.Enabled {
+		r.tt1 = m.KernelSide(va)
+		table := m.TT0
+		if r.tt1 {
+			table = m.TT1
+		}
+		r.table, r.tgen = table, table.Gen()
+		r.s2gen, r.s2en = m.S2.Gen(), m.S2.Enabled
+	}
+	return r
+}
+
+// regimeHolds reports whether the translation regime still matches the
+// snapshot r: the same EL and MMU enable and, with the MMU on, the same
+// stage-1 table identity and generation for r's address side and the
+// same stage-2 generation and enable.
+func (c *CPU) regimeHolds(r *regime) bool {
+	m := c.MMU
+	if m.Enabled != r.mmuOn || int8(c.EL) != r.el {
 		return false
 	}
-	if !e.mmuOn {
+	if !r.mmuOn {
 		return true
 	}
 	table := m.TT0
-	if e.tt1 {
+	if r.tt1 {
 		table = m.TT1
 	}
-	return e.table == table && e.tgen == table.Gen() &&
-		e.s2gen == m.S2.Gen() && e.s2en == m.S2.Enabled
-}
-
-// resolveChain memoizes "PC pc fetched block to" into slot, snapshotting
-// the translation regime the resolution depended on.
-func (c *CPU) resolveChain(slot *chainEdge, pc uint64, to *codeBlock) {
-	m := c.MMU
-	e := chainEdge{to: to, pc: pc, mmuOn: m.Enabled, el: int8(c.EL)}
-	if m.Enabled {
-		e.tt1 = m.KernelSide(pc)
-		table := m.TT0
-		if e.tt1 {
-			table = m.TT1
-		}
-		e.table, e.tgen = table, table.Gen()
-		e.s2gen, e.s2en = m.S2.Gen(), m.S2.Enabled
-	}
-	*slot = e
+	return r.table == table && r.tgen == table.Gen() &&
+		r.s2gen == m.S2.Gen() && r.s2en == m.S2.Enabled
 }
 
 // Run executes until the instruction budget is exhausted, a HLT retires,
-// or an unrecoverable error occurs.
-//
-// The fast path executes decoded basic blocks: translation and block
-// lookup happen once per block entry, then the body runs from a flat
-// []insn.Instr slice. The loop falls out of a block when an instruction
-// branches or takes an exception (PC no longer advances sequentially),
-// when the guest invalidates code the block could cover (execGen), when
-// an IRQ becomes deliverable, or when the budget expires. Cycle and
-// retirement accounting is identical to single-stepping.
-//
-// Block-to-block transitions follow direct chains where possible: a
-// block that ran to completion and exited through its sequential fall-
-// through or a direct branch follows (or lazily resolves) a chainEdge to
-// its successor, skipping the per-entry Translate and block-map lookup.
-// Chains are never followed blind — chainValid re-checks the §3
-// snapshots on every follow — and break on IRQ delivery, budget expiry,
-// exceptions, indirect/authenticated branches and any execGen movement.
+// or an unrecoverable error occurs. The fast path is dispatch; the
+// NoBlockCache baseline is the seed interpreter, runLegacy. Cycle and
+// retirement accounting is identical on both.
 func (c *CPU) Run(maxInstrs uint64) Stop {
 	startCycles, startRetired := c.Cycles, c.Retired
 	defer func() {
@@ -112,37 +89,40 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 	if c.NoBlockCache {
 		return c.runLegacy(maxInstrs)
 	}
-	var (
-		b       *codeBlock // current block; nil → fetch at loop top
-		blockVA uint64     // VA the current block was entered at
-		pending *chainEdge // slot awaiting resolution by the next fetch
-		pendPC  uint64
-	)
+	return c.dispatch(maxInstrs)
+}
+
+// dispatch is the fast path's block-entry loop. Each turn delivers a
+// deliverable IRQ, then resolves the decoded block at PC: from the
+// entry memo when its slot still validates, else through fetchBlock,
+// memoizing the result in the slot right away. Translation and block
+// lookup therefore happen at most once per block entry. The block then
+// runs in runTrace — as its fused trace when the trace validates and
+// the budget covers the trace body, else as a one-block view of itself:
+// its own instructions with sequential successors, needing no regime
+// check because the memo probe or the fetch has just validated it.
+// Every decoded instruction retires inside runTrace.
+//
+// A memo slot is never followed blind: the slot's PC, the target
+// block's generation cell and the §3 regime snapshot are re-checked on
+// every hit, so a store into the block's page, a context switch,
+// Map/Unmap, a stage-2 change or an EL change severs it.
+//
+//camo:hotpath
+func (c *CPU) dispatch(maxInstrs uint64) Stop {
 	for n := uint64(0); n < maxInstrs; {
 		if c.IRQPending && !c.IRQMasked && c.EL == 0 {
 			c.IRQPending = false
 			c.TakeException(VecIRQLower, ECUnknown, 0, 0)
 			n++
-			b, pending = nil, nil
 			continue
 		}
-		if b == nil {
-			// Probe the indirect-branch target cache first: a computed
-			// transfer (SVC/exception vector entry, ERET return, BR/BLR/
-			// RET target — including a superblock side exit through one)
-			// that already resolved to this PC under this regime skips
-			// the Translate + block-map fetch entirely. A miss falls
-			// through to the fetch, which resolves into the slot.
-			if slot := &c.ibtb[(c.PC>>2)&(ibtbSize-1)]; c.chainValid(slot) {
-				c.ChainFollows++
-				b = slot.to
-				blockVA = c.PC
-				pending = nil
-			} else if pending == nil {
-				pending, pendPC = slot, c.PC
-			}
-		}
-		if b == nil {
+		entryVA := c.PC
+		slot := &c.entryMemo[(entryVA>>2)&(entryMemoSize-1)]
+		b := slot.to
+		if b != nil && slot.pc == entryVA && b.gen == b.genp.Load() && c.regimeHolds(&slot.rg) {
+			c.EntryMemoHits++
+		} else {
 			var fault *mmu.Fault
 			var err error
 			b, fault, err = c.fetchBlock()
@@ -152,117 +132,40 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 			if fault != nil {
 				c.instructionAbort(fault)
 				n++
-				b, pending = nil, nil
 				continue
 			}
-			blockVA = c.PC
-			if pending != nil {
-				// Memoize the edge that led here. The PC guard keeps an
-				// intervening abort from binding the wrong target; the
-				// regime snapshot is taken now, so whatever changed since
-				// the exit is what the edge records.
-				if pendPC == c.PC {
-					c.resolveChain(pending, c.PC, b)
-				}
-				pending = nil
-			}
+			*slot = blockEntry{to: b, pc: entryVA, rg: c.captureRegime(entryVA)}
 		}
-		// Superblock path: a hot block carries a fused trace — run it if
-		// its validity clauses hold and the budget covers one body (the
-		// remainder runs block-by-block below). A trace whose constituent
-		// code went stale is dropped for a rebuild; a transient regime
+		// A hot block carries a fused trace. One whose constituent code
+		// went stale is dropped for a rebuild; a transient regime
 		// mismatch (context switch) keeps it.
 		if t := b.tr; t != nil {
-			if c.traceValid(t, blockVA) {
+			if c.traceValid(t, entryVA) {
 				if maxInstrs-n >= uint64(len(t.instrs)) {
-					stop, done := c.runTrace(t, &n, maxInstrs)
-					if done {
+					c.TraceFollows++
+					if stop, done := c.runTrace(t.instrs, t.succ, t.looping, &n, maxInstrs); done {
 						return stop
 					}
-					b, pending = nil, nil
 					continue
 				}
 			} else if traceStale(t) {
 				b.tr, b.heat = nil, 0
 				c.obsLocal.V[obs.CTraceSeverStale]++
 			} else {
-				// Transient regime mismatch (context switch): the
-				// trace is kept but this entry was rejected.
 				c.obsLocal.V[obs.CTraceSeverEntry]++
 			}
 		} else if b.heat++; b.heat == hotThreshold {
-			c.buildTrace(b, blockVA)
+			c.buildTrace(b, entryVA)
 		}
-		startGen := c.cluster.execGen.Load()
-		last := len(b.instrs) - 1
-		completed := false
-		idx := 0
-		for ; idx <= last && n < maxInstrs; idx++ {
-			ins := &b.instrs[idx]
-			if ins.Op == insn.OpInvalid {
-				c.undefined()
-				n++
-				break
-			}
-			pc := c.PC
-			stop, done := c.execute(ins)
-			n++
-			if done {
-				return stop
-			}
-			if c.PC != pc+insn.Size {
-				// Branch taken, exception, or ERET. Only a clean exit off
-				// the final instruction is a chainable completion.
-				completed = idx == last
-				break
-			}
-			// Mid-block hazards can only be raised by store-class
-			// instructions: a guest store may patch code (execGen) and
-			// only a device/doorbell store can raise an IRQ while the EL
-			// and mask bits are unchanged (exceptions and ERET exit via
-			// the PC check above; MSR ends every block). The seed paid
-			// both re-checks on every instruction.
-			if storeClass[ins.Op] {
-				if c.cluster.execGen.Load() != startGen {
-					break // the block's own code may have been patched
-				}
-				if c.IRQPending && !c.IRQMasked && c.EL == 0 {
-					break // deliver at the top of the outer loop
-				}
-			}
+		if stop, done := c.runTrace(b.instrs, seqSucc[:len(b.instrs)], false, &n, maxInstrs); done {
+			return stop
 		}
-		if idx > last {
-			completed = true // fell off the sequential end
-		}
-		exited := b
-		b = nil
-		if !completed || n >= maxInstrs ||
-			(c.IRQPending && !c.IRQMasked && c.EL == 0) {
-			continue
-		}
-		var slot *chainEdge
-		if c.PC == blockVA+uint64(len(exited.instrs))*insn.Size {
-			slot = &exited.fall
-		} else if directBranch(exited.instrs[last].Op) {
-			slot = &exited.taken
-		} else {
-			// SVC, ERET, indirect/authenticated branch: no per-block
-			// edge can memoize a computed target — the ibtb probe at the
-			// top of the loop covers these transfers.
-			continue
-		}
-		if c.chainValid(slot) {
-			c.ChainFollows++
-			b = slot.to
-			blockVA = c.PC
-			continue
-		}
-		pending, pendPC = slot, c.PC
 	}
 	return Stop{Kind: StopLimit}
 }
 
-// runLegacy is the seed's per-instruction loop (NoBlockCache baseline).
+// runLegacy is the seed interpreter (NoBlockCache baseline): one
+// translate, per-word decode-cache lookup and execute per instruction.
 func (c *CPU) runLegacy(maxInstrs uint64) Stop {
 	for n := uint64(0); n < maxInstrs; n++ {
 		if c.IRQPending && !c.IRQMasked && c.EL == 0 {
@@ -270,41 +173,23 @@ func (c *CPU) runLegacy(maxInstrs uint64) Stop {
 			c.TakeException(VecIRQLower, ECUnknown, 0, 0)
 			continue
 		}
-		stop, done := c.Step()
-		if done {
+		ins, fault, err := c.fetchLegacy()
+		if err != nil {
+			return Stop{Kind: StopError, Err: err}
+		}
+		if fault != nil {
+			c.instructionAbort(fault)
+			continue
+		}
+		if ins.Op == insn.OpInvalid {
+			c.undefined()
+			continue
+		}
+		if stop, done := c.execute(&ins); done {
 			return stop
 		}
 	}
 	return Stop{Kind: StopLimit}
-}
-
-// Step executes one instruction. done is true when the machine should
-// stop (HLT or error).
-func (c *CPU) Step() (Stop, bool) {
-	var ins insn.Instr
-	var fault *mmu.Fault
-	var err error
-	if c.NoBlockCache {
-		ins, fault, err = c.fetchLegacy()
-	} else {
-		var b *codeBlock
-		b, fault, err = c.fetchBlock()
-		if b != nil {
-			ins = b.instrs[0]
-		}
-	}
-	if err != nil {
-		return Stop{Kind: StopError, Err: err}, true
-	}
-	if fault != nil {
-		c.instructionAbort(fault)
-		return Stop{}, false
-	}
-	if ins.Op == insn.OpInvalid {
-		c.undefined()
-		return Stop{}, false
-	}
-	return c.execute(&ins)
 }
 
 // instructionAbort raises a prefetch abort for a fetch fault.

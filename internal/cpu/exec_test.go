@@ -265,7 +265,7 @@ func TestSelfModifyingCodeInvalidatesDecodeCache(t *testing.T) {
 
 // TestSameBlockSelfModifyingStore: a store that patches an instruction
 // *later in the currently executing straight-line block* must take
-// effect before that instruction runs — the block loop has to abandon
+// effect before that instruction runs — runTrace has to abandon
 // pre-decoded state the moment its own code page is written.
 func TestSameBlockSelfModifyingStore(t *testing.T) {
 	a := asm.New()
@@ -417,6 +417,86 @@ func TestBlockCacheMatchesLegacyPath(t *testing.T) {
 	}
 }
 
+// TestBudgetSweepMatchesLegacyPath runs one program on the fast path and
+// on the seed interpreter in lockstep, in Run slices of a fixed budget,
+// and requires identical architectural state and stop kind after every
+// slice. The program calls a function through BL/RET; the function signs
+// its return address with PACIB, spills it to the stack, runs an inner
+// counted loop that fuses into a looping trace, reloads the spill and
+// authenticates it with AUTIB. Odd budgets stop the fast path inside
+// one-block views, inside fused trace bodies and between their laps.
+func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
+	a := asm.New()
+	a.Label("entry")
+	a.I(insn.MOVZ(insn.X5, 24, 0))
+	a.Label("call")
+	a.BL("f")
+	a.I(insn.SUBi(insn.X5, insn.X5, 1))
+	a.CBNZ(insn.X5, "call")
+	a.I(insn.HLT(0))
+	a.Label("f")
+	a.I(insn.PACIB(insn.LR, insn.SP))
+	a.I(insn.STRpre(insn.LR, insn.SP, -16))
+	a.I(insn.MOVZ(insn.X6, 5, 0))
+	a.Label("inner")
+	a.I(insn.ADDi(insn.X0, insn.X0, 3))
+	a.I(insn.EORr(insn.X1, insn.X1, insn.X0))
+	a.I(insn.SUBi(insn.X6, insn.X6, 1))
+	a.CBNZ(insn.X6, "inner")
+	a.I(insn.LDRpost(insn.LR, insn.SP, 16))
+	a.I(insn.AUTIB(insn.LR, insn.SP))
+	a.I(insn.RET())
+	img, err := a.Link(map[string]uint64{".text": textBase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := func(seed bool) *CPU {
+		c := New(Features{PAuth: true})
+		c.NoBlockCache = seed
+		c.MMU.NoTLB = seed
+		c.SCTLR = insn.SCTLRPAuthAll
+		c.Signer.SetKey(pac.KeyIB, pac.Key{Hi: 0x0123_4567, Lo: 0x89AB_CDEF})
+		for _, s := range img.Sections {
+			c.Bus.RAM.WriteBytes(s.Base, s.Bytes)
+		}
+		c.SetSP(1, stackTop)
+		c.PC = img.Symbols["entry"]
+		return c
+	}
+	var entered uint64
+	for _, budget := range []uint64{1, 2, 3, 5, 7, 11, 16, 17, 64, 100000} {
+		fast, seed := boot(false), boot(true)
+		for call := 1; ; call++ {
+			fs, ss := fast.Run(budget), seed.Run(budget)
+			if fs.Kind != ss.Kind {
+				t.Fatalf("budget %d, Run #%d: fast path stopped with %v, seed interpreter with %v", budget, call, fs.Kind, ss.Kind)
+			}
+			if f, s := fast.CaptureState(), seed.CaptureState(); f != s {
+				t.Fatalf("budget %d, Run #%d: state diverged\nfast: %+v\nseed: %+v", budget, call, f, s)
+			}
+			if fs.Kind != StopLimit {
+				break
+			}
+		}
+		if fs := fast.CaptureState(); fs.PACFailures != 0 || fs.X[5] != 0 {
+			t.Fatalf("budget %d: halted with %d PAC failures and x5 = %d; want a clean finish", budget, fs.PACFailures, fs.X[5])
+		}
+		looping := false
+		for _, b := range fast.blocks {
+			looping = looping || (b.tr != nil && b.tr.looping)
+		}
+		if !looping {
+			t.Fatalf("budget %d: no looping trace was built for the inner loop", budget)
+		}
+		entered += fast.TraceFollows
+	}
+	// Budgets below a trace body's length run only one-block views; the
+	// larger ones must have entered fused traces.
+	if entered == 0 {
+		t.Fatal("no budget entered a fused trace; the sweep never exercised runTrace on one")
+	}
+}
+
 func TestIRQDeliveryAtEL0(t *testing.T) {
 	a := asm.New()
 	a.Section(".user")
@@ -521,12 +601,12 @@ func TestBankedSPAcrossELs(t *testing.T) {
 	}
 }
 
-// TestChainFollowsEngage: a hot loop's block-to-block transitions (the
-// backward conditional branch) must be served by chain follows, not
-// fresh fetches, while warming — and once past the hotness threshold the
-// loop must be fused into a superblock trace that serves the remaining
-// iterations without any per-block work at all.
-func TestChainFollowsEngage(t *testing.T) {
+// TestEntryMemoAndTracesEngage: while a hot loop warms, its re-entries
+// through the backward conditional branch must be served by the entry
+// memo, not fresh fetches — and once past the hotness threshold the loop
+// must be fused into a superblock trace and entered as one, serving the
+// remaining iterations without any per-block work at all.
+func TestEntryMemoAndTracesEngage(t *testing.T) {
 	c := runSnippet(t, nil, func(a *asm.Assembler) {
 		a.I(insn.MOVZ(insn.X5, 64, 0))
 		a.Label("loop")
@@ -535,8 +615,8 @@ func TestChainFollowsEngage(t *testing.T) {
 		a.CBNZ(insn.X5, "loop")
 		a.I(insn.HLT(0))
 	})
-	if c.ChainFollows < 8 {
-		t.Fatalf("ChainFollows = %d; direct chaining is not engaging", c.ChainFollows)
+	if c.EntryMemoHits < 8 {
+		t.Fatalf("EntryMemoHits = %d; the entry memo is not engaging", c.EntryMemoHits)
 	}
 	if c.TracesBuilt == 0 || c.TraceFollows == 0 {
 		t.Fatalf("TracesBuilt = %d, TraceFollows = %d; the hot loop was not fused into a trace",
@@ -544,23 +624,24 @@ func TestChainFollowsEngage(t *testing.T) {
 	}
 }
 
-// TestSelfModifyingStoreSeversChain: once the warm loop's direct edges
-// have been resolved and followed, a guest store into the chained
-// target's code must sever the chain — re-entering the loop has to
+// TestSelfModifyingStoreSeversEntryMemo: once the warm loop's block
+// entries are served by the entry memo, a guest store into a memoized
+// target's code must sever its slot — re-entering the loop has to
 // re-fetch and execute the patched instruction, not the memoized block.
-func TestSelfModifyingStoreSeversChain(t *testing.T) {
+// The loop stays below the hotness threshold, so no trace is involved.
+func TestSelfModifyingStoreSeversEntryMemo(t *testing.T) {
 	patch := insn.MOVZ(insn.X0, 7, 0).Encode()
 	c := runSnippet(t, nil, func(a *asm.Assembler) {
 		a.I(insn.MOVZ(insn.X5, 4, 0))
 		a.Label("warm")
-		a.B("target") // direct edge warm→target: resolved and followed hot
+		a.B("target") // target's entry: memoized, then served from the memo
 		a.Label("back")
 		a.I(insn.SUBi(insn.X5, insn.X5, 1))
 		a.CBNZ(insn.X5, "warm")
 		a.CBNZ(insn.X6, "done") // second pass: stop
 		a.I(insn.MOVZ(insn.X6, 1, 0))
 		// Patch target's MOVZ, then drive the warm loop once more
-		// through its already-resolved edges.
+		// through its memoized entries.
 		a.I(insn.MOVImm64(insn.X9, uint64(patch))...)
 		a.ADR(insn.X10, "target")
 		a.I(insn.STRW(insn.X9, insn.X10, 0))
@@ -573,10 +654,10 @@ func TestSelfModifyingStoreSeversChain(t *testing.T) {
 		a.B("back")
 	})
 	if c.X[0] != 7 {
-		t.Fatalf("x0 = %d; a resolved chain served stale code after the patch", c.X[0])
+		t.Fatalf("x0 = %d; a memoized entry served stale code after the patch", c.X[0])
 	}
-	if c.ChainFollows < 4 {
-		t.Fatalf("ChainFollows = %d; the warm loop never chained, so severing was not exercised", c.ChainFollows)
+	if c.EntryMemoHits < 4 {
+		t.Fatalf("EntryMemoHits = %d; the warm loop never hit the memo, so severing was not exercised", c.EntryMemoHits)
 	}
 }
 

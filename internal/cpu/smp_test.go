@@ -2,9 +2,9 @@ package cpu
 
 // Cross-CPU invalidation tests: the shared-generation (software
 // shootdown) contract of DESIGN.md §9. The decoded-block cache and
-// chain edges are per-CPU, but their generation cells are cluster-wide:
-// a store retired on one core must kill stale blocks and sever chains
-// on its peers before they can execute patched-over code.
+// entry memo are per-CPU, but their generation cells are cluster-wide:
+// a store retired on one core must kill stale blocks and sever memo
+// slots on its peers before they can execute patched-over code.
 
 import (
 	"testing"
@@ -81,11 +81,11 @@ func TestSMPCrossCPUStoreKillsPeerBlock(t *testing.T) {
 	}
 }
 
-// TestSMPCrossCPUStoreSeversPeerChain: CPU 1 resolves a direct chain
-// edge between two blocks; CPU 0 then patches the *chained-to* block.
-// Following the edge without revalidating the target's shared cell
-// would execute the stale successor.
-func TestSMPCrossCPUStoreSeversPeerChain(t *testing.T) {
+// TestSMPCrossCPUStoreSeversPeerEntryMemo: CPU 1 memoizes the entries
+// of two blocks and serves them from its entry memo; CPU 0 then patches
+// the second block. Serving the memo slot without revalidating the
+// target's shared cell would execute the stale successor.
+func TestSMPCrossCPUStoreSeversPeerEntryMemo(t *testing.T) {
 	c0, c1, img := buildPeers(t, func(a *asm.Assembler) {
 		a.Label("patcher")
 		patch := insn.MOVZ(insn.X1, 9, 0).Encode()
@@ -93,7 +93,7 @@ func TestSMPCrossCPUStoreSeversPeerChain(t *testing.T) {
 		a.ADR(insn.X10, "succ")
 		a.I(insn.STRW(insn.X9, insn.X10, 0))
 		a.I(insn.HLT(0))
-		a.Label("runner") // block A: direct branch to succ (chainable)
+		a.Label("runner") // block A: direct branch to succ
 		a.I(insn.MOVZ(insn.X1, 0, 0))
 		a.B("succ")
 		a.Label("succ") // block B
@@ -101,16 +101,16 @@ func TestSMPCrossCPUStoreSeversPeerChain(t *testing.T) {
 		a.I(insn.HLT(0))
 	})
 
-	// Two passes on CPU 1 so the runner→succ edge is resolved and then
-	// actually followed.
+	// Two passes on CPU 1 so both entries are memoized and then actually
+	// served from the memo.
 	for i := 0; i < 2; i++ {
 		c1.PC = img.Symbols["runner"]
 		if stop := c1.Run(100); stop.Kind != StopHLT {
 			t.Fatalf("cpu1 warm run %d: %+v", i, stop)
 		}
 	}
-	if c1.ChainFollows == 0 {
-		t.Fatal("chain edge never followed; test premise broken")
+	if c1.EntryMemoHits == 0 {
+		t.Fatal("entry memo never hit; test premise broken")
 	}
 
 	c0.PC = img.Symbols["patcher"]
@@ -123,7 +123,7 @@ func TestSMPCrossCPUStoreSeversPeerChain(t *testing.T) {
 		t.Fatalf("cpu1 post-patch run: %+v", stop)
 	}
 	if c1.X[1] != 9 {
-		t.Fatalf("cpu1 followed a severed chain into stale code: x1 = %d, want 9", c1.X[1])
+		t.Fatalf("cpu1 served a severed memo slot into stale code: x1 = %d, want 9", c1.X[1])
 	}
 }
 

@@ -44,16 +44,17 @@ func hostStoreN(pg *[mem.PageSize]byte, off, size, v uint64) {
 }
 
 // Superblock (trace) execution: when a decoded block stays hot — it keeps
-// being entered through the block cache — its chain of resolved direct
-// successors is fused into a single straight-line trace. A trace executes
-// from one flat instruction array with the hottest opcodes dispatched
-// inline, paying the per-block epilogue work (chain validation, edge
-// resolution, execGen snapshots) once per trace entry instead of once per
-// basic block, and — for loop-shaped traces — re-entering the loop body
-// with only an IRQ/budget/execGen check.
+// being entered through the dispatch loop — the run of blocks its direct
+// successors lead to is fused into a single straight-line trace. A trace
+// executes from one flat instruction array in runTrace, paying the
+// per-entry work (memo probe, regime and generation checks) once per
+// trace entry instead of once per basic block, and — for loop-shaped
+// traces — re-entering the loop body with only an IRQ/budget/execGen
+// check. A block without a usable trace runs in the same runTrace as a
+// one-block view of itself.
 //
-// Validity is the same §3 contract a chain edge obeys, hoisted to trace
-// granularity:
+// Validity is the same §3 contract an entry-memo slot obeys, hoisted to
+// trace granularity:
 //
 //	clause                  checked              severs on
 //	----------------------  -------------------  ------------------------
@@ -68,15 +69,16 @@ func hostStoreN(pg *[mem.PageSize]byte, off, size, v uint64) {
 //	                        instrs and at each   in the cluster, mid-trace
 //	                        loop back-edge
 //
-// A clause failing at entry falls back to ordinary block execution (the
-// trace is dropped only when a constituent block itself went stale); a
-// clause failing mid-trace side-exits with fully architectural state,
-// because every instruction retires exactly as it would under execute().
+// A clause failing at entry runs the entry block's one-block view
+// instead (the trace is dropped only when a constituent block itself
+// went stale); a clause failing mid-trace side-exits with fully
+// architectural state, because every instruction retires exactly as it
+// would under execute().
 const (
-	// hotThreshold is how many times a block is entered before its chain
-	// is fused into a trace. Low enough to catch benchmark and syscall
-	// loops within their first iterations, high enough that one-shot
-	// boot code never pays a build.
+	// hotThreshold is how many times a block is entered before the run
+	// of blocks starting there is fused into a trace. Low enough to
+	// catch benchmark and syscall loops within their first iterations,
+	// high enough that one-shot boot code never pays a build.
 	hotThreshold = 16
 
 	// maxTraceBlocks and maxTraceInstrs bound fusion: a trace never holds
@@ -84,24 +86,23 @@ const (
 	maxTraceBlocks = 16
 	maxTraceInstrs = 512
 
-	// ibtbSize is the direct-mapped indirect-branch target cache size
-	// (slots of resolved chainEdges keyed by the low PC bits). It covers
-	// the block transitions direct chaining cannot: BR/BLR/RET and the
-	// authenticated forms, ERET returns, and exception-vector entries.
-	ibtbSize = 128
+	// entryMemoSize is the number of direct-mapped entry-memo slots
+	// (memoized fetchBlock results keyed by the low PC bits).
+	entryMemoSize = 128
 )
 
 // trace is one fused superblock: the concatenated instructions of a run
-// of chained basic blocks, the expected successor PC after each
-// instruction (uniform side-exit check covering fall-through and fused
-// branch targets alike), the constituent blocks (whose shared generation
-// cells the entry check validates), and one translation-regime snapshot
-// — the builder only fuses edges whose snapshots are identical, so a
-// single regime comparison at entry covers every constituent mapping.
+// of basic blocks, the expected successor after each instruction as an
+// offset from the entry VA (a uniform side-exit check covering
+// fall-through and fused branch targets alike), the constituent blocks
+// (whose shared generation cells the entry check validates), and one
+// translation-regime snapshot — the builder only fuses successors on the
+// entry's address side, translated under that regime, so a single
+// regime comparison at entry covers every constituent mapping.
 type trace struct {
 	entryVA uint64
 	instrs  []insn.Instr
-	succ    []uint64 // expected PC after instrs[k] retires
+	succ    []uint64 // expected PC after instrs[k] retires, minus entryVA
 
 	blocks []*codeBlock
 
@@ -112,25 +113,19 @@ type trace struct {
 	// entry validation is one atomic load instead of a per-block walk.
 	lastGen uint64
 
-	table *mmu.Table
-	tgen  uint64
-	s2gen uint64
-	s2en  bool
-	tt1   bool
-	mmuOn bool
-	el    int8
+	rg regime
 
 	// looping marks a trace whose last fused successor is its own entry
-	// (a loop body): the execution loop re-enters the body directly,
-	// re-checking only IRQ, budget and execGen.
+	// (a loop body): runTrace re-enters the body directly, re-checking
+	// only IRQ, budget and execGen.
 	looping bool
 }
 
 // traceValid reports whether t may run right now from entryVA: every
 // constituent block's generation cell is unmoved and the translation
 // regime still matches the build-time snapshot (see the clause table
-// above). The caller has just fetched or chain-validated the entry
-// block, so the entry mapping itself is current.
+// above). The caller has just probed or fetched the entry block, so the
+// entry mapping itself is current.
 func (c *CPU) traceValid(t *trace, entryVA uint64) bool {
 	if entryVA != t.entryVA {
 		return false
@@ -147,19 +142,7 @@ func (c *CPU) traceValid(t *trace, entryVA uint64) bool {
 		// never stale).
 		t.lastGen = g
 	}
-	m := c.MMU
-	if m.Enabled != t.mmuOn || int8(c.EL) != t.el {
-		return false
-	}
-	if !t.mmuOn {
-		return true
-	}
-	table := m.TT0
-	if t.tt1 {
-		table = m.TT1
-	}
-	return t.table == table && t.tgen == table.Gen() &&
-		t.s2gen == m.S2.Gen() && t.s2en == m.S2.Enabled
+	return c.regimeHolds(&t.rg)
 }
 
 // traceStale reports whether a constituent block's code was invalidated
@@ -174,30 +157,22 @@ func traceStale(t *trace) bool {
 	return false
 }
 
-// buildTrace fuses the chain starting at block b (entered at entryVA)
-// into a trace and attaches it to b. Fusion walks resolved chain edges —
-// preferring a conditional branch's taken exit, falling back to its
-// sequential exit — and stops at any unresolved or stale edge, any edge
-// whose regime snapshot differs from the trace's, any block revisit
-// (closing the loop when the revisit is the entry itself), or the size
-// caps. A trace is attached even when nothing fuses: a single hot block
-// still wins from the inline dispatch loop.
+// buildTrace fuses the run of blocks starting at block b (entered at
+// entryVA) into a trace and attaches it to b. Each successor is found by
+// lookup (lookupBlock): the taken target of a direct branch first (loop
+// back-edges live there), else — for a conditional, or a block that
+// spilled past the page/size cap — the sequential exit. Fusion stops at
+// a successor with no valid decoded block under the trace's regime, at
+// any block revisit (closing the loop when the revisit is the entry
+// itself), and at the size caps. A trace is attached even when nothing
+// fuses: a single block that branches back to itself still becomes a
+// looping trace.
 func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
-	m := c.MMU
-	t := &trace{entryVA: entryVA, mmuOn: m.Enabled, el: int8(c.EL)}
+	t := &trace{entryVA: entryVA, rg: c.captureRegime(entryVA)}
 	// Snapshot execGen before walking the constituents: a bump landing
 	// mid-build leaves lastGen behind the cell state, which only costs
 	// one full re-validation at the first entry.
 	t.lastGen = c.cluster.execGen.Load()
-	if m.Enabled {
-		t.tt1 = m.KernelSide(entryVA)
-		table := m.TT0
-		if t.tt1 {
-			table = m.TT1
-		}
-		t.table, t.tgen = table, table.Gen()
-		t.s2gen, t.s2en = m.S2.Gen(), m.S2.Enabled
-	}
 	va := entryVA
 	cur := b
 	for {
@@ -207,7 +182,7 @@ func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 		t.blocks = append(t.blocks, cur)
 		for k := range cur.instrs {
 			t.instrs = append(t.instrs, cur.instrs[k])
-			t.succ = append(t.succ, va+uint64(k+1)*insn.Size)
+			t.succ = append(t.succ, va-entryVA+uint64(k+1)*insn.Size)
 		}
 		if len(t.blocks) >= maxTraceBlocks || len(t.instrs) >= maxTraceInstrs {
 			break
@@ -216,46 +191,66 @@ func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 		lastVA := va + uint64(last)*insn.Size
 		lastOp := cur.instrs[last].Op
 
-		// Pick the edge to fuse: the taken exit of a direct branch first
-		// (loop back-edges live there), else the sequential exit of a
-		// conditional or a block that spilled past the page/size cap.
-		var e *chainEdge
+		var next *codeBlock
 		var nextVA uint64
 		switch {
 		case directBranch(lastOp):
-			e, nextVA = &cur.taken, lastVA+uint64(cur.instrs[last].Imm)
-			if !c.fusable(e, nextVA, t) && condBranch(lastOp) {
-				e, nextVA = &cur.fall, lastVA+insn.Size
+			nextVA = lastVA + uint64(cur.instrs[last].Imm)
+			next = c.lookupBlock(nextVA, &t.rg)
+			if next == nil && condBranch(lastOp) {
+				nextVA = lastVA + insn.Size
+				next = c.lookupBlock(nextVA, &t.rg)
 			}
 		case !endsBlock(lastOp):
-			e, nextVA = &cur.fall, lastVA+insn.Size
+			nextVA = lastVA + insn.Size
+			next = c.lookupBlock(nextVA, &t.rg)
 		default:
 			// SVC, ERET, MSR, indirect/authenticated branch, HLT,
 			// Invalid: never fused across.
 			goto done
 		}
-		if !c.fusable(e, nextVA, t) {
+		if next == nil {
 			break
 		}
 		// Retarget the fused exit: after the branch retires, the PC must
 		// be the fused successor — on any other outcome (conditional not
 		// taken where the taken side was fused, or vice versa) the trace
 		// side-exits with architectural state.
-		t.succ[len(t.succ)-1] = nextVA
+		t.succ[len(t.succ)-1] = nextVA - entryVA
 		if nextVA == entryVA {
 			t.looping = true
 			goto done
 		}
 		for _, seen := range t.blocks {
-			if seen == e.to {
+			if seen == next {
 				goto done // inner revisit that isn't the entry: stop
 			}
 		}
-		cur, va = e.to, nextVA
+		cur, va = next, nextVA
 	}
 done:
 	b.tr = t
 	c.TracesBuilt++
+}
+
+// lookupBlock returns the valid decoded block a fetch at va would run
+// under regime r — which must be the current one — or nil. va must sit
+// on r's address side (the trace's one regime snapshot covers only that
+// side) and translate for fetch, and the block map must already hold a
+// valid block at the physical address: fusion never decodes.
+func (c *CPU) lookupBlock(va uint64, r *regime) *codeBlock {
+	if r.mmuOn && c.MMU.KernelSide(va) != r.tt1 {
+		return nil
+	}
+	pa, f := c.MMU.Translate(va, mmu.Fetch, c.EL)
+	if f != nil {
+		return nil
+	}
+	b := c.blocks[pa]
+	if b == nil || b.gen != b.genp.Load() {
+		return nil
+	}
+	return b
 }
 
 // condBranch reports whether op is a conditional direct branch (both
@@ -268,30 +263,17 @@ func condBranch(op insn.Op) bool {
 	return false
 }
 
-// fusable reports whether chain edge e can be fused into trace t as the
-// successor at nextVA: resolved, targeting a still-valid block at that
-// PC, under exactly the trace's regime snapshot.
-func (c *CPU) fusable(e *chainEdge, nextVA uint64, t *trace) bool {
-	if e.to == nil || e.pc != nextVA || e.to.gen != e.to.genp.Load() {
-		return false
-	}
-	if e.mmuOn != t.mmuOn || e.el != t.el {
-		return false
-	}
-	if !t.mmuOn {
-		return true
-	}
-	return e.table == t.table && e.tgen == t.tgen &&
-		e.s2gen == t.s2gen && e.s2en == t.s2en && e.tt1 == t.tt1
-}
-
-// runTrace executes t until a side exit: an unfused branch outcome, an
-// exception or fault, a mid-trace code invalidation (execGen), a
-// deliverable IRQ after a store, the budget, or — for non-looping traces
-// — simply the end of the body. Every instruction retires with exactly
+// runTrace is the one executor of decoded code. It runs code — a fused
+// trace's body, or a block's one-block view — from the current PC, the
+// entry VA, until a side exit: an outcome off the expected successors
+// (succ[k] is the PC offset from the entry VA that instruction k must
+// leave behind), an exception or fault, a mid-run code invalidation
+// (execGen), a deliverable IRQ after a store, the budget, or — unless
+// looping — simply the end of the body. A looping body re-enters itself
+// after its last instruction. Every instruction retires with exactly
 // the accounting execute() would give it; the hot opcodes are dispatched
 // inline, everything else falls back to execute(). done=true propagates
-// a machine stop (HLT, error) exactly as Run's inner loop would.
+// a machine stop (HLT, error).
 //
 // The loop is two-tiered. The first switch covers the pure ALU opcodes:
 // they cannot fault, branch or store, so they retire with a constant
@@ -306,24 +288,27 @@ func (c *CPU) fusable(e *chainEdge, nextVA uint64, t *trace) bool {
 // and flushed at every exit and before every call that can observe them
 // (execute may read c.Cycles through MRS PMCCNTR/CNTVCT; aborts capture
 // c.PC into ELR). The flush points keep the counters bit-identical to
-// block-by-block execution.
+// the seed interpreter's.
 //
-// The caller guarantees: traceValid just passed, no IRQ is deliverable,
-// and at least len(t.instrs) budget remains.
-func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done bool) {
-	c.TraceFollows++
+// The caller guarantees: code is valid to run from the current PC under
+// the current regime (the entry memo or fetchBlock just validated the
+// entry block, and traceValid the rest of a fused trace), and no IRQ is
+// deliverable. *n counts the budget spent so far; runTrace never spends
+// past maxInstrs.
+//
+//camo:hotpath
+func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64, maxInstrs uint64) (stop Stop, done bool) {
 	startGen := c.cluster.execGen.Load()
-	code := t.instrs
-	succ := t.succ
 	var cyc, ret uint64 // batched c.Cycles / c.Retired-and-budget deltas
 	pc := c.PC
+	base := pc
 	// EL and the IRQ mask are constant across inline instructions (only
 	// exceptions, ERET and MSR change them, and those all run under
-	// execute and end the trace), so deliverability is decided once.
-	canIRQ := t.el == 0 && !c.IRQMasked
+	// execute and end every body), so deliverability is decided once.
+	canIRQ := c.EL == 0 && !c.IRQMasked
 	// Last-page memo for the inline memory ops: the translation regime is
-	// frozen while a trace runs (every regime-changing instruction ends a
-	// trace), so a HostData hit stays valid until something outside the
+	// frozen while a body runs (every regime-changing instruction ends
+	// one), so a HostData hit stays valid until something outside the
 	// inline fast paths runs — a slow-path bus access or an execute()
 	// fallback, both of which can reach devices that remap or reseat
 	// pages. Those sites reset the memo. Loads and stores memo
@@ -334,7 +319,14 @@ func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done b
 	// noteGuestStore only for a code page or an untrusted memo slot.
 	var stPN uint64
 	for {
-		for idx := 0; idx < len(code); idx++ {
+		// A lap runs the whole body unless the budget ends inside it.
+		// *n + ret is the budget spent so far: the slow tier's flushes
+		// move ret into *n without changing the sum.
+		end := len(code)
+		if left := maxInstrs - *n - ret; left < uint64(end) {
+			end = int(left)
+		}
+		for idx := 0; idx < end; idx++ {
 			ins := &code[idx]
 			op := ins.Op
 			switch op {
@@ -634,7 +626,9 @@ func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done b
 				default:
 					// Everything else — PAuth, MSR/MRS, SVC, ERET, HLT,
 					// indirect branches — retires through execute, with
-					// the architectural counters flushed first.
+					// the architectural counters flushed first. Every
+					// store has its own case above, so no op here needs
+					// the store hazard checks.
 					c.PC = pc
 					c.flushTrace(n, cyc, ret)
 					cyc, ret = 0, 0
@@ -647,19 +641,9 @@ func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done b
 					}
 					ldVP, stVP = ^uint64(0), ^uint64(0)
 					pc = c.PC
-					if pc != succ[idx] {
+					if pc-base != succ[idx] {
 						c.obsLocal.V[obs.CTraceExitBranch]++
 						return Stop{}, false
-					}
-					if storeClass[op] {
-						if c.cluster.execGen.Load() != startGen {
-							c.obsLocal.V[obs.CTraceExitHazard]++
-							return Stop{}, false
-						}
-						if canIRQ && c.IRQPending {
-							c.obsLocal.V[obs.CTraceExitIRQ]++
-							return Stop{}, false
-						}
 					}
 					continue
 				}
@@ -668,7 +652,7 @@ func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done b
 				cyc++
 				ret++
 				pc = next
-				if pc != succ[idx] {
+				if pc-base != succ[idx] {
 					c.PC = pc
 					c.flushTrace(n, cyc, ret)
 					c.obsLocal.V[obs.CTraceExitBranch]++
@@ -701,21 +685,25 @@ func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done b
 			}
 			continue
 		}
-		// Body complete. Loop-shaped traces re-enter directly: the fused
-		// back-edge has already proven pc == entryVA, so only the IRQ,
-		// budget and cross-CPU invalidation clauses need re-checking.
-		if !t.looping || (canIRQ && c.IRQPending) ||
-			maxInstrs-*n-ret < uint64(len(code)) ||
+		if end < len(code) {
+			c.PC = pc
+			c.flushTrace(n, cyc, ret)
+			c.obsLocal.V[obs.CTraceExitBudget]++
+			return Stop{}, false
+		}
+		// Body complete. A looping body re-enters directly: its fused
+		// back-edge has already proven pc == entry VA, so only the IRQ
+		// and cross-CPU invalidation clauses need re-checking (the next
+		// lap caps itself at the budget).
+		if !looping || (canIRQ && c.IRQPending) ||
 			c.cluster.execGen.Load() != startGen {
 			c.PC = pc
 			c.flushTrace(n, cyc, ret)
 			switch {
-			case !t.looping:
+			case !looping:
 				c.obsLocal.V[obs.CTraceExitEnd]++
 			case canIRQ && c.IRQPending:
 				c.obsLocal.V[obs.CTraceExitIRQ]++
-			case maxInstrs-*n < uint64(len(code)): // ret already folded into *n
-				c.obsLocal.V[obs.CTraceExitBudget]++
 			default:
 				c.obsLocal.V[obs.CTraceExitHazard]++
 			}

@@ -219,7 +219,7 @@ func (t *Table) Lookup(va uint64) (PTE, bool) {
 
 // Gen returns the table's invalidation generation (bumped by every
 // Map/Unmap/RestoreFrom). Callers caching translation results outside
-// the TLB — the CPU's direct block chains — snapshot it and treat any
+// the TLB — the CPU's entry memo and traces — snapshot it and treat any
 // change as a broadcast TLBI, exactly like a TLB entry does.
 func (t *Table) Gen() uint64 { return t.gen }
 
@@ -437,8 +437,8 @@ func (m *MMU) stripTag(va uint64) uint64 {
 }
 
 // KernelSide reports whether va translates through TT1 (a kernel
-// address: bit 55 set after tag stripping). The CPU's chain edges use it
-// to pin which table a memoized translation depended on.
+// address: bit 55 set after tag stripping). The CPU's regime snapshots
+// use it to pin which table a memoized translation depended on.
 func (m *MMU) KernelSide(va uint64) bool {
 	return m.Cfg.IsKernel(m.stripTag(va))
 }

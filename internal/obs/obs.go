@@ -138,20 +138,20 @@ var counterMetas = [NumCounters]counterMeta{
 	CTLBMiss:     {"camouflage_cpu_tlb_lookups_total", "Software TLB lookups by result.", `result="miss"`},
 	CBlockFill:   {"camouflage_cpu_block_cache_fills_total", "Decoded basic blocks inserted into per-CPU block caches.", ""},
 	CBlockSever:  {"camouflage_cpu_block_cache_severs_total", "Code-page generation bumps severing cached blocks (guest stores into code pages).", ""},
-	CChainFollow: {"camouflage_cpu_chain_follows_total", "Block transitions served by a direct chain edge instead of a full fetch.", ""},
-	CTraceBuild:  {"camouflage_cpu_traces_built_total", "Superblock traces fused from hot chains.", ""},
-	CTraceEnter:  {"camouflage_cpu_trace_enters_total", "Trace entries served by the superblock dispatcher.", ""},
+	CChainFollow: {"camouflage_cpu_chain_follows_total", "Block entries served by the entry memo instead of a full fetch.", ""},
+	CTraceBuild:  {"camouflage_cpu_traces_built_total", "Superblock traces fused from hot blocks.", ""},
+	CTraceEnter:  {"camouflage_cpu_trace_enters_total", "Entries into fused superblock traces (one-block runs excluded).", ""},
 
-	CTraceExitEnd:    {"camouflage_cpu_trace_exits_total", "Superblock trace exits by cause.", `cause="end"`},
-	CTraceExitBranch: {"camouflage_cpu_trace_exits_total", "Superblock trace exits by cause.", `cause="branch"`},
-	CTraceExitFault:  {"camouflage_cpu_trace_exits_total", "Superblock trace exits by cause.", `cause="fault"`},
-	CTraceExitHazard: {"camouflage_cpu_trace_exits_total", "Superblock trace exits by cause.", `cause="hazard"`},
-	CTraceExitIRQ:    {"camouflage_cpu_trace_exits_total", "Superblock trace exits by cause.", `cause="irq"`},
-	CTraceExitBudget: {"camouflage_cpu_trace_exits_total", "Superblock trace exits by cause.", `cause="budget"`},
-	CTraceExitStop:   {"camouflage_cpu_trace_exits_total", "Superblock trace exits by cause.", `cause="stop"`},
+	CTraceExitEnd:    {"camouflage_cpu_trace_exits_total", "Exits of fused traces and one-block runs from the trace executor, by cause.", `cause="end"`},
+	CTraceExitBranch: {"camouflage_cpu_trace_exits_total", "Exits of fused traces and one-block runs from the trace executor, by cause.", `cause="branch"`},
+	CTraceExitFault:  {"camouflage_cpu_trace_exits_total", "Exits of fused traces and one-block runs from the trace executor, by cause.", `cause="fault"`},
+	CTraceExitHazard: {"camouflage_cpu_trace_exits_total", "Exits of fused traces and one-block runs from the trace executor, by cause.", `cause="hazard"`},
+	CTraceExitIRQ:    {"camouflage_cpu_trace_exits_total", "Exits of fused traces and one-block runs from the trace executor, by cause.", `cause="irq"`},
+	CTraceExitBudget: {"camouflage_cpu_trace_exits_total", "Exits of fused traces and one-block runs from the trace executor, by cause.", `cause="budget"`},
+	CTraceExitStop:   {"camouflage_cpu_trace_exits_total", "Exits of fused traces and one-block runs from the trace executor, by cause.", `cause="stop"`},
 	CTraceSeverEntry: {"camouflage_cpu_trace_severs_total", "Superblock traces rejected or dropped by validity checks.", `cause="entry"`},
 	CTraceSeverStale: {"camouflage_cpu_trace_severs_total", "Superblock traces rejected or dropped by validity checks.", `cause="stale"`},
-	CSlowFallback:    {"camouflage_cpu_trace_slow_fallbacks_total", "In-trace instructions executed by the generic slow tier.", ""},
+	CSlowFallback:    {"camouflage_cpu_trace_slow_fallbacks_total", "Instructions the trace executor retired through the generic slow tier, in fused traces and one-block runs.", ""},
 
 	CHostRearm: {"camouflage_mmu_hostptr_rearms_total", "Host-pointer TLB entries re-armed after a physical-memory generation bump.", ""},
 	CS2Walk:    {"camouflage_mmu_stage2_walks_total", "Full translation walks (TLB miss, stage-1 + stage-2 check).", ""},
