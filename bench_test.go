@@ -2,11 +2,13 @@ package camouflage
 
 // The benchmark harness: the trajectory benchmarks that cmd/benchgate's
 // gate rows read (ExecThroughput, MemFastPath, ForkVsBoot, WarmStart,
-// ObsOverhead, FaultOverhead), plus per-layer micro-benchmarks (QARMA,
-// PAC signing, boot, the SVC round trip, key-setter emission). The
-// paper's tables and figures are regenerated and checked by the figures
-// tests (TestAllExperimentsRun) and timed per experiment by the repo
-// benchmark in perfbench/, so they have no benchmark here.
+// ObsOverhead, FaultOverhead), and nothing else. Per-layer costs (QARMA,
+// PAC signing, boot, the SVC round trip) are perfbench's probes
+// (qarma.encrypt_ns, pac.sign_ns, kernel.boot_ms, kernel.svc_ns.*),
+// one measurement per layer. The paper's tables and figures are
+// regenerated and checked by the figures tests (TestAllExperimentsRun)
+// and timed per experiment by the repo benchmark in perfbench/, so they
+// have no benchmark here either.
 //
 // Run everything with:
 //
@@ -17,39 +19,14 @@ import (
 	"testing"
 	"time"
 
-	"camouflage/internal/boot"
 	"camouflage/internal/core"
 	"camouflage/internal/fault"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
 	"camouflage/internal/obs"
-	"camouflage/internal/pac"
-	"camouflage/internal/qarma"
 	"camouflage/internal/snapshot"
 	"camouflage/internal/store"
 )
-
-// --- substrate micro-benchmarks ---
-
-func BenchmarkQARMAEncrypt(b *testing.B) {
-	c := qarma.New(qarma.Key{W0: 1, K0: 2}, qarma.DefaultRounds)
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink = c.Encrypt(uint64(i), 42)
-	}
-	_ = sink
-}
-
-func BenchmarkPACSign(b *testing.B) {
-	s := pac.NewSigner(pac.DefaultConfig)
-	s.SetKey(pac.KeyIB, pac.Key{Hi: 1, Lo: 2})
-	ptr := uint64(pac.KernelBase) | 0x1234
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink = s.Sign(ptr, uint64(i), pac.KeyIB)
-	}
-	_ = sink
-}
 
 // BenchmarkExecThroughput measures end-to-end simulator throughput
 // (simulated instructions per host second) on a representative mixed
@@ -270,15 +247,6 @@ func BenchmarkMemFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkBoot measures the full build+verify+boot pipeline.
-func BenchmarkBoot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := NewSystem(LevelFull, Options{Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkForkVsBoot measures machine-supply cost for a short workload
 // three ways: the full build+verify+boot pipeline per repetition
 // (baseline), a copy-on-write Fork from a warm snapshot per repetition,
@@ -413,62 +381,4 @@ func BenchmarkWarmStart(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSyscallRoundTrip measures one getppid round trip on the
-// simulator under full protection (host time + model cycles).
-func BenchmarkSyscallRoundTrip(b *testing.B) {
-	for _, lv := range []struct {
-		name  string
-		level ProtectionLevel
-	}{
-		{"none", LevelNone},
-		{"full", LevelFull},
-	} {
-		lv := lv
-		b.Run(lv.name, func(b *testing.B) {
-			sys, err := NewSystem(lv.level, Options{Seed: 7})
-			if err != nil {
-				b.Fatal(err)
-			}
-			prog, err := kernel.BuildProgram("getppid-loop", func(u *kernel.UserASM) {
-				u.MovImm(insn.X21, 1<<40)
-				u.A.Label("loop")
-				u.SyscallReg(kernel.SysGetppid)
-				u.A.I(insn.SUBi(insn.X21, insn.X21, 1))
-				u.A.CBNZ(insn.X21, "loop")
-				u.Exit(0)
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.Kernel.RegisterProgram(1, prog)
-			if _, err := sys.Kernel.Spawn(1); err != nil {
-				b.Fatal(err)
-			}
-			start := sys.Kernel.CPU.Cycles
-			startRet := sys.Kernel.CPU.Retired
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Step one full syscall iteration: run until the loop
-				// comes back around (~a few hundred instructions).
-				sys.Kernel.Run(2000)
-			}
-			b.StopTimer()
-			instrs := sys.Kernel.CPU.Retired - startRet
-			if instrs > 0 {
-				b.ReportMetric(float64(sys.Kernel.CPU.Cycles-start)/float64(instrs), "model_CPI")
-			}
-		})
-	}
-}
-
-// --- boot substrate ---
-
-func BenchmarkKeySetterEmission(b *testing.B) {
-	keys := boot.NewPRNG(1).GenerateKeys()
-	for i := 0; i < b.N; i++ {
-		a := newAsm()
-		boot.EmitKeySetter(a, "s", keys, boot.ModeV83)
-	}
 }

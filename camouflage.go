@@ -67,7 +67,7 @@ func NewSystem(level ProtectionLevel, opts Options) (*System, error) {
 // options: one build+verify+boot per option set (warm-pooled), then
 // copy-on-write forks of its post-boot snapshot, produced concurrently.
 // Every replica is identical to a sequentially built System. Used by the
-// parallel experiment runner and throughput harnesses.
+// throughput benchmarks.
 func ReplicateSystems(level ProtectionLevel, opts Options, n int) ([]*System, error) {
 	return core.Replicate(level, opts, n)
 }
@@ -92,40 +92,29 @@ func RunExperiment(id string, w io.Writer) error {
 	if !ok {
 		return errUnknownExperiment(id)
 	}
-	return e.Run(w)
+	return e.Run(context.Background(), w, ExperimentOptions{})
 }
 
 // ExperimentStats records one experiment execution: its wall time and
 // the simulated work it retired.
 type ExperimentStats = figures.RunStats
 
-// RunExperiments runs the selected experiments (every registered one
-// when ids is empty), writing the renderings to w in registry order.
-// With parallel=true, each experiment — and each (benchmark, protection
-// level) cell inside the suite-shaped ones — runs in its own goroutine
-// on an isolated System; the output is byte-identical to a sequential
-// run. It returns per-experiment stats.
-func RunExperiments(w io.Writer, ids []string, parallel bool) ([]ExperimentStats, error) {
-	return figures.RunAll(w, ids, parallel)
-}
-
-// RunExperimentsContext is RunExperiments with cancellation: once ctx
-// is done the run stops between experiments and returns ctx.Err(). It
-// is the entry point the camouflaged service daemon uses to honour
-// request deadlines.
-func RunExperimentsContext(ctx context.Context, w io.Writer, ids []string, parallel bool) ([]ExperimentStats, error) {
-	return figures.RunAllContext(ctx, w, ids, parallel)
-}
-
-// ExperimentOptions parameterizes an experiment run (id selection,
-// parallelism, vCPU count of the booted machines).
+// ExperimentOptions parameterizes an experiment run: the id selection,
+// parallelism, and the vCPU count of the booted machines.
 type ExperimentOptions = figures.RunOptions
 
-// RunExperimentsOpts is RunExperiments with full options, notably the
-// vCPU count: with CPUs: 2 every machine the experiments boot is a true
-// 2-core SMP system (deterministic round-robin scheduler, per-core
-// caches, shared shootdown generations — DESIGN.md §9).
-func RunExperimentsOpts(ctx context.Context, w io.Writer, opts ExperimentOptions) ([]ExperimentStats, error) {
+// RunExperiments runs the selected experiments (every registered one
+// when opts.IDs is empty), writing the renderings to w in registry order,
+// and returns per-experiment stats. With opts.Parallel, each experiment
+// — and each cell inside it — runs in its own goroutine on an isolated
+// System; the output is byte-identical to a sequential run. With
+// opts.CPUs: 2 every machine the experiments boot is a true 2-core SMP
+// system (deterministic round-robin scheduler, per-core caches, shared
+// shootdown generations — DESIGN.md §9). Once ctx is done the run
+// starts no further experiment or cell and returns ctx.Err(); the
+// camouflaged daemon's request deadlines and run watchdog reach the
+// same runner through figures.RunAllWith.
+func RunExperiments(ctx context.Context, w io.Writer, opts ExperimentOptions) ([]ExperimentStats, error) {
 	return figures.RunAllWith(ctx, w, opts)
 }
 

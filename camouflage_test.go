@@ -6,13 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"camouflage/internal/asm"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
 )
-
-// newAsm keeps bench_test.go free of a direct asm import cycle concern.
-func newAsm() *asm.Assembler { return asm.New() }
 
 func TestFacadeBootAndRun(t *testing.T) {
 	sys, err := NewSystem(LevelFull, Options{Seed: 1})

@@ -36,12 +36,13 @@ type ExperimentsRequest struct {
 	// isolated machines; the rendering is byte-identical either way.
 	Parallel bool `json:"parallel,omitempty"`
 	// CPUs is the vCPU count of every machine the experiments boot
-	// (0/1: uniprocessor, byte-identical to pre-SMP renderings). The
-	// daemon serializes non-default counts against other experiment
-	// runs (the count changes the rendered bytes).
+	// (0/1: uniprocessor, byte-identical to pre-SMP renderings; up to
+	// kernel.MaxCPUs, else 400). Runs with different counts overlap
+	// freely: each run carries its own count.
 	CPUs int `json:"cpus,omitempty"`
 	// DeadlineMS bounds the run; past it the server stops between
-	// experiments and returns 504 (0 = no deadline).
+	// experiments and between the cells inside one, and returns 504
+	// (0 = no deadline).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -75,8 +76,9 @@ type CampaignRequest struct {
 	Parallel bool `json:"parallel,omitempty"`
 	// Levels filters the §6.2 configurations by name (empty = all).
 	Levels []string `json:"levels,omitempty"`
-	// CPUs is the vCPU count of every cell machine; at 2+ the campaign
-	// includes the cross-core f_ops replay scenario.
+	// CPUs is the vCPU count of every cell machine (up to
+	// kernel.MaxCPUs, else 400); at 2+ the campaign includes the
+	// cross-core f_ops replay scenario.
 	CPUs int `json:"cpus,omitempty"`
 	// DeadlineMS bounds the run (0 = no deadline).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -103,7 +105,7 @@ type MachineRequest struct {
 	// Compat leases the §5.5 backwards-compatible build on a v8.0 core.
 	Compat bool `json:"compat,omitempty"`
 	// CPUs is the machine's vCPU count (0/1: uniprocessor; up to
-	// kernel.MaxCPUs). Leased SMP machines run their cores under the
+	// kernel.MaxCPUs, else 400). Leased SMP machines run their cores under the
 	// deterministic round-robin scheduler on every /run step.
 	CPUs int `json:"cpus,omitempty"`
 }

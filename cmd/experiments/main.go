@@ -155,7 +155,7 @@ func main() {
 		if *trace {
 			run = obs.BeginRun("experiments", "cmd/experiments")
 		}
-		_, err := camouflage.RunExperimentsOpts(context.Background(), os.Stdout, camouflage.ExperimentOptions{
+		_, err := camouflage.RunExperiments(context.Background(), os.Stdout, camouflage.ExperimentOptions{
 			IDs: flag.Args(), Parallel: *parallel, CPUs: *cpus, Trace: run,
 		})
 		if err != nil {

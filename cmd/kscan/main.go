@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -107,8 +108,7 @@ func main() {
 	}
 
 	if *stats {
-		e, _ := figures.Lookup("cocci")
-		if err := e.Run(os.Stdout); err != nil {
+		if err := figures.RenderCoccinelle(context.Background(), os.Stdout, figures.RunOptions{}); err != nil {
 			log.Fatal(err)
 		}
 		c := analysis.GenerateLinux52Corpus(1)

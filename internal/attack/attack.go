@@ -22,6 +22,7 @@
 package attack
 
 import (
+	"context"
 	"fmt"
 
 	"camouflage/internal/boot"
@@ -631,19 +632,22 @@ func Levels() []struct {
 // Matrix runs every uniprocessor attack against every configuration on
 // machines with the given vCPU count (the victims stay pinned to the
 // boot core): the §6.2 security-evaluation table, one unmutated strike
-// of each scenario per level.
-func Matrix(cpus int) ([]Report, error) {
-	var out []Report
-	for _, lv := range Levels() {
-		for _, sc := range baseScenarios() {
-			cfg := lv.Cfg()
-			cfg.NumCPUs = cpus
-			r, err := sc.report(cfg, lv.Name)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
+// of each scenario per level. Each row runs on its own forked machine —
+// concurrently when parallel is set — and rows are assembled in
+// (level, scenario) order. Once ctx is done no further row starts.
+func Matrix(ctx context.Context, cpus int, parallel bool) ([]Report, error) {
+	levels, scs := Levels(), baseScenarios()
+	out := make([]Report, len(levels)*len(scs))
+	err := snapshot.ForEach(ctx, len(out), parallel, func(i int) error {
+		lv, sc := levels[i/len(scs)], scs[i%len(scs)]
+		cfg := lv.Cfg()
+		cfg.NumCPUs = cpus
+		var err error
+		out[i], err = sc.report(cfg, lv.Name)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -178,7 +179,7 @@ func TestBruteForceHaltsAtThreshold(t *testing.T) {
 // property: the full build detects everything; the unprotected build is
 // hijacked by everything.
 func TestMatrixComplete(t *testing.T) {
-	reports, err := Matrix(1)
+	reports, err := Matrix(context.Background(), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +289,11 @@ func TestVerificationOracle(t *testing.T) {
 // scenario at every level and at 1 and 2 vCPUs, an unmutated strike on
 // a fork of the armed machine must reproduce the matrix row struck on
 // the armed machine itself: outcome, detail (which carries gadget
-// counts) and PAC failures.
+// counts) and PAC failures. The matrix strikes its rows in parallel
+// here, so this also pins parallel rows to sequential strikes.
 func TestUnmutatedStrikeOnForkMatchesMatrix(t *testing.T) {
 	for _, cpus := range []int{1, 2} {
-		rows, err := Matrix(cpus)
+		rows, err := Matrix(context.Background(), cpus, true)
 		if err != nil {
 			t.Fatal(err)
 		}

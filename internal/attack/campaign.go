@@ -150,7 +150,7 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 
 			outcomes := make([]Outcome, o.Mutations)
 			dirty := make([]int, o.Mutations)
-			err = snapshot.ForEachContext(ctx, o.Mutations, o.Parallel, func(m int) error {
+			err = snapshot.ForEach(ctx, o.Mutations, o.Parallel, func(m int) error {
 				fork, err := snap.Fork()
 				if err != nil {
 					return err

@@ -180,19 +180,13 @@ func (ss *SystemSnapshot) Reset(s *System) error {
 // deterministic and forking is exact, so every replica is identical to a
 // sequentially built one (pinned by TestReplicateMatchesNew).
 func Replicate(level ProtectionLevel, opts Options, n int) ([]*System, error) {
-	return ReplicateContext(context.Background(), level, opts, n)
-}
-
-// ReplicateContext is Replicate with cancellation: once ctx is done no
-// further replica is forked and ctx.Err() is returned.
-func ReplicateContext(ctx context.Context, level ProtectionLevel, opts Options, n int) ([]*System, error) {
 	kopts := kernelOptions(level, opts)
 	snap, err := snapshot.Shared.SnapshotFor(snapshot.KeyFor(kopts), snapshot.BootOptions(kopts))
 	if err != nil {
 		return nil, err
 	}
 	systems := make([]*System, n)
-	err = snapshot.ForEachContext(ctx, n, true, func(i int) error {
+	err = snapshot.ForEach(context.Background(), n, true, func(i int) error {
 		k, err := snap.Fork()
 		if err != nil {
 			return err

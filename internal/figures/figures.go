@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"camouflage/internal/analysis"
@@ -40,15 +38,16 @@ type Experiment struct {
 	// Levels names the protection levels the experiment boots machines
 	// under (nil for experiments that need no booted kernel).
 	Levels []string
-	// Run regenerates the artefact, writing it to w.
-	Run func(w io.Writer) error
+	// Run regenerates the artefact under the run's options, writing it
+	// to w. An experiment with cells (trials, schemes, suite cells,
+	// matrix rows) starts no further cell once ctx is done and returns
+	// ctx.Err() without writing.
+	Run func(ctx context.Context, w io.Writer, opts RunOptions) error
 }
-
-// threeLevels is the Figure 3/4 comparison set.
-var threeLevels = []string{"none", "backward-edge", "full"}
 
 // All returns the experiment registry in paper order.
 func All() []Experiment {
+	threeLevels := []string{"none", "backward-edge", "full"} // Figures 3 and 4
 	return []Experiment{
 		{"table1", "VMSAv8 address ranges", "Table 1", nil, RenderTable1},
 		{"table2", "AArch64 pointer layout and PAC field", "Table 2, §5.4", nil, RenderTable2},
@@ -77,56 +76,6 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// parallelMode selects the concurrent execution strategy for the
-// measurement functions in this package (and, via the Render functions,
-// the lmbench and workload suites): one goroutine per (experiment,
-// protection level) or per trial, each on a fully isolated simulated
-// System. Results are assembled by index, so renderings are
-// byte-identical to sequential runs — which is also why the mode being
-// process-wide is harmless when the service daemon runs overlapping
-// requests with different modes: either strategy produces the same
-// bytes. It is atomic so overlapping RunAllContext calls are race-free.
-// RunAll's parallel argument sets it.
-var parallelMode atomic.Bool
-
-// IsParallel reports the current execution strategy.
-func IsParallel() bool { return parallelMode.Load() }
-
-// cpuMode is the vCPU count the machine-booting experiments target.
-// Unlike parallelMode it *changes the rendered bytes* (SMP kernels have
-// different cycle counts), so overlapping RunAllWith calls with
-// different counts must not interleave: default-count runs share
-// cpuMu's read side (cpuMode stays 1 while any of them is active),
-// non-default runs hold it exclusively for their whole duration. This
-// is what lets the service daemon serve concurrent default requests at
-// full concurrency while a cpus=2 request runs alone.
-var (
-	cpuMu   sync.RWMutex
-	cpuMode atomic.Int64
-)
-
-// CPUCount returns the vCPU count the current experiment run targets.
-func CPUCount() int {
-	if n := int(cpuMode.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
-
-// withCPUMode runs f under the experiment-wide CPU-count regime.
-func withCPUMode(n int, f func() error) error {
-	if n <= 1 {
-		cpuMu.RLock()
-		defer cpuMu.RUnlock()
-		return f()
-	}
-	cpuMu.Lock()
-	defer cpuMu.Unlock()
-	cpuMode.Store(int64(n))
-	defer cpuMode.Store(1)
-	return f()
-}
-
 // RunStats records one experiment execution: its wall time and the
 // simulated work it retired.
 type RunStats struct {
@@ -147,21 +96,15 @@ type RunStats struct {
 	Exact       bool    `json:"exact"`
 }
 
-// RunAll runs the selected experiments (every registered one when ids is
-// empty), writing each rendering to w in registry order framed by
-// "==== id ====" headers, and returns per-experiment stats. Sequential
-// runs stream each rendering as it completes. With parallel=true,
-// experiments execute concurrently into private buffers and are emitted
-// in order — byte-for-byte identical to the sequential run.
-func RunAll(w io.Writer, ids []string, parallel bool) ([]RunStats, error) {
-	return RunAllContext(context.Background(), w, ids, parallel)
-}
-
-// RunOptions parameterizes an experiment run beyond the id selection.
+// RunOptions parameterizes an experiment run. Every experiment receives
+// the run's options as an argument, so overlapping runs with different
+// options in one process (the service daemon's requests) never see each
+// other's settings.
 type RunOptions struct {
 	// IDs selects experiments (nil: all).
 	IDs []string
-	// Parallel runs experiments (and suite cells) concurrently.
+	// Parallel runs experiments (and the cells inside them)
+	// concurrently.
 	Parallel bool
 	// CPUs is the vCPU count of every machine the experiments boot
 	// (0/1: uniprocessor, byte-identical to pre-SMP renderings).
@@ -173,33 +116,28 @@ type RunOptions struct {
 	Trace *obs.Run
 }
 
-// RunAllWith is RunAllContext with full options — the entry point the
-// service daemon's `cpus` request field flows through.
+// cpus is the vCPU count of the machines the run boots (at least 1).
+func (o RunOptions) cpus() int {
+	if o.CPUs > 1 {
+		return o.CPUs
+	}
+	return 1
+}
+
+// RunAllWith runs the selected experiments (every registered one when
+// opts.IDs is empty), writing each rendering to w in registry order
+// framed by "==== id ====" headers, and returns per-experiment stats.
+// Sequential runs stream each rendering as it completes. With
+// opts.Parallel, experiments execute concurrently into private buffers
+// and are emitted in order — byte-for-byte identical to the sequential
+// run. Once ctx is done no further experiment or cell starts, and the
+// run returns ctx.Err() without emitting the interrupted experiment.
 func RunAllWith(ctx context.Context, w io.Writer, opts RunOptions) ([]RunStats, error) {
-	var stats []RunStats
-	err := withCPUMode(opts.CPUs, func() error {
-		var err error
-		stats, err = runAll(ctx, w, opts.IDs, opts.Parallel, opts.Trace)
-		return err
-	})
-	return stats, err
-}
-
-// RunAllContext is RunAll with cancellation: the run stops between
-// experiments once ctx is done (sequential mode) or skips experiments
-// not yet started (parallel mode) and returns ctx.Err(). A cancelled
-// run never emits a partial experiment rendering.
-func RunAllContext(ctx context.Context, w io.Writer, ids []string, parallel bool) ([]RunStats, error) {
-	return RunAllWith(ctx, w, RunOptions{IDs: ids, Parallel: parallel})
-}
-
-func runAll(ctx context.Context, w io.Writer, ids []string, parallel bool, trace *obs.Run) ([]RunStats, error) {
-	parallelMode.Store(parallel)
 	var exps []Experiment
-	if len(ids) == 0 {
+	if len(opts.IDs) == 0 {
 		exps = All()
 	} else {
-		for _, id := range ids {
+		for _, id := range opts.IDs {
 			e, ok := Lookup(id)
 			if !ok {
 				return nil, fmt.Errorf("figures: unknown experiment %q", id)
@@ -209,81 +147,62 @@ func runAll(ctx context.Context, w io.Writer, ids []string, parallel bool, trace
 	}
 
 	stats := make([]RunStats, len(exps))
-	emit := func(i int, out []byte) error {
+	outs := make([]bytes.Buffer, len(exps))
+	emit := func(i int) error {
 		fmt.Fprintf(w, "==== %s ====\n", exps[i].ID)
-		if _, err := w.Write(out); err != nil {
+		if _, err := w.Write(outs[i].Bytes()); err != nil {
 			return err
 		}
 		_, err := fmt.Fprintln(w)
 		return err
 	}
-	run := func(i int, out io.Writer) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	err := snapshot.ForEach(ctx, len(exps), opts.Parallel, func(i int) error {
 		e := exps[i]
 		c0, r0 := cpu.TotalCounters()
 		t0 := time.Now()
-		err := e.Run(out)
+		err := e.Run(ctx, &outs[i], opts)
 		wall := time.Since(t0)
 		c1, r1 := cpu.TotalCounters()
 		stats[i] = RunStats{
 			ID: e.ID, Title: e.Title, Levels: e.Levels,
 			WallNs: wall.Nanoseconds(),
 			Cycles: c1 - c0, Instrs: r1 - r0,
-			Exact: !parallel,
+			Exact: !opts.Parallel,
 		}
 		if wall > 0 {
 			stats[i].InstrPerSec = float64(r1-r0) / wall.Seconds()
 		}
-		// Parallel cells record in completion order; their deltas overlap
-		// (same caveat as Exact=false).
-		trace.Phase("exp:"+e.ID, wall)
-		if err != nil {
+		// Parallel experiments record in completion order; their deltas
+		// overlap (same caveat as Exact=false).
+		opts.Trace.Phase("exp:"+e.ID, wall)
+		switch {
+		case err != nil && ctx.Err() != nil:
+			return ctx.Err()
+		case err != nil:
 			return fmt.Errorf("%s: %w", e.ID, err)
+		case opts.Parallel:
+			return nil
 		}
-		return nil
+		// Stream: a sequential run writes each rendering as soon as it
+		// finishes, so partial output survives a later failure or
+		// interrupt.
+		return emit(i)
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	if !parallel {
-		// Stream: each experiment's rendering is written as soon as it
-		// finishes, so partial output survives a failure or interrupt.
+	if opts.Parallel {
 		for i := range exps {
-			var out bytes.Buffer
-			if err := run(i, &out); err != nil {
+			if err := emit(i); err != nil {
 				return nil, err
 			}
-			if err := emit(i, out.Bytes()); err != nil {
-				return nil, err
-			}
-		}
-		return stats, nil
-	}
-
-	outs := make([]bytes.Buffer, len(exps))
-	errs := make([]error, len(exps))
-	var wg sync.WaitGroup
-	for i := range exps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = run(i, &outs[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := range exps {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if err := emit(i, outs[i].Bytes()); err != nil {
-			return nil, err
 		}
 	}
 	return stats, nil
 }
 
 // RenderTable1 reproduces Table 1.
-func RenderTable1(w io.Writer) error {
+func RenderTable1(_ context.Context, w io.Writer, _ RunOptions) error {
 	cfg := pac.DefaultConfig
 	fmt.Fprintln(w, "TABLE 1: VMSAv8 address ranges (48-bit VA)")
 	fmt.Fprintln(w, "  Address range                              Bit 55  Usage")
@@ -324,7 +243,7 @@ func RenderTable1(w io.Writer) error {
 }
 
 // RenderTable2 reproduces Table 2 plus the §5.4 PAC-size computation.
-func RenderTable2(w io.Writer) error {
+func RenderTable2(_ context.Context, w io.Writer, _ RunOptions) error {
 	fmt.Fprintln(w, "TABLE 2: AArch64 pointer layout on Linux (48-bit VA, 4 KiB pages)")
 	fmt.Fprintln(w, "  User pointer (x=0, TBI on):   [63:56]=tag [55]=0 [54:48]=PAC [47:12]=page [11:0]=offset")
 	fmt.Fprintln(w, "  Kernel pointer (x=1, TBI off):[63:56]=PAC [55]=1 [54:48]=PAC [47:12]=page [11:0]=offset")
@@ -352,19 +271,12 @@ type KeySwitchStats struct {
 	Variance     float64
 }
 
-// forEach runs f(0), …, f(n-1) — concurrently, one goroutine per index,
-// when Parallel is set — via the shared replication scaffold. Callers
-// assemble results by index, keeping output independent of schedule.
-func forEach(n int, f func(i int) error) error {
-	return snapshot.ForEach(n, IsParallel(), f)
-}
-
 // MeasureKeySwitch measures the per-key cost of a kernel entry/exit key
 // switch over n trials (§6.1.1 uses n = 20). Each trial runs on its own
-// isolated CPU; under Parallel the trials run concurrently.
-func MeasureKeySwitch(n int) (KeySwitchStats, error) {
+// isolated CPU; with opts.Parallel the trials run concurrently.
+func MeasureKeySwitch(ctx context.Context, opts RunOptions, n int) (KeySwitchStats, error) {
 	st := KeySwitchStats{PerKeyCycles: make([]float64, n)}
-	err := forEach(n, func(trial int) error {
+	err := snapshot.ForEach(ctx, n, opts.Parallel, func(trial int) error {
 		keys := boot.NewPRNG(uint64(trial) + 100).GenerateKeys()
 		a := asm.New()
 		a.Label("entry")
@@ -423,8 +335,8 @@ func MeasureKeySwitch(n int) (KeySwitchStats, error) {
 }
 
 // RenderKeySwitch reproduces the §6.1.1 measurement.
-func RenderKeySwitch(w io.Writer) error {
-	st, err := MeasureKeySwitch(20)
+func RenderKeySwitch(ctx context.Context, w io.Writer, opts RunOptions) error {
+	st, err := MeasureKeySwitch(ctx, opts, 20)
 	if err != nil {
 		return err
 	}
@@ -444,7 +356,7 @@ type Fig2Row struct {
 
 // MeasureFigure2 measures per-call return-address protection overhead for
 // each scheme.
-func MeasureFigure2() ([]Fig2Row, error) {
+func MeasureFigure2(ctx context.Context, opts RunOptions) ([]Fig2Row, error) {
 	const iters = 512
 	measure := func(s codegen.Scheme) (uint64, error) {
 		cfg := &codegen.Config{Scheme: s}
@@ -476,13 +388,13 @@ func MeasureFigure2() ([]Fig2Row, error) {
 		return c.Cycles - start, nil
 	}
 	// One measurement per protection variant, each on an isolated CPU;
-	// under Parallel they run concurrently (index 0 is the baseline).
+	// with opts.Parallel they run concurrently (index 0 is the baseline).
 	schemes := []codegen.Scheme{
 		codegen.SchemeNone, codegen.SchemeCamouflage,
 		codegen.SchemePARTS, codegen.SchemeClangSP,
 	}
 	totals := make([]uint64, len(schemes))
-	err := forEach(len(schemes), func(i int) error {
+	err := snapshot.ForEach(ctx, len(schemes), opts.Parallel, func(i int) error {
 		t, err := measure(schemes[i])
 		totals[i] = t
 		return err
@@ -504,8 +416,8 @@ func MeasureFigure2() ([]Fig2Row, error) {
 }
 
 // RenderFigure2 reproduces Figure 2 (function call overhead, ns).
-func RenderFigure2(w io.Writer) error {
-	rows, err := MeasureFigure2()
+func RenderFigure2(ctx context.Context, w io.Writer, opts RunOptions) error {
+	rows, err := MeasureFigure2(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -519,8 +431,8 @@ func RenderFigure2(w io.Writer) error {
 }
 
 // RenderFigure3 reproduces Figure 3 (lmbench relative latencies).
-func RenderFigure3(w io.Writer) error {
-	results, err := lmbench.RunSuiteCPUs(IsParallel(), CPUCount())
+func RenderFigure3(ctx context.Context, w io.Writer, opts RunOptions) error {
+	results, err := lmbench.RunSuite(ctx, opts.Parallel, opts.cpus())
 	if err != nil {
 		return err
 	}
@@ -543,8 +455,8 @@ func RenderFigure3(w io.Writer) error {
 }
 
 // RenderFigure4 reproduces Figure 4 (user-space workloads).
-func RenderFigure4(w io.Writer) error {
-	results, err := workload.RunSuiteCPUs(IsParallel(), CPUCount())
+func RenderFigure4(ctx context.Context, w io.Writer, opts RunOptions) error {
+	results, err := workload.RunSuite(ctx, opts.Parallel, opts.cpus())
 	if err != nil {
 		return err
 	}
@@ -568,7 +480,7 @@ func RenderFigure4(w io.Writer) error {
 }
 
 // RenderCoccinelle reproduces the §5.3 statistics.
-func RenderCoccinelle(w io.Writer) error {
+func RenderCoccinelle(_ context.Context, w io.Writer, _ RunOptions) error {
 	c := analysis.GenerateLinux52Corpus(1)
 	s := analysis.SemanticSearch(c)
 	fmt.Fprintln(w, "COCCINELLE SEMANTIC SEARCH (§5.3) over the kernel source model:")
@@ -584,8 +496,8 @@ func RenderCoccinelle(w io.Writer) error {
 }
 
 // RenderAttacks reproduces the §6.2 security matrix.
-func RenderAttacks(w io.Writer) error {
-	reports, err := attack.Matrix(CPUCount())
+func RenderAttacks(ctx context.Context, w io.Writer, opts RunOptions) error {
+	reports, err := attack.Matrix(ctx, opts.cpus(), opts.Parallel)
 	if err != nil {
 		return err
 	}
@@ -596,7 +508,7 @@ func RenderAttacks(w io.Writer) error {
 		fmt.Fprintf(w, "  %-26s %-15s %-13s %s\n", r.Attack, r.Level, r.Outcome, r.Detail)
 	}
 	bcfg := codegen.ConfigFull()
-	bcfg.NumCPUs = CPUCount()
+	bcfg.NumCPUs = opts.cpus()
 	rep, err := attack.BruteForcePAC(bcfg, "full", 8)
 	if err != nil {
 		return err
@@ -608,12 +520,12 @@ func RenderAttacks(w io.Writer) error {
 
 // RenderKeyAblation compares XOM key installation with the Ferri-style
 // EL2-trap alternative (§7).
-func RenderKeyAblation(w io.Writer) error {
+func RenderKeyAblation(_ context.Context, w io.Writer, opts RunOptions) error {
 	// XOM path: measured on a real booted kernel (warm-pooled).
 	kcfg := codegen.ConfigFull()
-	kcfg.NumCPUs = CPUCount()
-	opts := kernel.Options{Config: kcfg, Seed: 5}
-	m, err := snapshot.Shared.Acquire(snapshot.KeyFor(opts), snapshot.BootOptions(opts))
+	kcfg.NumCPUs = opts.cpus()
+	kopts := kernel.Options{Config: kcfg, Seed: 5}
+	m, err := snapshot.Shared.Acquire(snapshot.KeyFor(kopts), snapshot.BootOptions(kopts))
 	if err != nil {
 		return err
 	}
@@ -644,7 +556,7 @@ func RenderKeyAblation(w io.Writer) error {
 }
 
 // RenderReplayCensus reproduces the E10 replay-surface comparison.
-func RenderReplayCensus(w io.Writer) error {
+func RenderReplayCensus(_ context.Context, w io.Writer, _ RunOptions) error {
 	const threads, depths, funcs = 16, 32, 16
 	fmt.Fprintln(w, "REPLAY SURFACE (§4.2, §7): modifier collisions across sign contexts")
 	fmt.Fprintf(w, "  contexts: %d threads x %d depths x %d functions (16 KiB stack stride)\n",
@@ -661,14 +573,11 @@ func RenderReplayCensus(w io.Writer) error {
 // counterpart of the synthetic ReplayCensus — instead of counting
 // modifier collisions, it stages the reuse attack across concurrently
 // running cores and reports which builds stop it.
-func RenderSMPReplay(w io.Writer) error {
-	cpus := CPUCount()
-	if cpus < 2 {
-		cpus = 2
-	}
+func RenderSMPReplay(ctx context.Context, w io.Writer, opts RunOptions) error {
+	cpus := max(opts.cpus(), 2)
 	levels := attack.Levels()
 	reports := make([]attack.Report, len(levels))
-	err := forEach(len(levels), func(i int) error {
+	err := snapshot.ForEach(ctx, len(levels), opts.Parallel, func(i int) error {
 		cfg := levels[i].Cfg()
 		cfg.NumCPUs = cpus
 		var err error

@@ -6,7 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"camouflage/internal/snapshot"
 )
 
 // TestAllExperimentsRun regenerates every registered table and figure and
@@ -17,7 +21,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := e.Run(&buf); err != nil {
+			if err := e.Run(context.Background(), &buf, RunOptions{}); err != nil {
 				t.Fatalf("%s (%s): %v", e.ID, e.PaperRef, err)
 			}
 			if buf.Len() == 0 {
@@ -39,7 +43,7 @@ func TestLookup(t *testing.T) {
 // TestKeySwitchNineCycles pins E1: mean ≈ 9 cycles/key with ~zero
 // variance (paper: 8.88, variance 0.004).
 func TestKeySwitchNineCycles(t *testing.T) {
-	st, err := MeasureKeySwitch(20)
+	st, err := MeasureKeySwitch(context.Background(), RunOptions{}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func TestKeySwitchNineCycles(t *testing.T) {
 
 // TestFigure2Shape pins E2's ordering and magnitudes.
 func TestFigure2Shape(t *testing.T) {
-	rows, err := MeasureFigure2()
+	rows, err := MeasureFigure2(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestFigure2Shape(t *testing.T) {
 
 func TestRenderTable1Content(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RenderTable1(&buf); err != nil {
+	if err := RenderTable1(context.Background(), &buf, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Kernel", "Invalid", "User"} {
@@ -90,7 +94,7 @@ func TestRenderTable1Content(t *testing.T) {
 
 func TestRenderTable2Content(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RenderTable2(&buf); err != nil {
+	if err := RenderTable2(context.Background(), &buf, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "15") {
@@ -106,12 +110,11 @@ func TestRenderTable2Content(t *testing.T) {
 func TestParallelRunAllMatchesSequential(t *testing.T) {
 	ids := []string{"table1", "table2", "keys", "fig2", "ablation-replay"}
 	var seq, par bytes.Buffer
-	seqStats, err := RunAll(&seq, ids, false)
+	seqStats, err := RunAllWith(context.Background(), &seq, RunOptions{IDs: ids})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer parallelMode.Store(false)
-	parStats, err := RunAll(&par, ids, true)
+	parStats, err := RunAllWith(context.Background(), &par, RunOptions{IDs: ids, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +145,83 @@ func TestParallelRunAllMatchesSequential(t *testing.T) {
 // TestRunAllUnknownID rejects unknown experiment ids.
 func TestRunAllUnknownID(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := RunAll(&buf, []string{"nope"}, false); err == nil {
+	if _, err := RunAllWith(context.Background(), &buf, RunOptions{IDs: []string{"nope"}}); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+}
+
+// TestCancelStopsRunBetweenCells: a context cancelled while fig3 runs
+// reaches fig3's cell loop. The run returns ctx.Err(), writes no
+// rendering, and starts no cell after the cancellation — only the cell
+// in flight finishes, and an lmbench cell acquires two machines.
+func TestCancelStopsRunBetweenCells(t *testing.T) {
+	prev := snapshot.Shared
+	pool := snapshot.NewPool()
+	snapshot.Shared = pool
+	t.Cleanup(func() { snapshot.Shared = prev })
+	acquired := func() uint64 {
+		st := pool.Stats()
+		return st.Boots + st.Forks + st.Reuses
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var atCancel uint64
+	cancelled := make(chan struct{})
+	go func() {
+		defer close(cancelled)
+		for acquired() == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		cancel()
+		atCancel = acquired()
+	}()
+	var buf bytes.Buffer
+	_, err := RunAllWith(ctx, &buf, RunOptions{IDs: []string{"fig3"}})
+	<-cancelled
+	if err != context.Canceled {
+		t.Fatalf("cancelled fig3 run returned %v, want context.Canceled", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("cancelled run wrote a rendering:\n%s", buf.String())
+	}
+	if got := acquired(); got > atCancel+2 {
+		t.Fatalf("cells kept starting after cancellation: %d machines acquired, %d at cancel", got, atCancel)
+	}
+}
+
+// TestConcurrentRunsKeepTheirOptions: a 2-vCPU and a uniprocessor run
+// overlap in one process, and each renders byte for byte what it renders
+// alone. Options are per-run arguments, so neither run waits for the
+// other or sees its vCPU count.
+func TestConcurrentRunsKeepTheirOptions(t *testing.T) {
+	ids := []string{"fig4"}
+	render := func(cpus int) string {
+		var buf bytes.Buffer
+		if _, err := RunAllWith(context.Background(), &buf, RunOptions{IDs: ids, CPUs: cpus}); err != nil {
+			t.Error(err)
+		}
+		return buf.String()
+	}
+	solo := map[int]string{1: render(1), 2: render(2)}
+	if solo[1] == solo[2] {
+		t.Fatal("fig4 renders the same at 1 and 2 vCPUs; the test cannot tell the runs apart")
+	}
+	got := map[int]*string{1: new(string), 2: new(string)}
+	var wg sync.WaitGroup
+	for cpus, out := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			*out = render(cpus)
+		}()
+	}
+	wg.Wait()
+	for cpus, out := range got {
+		if *out != solo[cpus] {
+			t.Errorf("%d-vCPU run changed when overlapped with the other:\n--- solo ---\n%s--- overlapped ---\n%s",
+				cpus, solo[cpus], *out)
+		}
 	}
 }
 

@@ -75,16 +75,85 @@ func (e *wireEnc) keys(ks pac.KeySet) {
 	}
 }
 
+// StateDecodeError is the error DeserializeState returns for every blob
+// it refuses: bad magic or version, truncation, a length prefix the
+// bytes left cannot hold, a field out of range, trailing bytes, or
+// build options that do not rebuild the image the blob was captured
+// from.
+type StateDecodeError struct {
+	// Field names the wire field decoding stopped at ("" for checks on
+	// the blob as a whole).
+	Field string
+	// Off is the blob offset of that field.
+	Off int
+	// Msg says what is wrong there.
+	Msg string
+	// Err is the underlying cause when the image rebuild or its §4.1
+	// verification failed.
+	Err error
+}
+
+func (e *StateDecodeError) Error() string {
+	msg := "kernel: bad state blob"
+	if e.Field != "" {
+		msg += fmt.Sprintf(" at %s (offset %d)", e.Field, e.Off)
+	}
+	msg += ": " + e.Msg
+	if e.Err != nil {
+		msg += ": " + e.Err.Error()
+	}
+	return msg
+}
+
+func (e *StateDecodeError) Unwrap() error { return e.Err }
+
+// Minimum encoded sizes of the repeated wire entries: every length
+// prefix is checked against the bytes left at its entry's size before
+// anything is allocated for it.
+const (
+	keySetWire  = pac.NumKeys * 16
+	pteWire     = 3 * 8 // pn, pa, perm
+	s2Wire      = 8 + 3 // pn, r, w, x
+	bytesWire   = 8     // an empty byte string is its length
+	sectorWire  = 8 + mem.SectorSize
+	taskWire    = 9*8 + keySetWire
+	currentWire = 1     // the present flag of an idle core
+	tableWire   = 8 + 8 // pid, entry count
+	pipeWire    = 8 + bytesWire
+	fileWire    = 5 * 8
+	opsWire     = 8 + 8
+	oopsWire    = 3*8 + 2 + 8
+)
+
 type wireDec struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (d *wireDec) fail(what string) {
+func (d *wireDec) failf(what, format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("kernel: truncated state blob at %s (offset %d of %d)", what, d.off, len(d.buf))
+		d.err = &StateDecodeError{Field: what, Off: d.off, Msg: fmt.Sprintf(format, args...)}
 	}
+}
+
+func (d *wireDec) fail(what string) {
+	d.failf(what, "truncated (%d bytes)", len(d.buf))
+}
+
+// count reads a length prefix and refuses one the bytes left cannot
+// hold at minSize bytes per entry, so no corrupt count ever sizes an
+// allocation or a decode loop.
+func (d *wireDec) count(what string, minSize int) int {
+	n := d.u64(what)
+	if d.err != nil {
+		return 0
+	}
+	if left := uint64(len(d.buf) - d.off); n > left/uint64(minSize) {
+		d.failf(what, "length %d exceeds the %d bytes left", n, left)
+		return 0
+	}
+	return int(n)
 }
 
 func (d *wireDec) u64(what string) uint64 {
@@ -449,63 +518,55 @@ func (st *State) Serialize() ([]byte, error) {
 }
 
 // DeserializeState rebuilds a State from its wire form plus the frozen
-// RAM pages the store reassembled from verified chunks. The immutable
-// half — built image, codegen config — is re-derived from the encoded
-// options through the same deterministic pipeline New uses, then §4.1
-// re-verified; the blob's kernel keys must match the rebuilt image's
-// (they are a pure function of the seed), which catches blobs paired
-// with the wrong options. Pages are owned by the result: callers must
-// hand over fresh arrays and never write them again.
+// RAM pages the store reassembled from verified chunks. The blob is
+// decoded in full first — every length prefix checked against the bytes
+// left before anything is allocated — so a corrupt blob fails fast with
+// a *StateDecodeError. The immutable half — built image, codegen config
+// — is then re-derived from the encoded options through the same
+// deterministic pipeline New uses, and §4.1 re-verified; the blob's
+// kernel keys must match the rebuilt image's (they are a pure function
+// of the seed), which catches blobs paired with the wrong options.
+// Pages are owned by the result: callers must hand over fresh arrays and
+// never write them again.
 func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State, error) {
 	if len(blob) < len(stateWireMagic) || string(blob[:len(stateWireMagic)]) != stateWireMagic {
-		return nil, fmt.Errorf("kernel: not a state blob (bad magic)")
+		return nil, &StateDecodeError{Msg: "not a state blob (bad magic)"}
 	}
 	d := &wireDec{buf: blob, off: len(stateWireMagic)}
 	if v := d.u64("version"); d.err == nil && v != stateWireVersion {
-		return nil, fmt.Errorf("kernel: state blob version %d, want %d", v, stateWireVersion)
+		d.failf("version", "version %d, want %d", v, stateWireVersion)
 	}
 
 	opts := decodeOptions(d)
+	if d.err == nil && (opts.Config.Scheme < codegen.SchemeNone || opts.Config.Scheme > codegen.SchemeCamouflageCompat) {
+		d.failf("options.scheme", "unknown scheme %d", opts.Config.Scheme)
+	}
+	if n := opts.Config.NumCPUs; d.err == nil && (n < 0 || n > MaxCPUs) {
+		d.failf("options.cpus", "%d vCPUs (max %d)", n, MaxCPUs)
+	}
 	wireKeys := d.keys("keys")
 	var rngState [4]uint64
 	for i := range rngState {
 		rngState[i] = d.u64("rng")
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-
-	img, keys, _, err := buildLinked(opts)
-	if err != nil {
-		return nil, fmt.Errorf("kernel: rebuild image from snapshot options: %w", err)
-	}
-	if err := VerifyImage(img); err != nil {
-		return nil, fmt.Errorf("kernel: verify rebuilt snapshot image: %w", err)
-	}
-	if keys != wireKeys {
-		return nil, fmt.Errorf("kernel: snapshot keys do not match image rebuilt from its options (blob/options mismatch)")
-	}
-
 	st := &State{
-		img:    img,
 		cfg:    opts.Config,
 		opts:   opts,
-		keys:   keys,
 		rng:    boot.NewPRNGFromState(rngState),
 		frozen: mem.NewFrozenFromPages(pages),
 	}
 
 	ncpus := d.i64("ncpus")
 	if d.err == nil && (ncpus < 1 || ncpus > MaxCPUs) {
-		return nil, fmt.Errorf("kernel: state blob has %d vCPUs (max %d)", ncpus, MaxCPUs)
+		d.failf("ncpus", "%d vCPUs (max %d)", ncpus, MaxCPUs)
 	}
 	for i := 0; i < ncpus && d.err == nil; i++ {
 		st.cpus = append(st.cpus, decodeCPU(d))
 	}
 	st.mmuOn = d.boolean("mmuOn")
 
-	nTT1 := d.i64("tt1.len")
-	tt1 := make([]mmu.TableEntryWire, 0, max(nTT1, 0))
+	nTT1 := d.count("tt1.len", pteWire)
+	tt1 := make([]mmu.TableEntryWire, 0, nTT1)
 	for i := 0; i < nTT1 && d.err == nil; i++ {
 		pn := d.u64("tt1.pn")
 		pa := d.u64("tt1.pa")
@@ -514,8 +575,8 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 	}
 	st.tt1 = mmu.NewTableFromEntries(tt1)
 	s2on := d.boolean("s2.enabled")
-	nS2 := d.i64("s2.len")
-	s2 := make([]mmu.S2EntryWire, 0, max(nS2, 0))
+	nS2 := d.count("s2.len", s2Wire)
+	s2 := make([]mmu.S2EntryWire, 0, nS2)
 	for i := 0; i < nS2 && d.err == nil; i++ {
 		var en mmu.S2EntryWire
 		en.PN = d.u64("s2.pn")
@@ -533,7 +594,7 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 
 	st.uart = d.bytes("uart")
 	var nw mem.NetDevWire
-	nRX := d.i64("net.rx.len")
+	nRX := d.count("net.rx.len", bytesWire)
 	for i := 0; i < nRX && d.err == nil; i++ {
 		nw.RX = append(nw.RX, d.bytes("net.rx"))
 	}
@@ -542,7 +603,7 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 	nw.TXBytes = d.u64("net.txbytes")
 	st.net = nw.State()
 	var bw mem.BlockDevWire
-	nSec := d.i64("blk.len")
+	nSec := d.count("blk.len", sectorWire)
 	for i := 0; i < nSec && d.err == nil; i++ {
 		var s mem.BlockSectorWire
 		s.N = d.u64("blk.n")
@@ -562,15 +623,15 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 
 	st.heapNext = d.u64("heapNext")
 	st.nextPID = d.i64("nextPID")
-	nTasks := d.i64("tasks.len")
-	st.tasks = make(map[int]Task, max(nTasks, 0))
+	nTasks := d.count("tasks.len", taskWire)
+	st.tasks = make(map[int]Task, nTasks)
 	for i := 0; i < nTasks && d.err == nil; i++ {
 		t := decodeTask(d)
 		st.tasks[t.PID] = t
 	}
-	nCur := d.i64("currents.len")
-	st.currentPIDs = make([]int, max(nCur, 0))
-	st.currents = make([]*Task, max(nCur, 0))
+	nCur := d.count("currents.len", currentWire)
+	st.currentPIDs = make([]int, nCur)
+	st.currents = make([]*Task, nCur)
 	for i := 0; i < nCur && d.err == nil; i++ {
 		if d.boolean("currents.present") {
 			st.currentPIDs[i] = d.i64("currents.pid")
@@ -578,18 +639,18 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 			st.currents[i] = &t
 		}
 	}
-	nParked := d.i64("parked.len")
+	nParked := d.count("parked.len", 1)
 	for i := 0; i < nParked && d.err == nil; i++ {
 		st.parked = append(st.parked, d.boolean("parked"))
 	}
 	st.activeCPU = d.i64("activeCPU")
 
-	nTables := d.i64("tables.len")
-	st.tables = make(map[int]*mmu.Table, max(nTables, 0))
+	nTables := d.count("tables.len", tableWire)
+	st.tables = make(map[int]*mmu.Table, nTables)
 	for i := 0; i < nTables && d.err == nil; i++ {
 		pid := d.i64("tables.pid")
-		n := d.i64("tables.entries")
-		entries := make([]mmu.TableEntryWire, 0, max(n, 0))
+		n := d.count("tables.entries", pteWire)
+		entries := make([]mmu.TableEntryWire, 0, n)
 		for j := 0; j < n && d.err == nil; j++ {
 			pn := d.u64("tables.pn")
 			pa := d.u64("tables.pa")
@@ -599,15 +660,15 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 		st.tables[pid] = mmu.NewTableFromEntries(entries)
 	}
 
-	nPipes := d.i64("pipes.len")
-	st.pipes = make(map[uint64][]byte, max(nPipes, 0))
+	nPipes := d.count("pipes.len", pipeWire)
+	st.pipes = make(map[uint64][]byte, nPipes)
 	for i := 0; i < nPipes && d.err == nil; i++ {
 		id := d.u64("pipes.id")
 		st.pipes[id] = d.bytes("pipes.buf")
 	}
 	st.nextPipe = d.u64("nextPipe")
-	nFiles := d.i64("files.len")
-	st.files = make(map[uint64]fileState, max(nFiles, 0))
+	nFiles := d.count("files.len", fileWire)
+	st.files = make(map[uint64]fileState, nFiles)
 	for i := 0; i < nFiles && d.err == nil; i++ {
 		va := d.u64("files.va")
 		var f fileState
@@ -618,8 +679,8 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 		st.files[va] = f
 	}
 	st.credObj = d.u64("credObj")
-	nOps := d.i64("extraOps.len")
-	st.extraOps = make(map[int]uint64, max(nOps, 0))
+	nOps := d.count("extraOps.len", opsWire)
+	st.extraOps = make(map[int]uint64, nOps)
 	for i := 0; i < nOps && d.err == nil; i++ {
 		path := d.i64("extraOps.path")
 		st.extraOps[path] = d.u64("extraOps.ops")
@@ -627,7 +688,7 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 	st.modNext = d.u64("modNext")
 	st.pacFailures = d.i64("pacFailures")
 	st.threshold = d.i64("threshold")
-	nOops := d.i64("oops.len")
+	nOops := d.count("oops.len", oopsWire)
 	for i := 0; i < nOops && d.err == nil; i++ {
 		var o OopsRecord
 		o.ESR = d.u64("oops.esr")
@@ -645,15 +706,27 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 	st.bootCycles = d.u64("bootCycles")
 	st.programs = make(map[int]*Program)
 
+	if d.err == nil && d.off != len(d.buf) {
+		d.failf("end", "%d trailing bytes", len(d.buf)-d.off)
+	}
+	if d.err == nil && (len(st.cpus) != len(st.currents) || len(st.cpus) != len(st.parked)) {
+		d.failf("end", "core-count mismatch (%d cpus, %d currents, %d parked)",
+			len(st.cpus), len(st.currents), len(st.parked))
+	}
 	if d.err != nil {
 		return nil, d.err
 	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("kernel: %d trailing bytes after state blob", len(d.buf)-d.off)
+
+	img, keys, _, err := buildLinked(opts)
+	if err != nil {
+		return nil, &StateDecodeError{Msg: "rebuild image from snapshot options", Err: err}
 	}
-	if len(st.cpus) != len(st.currents) || len(st.cpus) != len(st.parked) {
-		return nil, fmt.Errorf("kernel: state blob core-count mismatch (%d cpus, %d currents, %d parked)",
-			len(st.cpus), len(st.currents), len(st.parked))
+	if err := VerifyImage(img); err != nil {
+		return nil, &StateDecodeError{Msg: "verify rebuilt snapshot image", Err: err}
 	}
+	if keys != wireKeys {
+		return nil, &StateDecodeError{Msg: "keys do not match the image rebuilt from its options (blob/options mismatch)"}
+	}
+	st.img, st.keys = img, keys
 	return st, nil
 }

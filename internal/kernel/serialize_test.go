@@ -2,10 +2,12 @@ package kernel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"camouflage/internal/codegen"
+	"camouflage/internal/cpu"
 	"camouflage/internal/mem"
 )
 
@@ -139,4 +141,96 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 	if _, err := DeserializeState(bad, nil); err == nil {
 		t.Fatal("bit-flipped blob accepted")
 	}
+}
+
+// postBootBlobs serializes the post-boot states of a 1- and a 2-vCPU
+// full-protection machine, the blobs the store persists.
+func postBootBlobs(tb testing.TB) [][]byte {
+	var blobs [][]byte
+	for _, cpus := range []int{1, 2} {
+		cfg := codegen.ConfigFull()
+		cfg.NumCPUs = cpus
+		k, err := New(Options{Config: cfg, Seed: 17})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := k.Boot(); err != nil {
+			tb.Fatal(err)
+		}
+		blob, err := k.CaptureState().Serialize()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	return blobs
+}
+
+// oversizedTT1 rewrites the tt1.len prefix of a 1-vCPU blob to 2^33
+// entries, far more than the bytes after it can hold.
+func oversizedTT1(tb testing.TB, blob []byte) []byte {
+	e := &wireEnc{}
+	e.buf = append(e.buf, stateWireMagic...)
+	e.u64(stateWireVersion)
+	encodeOptions(e, Options{Config: codegen.ConfigFull()})
+	e.buf = append(e.buf, make([]byte, keySetWire+4*8)...) // keys, rng
+	e.i64(1)
+	encodeCPU(e, cpu.State{})
+	e.boolean(false) // mmuOn
+	off := len(e.buf)
+	if n := binary.LittleEndian.Uint64(blob[off:]); n == 0 || n > uint64(len(blob)) {
+		tb.Fatalf("offset %d does not hold the tt1.len prefix (reads %d)", off, n)
+	}
+	bad := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(bad[off:], 1<<33)
+	return bad
+}
+
+// TestDeserializeRefusesOversizedLength: a length prefix larger than the
+// rest of the blob could hold is refused with the typed error before
+// anything is allocated for it.
+func TestDeserializeRefusesOversizedLength(t *testing.T) {
+	bad := oversizedTT1(t, postBootBlobs(t)[0])
+	_, err := DeserializeState(bad, nil)
+	var de *StateDecodeError
+	if !errors.As(err, &de) || de.Field != "tt1.len" {
+		t.Fatalf("DeserializeState(tt1.len = 2^33) = %v, want a *StateDecodeError at tt1.len", err)
+	}
+}
+
+// FuzzDeserializeState: whatever the bytes, DeserializeState returns a
+// *StateDecodeError or a State whose wire form decodes again and
+// re-encodes to the same bytes. It never panics and never allocates
+// from an unchecked count.
+func FuzzDeserializeState(f *testing.F) {
+	blobs := postBootBlobs(f)
+	for _, blob := range blobs {
+		f.Add(blob)
+	}
+	f.Add(oversizedTT1(f, blobs[0]))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		st, err := DeserializeState(blob, nil)
+		if err != nil {
+			var de *StateDecodeError
+			if !errors.As(err, &de) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			return
+		}
+		once, err := st.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := DeserializeState(once, nil)
+		if err != nil {
+			t.Fatalf("re-encoded state does not decode: %v", err)
+		}
+		twice, err := again.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatal("decoded state re-encodes to different bytes")
+		}
+	})
 }

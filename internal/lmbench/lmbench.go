@@ -8,6 +8,7 @@
 package lmbench
 
 import (
+	"context"
 	"fmt"
 
 	"camouflage/internal/codegen"
@@ -345,28 +346,19 @@ func Levels() []struct {
 	}
 }
 
-// RunSuite measures every benchmark under every protection level.
-func RunSuite() ([]Result, error) { return runSuite(false, 1) }
-
-// RunSuiteParallel is RunSuite with one goroutine per (benchmark,
-// protection level) cell. Every cell runs on its own isolated machine
-// (a copy-on-write fork from the warm pool), so the cells share nothing
-// mutable; results are assembled in the same order as RunSuite, making
-// the output deterministic.
-func RunSuiteParallel() ([]Result, error) { return runSuite(true, 1) }
-
-// RunSuiteCPUs is RunSuite on machines with the given vCPU count (the
-// workloads stay pinned to the boot core; secondaries boot, install
-// their keys and idle — the suite measures SMP-build kernel paths).
-func RunSuiteCPUs(parallel bool, cpus int) ([]Result, error) {
-	return runSuite(parallel, cpus)
-}
-
-func runSuite(parallel bool, cpus int) ([]Result, error) {
+// RunSuite measures every benchmark under every protection level on
+// machines with the given vCPU count (the workloads stay pinned to the
+// boot core; secondaries boot, install their keys and idle — the suite
+// measures SMP-build kernel paths). Every (benchmark, level) cell runs
+// on its own isolated machine (a copy-on-write fork from the warm pool)
+// — concurrently when parallel is set — and results are assembled in
+// suite order, so the output does not depend on the schedule. Once ctx
+// is done no further cell starts.
+func RunSuite(ctx context.Context, parallel bool, cpus int) ([]Result, error) {
 	benches := Suite()
 	levels := Levels()
 	out := make([]Result, len(benches)*len(levels))
-	err := snapshot.ForEach(len(out), parallel, func(idx int) error {
+	err := snapshot.ForEach(ctx, len(out), parallel, func(idx int) error {
 		b := benches[idx/len(levels)]
 		lv := levels[idx%len(levels)]
 		var err error

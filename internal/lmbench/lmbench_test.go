@@ -1,6 +1,7 @@
 package lmbench
 
 import (
+	"context"
 	"testing"
 
 	"camouflage/internal/boot"
@@ -137,11 +138,11 @@ func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite twice")
 	}
-	seq, err := RunSuite()
+	seq, err := RunSuite(context.Background(), false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSuiteParallel()
+	par, err := RunSuite(context.Background(), true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

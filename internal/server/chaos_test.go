@@ -34,7 +34,7 @@ var chaosCampaign = client.CampaignRequest{
 // it — renders byte-for-byte what the quiet run rendered.
 func TestChaosCampaignByteIdentical(t *testing.T) {
 	// Quiet baseline through a daemon.
-	_, _, c := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	_, _, c := newTestServer(t, Config{})
 	ctx := context.Background()
 	quiet, err := c.RunCampaign(ctx, chaosCampaign)
 	if err != nil {
@@ -61,11 +61,9 @@ func TestChaosCampaignByteIdentical(t *testing.T) {
 	r := withServerFaults(t,
 		"seed=42,server.job=1,pool.boot=1,store.chunk.read=1,store.persist=1,client.reset=1,client.5xx=1,client.stall=1:10ms")
 
-	pool := snapshot.NewPool()
-	pool.BootBackoff = time.Millisecond
 	snapshot.Shared.BootBackoff = time.Millisecond
 	t.Cleanup(func() { snapshot.Shared.BootBackoff = 0 })
-	_, hs, cc := newTestServer(t, Config{Pool: pool, Store: st})
+	_, hs, cc := newTestServer(t, Config{Store: st})
 	cc.Retry.BaseDelay = time.Millisecond
 	cc.Retry.MaxDelay = 2 * time.Millisecond
 
@@ -116,9 +114,9 @@ func TestDrainRacesPersistAndWedgedLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := snapshot.NewPool()
+	pool := withFreshPool(t)
 	pool.Store = st
-	s, _, c := newTestServer(t, Config{Pool: pool, Store: st})
+	s, _, c := newTestServer(t, Config{Store: st})
 	ctx := context.Background()
 
 	// The persist sleeps 80ms then fails — still in flight when Drain

@@ -16,7 +16,6 @@ import (
 
 	"camouflage/client"
 	"camouflage/internal/fault"
-	"camouflage/internal/snapshot"
 )
 
 func withServerFaults(t *testing.T, spec string) *fault.Registry {
@@ -58,7 +57,7 @@ func postJSON(t *testing.T, url, body string, hdr map[string]string) (*http.Resp
 // panic must not leak admission state (the queue slot frees during the
 // unwind), which the follow-up request proves by being admitted.
 func TestPanicBarrier(t *testing.T) {
-	_, hs, _ := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	_, hs, _ := newTestServer(t, Config{})
 	withServerFaults(t, "server.job=1")
 
 	resp, body := postJSON(t, hs.URL+"/v1/experiments", `{"ids":["keys"]}`, nil)
@@ -77,7 +76,7 @@ func TestPanicBarrier(t *testing.T) {
 
 // TestHealthzAlwaysOK: liveness never degrades, even mid-drain.
 func TestHealthzAlwaysOK(t *testing.T) {
-	s, hs, _ := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	s, hs, _ := newTestServer(t, Config{})
 	for _, phase := range []string{"fresh", "draining"} {
 		resp, err := http.Get(hs.URL + "/healthz")
 		if err != nil {
@@ -98,7 +97,7 @@ func TestHealthzAlwaysOK(t *testing.T) {
 // TestReadyzDegradesOnDrain: a fresh daemon is ready; a draining one
 // answers 503 with the draining check flagged.
 func TestReadyzDegradesOnDrain(t *testing.T) {
-	s, hs, _ := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	s, hs, _ := newTestServer(t, Config{})
 
 	resp, err := http.Get(hs.URL + "/readyz")
 	if err != nil {
@@ -140,7 +139,7 @@ func TestReadyzDegradesOnDrain(t *testing.T) {
 // answers from the stored response — byte-identical body, replay
 // header set, and the job itself runs exactly once.
 func TestIdempotentReplay(t *testing.T) {
-	s, hs, _ := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	s, hs, _ := newTestServer(t, Config{})
 	hdr := map[string]string{"Idempotency-Key": "idem-test-1"}
 
 	resp1, body1 := postJSON(t, hs.URL+"/v1/experiments", `{"ids":["keys"]}`, hdr)
@@ -178,7 +177,7 @@ func TestIdempotentReplay(t *testing.T) {
 // panic answered 500) must not be replayed — the retry with the same
 // key actually re-runs, and succeeds once the fault is exhausted.
 func TestIdempotentFailureNotCached(t *testing.T) {
-	_, hs, _ := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	_, hs, _ := newTestServer(t, Config{})
 	withServerFaults(t, "server.job=1")
 	hdr := map[string]string{"Idempotency-Key": "idem-fail-1"}
 
@@ -198,11 +197,11 @@ func TestIdempotentFailureNotCached(t *testing.T) {
 // TestBreakerAnswers503RetryAfter: once a key's circuit breaker opens,
 // lease requests for it fast-fail with 503 and a Retry-After hint.
 func TestBreakerAnswers503RetryAfter(t *testing.T) {
-	pool := snapshot.NewPool()
+	pool := withFreshPool(t)
 	pool.BootAttempts = 1
 	pool.BreakerThreshold = 1
 	pool.BreakerReset = time.Minute
-	_, hs, _ := newTestServer(t, Config{Pool: pool})
+	_, hs, _ := newTestServer(t, Config{})
 	withServerFaults(t, "pool.boot=all")
 
 	resp, _ := postJSON(t, hs.URL+"/v1/machines", `{"level":"backward-edge","seed":91}`, nil)
@@ -223,19 +222,56 @@ func TestBreakerAnswers503RetryAfter(t *testing.T) {
 
 // TestWatchdogCancelsOverBudgetJob: a job running past JobTimeout is
 // cancelled with the watchdog as the cause (504 naming it), not a
-// generic deadline error.
+// generic deadline error. The watchdog reaches a run between
+// experiments and between the cells inside one, so fig4 alone (nine
+// cells, tens of ms — far past the 5ms budget) is stopped too.
 func TestWatchdogCancelsOverBudgetJob(t *testing.T) {
-	// Sequential runs check the context between experiments, so put the
-	// long one (fig4, tens of ms — far past the 5ms budget) first: the
-	// check before "keys" always sees the watchdog's cancellation.
-	_, hs, _ := newTestServer(t, Config{Pool: snapshot.NewPool(), JobTimeout: 5 * time.Millisecond})
+	_, hs, _ := newTestServer(t, Config{JobTimeout: 5 * time.Millisecond})
 
-	resp, body := postJSON(t, hs.URL+"/v1/experiments", `{"ids":["fig4","keys"]}`, nil)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("over-budget job = %d, want 504 (body %s)", resp.StatusCode, body)
+	for _, body := range []string{`{"ids":["fig4","keys"]}`, `{"ids":["fig4"]}`} {
+		resp, out := postJSON(t, hs.URL+"/v1/experiments", body, nil)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("over-budget job %s = %d, want 504 (body %s)", body, resp.StatusCode, out)
+		}
+		if !strings.Contains(out, "watchdog") {
+			t.Fatalf("504 body for %s does not attribute the watchdog: %s", body, out)
+		}
 	}
-	if !strings.Contains(body, "watchdog") {
-		t.Fatalf("504 body does not attribute the watchdog: %s", body)
+}
+
+// TestOutOfRangeCPUsRejected: a vCPU count outside 0..kernel.MaxCPUs is
+// the client's mistake and answers 400 before admission on every route
+// that takes one. Nothing boots, so repeating the request never trips a
+// circuit breaker and the daemon stays ready.
+func TestOutOfRangeCPUsRejected(t *testing.T) {
+	pool := withFreshPool(t)
+	_, hs, _ := newTestServer(t, Config{})
+
+	for i := 0; i < 6; i++ {
+		resp, body := postJSON(t, hs.URL+"/v1/machines", `{"level":"full","cpus":9}`, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("lease %d with cpus=9 = %d, want 400 (body %s)", i, resp.StatusCode, body)
+		}
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/machines", `{"level":"none","cpus":-1}`},
+		{"/v1/experiments", `{"ids":["keys"],"cpus":9}`},
+		{"/v1/campaigns", `{"mutations":1,"levels":["none"],"cpus":9}`},
+	} {
+		if resp, body := postJSON(t, hs.URL+c.path, c.body, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s %s = %d, want 400 (body %s)", c.path, c.body, resp.StatusCode, body)
+		}
+	}
+	if st := pool.Stats(); st.Boots != 0 || st.BootRetries != 0 {
+		t.Fatalf("rejected requests reached the pool: %+v", st)
+	}
+	resp, err := http.Get(hs.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after rejected leases = %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -244,8 +280,8 @@ func TestWatchdogCancelsOverBudgetJob(t *testing.T) {
 // still wedged) and its machine abandoned when the operation finally
 // returns — never parked back into the pool.
 func TestWatchdogForceExpiresWedgedLease(t *testing.T) {
-	pool := snapshot.NewPool()
-	s, _, c := newTestServer(t, Config{Pool: pool, JobTimeout: 40 * time.Millisecond})
+	pool := withFreshPool(t)
+	s, _, c := newTestServer(t, Config{JobTimeout: 40 * time.Millisecond})
 	ctx := context.Background()
 
 	m, err := c.Lease(ctx, client.MachineRequest{Level: "backward-edge", Seed: 92})

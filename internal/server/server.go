@@ -1,13 +1,14 @@
 // Package server implements camouflaged, the long-running simulation
-// service daemon (DESIGN.md §8). It owns the process-wide warm pool of
-// booted machines and serves the paper's evaluation artefacts over
-// HTTP/JSON: experiment runs (the figures.All() registry), differential
-// attack campaigns, and machine leases that let a client step a warm
-// forked kernel interactively. A bounded work queue sheds load instead
-// of queueing unboundedly; per-key admission means concurrent requests
-// for one configuration share a single boot and fan out as
-// copy-on-write forks; request deadlines cancel work between
-// experiments, cells and strikes; SIGTERM drains gracefully.
+// service daemon (DESIGN.md §8). It serves the paper's evaluation
+// artefacts over HTTP/JSON from the process-wide warm pool of booted
+// machines, snapshot.Shared: experiment runs (the figures.All()
+// registry), differential attack campaigns, and machine leases that let
+// a client step a warm forked kernel interactively. A bounded work
+// queue sheds load instead of queueing unboundedly; per-key admission
+// means concurrent requests for one configuration share a single boot
+// and fan out as copy-on-write forks; request deadlines and the run
+// watchdog cancel work between experiments, cells, matrix rows and
+// strikes; SIGTERM drains gracefully.
 package server
 
 import (
@@ -29,6 +30,7 @@ import (
 	"camouflage/internal/core"
 	"camouflage/internal/fault"
 	"camouflage/internal/figures"
+	"camouflage/internal/kernel"
 	"camouflage/internal/obs"
 	"camouflage/internal/snapshot"
 	"camouflage/internal/store"
@@ -97,12 +99,9 @@ func instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // Config tunes a Server. Zero values select the documented defaults.
+// Every machine the daemon runs — leased, experiment or campaign — comes
+// from snapshot.Shared.
 type Config struct {
-	// Pool is the warm pool machine leases draw from (default
-	// snapshot.Shared). Experiments and campaigns always run on
-	// snapshot.Shared — their suites reach the shared pool internally —
-	// so a non-default Pool only isolates the lease surface.
-	Pool *snapshot.Pool
 	// Concurrency is how many admitted jobs run at once (default 4).
 	Concurrency int
 	// MaxQueue bounds jobs waiting for a slot; beyond it requests are
@@ -115,7 +114,7 @@ type Config struct {
 	LeaseIdle time.Duration
 	// Store is the persistent snapshot store behind -store-dir (nil: the
 	// daemon is memory-only and the /v1/snapshots surface answers 503).
-	// The caller wires the same store into the pools it serves.
+	// The caller wires the same store into snapshot.Shared.
 	Store *store.Store
 	// JobTimeout is the run watchdog's wall budget: an experiment or
 	// campaign running past it is cancelled (504), and a lease operation
@@ -143,9 +142,6 @@ type Server struct {
 
 // New builds a Server around cfg.
 func New(cfg Config) *Server {
-	if cfg.Pool == nil {
-		cfg.Pool = snapshot.Shared
-	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 4
 	}
@@ -212,7 +208,7 @@ func New(cfg Config) *Server {
 		})
 	obs.RegisterGauge("camouflage_snapshot_pool_idle",
 		"Idle machines parked in the warm pool.", func() float64 {
-			return float64(s.cfg.Pool.Stats().Idle)
+			return float64(snapshot.Shared.Stats().Idle)
 		})
 	return s
 }
@@ -244,15 +240,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.leases.releaseAll(ctx)
-	s.cfg.Pool.EvictIdle(0)
-	if s.cfg.Pool != snapshot.Shared {
-		// Experiments and campaigns park machines in the shared pool
-		// regardless of the lease pool; drain both.
-		snapshot.Shared.EvictIdle(0)
-	}
+	snapshot.Shared.EvictIdle(0)
 	// Background snapshot persists must land before the process exits,
 	// or the next start pays boots the store was meant to absorb.
-	s.cfg.Pool.WaitPersist()
 	snapshot.Shared.WaitPersist()
 	return err
 }
@@ -385,6 +375,18 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, key string) (
 	}
 }
 
+// validCPUs answers 400 unless n is a vCPU count a machine can boot
+// with (0..kernel.MaxCPUs, 0 meaning uniprocessor). A bad count is the
+// client's mistake: admitted, it would only fail every boot attempt and
+// trip the key's circuit breaker, taking the daemon out of /readyz.
+func validCPUs(w http.ResponseWriter, n int) bool {
+	if n < 0 || n > kernel.MaxCPUs {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("cpus %d out of range 0..%d", n, kernel.MaxCPUs))
+		return false
+	}
+	return true
+}
+
 // --- experiments ---
 
 func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
@@ -412,6 +414,9 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "unknown experiment "+id)
 			return
 		}
+	}
+	if !validCPUs(w, req.CPUs) {
+		return
 	}
 	ctx, cancel := withDeadline(r, req.DeadlineMS)
 	defer cancel()
@@ -457,8 +462,6 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		Output:      buf.String(),
 		Parallel:    req.Parallel,
 		TotalWallNs: time.Since(t0).Nanoseconds(),
-		// Experiments always run on the shared pool, whatever the lease
-		// pool is configured to be.
 		Pool:        snapshot.Shared.Stats(),
 		Experiments: stats,
 		RunID:       run.ID(),
@@ -488,6 +491,9 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "unknown level "+name)
 			return
 		}
+	}
+	if !validCPUs(w, req.CPUs) {
+		return
 	}
 	ctx, cancel := withDeadline(r, req.DeadlineMS)
 	defer cancel()
@@ -541,6 +547,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	if !validCPUs(w, req.CPUs) {
+		return
+	}
 	kopts := core.KernelOptionsFor(level, core.Options{
 		Seed:             req.Seed,
 		FailureThreshold: req.FailureThreshold,
@@ -558,7 +567,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	defer done()
 
 	s.leases.reap()
-	m, err := s.cfg.Pool.Acquire(key, snapshot.BootOptions(kopts))
+	m, err := snapshot.Shared.Acquire(key, snapshot.BootOptions(kopts))
 	if err != nil {
 		failRun(w, err)
 		return
@@ -768,10 +777,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	checks["store"] = storeCheck
 
-	breakers := s.cfg.Pool.Breakers()
-	if s.cfg.Pool != snapshot.Shared {
-		breakers = append(breakers, snapshot.Shared.Breakers()...)
-	}
+	breakers := snapshot.Shared.Breakers()
 	open := 0
 	for _, b := range breakers {
 		if b.Open {
@@ -801,7 +807,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.drainMu.Unlock()
 	writeJSON(w, http.StatusOK, client.StatsResponse{
-		Pool:     s.cfg.Pool.Stats(),
+		Pool:     snapshot.Shared.Stats(),
 		Queue:    s.queue.stats(),
 		Leases:   s.leases.stats(),
 		Draining: draining,

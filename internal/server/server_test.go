@@ -26,6 +26,19 @@ import (
 // two in sync.
 var parityIDs = []string{"table1", "table2", "keys", "fig4"}
 
+// withFreshPool swaps snapshot.Shared for an empty pool until the test
+// ends, for tests that count boots or idle machines. Call it before
+// newTestServer: cleanups run last-in first-out, so the server closes
+// before the previous pool comes back.
+func withFreshPool(t *testing.T) *snapshot.Pool {
+	t.Helper()
+	prev := snapshot.Shared
+	pool := snapshot.NewPool()
+	snapshot.Shared = pool
+	t.Cleanup(func() { snapshot.Shared = prev })
+	return pool
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *client.Client) {
 	t.Helper()
 	s := New(cfg)
@@ -41,7 +54,7 @@ func TestRemoteMatchesLocalSequential(t *testing.T) {
 	_, _, c := newTestServer(t, Config{})
 
 	var local bytes.Buffer
-	if _, err := figures.RunAll(&local, parityIDs, false); err != nil {
+	if _, err := figures.RunAllWith(context.Background(), &local, figures.RunOptions{IDs: parityIDs}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := c.RunExperiments(context.Background(), client.ExperimentsRequest{IDs: parityIDs})
@@ -214,7 +227,8 @@ func TestMachineLeaseLifecycle(t *testing.T) {
 // TestLeaseSharesBootAcrossClients: two leases of the same options cost
 // one boot; the second is a fork or a reuse.
 func TestLeaseSharesBootAcrossClients(t *testing.T) {
-	s, _, c := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	pool := withFreshPool(t)
+	_, _, c := newTestServer(t, Config{})
 	ctx := context.Background()
 
 	m1, err := c.Lease(ctx, client.MachineRequest{Level: "backward-edge", Seed: 62})
@@ -228,7 +242,7 @@ func TestLeaseSharesBootAcrossClients(t *testing.T) {
 	if m1.Key != m2.Key {
 		t.Fatalf("keys differ: %q vs %q", m1.Key, m2.Key)
 	}
-	if st := s.cfg.Pool.Stats(); st.Boots != 1 {
+	if st := pool.Stats(); st.Boots != 1 {
 		t.Fatalf("boots = %d, want 1 (second lease must fork)", st.Boots)
 	}
 	if err := m1.Release(ctx); err != nil {
@@ -309,7 +323,8 @@ func TestCampaignEndpoint(t *testing.T) {
 // TestStatsAndDrain: /v1/stats reflects pool and lease accounting, and
 // after Drain mutating requests are rejected while reads still answer.
 func TestStatsAndDrain(t *testing.T) {
-	s, _, c := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	withFreshPool(t)
+	s, _, c := newTestServer(t, Config{})
 	ctx := context.Background()
 
 	m, err := c.Lease(ctx, client.MachineRequest{Level: "backward-edge", Seed: 63})
@@ -362,7 +377,8 @@ func TestStatsAndDrain(t *testing.T) {
 // wedged lease is force-expired within the budget and its machine
 // abandoned, never parked mid-run.
 func TestDrainForceExpiresWedgedLease(t *testing.T) {
-	s, _, c := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	pool := withFreshPool(t)
+	s, _, c := newTestServer(t, Config{})
 	ctx := context.Background()
 
 	m, err := c.Lease(ctx, client.MachineRequest{Level: "backward-edge", Seed: 71})
@@ -396,7 +412,7 @@ func TestDrainForceExpiresWedgedLease(t *testing.T) {
 	if st.ForceExpired != 1 {
 		t.Fatalf("force-expired = %d, want 1", st.ForceExpired)
 	}
-	if idle := s.cfg.Pool.Stats().Idle; idle != 0 {
+	if idle := pool.Stats().Idle; idle != 0 {
 		t.Fatalf("drain left %d idle machines", idle)
 	}
 
@@ -417,7 +433,7 @@ func TestDrainForceExpiresWedgedLease(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if idle := s.cfg.Pool.Stats().Idle; idle != 0 {
+	if idle := pool.Stats().Idle; idle != 0 {
 		t.Fatalf("abandoned machine was parked: %d idle after un-wedge", idle)
 	}
 }
@@ -428,7 +444,7 @@ func TestDrainForceExpiresWedgedLease(t *testing.T) {
 // from an old client that still carries the retired truly-parallel
 // opt-in is granted and runs exactly like one without it.
 func TestSMPLeaseAndCampaignCPUs(t *testing.T) {
-	_, hs, c := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	_, hs, c := newTestServer(t, Config{})
 	ctx := context.Background()
 
 	m, err := c.Lease(ctx, client.MachineRequest{Level: "none", Seed: 81, CPUs: 2})

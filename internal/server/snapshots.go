@@ -27,13 +27,8 @@ func (s *Server) storeOr503(w http.ResponseWriter) *store.Store {
 // listings can show which persisted snapshots are currently armed.
 func (s *Server) resident() map[string]snapshot.EntryInfo {
 	out := make(map[string]snapshot.EntryInfo)
-	for _, p := range []*snapshot.Pool{s.cfg.Pool, snapshot.Shared} {
-		for _, e := range p.Entries() {
-			out[e.Key.Digest] = e
-		}
-		if s.cfg.Pool == snapshot.Shared {
-			break
-		}
+	for _, e := range snapshot.Shared.Entries() {
+		out[e.Key.Digest] = e
 	}
 	return out
 }
@@ -101,13 +96,10 @@ func (s *Server) handleSnapshotPin(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// Mirror the pin onto the resident pool entries so EvictIdle honours
+	// Mirror the pin onto the resident pool entry so EvictIdle honours
 	// it immediately; a snapshot not resident yet simply has no warm
 	// machines to protect.
-	s.cfg.Pool.Pin(digest, req.Pinned)
-	if s.cfg.Pool != snapshot.Shared {
-		snapshot.Shared.Pin(digest, req.Pinned)
-	}
+	snapshot.Shared.Pin(digest, req.Pinned)
 	writeJSON(w, http.StatusOK, map[string]any{"digest": digest, "pinned": req.Pinned})
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"camouflage/client"
-	"camouflage/internal/snapshot"
 	"camouflage/internal/store"
 )
 
@@ -24,7 +23,7 @@ func apiStatus(t *testing.T, err error) int {
 }
 
 func TestSnapshotRoutesWithoutStore(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Pool: snapshot.NewPool()})
+	_, _, c := newTestServer(t, Config{})
 	ctx := context.Background()
 	if _, err := c.Snapshots(ctx); apiStatus(t, err) != 503 {
 		t.Fatalf("Snapshots without store: %v, want 503", err)
@@ -42,9 +41,9 @@ func TestSnapshotResourceLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := snapshot.NewPool()
+	pool := withFreshPool(t)
 	pool.Store = st
-	_, _, c := newTestServer(t, Config{Pool: pool, Store: st})
+	_, _, c := newTestServer(t, Config{Store: st})
 	ctx := context.Background()
 
 	// Lease a machine: the pool boots it and persists the snapshot.

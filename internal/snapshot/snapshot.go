@@ -143,21 +143,17 @@ func BootOptions(opts kernel.Options) func() (*kernel.Kernel, error) {
 // sequentially, or — with parallel set — across a bounded worker pool.
 // Workers are capped well above hardware parallelism but independent of
 // n, so fan-out over a user-controlled count (campaign mutations) keeps
-// at most O(workers) machines live instead of O(n). It is the shared
-// replication scaffold of the figures/lmbench/workload suites and the
-// campaign driver: callers assemble results by index, keeping output
-// independent of schedule.
-func ForEach(n int, parallel bool, f func(i int) error) error {
-	return ForEachContext(context.Background(), n, parallel, f)
-}
-
-// ForEachContext is ForEach with cancellation: once ctx is done no new
-// index starts (indices already running finish normally — machines are
-// never torn down mid-instruction) and ctx.Err() is reported unless an
-// earlier index failed on its own. It is the deadline path of the
-// service daemon: request contexts flow through here into every
-// replicated cell and campaign strike.
-func ForEachContext(ctx context.Context, n int, parallel bool, f func(i int) error) error {
+// at most O(workers) machines live instead of O(n). It is the one cell
+// loop of the experiment runner, the figure suites, the attack matrix
+// and the campaign driver: callers assemble results by index, keeping
+// output independent of schedule.
+//
+// Once ctx is done no new index starts (indices already running finish
+// normally — machines are never torn down mid-instruction) and
+// ctx.Err() is reported unless an earlier index failed on its own. This
+// is how a request deadline or the daemon's run watchdog reaches every
+// experiment, cell and strike.
+func ForEach(ctx context.Context, n int, parallel bool, f func(i int) error) error {
 	if !parallel {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {

@@ -11,6 +11,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -203,22 +204,14 @@ func Run(cfg func() *codegen.Config, level string, w Workload) (Result, error) {
 	return Result{Workload: w.Name, Level: level, Cycles: k.CPU.Cycles - start}, nil
 }
 
-// RunSuite measures all workloads under the three Figure 4 levels and
-// fills in relative costs.
-func RunSuite() ([]Result, error) { return runSuite(false, 1) }
-
-// RunSuiteParallel is RunSuite with one goroutine per (workload, level)
-// cell, each on its own isolated machine (a copy-on-write fork from the
-// warm pool). Relative costs are filled in afterwards from the completed
-// grid, so results match RunSuite exactly.
-func RunSuiteParallel() ([]Result, error) { return runSuite(true, 1) }
-
-// RunSuiteCPUs is RunSuite on machines with the given vCPU count.
-func RunSuiteCPUs(parallel bool, cpus int) ([]Result, error) {
-	return runSuite(parallel, cpus)
-}
-
-func runSuite(parallel bool, cpus int) ([]Result, error) {
+// RunSuite measures all workloads under the three Figure 4 levels on
+// machines with the given vCPU count and fills in relative costs. Every
+// (workload, level) cell runs on its own isolated machine (a
+// copy-on-write fork from the warm pool) — concurrently when parallel
+// is set — and relative costs are filled in afterwards from the
+// completed grid, so the results do not depend on the schedule. Once
+// ctx is done no further cell starts.
+func RunSuite(ctx context.Context, parallel bool, cpus int) ([]Result, error) {
 	levels := []struct {
 		Name string
 		Cfg  func() *codegen.Config
@@ -229,7 +222,7 @@ func runSuite(parallel bool, cpus int) ([]Result, error) {
 	}
 	workloads := Suite()
 	out := make([]Result, len(workloads)*len(levels))
-	err := snapshot.ForEach(len(out), parallel, func(idx int) error {
+	err := snapshot.ForEach(ctx, len(out), parallel, func(idx int) error {
 		w := workloads[idx/len(levels)]
 		lv := levels[idx%len(levels)]
 		var err error

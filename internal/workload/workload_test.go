@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"camouflage/internal/codegen"
@@ -12,7 +13,7 @@ import (
 // least overhead, the download the most, and the geometric mean under
 // full protection stays below 4 %.
 func TestFigure4Shape(t *testing.T) {
-	results, err := RunSuite()
+	results, err := RunSuite(context.Background(), false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,11 @@ func TestGeoMean(t *testing.T) {
 // parallel suite must produce exactly the sequential results, relative
 // costs included.
 func TestRunSuiteParallelMatchesSequential(t *testing.T) {
-	seq, err := RunSuite()
+	seq, err := RunSuite(context.Background(), false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSuiteParallel()
+	par, err := RunSuite(context.Background(), true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
