@@ -31,12 +31,8 @@ const (
 	costBranch    = 1
 	costMRS       = 2
 	costMSR       = 2
-	// costMSRKey is the cost of an MSR to a PAuth key system register;
-	// two of these (Lo+Hi) plus the one-cycle immediate chain make the
-	// 9-cycles-per-key figure of §6.1.1.
-	costMSRKey = 4
-	costISB    = 8
-	costSVC    = 1 // plus exception entry
+	costISB       = 8
+	costSVC       = 1 // plus exception entry
 	// costExcEntry and costERET model the pipeline flush and state
 	// save/restore of an exception round trip.
 	costExcEntry = 40
@@ -96,7 +92,7 @@ func cost(op insn.Op) uint64 {
 	case insn.OpMRS:
 		return costMRS
 	case insn.OpMSR:
-		return costMSR // key registers adjusted in execute
+		return costMSR
 	case insn.OpISB:
 		return costISB
 	case insn.OpSVC:

@@ -78,7 +78,11 @@ type Stop struct {
 
 // MSRHook observes or intercepts system-register writes. Returning true
 // consumes the write (the hypervisor lockdown uses this to deny MMU
-// control writes after boot).
+// control writes after boot). A hook may not change the translation
+// regime (stage-1 tables, stage 2, MMU enable), the EL or the IRQ state
+// (mask or pending), and may not store to guest memory: runTrace
+// retires MSR inline and keeps running the trace, its page memos and
+// its IRQ decision across the write (superblock.go).
 type MSRHook func(reg insn.SysReg, val uint64) bool
 
 // CPU is one simulated core.
@@ -273,6 +277,11 @@ type codeBlock struct {
 	// (superblock.go).
 	heat uint32
 	tr   *trace
+	// taken is the PC the block's closing branch last left behind when
+	// the block ran as a one-block view and side-exited there.
+	// buildTrace reads it only for an indirect branch (RET, BR, BLR), as
+	// that branch's guessed successor.
+	taken uint64
 }
 
 // regime is the translation state a cached fetch result depends on —
@@ -450,15 +459,17 @@ func keyFor(r insn.SysReg) (pac.KeyID, bool, bool) {
 }
 
 // WriteSys performs an MSR write (also used by the bootloader to establish
-// initial state).
+// initial state). A key-register write on a core without PAuth is
+// undefined and fails before the OnMSR hook sees it.
 func (c *CPU) WriteSys(r insn.SysReg, v uint64) error {
+	id, hi, isKey := keyFor(r)
+	if isKey && !c.Feat.PAuth {
+		return fmt.Errorf("cpu: MSR %v undefined without PAuth", r)
+	}
 	if c.OnMSR != nil && c.OnMSR(r, v) {
 		return nil
 	}
-	if id, hi, isKey := keyFor(r); isKey {
-		if !c.Feat.PAuth {
-			return fmt.Errorf("cpu: MSR %v undefined without PAuth", r)
-		}
+	if isKey {
 		k := c.Signer.Key(id)
 		if hi {
 			k.Hi = v
@@ -716,15 +727,16 @@ func (c *CPU) decodeBlock(pa uint64) (*codeBlock, *mmu.Fault, error) {
 }
 
 // endsBlock reports whether op terminates a straight-line decode run:
-// anything that branches, takes an exception, halts, or (MSR) can change
-// translation or PAuth state out from under the pre-decoded run.
+// anything that branches, takes an exception or halts. MSR does not: no
+// system-register write changes the translation regime, the EL or the
+// IRQ mask (see MSRHook), and PAuth keys and enables are read live.
 func endsBlock(op insn.Op) bool {
 	switch op {
 	case insn.OpB, insn.OpBL, insn.OpBcond, insn.OpCBZ, insn.OpCBNZ,
 		insn.OpBR, insn.OpBLR, insn.OpRET,
 		insn.OpBLRAA, insn.OpBLRAB, insn.OpBRAA, insn.OpBRAB,
 		insn.OpRETAA, insn.OpRETAB,
-		insn.OpERET, insn.OpSVC, insn.OpHLT, insn.OpMSR, insn.OpInvalid:
+		insn.OpERET, insn.OpSVC, insn.OpHLT, insn.OpInvalid:
 		return true
 	}
 	return false

@@ -23,9 +23,9 @@ func init() {
 
 // directBranch reports whether op is a direct (immediate-target) branch
 // whose taken exit may be fused into a trace: B, BL, B.cond, CBZ, CBNZ.
-// Indirect and authenticated branches (BR/BLR/RET and the *AA/*AB
-// forms), ERET, SVC and everything else always re-enter through the
-// dispatch loop.
+// Indirect branches (BR/BLR/RET) fuse only to a guessed target
+// (buildTrace); authenticated branches (the *AA/*AB forms), ERET, SVC
+// and HLT always re-enter through the dispatch loop.
 func directBranch(op insn.Op) bool {
 	switch op {
 	case insn.OpB, insn.OpBL, insn.OpBcond, insn.OpCBZ, insn.OpCBNZ:
@@ -143,7 +143,7 @@ func (c *CPU) dispatch(maxInstrs uint64) Stop {
 			if c.traceValid(t, entryVA) {
 				if maxInstrs-n >= uint64(len(t.instrs)) {
 					c.TraceFollows++
-					if stop, done := c.runTrace(t.instrs, t.succ, t.looping, &n, maxInstrs); done {
+					if stop, done := c.runTrace(b, t, &n, maxInstrs); done {
 						return stop
 					}
 					continue
@@ -157,7 +157,7 @@ func (c *CPU) dispatch(maxInstrs uint64) Stop {
 		} else if b.heat++; b.heat == hotThreshold {
 			c.buildTrace(b, entryVA)
 		}
-		if stop, done := c.runTrace(b.instrs, seqSucc[:len(b.instrs)], false, &n, maxInstrs); done {
+		if stop, done := c.runTrace(b, nil, &n, maxInstrs); done {
 			return stop
 		}
 	}
@@ -523,51 +523,21 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 	case insn.OpRET:
 		next = c.Reg(i.Rn)
 
-	case insn.OpPACIA:
+	case insn.OpPACIA, insn.OpPACIB, insn.OpPACDA, insn.OpPACDB:
 		if !c.requirePAuth() {
 			return Stop{}, false
 		}
-		c.pacSign(i.Rd, i.Rn, pac.KeyIA)
-	case insn.OpPACIB:
+		c.pacSign(i.Rd, i.Rn, pacKey[i.Op])
+	case insn.OpAUTIA, insn.OpAUTIB, insn.OpAUTDA, insn.OpAUTDB:
 		if !c.requirePAuth() {
 			return Stop{}, false
 		}
-		c.pacSign(i.Rd, i.Rn, pac.KeyIB)
-	case insn.OpPACDA:
-		if !c.requirePAuth() {
-			return Stop{}, false
-		}
-		c.pacSign(i.Rd, i.Rn, pac.KeyDA)
-	case insn.OpPACDB:
-		if !c.requirePAuth() {
-			return Stop{}, false
-		}
-		c.pacSign(i.Rd, i.Rn, pac.KeyDB)
-	case insn.OpAUTIA:
-		if !c.requirePAuth() {
-			return Stop{}, false
-		}
-		c.pacAuth(i.Rd, i.Rn, pac.KeyIA)
-	case insn.OpAUTIB:
-		if !c.requirePAuth() {
-			return Stop{}, false
-		}
-		c.pacAuth(i.Rd, i.Rn, pac.KeyIB)
-	case insn.OpAUTDA:
-		if !c.requirePAuth() {
-			return Stop{}, false
-		}
-		c.pacAuth(i.Rd, i.Rn, pac.KeyDA)
-	case insn.OpAUTDB:
-		if !c.requirePAuth() {
-			return Stop{}, false
-		}
-		c.pacAuth(i.Rd, i.Rn, pac.KeyDB)
+		c.pacAuth(i.Rd, i.Rn, pacKey[i.Op])
 	case insn.OpPACIZA, insn.OpPACIZB, insn.OpPACDZA, insn.OpPACDZB:
 		if !c.requirePAuth() {
 			return Stop{}, false
 		}
-		id := zeroModKey[i.Op]
+		id := pacKey[i.Op]
 		if c.pauthEnabled(id) {
 			c.SetReg(i.Rd, c.Signer.Sign(c.Reg(i.Rd), 0, id))
 		}
@@ -575,7 +545,7 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 		if !c.requirePAuth() {
 			return Stop{}, false
 		}
-		id := zeroModKey[i.Op]
+		id := pacKey[i.Op]
 		if c.pauthEnabled(id) {
 			out, ok := c.Signer.Auth(c.Reg(i.Rd), 0, id)
 			if !ok {
@@ -599,31 +569,19 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 		if !c.requirePAuth() {
 			return Stop{}, false
 		}
-		id := pac.KeyIA
-		if i.Op == insn.OpBLRAB {
-			id = pac.KeyIB
-		}
-		target := c.authBranchTarget(i.Rn, c.Reg(i.Rm), id)
+		target := c.authBranchTarget(i.Rn, c.Reg(i.Rm), pacKey[i.Op])
 		c.X[insn.LR] = c.PC + insn.Size
 		next = target
 	case insn.OpBRAA, insn.OpBRAB:
 		if !c.requirePAuth() {
 			return Stop{}, false
 		}
-		id := pac.KeyIA
-		if i.Op == insn.OpBRAB {
-			id = pac.KeyIB
-		}
-		next = c.authBranchTarget(i.Rn, c.Reg(i.Rm), id)
+		next = c.authBranchTarget(i.Rn, c.Reg(i.Rm), pacKey[i.Op])
 	case insn.OpRETAA, insn.OpRETAB:
 		if !c.requirePAuth() {
 			return Stop{}, false
 		}
-		id := pac.KeyIA
-		if i.Op == insn.OpRETAB {
-			id = pac.KeyIB
-		}
-		next = c.authBranchTarget(insn.LR, c.sp[c.EL], id)
+		next = c.authBranchTarget(insn.LR, c.sp[c.EL], pacKey[i.Op])
 
 	case insn.OpPACIA1716, insn.OpPACIB1716, insn.OpAUTIA1716, insn.OpAUTIB1716:
 		// HINT space: NOP on pre-8.3 cores (§5.5), PAuth op on 8.3.
@@ -643,10 +601,6 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 		}
 
 	case insn.OpMSR:
-		if _, _, isKey := keyFor(i.Sys); isKey && !c.Feat.PAuth {
-			c.undefined()
-			return Stop{}, false
-		}
 		if err := c.WriteSys(i.Sys, c.Reg(i.Rd)); err != nil {
 			c.undefined()
 			return Stop{}, false
@@ -687,13 +641,21 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 	return Stop{}, false
 }
 
-// zeroModKey maps the zero-modifier PAuth ops to their key (hoisted to
-// package level: building it per execution allocated on a hot path).
-var zeroModKey = map[insn.Op]pac.KeyID{
+// pacKey maps each keyed PAuth op — the PAC*/AUT* register and
+// zero-modifier forms and the authenticated branches — to its key: one
+// array load, shared by execute and runTrace's inline cases.
+var pacKey = [256]pac.KeyID{
+	insn.OpPACIA: pac.KeyIA, insn.OpPACIB: pac.KeyIB,
+	insn.OpPACDA: pac.KeyDA, insn.OpPACDB: pac.KeyDB,
+	insn.OpAUTIA: pac.KeyIA, insn.OpAUTIB: pac.KeyIB,
+	insn.OpAUTDA: pac.KeyDA, insn.OpAUTDB: pac.KeyDB,
 	insn.OpPACIZA: pac.KeyIA, insn.OpPACIZB: pac.KeyIB,
 	insn.OpPACDZA: pac.KeyDA, insn.OpPACDZB: pac.KeyDB,
 	insn.OpAUTIZA: pac.KeyIA, insn.OpAUTIZB: pac.KeyIB,
 	insn.OpAUTDZA: pac.KeyDA, insn.OpAUTDZB: pac.KeyDB,
+	insn.OpBLRAA: pac.KeyIA, insn.OpBLRAB: pac.KeyIB,
+	insn.OpBRAA: pac.KeyIA, insn.OpBRAB: pac.KeyIB,
+	insn.OpRETAA: pac.KeyIA, insn.OpRETAB: pac.KeyIB,
 }
 
 // requirePAuth raises undefined-instruction on pre-8.3 cores and reports

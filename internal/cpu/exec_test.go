@@ -1,12 +1,14 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"camouflage/internal/asm"
 	"camouflage/internal/insn"
 	"camouflage/internal/mem"
 	"camouflage/internal/mmu"
+	"camouflage/internal/obs"
 	"camouflage/internal/pac"
 )
 
@@ -417,83 +419,211 @@ func TestBlockCacheMatchesLegacyPath(t *testing.T) {
 	}
 }
 
-// TestBudgetSweepMatchesLegacyPath runs one program on the fast path and
-// on the seed interpreter in lockstep, in Run slices of a fixed budget,
-// and requires identical architectural state and stop kind after every
-// slice. The program calls a function through BL/RET; the function signs
-// its return address with PACIB, spills it to the stack, runs an inner
-// counted loop that fuses into a looping trace, reloads the spill and
-// authenticates it with AUTIB. Odd budgets stop the fast path inside
+// TestBudgetSweepMatchesLegacyPath runs each program on the fast path
+// and on the seed interpreter in lockstep, in Run slices of a fixed
+// budget, and requires identical architectural state, stop kind and MSR
+// hook calls after every slice. Odd budgets stop the fast path inside
 // one-block views, inside fused trace bodies and between their laps.
+//
+// "calls" calls a function through BL/RET; the function signs its
+// return address with PACIB, spills it to the stack, runs an inner
+// counted loop that fuses into a looping trace, reloads the spill and
+// authenticates it with AUTIB.
+//
+// "kernel" drives every class runTrace retires inline besides loads,
+// stores and ALU ops, mid-block and mid-trace: an MSR key switch
+// followed by PACIB/AUTIB under the new key, an MRS of the cycle
+// counter, BFM in both directions, a BL chain five calls deep whose
+// RETs fuse to their blocks' last targets, one iteration that
+// overwrites the chain's spilled LR so a fused RET side-exits, a BLR
+// alternating between two callees, and one MSR to the read-only
+// MPIDR_EL1, which must raise undefined after calling the hook exactly
+// once. The handler skips the faulting instruction with MRS/MSR
+// ELR_EL1 and ERET. On an ARMv8.0 core the key MSRs, PACIB and AUTIB
+// fault too.
 func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
-	a := asm.New()
-	a.Label("entry")
-	a.I(insn.MOVZ(insn.X5, 24, 0))
-	a.Label("call")
-	a.BL("f")
-	a.I(insn.SUBi(insn.X5, insn.X5, 1))
-	a.CBNZ(insn.X5, "call")
-	a.I(insn.HLT(0))
-	a.Label("f")
-	a.I(insn.PACIB(insn.LR, insn.SP))
-	a.I(insn.STRpre(insn.LR, insn.SP, -16))
-	a.I(insn.MOVZ(insn.X6, 5, 0))
-	a.Label("inner")
-	a.I(insn.ADDi(insn.X0, insn.X0, 3))
-	a.I(insn.EORr(insn.X1, insn.X1, insn.X0))
-	a.I(insn.SUBi(insn.X6, insn.X6, 1))
-	a.CBNZ(insn.X6, "inner")
-	a.I(insn.LDRpost(insn.LR, insn.SP, 16))
-	a.I(insn.AUTIB(insn.LR, insn.SP))
-	a.I(insn.RET())
-	img, err := a.Link(map[string]uint64{".text": textBase})
-	if err != nil {
-		t.Fatal(err)
+	calls := func(a *asm.Assembler) {
+		a.Label("entry")
+		a.I(insn.MOVZ(insn.X5, 24, 0))
+		a.Label("call")
+		a.BL("f")
+		a.I(insn.SUBi(insn.X5, insn.X5, 1))
+		a.CBNZ(insn.X5, "call")
+		a.I(insn.HLT(0))
+		a.Label("f")
+		a.I(insn.PACIB(insn.LR, insn.SP))
+		a.I(insn.STRpre(insn.LR, insn.SP, -16))
+		a.I(insn.MOVZ(insn.X6, 5, 0))
+		a.Label("inner")
+		a.I(insn.ADDi(insn.X0, insn.X0, 3))
+		a.I(insn.EORr(insn.X1, insn.X1, insn.X0))
+		a.I(insn.SUBi(insn.X6, insn.X6, 1))
+		a.CBNZ(insn.X6, "inner")
+		a.I(insn.LDRpost(insn.LR, insn.SP, 16))
+		a.I(insn.AUTIB(insn.LR, insn.SP))
+		a.I(insn.RET())
 	}
-	boot := func(seed bool) *CPU {
-		c := New(Features{PAuth: true})
-		c.NoBlockCache = seed
-		c.MMU.NoTLB = seed
-		c.SCTLR = insn.SCTLRPAuthAll
-		c.Signer.SetKey(pac.KeyIB, pac.Key{Hi: 0x0123_4567, Lo: 0x89AB_CDEF})
-		for _, s := range img.Sections {
-			c.Bus.RAM.WriteBytes(s.Base, s.Bytes)
+	kernel := func(a *asm.Assembler) {
+		a.Label("entry")
+		a.I(insn.MOVZ(insn.X5, 40, 0))
+		a.I(insn.MOVZ(insn.X16, 1, 0))
+		a.I(insn.MOVZ(insn.X13, 12, 0)) // the iteration that smashes LR
+		a.I(insn.MOVZ(insn.X14, 7, 0))  // the iteration that writes MPIDR_EL1
+		a.I(insn.MOVZ(insn.X10, 0x1234, 0))
+		a.MOVAddr(insn.X21, "even")
+		a.MOVAddr(insn.X22, "odd")
+		a.MOVAddr(insn.X24, "detour")
+		a.Label("loop")
+		a.I(insn.ADDr(insn.X9, insn.X5, insn.X10))
+		a.I(insn.MSR(insn.APIBKeyLo_EL1, insn.X9))
+		a.I(insn.MSR(insn.APIBKeyHi_EL1, insn.X5))
+		a.I(insn.PACIB(insn.X10, insn.SP))
+		a.I(insn.EORr(insn.X1, insn.X1, insn.X10))
+		a.I(insn.MRS(insn.X11, insn.PMCCNTR_EL0))
+		a.I(insn.EORr(insn.X1, insn.X1, insn.X11))
+		a.I(insn.AUTIB(insn.X10, insn.SP))
+		a.I(insn.BFI(insn.X12, insn.X5, 8, 4))
+		a.I(insn.BFI(insn.X12, insn.X1, 0, 4))
+		a.BL("d1")
+		a.I(insn.ANDSr(insn.X17, insn.X5, insn.X16))
+		a.I(insn.CSEL(insn.X23, insn.X21, insn.X22, insn.EQ))
+		a.I(insn.BLR(insn.X23))
+		a.I(insn.CMP(insn.X5, insn.X14))
+		a.Bcond(insn.NE, "next")
+		a.I(insn.MSR(insn.MPIDR_EL1, insn.X5))
+		a.Label("next")
+		a.I(insn.SUBi(insn.X5, insn.X5, 1))
+		a.CBNZ(insn.X5, "loop")
+		a.I(insn.HLT(0))
+
+		// The chain d1 → … → d5 nests five calls deep. d2 rewrites its
+		// spilled LR without branching, so the smash reaches the same
+		// fused RET as every other iteration.
+		const depth = 5
+		for d := 1; d < depth; d++ {
+			a.Label(fmt.Sprintf("d%d", d))
+			a.I(insn.STPpre(insn.FP, insn.LR, insn.SP, -16))
+			a.BL(fmt.Sprintf("d%d", d+1))
+			a.Label(fmt.Sprintf("d%dtail", d))
+			if d == 2 {
+				a.I(insn.CMP(insn.X5, insn.X13))
+				a.I(insn.LDR(insn.X9, insn.SP, 8))
+				a.I(insn.CSEL(insn.X9, insn.X24, insn.X9, insn.EQ))
+				a.I(insn.STR(insn.X9, insn.SP, 8))
+			}
+			a.I(insn.LDPpost(insn.FP, insn.LR, insn.SP, 16))
+			a.I(insn.RET())
 		}
-		c.SetSP(1, stackTop)
-		c.PC = img.Symbols["entry"]
-		return c
+		a.Label(fmt.Sprintf("d%d", depth))
+		a.I(insn.ADDi(insn.X2, insn.X2, 5))
+		a.I(insn.RET())
+		a.Label("even")
+		a.I(insn.ADDi(insn.X3, insn.X3, 1))
+		a.I(insn.RET())
+		a.Label("odd")
+		a.I(insn.ADDi(insn.X4, insn.X4, 2))
+		a.I(insn.RET())
+		a.Label("detour")
+		a.I(insn.ADDi(insn.X6, insn.X6, 1))
+		a.B("d1tail")
+
+		a.Section(".vectors")
+		a.Label("vectors")
+		a.PadTo(VecSyncCurrent)
+		a.I(insn.MRS(insn.X15, insn.ELR_EL1))
+		a.I(insn.ADDi(insn.X15, insn.X15, insn.Size))
+		a.I(insn.MSR(insn.ELR_EL1, insn.X15))
+		a.I(insn.ERET())
 	}
-	var entered uint64
-	for _, budget := range []uint64{1, 2, 3, 5, 7, 11, 16, 17, 64, 100000} {
-		fast, seed := boot(false), boot(true)
-		for call := 1; ; call++ {
-			fs, ss := fast.Run(budget), seed.Run(budget)
-			if fs.Kind != ss.Kind {
-				t.Fatalf("budget %d, Run #%d: fast path stopped with %v, seed interpreter with %v", budget, call, fs.Kind, ss.Kind)
-			}
-			if f, s := fast.CaptureState(), seed.CaptureState(); f != s {
-				t.Fatalf("budget %d, Run #%d: state diverged\nfast: %+v\nseed: %+v", budget, call, f, s)
-			}
-			if fs.Kind != StopLimit {
-				break
-			}
+	kernelDone := func(c *CPU, mpidr int) string {
+		if c.X[6] != 1 || mpidr != 1 {
+			return fmt.Sprintf("detours = %d, MPIDR_EL1 hook calls = %d; want 1 and 1", c.X[6], mpidr)
 		}
-		if fs := fast.CaptureState(); fs.PACFailures != 0 || fs.X[5] != 0 {
-			t.Fatalf("budget %d: halted with %d PAC failures and x5 = %d; want a clean finish", budget, fs.PACFailures, fs.X[5])
-		}
-		looping := false
-		for _, b := range fast.blocks {
-			looping = looping || (b.tr != nil && b.tr.looping)
-		}
-		if !looping {
-			t.Fatalf("budget %d: no looping trace was built for the inner loop", budget)
-		}
-		entered += fast.TraceFollows
+		return ""
 	}
-	// Budgets below a trace body's length run only one-block views; the
-	// larger ones must have entered fused traces.
-	if entered == 0 {
-		t.Fatal("no budget entered a fused trace; the sweep never exercised runTrace on one")
+	for _, prog := range []struct {
+		name  string
+		feat  Features
+		build func(a *asm.Assembler)
+		// done checks the fast machine once it halted; mpidr counts
+		// its hook calls for MPIDR_EL1.
+		done func(c *CPU, mpidr int) string
+	}{
+		{"calls", Features{PAuth: true}, calls, func(c *CPU, _ int) string {
+			for _, b := range c.blocks {
+				if b.tr != nil && b.tr.looping {
+					return ""
+				}
+			}
+			return "no looping trace was built for the inner loop"
+		}},
+		{"kernel", Features{PAuth: true}, kernel, kernelDone},
+		{"kernel-v8.0", Features{PAuth: false}, kernel, kernelDone},
+	} {
+		t.Run(prog.name, func(t *testing.T) {
+			a := asm.New()
+			prog.build(a)
+			img, err := a.Link(map[string]uint64{".text": textBase, ".vectors": vbarBase})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// hooks counts MSR hook calls: all of them, and those for
+			// MPIDR_EL1.
+			type hooks struct{ all, mpidr int }
+			boot := func(seed bool, h *hooks) *CPU {
+				c := New(prog.feat)
+				c.NoBlockCache = seed
+				c.MMU.NoTLB = seed
+				c.SCTLR = insn.SCTLRPAuthAll
+				c.VBAR = vbarBase
+				c.Signer.SetKey(pac.KeyIB, pac.Key{Hi: 0x0123_4567, Lo: 0x89AB_CDEF})
+				c.OnMSR = func(r insn.SysReg, _ uint64) bool {
+					h.all++
+					if r == insn.MPIDR_EL1 {
+						h.mpidr++
+					}
+					return false
+				}
+				for _, s := range img.Sections {
+					c.Bus.RAM.WriteBytes(s.Base, s.Bytes)
+				}
+				c.SetSP(1, stackTop)
+				c.PC = img.Symbols["entry"]
+				return c
+			}
+			var entered uint64
+			for _, budget := range []uint64{1, 2, 3, 5, 7, 11, 16, 17, 64, 100000} {
+				var fastHooks, seedHooks hooks
+				fast, seed := boot(false, &fastHooks), boot(true, &seedHooks)
+				for call := 1; ; call++ {
+					fs, ss := fast.Run(budget), seed.Run(budget)
+					if fs.Kind != ss.Kind {
+						t.Fatalf("budget %d, Run #%d: fast path stopped with %v, seed interpreter with %v", budget, call, fs.Kind, ss.Kind)
+					}
+					if f, s := fast.CaptureState(), seed.CaptureState(); f != s {
+						t.Fatalf("budget %d, Run #%d: state diverged\nfast: %+v\nseed: %+v", budget, call, f, s)
+					}
+					if fastHooks != seedHooks {
+						t.Fatalf("budget %d, Run #%d: MSR hook calls %+v on the fast path, %+v on the seed interpreter", budget, call, fastHooks, seedHooks)
+					}
+					if fs.Kind != StopLimit {
+						break
+					}
+				}
+				if fs := fast.CaptureState(); fs.PACFailures != 0 || fs.X[5] != 0 {
+					t.Fatalf("budget %d: halted with %d PAC failures and x5 = %d; want a clean finish", budget, fs.PACFailures, fs.X[5])
+				}
+				if msg := prog.done(fast, fastHooks.mpidr); msg != "" {
+					t.Fatalf("budget %d: %s", budget, msg)
+				}
+				entered += fast.TraceFollows
+			}
+			// Budgets below a trace body's length run only one-block views;
+			// the larger ones must have entered fused traces.
+			if entered == 0 {
+				t.Fatal("no budget entered a fused trace; the sweep never exercised runTrace on one")
+			}
+		})
 	}
 }
 
@@ -605,7 +735,11 @@ func TestBankedSPAcrossELs(t *testing.T) {
 // through the backward conditional branch must be served by the entry
 // memo, not fresh fetches — and once past the hotness threshold the loop
 // must be fused into a superblock trace and entered as one, serving the
-// remaining iterations without any per-block work at all.
+// remaining iterations without any per-block work at all. In a syscall
+// loop, the kernel path — key-switch MSRs, an MRS, a BFM, a BL to a
+// PACIB/AUTIB-framed handler, its BLR to a leaf and both RETs — must
+// retire inline, leaving only SVC and ERET to execute, and one fused
+// trace must span the BL, the callee and the callee's RET.
 func TestEntryMemoAndTracesEngage(t *testing.T) {
 	c := runSnippet(t, nil, func(a *asm.Assembler) {
 		a.I(insn.MOVZ(insn.X5, 64, 0))
@@ -622,6 +756,78 @@ func TestEntryMemoAndTracesEngage(t *testing.T) {
 		t.Fatalf("TracesBuilt = %d, TraceFollows = %d; the hot loop was not fused into a trace",
 			c.TracesBuilt, c.TraceFollows)
 	}
+
+	const iters = 64
+	a := asm.New()
+	a.Label("handler")
+	a.I(insn.PACIB(insn.LR, insn.SP))
+	a.I(insn.STPpre(insn.FP, insn.LR, insn.SP, -16))
+	a.I(insn.BLR(insn.X24))
+	a.I(insn.LDPpost(insn.FP, insn.LR, insn.SP, 16))
+	a.I(insn.AUTIB(insn.LR, insn.SP))
+	a.I(insn.RET())
+	a.Label("getppid")
+	a.I(insn.ADDi(insn.X0, insn.X0, 1))
+	a.I(insn.RET())
+	a.Section(".user")
+	a.Label("user")
+	a.I(insn.MOVZ(insn.X5, iters, 0))
+	a.Label("loop")
+	a.I(insn.MOVZ(insn.X8, 110, 0))
+	a.I(insn.SVC(0))
+	a.I(insn.SUBi(insn.X5, insn.X5, 1))
+	a.CBNZ(insn.X5, "loop")
+	a.I(insn.HLT(0))
+	a.Section(".vectors")
+	a.Label("vectors")
+	a.PadTo(VecSyncLower)
+	a.I(insn.MSR(insn.APIBKeyLo_EL1, insn.X20))
+	a.I(insn.MSR(insn.APIBKeyHi_EL1, insn.X21))
+	a.I(insn.MRS(insn.X9, insn.ESR_EL1))
+	a.I(insn.BFI(insn.X9, insn.X8, 0, 8))
+	a.BL("handler")
+	a.I(insn.MSR(insn.APIBKeyLo_EL1, insn.X22))
+	a.I(insn.MSR(insn.APIBKeyHi_EL1, insn.X23))
+	a.I(insn.ERET())
+	c, img := load(t, a, map[string]uint64{".text": textBase, ".user": userText, ".vectors": vbarBase})
+	c.VBAR = vbarBase
+	c.EL = 0
+	c.SetSP(0, userStack)
+	c.SetSP(1, stackTop)
+	c.X[20], c.X[21], c.X[22], c.X[23] = 0x1111, 0x2222, 0x3333, 0x4444
+	c.X[24] = img.Symbols["getppid"]
+	var stop Stop
+	d := obsDeltaOf(func() { stop = run(t, c, img.Symbols["user"], 100000) })
+	if stop.Kind != StopHLT || c.X[0] != iters || c.PACFailures != 0 {
+		t.Fatalf("syscall loop: stop = %+v, x0 = %d, PAC failures = %d; want HLT, %d, 0", stop, c.X[0], c.PACFailures, iters)
+	}
+	if got, want := d[obs.CSlowFallback], uint64(2*iters+1); got != want {
+		t.Errorf("slow fallbacks = %d over %d syscalls; want %d (SVC and ERET each, plus the final HLT)", got, iters, want)
+	}
+	spans := false
+	for _, b := range c.blocks {
+		spans = spans || (b.tr != nil && spansCall(b.tr))
+	}
+	if !spans {
+		t.Error("no fused trace spans a BL, its callee and the callee's RET")
+	}
+}
+
+// spansCall reports whether t fuses a BL with its callee's RET back to
+// the BL's return address.
+func spansCall(t *trace) bool {
+	var at uint64 // offset of instrs[k] from the entry VA
+	for k, in := range t.instrs {
+		if in.Op == insn.OpBL {
+			for j := k + 1; j < len(t.instrs); j++ {
+				if t.instrs[j].Op == insn.OpRET && t.succ[j] == at+insn.Size {
+					return true
+				}
+			}
+		}
+		at = t.succ[k]
+	}
+	return false
 }
 
 // TestSelfModifyingStoreSeversEntryMemo: once the warm loop's block

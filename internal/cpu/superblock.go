@@ -161,12 +161,15 @@ func traceStale(t *trace) bool {
 // entryVA) into a trace and attaches it to b. Each successor is found by
 // lookup (lookupBlock): the taken target of a direct branch first (loop
 // back-edges live there), else — for a conditional, or a block that
-// spilled past the page/size cap — the sequential exit. Fusion stops at
-// a successor with no valid decoded block under the trace's regime, at
+// spilled past the page/size cap — the sequential exit. An indirect
+// branch (RET, BR, BLR) fuses to a guess: the target its block last
+// took as a one-block view (codeBlock.taken). The succ check makes
+// every guess safe: a wrong one side-exits. Fusion stops at a
+// successor with no valid decoded block under the trace's regime, at
 // any block revisit (closing the loop when the revisit is the entry
-// itself), and at the size caps. A trace is attached even when nothing
-// fuses: a single block that branches back to itself still becomes a
-// looping trace.
+// itself), at an authenticated branch, SVC, ERET or HLT, and at the
+// size caps. A trace is attached even when nothing fuses: a single
+// block that branches back to itself still becomes a looping trace.
 func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 	t := &trace{entryVA: entryVA, rg: c.captureRegime(entryVA)}
 	// Snapshot execGen before walking the constituents: a bump landing
@@ -201,12 +204,15 @@ func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 				nextVA = lastVA + insn.Size
 				next = c.lookupBlock(nextVA, &t.rg)
 			}
+		case lastOp == insn.OpRET || lastOp == insn.OpBR || lastOp == insn.OpBLR:
+			nextVA = cur.taken
+			next = c.lookupBlock(nextVA, &t.rg)
 		case !endsBlock(lastOp):
 			nextVA = lastVA + insn.Size
 			next = c.lookupBlock(nextVA, &t.rg)
 		default:
-			// SVC, ERET, MSR, indirect/authenticated branch, HLT,
-			// Invalid: never fused across.
+			// SVC, ERET, authenticated branch, HLT, Invalid: never
+			// fused across.
 			goto done
 		}
 		if next == nil {
@@ -263,9 +269,9 @@ func condBranch(op insn.Op) bool {
 	return false
 }
 
-// runTrace is the one executor of decoded code. It runs code — a fused
-// trace's body, or a block's one-block view — from the current PC, the
-// entry VA, until a side exit: an outcome off the expected successors
+// runTrace is the one executor of decoded code. It runs t's fused body,
+// or with t nil b's one-block view, from the current PC, the entry VA,
+// until a side exit: an outcome off the expected successors
 // (succ[k] is the PC offset from the entry VA that instruction k must
 // leave behind), an exception or fault, a mid-run code invalidation
 // (execGen), a deliverable IRQ after a store, the budget, or — unless
@@ -273,22 +279,27 @@ func condBranch(op insn.Op) bool {
 // after its last instruction. Every instruction retires with exactly
 // the accounting execute() would give it; the hot opcodes are dispatched
 // inline, everything else falls back to execute(). done=true propagates
-// a machine stop (HLT, error).
+// a machine stop (HLT, error). A one-block view that side-exits at its
+// closing branch records the PC it left behind in b.taken, the guess
+// buildTrace fuses for an indirect branch.
 //
 // The loop is two-tiered. The first switch covers the pure ALU opcodes:
 // they cannot fault, branch or store, so they retire with a constant
 // one-cycle epilogue and no successor or hazard check at all — a
 // straight-line instruction's PC provably advances to succ[idx]. The
-// slow tier handles branches (successor check: an unfused outcome
-// side-exits), loads (fault check), stores (fault + execGen/IRQ hazard
-// checks — the only inline instructions that can patch code or raise an
-// IRQ), and falls back to execute() for everything else.
+// slow tier handles branches, direct and indirect (successor check: an
+// unfused outcome side-exits), loads (fault check), stores (fault +
+// execGen/IRQ hazard checks — the only inline instructions that can
+// patch code or raise an IRQ), the keyed PAC*/AUT* forms and MSR/MRS
+// (undefined-instruction check), and falls back to execute() for SVC,
+// ERET, HLT, the authenticated branches and the rare PAuth and ALU
+// forms.
 //
 // Cycle/retirement/budget accounting and the PC are carried in locals
 // and flushed at every exit and before every call that can observe them
-// (execute may read c.Cycles through MRS PMCCNTR/CNTVCT; aborts capture
-// c.PC into ELR). The flush points keep the counters bit-identical to
-// the seed interpreter's.
+// (MRS PMCCNTR/CNTVCT reads c.Cycles, an MSR hook may read any of them,
+// and aborts capture c.PC into ELR). The flush points keep the counters
+// bit-identical to the seed interpreter's.
 //
 // The caller guarantees: code is valid to run from the current PC under
 // the current regime (the entry memo or fetchBlock just validated the
@@ -297,22 +308,27 @@ func condBranch(op insn.Op) bool {
 // past maxInstrs.
 //
 //camo:hotpath
-func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64, maxInstrs uint64) (stop Stop, done bool) {
+func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (stop Stop, done bool) {
+	code, succ, looping := b.instrs, seqSucc[:len(b.instrs)], false
+	if t != nil {
+		code, succ, looping = t.instrs, t.succ, t.looping
+	}
 	startGen := c.cluster.execGen.Load()
 	var cyc, ret uint64 // batched c.Cycles / c.Retired-and-budget deltas
 	pc := c.PC
 	base := pc
 	// EL and the IRQ mask are constant across inline instructions (only
-	// exceptions, ERET and MSR change them, and those all run under
-	// execute and end every body), so deliverability is decided once.
+	// exceptions and ERET change them, and those end every body; no MSR
+	// can, see MSRHook), so deliverability is decided once.
 	canIRQ := c.EL == 0 && !c.IRQMasked
 	// Last-page memo for the inline memory ops: the translation regime is
 	// frozen while a body runs (every regime-changing instruction ends
 	// one), so a HostData hit stays valid until something outside the
-	// inline fast paths runs — a slow-path bus access or an execute()
+	// inline cases runs — a slow-path bus access or an execute()
 	// fallback, both of which can reach devices that remap or reseat
-	// pages. Those sites reset the memo. Loads and stores memo
-	// separately: the access kinds carry different permissions.
+	// pages. Those sites reset the memo; inline PAuth, MSR/MRS and
+	// indirect branches touch no memory and keep it. Loads and stores
+	// memo separately: the access kinds carry different permissions.
 	ldVP, stVP := ^uint64(0), ^uint64(0)
 	var ldPG, stPG *[mem.PageSize]byte
 	// Inline stores probe the CPU's store-cell memo in place and call
@@ -394,6 +410,19 @@ func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64
 					v = (src & maskBits(s+1)) << (64 - r)
 				}
 				c.SetReg(ins.Rd, v)
+			case insn.OpBFM:
+				r := uint(ins.ImmR)
+				s := uint(ins.ImmS)
+				src := c.Reg(ins.Rn)
+				dst := c.Reg(ins.Rd)
+				if s >= r {
+					w := maskBits(s - r + 1)
+					dst = dst&^w | (src >> r & w)
+				} else {
+					w := maskBits(s + 1)
+					dst = dst&^(w<<(64-r)) | (src&w)<<(64-r)
+				}
+				c.SetReg(ins.Rd, dst)
 			case insn.OpCSEL:
 				if c.condHolds(ins.Cond) {
 					c.SetReg(ins.Rd, c.Reg(ins.Rn))
@@ -437,6 +466,45 @@ func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64
 					if c.Reg(ins.Rd) != 0 {
 						next = pc + uint64(ins.Imm)
 					}
+				case insn.OpBR, insn.OpRET:
+					next = c.Reg(ins.Rn)
+				case insn.OpBLR:
+					c.X[insn.LR] = pc + insn.Size
+					next = c.Reg(ins.Rn)
+
+				case insn.OpPACIA, insn.OpPACIB, insn.OpPACDA, insn.OpPACDB:
+					if !c.Feat.PAuth {
+						goto undef
+					}
+					c.pacSign(ins.Rd, ins.Rn, pacKey[op])
+					goto sequential
+				case insn.OpAUTIA, insn.OpAUTIB, insn.OpAUTDA, insn.OpAUTDB:
+					if !c.Feat.PAuth {
+						goto undef
+					}
+					c.pacAuth(ins.Rd, ins.Rn, pacKey[op])
+					goto sequential
+
+				// MSR and MRS flush first: the write's hook and a
+				// PMCCNTR/CNTVCT read observe the architectural counters.
+				case insn.OpMSR:
+					c.PC = pc
+					c.flushTrace(n, cyc, ret)
+					cyc, ret = 0, 0
+					if c.WriteSys(ins.Sys, c.Reg(ins.Rd)) != nil {
+						goto undef
+					}
+					goto sequential
+				case insn.OpMRS:
+					c.PC = pc
+					c.flushTrace(n, cyc, ret)
+					cyc, ret = 0, 0
+					v, err := c.ReadSys(ins.Sys)
+					if err != nil {
+						goto undef
+					}
+					c.SetReg(ins.Rd, v)
+					goto sequential
 
 				case insn.OpLDR, insn.OpLDRW, insn.OpLDRB, insn.OpLDRpost:
 					size := uint64(8)
@@ -477,7 +545,7 @@ func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64
 					if op == insn.OpLDRpost {
 						c.setRegSP(ins.Rn, base+uint64(ins.Imm))
 					}
-					goto loaded
+					goto sequential
 				case insn.OpLDP, insn.OpLDPpost:
 					base := c.regSP(ins.Rn)
 					addr := base
@@ -525,7 +593,7 @@ func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64
 					if op == insn.OpLDPpost {
 						c.setRegSP(ins.Rn, base+uint64(ins.Imm))
 					}
-					goto loaded
+					goto sequential
 
 				case insn.OpSTR, insn.OpSTRW, insn.OpSTRB, insn.OpSTRpre:
 					size := uint64(8)
@@ -616,19 +684,14 @@ func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64
 					goto stored
 
 				case insn.OpInvalid:
-					c.PC = pc
-					c.flushTrace(n, cyc, ret)
-					c.obsLocal.V[obs.CTraceExitFault]++
-					c.undefined()
-					*n++
-					return Stop{}, false
+					goto undef
 
 				default:
-					// Everything else — PAuth, MSR/MRS, SVC, ERET, HLT,
-					// indirect branches — retires through execute, with
-					// the architectural counters flushed first. Every
-					// store has its own case above, so no op here needs
-					// the store hazard checks.
+					// Everything else — SVC, ERET, HLT, the authenticated
+					// branches and the rare PAuth and ALU forms — retires
+					// through execute, with the architectural counters
+					// flushed first. Every store has its own case above,
+					// so no op here needs the store hazard checks.
 					c.PC = pc
 					c.flushTrace(n, cyc, ret)
 					cyc, ret = 0, 0
@@ -653,6 +716,9 @@ func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64
 				ret++
 				pc = next
 				if pc-base != succ[idx] {
+					if t == nil {
+						b.taken = pc
+					}
 					c.PC = pc
 					c.flushTrace(n, cyc, ret)
 					c.obsLocal.V[obs.CTraceExitBranch]++
@@ -661,7 +727,9 @@ func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64
 				continue
 			}
 
-		loaded:
+		sequential:
+			// Loads, keyed PAuth and MSR/MRS: a per-op cost and a
+			// sequential PC, which cannot leave the body's successor.
 			cyc += costTab[op]
 			ret++
 			pc += insn.Size
@@ -684,6 +752,14 @@ func (c *CPU) runTrace(code []insn.Instr, succ []uint64, looping bool, n *uint64
 				return Stop{}, false
 			}
 			continue
+
+		undef:
+			c.PC = pc
+			c.flushTrace(n, cyc, ret)
+			c.obsLocal.V[obs.CTraceExitFault]++
+			c.undefined()
+			*n++
+			return Stop{}, false
 		}
 		if end < len(code) {
 			c.PC = pc

@@ -98,10 +98,20 @@ func TestUnknownSysRegErrors(t *testing.T) {
 	}
 }
 
+// TestKeyAccessWithoutPAuthErrors: on an ARMv8.0 core the key registers
+// are undefined, and a write fails before the MSR hook sees it.
 func TestKeyAccessWithoutPAuthErrors(t *testing.T) {
 	c := New(Features{PAuth: false})
+	hooked := 0
+	c.OnMSR = func(insn.SysReg, uint64) bool {
+		hooked++
+		return false
+	}
 	if err := c.WriteSys(insn.APIAKeyLo_EL1, 1); err == nil {
 		t.Fatal("key write accepted on v8.0")
+	}
+	if hooked != 0 {
+		t.Fatalf("MSR hook called %d times for an undefined key write", hooked)
 	}
 	if _, err := c.ReadSys(insn.APIAKeyLo_EL1); err == nil {
 		t.Fatal("key read accepted on v8.0")
