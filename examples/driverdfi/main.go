@@ -12,19 +12,19 @@ import (
 	"log"
 
 	"camouflage/internal/attack"
-	"camouflage/internal/codegen"
+	"camouflage/internal/core"
 )
 
 func main() {
 	fmt.Println("f_ops swap (forged operations table) vs kernel builds:")
 	for _, lv := range []struct {
-		name string
-		cfg  *codegen.Config
+		name  string
+		level core.ProtectionLevel
 	}{
-		{"backward-edge only", codegen.ConfigBackward()},
-		{"full (with DFI)", codegen.ConfigFull()},
+		{"backward-edge only", core.LevelBackwardEdge},
+		{"full (with DFI)", core.LevelFull},
 	} {
-		r, err := attack.FOpsSwap(lv.cfg, lv.name)
+		r, err := attack.FOpsSwap(attack.LevelOf(lv.level))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -32,14 +32,16 @@ func main() {
 	}
 
 	fmt.Println("\nf_ops replay (signed pointer transplanted between objects):")
-	full, err := attack.FOpsReplay(codegen.ConfigFull(), "full")
+	full, err := attack.FOpsReplay(attack.LevelOf(core.LevelFull))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %-20s -> %-12s %s\n", "full (§4.3 modifier)", full.Outcome, full.Detail)
-	zc := codegen.ConfigFull()
-	zc.ZeroModifier = true
-	zero, err := attack.FOpsReplay(zc, "zero-modifier")
+	zc, err := attack.LevelByName("full/zero-mod")
+	if err != nil {
+		log.Fatal(err)
+	}
+	zero, err := attack.FOpsReplay(zc)
 	if err != nil {
 		log.Fatal(err)
 	}

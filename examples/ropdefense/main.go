@@ -13,20 +13,20 @@ import (
 	"log"
 
 	"camouflage/internal/attack"
-	"camouflage/internal/codegen"
+	"camouflage/internal/core"
 )
 
 func main() {
 	fmt.Println("ROP frame-record attack (§2.1) vs kernel builds:")
 	for _, lv := range []struct {
-		name string
-		cfg  *codegen.Config
+		name  string
+		level core.ProtectionLevel
 	}{
-		{"none (baseline)", codegen.ConfigNone()},
-		{"backward-edge (Camouflage)", codegen.ConfigBackward()},
-		{"full", codegen.ConfigFull()},
+		{"none (baseline)", core.LevelNone},
+		{"backward-edge (Camouflage)", core.LevelBackwardEdge},
+		{"full", core.LevelFull},
 	} {
-		r, err := attack.ROPFrameRecord(lv.cfg, lv.name)
+		r, err := attack.ROPFrameRecord(attack.LevelOf(lv.level))
 		if err != nil {
 			log.Fatal(err)
 		}

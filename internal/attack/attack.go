@@ -26,7 +26,7 @@ import (
 	"fmt"
 
 	"camouflage/internal/boot"
-	"camouflage/internal/codegen"
+	"camouflage/internal/core"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
 	"camouflage/internal/pac"
@@ -87,10 +87,56 @@ func kernelOopsed(k *kernel.Kernel) bool {
 	return false
 }
 
+// Level is one §6.2 comparison build: one of core's protection levels,
+// or the §7 zero-modifier ablation of the full build.
+type Level struct {
+	// Name labels the build in the matrix and campaign renderings.
+	Name    string
+	level   core.ProtectionLevel
+	zeroMod bool
+}
+
+// zeroModifier is the one build the attack harness adds to core's
+// table: full protection with pointers signed under a zero modifier
+// instead of the §4.3 object-address modifier (Apple's vtable scheme,
+// §7), which preserves memcpy but admits reuse attacks.
+var zeroModifier = Level{Name: "full/zero-mod", level: core.LevelFull, zeroMod: true}
+
+// LevelOf returns the §6.2 build of a core protection level.
+func LevelOf(l core.ProtectionLevel) Level { return Level{Name: l.String(), level: l} }
+
+// Levels returns the §6.2 builds in matrix order: core's levels, then
+// the zero-modifier ablation.
+func Levels() []Level {
+	var out []Level
+	for _, l := range core.Levels() {
+		out = append(out, LevelOf(l))
+	}
+	return append(out, zeroModifier)
+}
+
+// LevelByName finds a §6.2 build by its name: the one level check of
+// the campaign runner and the service daemon's campaign route.
+func LevelByName(name string) (Level, error) {
+	for _, lv := range Levels() {
+		if lv.Name == name {
+			return lv, nil
+		}
+	}
+	return Level{}, fmt.Errorf("attack: unknown level %q", name)
+}
+
+// options lowers the build to the kernel options of one cell.
+func (lv Level) options(seed uint64, threshold, cpus int) kernel.Options {
+	opts := core.KernelOptionsFor(lv.level, core.Options{Seed: seed, FailureThreshold: threshold, CPUs: cpus})
+	opts.Config.ZeroModifier = lv.zeroMod
+	return opts
+}
+
 // bootWith builds and boots a kernel for an attack run (warm-pooled:
 // repeated matrix/benchmark/campaign runs fork instead of rebooting).
-func bootWith(cfg *codegen.Config, seed uint64) (*kernel.Kernel, error) {
-	opts := kernel.Options{Config: cfg, Seed: seed, FailureThreshold: 64}
+func bootWith(lv Level, cpus int, seed uint64) (*kernel.Kernel, error) {
+	opts := lv.options(seed, 64, cpus)
 	snap, err := snapshot.Shared.SnapshotFor(snapshot.KeyFor(opts), snapshot.BootOptions(opts))
 	if err != nil {
 		return nil, err
@@ -197,18 +243,18 @@ func (sc scenario) attempt(k *kernel.Kernel, w window, rng *boot.PRNG) (Outcome,
 }
 
 // report is the scenario's matrix row: one unmutated strike on a
-// freshly armed machine.
-func (sc scenario) report(cfg *codegen.Config, level string) (Report, error) {
-	k, err := bootWith(cfg, sc.seed)
+// freshly armed machine with the given vCPU count.
+func (sc scenario) report(lv Level, cpus int) (Report, error) {
+	k, err := bootWith(lv, cpus, sc.seed)
 	if err != nil {
 		return Report{}, err
 	}
 	w, err := sc.arm(k)
 	if err != nil {
-		return Report{}, fmt.Errorf("%s/%s: %w", sc.name, level, err)
+		return Report{}, fmt.Errorf("%s/%s: %w", sc.name, lv.Name, err)
 	}
 	out, detail := sc.attempt(k, w, nil)
-	return Report{Attack: sc.name, Level: level, Outcome: out,
+	return Report{Attack: sc.name, Level: lv.Name, Outcome: out,
 		PACFailures: k.PACFailures, Detail: detail}, nil
 }
 
@@ -248,8 +294,8 @@ func baseScenarios() []scenario {
 // ROPFrameRecord is the backward-edge attack of §2.1: overwrite saved
 // return addresses in the frame records of a task blocked inside the
 // kernel, then let it resume.
-func ROPFrameRecord(cfg *codegen.Config, level string) (Report, error) {
-	return ropScenario.report(cfg, level)
+func ROPFrameRecord(lv Level) (Report, error) {
+	return ropScenario.report(lv, 1)
 }
 
 var ropScenario = scenario{
@@ -328,8 +374,8 @@ var ropScenario = scenario{
 // FOpsSwap is the forward-edge/DFI attack of §4.5: replace an open file's
 // f_ops pointer with a forged operations table in writable memory whose
 // read member is the attacker's gadget.
-func FOpsSwap(cfg *codegen.Config, level string) (Report, error) {
-	return fopsSwapScenario.report(cfg, level)
+func FOpsSwap(lv Level) (Report, error) {
+	return fopsSwapScenario.report(lv, 1)
 }
 
 var fopsSwapScenario = scenario{
@@ -368,8 +414,8 @@ var fopsSwapScenario = scenario{
 // the §4.3 address-bound modifier this fails; under the zero-modifier
 // ablation (Apple's vtable scheme, §7) it succeeds if the two files use
 // different operations tables (privilege confusion between drivers).
-func FOpsReplay(cfg *codegen.Config, level string) (Report, error) {
-	return fopsReplayScenario.report(cfg, level)
+func FOpsReplay(lv Level) (Report, error) {
+	return fopsReplayScenario.report(lv, 1)
 }
 
 var fopsReplayScenario = scenario{
@@ -496,18 +542,15 @@ func crossCoreVerdict(k *kernel.Kernel, swapped bool) (Outcome, string) {
 // decides the outcome is the modifier: the §4.3 address-bound modifier
 // rejects it on core 1's very next read, while the zero-modifier
 // ablation authenticates it and the driver is silently swapped across
-// cores.
-func CrossCoreReplay(cfg *codegen.Config, level string) (Report, error) {
-	if cfg.CPUs() < 2 {
-		cfg.NumCPUs = 2
-	}
-	k, err := bootWith(cfg, 25)
+// cores. The machine has cpus vCPUs; with fewer than two, arming fails.
+func CrossCoreReplay(lv Level, cpus int) (Report, error) {
+	k, err := bootWith(lv, cpus, 25)
 	if err != nil {
 		return Report{}, err
 	}
 	w, err := armCrossCore(k)
 	if err != nil {
-		return Report{}, fmt.Errorf("%s/%s: %w", crossCoreScenario.name, level, err)
+		return Report{}, fmt.Errorf("%s/%s: %w", crossCoreScenario.name, lv.Name, err)
 	}
 	transplant(k, w, nil)
 	k.CPU.InvalidateDecode()
@@ -522,7 +565,7 @@ func CrossCoreReplay(cfg *codegen.Config, level string) (Report, error) {
 	k.CPU.Bus.RAM.Write64(sentPA, sentinel)
 	k.Run(4_000_000)
 	out, detail := crossCoreVerdict(k, k.CPU.Bus.RAM.Read64(sentPA) == sentinel)
-	return Report{Attack: crossCoreScenario.name, Level: level, Outcome: out,
+	return Report{Attack: crossCoreScenario.name, Level: lv.Name, Outcome: out,
 		PACFailures: k.PACFailures, Detail: detail}, nil
 }
 
@@ -561,9 +604,10 @@ type BruteReport struct {
 
 // BruteForcePAC models the §5.4 attacker: an unprivileged process guesses
 // PAC bits for a forged f_ops pointer; every miss costs it the process,
-// and the kernel halts at the failure threshold.
-func BruteForcePAC(cfg *codegen.Config, level string, threshold int) (BruteReport, error) {
-	opts := kernel.Options{Config: cfg, Seed: 31, FailureThreshold: threshold}
+// and the kernel halts at the failure threshold. The machine has the
+// given vCPU count.
+func BruteForcePAC(lv Level, cpus, threshold int) (BruteReport, error) {
+	opts := lv.options(31, threshold, cpus)
 	snap, err := snapshot.Shared.SnapshotFor(snapshot.KeyFor(opts), snapshot.BootOptions(opts))
 	if err != nil {
 		return BruteReport{}, err
@@ -578,7 +622,7 @@ func BruteForcePAC(cfg *codegen.Config, level string, threshold int) (BruteRepor
 	}
 	k.RegisterProgram(1, prog)
 
-	rep := BruteReport{Level: level, Threshold: threshold}
+	rep := BruteReport{Level: lv.Name, Threshold: threshold}
 	forgedTarget := k.AllocScratch(kernel.OpsSize)
 	ram := k.CPU.Bus.RAM
 	ram.Write64(kernel.KVAToPA(forgedTarget)+kernel.OpsRead, k.Img.Symbols["work_handler"])
@@ -608,27 +652,6 @@ func BruteForcePAC(cfg *codegen.Config, level string, threshold int) (BruteRepor
 	return rep, nil
 }
 
-// Levels enumerates the §6.2 comparison configurations.
-func Levels() []struct {
-	Name string
-	Cfg  func() *codegen.Config
-} {
-	zero := func() *codegen.Config {
-		c := codegen.ConfigFull()
-		c.ZeroModifier = true
-		return c
-	}
-	return []struct {
-		Name string
-		Cfg  func() *codegen.Config
-	}{
-		{"none", codegen.ConfigNone},
-		{"backward-edge", codegen.ConfigBackward},
-		{"full", codegen.ConfigFull},
-		{"full/zero-mod", zero},
-	}
-}
-
 // Matrix runs every uniprocessor attack against every configuration on
 // machines with the given vCPU count (the victims stay pinned to the
 // boot core): the §6.2 security-evaluation table, one unmutated strike
@@ -640,10 +663,8 @@ func Matrix(ctx context.Context, cpus int, parallel bool) ([]Report, error) {
 	out := make([]Report, len(levels)*len(scs))
 	err := snapshot.ForEach(ctx, len(out), parallel, func(i int) error {
 		lv, sc := levels[i/len(scs)], scs[i%len(scs)]
-		cfg := lv.Cfg()
-		cfg.NumCPUs = cpus
 		var err error
-		out[i], err = sc.report(cfg, lv.Name)
+		out[i], err = sc.report(lv, cpus)
 		return err
 	})
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"camouflage/internal/codegen"
+	"camouflage/internal/core"
 	"camouflage/internal/pac"
 	"camouflage/internal/snapshot"
 )
@@ -83,29 +83,23 @@ func TestCampaignDeterministic(t *testing.T) {
 // TestROPMatrix pins §6.2.1 for the backward edge: the frame-record smash
 // hijacks the unprotected kernel and is detected by every PAuth build.
 func TestROPMatrix(t *testing.T) {
-	r, err := ROPFrameRecord(codegen.ConfigNone(), "none")
+	r, err := ROPFrameRecord(LevelOf(core.LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Outcome != OutcomeHijacked {
 		t.Errorf("unprotected ROP: %s (%s), want HIJACKED", r.Outcome, r.Detail)
 	}
-	for _, lv := range []struct {
-		name string
-		cfg  *codegen.Config
-	}{
-		{"backward-edge", codegen.ConfigBackward()},
-		{"full", codegen.ConfigFull()},
-	} {
-		r, err := ROPFrameRecord(lv.cfg, lv.name)
+	for _, l := range []core.ProtectionLevel{core.LevelBackwardEdge, core.LevelFull} {
+		r, err := ROPFrameRecord(LevelOf(l))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Outcome != OutcomeDetected {
-			t.Errorf("%s ROP: %s (%s), want detected", lv.name, r.Outcome, r.Detail)
+			t.Errorf("%s ROP: %s (%s), want detected", l, r.Outcome, r.Detail)
 		}
 		if r.PACFailures == 0 {
-			t.Errorf("%s ROP: no PAC failures recorded", lv.name)
+			t.Errorf("%s ROP: no PAC failures recorded", l)
 		}
 	}
 }
@@ -115,20 +109,19 @@ func TestROPMatrix(t *testing.T) {
 // justification for protecting *data* pointers to operations tables.
 func TestFOpsSwapMatrix(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		cfg  *codegen.Config
-		want Outcome
+		level core.ProtectionLevel
+		want  Outcome
 	}{
-		{"none", codegen.ConfigNone(), OutcomeHijacked},
-		{"backward-edge", codegen.ConfigBackward(), OutcomeHijacked},
-		{"full", codegen.ConfigFull(), OutcomeDetected},
+		{core.LevelNone, OutcomeHijacked},
+		{core.LevelBackwardEdge, OutcomeHijacked},
+		{core.LevelFull, OutcomeDetected},
 	} {
-		r, err := FOpsSwap(c.cfg, c.name)
+		r, err := FOpsSwap(LevelOf(c.level))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Outcome != c.want {
-			t.Errorf("%s f_ops swap: %s (%s), want %s", c.name, r.Outcome, r.Detail, c.want)
+			t.Errorf("%s f_ops swap: %s (%s), want %s", c.level, r.Outcome, r.Detail, c.want)
 		}
 	}
 }
@@ -137,16 +130,14 @@ func TestFOpsSwapMatrix(t *testing.T) {
 // correctly signed pointer succeeds under the Apple-style zero modifier
 // but fails under the §4.3 address-bound modifier.
 func TestFOpsReplayMatrix(t *testing.T) {
-	full, err := FOpsReplay(codegen.ConfigFull(), "full")
+	full, err := FOpsReplay(LevelOf(core.LevelFull))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Outcome != OutcomeDetected {
 		t.Errorf("full: replay %s (%s), want detected", full.Outcome, full.Detail)
 	}
-	zc := codegen.ConfigFull()
-	zc.ZeroModifier = true
-	zero, err := FOpsReplay(zc, "full/zero-mod")
+	zero, err := FOpsReplay(zeroModifier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +151,7 @@ func TestFOpsReplayMatrix(t *testing.T) {
 // cut off by the failure threshold long before the search space is
 // covered.
 func TestBruteForceHaltsAtThreshold(t *testing.T) {
-	rep, err := BruteForcePAC(codegen.ConfigFull(), "full", 5)
+	rep, err := BruteForcePAC(LevelOf(core.LevelFull), 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +241,14 @@ func TestPARTSCollidesAt64K(t *testing.T) {
 // TestCredSwapMatrix pins the §4.5 f_cred scenario: without DFI the
 // forged credentials are consulted silently; with DFI the swap faults.
 func TestCredSwapMatrix(t *testing.T) {
-	none, err := CredSwap(codegen.ConfigNone(), "none")
+	none, err := CredSwap(LevelOf(core.LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if none.Outcome != OutcomeHijacked {
 		t.Errorf("none: cred swap %s (%s), want HIJACKED", none.Outcome, none.Detail)
 	}
-	full, err := CredSwap(codegen.ConfigFull(), "full")
+	full, err := CredSwap(LevelOf(core.LevelFull))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +261,7 @@ func TestCredSwapMatrix(t *testing.T) {
 // kernel-signed pointers; kernel keys can.
 func TestVerificationOracle(t *testing.T) {
 	for seed := uint64(40); seed < 44; seed++ {
-		r, err := VerificationOracle(codegen.ConfigFull(), seed)
+		r, err := VerificationOracle(LevelOf(core.LevelFull), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,9 +296,7 @@ func TestUnmutatedStrikeOnForkMatchesMatrix(t *testing.T) {
 			for _, sc := range baseScenarios() {
 				want := rows[i]
 				i++
-				cfg := lv.Cfg()
-				cfg.NumCPUs = cpus
-				k, err := bootWith(cfg, sc.seed)
+				k, err := bootWith(lv, cpus, sc.seed)
 				if err != nil {
 					t.Fatal(err)
 				}

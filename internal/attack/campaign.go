@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"camouflage/internal/boot"
 	"camouflage/internal/snapshot"
@@ -103,24 +104,14 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 	}
 	levels := Levels()
 	if len(o.Levels) > 0 {
-		known := map[string]bool{}
-		for _, lv := range levels {
-			known[lv.Name] = true
-		}
 		want := map[string]bool{}
 		for _, n := range o.Levels {
-			if !known[n] {
-				return nil, fmt.Errorf("campaign: unknown level %q", n)
+			if _, err := LevelByName(n); err != nil {
+				return nil, err
 			}
 			want[n] = true
 		}
-		kept := levels[:0]
-		for _, lv := range levels {
-			if want[lv.Name] {
-				kept = append(kept, lv)
-			}
-		}
-		levels = kept
+		levels = slices.DeleteFunc(levels, func(lv Level) bool { return !want[lv.Name] })
 	}
 	scenarios := campaignScenarios(o.CPUs)
 
@@ -130,9 +121,7 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cfg := lv.Cfg()
-			cfg.NumCPUs = o.CPUs
-			k, err := bootWith(cfg, sc.seed)
+			k, err := bootWith(lv, o.CPUs, sc.seed)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,8 @@ package attack
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"camouflage/internal/obs"
@@ -9,9 +11,12 @@ import (
 )
 
 // TestSMPCampaignDeterminism pins the acceptance criterion that a
-// 2-vCPU campaign is byte-identical across repeated runs, and that the
-// cross-core replay cell joins the matrix at 2 vCPUs with the expected
-// verdict under full protection.
+// 2-vCPU campaign is byte-identical across repeated runs and to
+// testdata/smp-campaign.golden, and that the cross-core replay cell
+// joins the matrix at 2 vCPUs with the expected verdict under full
+// protection. The golden catches a campaign that stops building its
+// cells at the requested vCPU count, which repeated runs alone would
+// not.
 func TestSMPCampaignDeterminism(t *testing.T) {
 	run := func() (*CampaignReport, string) {
 		rep, err := RunCampaign(CampaignOptions{
@@ -29,6 +34,13 @@ func TestSMPCampaignDeterminism(t *testing.T) {
 	_, out2 := run()
 	if out1 != out2 {
 		t.Fatalf("2-vCPU campaign not byte-identical:\n--- first ---\n%s\n--- second ---\n%s", out1, out2)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "smp-campaign.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out1 != string(want) {
+		t.Fatalf("2-vCPU campaign drifted from testdata/smp-campaign.golden:\n--- got ---\n%s--- want ---\n%s", out1, want)
 	}
 	var crossCore *CampaignCell
 	for i := range rep1.Cells {

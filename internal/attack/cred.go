@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"camouflage/internal/boot"
-	"camouflage/internal/codegen"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
 	"camouflage/internal/pac"
@@ -17,8 +16,8 @@ import (
 // credentials object (uid 0). The next permission check (fstat's
 // authenticated f_cred dereference) either reads the forged root
 // credentials (hijack) or faults on the unauthenticated pointer.
-func CredSwap(cfg *codegen.Config, level string) (Report, error) {
-	return credSwapScenario.report(cfg, level)
+func CredSwap(lv Level) (Report, error) {
+	return credSwapScenario.report(lv, 1)
 }
 
 // credVictimProgram opens /dev/zero and loops fstat — the permission
@@ -91,8 +90,8 @@ type OracleReport struct {
 // randomly assigned key, and thus cannot verify kernel pointers." It
 // extracts a kernel-signed f_ops value from memory and attempts to
 // authenticate it under the victim task's user keys.
-func VerificationOracle(cfg *codegen.Config, seed uint64) (OracleReport, error) {
-	k, err := bootWith(cfg, seed)
+func VerificationOracle(lv Level, seed uint64) (OracleReport, error) {
+	k, err := bootWith(lv, 1, seed)
 	if err != nil {
 		return OracleReport{}, err
 	}

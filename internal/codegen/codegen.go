@@ -53,12 +53,8 @@ func (s Scheme) String() string {
 	return "scheme?"
 }
 
-// Config is the per-build instrumentation configuration. The three
-// protection levels of Figures 3 and 4 are expressed as:
-//
-//	none:          Config{Scheme: SchemeNone}
-//	backward-edge: Config{Scheme: SchemeCamouflage}
-//	full:          Config{Scheme: SchemeCamouflage, ForwardCFI: true, DFI: true}
+// Config is the per-build instrumentation configuration. The protection
+// levels of Figures 3 and 4 are listed once, in core's build table.
 type Config struct {
 	// Scheme is the backward-edge scheme.
 	Scheme Scheme
@@ -83,18 +79,6 @@ type Config struct {
 	partsIDs    map[string]uint64
 }
 
-// Level names a protection level for figures.
-func (c Config) Level() string {
-	switch {
-	case c.Scheme == SchemeNone:
-		return "none"
-	case c.ForwardCFI || c.DFI:
-		return "full"
-	default:
-		return "backward-edge"
-	}
-}
-
 // ConfigNone returns the baseline build.
 func ConfigNone() *Config { return &Config{Scheme: SchemeNone} }
 
@@ -112,20 +96,6 @@ func (c *Config) CPUs() int {
 		return 1
 	}
 	return c.NumCPUs
-}
-
-// WithCPUs wraps a config constructor so every Config it builds targets
-// n vCPUs (n <= 1 returns the constructor unchanged) — the shared shim
-// the suite runners use to retarget their per-level constructors.
-func WithCPUs(cfg func() *Config, n int) func() *Config {
-	if n <= 1 {
-		return cfg
-	}
-	return func() *Config {
-		c := cfg()
-		c.NumCPUs = n
-		return c
-	}
 }
 
 // partsID returns the next LTO function id.

@@ -281,15 +281,6 @@ func TestSignedFieldTypeConstSegregates(t *testing.T) {
 	}
 }
 
-// TestConfigLevels checks the Figure 3/4 level naming.
-func TestConfigLevels(t *testing.T) {
-	if ConfigNone().Level() != "none" ||
-		ConfigBackward().Level() != "backward-edge" ||
-		ConfigFull().Level() != "full" {
-		t.Fatal("level names wrong")
-	}
-}
-
 // TestDFIDisabledEmitsPlainAccess: with DFI off the getter is a plain
 // load (no auth, no failure on transplant) — the baseline behaviour.
 func TestDFIDisabledEmitsPlainAccess(t *testing.T) {

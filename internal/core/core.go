@@ -15,7 +15,6 @@ import (
 	"camouflage/internal/analysis"
 	"camouflage/internal/boot"
 	"camouflage/internal/codegen"
-	"camouflage/internal/cpu"
 	"camouflage/internal/kernel"
 	"camouflage/internal/pac"
 	"camouflage/internal/snapshot"
@@ -37,40 +36,48 @@ const (
 	LevelFull
 )
 
+// builds is the one table of kernel builds: each protection level's
+// name, as the figures print it, and its instrumentation. Its order is
+// the figures' column order.
+var builds = [...]struct {
+	name   string
+	config func() *codegen.Config
+}{
+	LevelNone:         {"none", codegen.ConfigNone},
+	LevelBackwardEdge: {"backward-edge", codegen.ConfigBackward},
+	LevelFull:         {"full", codegen.ConfigFull},
+}
+
+// Levels returns the protection levels in the figures' order.
+func Levels() []ProtectionLevel {
+	out := make([]ProtectionLevel, len(builds))
+	for i := range out {
+		out[i] = ProtectionLevel(i)
+	}
+	return out
+}
+
+// valid reports whether the level has a row in the build table.
+func (l ProtectionLevel) valid() bool { return l >= 0 && int(l) < len(builds) }
+
 // String names the level as the figures do.
 func (l ProtectionLevel) String() string {
-	switch l {
-	case LevelNone:
-		return "none"
-	case LevelBackwardEdge:
-		return "backward-edge"
-	case LevelFull:
-		return "full"
+	if !l.valid() {
+		return "level?"
 	}
-	return "level?"
+	return builds[l].name
 }
 
 // LevelByName parses a level name as String prints it ("none",
 // "backward-edge", "full") — the wire format of the service daemon's
 // machine-lease API.
 func LevelByName(name string) (ProtectionLevel, error) {
-	for _, l := range []ProtectionLevel{LevelNone, LevelBackwardEdge, LevelFull} {
+	for _, l := range Levels() {
 		if l.String() == name {
 			return l, nil
 		}
 	}
 	return 0, fmt.Errorf("core: unknown protection level %q", name)
-}
-
-// Config returns the codegen configuration for a level.
-func (l ProtectionLevel) Config() *codegen.Config {
-	switch l {
-	case LevelBackwardEdge:
-		return codegen.ConfigBackward()
-	case LevelFull:
-		return codegen.ConfigFull()
-	}
-	return codegen.ConfigNone()
 }
 
 // Options tunes a System beyond its protection level.
@@ -98,18 +105,16 @@ type System struct {
 	Level ProtectionLevel
 }
 
-// KernelOptionsFor lowers (level, opts) to the kernel build options —
-// the normalization every pool consumer must share so that equivalent
-// requests land on the same snapshot.KeyFor key. The service
-// daemon's machine-lease admission uses it directly.
+// KernelOptionsFor lowers (level, opts) to kernel build options. It is
+// the one path from a build to kernel.Options: New, Replicate, the
+// evaluation suites, the attack harness and the service daemon all
+// take it, so equivalent requests land on the same snapshot.KeyFor key.
+// A level outside the build table lowers to the unprotected build.
 func KernelOptionsFor(level ProtectionLevel, opts Options) kernel.Options {
-	return kernelOptions(level, opts)
-}
-
-// kernelOptions lowers (level, opts) to the kernel build options; shared
-// by New and the pool key derivation of Replicate.
-func kernelOptions(level ProtectionLevel, opts Options) kernel.Options {
-	cfg := level.Config()
+	cfg := codegen.ConfigNone()
+	if level.valid() {
+		cfg = builds[level].config()
+	}
 	if opts.Scheme != codegen.SchemeNone {
 		cfg.Scheme = opts.Scheme
 	}
@@ -132,7 +137,7 @@ func kernelOptions(level ProtectionLevel, opts Options) kernel.Options {
 // New builds, statically verifies (§4.1, via kernel.VerifyImage inside
 // the shared boot pipeline), and boots a system.
 func New(level ProtectionLevel, opts Options) (*System, error) {
-	k, err := snapshot.BootOptions(kernelOptions(level, opts))()
+	k, err := snapshot.BootOptions(KernelOptionsFor(level, opts))()
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +185,7 @@ func (ss *SystemSnapshot) Reset(s *System) error {
 // deterministic and forking is exact, so every replica is identical to a
 // sequentially built one (pinned by TestReplicateMatchesNew).
 func Replicate(level ProtectionLevel, opts Options, n int) ([]*System, error) {
-	kopts := kernelOptions(level, opts)
+	kopts := KernelOptionsFor(level, opts)
 	snap, err := snapshot.Shared.SnapshotFor(snapshot.KeyFor(kopts), snapshot.BootOptions(kopts))
 	if err != nil {
 		return nil, err
@@ -203,20 +208,7 @@ func Replicate(level ProtectionLevel, opts Options, n int) ([]*System, error) {
 // RunProgram builds a user program, spawns it as pid 1 and runs it to
 // completion, returning consumed cycles.
 func (s *System) RunProgram(name string, build func(u *kernel.UserASM)) (uint64, error) {
-	prog, err := kernel.BuildProgram(name, build)
-	if err != nil {
-		return 0, err
-	}
-	s.Kernel.RegisterProgram(1, prog)
-	if _, err := s.Kernel.Spawn(1); err != nil {
-		return 0, err
-	}
-	start := s.Kernel.CPU.Cycles
-	stop := s.Kernel.Run(2_000_000_000)
-	if stop.Kind != cpu.StopHLT {
-		return 0, fmt.Errorf("core: program %q did not halt: %+v", name, stop)
-	}
-	return s.Kernel.CPU.Cycles - start, nil
+	return s.Kernel.RunProgram(name, build, nil, 2_000_000_000)
 }
 
 // Stats summarises the machine state for reporting.

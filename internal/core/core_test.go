@@ -75,6 +75,42 @@ func TestLevelStrings(t *testing.T) {
 	}
 }
 
+// TestLevelTable pins the build table in the figures' order: each
+// level's name, its lookup by name, and the instrumentation
+// KernelOptionsFor lowers it to at a given vCPU count.
+func TestLevelTable(t *testing.T) {
+	want := []struct {
+		name            string
+		scheme          codegen.Scheme
+		forwardCFI, dfi bool
+	}{
+		{"none", codegen.SchemeNone, false, false},
+		{"backward-edge", codegen.SchemeCamouflage, false, false},
+		{"full", codegen.SchemeCamouflage, true, true},
+	}
+	levels := Levels()
+	if len(levels) != len(want) {
+		t.Fatalf("%d levels, want %d", len(levels), len(want))
+	}
+	for i, lv := range levels {
+		w := want[i]
+		if lv.String() != w.name {
+			t.Errorf("level %d is %q, want %q", i, lv, w.name)
+		}
+		if got, err := LevelByName(w.name); err != nil || got != lv {
+			t.Errorf("LevelByName(%q) = %v, %v; want %v", w.name, got, err, lv)
+		}
+		cfg := KernelOptionsFor(lv, Options{CPUs: 2}).Config
+		if cfg.Scheme != w.scheme || cfg.ForwardCFI != w.forwardCFI || cfg.DFI != w.dfi ||
+			cfg.ZeroModifier || cfg.CPUs() != 2 {
+			t.Errorf("%s lowers to %+v", lv, *cfg)
+		}
+	}
+	if _, err := LevelByName("maximal"); err == nil {
+		t.Error("LevelByName accepted an unknown level")
+	}
+}
+
 // TestVerifierRejectsKeyReadingKernel plants an MRS-of-key in the built
 // image and checks that core.New refuses to boot it.
 func TestVerifierRejectsKeyReadingKernel(t *testing.T) {

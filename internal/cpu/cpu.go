@@ -6,7 +6,6 @@
 package cpu
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -560,22 +559,12 @@ func (c *CPU) ReadSys(r insn.SysReg) (uint64, error) {
 	return 0, fmt.Errorf("cpu: MRS from unknown register %v", r)
 }
 
-// loadMem translates and loads size bytes. The fast path is a TLB hit
-// with a live host pointer: a bounds-checked little-endian read from the
-// backing page array, no bus routing, no page-map lookup, no
-// allocations. Device-mapped and untouched pages never carry a host
-// pointer, so they — and every miss — take the Translate + Bus path.
+// loadMem translates and loads size bytes through the bus: the slow
+// tier of every load. It holds no host pointer: runTrace probes
+// MMU.HostData itself and calls loadMem only on a miss, and the seed
+// interpreter runs with the TLB off, where HostData never hits.
+// Device-mapped and untouched pages never carry a host pointer either.
 func (c *CPU) loadMem(va uint64, size int) (uint64, *mmu.Fault, error) {
-	if pg, off, _, ok := c.MMU.HostData(va, c.EL, uint64(size), mmu.Load); ok {
-		switch size {
-		case 8:
-			return binary.LittleEndian.Uint64(pg[off : off+8]), nil, nil
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(pg[off : off+4])), nil, nil
-		default:
-			return uint64(pg[off]), nil, nil
-		}
-	}
 	pa, f := c.MMU.Translate(va, mmu.Load, c.EL)
 	if f != nil {
 		return 0, f, nil
@@ -594,27 +583,11 @@ func (c *CPU) loadMem(va uint64, size int) (uint64, *mmu.Fault, error) {
 // loop only compares it for equality, so one bump carries the same
 // information as several.
 //
-// The fast path mirrors loadMem's: a store-side TLB hit with a live host
-// pointer writes the backing page array directly. The code-invalidation
-// check stays on the fast path (one pageGen cell lookup), because a
-// store through a host pointer is still a guest store into potential
-// code. Stores that straddle a page boundary miss the fast path (the
-// bounds check fails) and invalidate both pages on the slow path.
+// Like loadMem, storeMem is the slow tier and holds no host pointer:
+// runTrace's host-pointer stores run the same invalidation check
+// (noteGuestStore) themselves. A store that straddles a page boundary
+// invalidates both pages.
 func (c *CPU) storeMem(va uint64, size int, v uint64) (*mmu.Fault, error) {
-	if !c.NoBlockCache {
-		if pg, off, pn, ok := c.MMU.HostData(va, c.EL, uint64(size), mmu.Store); ok {
-			c.noteGuestStore(pn)
-			switch size {
-			case 8:
-				binary.LittleEndian.PutUint64(pg[off:off+8], v)
-			case 4:
-				binary.LittleEndian.PutUint32(pg[off:off+4], uint32(v))
-			default:
-				pg[off] = byte(v)
-			}
-			return nil, nil
-		}
-	}
 	pa, f := c.MMU.Translate(va, mmu.Store, c.EL)
 	if f != nil {
 		return f, nil
@@ -631,23 +604,13 @@ func (c *CPU) storeMem(va uint64, size int, v uint64) (*mmu.Fault, error) {
 	return nil, c.Bus.Store(pa, size, v)
 }
 
-// hostStorePair is the STP fast-path probe: a 16-byte host-pointer hit,
-// gated on the block cache being live (the legacy decode map needs the
-// slow path's word-granular invalidation).
-func (c *CPU) hostStorePair(addr uint64) (*[mem.PageSize]byte, uint64, uint64, bool) {
-	if c.NoBlockCache {
-		return nil, 0, 0, false
-	}
-	return c.MMU.HostData(addr, c.EL, 16, mmu.Store)
-}
-
 // noteGuestStore runs the block-cache invalidation contract for a guest
 // store to physical page pn: if the page ever held code — on any CPU of
 // the cluster — bump its generation cell and the shared execGen. Every
-// store route calls it: execute's and the trace's host-pointer stores,
-// and storeMem's slow path once per touched page. The cell comes from
-// the direct-mapped sgenPN/sgenCell memo when storeCellMemo trusts it,
-// else from the cluster map, and the memo is refilled.
+// store route calls it: the trace's host-pointer stores, and storeMem
+// once per touched page. The cell comes from the direct-mapped
+// sgenPN/sgenCell memo when storeCellMemo trusts it, else from the
+// cluster map, and the memo is refilled.
 func (c *CPU) noteGuestStore(pn uint64) {
 	g, ok := c.storeCellMemo(pn)
 	if !ok {

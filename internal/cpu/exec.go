@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"camouflage/internal/insn"
@@ -440,32 +439,24 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 		if i.Op == insn.OpLDP {
 			addr = base + uint64(i.Imm)
 		}
-		// Paired fast path: one host-pointer probe covers both halves
-		// when they land in the same page (a hit proves the whole page
-		// translates, so neither half can fault).
-		if pg, off, _, ok := c.MMU.HostData(addr, c.EL, 16, mmu.Load); ok {
-			c.SetReg(i.Rd, binary.LittleEndian.Uint64(pg[off:off+8]))
-			c.SetReg(i.Rm, binary.LittleEndian.Uint64(pg[off+8:off+16]))
-		} else {
-			v1, f, err := c.loadMem(addr, 8)
+		v1, f, err := c.loadMem(addr, 8)
+		if err != nil {
+			return Stop{Kind: StopError, Err: err}, true
+		}
+		if f == nil {
+			var v2 uint64
+			v2, f, err = c.loadMem(addr+8, 8)
 			if err != nil {
 				return Stop{Kind: StopError, Err: err}, true
 			}
 			if f == nil {
-				var v2 uint64
-				v2, f, err = c.loadMem(addr+8, 8)
-				if err != nil {
-					return Stop{Kind: StopError, Err: err}, true
-				}
-				if f == nil {
-					c.SetReg(i.Rd, v1)
-					c.SetReg(i.Rm, v2)
-				}
+				c.SetReg(i.Rd, v1)
+				c.SetReg(i.Rm, v2)
 			}
-			if f != nil {
-				c.dataAbort(f)
-				return Stop{}, false
-			}
+		}
+		if f != nil {
+			c.dataAbort(f)
+			return Stop{}, false
 		}
 		if i.Op == insn.OpLDPpost {
 			c.setRegSP(i.Rn, base+uint64(i.Imm))
@@ -474,25 +465,19 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 	case insn.OpSTP, insn.OpSTPpre:
 		base := c.regSP(i.Rn)
 		addr := base + uint64(i.Imm)
-		if pg, off, pn, ok := c.hostStorePair(addr); ok {
-			c.noteGuestStore(pn)
-			binary.LittleEndian.PutUint64(pg[off:off+8], c.Reg(i.Rd))
-			binary.LittleEndian.PutUint64(pg[off+8:off+16], c.Reg(i.Rm))
-		} else {
-			f, err := c.storeMem(addr, 8, c.Reg(i.Rd))
+		f, err := c.storeMem(addr, 8, c.Reg(i.Rd))
+		if err != nil {
+			return Stop{Kind: StopError, Err: err}, true
+		}
+		if f == nil {
+			f, err = c.storeMem(addr+8, 8, c.Reg(i.Rm))
 			if err != nil {
 				return Stop{Kind: StopError, Err: err}, true
 			}
-			if f == nil {
-				f, err = c.storeMem(addr+8, 8, c.Reg(i.Rm))
-				if err != nil {
-					return Stop{Kind: StopError, Err: err}, true
-				}
-			}
-			if f != nil {
-				c.dataAbort(f)
-				return Stop{}, false
-			}
+		}
+		if f != nil {
+			c.dataAbort(f)
+			return Stop{}, false
 		}
 		if i.Op == insn.OpSTPpre {
 			c.setRegSP(i.Rn, addr)

@@ -20,7 +20,7 @@ func hostStore64(pg *[mem.PageSize]byte, off uint64, v uint64) {
 }
 
 // hostLoadN/hostStoreN are the sized variants backing the single-register
-// load/store fast paths (same truncation rules as loadMem/storeMem).
+// load/store fast paths (same truncation rules as the bus path).
 func hostLoadN(pg *[mem.PageSize]byte, off, size uint64) uint64 {
 	switch size {
 	case 8:
@@ -646,7 +646,7 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 						}
 						hostStore64(stPG, off, c.Reg(ins.Rd))
 						hostStore64(stPG, off+8, c.Reg(ins.Rm))
-					} else if pg, o, pn, ok := c.hostStorePair(addr); ok {
+					} else if pg, o, pn, ok := c.MMU.HostData(addr, c.EL, 16, mmu.Store); ok {
 						stVP, stPG, stPN = addr>>mem.PageShift, pg, pn
 						if g, trusted := c.storeCellMemo(pn); g != nil || !trusted {
 							c.noteGuestStore(pn)

@@ -16,10 +16,10 @@ import (
 	"camouflage/internal/attack"
 	"camouflage/internal/boot"
 	"camouflage/internal/codegen"
+	"camouflage/internal/core"
 	"camouflage/internal/cpu"
 	"camouflage/internal/hyp"
 	"camouflage/internal/insn"
-	"camouflage/internal/kernel"
 	"camouflage/internal/lmbench"
 	"camouflage/internal/obs"
 	"camouflage/internal/pac"
@@ -47,22 +47,26 @@ type Experiment struct {
 
 // All returns the experiment registry in paper order.
 func All() []Experiment {
-	threeLevels := []string{"none", "backward-edge", "full"} // Figures 3 and 4
+	var suiteLevels, attackLevels []string // Figures 3 and 4; §6.2
+	for _, l := range core.Levels() {
+		suiteLevels = append(suiteLevels, l.String())
+	}
+	for _, l := range attack.Levels() {
+		attackLevels = append(attackLevels, l.Name)
+	}
 	return []Experiment{
 		{"table1", "VMSAv8 address ranges", "Table 1", nil, RenderTable1},
 		{"table2", "AArch64 pointer layout and PAC field", "Table 2, §5.4", nil, RenderTable2},
 		{"keys", "Key switch cost (≈9 cycles per key)", "§6.1.1", nil, RenderKeySwitch},
 		{"fig2", "Function call overhead by modifier scheme", "Figure 2", nil, RenderFigure2},
-		{"fig3", "lmbench relative latencies", "Figure 3, §6.1.3", threeLevels, RenderFigure3},
-		{"fig4", "User-space workload overheads", "Figure 4", threeLevels, RenderFigure4},
+		{"fig3", "lmbench relative latencies", "Figure 3, §6.1.3", suiteLevels, RenderFigure3},
+		{"fig4", "User-space workload overheads", "Figure 4", suiteLevels, RenderFigure4},
 		{"cocci", "Coccinelle semantic-search statistics", "§5.3", nil, RenderCoccinelle},
-		{"attacks", "Security evaluation matrix", "§6.2",
-			[]string{"none", "backward-edge", "full", "full/zero-mod"}, RenderAttacks},
+		{"attacks", "Security evaluation matrix", "§6.2", attackLevels, RenderAttacks},
 		{"ablation-keys", "Key management: XOM vs EL2 traps", "§4.1 vs §7 (Ferri)",
-			[]string{"full"}, RenderKeyAblation},
+			[]string{core.LevelFull.String()}, RenderKeyAblation},
 		{"ablation-replay", "Replay surface census by modifier scheme", "§4.2, §7", nil, RenderReplayCensus},
-		{"smp-replay", "Cross-core f_ops replay on a 2-vCPU machine", "§4.2, §6.2.1",
-			[]string{"none", "backward-edge", "full", "full/zero-mod"}, RenderSMPReplay},
+		{"smp-replay", "Cross-core f_ops replay on a 2-vCPU machine", "§4.2, §6.2.1", attackLevels, RenderSMPReplay},
 	}
 }
 
@@ -507,9 +511,7 @@ func RenderAttacks(ctx context.Context, w io.Writer, opts RunOptions) error {
 	for _, r := range reports {
 		fmt.Fprintf(w, "  %-26s %-15s %-13s %s\n", r.Attack, r.Level, r.Outcome, r.Detail)
 	}
-	bcfg := codegen.ConfigFull()
-	bcfg.NumCPUs = opts.cpus()
-	rep, err := attack.BruteForcePAC(bcfg, "full", 8)
+	rep, err := attack.BruteForcePAC(attack.LevelOf(core.LevelFull), opts.cpus(), 8)
 	if err != nil {
 		return err
 	}
@@ -522,9 +524,7 @@ func RenderAttacks(ctx context.Context, w io.Writer, opts RunOptions) error {
 // EL2-trap alternative (§7).
 func RenderKeyAblation(_ context.Context, w io.Writer, opts RunOptions) error {
 	// XOM path: measured on a real booted kernel (warm-pooled).
-	kcfg := codegen.ConfigFull()
-	kcfg.NumCPUs = opts.cpus()
-	kopts := kernel.Options{Config: kcfg, Seed: 5}
+	kopts := core.KernelOptionsFor(core.LevelFull, core.Options{Seed: 5, CPUs: opts.cpus()})
 	m, err := snapshot.Shared.Acquire(snapshot.KeyFor(kopts), snapshot.BootOptions(kopts))
 	if err != nil {
 		return err
@@ -578,10 +578,8 @@ func RenderSMPReplay(ctx context.Context, w io.Writer, opts RunOptions) error {
 	levels := attack.Levels()
 	reports := make([]attack.Report, len(levels))
 	err := snapshot.ForEach(ctx, len(levels), opts.Parallel, func(i int) error {
-		cfg := levels[i].Cfg()
-		cfg.NumCPUs = cpus
 		var err error
-		reports[i], err = attack.CrossCoreReplay(cfg, levels[i].Name)
+		reports[i], err = attack.CrossCoreReplay(levels[i], cpus)
 		return err
 	})
 	if err != nil {

@@ -3,8 +3,12 @@ package figures
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -142,6 +146,56 @@ func TestParallelRunAllMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestExperimentsMatchBenchmarkGolden runs every registry experiment in
+// order, one RunAllWith call each, on a fresh warm pool (as the repo
+// benchmark's experiments-all pass does) and holds each one's rendering
+// digest and simulated work to perfbench/golden/experiments.json. The
+// work counts include the boots an experiment pays, so a change that
+// moves a boot from one experiment to another fails here even when
+// every rendered byte stays the same.
+func TestExperimentsMatchBenchmarkGolden(t *testing.T) {
+	type experimentGolden struct {
+		ID     string `json:"id"`
+		SHA256 string `json:"sha256"`
+		Cycles uint64 `json:"cycles"`
+		Instrs uint64 `json:"instrs"`
+	}
+	var golden struct {
+		SHA256      string             `json:"sha256"`
+		Experiments []experimentGolden `json:"experiments"`
+	}
+	b, err := os.ReadFile(filepath.Join("..", "..", "perfbench", "golden", "experiments.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &golden); err != nil {
+		t.Fatal(err)
+	}
+	prev := snapshot.Shared
+	snapshot.Shared = snapshot.NewPool()
+	t.Cleanup(func() { snapshot.Shared = prev })
+
+	var got []experimentGolden
+	all := sha256.New()
+	for _, e := range All() {
+		var buf bytes.Buffer
+		stats, err := RunAllWith(context.Background(), &buf, RunOptions{IDs: []string{e.ID}})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		all.Write(buf.Bytes())
+		sum := sha256.Sum256(buf.Bytes())
+		got = append(got, experimentGolden{ID: e.ID, SHA256: hex.EncodeToString(sum[:]),
+			Cycles: stats[0].Cycles, Instrs: stats[0].Instrs})
+	}
+	if !slices.Equal(got, golden.Experiments) {
+		t.Errorf("per-experiment work drifted from the benchmark golden:\n got:  %+v\n want: %+v", got, golden.Experiments)
+	}
+	if digest := hex.EncodeToString(all.Sum(nil)); digest != golden.SHA256 {
+		t.Errorf("experiments-all sha256 = %s, golden %s", digest, golden.SHA256)
+	}
+}
+
 // TestRunAllUnknownID rejects unknown experiment ids.
 func TestRunAllUnknownID(t *testing.T) {
 	var buf bytes.Buffer
@@ -253,7 +307,11 @@ func TestSMPFigureDeterminism(t *testing.T) {
 // TestAttackRenderingsGolden pins the §6.2 renderings byte for byte:
 // the attack matrix at 1 and 2 vCPUs and the cross-core replay table.
 // Their details carry gadget-execution counts, so any drift in a
-// victim, a corruption, a budget or a verdict shows up here.
+// victim, a corruption, a budget or a verdict shows up here. It also
+// pins Figures 3 and 4 at 2 vCPUs, whose cycle counts differ from the
+// uniprocessor ones, so a suite that stops building its machines at the
+// run's vCPU count fails here (the 1-vCPU renderings are pinned by
+// TestExperimentsMatchBenchmarkGolden).
 func TestAttackRenderingsGolden(t *testing.T) {
 	for _, c := range []struct {
 		id, golden string
@@ -262,6 +320,8 @@ func TestAttackRenderingsGolden(t *testing.T) {
 		{"attacks", "attacks.golden", 1},
 		{"attacks", "attacks-2cpu.golden", 2},
 		{"smp-replay", "smp-replay.golden", 1},
+		{"fig3", "fig3-2cpu.golden", 2},
+		{"fig4", "fig4-2cpu.golden", 2},
 	} {
 		t.Run(c.golden, func(t *testing.T) {
 			var buf bytes.Buffer

@@ -35,6 +35,20 @@ type Options struct {
 // when Options.FailureThreshold is zero.
 const DefaultFailureThreshold = 8
 
+// Normalized returns the options with New's defaults applied: a nil
+// Config selects the full build and a zero FailureThreshold the §5.4
+// default. New builds from it and the snapshot pool keys machines by
+// it, so two option sets that boot the same machine share a key.
+func (o Options) Normalized() Options {
+	if o.Config == nil {
+		o.Config = codegen.ConfigFull()
+	}
+	if o.FailureThreshold == 0 {
+		o.FailureThreshold = DefaultFailureThreshold
+	}
+	return o
+}
+
 // OopsRecord is one logged kernel fault (§6.2.3: "any failures are also
 // logged, ensuring that such vulnerable code paths can be fixed").
 type OopsRecord struct {
@@ -103,7 +117,7 @@ type Kernel struct {
 	rng  *boot.PRNG
 
 	// active is the core whose instructions are retiring right now; the
-	// deterministic scheduler (and CallGuestOn) sets it before running a
+	// deterministic scheduler (and CallGuest) sets it before running a
 	// core, so service handlers know which per-CPU frame and current
 	// task a doorbell store belongs to. Execution is strictly one core
 	// at a time (round-robin quanta), which is what keeps SMP runs
@@ -216,12 +230,7 @@ func buildLinked(opts Options) (*asm.Image, pac.KeySet, *boot.PRNG, error) {
 // comes from Options.Config.NumCPUs (0/1: uniprocessor, bit-identical
 // to pre-SMP builds).
 func New(opts Options) (*Kernel, error) {
-	if opts.Config == nil {
-		opts.Config = codegen.ConfigFull()
-	}
-	if opts.FailureThreshold == 0 {
-		opts.FailureThreshold = DefaultFailureThreshold
-	}
+	opts = opts.Normalized()
 	ncpus := opts.Config.CPUs()
 	if ncpus > MaxCPUs {
 		return nil, fmt.Errorf("kernel: %d vCPUs exceeds MaxCPUs=%d", ncpus, MaxCPUs)
@@ -570,10 +579,10 @@ func (k *Kernel) WriteKernelMemory(va uint64, b []byte) {
 	k.CPU.InvalidateDecode()
 }
 
-// CallGuest invokes a guest function at the given VA with up to four
-// arguments in x0..x3, on the reserved boot stack, and waits for its
-// return. Used by the module loader (pointer-table signing runs as guest
-// code) and by micro-benchmarks.
+// CallGuest invokes a guest function at the given VA on the boot core,
+// with up to four arguments in x0..x3, on the reserved boot stack, and
+// waits for its return. Used by the module loader (pointer-table
+// signing runs as guest code) and by micro-benchmarks.
 func (k *Kernel) CallGuest(fnVA uint64, args ...uint64) error {
 	regs := make(map[insn.Reg]uint64, len(args))
 	for i, v := range args {
@@ -584,38 +593,14 @@ func (k *Kernel) CallGuest(fnVA uint64, args ...uint64) error {
 
 // CallGuestRegs is CallGuest with explicit register assignments.
 func (k *Kernel) CallGuestRegs(fnVA uint64, regs map[insn.Reg]uint64) error {
-	return k.CallGuestRegsOn(0, fnVA, regs)
-}
-
-// CallGuestOn is CallGuest targeted at a specific core — the cross-core
-// entry point of the attack harness (e.g. invoking a driver dispatch on
-// a sibling core against state another core signed).
-func (k *Kernel) CallGuestOn(cpuID int, fnVA uint64, args ...uint64) error {
-	regs := make(map[insn.Reg]uint64, len(args))
-	for i, v := range args {
-		regs[insn.Reg(i)] = v
-	}
-	return k.CallGuestRegsOn(cpuID, fnVA, regs)
-}
-
-// CallGuestRegsOn runs a guest function on the given core, on that
-// core's boot stack, with service dispatch attributed to it.
-func (k *Kernel) CallGuestRegsOn(cpuID int, fnVA uint64, regs map[insn.Reg]uint64) error {
-	if cpuID < 0 || cpuID >= len(k.CPUs) {
-		return fmt.Errorf("kernel: no cpu %d", cpuID)
-	}
-	c := k.CPUs[cpuID]
+	c := k.CPU
 	savedActive := k.active
-	k.active = cpuID
+	k.active = 0
 	defer func() { k.active = savedActive }()
 	savedPC, savedEL := c.PC, c.EL
 	savedSP := c.SP(1)
 	c.EL = 1
-	stackTop := StackBase + StackSize
-	if cpuID > 0 {
-		stackTop = secondaryBootStackTop(cpuID)
-	}
-	c.SetSP(1, stackTop)
+	c.SetSP(1, StackBase+StackSize)
 	//camo:nondet each iteration sets a distinct register; no aliasing across keys
 	for r, v := range regs {
 		c.SetReg(r, v)

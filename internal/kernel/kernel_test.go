@@ -102,10 +102,10 @@ func TestGetppidSyscall(t *testing.T) {
 			task = &Task{PID: 1}
 		}
 		if got := userWord(k, task, 0); got != 0 {
-			t.Fatalf("%s: getppid = %d, want 0", cfg.Level(), got)
+			t.Fatalf("%v (dfi=%t): getppid = %d, want 0", cfg.Scheme, cfg.DFI, got)
 		}
 		if got := userWord(k, task, 8); got != 1 {
-			t.Fatalf("%s: getpid = %d, want 1", cfg.Level(), got)
+			t.Fatalf("%v (dfi=%t): getpid = %d, want 1", cfg.Scheme, cfg.DFI, got)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"camouflage/internal/asm"
+	"camouflage/internal/cpu"
 	"camouflage/internal/insn"
 )
 
@@ -75,4 +76,36 @@ func BuildProgram(name string, build func(u *UserASM)) (*Program, error) {
 		return nil, fmt.Errorf("userprog %s: %w", name, err)
 	}
 	return &Program{Name: name, image: img, entryVA: img.Symbols["_start"]}, nil
+}
+
+// ExecTargetProgID is the program id under which RunProgram registers a
+// run's exec target: the id its pid 1 passes to execve.
+const ExecTargetProgID = 9
+
+// RunProgram is the evaluation's cell runner. It builds a user program
+// and registers it as pid 1, plus target (when non-nil) under
+// ExecTargetProgID, spawns pid 1 on the boot core and runs up to budget
+// instructions. The run must end in a halt; RunProgram returns the
+// cycles it consumed.
+func (k *Kernel) RunProgram(name string, build, target func(u *UserASM), budget uint64) (uint64, error) {
+	prog, err := BuildProgram(name, build)
+	if err != nil {
+		return 0, err
+	}
+	k.RegisterProgram(1, prog)
+	if target != nil {
+		tgt, err := BuildProgram(name+"/exec-target", target)
+		if err != nil {
+			return 0, err
+		}
+		k.RegisterProgram(ExecTargetProgID, tgt)
+	}
+	if _, err := k.Spawn(1); err != nil {
+		return 0, err
+	}
+	start := k.CPU.Cycles
+	if stop := k.Run(budget); stop.Kind != cpu.StopHLT {
+		return 0, fmt.Errorf("kernel: program %q did not halt: %+v", name, stop)
+	}
+	return k.CPU.Cycles - start, nil
 }

@@ -9,9 +9,8 @@ package lmbench
 
 import (
 	"context"
-	"fmt"
 
-	"camouflage/internal/codegen"
+	"camouflage/internal/core"
 	"camouflage/internal/cpu"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
@@ -180,7 +179,7 @@ func Suite() []Benchmark {
 				u.CounterLoop("bench", insn.X21, iters, func() {
 					u.SyscallReg(kernel.SysClone)
 					u.A.CBNZ(insn.X0, "parent_cont")
-					u.Syscall(kernel.SysExecve, ExecTargetProgID)
+					u.Syscall(kernel.SysExecve, kernel.ExecTargetProgID)
 					u.Exit(1) // unreachable
 					u.A.Label("parent_cont")
 					u.SyscallReg(kernel.SysSchedYield)
@@ -233,8 +232,8 @@ func Suite() []Benchmark {
 	}
 }
 
-// ExecTargetProgID is the program id the fork+execve benchmark execs.
-const ExecTargetProgID = 9
+// seed is the bootloader seed of every Figure 3 machine.
+const seed = 1234
 
 // Result is one measured cell.
 type Result struct {
@@ -247,58 +246,32 @@ type Result struct {
 }
 
 // runOnce runs a benchmark with the given iteration count on a pristine
-// kernel and returns total consumed cycles.
-func runOnce(cfg func() *codegen.Config, b Benchmark, iters uint64, seed uint64) (uint64, error) {
-	return runOnceOpts(kernel.Options{Config: cfg(), Seed: seed}, b, iters)
-}
-
-// runOnceOpts is runOnce with full kernel options (compat builds). The
-// machine comes from the shared snapshot pool: one build+verify+boot per
-// option set, then copy-on-write forks/resets — observably identical to
-// a fresh boot (pinned by the snapshot determinism tests), so measured
-// latencies are unchanged.
-func runOnceOpts(opts kernel.Options, b Benchmark, iters uint64) (uint64, error) {
+// machine and returns total consumed cycles. The machine comes from the
+// shared snapshot pool: one build+verify+boot per option set, then
+// copy-on-write forks/resets — observably identical to a fresh boot
+// (pinned by the snapshot determinism tests), so measured latencies are
+// unchanged.
+func runOnce(opts kernel.Options, b Benchmark, iters uint64) (uint64, error) {
 	m, err := snapshot.Shared.Acquire(snapshot.KeyFor(opts), snapshot.BootOptions(opts))
 	if err != nil {
 		return 0, err
 	}
 	defer m.Release()
-	k := m.K
-	prog, err := kernel.BuildProgram(b.Name, func(u *kernel.UserASM) {
-		b.Build(u, iters)
-	})
-	if err != nil {
-		return 0, err
-	}
-	k.RegisterProgram(1, prog)
+	var target func(u *kernel.UserASM)
 	if b.NeedsExecTarget {
-		tgt, err := kernel.BuildProgram("exec-target", func(u *kernel.UserASM) {
-			u.Exit(0)
-		})
-		if err != nil {
-			return 0, err
-		}
-		k.RegisterProgram(ExecTargetProgID, tgt)
+		target = func(u *kernel.UserASM) { u.Exit(0) }
 	}
-	if _, err := k.Spawn(1); err != nil {
-		return 0, err
-	}
-	start := k.CPU.Cycles
-	stop := k.Run(400_000_000)
-	if stop.Kind != cpu.StopHLT {
-		return 0, fmt.Errorf("lmbench %s: no halt: %+v", b.Name, stop)
-	}
-	return k.CPU.Cycles - start, nil
+	return m.K.RunProgram(b.Name, func(u *kernel.UserASM) { b.Build(u, iters) }, target, 400_000_000)
 }
 
-// MeasureOpts measures one benchmark under explicit kernel options (used
-// for the §5.5 backwards-compatible build, which needs a v8.0 core).
-func MeasureOpts(opts kernel.Options, level string, b Benchmark) (Result, error) {
-	c1, err := runOnceOpts(opts, b, b.Iters)
+// Measure returns the per-iteration latency of one benchmark on machines
+// built with opts, using the two-point slope to cancel fixed costs.
+func Measure(opts kernel.Options, level string, b Benchmark) (Result, error) {
+	c1, err := runOnce(opts, b, b.Iters)
 	if err != nil {
 		return Result{}, err
 	}
-	c2, err := runOnceOpts(opts, b, 2*b.Iters)
+	c2, err := runOnce(opts, b, 2*b.Iters)
 	if err != nil {
 		return Result{}, err
 	}
@@ -309,41 +282,6 @@ func MeasureOpts(opts kernel.Options, level string, b Benchmark) (Result, error)
 		CyclesPerIter: slope,
 		NsPerIter:     slope * 1e9 / float64(cpu.ClockHz),
 	}, nil
-}
-
-// Measure returns the per-iteration latency of one benchmark under one
-// build, using the two-point slope to cancel fixed costs.
-func Measure(cfg func() *codegen.Config, level string, b Benchmark) (Result, error) {
-	c1, err := runOnce(cfg, b, b.Iters, 1234)
-	if err != nil {
-		return Result{}, err
-	}
-	c2, err := runOnce(cfg, b, 2*b.Iters, 1234)
-	if err != nil {
-		return Result{}, err
-	}
-	slope := float64(c2-c1) / float64(b.Iters)
-	return Result{
-		Bench:         b.Name,
-		Level:         level,
-		CyclesPerIter: slope,
-		NsPerIter:     slope * 1e9 / float64(cpu.ClockHz),
-	}, nil
-}
-
-// Levels returns the three Figure 3 protection levels in display order.
-func Levels() []struct {
-	Name string
-	Cfg  func() *codegen.Config
-} {
-	return []struct {
-		Name string
-		Cfg  func() *codegen.Config
-	}{
-		{"none", codegen.ConfigNone},
-		{"backward-edge", codegen.ConfigBackward},
-		{"full", codegen.ConfigFull},
-	}
 }
 
 // RunSuite measures every benchmark under every protection level on
@@ -356,13 +294,13 @@ func Levels() []struct {
 // is done no further cell starts.
 func RunSuite(ctx context.Context, parallel bool, cpus int) ([]Result, error) {
 	benches := Suite()
-	levels := Levels()
+	levels := core.Levels()
 	out := make([]Result, len(benches)*len(levels))
 	err := snapshot.ForEach(ctx, len(out), parallel, func(idx int) error {
 		b := benches[idx/len(levels)]
 		lv := levels[idx%len(levels)]
 		var err error
-		out[idx], err = Measure(codegen.WithCPUs(lv.Cfg, cpus), lv.Name, b)
+		out[idx], err = Measure(core.KernelOptionsFor(lv, core.Options{Seed: seed, CPUs: cpus}), lv.String(), b)
 		return err
 	})
 	if err != nil {
@@ -376,7 +314,7 @@ func RunSuite(ctx context.Context, parallel bool, cpus int) ([]Result, error) {
 func Relative(results []Result) map[string]map[string]float64 {
 	base := map[string]float64{}
 	for _, r := range results {
-		if r.Level == "none" {
+		if r.Level == core.LevelNone.String() {
 			base[r.Bench] = r.CyclesPerIter
 		}
 	}

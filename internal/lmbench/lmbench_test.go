@@ -4,21 +4,25 @@ import (
 	"context"
 	"testing"
 
-	"camouflage/internal/boot"
-	"camouflage/internal/codegen"
+	"camouflage/internal/core"
 	"camouflage/internal/kernel"
 )
+
+// levelOptions returns the options of a Figure 3 machine at one level.
+func levelOptions(l core.ProtectionLevel) kernel.Options {
+	return core.KernelOptionsFor(l, core.Options{Seed: seed})
+}
 
 // TestNullSyscallOverheadIsDoubleDigit pins §6.1.3: "the performance
 // impact at system call level is measurable as double-digit percentual
 // overhead".
 func TestNullSyscallOverheadIsDoubleDigit(t *testing.T) {
 	b := Suite()[0] // null (getppid)
-	base, err := Measure(codegen.ConfigNone, "none", b)
+	base, err := Measure(levelOptions(core.LevelNone), "none", b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Measure(codegen.ConfigFull, "full", b)
+	full, err := Measure(levelOptions(core.LevelFull), "full", b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,15 +39,15 @@ func TestNullSyscallOverheadIsDoubleDigit(t *testing.T) {
 // between baseline and full protection.
 func TestBackwardEdgeCheaperThanFull(t *testing.T) {
 	for _, b := range Suite()[:3] { // null, read, write: the cheap rows
-		base, err := Measure(codegen.ConfigNone, "none", b)
+		base, err := Measure(levelOptions(core.LevelNone), "none", b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bw, err := Measure(codegen.ConfigBackward, "backward-edge", b)
+		bw, err := Measure(levelOptions(core.LevelBackwardEdge), "backward-edge", b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Measure(codegen.ConfigFull, "full", b)
+		full, err := Measure(levelOptions(core.LevelFull), "full", b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,11 +62,11 @@ func TestBackwardEdgeCheaperThanFull(t *testing.T) {
 // simulator is deterministic, so error bars are zero by construction).
 func TestMeasurementDeterministic(t *testing.T) {
 	b := Suite()[0]
-	r1, err := Measure(codegen.ConfigFull, "full", b)
+	r1, err := Measure(levelOptions(core.LevelFull), "full", b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Measure(codegen.ConfigFull, "full", b)
+	r2, err := Measure(levelOptions(core.LevelFull), "full", b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +78,7 @@ func TestMeasurementDeterministic(t *testing.T) {
 // TestAllBenchmarksRun smoke-tests every row under full protection.
 func TestAllBenchmarksRun(t *testing.T) {
 	for _, b := range Suite() {
-		r, err := Measure(codegen.ConfigFull, "full", b)
+		r, err := Measure(levelOptions(core.LevelFull), "full", b)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -108,19 +112,16 @@ func TestRelative(t *testing.T) {
 // NOPs but still occupy pipeline slots — costs at least as much as the
 // unprotected build but no more than the native v8.3 build.
 func TestCompatBuildRunsFullSuite(t *testing.T) {
-	compatOpts := func() kernel.Options {
-		cfg := &codegen.Config{Scheme: codegen.SchemeCamouflageCompat}
-		return kernel.Options{Config: cfg, Seed: 1234, Compat: boot.ModeV80, V80: true}
-	}
 	for _, b := range Suite() {
-		r, err := MeasureOpts(compatOpts(), "compat", b)
+		compat := core.KernelOptionsFor(core.LevelBackwardEdge, core.Options{Seed: seed, Compat: true})
+		r, err := Measure(compat, "compat", b)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		if r.CyclesPerIter <= 0 {
 			t.Errorf("%s: non-positive compat latency", b.Name)
 		}
-		base, err := Measure(codegen.ConfigNone, "none", b)
+		base, err := Measure(levelOptions(core.LevelNone), "none", b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -241,11 +241,14 @@ func TestWatchdogCancelsOverBudgetJob(t *testing.T) {
 
 // TestOutOfRangeCPUsRejected: a vCPU count outside 0..kernel.MaxCPUs is
 // the client's mistake and answers 400 before admission on every route
-// that takes one. Nothing boots, so repeating the request never trips a
-// circuit breaker and the daemon stays ready.
+// that takes one, and so does a campaign mutation count above
+// maxCampaignMutations (10^12 strikes would exhaust memory before any
+// deadline could stop the job). Nothing is admitted and nothing boots,
+// so repeating the request never trips a circuit breaker and the
+// daemon stays ready.
 func TestOutOfRangeCPUsRejected(t *testing.T) {
 	pool := withFreshPool(t)
-	_, hs, _ := newTestServer(t, Config{})
+	s, hs, _ := newTestServer(t, Config{})
 
 	for i := 0; i < 6; i++ {
 		resp, body := postJSON(t, hs.URL+"/v1/machines", `{"level":"full","cpus":9}`, nil)
@@ -257,10 +260,14 @@ func TestOutOfRangeCPUsRejected(t *testing.T) {
 		{"/v1/machines", `{"level":"none","cpus":-1}`},
 		{"/v1/experiments", `{"ids":["keys"],"cpus":9}`},
 		{"/v1/campaigns", `{"mutations":1,"levels":["none"],"cpus":9}`},
+		{"/v1/campaigns", `{"mutations":1000000000000,"levels":["none"]}`},
 	} {
 		if resp, body := postJSON(t, hs.URL+c.path, c.body, nil); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("POST %s %s = %d, want 400 (body %s)", c.path, c.body, resp.StatusCode, body)
 		}
+	}
+	if n := s.queue.starts.Load(); n != 0 {
+		t.Fatalf("rejected requests were admitted: %d jobs started", n)
 	}
 	if st := pool.Stats(); st.Boots != 0 || st.BootRetries != 0 {
 		t.Fatalf("rejected requests reached the pool: %+v", st)

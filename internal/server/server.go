@@ -480,17 +480,20 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	// Validate the level filter up front: a typo is the client's
-	// mistake (400), not a server failure.
-	known := map[string]bool{}
-	for _, lv := range attack.Levels() {
-		known[lv.Name] = true
-	}
+	// Validate the level filter and the sizes up front: a typo is the
+	// client's mistake (400), not a server failure, and a mutation count
+	// past the bound would allocate per-strike state the process cannot
+	// hold before any deadline could stop it.
 	for _, name := range req.Levels {
-		if !known[name] {
-			writeErr(w, http.StatusBadRequest, "unknown level "+name)
+		if _, err := attack.LevelByName(name); err != nil {
+			writeErr(w, http.StatusBadRequest, err.Error())
 			return
 		}
+	}
+	if req.Mutations > maxCampaignMutations {
+		writeErr(w, http.StatusBadRequest,
+			fmt.Sprintf("mutations %d above the bound %d", req.Mutations, maxCampaignMutations))
+		return
 	}
 	if !validCPUs(w, req.CPUs) {
 		return
@@ -619,6 +622,11 @@ func (s *Server) withLease(w http.ResponseWriter, r *http.Request, f func(l *lea
 // maxRunBudget caps one /run step so a single request cannot wedge a
 // queue slot arbitrarily long; longer runs loop on the client side.
 const maxRunBudget = 500_000_000
+
+// maxCampaignMutations bounds one campaign's strikes per cell. The
+// runner sizes its per-cell result arrays by the count, so an unchecked
+// count can exhaust memory, which no panic barrier recovers.
+const maxCampaignMutations = 4096
 
 func (s *Server) handleMachineRun(w http.ResponseWriter, r *http.Request) {
 	var req client.MachineRunRequest

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 
-	"camouflage/internal/codegen"
 	"camouflage/internal/kernel"
 )
 
@@ -25,20 +24,11 @@ type Key struct {
 }
 
 // KeyFor derives the typed pool key for the given build options. Every
-// field that shapes the post-boot state participates, normalized
-// exactly as kernel.New normalizes it, so two option sets share a key
-// exactly when their booted machines are interchangeable.
+// field that shapes the post-boot state participates, normalized by the
+// kernel.New defaults (kernel.Options.Normalized), so two option sets
+// share a key exactly when their booted machines are interchangeable.
 func KeyFor(opts kernel.Options) Key {
-	cfg := opts.Config
-	if cfg == nil {
-		cfg = codegen.ConfigFull() // mirror kernel.New's default
-	}
-	if opts.FailureThreshold == 0 {
-		opts.FailureThreshold = kernel.DefaultFailureThreshold
-	}
-	norm := opts
-	norm.Config = cfg
-	k := Key{Options: norm}
+	k := Key{Options: opts.Normalized()}
 	sum := sha256.Sum256([]byte(k.Norm()))
 	k.Digest = hex.EncodeToString(sum[:])
 	return k
@@ -47,17 +37,10 @@ func KeyFor(opts kernel.Options) Key {
 // Norm returns the human-readable normalized option string the digest
 // is computed over (also the legacy pool-key format).
 func (k Key) Norm() string {
-	cfg := k.Options.Config
-	if cfg == nil {
-		cfg = codegen.ConfigFull()
-	}
-	thr := k.Options.FailureThreshold
-	if thr == 0 {
-		thr = kernel.DefaultFailureThreshold
-	}
+	o := k.Options.Normalized()
 	return fmt.Sprintf("scheme=%d fwd=%t dfi=%t zmod=%t seed=%d thr=%d compat=%t v80=%t cpus=%d",
-		cfg.Scheme, cfg.ForwardCFI, cfg.DFI, cfg.ZeroModifier,
-		k.Options.Seed, thr, bool(k.Options.Compat), k.Options.V80, cfg.CPUs())
+		o.Config.Scheme, o.Config.ForwardCFI, o.Config.DFI, o.Config.ZeroModifier,
+		o.Seed, o.FailureThreshold, bool(o.Compat), o.V80, o.Config.CPUs())
 }
 
 // ErrNotFound reports that a store holds no snapshot for the requested

@@ -12,11 +12,9 @@ package workload
 
 import (
 	"context"
-	"fmt"
 	"math"
 
-	"camouflage/internal/codegen"
-	"camouflage/internal/cpu"
+	"camouflage/internal/core"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
 	"camouflage/internal/snapshot"
@@ -34,8 +32,8 @@ type Workload struct {
 	NeedsExecTarget bool
 }
 
-// ExecTargetProgID is the program id spawned by the build workload.
-const ExecTargetProgID = 9
+// seed is the bootloader seed of every Figure 4 machine.
+const seed = 99
 
 // computeLoop emits a multiply-accumulate loop over user memory: the
 // "user computation" component.
@@ -101,7 +99,7 @@ func Suite() []Workload {
 					// Spawn the compiler (fork + exec + wait-by-yield).
 					u.SyscallReg(kernel.SysClone)
 					u.A.CBNZ(insn.X0, "parent")
-					u.Syscall(kernel.SysExecve, ExecTargetProgID)
+					u.Syscall(kernel.SysExecve, kernel.ExecTargetProgID)
 					u.Exit(1)
 					u.A.Label("parent")
 					u.SyscallReg(kernel.SysSchedYield)
@@ -162,71 +160,50 @@ type Result struct {
 	Relative float64
 }
 
-// Run executes one workload under one configuration on a pristine
-// machine from the shared snapshot pool (one boot per configuration,
-// then copy-on-write forks/resets; Setup runs on the fork, after the
-// snapshot point, so it never leaks between cells).
-func Run(cfg func() *codegen.Config, level string, w Workload) (Result, error) {
-	opts := kernel.Options{Config: cfg(), Seed: 99}
+// Run executes one workload on a pristine machine built with opts, from
+// the shared snapshot pool (one boot per option set, then copy-on-write
+// forks/resets; Setup runs on the fork, after the snapshot point, so it
+// never leaks between cells).
+func Run(opts kernel.Options, level string, w Workload) (Result, error) {
 	m, err := snapshot.Shared.Acquire(snapshot.KeyFor(opts), snapshot.BootOptions(opts))
 	if err != nil {
 		return Result{}, err
 	}
 	defer m.Release()
-	k := m.K
 	if w.Setup != nil {
-		w.Setup(k)
+		w.Setup(m.K)
 	}
-	prog, err := kernel.BuildProgram(w.Name, w.Build)
+	var target func(u *kernel.UserASM)
+	if w.NeedsExecTarget {
+		// The "compiler": a short burst of compute, then exit.
+		target = func(u *kernel.UserASM) {
+			computeLoop(u, "cc1work", 300)
+			u.Exit(0)
+		}
+	}
+	cycles, err := m.K.RunProgram(w.Name, w.Build, target, 2_000_000_000)
 	if err != nil {
 		return Result{}, err
 	}
-	k.RegisterProgram(1, prog)
-	if w.NeedsExecTarget {
-		tgt, err := kernel.BuildProgram("cc1", func(u *kernel.UserASM) {
-			// The "compiler": a short burst of compute, then exit.
-			computeLoop(u, "cc1work", 300)
-			u.Exit(0)
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		k.RegisterProgram(ExecTargetProgID, tgt)
-	}
-	if _, err := k.Spawn(1); err != nil {
-		return Result{}, err
-	}
-	start := k.CPU.Cycles
-	stop := k.Run(2_000_000_000)
-	if stop.Kind != cpu.StopHLT {
-		return Result{}, fmt.Errorf("workload %s: no halt: %+v", w.Name, stop)
-	}
-	return Result{Workload: w.Name, Level: level, Cycles: k.CPU.Cycles - start}, nil
+	return Result{Workload: w.Name, Level: level, Cycles: cycles}, nil
 }
 
-// RunSuite measures all workloads under the three Figure 4 levels on
-// machines with the given vCPU count and fills in relative costs. Every
+// RunSuite measures all workloads under the Figure 4 levels on machines
+// with the given vCPU count and fills in relative costs. Every
 // (workload, level) cell runs on its own isolated machine (a
 // copy-on-write fork from the warm pool) — concurrently when parallel
 // is set — and relative costs are filled in afterwards from the
 // completed grid, so the results do not depend on the schedule. Once
 // ctx is done no further cell starts.
 func RunSuite(ctx context.Context, parallel bool, cpus int) ([]Result, error) {
-	levels := []struct {
-		Name string
-		Cfg  func() *codegen.Config
-	}{
-		{"none", codegen.ConfigNone},
-		{"backward-edge", codegen.ConfigBackward},
-		{"full", codegen.ConfigFull},
-	}
+	levels := core.Levels()
 	workloads := Suite()
 	out := make([]Result, len(workloads)*len(levels))
 	err := snapshot.ForEach(ctx, len(out), parallel, func(idx int) error {
 		w := workloads[idx/len(levels)]
 		lv := levels[idx%len(levels)]
 		var err error
-		out[idx], err = Run(codegen.WithCPUs(lv.Cfg, cpus), lv.Name, w)
+		out[idx], err = Run(core.KernelOptionsFor(lv, core.Options{Seed: seed, CPUs: cpus}), lv.String(), w)
 		return err
 	})
 	if err != nil {
@@ -234,7 +211,7 @@ func RunSuite(ctx context.Context, parallel bool, cpus int) ([]Result, error) {
 	}
 	base := map[string]uint64{}
 	for i, r := range out {
-		if r.Level == "none" {
+		if r.Level == core.LevelNone.String() {
 			base[out[i].Workload] = r.Cycles
 		}
 	}

@@ -4,8 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"camouflage/internal/codegen"
-	"camouflage/internal/cpu"
+	"camouflage/internal/core"
 	"camouflage/internal/kernel"
 )
 
@@ -54,7 +53,7 @@ func TestFigure4Shape(t *testing.T) {
 // TestWorkloadsProduceWork sanity-checks the device side effects.
 func TestWorkloadsProduceWork(t *testing.T) {
 	for _, w := range Suite() {
-		r, err := Run(codegen.ConfigNone, "none", w)
+		r, err := Run(core.KernelOptionsFor(core.LevelNone, core.Options{Seed: seed}), "none", w)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -68,7 +67,7 @@ func TestWorkloadsProduceWork(t *testing.T) {
 // packet through the socket receive path before exiting on EOF.
 func TestDownloadDrainsQueue(t *testing.T) {
 	w := Suite()[2]
-	k, err := kernel.New(kernel.Options{Config: codegen.ConfigFull(), Seed: 99})
+	k, err := kernel.New(core.KernelOptionsFor(core.LevelFull, core.Options{Seed: seed}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +79,8 @@ func TestDownloadDrainsQueue(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("setup injected no packets")
 	}
-	prog, err := kernel.BuildProgram(w.Name, w.Build)
-	if err != nil {
+	if _, err := k.RunProgram(w.Name, w.Build, nil, 2_000_000_000); err != nil {
 		t.Fatal(err)
-	}
-	k.RegisterProgram(1, prog)
-	if _, err := k.Spawn(1); err != nil {
-		t.Fatal(err)
-	}
-	stop := k.Run(2_000_000_000)
-	if stop.Kind != cpu.StopHLT {
-		t.Fatalf("stop = %+v", stop)
 	}
 	if left := k.Net.QueuedPackets(); left != 0 {
 		t.Fatalf("%d/%d packets left in the NIC queue", left, injected)
