@@ -7,6 +7,8 @@ package client
 import (
 	"context"
 	"net/http"
+
+	"camouflage/internal/store"
 )
 
 // SnapshotInfo is one persisted snapshot as listed by GET /v1/snapshots.
@@ -41,43 +43,17 @@ type SnapshotsResponse struct {
 	Snapshots []SnapshotInfo `json:"snapshots"`
 }
 
-// SnapshotManifest mirrors the store's on-disk manifest for GET
-// /v1/snapshots/{digest}. Page references are elided from listings but
-// included here, so clients can audit exactly which chunks a snapshot
-// commits to.
-type SnapshotManifest struct {
-	Version     int             `json:"version"`
-	Digest      string          `json:"digest"`
-	KeyDigest   string          `json:"key_digest"`
-	Key         string          `json:"key"`
-	Options     SnapshotOptions `json:"options"`
-	ImageDigest string          `json:"image_digest"`
-	StateChunk  string          `json:"state_chunk"`
-	StateSize   int             `json:"state_size"`
-	Pages       []SnapshotPage  `json:"pages"`
-	CPUs        int             `json:"cpus"`
-	BootCycles  uint64          `json:"boot_cycles"`
-	CreatedUnix int64           `json:"created_unix"`
-}
+// SnapshotManifest is the store's on-disk manifest, as GET
+// /v1/snapshots/{digest} returns it. Page references are elided from
+// listings but included here, so clients can audit exactly which chunks
+// a snapshot commits to.
+type SnapshotManifest = store.Manifest
 
 // SnapshotOptions is the manifest's build-options block.
-type SnapshotOptions struct {
-	Scheme       int    `json:"scheme"`
-	ForwardCFI   bool   `json:"forward_cfi"`
-	DFI          bool   `json:"dfi"`
-	ZeroModifier bool   `json:"zero_modifier"`
-	CPUs         int    `json:"cpus"`
-	Seed         uint64 `json:"seed"`
-	Compat       bool   `json:"compat"`
-	V80          bool   `json:"v80"`
-	Threshold    int    `json:"failure_threshold"`
-}
+type SnapshotOptions = store.OptionsManifest
 
 // SnapshotPage binds one guest RAM page to its content-addressed chunk.
-type SnapshotPage struct {
-	PN    uint64 `json:"pn"`
-	Chunk string `json:"chunk"`
-}
+type SnapshotPage = store.PageRef
 
 // PinRequest is the POST /v1/snapshots/{digest}/pin body.
 type PinRequest struct {
@@ -86,12 +62,7 @@ type PinRequest struct {
 
 // ImageInfo aggregates the snapshots of one built kernel image and what
 // page-level dedup saves across them.
-type ImageInfo struct {
-	ImageDigest  string   `json:"image_digest"`
-	Snapshots    []string `json:"snapshots"`
-	TotalPages   int      `json:"total_pages"`
-	UniqueChunks int      `json:"unique_chunks"`
-}
+type ImageInfo = store.ImageInfo
 
 // ImagesResponse is the GET /v1/images reply.
 type ImagesResponse struct {

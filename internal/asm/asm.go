@@ -18,12 +18,10 @@ type RelKind int
 const (
 	// RelNone marks plain instructions.
 	RelNone RelKind = iota
-	// RelBranch26 patches the imm26 of B/BL to a label.
-	RelBranch26
-	// RelBranch19 patches the imm19 of B.cond/CBZ/CBNZ to a label.
-	RelBranch19
-	// RelADR patches the ±1 MiB immediate of ADR to a label.
-	RelADR
+	// RelPC sets the PC-relative byte offset (Instr.Imm) of B, BL,
+	// B.cond, CBZ, CBNZ or ADR to a label; Encode places it in the op's
+	// offset field.
+	RelPC
 	// RelMOVWide patches a 4-instruction MOVZ/MOVK chain with the
 	// absolute 64-bit address of a label.
 	RelMOVWide
@@ -123,32 +121,32 @@ func (a *Assembler) I(ins ...insn.Instr) {
 
 // BL emits a branch-with-link to a label.
 func (a *Assembler) BL(label string) {
-	a.push(item{size: insn.Size, ins: []insn.Instr{insn.BL(0)}, rel: RelBranch26, target: label})
+	a.push(item{size: insn.Size, ins: []insn.Instr{insn.BL(0)}, rel: RelPC, target: label})
 }
 
 // B emits an unconditional branch to a label.
 func (a *Assembler) B(label string) {
-	a.push(item{size: insn.Size, ins: []insn.Instr{insn.B(0)}, rel: RelBranch26, target: label})
+	a.push(item{size: insn.Size, ins: []insn.Instr{insn.B(0)}, rel: RelPC, target: label})
 }
 
 // Bcond emits a conditional branch to a label.
 func (a *Assembler) Bcond(c insn.Cond, label string) {
-	a.push(item{size: insn.Size, ins: []insn.Instr{insn.Bcond(c, 0)}, rel: RelBranch19, target: label})
+	a.push(item{size: insn.Size, ins: []insn.Instr{insn.Bcond(c, 0)}, rel: RelPC, target: label})
 }
 
 // CBZ emits a compare-and-branch-if-zero to a label.
 func (a *Assembler) CBZ(rt insn.Reg, label string) {
-	a.push(item{size: insn.Size, ins: []insn.Instr{insn.CBZ(rt, 0)}, rel: RelBranch19, target: label})
+	a.push(item{size: insn.Size, ins: []insn.Instr{insn.CBZ(rt, 0)}, rel: RelPC, target: label})
 }
 
 // CBNZ emits a compare-and-branch-if-nonzero to a label.
 func (a *Assembler) CBNZ(rt insn.Reg, label string) {
-	a.push(item{size: insn.Size, ins: []insn.Instr{insn.CBNZ(rt, 0)}, rel: RelBranch19, target: label})
+	a.push(item{size: insn.Size, ins: []insn.Instr{insn.CBNZ(rt, 0)}, rel: RelPC, target: label})
 }
 
 // ADR emits an ADR of a label (±1 MiB).
 func (a *Assembler) ADR(rd insn.Reg, label string) {
-	a.push(item{size: insn.Size, ins: []insn.Instr{insn.ADR(rd, 0)}, rel: RelADR, target: label})
+	a.push(item{size: insn.Size, ins: []insn.Instr{insn.ADR(rd, 0)}, rel: RelPC, target: label})
 }
 
 // MOVAddr emits a 4-instruction MOVZ/MOVK chain loading the absolute
@@ -290,15 +288,7 @@ func (a *Assembler) renderItem(it item, addr uint64, symbols map[string]uint64) 
 			return it.data, nil
 		}
 		return encodeWords(it.ins), nil
-	case RelBranch26, RelBranch19:
-		t, err := resolve()
-		if err != nil {
-			return nil, err
-		}
-		i := it.ins[0]
-		i.Imm = int64(t) - int64(addr)
-		return encodeWords([]insn.Instr{i}), nil
-	case RelADR:
+	case RelPC:
 		t, err := resolve()
 		if err != nil {
 			return nil, err

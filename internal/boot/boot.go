@@ -84,8 +84,13 @@ func (p *PRNG) GenerateKeys() pac.KeySet {
 // key differs from the one Clang-instrumented user binaries consume.)
 var KernelKeys = []pac.KeyID{pac.KeyIB, pac.KeyIA, pac.KeyDB}
 
-// keyRegs maps a key to its (Lo, Hi) system registers.
-func keyRegs(id pac.KeyID) (lo, hi insn.SysReg) {
+// KeyRegs maps a key to the (Lo, Hi) system registers an install of it
+// writes. Pre-8.3 cores have no key registers, so in ModeV80 both are
+// CONTEXTIDR_EL1: the PA-analogue writes it with identical timing (§6.1).
+func KeyRegs(id pac.KeyID, mode Compat) (lo, hi insn.SysReg) {
+	if mode == ModeV80 {
+		return insn.CONTEXTIDR_EL1, insn.CONTEXTIDR_EL1
+	}
 	switch id {
 	case pac.KeyIA:
 		return insn.APIAKeyLo_EL1, insn.APIAKeyHi_EL1
@@ -138,10 +143,7 @@ func EmitKeySetter(a *asm.Assembler, label string, keys pac.KeySet, mode Compat,
 		if mode == ModeV80 && id.IsData() {
 			continue // no D keys on pre-8.3; DFI reuses the I key (§5.5)
 		}
-		lo, hi := keyRegs(id)
-		if mode == ModeV80 {
-			lo, hi = insn.CONTEXTIDR_EL1, insn.CONTEXTIDR_EL1
-		}
+		lo, hi := KeyRegs(id, mode)
 		k := keys.Keys[id]
 		emitImm64(a, insn.X0, k.Lo)
 		a.I(insn.MSR(lo, insn.X0))

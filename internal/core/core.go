@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"camouflage/internal/analysis"
-	"camouflage/internal/boot"
 	"camouflage/internal/codegen"
 	"camouflage/internal/kernel"
 	"camouflage/internal/pac"
@@ -119,19 +118,16 @@ func KernelOptionsFor(level ProtectionLevel, opts Options) kernel.Options {
 		cfg.Scheme = opts.Scheme
 	}
 	cfg.NumCPUs = opts.CPUs
-	kopts := kernel.Options{
-		Config:           cfg,
-		Seed:             opts.Seed,
-		FailureThreshold: opts.FailureThreshold,
-	}
 	if opts.Compat {
-		kopts.Compat = boot.ModeV80
-		kopts.V80 = true
 		cfg.Scheme = codegen.SchemeCamouflageCompat
 		cfg.ForwardCFI = false
 		cfg.DFI = false
 	}
-	return kopts
+	return kernel.Options{
+		Config:           cfg,
+		Seed:             opts.Seed,
+		FailureThreshold: opts.FailureThreshold,
+	}
 }
 
 // New builds, statically verifies (§4.1, via kernel.VerifyImage inside

@@ -483,6 +483,35 @@ func TestV80Compat(t *testing.T) {
 	}
 }
 
+// TestReservedBitfieldWordsUndefined: bitfield words whose N bit differs
+// from sf are unallocated in A64. The seed interpreter (NoBlockCache +
+// NoTLB) and the fast path must both raise an undefined-instruction
+// exception for them (EC 0, vector VBAR+0x200), not retire them as SBFM.
+func TestReservedBitfieldWordsUndefined(t *testing.T) {
+	for _, w := range []uint32{0x13410000, 0x93000000} { // sf=0 N=1; sf=1 N=0
+		for _, seed := range []bool{true, false} {
+			a := asm.New()
+			a.Label("f")
+			a.Bytes([]byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)})
+			a.I(insn.HLT(0))
+			buildVectors(a)
+			c, img := load(t, a, map[string]uint64{".text": textBase, ".vectors": vbarBase})
+			c.NoBlockCache = seed
+			c.MMU.NoTLB = seed
+			c.VBAR = img.Symbols["vectors"]
+			c.X[0] = 0x5555
+			stop := run(t, c, img.Symbols["f"], 10)
+			if stop.Kind != StopHLT || stop.Code != 0xE1 {
+				t.Errorf("%#08x (seed %t): stop = %+v, want the VBAR+0x200 vector", w, seed, stop)
+			}
+			if ec := c.ESR >> 26; ec != ECUnknown || c.ELR != img.Symbols["f"] || c.X[0] != 0x5555 {
+				t.Errorf("%#08x (seed %t): EC %#x, ELR %#x, x0 %#x; want EC 0 at f with x0 untouched",
+					w, seed, ec, c.ELR, c.X[0])
+			}
+		}
+	}
+}
+
 // TestMSRHookLockdown: the hypervisor hook can deny MMU register writes.
 func TestMSRHookLockdown(t *testing.T) {
 	a := asm.New()

@@ -100,56 +100,12 @@ const (
 	numOps
 )
 
-var opNames = [numOps]string{
-	OpInvalid: "<invalid>",
-	OpMOVZ:    "movz", OpMOVK: "movk", OpMOVN: "movn",
-	OpADR: "adr", OpADRP: "adrp",
-	OpADDi: "add", OpSUBi: "sub",
-	OpBFM: "bfm", OpUBFM: "ubfm", OpSBFM: "sbfm",
-	OpADDr: "add", OpSUBr: "sub", OpSUBSr: "subs",
-	OpANDr: "and", OpORRr: "orr", OpEORr: "eor", OpANDSr: "ands",
-	OpMADD: "madd", OpUDIV: "udiv", OpLSLV: "lslv", OpLSRV: "lsrv",
-	OpCSEL: "csel",
-	OpLDR:  "ldr", OpSTR: "str", OpLDRW: "ldr(w)", OpSTRW: "str(w)",
-	OpLDRB: "ldrb", OpSTRB: "strb",
-	OpLDRpost: "ldr(post)", OpSTRpre: "str(pre)",
-	OpLDP: "ldp", OpSTP: "stp", OpLDPpost: "ldp(post)", OpSTPpre: "stp(pre)",
-	OpB: "b", OpBL: "bl", OpBcond: "b.cond", OpCBZ: "cbz", OpCBNZ: "cbnz",
-	OpBR: "br", OpBLR: "blr", OpRET: "ret",
-	OpPACIA: "pacia", OpPACIB: "pacib", OpPACDA: "pacda", OpPACDB: "pacdb",
-	OpAUTIA: "autia", OpAUTIB: "autib", OpAUTDA: "autda", OpAUTDB: "autdb",
-	OpPACIZA: "paciza", OpPACIZB: "pacizb", OpPACDZA: "pacdza", OpPACDZB: "pacdzb",
-	OpAUTIZA: "autiza", OpAUTIZB: "autizb", OpAUTDZA: "autdza", OpAUTDZB: "autdzb",
-	OpXPACI: "xpaci", OpXPACD: "xpacd", OpPACGA: "pacga",
-	OpBLRAA: "blraa", OpBLRAB: "blrab", OpBRAA: "braa", OpBRAB: "brab",
-	OpRETAA: "retaa", OpRETAB: "retab",
-	OpPACIA1716: "pacia1716", OpPACIB1716: "pacib1716",
-	OpAUTIA1716: "autia1716", OpAUTIB1716: "autib1716",
-	OpMSR: "msr", OpMRS: "mrs", OpSVC: "svc", OpERET: "eret",
-	OpNOP: "nop", OpISB: "isb", OpHLT: "hlt",
-}
-
 // String returns the mnemonic.
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if o < numOps {
+		return encodings[o].name
 	}
 	return "op?"
-}
-
-// IsPAuth reports whether the op is part of the ARMv8.3 PAuth extension.
-func (o Op) IsPAuth() bool {
-	switch o {
-	case OpPACIA, OpPACIB, OpPACDA, OpPACDB,
-		OpAUTIA, OpAUTIB, OpAUTDA, OpAUTDB,
-		OpPACIZA, OpPACIZB, OpPACDZA, OpPACDZB,
-		OpAUTIZA, OpAUTIZB, OpAUTDZA, OpAUTDZB,
-		OpXPACI, OpXPACD, OpPACGA,
-		OpBLRAA, OpBLRAB, OpBRAA, OpBRAB, OpRETAA, OpRETAB,
-		OpPACIA1716, OpPACIB1716, OpAUTIA1716, OpAUTIB1716:
-		return true
-	}
-	return false
 }
 
 // IsBranch reports whether the op redirects control flow.

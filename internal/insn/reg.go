@@ -2,13 +2,14 @@
 // Camouflage reproduction: data-processing, loads/stores, branches, system
 // instructions, and the ARMv8.3-A pointer-authentication instructions.
 //
-// Instructions are real 32-bit A64 words: the package provides an encoder,
-// a decoder and a disassembler, and the two directions are verified to be
-// mutual inverses by property-based tests. Working at the encoding level is
-// what makes the paper's execute-only-memory argument meaningful — the
-// kernel PAuth keys are embedded as MOVZ/MOVK immediates inside the key-
-// setter function, and extracting them requires *reading* the code words,
-// which XOM forbids (§4.1, §5.1).
+// Instructions are real 32-bit A64 words. One table of encodings
+// (encoding.go) drives the encoder, the decoder and the mnemonics, and
+// the decoder accepts exactly the words the encoder produces (FuzzDecode
+// and property-based tests). Working at the encoding level is what makes
+// the paper's execute-only-memory argument meaningful — the kernel PAuth
+// keys are embedded as MOVZ/MOVK immediates inside the key-setter
+// function, and extracting them requires *reading* the code words, which
+// XOM forbids (§4.1, §5.1).
 package insn
 
 import "fmt"

@@ -253,12 +253,7 @@ func emitEL0Sync(a *asm.Assembler, cfg *codegen.Config, protected bool, mode boo
 			}
 			slot := taskKeySlot(id)
 			a.I(insn.LDP(insn.X6, insn.X7, insn.X20, int16(slot)))
-			lo, hi := userKeyRegs(id)
-			if mode == boot.ModeV80 {
-				// Pre-8.3 cores have no key registers: the PA-analogue
-				// writes CONTEXTIDR_EL1 with identical timing (§6.1).
-				lo, hi = insn.CONTEXTIDR_EL1, insn.CONTEXTIDR_EL1
-			}
+			lo, hi := boot.KeyRegs(id, mode)
 			a.I(insn.MSR(lo, insn.X6))
 			a.I(insn.MSR(hi, insn.X7))
 		}
@@ -288,22 +283,6 @@ func emitEL0Sync(a *asm.Assembler, cfg *codegen.Config, protected bool, mode boo
 	a.I(insn.STR(insn.X13, insn.X9, PerCPUArg0))
 	emitServiceCall(a, cfg, SvcFault)
 	a.B("after_fault")
-}
-
-// userKeyRegs returns the system registers for restoring a user key.
-func userKeyRegs(id pac.KeyID) (lo, hi insn.SysReg) {
-	switch id {
-	case pac.KeyIA:
-		return insn.APIAKeyLo_EL1, insn.APIAKeyHi_EL1
-	case pac.KeyIB:
-		return insn.APIBKeyLo_EL1, insn.APIBKeyHi_EL1
-	case pac.KeyDA:
-		return insn.APDAKeyLo_EL1, insn.APDAKeyHi_EL1
-	case pac.KeyDB:
-		return insn.APDBKeyLo_EL1, insn.APDBKeyHi_EL1
-	default:
-		return insn.APGAKeyLo_EL1, insn.APGAKeyHi_EL1
-	}
 }
 
 // emitEL1Sync emits the kernel-fault handler: this is where PAC

@@ -21,14 +21,18 @@ type Options struct {
 	Config *codegen.Config
 	// Seed drives the bootloader PRNG (keys, user keys).
 	Seed uint64
-	// Compat selects the §5.5 backwards-compatible build.
-	Compat boot.Compat
-	// V80 runs on an ARMv8.0 core (no PAuth; pair with Compat).
-	V80 bool
 	// FailureThreshold is the §5.4 brute-force mitigation: the kernel
 	// halts after this many PAC authentication failures. Zero selects the
 	// default of 8.
 	FailureThreshold int
+}
+
+// V80 reports whether the options select the §5.5 backwards-compatible
+// build, which the compat scheme alone decides: its key setter writes
+// CONTEXTIDR_EL1 (boot.ModeV80) and it runs on an ARMv8.0 core without
+// PAuth.
+func (o Options) V80() bool {
+	return o.Config != nil && o.Config.Scheme == codegen.SchemeCamouflageCompat
 }
 
 // DefaultFailureThreshold is the §5.4 brute-force halt threshold used
@@ -212,7 +216,7 @@ func (d *svcDev) Store(offset uint64, size int, v uint64) error {
 func buildLinked(opts Options) (*asm.Image, pac.KeySet, *boot.PRNG, error) {
 	rng := boot.NewPRNG(opts.Seed ^ 0xB007_B007)
 	keys := rng.GenerateKeys()
-	a := buildImage(opts.Config, keys, opts.Compat)
+	a := buildImage(opts.Config, keys, boot.Compat(opts.V80()))
 	img, err := a.Link(map[string]uint64{
 		".xom":     XOMBase,
 		".vectors": VecBase,
@@ -240,7 +244,7 @@ func New(opts Options) (*Kernel, error) {
 		return nil, err
 	}
 
-	c := cpu.New(cpu.Features{PAuth: !opts.V80})
+	c := cpu.New(cpu.Features{PAuth: !opts.V80()})
 	k := &Kernel{
 		CPU:       c,
 		UART:      &mem.UART{},
@@ -315,7 +319,7 @@ func New(opts Options) (*Kernel, error) {
 	// CPU initial state.
 	c.MMU.Enabled = true
 	c.VBAR = VecBase
-	if !opts.V80 {
+	if !opts.V80() {
 		c.SCTLR = insn.SCTLRPAuthAll
 	}
 	c.EL = 1
@@ -331,7 +335,7 @@ func New(opts Options) (*Kernel, error) {
 	for i := 1; i < ncpus; i++ {
 		p := c.NewPeer(i)
 		p.VBAR = VecBase
-		if !opts.V80 {
+		if !opts.V80() {
 			p.SCTLR = insn.SCTLRPAuthAll
 		}
 		p.TPIDR0 = PerCPUVA(i)

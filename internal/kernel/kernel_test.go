@@ -418,7 +418,7 @@ func TestBruteForceThresholdHaltsSystem(t *testing.T) {
 // and serves syscalls on a core without PAuth.
 func TestCompatBuildBootsOnV80(t *testing.T) {
 	cfg := &codegen.Config{Scheme: codegen.SchemeCamouflageCompat}
-	k, err := New(Options{Config: cfg, Seed: 3, Compat: boot.ModeV80, V80: true})
+	k, err := New(Options{Config: cfg, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

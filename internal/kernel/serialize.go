@@ -257,8 +257,8 @@ func encodeOptions(e *wireEnc, opts Options) {
 	e.boolean(cfg.ZeroModifier)
 	e.i64(cfg.NumCPUs)
 	e.u64(opts.Seed)
-	e.boolean(bool(opts.Compat))
-	e.boolean(opts.V80)
+	e.boolean(opts.V80()) // compat
+	e.boolean(opts.V80())
 	e.i64(opts.FailureThreshold)
 }
 
@@ -271,8 +271,10 @@ func decodeOptions(d *wireDec) Options {
 	cfg.NumCPUs = d.i64("options.cpus")
 	opts := Options{Config: cfg}
 	opts.Seed = d.u64("options.seed")
-	opts.Compat = boot.Compat(d.boolean("options.compat"))
-	opts.V80 = d.boolean("options.v80")
+	compat, v80 := d.boolean("options.compat"), d.boolean("options.v80")
+	if d.err == nil && (compat != opts.V80() || v80 != opts.V80()) {
+		d.failf("options.v80", "compat=%t v80=%t, scheme %d wants %t", compat, v80, cfg.Scheme, opts.V80())
+	}
 	opts.FailureThreshold = d.i64("options.threshold")
 	return opts
 }

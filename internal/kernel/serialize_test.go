@@ -143,6 +143,34 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDeserializeChecksCompatBytes: the compat and v80 option bytes are
+// the scheme's (Options.V80). The compat build's blob decodes; a blob
+// whose bytes disagree with its scheme is refused with the typed error.
+func TestDeserializeChecksCompatBytes(t *testing.T) {
+	compat := &codegen.Config{Scheme: codegen.SchemeCamouflageCompat}
+	blob, err := bootState(t, Options{Config: compat, Seed: 3}).Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := DeserializeState(blob, nil); err != nil || !st.Options().V80() {
+		t.Fatalf("compat blob: err %v", err)
+	}
+	e := &wireEnc{}
+	e.buf = append(e.buf, stateWireMagic...)
+	e.u64(stateWireVersion)
+	encodeOptions(e, Options{Config: compat})
+	v80 := len(e.buf) - 8 - 1 // the compat and v80 bytes precede the threshold
+	for _, off := range []int{v80 - 1, v80} {
+		bad := append([]byte(nil), blob...)
+		bad[off] = 0
+		_, err := DeserializeState(bad, nil)
+		var de *StateDecodeError
+		if !errors.As(err, &de) || de.Field != "options.v80" {
+			t.Errorf("byte %d cleared: %v, want a *StateDecodeError at options.v80", off, err)
+		}
+	}
+}
+
 // postBootBlobs serializes the post-boot states of a 1- and a 2-vCPU
 // full-protection machine, the blobs the store persists.
 func postBootBlobs(tb testing.TB) [][]byte {

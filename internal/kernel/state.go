@@ -229,7 +229,7 @@ func (k *Kernel) restoreHostMirrors(st *State) {
 // execute from exactly the captured PC. Safe to call concurrently on the
 // same State.
 func NewFromState(st *State) (*Kernel, error) {
-	c := cpu.New(cpu.Features{PAuth: !st.opts.V80})
+	c := cpu.New(cpu.Features{PAuth: !st.opts.V80()})
 	c.Bus.RAM = mem.NewPhysFrom(st.frozen)
 	c.MMU.Enabled = st.mmuOn
 	c.MMU.TT1 = st.tt1.Clone()

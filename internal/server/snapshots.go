@@ -139,14 +139,5 @@ func (s *Server) handleListImages(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	var out []client.ImageInfo
-	for _, img := range st.Images() {
-		out = append(out, client.ImageInfo{
-			ImageDigest:  img.ImageDigest,
-			Snapshots:    img.Snapshots,
-			TotalPages:   img.TotalPages,
-			UniqueChunks: img.UniqueChunks,
-		})
-	}
-	writeJSON(w, http.StatusOK, client.ImagesResponse{Images: out})
+	writeJSON(w, http.StatusOK, client.ImagesResponse{Images: st.Images()})
 }

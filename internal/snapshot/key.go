@@ -40,7 +40,7 @@ func (k Key) Norm() string {
 	o := k.Options.Normalized()
 	return fmt.Sprintf("scheme=%d fwd=%t dfi=%t zmod=%t seed=%d thr=%d compat=%t v80=%t cpus=%d",
 		o.Config.Scheme, o.Config.ForwardCFI, o.Config.DFI, o.Config.ZeroModifier,
-		o.Seed, o.FailureThreshold, bool(o.Compat), o.V80, o.Config.CPUs())
+		o.Seed, o.FailureThreshold, o.V80(), o.V80(), o.Config.CPUs())
 }
 
 // ErrNotFound reports that a store holds no snapshot for the requested

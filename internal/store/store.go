@@ -477,8 +477,8 @@ func (s *Store) Save(key snapshot.Key, snap *snapshot.Snapshot) (string, error) 
 			ZeroModifier: opts.Config.ZeroModifier,
 			CPUs:         opts.Config.CPUs(),
 			Seed:         opts.Seed,
-			Compat:       bool(opts.Compat),
-			V80:          opts.V80,
+			Compat:       opts.V80(),
+			V80:          opts.V80(),
 			Threshold:    opts.FailureThreshold,
 		},
 	}
