@@ -221,7 +221,8 @@ func newWindow(k *kernel.Kernel) window {
 // from seed to the attack window, strike corrupts it (a nil rng means
 // the paper's exact corruption, a campaign PRNG a mutation of it), and
 // judge classifies the aftermath after budget instructions, with the
-// detail the matrix prints.
+// detail the matrix prints. sealed, where set, reports that judge can
+// no longer change its verdict, whatever the rest of the budget does.
 type scenario struct {
 	name   string
 	seed   uint64
@@ -229,16 +230,23 @@ type scenario struct {
 	arm    func(k *kernel.Kernel) (window, error)
 	strike func(k *kernel.Kernel, w window, rng *boot.PRNG)
 	judge  func(k *kernel.Kernel, w window, before uint64) (Outcome, string)
+	sealed func(k *kernel.Kernel, w window, before uint64) bool
 }
 
 // attempt strikes an armed machine, runs it for the scenario's budget
 // and judges the aftermath: the one strike path of the matrix and the
-// campaign.
+// campaign. A campaign strike (non-nil rng) of a scenario with a sealed
+// rule stops once its verdict is sealed; the matrix runs the whole
+// budget, because its detail counts what the budget did.
 func (sc scenario) attempt(k *kernel.Kernel, w window, rng *boot.PRNG) (Outcome, string) {
 	before := gadgetCounter(k)
 	sc.strike(k, w, rng)
 	k.CPU.InvalidateDecode()
-	k.Run(sc.budget)
+	var done func() bool
+	if rng != nil && sc.sealed != nil {
+		done = func() bool { return sc.sealed(k, w, before) }
+	}
+	k.RunUntil(sc.budget, done)
 	return sc.judge(k, w, before)
 }
 
@@ -284,6 +292,12 @@ func judgeByGadget(k *kernel.Kernel, _ window, before uint64) (Outcome, string) 
 		return OutcomeDetected, "kernel fault without PAC (crash, not hijack)"
 	}
 	return OutcomeInconclusive, ""
+}
+
+// gadgetRan seals judgeByGadget's verdict: once the gadget counter has
+// moved the strike is hijacked, and nothing later undoes that.
+func gadgetRan(k *kernel.Kernel, _ window, before uint64) bool {
+	return gadgetCounter(k) > before
 }
 
 // baseScenarios returns the uniprocessor attacks in matrix order.
@@ -369,6 +383,7 @@ var ropScenario = scenario{
 		out, detail := judgeByGadget(k, w, before)
 		return out, fmt.Sprintf("%s; %d slots smashed", detail, len(w.slots))
 	},
+	sealed: gadgetRan,
 }
 
 // FOpsSwap is the forward-edge/DFI attack of §4.5: replace an open file's
@@ -406,7 +421,8 @@ var fopsSwapScenario = scenario{
 		ram.Write64(kernel.KVAToPA(forged)+kernel.OpsRead, w.gadget)
 		ram.Write64(kernel.KVAToPA(w.fileVA)+kernel.FileOps, mutatePointer(rng, forged, w.pacMask))
 	},
-	judge: judgeByGadget,
+	judge:  judgeByGadget,
+	sealed: gadgetRan,
 }
 
 // FOpsReplay is the §6.2.1 reuse attack: transplant a correctly signed

@@ -58,9 +58,11 @@ func TestCampaignMatrix(t *testing.T) {
 
 // TestCampaignDeterministic: same options, same matrix — strikes are
 // seeded per mutation and forks are exact, so parallel scheduling cannot
-// leak into the results.
+// leak into the results. The none and backward-edge levels have
+// hijacked ROP and f_ops-swap strikes, which stop once sealed, so the
+// race job also covers sealed strikes run in parallel.
 func TestCampaignDeterministic(t *testing.T) {
-	opts := CampaignOptions{Mutations: 6, Seed: 9, Levels: []string{"full"}}
+	opts := CampaignOptions{Mutations: 6, Seed: 9, Levels: []string{"none", "backward-edge", "full"}}
 	a, err := RunCampaign(opts)
 	if err != nil {
 		t.Fatal(err)

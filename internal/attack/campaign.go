@@ -14,7 +14,10 @@ package attack
 // The cells are the scenarios of attack.go, the same table the §6.2
 // matrix strikes once unmutated: each fork goes through scenario.attempt
 // with a per-mutation PRNG where the matrix passes nil, and the campaign
-// keeps the outcome and discards the detail.
+// keeps the outcome and discards the detail. Because it discards the
+// detail, a campaign strike may stop once its verdict is sealed (a ROP
+// or f_ops-swap gadget that has run) instead of spinning the gadget to
+// the end of its budget.
 
 import (
 	"context"
@@ -92,7 +95,8 @@ func RunCampaign(o CampaignOptions) (*CampaignReport, error) {
 
 // RunCampaignContext is RunCampaign with cancellation: once ctx is done
 // no new cell is armed and no new strike is forked (strikes already
-// running finish their instruction budget), and ctx.Err() is returned.
+// running finish: each runs until its verdict is sealed or its
+// instruction budget ends), and ctx.Err() is returned.
 // It is the service daemon's campaign entry point — request deadlines
 // flow through here into every forked mutation.
 func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
@@ -144,8 +148,7 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 				if err != nil {
 					return err
 				}
-				rng := boot.NewPRNG(o.Seed ^ sc.seed<<32 ^ uint64(m)*0x9E3779B97F4A7C15)
-				outcomes[m], _ = sc.attempt(fork, w, rng)
+				outcomes[m], _ = sc.attempt(fork, w, strikeRNG(o.Seed, sc, m))
 				dirty[m] = fork.CPU.Bus.RAM.DirtyPages()
 				return nil
 			})
@@ -170,6 +173,12 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 		}
 	}
 	return rep, nil
+}
+
+// strikeRNG is the mutation PRNG of strike m of a scenario's cell under
+// campaign seed seed.
+func strikeRNG(seed uint64, sc scenario, m int) *boot.PRNG {
+	return boot.NewPRNG(seed ^ sc.seed<<32 ^ uint64(m)*0x9E3779B97F4A7C15)
 }
 
 // Render writes the campaign matrix as text.

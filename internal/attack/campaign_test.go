@@ -2,12 +2,14 @@ package attack
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"camouflage/internal/obs"
 	"camouflage/internal/pac"
+	"camouflage/internal/snapshot"
 )
 
 // TestSMPCampaignDeterminism pins the acceptance criterion that a
@@ -101,4 +103,87 @@ func TestCampaignPACMemoHitRate(t *testing.T) {
 			runs, signs, auths, 100*float64(runs)/float64(signs+auths))
 	}
 	t.Logf("%d QARMA runs for %d signs + %d auths", runs, signs, auths)
+}
+
+// TestSealedStrikesMatchFullBudgets holds the campaign's early stop to
+// the full budget. Every strike of every campaign cell, at mutation
+// seeds 1, 2, 3 and 7 and at 1 and 2 vCPUs, runs twice from the same
+// armed snapshot: once through attempt, which stops when the verdict is
+// sealed, and once for the scenario's whole budget. Outcome, PAC
+// failures and dirty pages (the campaign's average) must agree strike
+// by strike; a difference means a sealed rule is too eager. The sealed
+// strikes must also retire fewer instructions in all, so a seal that
+// never fires fails too.
+func TestSealedStrikesMatchFullBudgets(t *testing.T) {
+	const mutations = 4
+	seeds := []uint64{1, 2, 3, 7}
+	type result struct {
+		out         Outcome
+		pacFailures int
+		dirty       int
+		retired     uint64
+	}
+	for _, cpus := range []int{1, 2} {
+		var sealedRetired, fullRetired uint64
+		strikes := 0
+		for _, lv := range Levels() {
+			for _, sc := range campaignScenarios(cpus) {
+				k, err := bootWith(lv, cpus, sc.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := sc.arm(k)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", sc.name, lv.Name, err)
+				}
+				snap := snapshot.Take(k)
+				n := len(seeds) * mutations
+				// Index i < n is strike i sealed, i >= n the same strike
+				// run for the whole budget.
+				res := make([]result, 2*n)
+				err = snapshot.ForEach(context.Background(), 2*n, true, func(i int) error {
+					fork, err := snap.Fork()
+					if err != nil {
+						return err
+					}
+					rng := strikeRNG(seeds[i%n/mutations], sc, i%mutations)
+					var out Outcome
+					if i < n {
+						out, _ = sc.attempt(fork, w, rng)
+					} else {
+						before := gadgetCounter(fork)
+						sc.strike(fork, w, rng)
+						fork.CPU.InvalidateDecode()
+						fork.Run(sc.budget)
+						out, _ = sc.judge(fork, w, before)
+					}
+					r := result{out: out, pacFailures: fork.PACFailures, dirty: fork.CPU.Bus.RAM.DirtyPages()}
+					for _, c := range fork.CPUs {
+						r.retired += c.Retired
+					}
+					res[i] = r
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", sc.name, lv.Name, err)
+				}
+				for i := 0; i < n; i++ {
+					sealed, full := res[i], res[n+i]
+					if sealed.out != full.out || sealed.pacFailures != full.pacFailures || sealed.dirty != full.dirty {
+						t.Errorf("%d vCPU %s/%s seed %d mutation %d: sealed strike %s (%d PAC failures, %d dirty pages), full budget %s (%d, %d)",
+							cpus, sc.name, lv.Name, seeds[i/mutations], i%mutations,
+							sealed.out, sealed.pacFailures, sealed.dirty, full.out, full.pacFailures, full.dirty)
+					}
+					sealedRetired += sealed.retired
+					fullRetired += full.retired
+				}
+				strikes += n
+			}
+		}
+		if sealedRetired >= fullRetired {
+			t.Errorf("%d vCPU: sealed strikes retired %d instructions, full budgets %d: no strike was sealed",
+				cpus, sealedRetired, fullRetired)
+		}
+		t.Logf("%d vCPU: %d strikes, instructions retired sealed %d, full budgets %d", cpus, strikes, sealedRetired, fullRetired)
+	}
 }

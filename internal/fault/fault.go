@@ -321,7 +321,9 @@ func splitmix64(x uint64) uint64 {
 // Comma-separated entries; `seed=N` keys the payload PRNG (default 1);
 // every other entry is `<point>=<when>[:<delay>]` where <when> is a
 // count ("2" = the first two checks fire), "every:K" (every Kth check),
-// or "all", and <delay> is a Go duration for sleep points.
+// or "all", and <delay> is a non-negative Go duration for sleep points.
+// A plan that parses prints back through Registry.String as a spec that
+// parses to the same rules.
 func ParseSpec(spec string) (*Registry, error) {
 	var seed uint64 = 1
 	type armed struct {
@@ -335,7 +337,7 @@ func ParseSpec(spec string) (*Registry, error) {
 			continue
 		}
 		k, v, ok := strings.Cut(part, "=")
-		if !ok {
+		if !ok || k == "" {
 			return nil, fmt.Errorf("fault: bad spec entry %q (want point=rule)", part)
 		}
 		if k == "seed" {
@@ -373,6 +375,9 @@ func ParseSpec(spec string) (*Registry, error) {
 			d, err := time.ParseDuration(rest[0])
 			if err != nil {
 				return nil, fmt.Errorf("fault: %s: bad delay %q: %v", k, rest[0], err)
+			}
+			if d < 0 {
+				return nil, fmt.Errorf("fault: %s: negative delay %q", k, rest[0])
 			}
 			ru.Delay = d
 			rest = rest[1:]

@@ -280,21 +280,73 @@ func TestParseSpecEveryWithDelay(t *testing.T) {
 	}
 }
 
+// badSpecs are plans ParseSpec must reject.
+var badSpecs = []string{
+	"storechunkread",        // no =
+	"seed=abc",              // bad seed
+	"store.chunk.read=0",    // zero count
+	"store.chunk.read=x",    // bad count
+	"pool.boot=every",       // every without K
+	"pool.boot=every:0",     // zero K
+	"client.stall=1:nope",   // bad duration
+	"client.stall=1:1ms:2s", // trailing fields
+	"pool.acquire=1:-5ms",   // negative delay (String would drop it)
+	"=3",                    // empty point name (no site checks it)
+	"seed=2, =all",          // empty point name after a seed
+}
+
 func TestParseSpecErrors(t *testing.T) {
-	for _, bad := range []string{
-		"storechunkread",        // no =
-		"seed=abc",              // bad seed
-		"store.chunk.read=0",    // zero count
-		"store.chunk.read=x",    // bad count
-		"pool.boot=every",       // every without K
-		"pool.boot=every:0",     // zero K
-		"client.stall=1:nope",   // bad duration
-		"client.stall=1:1ms:2s", // trailing fields
-	} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// FuzzParseSpec feeds the -faults decoder arbitrary plans. It must never
+// panic, and a plan it accepts must print, through Registry.String, a
+// spec that parses again, prints the same and arms the same rules
+// (Every 0 and 1 both fire on every check).
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range append([]string{
+		"seed=42, store.chunk.read=2, client.stall=1:50ms, pool.boot=every:3, store.crash=all",
+		"pool.acquire=every:2:10ms",
+		"seed=9,store.crash=all,client.stall=3:50ms,pool.boot=every:4",
+		"seed=42,client.reset=1,client.5xx=1,client.stall=1:50ms",
+		"pool.boot=every:1,pool.boot=2:0s",
+		"   ",
+	}, badSpecs...) {
+		f.Add(s)
+	}
+	norm := func(ru Rule) Rule {
+		if ru.Every == 1 {
+			ru.Every = 0
+		}
+		return ru
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		r, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		printed := r.String()
+		r2, err := ParseSpec(printed)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) prints %q, which does not parse: %v", spec, printed, err)
+		}
+		if again := r2.String(); again != printed {
+			t.Fatalf("ParseSpec(%q) prints %q, which prints %q", spec, printed, again)
+		}
+		if r2.seed != r.seed || len(r2.rules) != len(r.rules) {
+			t.Fatalf("ParseSpec(%q): seed %d with %d rules, reparsed seed %d with %d rules",
+				spec, r.seed, len(r.rules), r2.seed, len(r2.rules))
+		}
+		for p, ru := range r.rules {
+			if ru2 := r2.rules[p]; ru2 == nil || norm(ru2.spec) != norm(ru.spec) {
+				t.Fatalf("ParseSpec(%q): point %q armed %+v, reparsed %v", spec, p, ru.spec, ru2)
+			}
+		}
+	})
 }
 
 func TestEnableSpecEmptyIsNoop(t *testing.T) {

@@ -1193,14 +1193,41 @@ const SMPQuantum = 4096
 // halts, or when the total budget is exhausted; a secondary core's HLT
 // parks that core and the run continues.
 func (k *Kernel) Run(maxInstrs uint64) cpu.Stop {
-	if len(k.CPUs) == 1 {
-		k.active = 0
-		return k.CPU.Run(maxInstrs)
-	}
-	return k.runSMP(maxInstrs)
+	return k.RunUntil(maxInstrs, nil)
 }
 
-func (k *Kernel) runSMP(maxInstrs uint64) cpu.Stop {
+// RunUntil is Run that also returns, with StopLimit, once done reports
+// true. done is checked only where the run so far is an exact prefix of
+// Run(maxInstrs): on a uniprocessor between SMPQuantum-step slices of
+// the boot core (Run slices are exact), on an SMP machine between full
+// scheduler rotations (each runSMP call restarts its rotation at core
+// 0, so a cut inside one would change the interleaving). A nil done is
+// Run itself.
+func (k *Kernel) RunUntil(maxInstrs uint64, done func() bool) cpu.Stop {
+	if len(k.CPUs) > 1 {
+		return k.runSMP(maxInstrs, done)
+	}
+	k.active = 0
+	if done == nil {
+		return k.CPU.Run(maxInstrs)
+	}
+	// The budget is in steps, as cpu.Run spends it: an IRQ delivery, a
+	// fetch abort or an undefined instruction takes a step and retires
+	// nothing. A slice that ends in StopLimit spent all its steps.
+	for remaining := maxInstrs; remaining > 0; {
+		slice := min(remaining, SMPQuantum)
+		if stop := k.CPU.Run(slice); stop.Kind != cpu.StopLimit {
+			return stop
+		}
+		remaining -= slice
+		if done() {
+			break
+		}
+	}
+	return cpu.Stop{Kind: cpu.StopLimit}
+}
+
+func (k *Kernel) runSMP(maxInstrs uint64, done func() bool) cpu.Stop {
 	remaining := maxInstrs
 	for remaining > 0 {
 		ranAny := false
@@ -1238,6 +1265,9 @@ func (k *Kernel) runSMP(maxInstrs uint64) cpu.Stop {
 		}
 		if !ranAny {
 			break // every core parked
+		}
+		if done != nil && done() {
+			break // only between rotations, so the run is a prefix of Run's
 		}
 	}
 	k.active = 0
