@@ -314,7 +314,39 @@ func ROPFrameRecord(lv Level) (Report, error) {
 
 var ropScenario = scenario{
 	name: "ROP (frame-record smash)", seed: 23, budget: 5_000_000,
-	arm: func(k *kernel.Kernel) (window, error) {
+	arm: armBlocked(5_000),
+	// Unmutated, every located slot gets the gadget; a campaign strike
+	// smashes a random non-empty subset with mutated pointers.
+	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
+		ram := k.CPU.Bus.RAM
+		smashed := false
+		for _, va := range w.slots {
+			if rng != nil && rng.Uint64()&1 == 0 {
+				continue
+			}
+			ram.Write64(kernel.KVAToPA(va), mutatePointer(rng, w.gadget, w.pacMask))
+			smashed = true
+		}
+		if !smashed {
+			va := w.slots[rng.Uint64()%uint64(len(w.slots))]
+			ram.Write64(kernel.KVAToPA(va), mutatePointer(rng, w.gadget, w.pacMask))
+		}
+	},
+	// The detail counts the slots the unmutated strike smashes (all of
+	// them); the campaign discards it.
+	judge: func(k *kernel.Kernel, w window, before uint64) (Outcome, string) {
+		out, detail := judgeByGadget(k, w, before)
+		return out, fmt.Sprintf("%s; %d slots smashed", detail, len(w.slots))
+	},
+	sealed: gadgetRan,
+}
+
+// armBlocked arms the ROP window: it runs the pipe blocker in steps of
+// step instructions until the child (pid 2) is blocked in pipe_read, so
+// the window opens up to step instructions after the child blocks, and
+// locates the saved return addresses on the child's kernel stack.
+func armBlocked(step uint64) func(k *kernel.Kernel) (window, error) {
+	return func(k *kernel.Kernel) (window, error) {
 		w := newWindow(k)
 		prog, err := kernel.BuildProgram("blocker", pipeBlockerProgram())
 		if err != nil {
@@ -324,10 +356,9 @@ var ropScenario = scenario{
 		if _, err := k.Spawn(1); err != nil {
 			return w, err
 		}
-		// Run until the child (pid 2) is blocked in pipe_read.
 		var victim *kernel.Task
 		for i := 0; i < 300; i++ {
-			k.Run(5_000)
+			k.Run(step)
 			if t := k.Task(2); t != nil && t.State == kernel.TaskBlocked {
 				victim = t
 				break
@@ -359,31 +390,7 @@ var ropScenario = scenario{
 			return w, fmt.Errorf("no return addresses on victim stack")
 		}
 		return w, nil
-	},
-	// Unmutated, every located slot gets the gadget; a campaign strike
-	// smashes a random non-empty subset with mutated pointers.
-	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
-		ram := k.CPU.Bus.RAM
-		smashed := false
-		for _, va := range w.slots {
-			if rng != nil && rng.Uint64()&1 == 0 {
-				continue
-			}
-			ram.Write64(kernel.KVAToPA(va), mutatePointer(rng, w.gadget, w.pacMask))
-			smashed = true
-		}
-		if !smashed {
-			va := w.slots[rng.Uint64()%uint64(len(w.slots))]
-			ram.Write64(kernel.KVAToPA(va), mutatePointer(rng, w.gadget, w.pacMask))
-		}
-	},
-	// The detail counts the slots the unmutated strike smashes (all of
-	// them); the campaign discards it.
-	judge: func(k *kernel.Kernel, w window, before uint64) (Outcome, string) {
-		out, detail := judgeByGadget(k, w, before)
-		return out, fmt.Sprintf("%s; %d slots smashed", detail, len(w.slots))
-	},
-	sealed: gadgetRan,
+	}
 }
 
 // FOpsSwap is the forward-edge/DFI attack of §4.5: replace an open file's
@@ -494,26 +501,30 @@ func transplant(k *kernel.Kernel, w window, rng *boot.PRNG) {
 
 // crossCoreVictimProgram is the second core's victim: open /dev/zero
 // (fd 0) and keep reading it — the dispatch the cross-core replay
-// silently redirects.
-func crossCoreVictimProgram() func(u *kernel.UserASM) {
+// silently redirects — counting down pause iterations between reads.
+func crossCoreVictimProgram(pause uint64) func(u *kernel.UserASM) {
 	return func(u *kernel.UserASM) {
 		u.Syscall(kernel.SysOpenat, 0, kernel.PathDevZero, 0) // fd 0
 		u.A.Label("spin")
 		u.Syscall(kernel.SysRead, 0, kernel.UserDataBase, 8)
+		if pause > 0 {
+			u.CounterLoop("pause", insn.X21, pause, func() {})
+		}
 		u.A.B("spin")
 	}
 }
 
 // armCrossCore arms both cross-core forms: the donor (pid 1, core 0)
 // holds a correctly signed null_ops, the recipient (pid 2, core 1)
-// keeps reading /dev/zero through the slot the transplant overwrites.
-func armCrossCore(k *kernel.Kernel) (window, error) {
+// keeps reading /dev/zero through the slot the transplant overwrites,
+// pausing between reads (crossCoreVictimProgram).
+func armCrossCore(k *kernel.Kernel, pause uint64) (window, error) {
 	w := newWindow(k)
 	donor, err := kernel.BuildProgram("replayvictim", replayVictimProgram())
 	if err != nil {
 		return w, err
 	}
-	sink, err := kernel.BuildProgram("ccvictim", crossCoreVictimProgram())
+	sink, err := kernel.BuildProgram("ccvictim", crossCoreVictimProgram(pause))
 	if err != nil {
 		return w, err
 	}
@@ -564,7 +575,7 @@ func CrossCoreReplay(lv Level, cpus int) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	w, err := armCrossCore(k)
+	w, err := armCrossCore(k, 0)
 	if err != nil {
 		return Report{}, fmt.Errorf("%s/%s: %w", crossCoreScenario.name, lv.Name, err)
 	}
@@ -590,7 +601,9 @@ func CrossCoreReplay(lv Level, cpus int) (Report, error) {
 // and plants the sentinel at once, with no drain.
 var crossCoreScenario = scenario{
 	name: "cross-core f_ops replay", seed: 29, budget: 6_000_000,
-	arm: armCrossCore,
+	arm: func(k *kernel.Kernel) (window, error) {
+		return armCrossCore(k, 0)
+	},
 	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
 		transplant(k, w, rng)
 		k.CPU.Bus.RAM.Write64(kernel.UVAToPA(2, kernel.UserDataBase), sentinel)
@@ -605,6 +618,14 @@ var crossCoreScenario = scenario{
 			ram.Read64(kernel.KVAToPA(w.fileVA)+kernel.FileOps)
 		return crossCoreVerdict(k, planted || ram.Read64(kernel.UVAToPA(2, kernel.UserDataBase)) == sentinel)
 	},
+	sealed: pacFailed,
+}
+
+// pacFailed seals crossCoreVerdict's verdict: it checks PAC failures
+// first, and they never decrease, so once one is counted the strike is
+// detected whatever the rest of the budget does.
+func pacFailed(k *kernel.Kernel, _ window, _ uint64) bool {
+	return k.PACFailures > 0
 }
 
 // BruteReport is the result of the §5.4 brute-force experiment.

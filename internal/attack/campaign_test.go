@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"camouflage/internal/kernel"
 	"camouflage/internal/obs"
 	"camouflage/internal/pac"
 	"camouflage/internal/snapshot"
@@ -114,9 +115,25 @@ func TestCampaignPACMemoHitRate(t *testing.T) {
 // by strike; a difference means a sealed rule is too eager. The sealed
 // strikes must also retire fewer instructions in all, so a seal that
 // never fires fails too.
+//
+// The campaign's own strikes all settle inside the first SMPQuantum
+// slice or scheduler rotation, so the test adds cells whose verdicts
+// settle later, where a rule that seals before the judge is final
+// changes them: ROP armed within 500 instructions of the child
+// blocking, while the parent still has most of its yields to run before
+// it wakes the child; and at 2 vCPUs the cross-core replay with a
+// recipient that counts down 5000 iterations between reads.
 func TestSealedStrikesMatchFullBudgets(t *testing.T) {
 	const mutations = 4
 	seeds := []uint64{1, 2, 3, 7}
+	lateROP := ropScenario
+	lateROP.name += ", armed as the child blocks"
+	lateROP.arm = armBlocked(500)
+	lateCrossCore := crossCoreScenario
+	lateCrossCore.name += ", recipient pausing"
+	lateCrossCore.arm = func(k *kernel.Kernel) (window, error) {
+		return armCrossCore(k, 5000)
+	}
 	type result struct {
 		out         Outcome
 		pacFailures int
@@ -127,7 +144,11 @@ func TestSealedStrikesMatchFullBudgets(t *testing.T) {
 		var sealedRetired, fullRetired uint64
 		strikes := 0
 		for _, lv := range Levels() {
-			for _, sc := range campaignScenarios(cpus) {
+			cells := append(campaignScenarios(cpus), lateROP)
+			if cpus >= 2 {
+				cells = append(cells, lateCrossCore)
+			}
+			for _, sc := range cells {
 				k, err := bootWith(lv, cpus, sc.seed)
 				if err != nil {
 					t.Fatal(err)

@@ -9,14 +9,15 @@ import (
 	"camouflage/internal/pac"
 )
 
-// seqSucc[k] is the successor offset, from the entry VA, of the k-th
-// instruction of a straight-line run: a block's one-block view stays on
-// the block only while every instruction advances the PC sequentially.
-var seqSucc [maxBlockInstrs]uint64
+// seqAt[k] is the offset, from the entry VA, of the k-th instruction of
+// a straight-line run, and so seqAt[k+1] its successor's: a block's
+// one-block view stays on the block only while every instruction
+// advances the PC sequentially.
+var seqAt [maxBlockInstrs + 1]uint64
 
 func init() {
-	for k := range seqSucc {
-		seqSucc[k] = uint64(k+1) * insn.Size
+	for k := range seqAt {
+		seqAt[k] = uint64(k) * insn.Size
 	}
 }
 

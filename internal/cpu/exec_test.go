@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -441,6 +442,17 @@ func TestBlockCacheMatchesLegacyPath(t *testing.T) {
 // once. The handler skips the faulting instruction with MRS/MSR
 // ELR_EL1 and ERET. On an ARMv8.0 core the key MSRs, PACIB and AUTIB
 // fault too.
+//
+// "trap-frame" runs the fused ops with the MMU on, so stores and loads
+// take the host-pointer path, and compares the pages it writes too. Its
+// first loop is el0_sync's 15-STP push and ret_to_user's 15-LDP pop off
+// SP around 64- and 32-bit MOVZ+MOVK chains and two look-alikes that are
+// not chains, then an LDP run whose third pair reloads its base
+// register; an extra budget ends a slice inside every fused op of the
+// loop's trace. Its second loop stores an STP run into a code page and
+// calls the code it rewrote, and its third stores an STP run that
+// crosses into an unmapped page: each pair there aborts, the handler
+// skips it, and the pairs before it must have been stored.
 func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
 	calls := func(a *asm.Assembler) {
 		a.Label("entry")
@@ -535,12 +547,107 @@ func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
 		a.I(insn.MSR(insn.ELR_EL1, insn.X15))
 		a.I(insn.ERET())
 	}
+	const (
+		patchBase = uint64(pac.KernelBase) | 0x0018_0000 // patched: a writable code page
+		holeBase  = uint64(pac.KernelBase) | 0x0019_0000 // an unmapped page
+	)
+	trapFrame := func(a *asm.Assembler) {
+		a.Label("entry")
+		a.I(insn.MOVImm64(insn.X3, patchBase)...)
+		a.I(insn.MOVImm64(insn.X4, holeBase-32)...)
+		a.I(insn.MOVZ(insn.X5, 150, 0))
+		a.BL("patched") // the page now holds decoded code
+		a.Label("frame")
+		a.I(insn.SUBi(insn.SP, insn.SP, 240))
+		for r := 0; r < 30; r += 2 {
+			a.I(insn.STP(insn.Reg(r), insn.Reg(r+1), insn.SP, int16(8*r)))
+		}
+		a.I(insn.MOVImm64(insn.X0, 0x1234_5678_9ABC_DEF0)...)
+		a.I(insn.MOVZW(insn.X1, 0xBEEF, 0))
+		movkw := insn.MOVK(insn.X1, 0xDEAD, 16)
+		movkw.SF = false
+		a.I(movkw)
+		// Not chains: a 32-bit MOVK clears the MOVZ's halfword, and a
+		// second write to one halfword hides the MOVZ's immediate.
+		a.I(insn.MOVZ(insn.X12, 0xBEEF, 48))
+		movkw.Rd, movkw.Imm, movkw.Shift = insn.X12, 1, 0
+		a.I(movkw)
+		a.I(insn.MOVZ(insn.X13, 1, 16))
+		a.I(insn.MOVK(insn.X13, 2, 16))
+		a.I(insn.EORr(insn.X6, insn.X0, insn.X1))
+		for r := 0; r < 30; r += 2 {
+			a.I(insn.LDP(insn.Reg(r), insn.Reg(r+1), insn.SP, int16(8*r)))
+		}
+		a.I(insn.ADDi(insn.SP, insn.SP, 240))
+		// The third LDP reloads x2 with x2+64: the fourth must address
+		// off the new base, where x6 was stored, not the old one.
+		a.I(insn.MOVImm64(insn.X2, dataBase)...)
+		a.I(insn.ADDi(insn.X9, insn.X2, 64))
+		a.I(insn.STR(insn.X9, insn.X2, 40))
+		a.I(insn.STR(insn.X6, insn.X2, 112))
+		a.I(insn.LDP(insn.X8, insn.X9, insn.X2, 0))
+		a.I(insn.LDP(insn.X10, insn.X11, insn.X2, 16))
+		a.I(insn.LDP(insn.X12, insn.X2, insn.X2, 32))
+		a.I(insn.LDP(insn.X13, insn.X14, insn.X2, 48))
+		a.I(insn.ADDr(insn.X6, insn.X6, insn.X13))
+		a.I(insn.ADDi(insn.X6, insn.X6, 1))
+		a.I(insn.SUBi(insn.X5, insn.X5, 1))
+		a.Label("frame_end")
+		a.CBNZ(insn.X5, "frame")
+
+		// Each pass rewrites patched, alternating its ADD between #1 and
+		// #2, and calls it: a stale decode would add the old immediate.
+		ret := uint64(insn.RET().Encode()) << 32
+		a.I(insn.MOVImm64(insn.X20, uint64(insn.ADDi(insn.X7, insn.X7, 1).Encode())|ret)...)
+		a.I(insn.MOVImm64(insn.X21, uint64(insn.ADDi(insn.X7, insn.X7, 2).Encode())|ret)...)
+		a.I(insn.MOVZ(insn.X5, 24, 0))
+		a.Label("codepage")
+		a.I(insn.STP(insn.X20, insn.X21, insn.X3, 0))
+		a.I(insn.STP(insn.X8, insn.X9, insn.X3, 16))
+		a.I(insn.STP(insn.X10, insn.X11, insn.X3, 32))
+		a.I(insn.BLR(insn.X3))
+		a.I(insn.EORr(insn.X20, insn.X20, insn.X21))
+		a.I(insn.EORr(insn.X21, insn.X21, insn.X20))
+		a.I(insn.EORr(insn.X20, insn.X20, insn.X21))
+		a.I(insn.SUBi(insn.X5, insn.X5, 1))
+		a.CBNZ(insn.X5, "codepage")
+
+		a.I(insn.MOVZ(insn.X5, 24, 0))
+		a.Label("cross")
+		a.I(insn.STP(insn.X6, insn.X7, insn.X4, 0))
+		a.I(insn.STP(insn.X8, insn.X9, insn.X4, 16))
+		a.I(insn.STP(insn.X10, insn.X11, insn.X4, 32))
+		a.I(insn.STP(insn.X12, insn.X13, insn.X4, 48))
+		a.I(insn.ADDi(insn.X6, insn.X6, 1))
+		a.I(insn.SUBi(insn.X5, insn.X5, 1))
+		a.CBNZ(insn.X5, "cross")
+		a.I(insn.HLT(0))
+
+		a.Section(".patch")
+		a.Label("patched")
+		a.I(insn.RET())
+		a.I(insn.RET())
+
+		a.Section(".vectors")
+		a.Label("vectors")
+		a.PadTo(VecSyncCurrent)
+		a.I(insn.MRS(insn.X15, insn.ELR_EL1))
+		a.I(insn.ADDi(insn.X15, insn.X15, insn.Size))
+		a.I(insn.MSR(insn.ELR_EL1, insn.X15))
+		a.I(insn.ERET())
+	}
+	trapFrameMMU := func(c *CPU) {
+		mapKernelFlat(c)
+		c.MMU.TT1.Map(patchBase, patchBase, mmu.KernelText|mmu.W1)
+		c.MMU.TT1.Unmap(holeBase)
+	}
 	kernelDone := func(c *CPU, mpidr int) string {
 		if c.X[6] != 1 || mpidr != 1 {
 			return fmt.Sprintf("detours = %d, MPIDR_EL1 hook calls = %d; want 1 and 1", c.X[6], mpidr)
 		}
 		return ""
 	}
+	noCheck := func(*CPU, int) string { return "" }
 	for _, prog := range []struct {
 		name  string
 		feat  Features
@@ -548,8 +655,15 @@ func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
 		// done checks the fast machine once it halted; mpidr counts
 		// its hook calls for MPIDR_EL1.
 		done func(c *CPU, mpidr int) string
+		// mmu, if set, maps the program's memory and turns the MMU on.
+		mmu func(c *CPU)
+		// pages are the identity-mapped pages compared after every slice.
+		pages []uint64
+		// loop, if set, labels a loop ending at loop+"_end" whose looping
+		// trace must hold fused ops, each cut by the budget (see below).
+		loop string
 	}{
-		{"calls", Features{PAuth: true}, calls, func(c *CPU, _ int) string {
+		{name: "calls", feat: Features{PAuth: true}, build: calls, done: func(c *CPU, _ int) string {
 			for _, b := range c.blocks {
 				if b.tr != nil && b.tr.looping {
 					return ""
@@ -557,13 +671,16 @@ func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
 			}
 			return "no looping trace was built for the inner loop"
 		}},
-		{"kernel", Features{PAuth: true}, kernel, kernelDone},
-		{"kernel-v8.0", Features{PAuth: false}, kernel, kernelDone},
+		{name: "kernel", feat: Features{PAuth: true}, build: kernel, done: kernelDone},
+		{name: "kernel-v8.0", feat: Features{PAuth: false}, build: kernel, done: kernelDone},
+		{name: "trap-frame", feat: Features{PAuth: true}, build: trapFrame, done: noCheck,
+			mmu: trapFrameMMU, loop: "frame",
+			pages: []uint64{stackTop - mmu.PageSize, dataBase, patchBase, holeBase - mmu.PageSize}},
 	} {
 		t.Run(prog.name, func(t *testing.T) {
 			a := asm.New()
 			prog.build(a)
-			img, err := a.Link(map[string]uint64{".text": textBase, ".vectors": vbarBase})
+			img, err := a.Link(map[string]uint64{".text": textBase, ".vectors": vbarBase, ".patch": patchBase})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -587,12 +704,28 @@ func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
 				for _, s := range img.Sections {
 					c.Bus.RAM.WriteBytes(s.Base, s.Bytes)
 				}
+				if prog.mmu != nil {
+					prog.mmu(c)
+				}
 				c.SetSP(1, stackTop)
 				c.PC = img.Symbols["entry"]
 				return c
 			}
+			budgets := []uint64{1, 2, 3, 5, 7, 11, 16, 17, 64, 100000}
+			// The loop's body is L instructions. Budget 2L+1 is coprime
+			// to L, so successive slices end at every offset into the
+			// body, and each ends inside a lap of its looping trace: a
+			// slice that starts mid-body runs to the loop head as a
+			// one-block view and leaves the trace at least L+1 steps.
+			var cutBudget uint64
+			ends := map[uint64]bool{} // PCs at which a cutBudget slice ended
+			if prog.loop != "" {
+				body := (img.Symbols[prog.loop+"_end"]-img.Symbols[prog.loop])/insn.Size + 1
+				cutBudget = 2*body + 1
+				budgets = append(budgets, cutBudget)
+			}
 			var entered uint64
-			for _, budget := range []uint64{1, 2, 3, 5, 7, 11, 16, 17, 64, 100000} {
+			for _, budget := range budgets {
 				var fastHooks, seedHooks hooks
 				fast, seed := boot(false, &fastHooks), boot(true, &seedHooks)
 				for call := 1; ; call++ {
@@ -606,6 +739,14 @@ func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
 					if fastHooks != seedHooks {
 						t.Fatalf("budget %d, Run #%d: MSR hook calls %+v on the fast path, %+v on the seed interpreter", budget, call, fastHooks, seedHooks)
 					}
+					for _, pg := range prog.pages {
+						if f, s := fast.Bus.RAM.ReadBytes(pg, mmu.PageSize), seed.Bus.RAM.ReadBytes(pg, mmu.PageSize); !bytes.Equal(f, s) {
+							t.Fatalf("budget %d, Run #%d: page %#x diverged", budget, call, pg)
+						}
+					}
+					if budget == cutBudget {
+						ends[fast.PC] = true
+					}
 					if fs.Kind != StopLimit {
 						break
 					}
@@ -616,6 +757,11 @@ func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
 				if msg := prog.done(fast, fastHooks.mpidr); msg != "" {
 					t.Fatalf("budget %d: %s", budget, msg)
 				}
+				if budget == cutBudget {
+					if msg := cutEveryFusedOp(fast, img.Symbols[prog.loop], ends); msg != "" {
+						t.Fatalf("budget %d: %s", budget, msg)
+					}
+				}
 				entered += fast.TraceFollows
 			}
 			// Budgets below a trace body's length run only one-block views;
@@ -625,6 +771,43 @@ func TestBudgetSweepMatchesLegacyPath(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cutEveryFusedOp checks the looping trace entered at entry: it must
+// hold a 15-STP run, a 15-LDP run and move-wide chains, and a slice must
+// have ended (ends) inside each of its fused ops.
+func cutEveryFusedOp(c *CPU, entry uint64, ends map[uint64]bool) string {
+	var tr *trace
+	for _, b := range c.blocks {
+		if b.tr != nil && b.tr.looping && b.tr.entryVA == entry {
+			tr = b.tr
+		}
+	}
+	if tr == nil {
+		return fmt.Sprintf("no looping trace at %#x", entry)
+	}
+	var kinds [3]bool // a 15-STP run, a 15-LDP run, a move chain
+	for i, in := range tr.instrs {
+		switch {
+		case in.Op == opSTPRun && in.ImmS == 15:
+			kinds[0] = true
+		case in.Op == opLDPRun && in.ImmS == 15:
+			kinds[1] = true
+		case in.Op == opMOVImm:
+			kinds[2] = true
+		}
+		if in.Op == opSTPRun || in.Op == opLDPRun || in.Op == opMOVImm {
+			for j := 1; j < int(in.ImmS); j++ {
+				if pc := entry + tr.at[i+j]; !ends[pc] {
+					return fmt.Sprintf("no slice ended at %#x, inside the fused %v run at %#x", pc, insn.Op(in.Op), entry+tr.at[i])
+				}
+			}
+		}
+	}
+	if kinds != [3]bool{true, true, true} {
+		return fmt.Sprintf("the loop's trace lacks a fused op: 15-STP run, 15-LDP run, move chain = %v", kinds)
+	}
+	return ""
 }
 
 func TestIRQDeliveryAtEL0(t *testing.T) {
@@ -816,16 +999,14 @@ func TestEntryMemoAndTracesEngage(t *testing.T) {
 // spansCall reports whether t fuses a BL with its callee's RET back to
 // the BL's return address.
 func spansCall(t *trace) bool {
-	var at uint64 // offset of instrs[k] from the entry VA
 	for k, in := range t.instrs {
 		if in.Op == insn.OpBL {
 			for j := k + 1; j < len(t.instrs); j++ {
-				if t.instrs[j].Op == insn.OpRET && t.succ[j] == at+insn.Size {
+				if t.instrs[j].Op == insn.OpRET && t.at[j+1] == t.at[k]+insn.Size {
 					return true
 				}
 			}
 		}
-		at = t.succ[k]
 	}
 	return false
 }

@@ -92,9 +92,10 @@ const (
 )
 
 // trace is one fused superblock: the concatenated instructions of a run
-// of basic blocks, the expected successor after each instruction as an
-// offset from the entry VA (a uniform side-exit check covering
-// fall-through and fused branch targets alike), the constituent blocks
+// of basic blocks (with the trap-frame and move-wide idioms fused, see
+// fuseRuns), each instruction's PC and expected successor as offsets
+// from the entry VA (a uniform side-exit check covering fall-through
+// and fused branch targets alike), the constituent blocks
 // (whose shared generation cells the entry check validates), and one
 // translation-regime snapshot — the builder only fuses successors on the
 // entry's address side, translated under that regime, so a single
@@ -102,7 +103,10 @@ const (
 type trace struct {
 	entryVA uint64
 	instrs  []insn.Instr
-	succ    []uint64 // expected PC after instrs[k] retires, minus entryVA
+	// at[k] is the PC of instrs[k] minus entryVA, and at[k+1] the PC
+	// instrs[k] must leave behind (its fused successor); at[len(instrs)]
+	// is the PC after the body, the entry VA for a looping trace.
+	at []uint64
 
 	blocks []*codeBlock
 
@@ -171,7 +175,7 @@ func traceStale(t *trace) bool {
 // size caps. A trace is attached even when nothing fuses: a single
 // block that branches back to itself still becomes a looping trace.
 func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
-	t := &trace{entryVA: entryVA, rg: c.captureRegime(entryVA)}
+	t := &trace{entryVA: entryVA, rg: c.captureRegime(entryVA), at: []uint64{0}}
 	// Snapshot execGen before walking the constituents: a bump landing
 	// mid-build leaves lastGen behind the cell state, which only costs
 	// one full re-validation at the first entry.
@@ -185,7 +189,7 @@ func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 		t.blocks = append(t.blocks, cur)
 		for k := range cur.instrs {
 			t.instrs = append(t.instrs, cur.instrs[k])
-			t.succ = append(t.succ, va-entryVA+uint64(k+1)*insn.Size)
+			t.at = append(t.at, va-entryVA+uint64(k+1)*insn.Size)
 		}
 		if len(t.blocks) >= maxTraceBlocks || len(t.instrs) >= maxTraceInstrs {
 			break
@@ -222,7 +226,7 @@ func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 		// be the fused successor — on any other outcome (conditional not
 		// taken where the taken side was fused, or vice versa) the trace
 		// side-exits with architectural state.
-		t.succ[len(t.succ)-1] = nextVA - entryVA
+		t.at[len(t.at)-1] = nextVA - entryVA
 		if nextVA == entryVA {
 			t.looping = true
 			goto done
@@ -235,6 +239,7 @@ func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 		cur, va = next, nextVA
 	}
 done:
+	fuseRuns(t.instrs)
 	b.tr = t
 	c.TracesBuilt++
 }
@@ -269,10 +274,200 @@ func condBranch(op insn.Op) bool {
 	return false
 }
 
+// Fused ops. buildTrace's last step, fuseRuns, rewrites two idioms of
+// the kernel's entry and exit paths into single ops, each retiring its k
+// instructions at their summed cycle cost:
+//
+//   - a run of plain STPs (or LDPs) off one base register at consecutive
+//     16-byte offsets: el0_sync pushes the trap frame with 15 STPs and
+//     ret_to_user pops it with 15 LDPs;
+//   - a MOVZ and the MOVKs that follow it into the same register at the
+//     same width, each into a halfword the chain has not written yet:
+//     the §4.1 key setter's MOVZ+3×MOVK per key half, and the kernel's
+//     address builds.
+//
+// A fused op overwrites the run's first instruction, its head, which
+// keeps that instruction's operands and carries k in ImmS (no pair
+// access or move-wide reads it); a fused move also holds the chain's
+// final value in Imm. The run's other instructions stay in place, so
+// instrs[idx] is still the idx-th instruction the trace retires and
+// runTrace's index accounting holds across a fused op. A fused op runs
+// as its unfused head, after which the rest of the run retires one
+// instruction at a time, whenever the budget ends inside it; a pair run
+// also does when its 16·k bytes are not on one host-pointer page, and a
+// store run when that page holds code or its store-memo slot is
+// untrusted. The unfused head of a move is the chain's final value
+// masked to the MOVZ's halfword, which no later MOVK of the chain
+// writes. An LDP that loads its own base register is never fused: the
+// pairs after it would address off the reloaded base.
+//
+// The fused ops are numbered right after the decoded ones, so that
+// runTrace's switches stay dense enough for gc to compile them to jump
+// tables.
+const (
+	opSTPRun = insn.NumOps + iota // k STPs
+	opLDPRun                      // k LDPs
+	opMOVImm                      // a MOVZ and k-1 MOVKs
+)
+
+// maxFusedLen caps a fused run at what its head's ImmS holds.
+const maxFusedLen = 255
+
+// fuseRuns rewrites the head of every fusable run in a trace body.
+func fuseRuns(code []insn.Instr) {
+	for i := 0; i < len(code); {
+		h := &code[i]
+		k := 1
+		switch h.Op {
+		case insn.OpSTP:
+			if k = pairRun(code, i); k > 1 {
+				h.Op, h.ImmS = opSTPRun, uint8(k)
+			}
+		case insn.OpLDP:
+			if k = pairRun(code, i); k > 1 {
+				h.Op, h.ImmS = opLDPRun, uint8(k)
+			}
+		case insn.OpMOVZ:
+			var v uint64
+			if k, v = movChain(code, i); k > 1 {
+				h.Op, h.Imm, h.ImmS = opMOVImm, int64(v), uint8(k)
+			}
+		}
+		i += max(k, 1)
+	}
+}
+
+// pairRun returns the length of the run of pair accesses starting at
+// code[i]: same op, same base, consecutive 16-byte offsets, up to the
+// first LDP that would load its base.
+func pairRun(code []insn.Instr, i int) int {
+	h := &code[i]
+	k := 0
+	for ; k < maxFusedLen && i+k < len(code); k++ {
+		p := &code[i+k]
+		if p.Op != h.Op || p.Rn != h.Rn || p.Imm != h.Imm+16*int64(k) {
+			break
+		}
+		if p.Op == insn.OpLDP && p.Rn != insn.SP && (p.Rd == p.Rn || p.Rm == p.Rn) {
+			break
+		}
+	}
+	return k
+}
+
+// movChain returns the length of the move-wide chain starting at the
+// MOVZ code[i] and the value it leaves in the register.
+func movChain(code []insn.Instr, i int) (int, uint64) {
+	h := &code[i]
+	v := uint64(uint16(h.Imm)) << h.Shift
+	if !h.SF {
+		v = uint64(uint32(v))
+	}
+	written := 1 << (h.Shift / 16)
+	k := 1
+	for ; i+k < len(code); k++ {
+		p := &code[i+k]
+		hw := 1 << (p.Shift / 16)
+		if p.Op != insn.OpMOVK || p.Rd != h.Rd || p.SF != h.SF || written&hw != 0 {
+			break
+		}
+		written |= hw
+		v = v&^(uint64(0xFFFF)<<p.Shift) | uint64(uint16(p.Imm))<<p.Shift
+		if !p.SF {
+			v = uint64(uint32(v))
+		}
+	}
+	return k, v
+}
+
+// runState is the part of runTrace's state that its ALU tier never
+// touches. It has more than four fields, so gc keeps it in the frame
+// and loads or stores a field only where a slow-tier op uses it,
+// instead of carrying each in a register that every call in the loop
+// would spill.
+type runState struct {
+	// entry is the entry VA, and instruction idx sits at entry + at[idx].
+	entry uint64
+	at    []uint64
+	// Instructions retired since the last flush are idx - mark, and
+	// their cycles idx - mark + extra: mark is idx at the last flush
+	// (less one body length per lap), and extra gathers costTab[op]-1
+	// of every op since then that does not cost one cycle.
+	mark, extra uint64
+	// startGen is the cluster's execGen at entry.
+	startGen uint64
+	// taken is the one-block view's codeBlock.taken (nil for a trace).
+	taken *uint64
+	// canIRQ: EL and the IRQ mask are constant across inline
+	// instructions (only exceptions and ERET change them, and those end
+	// every body; no MSR can, see MSRHook), so deliverability is decided
+	// once.
+	canIRQ, looping bool
+	// Last-page memos for the inline memory ops: the translation regime
+	// is frozen while a body runs (every regime-changing instruction
+	// ends one), so a HostData hit stays valid until something outside
+	// the inline cases runs — a slow-path bus access or an execute()
+	// fallback, both of which can reach devices that remap or reseat
+	// pages. Those sites reset the memo; inline PAuth, MSR/MRS and
+	// indirect branches touch no memory and keep it. Loads and stores
+	// memo separately: the access kinds carry different permissions.
+	// stPN is the store page's physical page number, for the store-cell
+	// memo probe.
+	ldVP, stVP, stPN uint64
+	ldPG, stPG       *[mem.PageSize]byte
+}
+
+// pc returns the PC of the instruction at idx.
+func (s *runState) pc(idx int) uint64 { return s.entry + s.at[idx] }
+
+// flush folds the instructions retired before idx, and their cycles,
+// into the architectural counters and the caller's budget *n, and
+// leaves the PC at pc.
+func (c *CPU) flush(s *runState, n *uint64, idx int, pc uint64) {
+	r := uint64(idx) - s.mark
+	c.Retired += r
+	c.Cycles += r + s.extra
+	*n += r
+	s.mark, s.extra = uint64(idx), 0
+	c.PC = pc
+}
+
+// loadRunPage returns the host page and offset of a fused LDP run's
+// size bytes at addr, or ok=false when they are not on one host-pointer
+// page and the run must retire unfused.
+func (c *CPU) loadRunPage(s *runState, addr, size uint64) (pg *[mem.PageSize]byte, off uint64, ok bool) {
+	off = addr & (mem.PageSize - 1)
+	if addr>>mem.PageShift == s.ldVP && off+size <= mem.PageSize {
+		return s.ldPG, off, true
+	}
+	if pg, off, _, ok = c.MMU.HostData(addr, c.EL, size, mmu.Load); ok {
+		s.ldVP, s.ldPG = addr>>mem.PageShift, pg
+	}
+	return pg, off, ok
+}
+
+// storeRunPage is loadRunPage for a fused STP run, which also retires
+// unfused when the page holds code (a store there must sever traces
+// and exit at once) or its store-memo slot is untrusted.
+func (c *CPU) storeRunPage(s *runState, addr, size uint64) (pg *[mem.PageSize]byte, off uint64, ok bool) {
+	off = addr & (mem.PageSize - 1)
+	if addr>>mem.PageShift != s.stVP || off+size > mem.PageSize {
+		var pn uint64
+		if pg, off, pn, ok = c.MMU.HostData(addr, c.EL, size, mmu.Store); !ok {
+			return nil, 0, false
+		}
+		s.stVP, s.stPG, s.stPN = addr>>mem.PageShift, pg, pn
+	}
+	if g, trusted := c.storeCellMemo(s.stPN); g != nil || !trusted {
+		return nil, 0, false
+	}
+	return s.stPG, off, true
+}
+
 // runTrace is the one executor of decoded code. It runs t's fused body,
 // or with t nil b's one-block view, from the current PC, the entry VA,
 // until a side exit: an outcome off the expected successors
-// (succ[k] is the PC offset from the entry VA that instruction k must
+// (at[k+1] is the PC offset from the entry VA that instruction k must
 // leave behind), an exception or fault, a mid-run code invalidation
 // (execGen), a deliverable IRQ after a store, the budget, or — unless
 // looping — simply the end of the body. A looping body re-enters itself
@@ -283,23 +478,24 @@ func condBranch(op insn.Op) bool {
 // closing branch records the PC it left behind in b.taken, the guess
 // buildTrace fuses for an indirect branch.
 //
-// The loop is two-tiered. The first switch covers the pure ALU opcodes:
-// they cannot fault, branch or store, so they retire with a constant
-// one-cycle epilogue and no successor or hazard check at all — a
-// straight-line instruction's PC provably advances to succ[idx]. The
-// slow tier handles branches, direct and indirect (successor check: an
-// unfused outcome side-exits), loads (fault check), stores (fault +
-// execGen/IRQ hazard checks — the only inline instructions that can
-// patch code or raise an IRQ), the keyed PAC*/AUT* forms and MSR/MRS
+// The loop is two-tiered. The first switch covers the pure ALU opcodes
+// and fused moves: they cannot fault, branch or store, so they retire
+// with no epilogue, successor or hazard check at all — a straight-line
+// instruction's PC provably advances to at[idx+1]. The slow tier handles
+// branches, direct and indirect (successor check: an unfused outcome
+// side-exits), loads (fault check), stores (fault + execGen/IRQ hazard
+// checks — the only inline instructions that can patch code or raise an
+// IRQ), the fused pair runs, the keyed PAC*/AUT* forms and MSR/MRS
 // (undefined-instruction check), and falls back to execute() for SVC,
 // ERET, HLT, the authenticated branches and the rare PAuth and ALU
 // forms.
 //
-// Cycle/retirement/budget accounting and the PC are carried in locals
-// and flushed at every exit and before every call that can observe them
-// (MRS PMCCNTR/CNTVCT reads c.Cycles, an MSR hook may read any of them,
-// and aborts capture c.PC into ELR). The flush points keep the counters
-// bit-identical to the seed interpreter's.
+// The ALU tier touches only idx: retired, cycles and the PC are derived
+// from it (runState), so no counter is carried across the loop's calls.
+// They are flushed at every exit and before every call that can observe
+// them (MRS PMCCNTR/CNTVCT reads c.Cycles, an MSR hook may read any of
+// them, and aborts capture c.PC into ELR). The flush points keep the
+// counters bit-identical to the seed interpreter's.
 //
 // The caller guarantees: code is valid to run from the current PC under
 // the current regime (the entry memo or fetchBlock just validated the
@@ -309,40 +505,30 @@ func condBranch(op insn.Op) bool {
 //
 //camo:hotpath
 func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (stop Stop, done bool) {
-	code, succ, looping := b.instrs, seqSucc[:len(b.instrs)], false
-	if t != nil {
-		code, succ, looping = t.instrs, t.succ, t.looping
+	s := runState{
+		entry:    c.PC,
+		startGen: c.cluster.execGen.Load(),
+		canIRQ:   c.EL == 0 && !c.IRQMasked,
+		ldVP:     ^uint64(0),
+		stVP:     ^uint64(0),
 	}
-	startGen := c.cluster.execGen.Load()
-	var cyc, ret uint64 // batched c.Cycles / c.Retired-and-budget deltas
-	pc := c.PC
-	base := pc
-	// EL and the IRQ mask are constant across inline instructions (only
-	// exceptions and ERET change them, and those end every body; no MSR
-	// can, see MSRHook), so deliverability is decided once.
-	canIRQ := c.EL == 0 && !c.IRQMasked
-	// Last-page memo for the inline memory ops: the translation regime is
-	// frozen while a body runs (every regime-changing instruction ends
-	// one), so a HostData hit stays valid until something outside the
-	// inline cases runs — a slow-path bus access or an execute()
-	// fallback, both of which can reach devices that remap or reseat
-	// pages. Those sites reset the memo; inline PAuth, MSR/MRS and
-	// indirect branches touch no memory and keep it. Loads and stores
-	// memo separately: the access kinds carry different permissions.
-	ldVP, stVP := ^uint64(0), ^uint64(0)
-	var ldPG, stPG *[mem.PageSize]byte
-	// Inline stores probe the CPU's store-cell memo in place and call
-	// noteGuestStore only for a code page or an untrusted memo slot.
-	var stPN uint64
+	code := b.instrs
+	if t != nil {
+		code, s.at, s.looping = t.instrs, t.at, t.looping
+	} else {
+		s.at, s.taken = seqAt[:len(code)+1], &b.taken
+	}
 	for {
 		// A lap runs the whole body unless the budget ends inside it.
-		// *n + ret is the budget spent so far: the slow tier's flushes
-		// move ret into *n without changing the sum.
+		// The budget spent so far is *n plus the unflushed -s.mark (idx
+		// is 0): flushes move retirements into *n without changing the
+		// sum.
 		end := len(code)
-		if left := maxInstrs - *n - ret; left < uint64(end) {
+		if left := maxInstrs - *n + s.mark; left < uint64(end) {
 			end = int(left)
 		}
-		for idx := 0; idx < end; idx++ {
+		idx := 0
+		for ; idx < end; idx++ {
 			ins := &code[idx]
 			op := ins.Op
 			switch op {
@@ -395,32 +581,38 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 					v = uint64(uint32(v))
 				}
 				c.SetReg(ins.Rd, v)
+			case opMOVImm:
+				// Every instruction of the chain costs one cycle.
+				if k := int(ins.ImmS); idx+k <= end {
+					c.SetReg(ins.Rd, uint64(ins.Imm))
+					idx += k - 1
+				} else {
+					c.SetReg(ins.Rd, uint64(ins.Imm)&(uint64(0xFFFF)<<ins.Shift))
+				}
 			case insn.OpADR:
-				c.SetReg(ins.Rd, pc+uint64(ins.Imm))
+				c.SetReg(ins.Rd, s.pc(idx)+uint64(ins.Imm))
 			case insn.OpADRP:
-				c.SetReg(ins.Rd, pc&^uint64(4095)+uint64(ins.Imm)*4096)
+				c.SetReg(ins.Rd, s.pc(idx)&^uint64(4095)+uint64(ins.Imm)*4096)
 			case insn.OpUBFM:
-				r := uint(ins.ImmR)
-				s := uint(ins.ImmS)
+				r, w := uint(ins.ImmR), uint(ins.ImmS)
 				src := c.Reg(ins.Rn)
 				var v uint64
-				if s >= r {
-					v = src >> r & maskBits(s-r+1)
+				if w >= r {
+					v = src >> r & maskBits(w-r+1)
 				} else {
-					v = (src & maskBits(s+1)) << (64 - r)
+					v = (src & maskBits(w+1)) << (64 - r)
 				}
 				c.SetReg(ins.Rd, v)
 			case insn.OpBFM:
-				r := uint(ins.ImmR)
-				s := uint(ins.ImmS)
+				r, w := uint(ins.ImmR), uint(ins.ImmS)
 				src := c.Reg(ins.Rn)
 				dst := c.Reg(ins.Rd)
-				if s >= r {
-					w := maskBits(s - r + 1)
-					dst = dst&^w | (src >> r & w)
+				if w >= r {
+					m := maskBits(w - r + 1)
+					dst = dst&^m | (src >> r & m)
 				} else {
-					w := maskBits(s + 1)
-					dst = dst&^(w<<(64-r)) | (src&w)<<(64-r)
+					m := maskBits(w + 1)
+					dst = dst&^(m<<(64-r)) | (src&m)<<(64-r)
 				}
 				c.SetReg(ins.Rd, dst)
 			case insn.OpCSEL:
@@ -438,38 +630,42 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 			default:
 				goto slow
 			}
-			// Fast epilogue: every op above costs exactly costALU and
-			// provably advances pc to succ[idx].
-			cyc++
-			ret++
-			pc += insn.Size
+			// Every op above costs exactly costALU per instruction and
+			// provably advances the PC to at[idx+1].
 			continue
 
 		slow:
 			{
-				next := pc + insn.Size
+				var next uint64
 				switch op {
 				case insn.OpB:
-					next = pc + uint64(ins.Imm)
+					next = s.pc(idx) + uint64(ins.Imm)
 				case insn.OpBL:
+					pc := s.pc(idx)
 					c.X[insn.LR] = pc + insn.Size
 					next = pc + uint64(ins.Imm)
 				case insn.OpBcond:
+					pc := s.pc(idx)
+					next = pc + insn.Size
 					if c.condHolds(ins.Cond) {
 						next = pc + uint64(ins.Imm)
 					}
 				case insn.OpCBZ:
+					pc := s.pc(idx)
+					next = pc + insn.Size
 					if c.Reg(ins.Rd) == 0 {
 						next = pc + uint64(ins.Imm)
 					}
 				case insn.OpCBNZ:
+					pc := s.pc(idx)
+					next = pc + insn.Size
 					if c.Reg(ins.Rd) != 0 {
 						next = pc + uint64(ins.Imm)
 					}
 				case insn.OpBR, insn.OpRET:
 					next = c.Reg(ins.Rn)
 				case insn.OpBLR:
-					c.X[insn.LR] = pc + insn.Size
+					c.X[insn.LR] = s.pc(idx) + insn.Size
 					next = c.Reg(ins.Rn)
 
 				case insn.OpPACIA, insn.OpPACIB, insn.OpPACDA, insn.OpPACDB:
@@ -488,17 +684,13 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 				// MSR and MRS flush first: the write's hook and a
 				// PMCCNTR/CNTVCT read observe the architectural counters.
 				case insn.OpMSR:
-					c.PC = pc
-					c.flushTrace(n, cyc, ret)
-					cyc, ret = 0, 0
+					c.flush(&s, n, idx, s.pc(idx))
 					if c.WriteSys(ins.Sys, c.Reg(ins.Rd)) != nil {
 						goto undef
 					}
 					goto sequential
 				case insn.OpMRS:
-					c.PC = pc
-					c.flushTrace(n, cyc, ret)
-					cyc, ret = 0, 0
+					c.flush(&s, n, idx, s.pc(idx))
 					v, err := c.ReadSys(ins.Sys)
 					if err != nil {
 						goto undef
@@ -519,25 +711,19 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 						addr += uint64(ins.Imm)
 					}
 					off := addr & (mem.PageSize - 1)
-					if addr>>mem.PageShift == ldVP && off+size <= mem.PageSize {
-						c.SetReg(ins.Rd, hostLoadN(ldPG, off, size))
+					if addr>>mem.PageShift == s.ldVP && off+size <= mem.PageSize {
+						c.SetReg(ins.Rd, hostLoadN(s.ldPG, off, size))
 					} else if pg, o, _, ok := c.MMU.HostData(addr, c.EL, size, mmu.Load); ok {
-						ldVP, ldPG = addr>>mem.PageShift, pg
+						s.ldVP, s.ldPG = addr>>mem.PageShift, pg
 						c.SetReg(ins.Rd, hostLoadN(pg, o, size))
 					} else {
-						ldVP, stVP = ^uint64(0), ^uint64(0)
+						s.ldVP, s.stVP = ^uint64(0), ^uint64(0)
 						v, f, err := c.loadMem(addr, int(size))
 						if err != nil {
-							c.PC = pc
-							c.flushTrace(n, cyc, ret)
-							return Stop{Kind: StopError, Err: err}, true
+							return c.failAt(&s, n, idx, err)
 						}
 						if f != nil {
-							c.PC = pc
-							c.flushTrace(n, cyc, ret)
-							c.obsLocal.V[obs.CTraceExitFault]++
-							c.dataAbort(f)
-							*n++
+							c.abortAt(&s, n, idx, f)
 							return Stop{}, false
 						}
 						c.SetReg(ins.Rd, v)
@@ -546,6 +732,22 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 						c.setRegSP(ins.Rn, base+uint64(ins.Imm))
 					}
 					goto sequential
+				case opLDPRun:
+					// Fused LDPs: one page probe for all 16·k bytes.
+					if k := int(ins.ImmS); idx+k <= end {
+						if pg, off, ok := c.loadRunPage(&s, c.regSP(ins.Rn)+uint64(ins.Imm), 16*uint64(k)); ok {
+							for j := idx; j < idx+k; j++ {
+								c.SetReg(code[j].Rd, hostLoad64(pg, off))
+								c.SetReg(code[j].Rm, hostLoad64(pg, off+8))
+								off += 16
+							}
+							idx += k - 1
+							s.extra += uint64(k) * (costLoadPair - 1)
+							continue
+						}
+					}
+					op = insn.OpLDP
+					fallthrough
 				case insn.OpLDP, insn.OpLDPpost:
 					base := c.regSP(ins.Rn)
 					addr := base
@@ -553,28 +755,24 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 						addr = base + uint64(ins.Imm)
 					}
 					off := addr & (mem.PageSize - 1)
-					if addr>>mem.PageShift == ldVP && off+16 <= mem.PageSize {
-						c.SetReg(ins.Rd, hostLoad64(ldPG, off))
-						c.SetReg(ins.Rm, hostLoad64(ldPG, off+8))
+					if addr>>mem.PageShift == s.ldVP && off+16 <= mem.PageSize {
+						c.SetReg(ins.Rd, hostLoad64(s.ldPG, off))
+						c.SetReg(ins.Rm, hostLoad64(s.ldPG, off+8))
 					} else if pg, o, _, ok := c.MMU.HostData(addr, c.EL, 16, mmu.Load); ok {
-						ldVP, ldPG = addr>>mem.PageShift, pg
+						s.ldVP, s.ldPG = addr>>mem.PageShift, pg
 						c.SetReg(ins.Rd, hostLoad64(pg, o))
 						c.SetReg(ins.Rm, hostLoad64(pg, o+8))
 					} else {
-						ldVP, stVP = ^uint64(0), ^uint64(0)
+						s.ldVP, s.stVP = ^uint64(0), ^uint64(0)
 						v1, f, err := c.loadMem(addr, 8)
 						if err != nil {
-							c.PC = pc
-							c.flushTrace(n, cyc, ret)
-							return Stop{Kind: StopError, Err: err}, true
+							return c.failAt(&s, n, idx, err)
 						}
 						if f == nil {
 							var v2 uint64
 							v2, f, err = c.loadMem(addr+8, 8)
 							if err != nil {
-								c.PC = pc
-								c.flushTrace(n, cyc, ret)
-								return Stop{Kind: StopError, Err: err}, true
+								return c.failAt(&s, n, idx, err)
 							}
 							if f == nil {
 								c.SetReg(ins.Rd, v1)
@@ -582,11 +780,7 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 							}
 						}
 						if f != nil {
-							c.PC = pc
-							c.flushTrace(n, cyc, ret)
-							c.obsLocal.V[obs.CTraceExitFault]++
-							c.dataAbort(f)
-							*n++
+							c.abortAt(&s, n, idx, f)
 							return Stop{}, false
 						}
 					}
@@ -604,31 +798,25 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 					}
 					addr := c.regSP(ins.Rn) + uint64(ins.Imm)
 					off := addr & (mem.PageSize - 1)
-					if addr>>mem.PageShift == stVP && off+size <= mem.PageSize {
-						if g, trusted := c.storeCellMemo(stPN); g != nil || !trusted {
-							c.noteGuestStore(stPN)
+					if addr>>mem.PageShift == s.stVP && off+size <= mem.PageSize {
+						if g, trusted := c.storeCellMemo(s.stPN); g != nil || !trusted {
+							c.noteGuestStore(s.stPN)
 						}
-						hostStoreN(stPG, off, size, c.Reg(ins.Rd))
+						hostStoreN(s.stPG, off, size, c.Reg(ins.Rd))
 					} else if pg, o, pn, ok := c.MMU.HostData(addr, c.EL, size, mmu.Store); ok {
-						stVP, stPG, stPN = addr>>mem.PageShift, pg, pn
+						s.stVP, s.stPG, s.stPN = addr>>mem.PageShift, pg, pn
 						if g, trusted := c.storeCellMemo(pn); g != nil || !trusted {
 							c.noteGuestStore(pn)
 						}
 						hostStoreN(pg, o, size, c.Reg(ins.Rd))
 					} else {
-						ldVP, stVP = ^uint64(0), ^uint64(0)
+						s.ldVP, s.stVP = ^uint64(0), ^uint64(0)
 						f, err := c.storeMem(addr, int(size), c.Reg(ins.Rd))
 						if err != nil {
-							c.PC = pc
-							c.flushTrace(n, cyc, ret)
-							return Stop{Kind: StopError, Err: err}, true
+							return c.failAt(&s, n, idx, err)
 						}
 						if f != nil {
-							c.PC = pc
-							c.flushTrace(n, cyc, ret)
-							c.obsLocal.V[obs.CTraceExitFault]++
-							c.dataAbort(f)
-							*n++
+							c.abortAt(&s, n, idx, f)
 							return Stop{}, false
 						}
 					}
@@ -636,45 +824,54 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 						c.setRegSP(ins.Rn, addr)
 					}
 					goto stored
+				case opSTPRun:
+					// Fused STPs: one page probe for all 16·k bytes, on a
+					// page no store of the run can sever a trace on.
+					if k := int(ins.ImmS); idx+k <= end {
+						if pg, off, ok := c.storeRunPage(&s, c.regSP(ins.Rn)+uint64(ins.Imm), 16*uint64(k)); ok {
+							for j := idx; j < idx+k; j++ {
+								hostStore64(pg, off, c.Reg(code[j].Rd))
+								hostStore64(pg, off+8, c.Reg(code[j].Rm))
+								off += 16
+							}
+							idx += k - 1
+							s.extra += uint64(k) * (costStorePair - 1)
+							goto hazard
+						}
+					}
+					op = insn.OpSTP
+					fallthrough
 				case insn.OpSTP, insn.OpSTPpre:
 					base := c.regSP(ins.Rn)
 					addr := base + uint64(ins.Imm)
 					off := addr & (mem.PageSize - 1)
-					if addr>>mem.PageShift == stVP && off+16 <= mem.PageSize {
-						if g, trusted := c.storeCellMemo(stPN); g != nil || !trusted {
-							c.noteGuestStore(stPN)
+					if addr>>mem.PageShift == s.stVP && off+16 <= mem.PageSize {
+						if g, trusted := c.storeCellMemo(s.stPN); g != nil || !trusted {
+							c.noteGuestStore(s.stPN)
 						}
-						hostStore64(stPG, off, c.Reg(ins.Rd))
-						hostStore64(stPG, off+8, c.Reg(ins.Rm))
+						hostStore64(s.stPG, off, c.Reg(ins.Rd))
+						hostStore64(s.stPG, off+8, c.Reg(ins.Rm))
 					} else if pg, o, pn, ok := c.MMU.HostData(addr, c.EL, 16, mmu.Store); ok {
-						stVP, stPG, stPN = addr>>mem.PageShift, pg, pn
+						s.stVP, s.stPG, s.stPN = addr>>mem.PageShift, pg, pn
 						if g, trusted := c.storeCellMemo(pn); g != nil || !trusted {
 							c.noteGuestStore(pn)
 						}
 						hostStore64(pg, o, c.Reg(ins.Rd))
 						hostStore64(pg, o+8, c.Reg(ins.Rm))
 					} else {
-						ldVP, stVP = ^uint64(0), ^uint64(0)
+						s.ldVP, s.stVP = ^uint64(0), ^uint64(0)
 						f, err := c.storeMem(addr, 8, c.Reg(ins.Rd))
 						if err != nil {
-							c.PC = pc
-							c.flushTrace(n, cyc, ret)
-							return Stop{Kind: StopError, Err: err}, true
+							return c.failAt(&s, n, idx, err)
 						}
 						if f == nil {
 							f, err = c.storeMem(addr+8, 8, c.Reg(ins.Rm))
 							if err != nil {
-								c.PC = pc
-								c.flushTrace(n, cyc, ret)
-								return Stop{Kind: StopError, Err: err}, true
+								return c.failAt(&s, n, idx, err)
 							}
 						}
 						if f != nil {
-							c.PC = pc
-							c.flushTrace(n, cyc, ret)
-							c.obsLocal.V[obs.CTraceExitFault]++
-							c.dataAbort(f)
-							*n++
+							c.abortAt(&s, n, idx, f)
 							return Stop{}, false
 						}
 					}
@@ -692,19 +889,17 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 					// through execute, with the architectural counters
 					// flushed first. Every store has its own case above,
 					// so no op here needs the store hazard checks.
-					c.PC = pc
-					c.flushTrace(n, cyc, ret)
-					cyc, ret = 0, 0
+					c.flush(&s, n, idx, s.pc(idx))
 					c.obsLocal.V[obs.CSlowFallback]++
 					stop, done = c.execute(ins)
 					*n++
+					s.mark++ // execute did its own accounting
 					if done {
 						c.obsLocal.V[obs.CTraceExitStop]++
 						return stop, true
 					}
-					ldVP, stVP = ^uint64(0), ^uint64(0)
-					pc = c.PC
-					if pc-base != succ[idx] {
+					s.ldVP, s.stVP = ^uint64(0), ^uint64(0)
+					if c.PC != s.pc(idx+1) {
 						c.obsLocal.V[obs.CTraceExitBranch]++
 						return Stop{}, false
 					}
@@ -712,15 +907,11 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 				}
 				// Branch epilogue: the only inline ops that can diverge
 				// from the fused successor (costBranch == costALU == 1).
-				cyc++
-				ret++
-				pc = next
-				if pc-base != succ[idx] {
-					if t == nil {
-						b.taken = pc
+				if next != s.pc(idx+1) {
+					if s.taken != nil {
+						*s.taken = next
 					}
-					c.PC = pc
-					c.flushTrace(n, cyc, ret)
+					c.flush(&s, n, idx+1, next)
 					c.obsLocal.V[obs.CTraceExitBranch]++
 					return Stop{}, false
 				}
@@ -730,21 +921,17 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 		sequential:
 			// Loads, keyed PAuth and MSR/MRS: a per-op cost and a
 			// sequential PC, which cannot leave the body's successor.
-			cyc += costTab[op]
-			ret++
-			pc += insn.Size
+			s.extra += costTab[op] - 1
 			continue
 
 		stored:
+			s.extra += costTab[op] - 1
+		hazard:
 			// Store hazards: the store may have patched code anywhere in
 			// the cluster (execGen) or hit a device that raised an IRQ.
-			cyc += costTab[op]
-			ret++
-			pc += insn.Size
-			if c.cluster.execGen.Load() != startGen || (canIRQ && c.IRQPending) {
-				c.PC = pc
-				c.flushTrace(n, cyc, ret)
-				if c.cluster.execGen.Load() != startGen {
+			if c.cluster.execGen.Load() != s.startGen || (s.canIRQ && c.IRQPending) {
+				c.flush(&s, n, idx+1, s.pc(idx+1))
+				if c.cluster.execGen.Load() != s.startGen {
 					c.obsLocal.V[obs.CTraceExitHazard]++
 				} else {
 					c.obsLocal.V[obs.CTraceExitIRQ]++
@@ -754,44 +941,47 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 			continue
 
 		undef:
-			c.PC = pc
-			c.flushTrace(n, cyc, ret)
+			c.flush(&s, n, idx, s.pc(idx))
 			c.obsLocal.V[obs.CTraceExitFault]++
 			c.undefined()
 			*n++
 			return Stop{}, false
 		}
-		if end < len(code) {
-			c.PC = pc
-			c.flushTrace(n, cyc, ret)
+		// Body complete or budget spent. A looping body re-enters
+		// directly: its fused back-edge has already proven the PC is the
+		// entry VA, so only the IRQ and cross-CPU invalidation clauses
+		// need re-checking (the next lap caps itself at the budget).
+		if end == len(code) && s.looping && !(s.canIRQ && c.IRQPending) &&
+			c.cluster.execGen.Load() == s.startGen {
+			s.mark -= uint64(len(code))
+			continue
+		}
+		c.flush(&s, n, idx, s.pc(idx))
+		switch {
+		case end < len(code):
 			c.obsLocal.V[obs.CTraceExitBudget]++
-			return Stop{}, false
+		case !s.looping:
+			c.obsLocal.V[obs.CTraceExitEnd]++
+		case s.canIRQ && c.IRQPending:
+			c.obsLocal.V[obs.CTraceExitIRQ]++
+		default:
+			c.obsLocal.V[obs.CTraceExitHazard]++
 		}
-		// Body complete. A looping body re-enters directly: its fused
-		// back-edge has already proven pc == entry VA, so only the IRQ
-		// and cross-CPU invalidation clauses need re-checking (the next
-		// lap caps itself at the budget).
-		if !looping || (canIRQ && c.IRQPending) ||
-			c.cluster.execGen.Load() != startGen {
-			c.PC = pc
-			c.flushTrace(n, cyc, ret)
-			switch {
-			case !looping:
-				c.obsLocal.V[obs.CTraceExitEnd]++
-			case canIRQ && c.IRQPending:
-				c.obsLocal.V[obs.CTraceExitIRQ]++
-			default:
-				c.obsLocal.V[obs.CTraceExitHazard]++
-			}
-			return Stop{}, false
-		}
+		return Stop{}, false
 	}
 }
 
-// flushTrace folds runTrace's batched accounting into the architectural
-// counters and the caller's budget.
-func (c *CPU) flushTrace(n *uint64, cyc, ret uint64) {
-	c.Cycles += cyc
-	c.Retired += ret
-	*n += ret
+// abortAt raises the data abort f for the instruction at idx, which
+// retires nothing but spends a step of the budget.
+func (c *CPU) abortAt(s *runState, n *uint64, idx int, f *mmu.Fault) {
+	c.flush(s, n, idx, s.pc(idx))
+	c.obsLocal.V[obs.CTraceExitFault]++
+	c.dataAbort(f)
+	*n++
+}
+
+// failAt stops the machine on a bus error at the instruction at idx.
+func (c *CPU) failAt(s *runState, n *uint64, idx int, err error) (Stop, bool) {
+	c.flush(s, n, idx, s.pc(idx))
+	return Stop{Kind: StopError, Err: err}, true
 }

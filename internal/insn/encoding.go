@@ -14,7 +14,7 @@ type encoding struct {
 // encodings is the one statement of every supported encoding: Encode,
 // Decode and Op.String all read it. No word matches two rows
 // (TestEncodingsDisjoint), so Decode needs no ordering rule.
-var encodings = [numOps]encoding{
+var encodings = [NumOps]encoding{
 	OpInvalid: {name: "<invalid>"},
 
 	// Data processing — immediate.
@@ -143,7 +143,7 @@ const (
 // OpInvalid). The CPU raises an undefined-instruction exception for
 // those, and the §4.1 static analyser treats them as opaque data.
 func Decode(w uint32) Instr {
-	for op := OpInvalid + 1; op < numOps; op++ {
+	for op := OpInvalid + 1; op < NumOps; op++ {
 		e := &encodings[op]
 		if w&e.mask != e.bits {
 			continue
@@ -219,7 +219,7 @@ func (e *encoding) decode(w uint32, i *Instr) bool {
 // their encoding fields; the assembler validates ranges before calling
 // it.
 func (i Instr) Encode() uint32 {
-	if i.Op == OpInvalid || i.Op >= numOps {
+	if i.Op == OpInvalid || i.Op >= NumOps {
 		panic(fmt.Sprintf("insn: cannot encode op %v", i.Op))
 	}
 	e := &encodings[i.Op]

@@ -113,7 +113,7 @@ func TestGoldenWords(t *testing.T) {
 		}
 		pinned[c.i.Op] = true
 	}
-	for op := OpInvalid + 1; op < numOps; op++ {
+	for op := OpInvalid + 1; op < NumOps; op++ {
 		if !pinned[op] {
 			t.Errorf("no golden word for %v (op %d)", op, op)
 		}
@@ -154,12 +154,12 @@ func TestZFormGoldenWords(t *testing.T) {
 // every pair of rows differs in a bit both masks fix, so no word
 // matches two rows and Decode's first match is its only one.
 func TestEncodingsDisjoint(t *testing.T) {
-	for a := OpInvalid + 1; a < numOps; a++ {
+	for a := OpInvalid + 1; a < NumOps; a++ {
 		ea := encodings[a]
 		if ea.name == "" || ea.mask == 0 || ea.bits&^ea.mask != 0 {
 			t.Errorf("op %d: bad row %+v", a, ea)
 		}
-		for b := a + 1; b < numOps; b++ {
+		for b := a + 1; b < NumOps; b++ {
 			eb := encodings[b]
 			if (ea.bits^eb.bits)&ea.mask&eb.mask == 0 {
 				t.Errorf("rows %v (op %d) and %v (op %d) overlap", a, a, b, b)

@@ -97,12 +97,14 @@ const (
 	OpISB // instruction synchronisation barrier
 	OpHLT // halt (simulator stop)
 
-	numOps
+	// NumOps counts the ops above. Decode never yields an op from
+	// NumOps up, so an executor may number its own internal ops there.
+	NumOps
 )
 
 // String returns the mnemonic.
 func (o Op) String() string {
-	if o < numOps {
+	if o < NumOps {
 		return encodings[o].name
 	}
 	return "op?"

@@ -282,6 +282,32 @@ func TestOutOfRangeCPUsRejected(t *testing.T) {
 	}
 }
 
+// TestTrailingBodyDataRejected: a body holds one JSON value. Data after
+// it (a second object, a stray byte) answers 400 before admission, while
+// white space after it is accepted.
+func TestTrailingBodyDataRejected(t *testing.T) {
+	pool := withFreshPool(t)
+	s, hs, _ := newTestServer(t, Config{})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/campaigns", `{"mutations":4}{"mutations":9}`},
+		{"/v1/experiments", `{"ids":["keys"]} {"ids":["fig2"]}`},
+		{"/v1/machines", `{"level":"none"}x`},
+	} {
+		if resp, body := postJSON(t, hs.URL+c.path, c.body, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s %s = %d, want 400 (body %s)", c.path, c.body, resp.StatusCode, body)
+		}
+	}
+	if n := s.queue.starts.Load(); n != 0 {
+		t.Fatalf("requests with trailing data were admitted: %d jobs started", n)
+	}
+	if st := pool.Stats(); st.Boots != 0 {
+		t.Fatalf("requests with trailing data reached the pool: %+v", st)
+	}
+	if resp, body := postJSON(t, hs.URL+"/v1/experiments", "{\"ids\":[\"keys\"]}\n", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/experiments with a trailing newline = %d, want 200 (body %s)", resp.StatusCode, body)
+	}
+}
+
 // TestWatchdogForceExpiresWedgedLease: a lease whose operation runs
 // past the budget is swept from the table (its id answers 404 while
 // still wedged) and its machine abandoned when the operation finally

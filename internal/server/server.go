@@ -279,11 +279,19 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// readJSON decodes the request body (an empty body decodes to the zero
-// value, for curl convenience). It answers 400 itself on malformed
-// JSON and reports whether the handler may proceed.
+// readJSON decodes the request body: one JSON value, and nothing after
+// it but white space (an empty body decodes to the zero value, for curl
+// convenience). Unknown fields are ignored. It answers 400 itself on
+// malformed JSON or trailing data and reports whether the handler may
+// proceed.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(v)
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); !errors.Is(terr, io.EOF) {
+			err = errors.New("data after the JSON value")
+		}
+	}
 	if err != nil && !errors.Is(err, io.EOF) {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
