@@ -11,14 +11,15 @@
 // the paper compares.
 //
 // Each uniprocessor attack is defined once, as a scenario: arm runs the
-// victim to the attack window, strike corrupts it, judge classifies the
-// aftermath. The §6.2 matrix and the differential campaign (campaign.go)
-// run the same scenario table through the same strike path: a matrix
-// row is the scenario struck once with the paper's exact corruption (a
-// nil PRNG), a campaign cell is the same armed machine forked and struck
-// with mutated corruptions. Only the cross-core replay keeps two forms
-// over one shared arm: its matrix row drains in-flight dispatches before
-// planting the sentinel, its campaign strike does not.
+// victim to the attack window, strike corrupts guest RAM, judge
+// classifies the aftermath. The §6.2 matrix and the differential
+// campaign (campaign.go) strike, run and judge the same scenario table
+// the same way: a matrix row is the scenario struck once with the
+// paper's exact corruption (a nil PRNG), a campaign cell is the same
+// armed machine forked and struck with mutated corruptions. Only the
+// cross-core replay keeps two forms over one shared arm: its matrix row
+// drains in-flight dispatches before planting the sentinel, its
+// campaign strike does not.
 package attack
 
 import (
@@ -29,6 +30,7 @@ import (
 	"camouflage/internal/core"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
+	"camouflage/internal/mem"
 	"camouflage/internal/pac"
 	"camouflage/internal/snapshot"
 )
@@ -207,6 +209,7 @@ type window struct {
 	fileVA  uint64   // victim's open file (f_ops / f_cred scenarios)
 	fileVA2 uint64   // second file (replay donor/recipient)
 	slots   []uint64 // saved-return-address slots (ROP scenario)
+	forged  uint64   // scratch heap for the forged object (f_ops / f_cred swap)
 	gadget  uint64
 	pacMask uint64
 }
@@ -218,36 +221,48 @@ func newWindow(k *kernel.Kernel) window {
 }
 
 // scenario is one §6.2 attack: arm runs the victim on a machine booted
-// from seed to the attack window, strike corrupts it (a nil rng means
-// the paper's exact corruption, a campaign PRNG a mutation of it), and
-// judge classifies the aftermath after budget instructions, with the
-// detail the matrix prints. sealed, where set, reports that judge can
-// no longer change its verdict, whatever the rest of the budget does.
+// from seed to the attack window, strike corrupts its RAM (a nil rng
+// means the paper's exact corruption, a campaign PRNG a mutation of
+// it), and judge classifies the aftermath after budget instructions,
+// with the detail the matrix prints. sealed, where set, reports that
+// judge can no longer change its verdict, whatever the rest of the
+// budget does.
+//
+// A strike gets guest RAM and nothing else, so a struck fork differs
+// from its armed snapshot only in its copy-on-write overlay; the
+// campaign keys its strike memo on that (campaign.go). Anything a
+// strike needs from the kernel, such as scratch heap, arm allocates.
 type scenario struct {
 	name   string
 	seed   uint64
 	budget uint64
 	arm    func(k *kernel.Kernel) (window, error)
-	strike func(k *kernel.Kernel, w window, rng *boot.PRNG)
+	strike func(ram *mem.Phys, w window, rng *boot.PRNG)
 	judge  func(k *kernel.Kernel, w window, before uint64) (Outcome, string)
 	sealed func(k *kernel.Kernel, w window, before uint64) bool
 }
 
-// attempt strikes an armed machine, runs it for the scenario's budget
-// and judges the aftermath: the one strike path of the matrix and the
-// campaign. A campaign strike (non-nil rng) of a scenario with a sealed
-// rule stops once its verdict is sealed; the matrix runs the whole
-// budget, because its detail counts what the budget did.
-func (sc scenario) attempt(k *kernel.Kernel, w window, rng *boot.PRNG) (Outcome, string) {
-	before := gadgetCounter(k)
-	sc.strike(k, w, rng)
+// run runs a struck machine for the scenario's budget and judges the
+// aftermath; before is the gadget counter read before the strike. With
+// seal set, a scenario with a sealed rule stops once its verdict is
+// sealed. The campaign seals; the matrix runs the whole budget, because
+// its detail counts what the budget did.
+func (sc scenario) run(k *kernel.Kernel, w window, before uint64, seal bool) (Outcome, string) {
 	k.CPU.InvalidateDecode()
 	var done func() bool
-	if rng != nil && sc.sealed != nil {
+	if seal && sc.sealed != nil {
 		done = func() bool { return sc.sealed(k, w, before) }
 	}
 	k.RunUntil(sc.budget, done)
 	return sc.judge(k, w, before)
+}
+
+// attempt is the matrix's strike: the paper's exact corruption on an
+// armed machine, then the scenario's whole budget.
+func (sc scenario) attempt(k *kernel.Kernel, w window) (Outcome, string) {
+	before := gadgetCounter(k)
+	sc.strike(k.CPU.Bus.RAM, w, nil)
+	return sc.run(k, w, before, false)
 }
 
 // report is the scenario's matrix row: one unmutated strike on a
@@ -261,7 +276,7 @@ func (sc scenario) report(lv Level, cpus int) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("%s/%s: %w", sc.name, lv.Name, err)
 	}
-	out, detail := sc.attempt(k, w, nil)
+	out, detail := sc.attempt(k, w)
 	return Report{Attack: sc.name, Level: lv.Name, Outcome: out,
 		PACFailures: k.PACFailures, Detail: detail}, nil
 }
@@ -317,8 +332,7 @@ var ropScenario = scenario{
 	arm: armBlocked(5_000),
 	// Unmutated, every located slot gets the gadget; a campaign strike
 	// smashes a random non-empty subset with mutated pointers.
-	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
-		ram := k.CPU.Bus.RAM
+	strike: func(ram *mem.Phys, w window, rng *boot.PRNG) {
 		smashed := false
 		for _, va := range w.slots {
 			if rng != nil && rng.Uint64()&1 == 0 {
@@ -416,17 +430,16 @@ var fopsSwapScenario = scenario{
 		if w.fileVA = k.FileAddrByFD(0); w.fileVA == 0 {
 			return w, fmt.Errorf("victim fd not open")
 		}
+		w.forged = k.AllocScratch(kernel.OpsSize)
 		return w, nil
 	},
 	// Arbitrary kernel R/W: forge an ops table pointing read at the
 	// gadget, then swap f_ops. (.rodata itself is unwritable — §3.1 — so
 	// the forgery must live in writable memory, which is exactly why the
 	// pointer *to* the table needs DFI.)
-	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
-		forged := k.AllocScratch(kernel.OpsSize)
-		ram := k.CPU.Bus.RAM
-		ram.Write64(kernel.KVAToPA(forged)+kernel.OpsRead, w.gadget)
-		ram.Write64(kernel.KVAToPA(w.fileVA)+kernel.FileOps, mutatePointer(rng, forged, w.pacMask))
+	strike: func(ram *mem.Phys, w window, rng *boot.PRNG) {
+		ram.Write64(kernel.KVAToPA(w.forged)+kernel.OpsRead, w.gadget)
+		ram.Write64(kernel.KVAToPA(w.fileVA)+kernel.FileOps, mutatePointer(rng, w.forged, w.pacMask))
 	},
 	judge:  judgeByGadget,
 	sealed: gadgetRan,
@@ -464,9 +477,9 @@ var fopsReplayScenario = scenario{
 	// Transplant the signed f_ops of the *null* file into the *zero*
 	// file: subsequent reads of /dev/zero would dispatch through
 	// null_ops (read = EOF), silently redirecting the driver.
-	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
-		transplant(k, w, rng)
-		k.CPU.Bus.RAM.Write64(kernel.UVAToPA(1, kernel.UserDataBase), sentinel)
+	strike: func(ram *mem.Phys, w window, rng *boot.PRNG) {
+		transplant(ram, w, rng)
+		ram.Write64(kernel.UVAToPA(1, kernel.UserDataBase), sentinel)
 	},
 	judge: func(k *kernel.Kernel, _ window, _ uint64) (Outcome, string) {
 		if k.PACFailures > 0 {
@@ -484,8 +497,7 @@ var fopsReplayScenario = scenario{
 // pointer of the same type" case. A nil rng moves the pointer
 // unmodified; a campaign PRNG may instead flip a MAC bit or splice the
 // donor's PAC onto the recipient's own ops target.
-func transplant(k *kernel.Kernel, w window, rng *boot.PRNG) {
-	ram := k.CPU.Bus.RAM
+func transplant(ram *mem.Phys, w window, rng *boot.PRNG) {
 	signed := ram.Read64(kernel.KVAToPA(w.fileVA) + kernel.FileOps)
 	if rng != nil {
 		switch rng.Uint64() % 3 {
@@ -579,7 +591,7 @@ func CrossCoreReplay(lv Level, cpus int) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("%s/%s: %w", crossCoreScenario.name, lv.Name, err)
 	}
-	transplant(k, w, nil)
+	transplant(k.CPU.Bus.RAM, w, nil)
 	k.CPU.InvalidateDecode()
 
 	// Drain: core 1 may be suspended mid-vfs_read with the *old* f_ops
@@ -604,9 +616,9 @@ var crossCoreScenario = scenario{
 	arm: func(k *kernel.Kernel) (window, error) {
 		return armCrossCore(k, 0)
 	},
-	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
-		transplant(k, w, rng)
-		k.CPU.Bus.RAM.Write64(kernel.UVAToPA(2, kernel.UserDataBase), sentinel)
+	strike: func(ram *mem.Phys, w window, rng *boot.PRNG) {
+		transplant(ram, w, rng)
+		ram.Write64(kernel.UVAToPA(2, kernel.UserDataBase), sentinel)
 	},
 	// A dispatch in flight on core 1 when the strike landed may consume
 	// the sentinel with the old ops (real SMP timing), so "transplanted

@@ -310,7 +310,7 @@ func TestUnmutatedStrikeOnForkMatchesMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, detail := sc.attempt(fork, w, nil)
+				out, detail := sc.attempt(fork, w)
 				got := Report{Attack: sc.name, Level: lv.Name, Outcome: out,
 					PACFailures: fork.PACFailures, Detail: detail}
 				if got != want {

@@ -12,20 +12,31 @@ package attack
 // boot + victim warm-up).
 //
 // The cells are the scenarios of attack.go, the same table the §6.2
-// matrix strikes once unmutated: each fork goes through scenario.attempt
-// with a per-mutation PRNG where the matrix passes nil, and the campaign
-// keeps the outcome and discards the detail. Because it discards the
-// detail, a campaign strike may stop once its verdict is sealed (a ROP
-// or f_ops-swap gadget that has run) instead of spinning the gadget to
-// the end of its budget.
+// matrix strikes once unmutated: each fork is struck with a per-mutation
+// PRNG where the matrix passes nil, then run and judged by scenario.run,
+// and the campaign keeps the outcome and discards the detail. Because it
+// discards the detail, a campaign strike may stop once its verdict is
+// sealed (a ROP or f_ops-swap gadget that has run) instead of spinning
+// the gadget to the end of its budget.
+//
+// A strike writes only guest RAM, and every fork of a cell starts as an
+// exact copy of one armed snapshot, so once struck a fork differs from
+// its siblings only in its copy-on-write overlay. Strikes of one cell
+// that leave the same overlay (the same pages holding the same bytes)
+// are the same machine and must reach the same verdict; the cell runs
+// the first of them and the rest take its result (strikeCell).
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 
 	"camouflage/internal/boot"
+	"camouflage/internal/kernel"
+	"camouflage/internal/obs"
 	"camouflage/internal/snapshot"
 )
 
@@ -96,7 +107,8 @@ func RunCampaign(o CampaignOptions) (*CampaignReport, error) {
 // RunCampaignContext is RunCampaign with cancellation: once ctx is done
 // no new cell is armed and no new strike is forked (strikes already
 // running finish: each runs until its verdict is sealed or its
-// instruction budget ends), and ctx.Err() is returned.
+// instruction budget ends, or waits for the sibling whose run answers
+// it), and ctx.Err() is returned.
 // It is the service daemon's campaign entry point — request deadlines
 // flow through here into every forked mutation.
 func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
@@ -141,23 +153,13 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 			}
 			snap := snapshot.Take(k)
 
-			outcomes := make([]Outcome, o.Mutations)
-			dirty := make([]int, o.Mutations)
-			err = snapshot.ForEach(ctx, o.Mutations, o.Parallel, func(m int) error {
-				fork, err := snap.Fork()
-				if err != nil {
-					return err
-				}
-				outcomes[m], _ = sc.attempt(fork, w, strikeRNG(o.Seed, sc, m))
-				dirty[m] = fork.CPU.Bus.RAM.DirtyPages()
-				return nil
-			})
+			strikes, err := sc.strikeCell(ctx, snap, w, o.Seed, o.Mutations, o.Parallel)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", sc.name, lv.Name, err)
 			}
 			totalDirty := 0
-			for m, out := range outcomes {
-				switch out {
+			for _, r := range strikes {
+				switch r.out {
 				case OutcomeHijacked:
 					cell.Hijacked++
 				case OutcomeDetected:
@@ -165,7 +167,7 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 				default:
 					cell.Inconclusive++
 				}
-				totalDirty += dirty[m]
+				totalDirty += r.dirty
 			}
 			cell.DirtyPages = totalDirty / o.Mutations
 			rep.Forks += snap.Forks()
@@ -173,6 +175,76 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 		}
 	}
 	return rep, nil
+}
+
+// strikeResult is what a campaign strike leaves: the outcome and the
+// copy-on-write overlay size the cell aggregates, plus the PAC failures
+// and instructions retired that TestSealedStrikesMatchFullBudgets holds
+// to the same strike run for its whole budget.
+type strikeResult struct {
+	out         Outcome
+	dirty       int
+	pacFailures int
+	retired     uint64
+}
+
+// strikeCell forks n machines from the armed snapshot of sc's cell,
+// strikes fork m with strikeRNG(seed, sc, m) and returns the strikes'
+// results in mutation order. A fork whose overlay digest an earlier
+// strike of this call already left is the same machine: it takes that
+// strike's result instead of running. Each distinct overlay runs exactly
+// once, in parallel mode too (a sibling that struck the same overlay
+// waits for the run), and every fork is still made, so snap.Forks()
+// counts every strike.
+func (sc scenario) strikeCell(ctx context.Context, snap *snapshot.Snapshot, w window, seed uint64, n int, parallel bool) ([]strikeResult, error) {
+	type memoRun struct {
+		once sync.Once
+		res  strikeResult
+	}
+	var mu sync.Mutex
+	memo := make(map[[sha256.Size]byte]*memoRun)
+	res := make([]strikeResult, n)
+	err := snapshot.ForEach(ctx, n, parallel, func(m int) error {
+		fork, err := snap.Fork()
+		if err != nil {
+			return err
+		}
+		ram := fork.CPU.Bus.RAM
+		before := gadgetCounter(fork)
+		sc.strike(ram, w, strikeRNG(seed, sc, m))
+		digest := ram.OverlayDigest()
+		mu.Lock()
+		e := memo[digest]
+		if e == nil {
+			e = new(memoRun)
+			memo[digest] = e
+		}
+		mu.Unlock()
+		path := obs.CCampaignStrikeMemo
+		e.once.Do(func() {
+			path = obs.CCampaignStrikeRun
+			start := retired(fork)
+			out, _ := sc.run(fork, w, before, true)
+			e.res = strikeResult{out: out, dirty: ram.DirtyPages(),
+				pacFailures: fork.PACFailures, retired: retired(fork) - start}
+		})
+		obs.Add(path, 1)
+		res[m] = e.res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// retired sums the instructions every CPU of k has retired.
+func retired(k *kernel.Kernel) uint64 {
+	var n uint64
+	for _, c := range k.CPUs {
+		n += c.Retired
+	}
+	return n
 }
 
 // strikeRNG is the mutation PRNG of strike m of a scenario's cell under

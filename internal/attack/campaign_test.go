@@ -106,15 +106,19 @@ func TestCampaignPACMemoHitRate(t *testing.T) {
 	t.Logf("%d QARMA runs for %d signs + %d auths", runs, signs, auths)
 }
 
-// TestSealedStrikesMatchFullBudgets holds the campaign's early stop to
-// the full budget. Every strike of every campaign cell, at mutation
-// seeds 1, 2, 3 and 7 and at 1 and 2 vCPUs, runs twice from the same
-// armed snapshot: once through attempt, which stops when the verdict is
-// sealed, and once for the scenario's whole budget. Outcome, PAC
-// failures and dirty pages (the campaign's average) must agree strike
-// by strike; a difference means a sealed rule is too eager. The sealed
-// strikes must also retire fewer instructions in all, so a seal that
-// never fires fails too.
+// TestSealedStrikesMatchFullBudgets holds the campaign's cell loop, with
+// its strike memo and its early stop, to full budgets. Every campaign
+// cell, at mutation seeds 1, 2, 3 and 7 and at 1 and 2 vCPUs, is struck
+// through strikeCell, which runs each distinct overlay once and stops a
+// run once its verdict is sealed. Then each of those strikes runs again,
+// on its own fork of the same armed snapshot, for the scenario's whole
+// budget. Outcome, PAC failures and dirty pages (the campaign's average)
+// must agree strike by strike; a difference means a sealed rule is too
+// eager or the memo merged strikes that differ. The cell loop's strikes
+// must also retire fewer instructions in all (a memoized strike counts
+// the run that answered it), so a seal that never fires fails too. The
+// strike counter must count every strike once, by path, with memo hits
+// among them, so a memo that never hits fails.
 //
 // The campaign's own strikes all settle inside the first SMPQuantum
 // slice or scheduler rotation, so the test adds cells whose verdicts
@@ -134,15 +138,11 @@ func TestSealedStrikesMatchFullBudgets(t *testing.T) {
 	lateCrossCore.arm = func(k *kernel.Kernel) (window, error) {
 		return armCrossCore(k, 5000)
 	}
-	type result struct {
-		out         Outcome
-		pacFailures int
-		dirty       int
-		retired     uint64
-	}
+	ctx := context.Background()
 	for _, cpus := range []int{1, 2} {
-		var sealedRetired, fullRetired uint64
+		var campaignRetired, fullRetired uint64
 		strikes := 0
+		c0 := obs.CounterTotals()
 		for _, lv := range Levels() {
 			cells := append(campaignScenarios(cpus), lateROP)
 			if cpus >= 2 {
@@ -158,53 +158,56 @@ func TestSealedStrikesMatchFullBudgets(t *testing.T) {
 					t.Fatalf("%s/%s: %v", sc.name, lv.Name, err)
 				}
 				snap := snapshot.Take(k)
-				n := len(seeds) * mutations
-				// Index i < n is strike i sealed, i >= n the same strike
-				// run for the whole budget.
-				res := make([]result, 2*n)
-				err = snapshot.ForEach(context.Background(), 2*n, true, func(i int) error {
+				var campaign []strikeResult
+				for _, seed := range seeds {
+					res, err := sc.strikeCell(ctx, snap, w, seed, mutations, true)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", sc.name, lv.Name, err)
+					}
+					campaign = append(campaign, res...)
+				}
+				full := make([]strikeResult, len(campaign))
+				err = snapshot.ForEach(ctx, len(full), true, func(i int) error {
 					fork, err := snap.Fork()
 					if err != nil {
 						return err
 					}
-					rng := strikeRNG(seeds[i%n/mutations], sc, i%mutations)
-					var out Outcome
-					if i < n {
-						out, _ = sc.attempt(fork, w, rng)
-					} else {
-						before := gadgetCounter(fork)
-						sc.strike(fork, w, rng)
-						fork.CPU.InvalidateDecode()
-						fork.Run(sc.budget)
-						out, _ = sc.judge(fork, w, before)
-					}
-					r := result{out: out, pacFailures: fork.PACFailures, dirty: fork.CPU.Bus.RAM.DirtyPages()}
-					for _, c := range fork.CPUs {
-						r.retired += c.Retired
-					}
-					res[i] = r
+					before := gadgetCounter(fork)
+					sc.strike(fork.CPU.Bus.RAM, w, strikeRNG(seeds[i/mutations], sc, i%mutations))
+					start := retired(fork)
+					out, _ := sc.run(fork, w, before, false)
+					full[i] = strikeResult{out: out, dirty: fork.CPU.Bus.RAM.DirtyPages(),
+						pacFailures: fork.PACFailures, retired: retired(fork) - start}
 					return nil
 				})
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sc.name, lv.Name, err)
 				}
-				for i := 0; i < n; i++ {
-					sealed, full := res[i], res[n+i]
-					if sealed.out != full.out || sealed.pacFailures != full.pacFailures || sealed.dirty != full.dirty {
-						t.Errorf("%d vCPU %s/%s seed %d mutation %d: sealed strike %s (%d PAC failures, %d dirty pages), full budget %s (%d, %d)",
+				for i, c := range campaign {
+					f := full[i]
+					if c.out != f.out || c.pacFailures != f.pacFailures || c.dirty != f.dirty {
+						t.Errorf("%d vCPU %s/%s seed %d mutation %d: campaign strike %s (%d PAC failures, %d dirty pages), full budget %s (%d, %d)",
 							cpus, sc.name, lv.Name, seeds[i/mutations], i%mutations,
-							sealed.out, sealed.pacFailures, sealed.dirty, full.out, full.pacFailures, full.dirty)
+							c.out, c.pacFailures, c.dirty, f.out, f.pacFailures, f.dirty)
 					}
-					sealedRetired += sealed.retired
-					fullRetired += full.retired
+					campaignRetired += c.retired
+					fullRetired += f.retired
 				}
-				strikes += n
+				strikes += len(campaign)
 			}
 		}
-		if sealedRetired >= fullRetired {
-			t.Errorf("%d vCPU: sealed strikes retired %d instructions, full budgets %d: no strike was sealed",
-				cpus, sealedRetired, fullRetired)
+		c1 := obs.CounterTotals()
+		run := c1[obs.CCampaignStrikeRun] - c0[obs.CCampaignStrikeRun]
+		memo := c1[obs.CCampaignStrikeMemo] - c0[obs.CCampaignStrikeMemo]
+		if run+memo != uint64(strikes) || memo == 0 {
+			t.Errorf("%d vCPU: strike counter reads run %d + memo %d for %d strikes, want every strike once and memo hits",
+				cpus, run, memo, strikes)
 		}
-		t.Logf("%d vCPU: %d strikes, instructions retired sealed %d, full budgets %d", cpus, strikes, sealedRetired, fullRetired)
+		if campaignRetired >= fullRetired {
+			t.Errorf("%d vCPU: campaign strikes retired %d instructions, full budgets %d: no strike was sealed",
+				cpus, campaignRetired, fullRetired)
+		}
+		t.Logf("%d vCPU: %d strikes (%d run, %d memo), instructions retired by campaign strikes %d, full budgets %d",
+			cpus, strikes, run, memo, campaignRetired, fullRetired)
 	}
 }

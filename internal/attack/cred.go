@@ -6,6 +6,7 @@ import (
 	"camouflage/internal/boot"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
+	"camouflage/internal/mem"
 	"camouflage/internal/pac"
 )
 
@@ -51,14 +52,13 @@ var credSwapScenario = scenario{
 		if w.fileVA = k.FileAddrByFD(0); w.fileVA == 0 {
 			return w, fmt.Errorf("fd not open")
 		}
+		w.forged = k.AllocScratch(64)
 		return w, nil
 	},
 	// Forge root credentials in writable kernel memory and swap f_cred.
-	strike: func(k *kernel.Kernel, w window, rng *boot.PRNG) {
-		forged := k.AllocScratch(64)
-		ram := k.CPU.Bus.RAM
-		ram.Write64(kernel.KVAToPA(forged), 0) // uid 0: root
-		ram.Write64(kernel.KVAToPA(w.fileVA)+kernel.FileCred, mutatePointer(rng, forged, w.pacMask))
+	strike: func(ram *mem.Phys, w window, rng *boot.PRNG) {
+		ram.Write64(kernel.KVAToPA(w.forged), 0) // uid 0: root
+		ram.Write64(kernel.KVAToPA(w.fileVA)+kernel.FileCred, mutatePointer(rng, w.forged, w.pacMask))
 	},
 	// Detection is a PAC failure or a kernel fault. Without DFI the swap
 	// is silent: the victim keeps running and fstat keeps succeeding

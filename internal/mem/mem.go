@@ -5,8 +5,10 @@
 package mem
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -101,6 +103,29 @@ func (p *Phys) ResetTo(f *Frozen) {
 // DirtyPages returns the number of overlay pages written since the last
 // Freeze/ResetTo (the copy-on-write cost a Reset reclaims).
 func (p *Phys) DirtyPages() int { return len(p.pages) }
+
+// OverlayDigest returns the SHA-256 of the copy-on-write overlay: each
+// overlay page's number (8 bytes, little-endian) and its bytes, in page
+// order. Two Phys on one base with equal digests hold the same memory
+// and the same overlay page set, so the digest names everything a fork
+// changed in RAM since the snapshot it came from.
+func (p *Phys) OverlayDigest() [sha256.Size]byte {
+	pns := make([]uint64, 0, len(p.pages))
+	for pn := range p.pages {
+		pns = append(pns, pn)
+	}
+	slices.Sort(pns)
+	h := sha256.New()
+	var num [8]byte
+	for _, pn := range pns {
+		binary.LittleEndian.PutUint64(num[:], pn)
+		h.Write(num[:])
+		h.Write(p.pages[pn][:])
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
 
 // page returns the page containing addr. With create=false the lookup
 // falls through to the copy-on-write base and may return nil (read as

@@ -297,6 +297,41 @@ func TestPhysHostPointerGen(t *testing.T) {
 	}
 }
 
+// TestOverlayDigest: forks of one frozen base digest equal exactly when
+// their overlays hold the same pages with the same bytes, whatever the
+// order of the writes; a page written with the value the base already
+// holds still counts, because it is in the overlay.
+func TestOverlayDigest(t *testing.T) {
+	p := NewPhys()
+	p.Write64(0x1000, 1)
+	p.Write64(0x3000, 3)
+	frozen := p.Freeze()
+	fork := func(writes ...[2]uint64) [32]byte {
+		f := NewPhysFrom(frozen)
+		for _, w := range writes {
+			f.Write64(w[0], w[1])
+		}
+		return f.OverlayDigest()
+	}
+	pristine := fork()
+	if fork() != pristine {
+		t.Fatal("two empty overlays digest differently")
+	}
+	ab := fork([2]uint64{0x1008, 7}, [2]uint64{0x5000, 9})
+	if fork([2]uint64{0x5000, 9}, [2]uint64{0x1008, 7}) != ab {
+		t.Fatal("write order changed the digest")
+	}
+	if fork([2]uint64{0x1008, 7}, [2]uint64{0x5000, 8}) == ab {
+		t.Fatal("different bytes, same digest")
+	}
+	if fork([2]uint64{0x3000, 3}) == pristine {
+		t.Fatal("a page rewritten with its base value left the digest of an empty overlay")
+	}
+	if fork([2]uint64{0x1008, 7}, [2]uint64{0x6000, 0}) == fork([2]uint64{0x1008, 7}, [2]uint64{0x7000, 0}) {
+		t.Fatal("different overlay pages, same digest")
+	}
+}
+
 // TestBusHostPagesDeclineDevices: Bus.PageForLoad/PageForStore must
 // refuse any page a device window overlaps — device state is never
 // served through a flat-array pointer.

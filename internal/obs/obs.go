@@ -92,6 +92,10 @@ const (
 	CPoolDrop
 	CPoolEvict
 
+	// internal/attack — differential campaign strikes.
+	CCampaignStrikeRun
+	CCampaignStrikeMemo
+
 	// internal/store — persistent snapshot store.
 	CStoreHit
 	CStoreMiss
@@ -181,6 +185,9 @@ var counterMetas = [NumCounters]counterMeta{
 	CPoolMiss:  {"camouflage_snapshot_pool_misses_total", "Machines served as copy-on-write forks (no idle machine available).", ""},
 	CPoolDrop:  {"camouflage_snapshot_pool_drops_total", "Released machines dropped because the per-key idle cap was reached.", ""},
 	CPoolEvict: {"camouflage_snapshot_pool_evictions_total", "Idle machines evicted from the warm pool.", ""},
+
+	CCampaignStrikeRun:  {"camouflage_campaign_strikes_total", "Campaign strikes by path: run in the guest, or answered by the run of an earlier strike of the cell that left the same copy-on-write overlay.", `path="run"`},
+	CCampaignStrikeMemo: {"camouflage_campaign_strikes_total", "Campaign strikes by path: run in the guest, or answered by the run of an earlier strike of the cell that left the same copy-on-write overlay.", `path="memo"`},
 
 	CStoreHit:        {"camouflage_store_loads_total", "Snapshot loads from the persistent store by result.", `result="hit"`},
 	CStoreMiss:       {"camouflage_store_loads_total", "Snapshot loads from the persistent store by result.", `result="miss"`},

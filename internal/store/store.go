@@ -406,7 +406,32 @@ func (s *Store) readManifest(digest string) (*Manifest, error) {
 	if m.Digest != digest {
 		return nil, fmt.Errorf("store: manifest %s claims digest %s", digest, m.Digest)
 	}
+	// Chunk names become paths (chunkPath), so admit only the names
+	// writeChunk creates: a short name would not split into a fan-out
+	// directory, a path-like one would read outside the store.
+	if !isChunkName(m.StateChunk) {
+		return nil, fmt.Errorf("store: manifest %s: state chunk %q is not a SHA-256", digest, m.StateChunk)
+	}
+	for _, pg := range m.Pages {
+		if !isChunkName(pg.Chunk) {
+			return nil, fmt.Errorf("store: manifest %s: page %d chunk %q is not a SHA-256", digest, pg.PN, pg.Chunk)
+		}
+	}
 	return &m, nil
+}
+
+// isChunkName reports whether name is a chunk name writeChunk can
+// create: a SHA-256 in 64 lowercase hex digits.
+func isChunkName(name string) bool {
+	if len(name) != 2*sha256.Size {
+		return false
+	}
+	for _, c := range name {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Save persists the snapshot: the state record and every frozen page go

@@ -21,7 +21,7 @@ func testKey(seed uint64, cpus int) snapshot.Key {
 	return snapshot.KeyFor(kernel.Options{Config: cfg, Seed: seed})
 }
 
-func bootSnap(t *testing.T, key snapshot.Key) *snapshot.Snapshot {
+func bootSnap(t testing.TB, key snapshot.Key) *snapshot.Snapshot {
 	t.Helper()
 	k, err := snapshot.BootOptions(key.Options)()
 	if err != nil {
