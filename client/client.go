@@ -379,7 +379,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		// response was lost) — safe to retry idempotent requests.
 		return err, retryAfterSentinel, true
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		var eb errorBody
 		msg := resp.Status
@@ -406,6 +406,22 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		return err, retryAfterSentinel, false
 	}
 	return nil, retryAfterSentinel, false
+}
+
+// drainLimit bounds how much of a response closeBody reads past what
+// the caller used: every status envelope and error body the daemon
+// writes fits, and a server streaming more cannot hold the client.
+const drainLimit = 1 << 16
+
+// closeBody reads what is left of a response body, up to drainLimit,
+// and closes it. net/http returns a keep-alive connection to the idle
+// pool only once its body has been read to EOF; closing it unread (a
+// Reset or Release answer, the tail of a chunked answer after its JSON
+// value, an error body) drops the connection, and the next request
+// dials a new one.
+func closeBody(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, drainLimit)) // a short read only costs the connection
+	body.Close()
 }
 
 // Experiments lists the registry.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -59,7 +60,7 @@ func (c *Client) Metrics(ctx context.Context) ([]MetricSample, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		return nil, &APIError{Status: resp.StatusCode, Message: resp.Status}
 	}
@@ -133,15 +134,25 @@ func parseSample(text string) (MetricSample, error) {
 	return s, nil
 }
 
+// parseValue parses a sample value. Every infinity strconv.ParseFloat
+// accepts ("+Inf", "inf", "Infinity", "-infinity", ...) comes back as
+// ±obs.Inf64(), so parsed samples survive encoding/json; a finite
+// literal too large for a float64 is an error.
 func parseValue(text string) (float64, error) {
-	switch text {
-	case "+Inf", "Inf":
-		return obs.Inf64(), nil
-	case "-Inf":
-		return -obs.Inf64(), nil
+	v, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return 0, err
 	}
-	return strconv.ParseFloat(text, 64)
+	if math.IsInf(v, 0) {
+		return math.Copysign(obs.Inf64(), v), nil
+	}
+	return v, nil
 }
+
+// labelUnescaper undoes the three escapes the exposition format allows
+// inside label values. A Replacer is safe for concurrent use and builds
+// its lookup table once, on first use.
+var labelUnescaper = strings.NewReplacer(`\"`, `"`, `\\`, `\`, `\n`, "\n")
 
 func parseLabels(text string) (map[string]string, error) {
 	labels := map[string]string{}
@@ -171,7 +182,9 @@ func parseLabels(text string) (map[string]string, error) {
 			return nil, fmt.Errorf("unterminated label value in %q", text)
 		}
 		val := rest[1:end]
-		val = strings.NewReplacer(`\"`, `"`, `\\`, `\`, `\n`, "\n").Replace(val)
+		if strings.IndexByte(val, '\\') >= 0 {
+			val = labelUnescaper.Replace(val)
+		}
 		labels[name] = val
 		text = strings.TrimPrefix(strings.TrimSpace(rest[end+1:]), ",")
 		text = strings.TrimSpace(text)

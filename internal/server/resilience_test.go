@@ -2,14 +2,17 @@ package server
 
 // Robustness surface of the daemon: the per-job panic barrier, the
 // /healthz + /readyz probes, idempotent experiment replay, breaker
-// errors mapped to 503 + Retry-After, and the run watchdog — both the
-// job-context cancellation path and the lease force-expiry sweep.
+// errors mapped to 503 + Retry-After, request-body validation, and the
+// run watchdog — both the job-context cancellation path and the lease
+// force-expiry sweep.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -306,6 +309,71 @@ func TestTrailingBodyDataRejected(t *testing.T) {
 	if resp, body := postJSON(t, hs.URL+"/v1/experiments", "{\"ids\":[\"keys\"]}\n", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/experiments with a trailing newline = %d, want 200 (body %s)", resp.StatusCode, body)
 	}
+}
+
+// FuzzReadJSON feeds arbitrary request bodies to readJSON, once for
+// every request type the daemon decodes: no panic, and either a 400
+// whose body is the {"error": ...} envelope, or acceptance with nothing
+// written and a value whose JSON decodes back to the same value. Values
+// are compared by their encoding: omitempty makes an empty list and an
+// absent one the same request.
+func FuzzReadJSON(f *testing.F) {
+	retired := "parallel" + "_smp" // spelled in two pieces, as in TestSMPLeaseAndCampaignCPUs
+	for _, seed := range []string{
+		`{"mutations":4}{"mutations":9}`,
+		`{"ids":["keys"]} {"ids":["fig2"]}`,
+		`{"level":"none"}x`,
+		"{\"ids\":[\"keys\"]}\n",
+		`{"level":"full","cpus":9}`,
+		`{"level":"none","cpus":-1}`,
+		`{"ids":["keys"],"cpus":9}`,
+		`{"mutations":1,"levels":["none"],"cpus":9}`,
+		`{"mutations":1000000000000,"levels":["none"]}`,
+		`{"level":"none","seed":81,"cpus":2,"` + retired + `":true}`,
+		`{"max_instrs":1000}`,
+		`{"pinned":true}`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	types := []func() any{
+		func() any { return new(client.ExperimentsRequest) },
+		func() any { return new(client.CampaignRequest) },
+		func() any { return new(client.MachineRequest) },
+		func() any { return new(client.MachineRunRequest) },
+		func() any { return new(client.PinRequest) },
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, mk := range types {
+			v := mk()
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+			if !readJSON(rec, req, v) {
+				var eb map[string]string
+				if rec.Code != http.StatusBadRequest {
+					t.Fatalf("%T: rejected with %d, want 400", v, rec.Code)
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || len(eb) != 1 || eb["error"] == "" {
+					t.Fatalf("%T: 400 body %q is not an error envelope (%v)", v, rec.Body.String(), err)
+				}
+				continue
+			}
+			if rec.Body.Len() != 0 {
+				t.Fatalf("%T: accepted body wrote %q", v, rec.Body.String())
+			}
+			enc, err := json.Marshal(v)
+			if err != nil {
+				t.Fatalf("%T: accepted value %+v does not marshal: %v", v, v, err)
+			}
+			back := mk()
+			if err := json.Unmarshal(enc, back); err != nil {
+				t.Fatalf("%T: %s does not decode: %v", v, enc, err)
+			}
+			if again, err := json.Marshal(back); err != nil || !bytes.Equal(again, enc) {
+				t.Fatalf("%T: %s decodes back to %+v, which marshals to %s (%v)", v, enc, back, again, err)
+			}
+		}
+	})
 }
 
 // TestWatchdogForceExpiresWedgedLease: a lease whose operation runs

@@ -10,10 +10,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,6 +224,63 @@ func TestMachineLeaseLifecycle(t *testing.T) {
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("double release err = %v, want 404 APIError", err)
+	}
+}
+
+// TestClientKeepsOneConnection: one client driving every kind of answer
+// the daemon gives (a value, a bare status, an error, a job rendering, a
+// trace, a scrape, a chunked stats document) reuses a single keep-alive
+// connection. A body closed before EOF makes net/http drop its
+// connection, so a client that skips what it has no use for (a status
+// answer, the tail of a chunked one after its JSON value) dials anew.
+func TestClientKeepsOneConnection(t *testing.T) {
+	var conns atomic.Int64
+	hs := httptest.NewUnstartedServer(New(Config{}))
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	hs.Start()
+	t.Cleanup(hs.Close)
+	c := client.New(hs.URL)
+	ctx := context.Background()
+
+	m, err := c.Lease(ctx, client.MachineRequest{Level: "none", Seed: 67})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(ctx, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.State(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reset(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Release(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *client.APIError
+	if err := m.Release(ctx); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("second release err = %v, want 404 APIError", err)
+	}
+	resp, err := c.RunExperiments(ctx, client.ExperimentsRequest{IDs: []string{"keys"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunTrace(ctx, resp.RunID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("client opened %d connections for 10 requests, want 1", n)
 	}
 }
 
