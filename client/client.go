@@ -177,11 +177,6 @@ type QueueStats struct {
 	// Capacity is the concurrent-slot count; MaxQueue bounds Depth.
 	Capacity int `json:"capacity"`
 	MaxQueue int `json:"max_queue"`
-	// AdmittedByKey is in-flight jobs per admission key: machine leases
-	// under their pool key (concurrent leases of one key share a single
-	// boot and fan out as forks), experiments and campaigns under
-	// synthetic keys.
-	AdmittedByKey map[string]int `json:"admitted_by_key,omitempty"`
 }
 
 // LeaseStats describes machine-lease lifecycle counters.
@@ -196,7 +191,9 @@ type LeaseStats struct {
 	ForceExpired uint64 `json:"force_expired,omitempty"`
 }
 
-// StatsResponse is the GET /v1/stats document.
+// StatsResponse is the GET /v1/stats document. The event counts in Pool
+// and Leases are process totals, read from the registry that Metrics
+// embeds.
 type StatsResponse struct {
 	Pool     snapshot.Stats `json:"pool"`
 	Queue    QueueStats     `json:"queue"`

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"camouflage/internal/insn"
@@ -142,4 +144,59 @@ func TestAllowedKeyWritersBoundaries(t *testing.T) {
 	if err := AllowedKeyWriters(read, 0, 4); err == nil {
 		t.Fatal("key read inside the setter window was allowed")
 	}
+}
+
+// FuzzVerifyModuleText feeds arbitrary module text to the module-load
+// gate: no panic, and the verdict follows from insn.Decode alone. The
+// text is accepted exactly when none of its aligned little-endian words
+// decodes to a banned form (an MRS of a PAuth key register, an MSR to
+// SCTLR_EL1 or to a key register); a trailing fragment is ignored. A
+// rejection names every banned word at its offset, in order.
+func FuzzVerifyModuleText(f *testing.F) {
+	f.Add(bytesOf(words(insn.NOP(), insn.ADDi(insn.X0, insn.X1, 8), insn.RET())))
+	f.Add(bytesOf(words(insn.NOP(), insn.MRS(insn.X0, insn.APIBKeyLo_EL1), insn.RET())))
+	f.Add(bytesOf(words(insn.MSR(insn.SCTLR_EL1, insn.X1), insn.MSR(insn.APDAKeyHi_EL1, insn.X2))))
+	f.Add([]byte{})
+	f.Add([]byte{0x1f, 0x20, 0x03})
+	banned := func(ins insn.Instr) bool {
+		key := false
+		for _, r := range insn.PAuthKeyRegs {
+			key = key || ins.Sys == r
+		}
+		switch ins.Op {
+		case insn.OpMRS:
+			return key
+		case insn.OpMSR:
+			return key || ins.Sys == insn.SCTLR_EL1
+		}
+		return false
+	}
+	f.Fuzz(func(t *testing.T, text []byte) {
+		var want []string
+		for off := 0; off+4 <= len(text); off += 4 {
+			ins := insn.Decode(binary.LittleEndian.Uint32(text[off:]))
+			if banned(ins) {
+				want = append(want, fmt.Sprintf(" at +%#x: %s", off, ins))
+			}
+		}
+		err := VerifyModuleText(text)
+		if len(want) == 0 {
+			if err != nil {
+				t.Fatalf("text with no banned word rejected: %v", err)
+			}
+			return
+		}
+		if err == nil {
+			t.Fatalf("text with %d banned words accepted", len(want))
+		}
+		lines := strings.Split(err.Error(), "\n")
+		if lines[0] != "analysis: module rejected:" || len(lines) != 1+len(want) {
+			t.Fatalf("rejection names %d findings, want %d:\n%v", len(lines)-1, len(want), err)
+		}
+		for i, w := range want {
+			if l := lines[1+i]; !strings.HasPrefix(l, "  ") || !strings.HasSuffix(l, w) {
+				t.Fatalf("finding %d reads %q, want one ending %q", i, l, w)
+			}
+		}
+	})
 }

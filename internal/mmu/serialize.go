@@ -24,11 +24,15 @@ func (t *Table) Export() []TableEntryWire {
 }
 
 // NewTableFromEntries rebuilds a stage-1 table from exported entries.
+// It comes back marked shared, like a table CaptureState cloned, so
+// concurrent Clones of it (forks of a store-loaded snapshot) only read
+// it.
 func NewTableFromEntries(entries []TableEntryWire) *Table {
 	t := NewTable()
 	for _, e := range entries {
 		t.entries[e.PN] = e.PTE
 	}
+	t.shared = true
 	return t
 }
 

@@ -138,6 +138,7 @@ func TestDrainRacesPersistAndWedgedLease(t *testing.T) {
 		l.mu.Unlock()
 	}()
 
+	before := s.leases.stats()
 	dctx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
@@ -147,8 +148,8 @@ func TestDrainRacesPersistAndWedgedLease(t *testing.T) {
 	}
 
 	lst := s.leases.stats()
-	if lst.Active != 0 || lst.ForceExpired != 1 {
-		t.Fatalf("lease stats after drain = %+v, want 0 active / 1 force-expired", lst)
+	if forced := lst.ForceExpired - before.ForceExpired; lst.Active != 0 || forced != 1 {
+		t.Fatalf("after drain: %d active / %d force-expired, want 0 active / 1 force-expired", lst.Active, forced)
 	}
 
 	close(unwedged)

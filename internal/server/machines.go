@@ -58,14 +58,6 @@ type leaseTable struct {
 	// runBudget is the watchdog's per-operation wall budget (0 disables):
 	// a lease whose single operation runs past it is force-expired.
 	runBudget time.Duration
-
-	issued   atomic.Uint64
-	released atomic.Uint64
-	expired  atomic.Uint64
-	// forceExpired counts leases the drain path gave up waiting for: a
-	// lease whose in-flight run outlived the drain budget is removed
-	// from the table and its machine abandoned (never parked mid-run).
-	forceExpired atomic.Uint64
 }
 
 func newLeaseTable(maxLeases int, maxIdle, runBudget time.Duration) *leaseTable {
@@ -88,7 +80,6 @@ func (t *leaseTable) add(m *snapshot.Machine) (*lease, error) {
 	l := &lease{id: fmt.Sprintf("m-%d", t.next), m: m}
 	l.touch()
 	t.leases[l.id] = l
-	t.issued.Add(1)
 	obs.Add(obs.CLeaseIssued, 1)
 	return l, nil
 }
@@ -136,7 +127,6 @@ func (t *leaseTable) reap() {
 		l.m.Release()
 		l.released = true
 		l.mu.Unlock()
-		t.expired.Add(1)
 		obs.Add(obs.CLeaseExpired, 1)
 	}
 }
@@ -157,7 +147,6 @@ func (t *leaseTable) watchdog() {
 		if start := l.opStart.Load(); start != 0 && start < cutoff {
 			delete(t.leases, id)
 			l.watchdogged.Store(true)
-			t.forceExpired.Add(1)
 			obs.Add(obs.CWatchdogCancel, 1)
 			obs.Add(obs.CLeaseForceExpired, 1)
 		}
@@ -194,7 +183,6 @@ func (t *leaseTable) releaseAll(ctx context.Context) {
 			l.m.Release()
 			l.released = true
 			l.mu.Unlock()
-			t.released.Add(1)
 			obs.Add(obs.CLeaseReleased, 1)
 			continue
 		}
@@ -211,11 +199,9 @@ func (t *leaseTable) releaseAll(ctx context.Context) {
 		}(l)
 		select {
 		case <-done:
-			t.released.Add(1)
 			obs.Add(obs.CLeaseReleased, 1)
 		case <-ctx.Done():
 			abandon.Store(true)
-			t.forceExpired.Add(1)
 			obs.Add(obs.CLeaseForceExpired, 1)
 		}
 	}
@@ -236,17 +222,18 @@ func (t *leaseTable) keyDigestInUse(keyDigest string) bool {
 	return false
 }
 
-// stats snapshots lease lifecycle counters for /v1/stats.
+// stats snapshots lease lifecycle counters for /v1/stats: Active from
+// the table, the event counts as process totals from the obs registry.
 func (t *leaseTable) stats() client.LeaseStats {
 	t.mu.Lock()
 	active := len(t.leases)
 	t.mu.Unlock()
 	return client.LeaseStats{
 		Active:       active,
-		Issued:       t.issued.Load(),
-		Released:     t.released.Load(),
-		Expired:      t.expired.Load(),
-		ForceExpired: t.forceExpired.Load(),
+		Issued:       obs.CounterTotal(obs.CLeaseIssued),
+		Released:     obs.CounterTotal(obs.CLeaseReleased),
+		Expired:      obs.CounterTotal(obs.CLeaseExpired),
+		ForceExpired: obs.CounterTotal(obs.CLeaseForceExpired),
 	}
 }
 

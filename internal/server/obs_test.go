@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"camouflage/client"
+	"camouflage/internal/core"
 	"camouflage/internal/obs"
+	"camouflage/internal/snapshot"
 )
 
 // requiredFamilies is the coverage floor the metrics-smoke CI job also
@@ -116,6 +118,66 @@ func TestStatsEmbedsMetrics(t *testing.T) {
 	}
 	if _, ok := st.Metrics.Gauges["camouflage_server_queue_depth"]; !ok {
 		t.Error("queue depth gauge missing from stats embedding")
+	}
+}
+
+// TestStatsCountsAreRegistryCounts: the registry is the one place a
+// pool or lease event is counted, so after a lease cycle every count in
+// /v1/stats equals the sample of the same event in the registry it
+// embeds, although another pool in the process has booted too.
+func TestStatsCountsAreRegistryCounts(t *testing.T) {
+	opts := core.KernelOptionsFor(core.LevelNone, core.Options{Seed: 64})
+	other, err := snapshot.NewPool().Acquire(snapshot.KeyFor(opts), snapshot.BootOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Release()
+
+	withFreshPool(t)
+	_, _, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	m, err := c.Lease(ctx, client.MachineRequest{Level: "none", Seed: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(ctx, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reset(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Release(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pool.Boots == 0 || st.Leases.Issued == 0 || st.Leases.Released == 0 {
+		t.Fatalf("stats miss the lease cycle: pool %+v, leases %+v", st.Pool, st.Leases)
+	}
+	for _, cnt := range []struct {
+		name string
+		got  uint64
+		id   obs.CounterID
+	}{
+		{"pool.boots", st.Pool.Boots, obs.CPoolBoot},
+		{"pool.reuses", st.Pool.Reuses, obs.CPoolHit},
+		{"pool.dropped", st.Pool.Dropped, obs.CPoolDrop},
+		{"pool.evicted", st.Pool.Evicted, obs.CPoolEvict},
+		{"pool.store_loads", st.Pool.StoreLoads, obs.CStoreHit},
+		{"pool.store_persists", st.Pool.StorePersists, obs.CStoreSave},
+		{"pool.boot_retries", st.Pool.BootRetries, obs.CBootRetry},
+		{"pool.breaker_trips", st.Pool.BreakerTrips, obs.CBreakerTrip},
+		{"pool.breaker_fast_fails", st.Pool.BreakerFastFails, obs.CBreakerFastFail},
+		{"leases.issued", st.Leases.Issued, obs.CLeaseIssued},
+		{"leases.released", st.Leases.Released, obs.CLeaseReleased},
+		{"leases.expired", st.Leases.Expired, obs.CLeaseExpired},
+		{"leases.force_expired", st.Leases.ForceExpired, obs.CLeaseForceExpired},
+	} {
+		if want := st.Metrics.Counters[cnt.id.SampleName()]; cnt.got != want {
+			t.Errorf("%s = %d, registry %s = %d", cnt.name, cnt.got, cnt.id.SampleName(), want)
+		}
 	}
 }
 

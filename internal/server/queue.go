@@ -23,12 +23,9 @@ var errBusy = errors.New("server: work queue full")
 
 // queue is the daemon's bounded admission layer: Capacity jobs run
 // concurrently, at most MaxQueue more wait for a slot, anything beyond
-// that is rejected immediately. Every admitted job is tagged with an
-// admission key — machine leases use the Norm string of their
-// snapshot.KeyFor pool key, experiments and campaigns synthetic ones —
-// so /v1/stats can show which configurations the daemon is serving. Boot dedup itself lives
-// in the pool: concurrent jobs admitted under one cold key block on the
-// pool's once-per-key boot and then fan out as copy-on-write forks.
+// that is rejected immediately. Admission is slots only; boot dedup
+// lives in the pool: concurrent jobs for one cold key block on the
+// pool's once-per-key arming and then fan out as copy-on-write forks.
 type queue struct {
 	slots    chan struct{}
 	maxQueue int
@@ -41,24 +38,17 @@ type queue struct {
 	// new starts by exit means no other job overlapped it (the basis for
 	// serving exact per-run counter attribution).
 	starts atomic.Uint64
-
-	mu       sync.Mutex
-	inflight map[string]int
 }
 
 func newQueue(capacity, maxQueue int) *queue {
-	return &queue{
-		slots:    make(chan struct{}, capacity),
-		maxQueue: maxQueue,
-		inflight: make(map[string]int),
-	}
+	return &queue{slots: make(chan struct{}, capacity), maxQueue: maxQueue}
 }
 
 // acquire admits one job: it fails fast with errBusy when the wait line
 // is full, waits for a slot otherwise, and gives up with ctx.Err() if
 // the request deadline expires first. The returned release must be
 // called exactly once.
-func (q *queue) acquire(ctx context.Context, key string) (release func(), err error) {
+func (q *queue) acquire(ctx context.Context) (release func(), err error) {
 	if int(q.inSystem.Add(1)) > q.maxQueue+cap(q.slots) {
 		q.inSystem.Add(-1)
 		obs.Add(obs.CQueueRejected, 1)
@@ -74,11 +64,9 @@ func (q *queue) acquire(ctx context.Context, key string) (release func(), err er
 	queueWaitHist.ObserveSince(t0)
 	q.running.Add(1)
 	q.starts.Add(1)
-	q.note(key, +1)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			q.note(key, -1)
 			q.running.Add(-1)
 			q.inSystem.Add(-1)
 			<-q.slots
@@ -86,35 +74,16 @@ func (q *queue) acquire(ctx context.Context, key string) (release func(), err er
 	}, nil
 }
 
-func (q *queue) note(key string, d int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.inflight[key] += d
-	if q.inflight[key] <= 0 {
-		delete(q.inflight, key)
-	}
-}
-
 // stats snapshots the queue for /v1/stats.
 func (q *queue) stats() client.QueueStats {
-	q.mu.Lock()
-	var byKey map[string]int
-	if len(q.inflight) > 0 {
-		byKey = make(map[string]int, len(q.inflight))
-		for k, v := range q.inflight {
-			byKey[k] = v
-		}
-	}
-	q.mu.Unlock()
 	depth := int(q.inSystem.Load()) - int(q.running.Load())
 	if depth < 0 {
 		depth = 0
 	}
 	return client.QueueStats{
-		Depth:         depth,
-		Running:       int(q.running.Load()),
-		Capacity:      cap(q.slots),
-		MaxQueue:      q.maxQueue,
-		AdmittedByKey: byKey,
+		Depth:    depth,
+		Running:  int(q.running.Load()),
+		Capacity: cap(q.slots),
+		MaxQueue: q.maxQueue,
 	}
 }

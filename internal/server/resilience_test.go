@@ -252,6 +252,7 @@ func TestWatchdogCancelsOverBudgetJob(t *testing.T) {
 func TestOutOfRangeCPUsRejected(t *testing.T) {
 	pool := withFreshPool(t)
 	s, hs, _ := newTestServer(t, Config{})
+	before := pool.Stats()
 
 	for i := 0; i < 6; i++ {
 		resp, body := postJSON(t, hs.URL+"/v1/machines", `{"level":"full","cpus":9}`, nil)
@@ -272,8 +273,8 @@ func TestOutOfRangeCPUsRejected(t *testing.T) {
 	if n := s.queue.starts.Load(); n != 0 {
 		t.Fatalf("rejected requests were admitted: %d jobs started", n)
 	}
-	if st := pool.Stats(); st.Boots != 0 || st.BootRetries != 0 {
-		t.Fatalf("rejected requests reached the pool: %+v", st)
+	if st := pool.Stats(); st.Boots != before.Boots || st.BootRetries != before.BootRetries {
+		t.Fatalf("rejected requests reached the pool: %+v, before %+v", st, before)
 	}
 	resp, err := http.Get(hs.URL + "/readyz")
 	if err != nil {
@@ -291,6 +292,7 @@ func TestOutOfRangeCPUsRejected(t *testing.T) {
 func TestTrailingBodyDataRejected(t *testing.T) {
 	pool := withFreshPool(t)
 	s, hs, _ := newTestServer(t, Config{})
+	before := pool.Stats()
 	for _, c := range []struct{ path, body string }{
 		{"/v1/campaigns", `{"mutations":4}{"mutations":9}`},
 		{"/v1/experiments", `{"ids":["keys"]} {"ids":["fig2"]}`},
@@ -303,8 +305,8 @@ func TestTrailingBodyDataRejected(t *testing.T) {
 	if n := s.queue.starts.Load(); n != 0 {
 		t.Fatalf("requests with trailing data were admitted: %d jobs started", n)
 	}
-	if st := pool.Stats(); st.Boots != 0 {
-		t.Fatalf("requests with trailing data reached the pool: %+v", st)
+	if boots := pool.Stats().Boots - before.Boots; boots != 0 {
+		t.Fatalf("requests with trailing data reached the pool: %d boots", boots)
 	}
 	if resp, body := postJSON(t, hs.URL+"/v1/experiments", "{\"ids\":[\"keys\"]}\n", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/experiments with a trailing newline = %d, want 200 (body %s)", resp.StatusCode, body)
@@ -398,12 +400,13 @@ func TestWatchdogForceExpiresWedgedLease(t *testing.T) {
 	l.mu.Lock()
 	l.opStart.Store(time.Now().Add(-time.Second).UnixNano())
 
+	before := s.leases.stats()
 	s.leases.reap() // the watchdog rides the reap path
 	if _, ok := s.leases.get(m.ID); ok {
 		t.Fatal("watchdog left the wedged lease in the table")
 	}
-	if st := s.leases.stats(); st.ForceExpired != 1 {
-		t.Fatalf("force-expired = %d, want 1", st.ForceExpired)
+	if n := s.leases.stats().ForceExpired - before.ForceExpired; n != 1 {
+		t.Fatalf("force-expired = %d, want 1", n)
 	}
 	if !l.watchdogged.Load() {
 		t.Fatal("lease not marked watchdogged")

@@ -4,9 +4,9 @@
 // machines, snapshot.Shared: experiment runs (the figures.All()
 // registry), differential attack campaigns, and machine leases that let
 // a client step a warm forked kernel interactively. A bounded work
-// queue sheds load instead of queueing unboundedly; per-key admission
-// means concurrent requests for one configuration share a single boot
-// and fan out as copy-on-write forks; request deadlines and the run
+// queue sheds load instead of queueing unboundedly; concurrent requests
+// for one configuration share a single boot in the pool and fan out as
+// copy-on-write forks; request deadlines and the run
 // watchdog cancel work between experiments, cells, matrix rows and
 // strikes; SIGTERM drains gracefully.
 package server
@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"camouflage/client"
@@ -136,8 +135,6 @@ type Server struct {
 	drainMu  sync.Mutex
 	draining bool
 	jobs     sync.WaitGroup
-
-	requests atomic.Uint64
 }
 
 // New builds a Server around cfg.
@@ -214,7 +211,6 @@ func New(cfg Config) *Server {
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -356,12 +352,12 @@ func failRunCtx(ctx context.Context, w http.ResponseWriter, err error) {
 // whole budget waiting must not start). On failure it has already
 // answered; the caller proceeds only when done != nil and must defer
 // done().
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, key string) (done func()) {
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (done func()) {
 	if !s.beginJob() {
 		writeErr(w, http.StatusServiceUnavailable, "draining")
 		return nil
 	}
-	release, err := s.queue.acquire(ctx, key)
+	release, err := s.queue.acquire(ctx)
 	if err != nil {
 		s.endJob()
 		if errors.Is(err, errBusy) {
@@ -430,7 +426,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx, cancelWatch := s.watchJob(ctx)
 	defer cancelWatch()
-	done := s.admit(ctx, w, "experiments")
+	done := s.admit(ctx, w)
 	if done == nil {
 		return
 	}
@@ -510,7 +506,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx, cancelWatch := s.watchJob(ctx)
 	defer cancelWatch()
-	done := s.admit(ctx, w, "campaign")
+	done := s.admit(ctx, w)
 	if done == nil {
 		return
 	}
@@ -569,9 +565,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	})
 	key := snapshot.KeyFor(kopts)
 
-	ctx, cancel := withDeadline(r, 0)
-	defer cancel()
-	done := s.admit(ctx, w, key.Norm())
+	done := s.admit(r.Context(), w)
 	if done == nil {
 		return
 	}
@@ -647,15 +641,14 @@ func (s *Server) handleMachineRun(w http.ResponseWriter, r *http.Request) {
 	if req.MaxInstrs > maxRunBudget {
 		req.MaxInstrs = maxRunBudget
 	}
-	// Lease runs are simulation work like any other: they go through the
-	// queue under the machine's pool key, so N clients stepping leases
-	// cannot oversubscribe the daemon past its configured concurrency.
-	l, ok := s.leases.get(r.PathValue("id"))
-	if !ok {
+	// Lease runs are simulation work like any other: they take a queue
+	// slot, so N clients stepping leases cannot oversubscribe the daemon
+	// past its configured concurrency.
+	if _, ok := s.leases.get(r.PathValue("id")); !ok {
 		writeErr(w, http.StatusNotFound, "no such machine lease")
 		return
 	}
-	done := s.admit(r.Context(), w, l.m.Key().Norm())
+	done := s.admit(r.Context(), w)
 	if done == nil {
 		return
 	}
@@ -712,12 +705,11 @@ func (s *Server) handleMachineState(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMachineReset(w http.ResponseWriter, r *http.Request) {
-	l, ok := s.leases.get(r.PathValue("id"))
-	if !ok {
+	if _, ok := s.leases.get(r.PathValue("id")); !ok {
 		writeErr(w, http.StatusNotFound, "no such machine lease")
 		return
 	}
-	done := s.admit(r.Context(), w, l.m.Key().Norm())
+	done := s.admit(r.Context(), w)
 	if done == nil {
 		return
 	}
@@ -743,7 +735,6 @@ func (s *Server) handleMachineRelease(w http.ResponseWriter, r *http.Request) {
 	l.m.Release()
 	l.released = true
 	l.mu.Unlock()
-	s.leases.released.Add(1)
 	obs.Add(obs.CLeaseReleased, 1)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 }

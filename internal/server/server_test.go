@@ -122,7 +122,7 @@ func TestHandlerErrors(t *testing.T) {
 func TestExpiredDeadline(t *testing.T) {
 	s, _, c := newTestServer(t, Config{Concurrency: 1, MaxQueue: 4})
 
-	release, err := s.queue.acquire(context.Background(), "test-hold")
+	release, err := s.queue.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestExpiredDeadline(t *testing.T) {
 func TestQueueSheds(t *testing.T) {
 	s, _, c := newTestServer(t, Config{Concurrency: 1, MaxQueue: 1})
 
-	holdSlot, err := s.queue.acquire(context.Background(), "test-hold")
+	holdSlot, err := s.queue.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestQueueSheds(t *testing.T) {
 	wg.Add(1)
 	go func() { // fills the one wait-line seat until ctx is cancelled
 		defer wg.Done()
-		if rel, err := s.queue.acquire(ctx, "test-wait"); err == nil {
+		if rel, err := s.queue.acquire(ctx); err == nil {
 			rel()
 		}
 	}()
@@ -290,6 +290,7 @@ func TestLeaseSharesBootAcrossClients(t *testing.T) {
 	pool := withFreshPool(t)
 	_, _, c := newTestServer(t, Config{})
 	ctx := context.Background()
+	before := pool.Stats()
 
 	m1, err := c.Lease(ctx, client.MachineRequest{Level: "backward-edge", Seed: 62})
 	if err != nil {
@@ -302,8 +303,8 @@ func TestLeaseSharesBootAcrossClients(t *testing.T) {
 	if m1.Key != m2.Key {
 		t.Fatalf("keys differ: %q vs %q", m1.Key, m2.Key)
 	}
-	if st := pool.Stats(); st.Boots != 1 {
-		t.Fatalf("boots = %d, want 1 (second lease must fork)", st.Boots)
+	if boots := pool.Stats().Boots - before.Boots; boots != 1 {
+		t.Fatalf("boots = %d, want 1 (second lease must fork)", boots)
 	}
 	if err := m1.Release(ctx); err != nil {
 		t.Fatal(err)
@@ -386,6 +387,11 @@ func TestStatsAndDrain(t *testing.T) {
 	withFreshPool(t)
 	s, _, c := newTestServer(t, Config{})
 	ctx := context.Background()
+	// Pool and lease counts are process totals; count from here.
+	before, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	m, err := c.Lease(ctx, client.MachineRequest{Level: "backward-edge", Seed: 63})
 	if err != nil {
@@ -395,11 +401,11 @@ func TestStatsAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Leases.Active != 1 || st.Leases.Issued != 1 {
-		t.Fatalf("lease stats = %+v, want 1 active / 1 issued", st.Leases)
+	if issued := st.Leases.Issued - before.Leases.Issued; st.Leases.Active != 1 || issued != 1 {
+		t.Fatalf("%d active / %d issued, want 1 active / 1 issued", st.Leases.Active, issued)
 	}
-	if st.Pool.Boots != 1 {
-		t.Fatalf("pool boots = %d, want 1", st.Pool.Boots)
+	if boots := st.Pool.Boots - before.Pool.Boots; boots != 1 {
+		t.Fatalf("pool boots = %d, want 1", boots)
 	}
 	_ = m // left checked out: Drain must reclaim it
 
@@ -457,6 +463,7 @@ func TestDrainForceExpiresWedgedLease(t *testing.T) {
 		l.mu.Unlock()
 	}()
 
+	before := s.leases.stats()
 	dctx, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
@@ -469,8 +476,8 @@ func TestDrainForceExpiresWedgedLease(t *testing.T) {
 	if st.Active != 0 {
 		t.Fatalf("drain left %d leases active", st.Active)
 	}
-	if st.ForceExpired != 1 {
-		t.Fatalf("force-expired = %d, want 1", st.ForceExpired)
+	if n := st.ForceExpired - before.ForceExpired; n != 1 {
+		t.Fatalf("force-expired = %d, want 1", n)
 	}
 	if idle := pool.Stats().Idle; idle != 0 {
 		t.Fatalf("drain left %d idle machines", idle)

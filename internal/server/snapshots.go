@@ -96,10 +96,6 @@ func (s *Server) handleSnapshotPin(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// Mirror the pin onto the resident pool entry so EvictIdle honours
-	// it immediately; a snapshot not resident yet simply has no warm
-	// machines to protect.
-	snapshot.Shared.Pin(digest, req.Pinned)
 	writeJSON(w, http.StatusOK, map[string]any{"digest": digest, "pinned": req.Pinned})
 }
 

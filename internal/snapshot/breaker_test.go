@@ -30,6 +30,7 @@ func TestBootRetryHealsTransientFault(t *testing.T) {
 	key := KeyFor(opts)
 	pool := NewPool()
 	pool.BootBackoff = time.Millisecond
+	before := pool.Stats()
 
 	withFaults(t, "pool.boot=2")
 	m, err := pool.Acquire(key, BootOptions(opts))
@@ -38,8 +39,9 @@ func TestBootRetryHealsTransientFault(t *testing.T) {
 	}
 	m.Release()
 	st := pool.Stats()
-	if st.Boots != 1 || st.BootRetries != 2 {
-		t.Fatalf("stats = %+v, want 1 boot after 2 retries", st)
+	boots, retries := st.Boots-before.Boots, st.BootRetries-before.BootRetries
+	if boots != 1 || retries != 2 {
+		t.Fatalf("%d boots after %d retries, want 1 boot after 2 retries", boots, retries)
 	}
 }
 
@@ -51,6 +53,7 @@ func TestFailedBootDoesNotPoisonKey(t *testing.T) {
 	key := KeyFor(opts)
 	pool := NewPool()
 	pool.BootAttempts = 1
+	before := pool.Stats()
 
 	bootErr := errors.New("transient resource failure")
 	if _, err := pool.Acquire(key, func() (*kernel.Kernel, error) {
@@ -64,8 +67,8 @@ func TestFailedBootDoesNotPoisonKey(t *testing.T) {
 		t.Fatalf("Acquire after healed failure: %v (key poisoned)", err)
 	}
 	m.Release()
-	if st := pool.Stats(); st.Boots != 1 {
-		t.Fatalf("stats = %+v, want exactly 1 boot", st)
+	if boots := pool.Stats().Boots - before.Boots; boots != 1 {
+		t.Fatalf("%d boots, want exactly 1", boots)
 	}
 }
 
@@ -80,6 +83,7 @@ func TestBreakerOpensFastFailsAndHalfOpens(t *testing.T) {
 	pool.BootAttempts = 1
 	pool.BreakerThreshold = 2
 	pool.BreakerReset = 80 * time.Millisecond
+	before := pool.Stats()
 
 	calls := 0
 	failing := func() (*kernel.Kernel, error) {
@@ -112,8 +116,10 @@ func TestBreakerOpensFastFailsAndHalfOpens(t *testing.T) {
 		t.Fatalf("Breakers() = %+v, want one open entry", brs)
 	}
 	st := pool.Stats()
-	if st.BreakerTrips == 0 || st.BreakerFastFails != 1 {
-		t.Fatalf("stats = %+v, want trips>0 fastFails=1", st)
+	trips := st.BreakerTrips - before.BreakerTrips
+	fastFails := st.BreakerFastFails - before.BreakerFastFails
+	if trips == 0 || fastFails != 1 {
+		t.Fatalf("%d trips and %d fast fails, want trips>0 fastFails=1", trips, fastFails)
 	}
 
 	// Half-open after the reset timer: one probe runs and closes it.
@@ -137,6 +143,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	pool.BootAttempts = 1
 	pool.BreakerThreshold = 1
 	pool.BreakerReset = 60 * time.Millisecond
+	before := pool.Stats()
 
 	failing := func() (*kernel.Kernel, error) {
 		return nil, errors.New("still down")
@@ -168,8 +175,8 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		t.Fatalf("recovery probe: %v", err)
 	}
 	m.Release()
-	if st := pool.Stats(); st.Boots != 1 {
-		t.Fatalf("stats = %+v, want 1 boot", st)
+	if boots := pool.Stats().Boots - before.Boots; boots != 1 {
+		t.Fatalf("%d boots, want 1", boots)
 	}
 }
 

@@ -56,7 +56,6 @@ func (p *Pool) release(m *Machine) {
 	full := len(e.idle) >= p.MaxIdlePerKey
 	e.mu.Unlock()
 	if full {
-		p.dropped.Add(1)
 		obs.Add(obs.CPoolDrop, 1)
 		return
 	}
@@ -64,14 +63,12 @@ func (p *Pool) release(m *Machine) {
 		// Only a programming error reaches here (machine wired to a
 		// snapshot of a different built image); surface it in Stats
 		// rather than degrade the pool invisibly.
-		p.dropped.Add(1)
 		obs.Add(obs.CPoolDrop, 1)
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.idle) >= p.MaxIdlePerKey {
-		p.dropped.Add(1)
 		obs.Add(obs.CPoolDrop, 1)
 		return
 	}
@@ -117,16 +114,6 @@ type Pool struct {
 	BreakerThreshold int
 	BreakerReset     time.Duration
 
-	boots       atomic.Uint64
-	reuses      atomic.Uint64
-	dropped     atomic.Uint64
-	evicted     atomic.Uint64
-	loads       atomic.Uint64
-	persists    atomic.Uint64
-	bootRetries atomic.Uint64
-	trips       atomic.Uint64
-	fastFails   atomic.Uint64
-
 	persistWG sync.WaitGroup
 }
 
@@ -141,12 +128,8 @@ type poolEntry struct {
 	armMu sync.Mutex
 	snap  *Snapshot
 
-	mu     sync.Mutex
-	idle   []*Machine
-	pinned bool
-	// digest is the snapshot's store content digest: set synchronously
-	// on a store hit, asynchronously once a post-boot persist lands.
-	digest string
+	mu   sync.Mutex
+	idle []*Machine
 	// fails counts consecutive failed armings; at the breaker threshold
 	// the key opens until openUntil.
 	fails     int
@@ -238,7 +221,6 @@ func (p *Pool) breakerCheck(e *poolEntry, key Key) error {
 	}
 	//camo:nondet breaker timing is host-side resilience policy, never guest-visible state
 	if wait := time.Until(e.openUntil); wait > 0 {
-		p.fastFails.Add(1)
 		obs.Add(obs.CBreakerFastFail, 1)
 		return &BreakerOpenError{Key: key, Failures: e.fails, RetryAfter: wait}
 	}
@@ -255,7 +237,6 @@ func (p *Pool) breakerFail(e *poolEntry) {
 	e.fails++
 	if e.fails >= p.breakerThreshold() {
 		e.openUntil = time.Now().Add(p.breakerReset()) //camo:nondet breaker reset deadline is host-side resilience policy
-		p.trips.Add(1)
 		obs.Add(obs.CBreakerTrip, 1)
 	}
 }
@@ -280,6 +261,10 @@ func (p *Pool) breakerOK(e *poolEntry) {
 // circuit breaker — after BreakerThreshold consecutive failures the key
 // fast-fails with *BreakerOpenError until BreakerReset allows a
 // half-open probe.
+//
+// armMu makes arming the one place store loads coalesce: concurrent
+// Acquires of a cold key wait here for one Store.Load, and every later
+// fork comes from e.snap, so the store needs no memo of its own.
 func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, error)) error {
 	if e.armed.Load() {
 		return nil
@@ -293,13 +278,11 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 		return err
 	}
 	if p.Store != nil {
-		snap, digest, err := p.Store.Load(key)
+		snap, _, err := p.Store.Load(key)
 		switch {
 		case err == nil:
-			p.loads.Add(1)
 			e.mu.Lock()
 			e.snap = snap
-			e.digest = digest
 			e.mu.Unlock()
 			p.breakerOK(e)
 			e.armed.Store(true)
@@ -316,7 +299,6 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 		p.breakerFail(e)
 		return err
 	}
-	p.boots.Add(1)
 	obs.Add(obs.CPoolBoot, 1)
 	// e.snap is published under e.mu as well as via e.armed: callers
 	// read it after the armed.Load fast path (release/acquire ordered),
@@ -331,14 +313,9 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 		//camo:nondet async persist races only against the host store; guest state is already captured
 		go func() {
 			defer p.persistWG.Done()
-			digest, err := p.Store.Save(key, snap)
-			if err != nil {
-				return // store counted the failure; pool stays warm
-			}
-			p.persists.Add(1)
-			e.mu.Lock()
-			e.digest = digest
-			e.mu.Unlock()
+			// A failed persist leaves the pool warm; the next process
+			// boots the key again.
+			_, _ = p.Store.Save(key, snap)
 		}()
 	}
 	p.breakerOK(e)
@@ -356,7 +333,6 @@ func (p *Pool) bootWithRetry(boot func() (*kernel.Kernel, error)) (*kernel.Kerne
 	var lastErr error
 	for attempt := 0; attempt < p.bootAttempts(); attempt++ {
 		if attempt > 0 {
-			p.bootRetries.Add(1)
 			obs.Add(obs.CBootRetry, 1)
 			time.Sleep(backoff)
 			if backoff *= 2; backoff > max {
@@ -391,7 +367,6 @@ func (p *Pool) Acquire(key Key, boot func() (*kernel.Kernel, error)) (*Machine, 
 		e.idle = e.idle[:n-1]
 		e.mu.Unlock()
 		if !m.fresh {
-			p.reuses.Add(1)
 			obs.Add(obs.CPoolHit, 1)
 		}
 		// Hand out a fresh handle around the parked kernel: the previous
@@ -416,28 +391,6 @@ func (p *Pool) SnapshotFor(key Key, boot func() (*kernel.Kernel, error)) (*Snaps
 		return nil, err
 	}
 	return e.snap, nil
-}
-
-// Pin marks the snapshot with the given store content digest as pinned
-// (or unpinned): EvictIdle leaves a pinned key's warm machines parked.
-// It reports whether a resident entry matched. Pinning here is the
-// in-memory half; the store persists its own pin set for GC.
-func (p *Pool) Pin(digest string, pinned bool) bool {
-	if digest == "" {
-		return false
-	}
-	for _, e := range p.snapshotEntries() {
-		e.mu.Lock()
-		match := e.digest == digest
-		if match {
-			e.pinned = pinned
-		}
-		e.mu.Unlock()
-		if match {
-			return true
-		}
-	}
-	return false
 }
 
 // BreakerInfo describes one key's circuit-breaker state for readiness
@@ -475,12 +428,8 @@ func (p *Pool) Breakers() []BreakerInfo {
 
 // EntryInfo describes one resident pool key for inspection APIs.
 type EntryInfo struct {
-	Key    Key
-	Digest string // store content digest ("" until persisted)
-	Idle   int
-	Pinned bool
-	Forks  uint64
-	Resets uint64
+	Key  Key
+	Idle int
 }
 
 // Entries lists the pool's armed keys (booted or store-loaded).
@@ -489,14 +438,7 @@ func (p *Pool) Entries() []EntryInfo {
 	for _, e := range p.snapshotEntries() {
 		e.mu.Lock()
 		if e.snap != nil {
-			out = append(out, EntryInfo{
-				Key:    e.key,
-				Digest: e.digest,
-				Idle:   len(e.idle),
-				Pinned: e.pinned,
-				Forks:  e.snap.Forks(),
-				Resets: e.snap.Resets(),
-			})
+			out = append(out, EntryInfo{Key: e.key, Idle: len(e.idle)})
 		}
 		e.mu.Unlock()
 	}
@@ -513,14 +455,12 @@ func (p *Pool) snapshotEntries() []*poolEntry {
 	return entries
 }
 
-// EvictIdle trims every unpinned key's idle list down to keep parked
-// machines (keep <= 0 empties them), returning how many machines were
-// let go. Pinned keys are exempt: an operator pin promises the key
-// stays warm through idle reaping and graceful drain. Evictions are
-// counted separately from Release-time drops so Stats can distinguish
-// deliberate shrinking from parking pressure. The copy-on-write bases
-// stay cached: the next Acquire of an evicted key forks, it does not
-// re-boot.
+// EvictIdle trims every key's idle list down to keep parked machines
+// (keep <= 0 empties them), returning how many machines were let go.
+// Evictions are counted separately from Release-time drops so Stats can
+// distinguish deliberate shrinking from parking pressure. The
+// copy-on-write bases stay cached: the next Acquire of an evicted key
+// forks, it does not re-boot.
 func (p *Pool) EvictIdle(keep int) int {
 	if keep < 0 {
 		keep = 0
@@ -528,16 +468,13 @@ func (p *Pool) EvictIdle(keep int) int {
 	n := 0
 	for _, e := range p.snapshotEntries() {
 		e.mu.Lock()
-		if !e.pinned {
-			for len(e.idle) > keep {
-				e.idle[len(e.idle)-1] = nil
-				e.idle = e.idle[:len(e.idle)-1]
-				n++
-			}
+		for len(e.idle) > keep {
+			e.idle[len(e.idle)-1] = nil
+			e.idle = e.idle[:len(e.idle)-1]
+			n++
 		}
 		e.mu.Unlock()
 	}
-	p.evicted.Add(uint64(n))
 	if n > 0 {
 		obs.Add(obs.CPoolEvict, uint64(n))
 	}
@@ -549,8 +486,14 @@ func (p *Pool) EvictIdle(keep int) int {
 // Dropped under low parallelism signals misuse (reset failures); under
 // high parallelism it just means Releases exceeded MaxIdlePerKey.
 // Evicted counts idle machines deliberately let go through EvictIdle.
-// StoreLoads counts keys armed from the persistent store (zero boots);
-// StorePersists counts post-boot captures successfully written back.
+// StoreLoads counts verified loads from the persistent store (each
+// arms a key with zero boots); StorePersists counts snapshots written
+// to it.
+//
+// Keys, Idle and Forks describe this pool. The other fields are process
+// totals, read from the obs registry that counts each event once
+// (DESIGN.md §11); in a process that runs one pool, as the daemon does,
+// they are that pool's counts.
 type Stats struct {
 	Keys          int    `json:"keys"`
 	Idle          int    `json:"idle"`
@@ -573,20 +516,20 @@ type Stats struct {
 // SnapshotFor result alike — so the boots-vs-machines-served ratio
 // reflects all pool-derived machines.
 func (p *Pool) Stats() Stats {
+	st := Stats{
+		Boots:            obs.CounterTotal(obs.CPoolBoot),
+		Reuses:           obs.CounterTotal(obs.CPoolHit),
+		Dropped:          obs.CounterTotal(obs.CPoolDrop),
+		Evicted:          obs.CounterTotal(obs.CPoolEvict),
+		StoreLoads:       obs.CounterTotal(obs.CStoreHit),
+		StorePersists:    obs.CounterTotal(obs.CStoreSave),
+		BootRetries:      obs.CounterTotal(obs.CBootRetry),
+		BreakerTrips:     obs.CounterTotal(obs.CBreakerTrip),
+		BreakerFastFails: obs.CounterTotal(obs.CBreakerFastFail),
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := Stats{
-		Keys:             len(p.entries),
-		Boots:            p.boots.Load(),
-		Reuses:           p.reuses.Load(),
-		Dropped:          p.dropped.Load(),
-		Evicted:          p.evicted.Load(),
-		StoreLoads:       p.loads.Load(),
-		StorePersists:    p.persists.Load(),
-		BootRetries:      p.bootRetries.Load(),
-		BreakerTrips:     p.trips.Load(),
-		BreakerFastFails: p.fastFails.Load(),
-	}
+	st.Keys = len(p.entries)
 	//camo:nondet stat sums commute; per-entry locks only guard concurrent mutation
 	for _, e := range p.entries {
 		e.mu.Lock()

@@ -53,9 +53,9 @@ var (
 type Snapshot struct {
 	st *kernel.State
 
-	// forks and resets count uses (pool/bench reporting).
-	forks  atomic.Uint64
-	resets atomic.Uint64
+	// forks counts machines forked from the snapshot (pool stats and
+	// the campaign report).
+	forks atomic.Uint64
 }
 
 // Take captures the kernel's complete state — CPU, PAuth keys, MMU
@@ -90,16 +90,12 @@ func (s *Snapshot) Reset(k *kernel.Kernel) error {
 	if err := k.RestoreState(s.st); err != nil {
 		return err
 	}
-	s.resets.Add(1)
 	resetHist.ObserveSince(t0)
 	return nil
 }
 
 // Forks returns how many machines have been forked from the snapshot.
 func (s *Snapshot) Forks() uint64 { return s.forks.Load() }
-
-// Resets returns how many machines have been reset to the snapshot.
-func (s *Snapshot) Resets() uint64 { return s.resets.Load() }
 
 // FrozenPages returns the size of the copy-on-write base in pages.
 func (s *Snapshot) FrozenPages() int { return s.st.FrozenPages() }

@@ -203,6 +203,7 @@ func TestPoolBootsOncePerKey(t *testing.T) {
 	pool := NewPool()
 	opts := kernel.Options{Config: codegen.ConfigBackward(), Seed: 47}
 	key := KeyFor(opts)
+	before := pool.Stats()
 
 	m1, err := pool.Acquire(key, BootOptions(opts))
 	if err != nil {
@@ -223,11 +224,11 @@ func TestPoolBootsOncePerKey(t *testing.T) {
 	}
 	m2.Release() // double release: must be a no-op, not a second park
 	st := pool.Stats()
-	if st.Boots != 1 {
-		t.Fatalf("boots = %d, want 1", st.Boots)
+	if boots := st.Boots - before.Boots; boots != 1 {
+		t.Fatalf("boots = %d, want 1", boots)
 	}
-	if st.Reuses < 1 {
-		t.Fatalf("reuses = %d, want >= 1", st.Reuses)
+	if reuses := st.Reuses - before.Reuses; reuses < 1 {
+		t.Fatalf("reuses = %d, want >= 1", reuses)
 	}
 	if st.Idle != 1 {
 		t.Fatalf("idle = %d after double release, want 1", st.Idle)
@@ -240,6 +241,7 @@ func TestPoolConcurrentAcquire(t *testing.T) {
 	pool := NewPool()
 	opts := kernel.Options{Config: codegen.ConfigFull(), Seed: 48}
 	key := KeyFor(opts)
+	before := pool.Stats()
 
 	const n = 6
 	prints := make([]fingerprint, n)
@@ -263,8 +265,8 @@ func TestPoolConcurrentAcquire(t *testing.T) {
 			t.Fatalf("pooled machine %d diverges", i)
 		}
 	}
-	if st := pool.Stats(); st.Boots != 1 {
-		t.Fatalf("boots = %d, want 1", st.Boots)
+	if boots := pool.Stats().Boots - before.Boots; boots != 1 {
+		t.Fatalf("boots = %d, want 1", boots)
 	}
 }
 

@@ -132,7 +132,6 @@ type Store struct {
 	mu    sync.Mutex
 	index map[string]*Manifest // key digest → newest manifest
 	byDig map[string]*Manifest // content digest → manifest
-	calls map[string]*loadCall // key digest → in-flight load
 
 	// quarFails counts consecutive load failures per content digest;
 	// at QuarantineThreshold the digest moves to quarantined and Load
@@ -142,8 +141,6 @@ type Store struct {
 	quarantined map[string]bool
 
 	recovery RecoveryStats
-
-	diskLoads atomic64
 }
 
 // RecoveryStats reports what the startup recovery sweep found: temp
@@ -172,23 +169,6 @@ func (e *QuarantineError) Error() string {
 		e.Digest, e.Failures)
 }
 
-// atomic64 is a tiny wrapper so tests can count physical loads without
-// importing sync/atomic here and there.
-type atomic64 struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-func (a *atomic64) add(n uint64) { a.mu.Lock(); a.v += n; a.mu.Unlock() }
-func (a *atomic64) load() uint64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
-
-type loadCall struct {
-	done   chan struct{}
-	snap   *snapshot.Snapshot
-	digest string
-	err    error
-}
-
 // Open opens (creating if needed) a store rooted at dir, runs the
 // crash-recovery sweep, and indexes its manifests. The sweep removes
 // temp files stranded by a crash mid-write and manifests that no longer
@@ -207,7 +187,6 @@ func Open(dir string) (*Store, error) {
 		dir:         dir,
 		index:       make(map[string]*Manifest),
 		byDig:       make(map[string]*Manifest),
-		calls:       make(map[string]*loadCall),
 		quarFails:   make(map[string]int),
 		quarantined: make(map[string]bool),
 	}
@@ -278,10 +257,6 @@ func (s *Store) Recovery() RecoveryStats {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// DiskLoads returns how many physical (non-coalesced) snapshot loads
-// have run — concurrent loads of the same key count once.
-func (s *Store) DiskLoads() uint64 { return s.diskLoads.load() }
 
 func (s *Store) admit(m *Manifest) {
 	s.mu.Lock()
@@ -521,38 +496,16 @@ func (s *Store) Save(key snapshot.Key, snap *snapshot.Snapshot) (string, error) 
 	}
 	s.admit(m)
 	s.clearQuarantine(m.Digest)
-	s.invalidate(key.Digest)
 	obs.Add(obs.CStoreSave, 1)
 	return m.Digest, nil
 }
 
-// invalidate drops the memoized load for a key so the next Load reads
-// the (possibly replaced) manifest from disk. In-flight loads are left
-// alone: their waiters get the result they queued for.
-func (s *Store) invalidate(keyDigest string) {
-	s.mu.Lock()
-	if c := s.calls[keyDigest]; c != nil {
-		select {
-		case <-c.done:
-			delete(s.calls, keyDigest)
-		default:
-		}
-	}
-	s.mu.Unlock()
-}
-
 // Load returns the newest verified snapshot persisted for the key's
 // configuration, plus its content digest, or snapshot.ErrNotFound.
-// Loads of the same key — concurrent or repeated — coalesce into one
-// disk read: snapshots are immutable, so the verified result is shared
-// until a Save or Delete of the key invalidates it.
+// Every call is a physical, verified load: the pool arms each key once
+// and serves its forks from the result, so it never asks twice.
 func (s *Store) Load(key snapshot.Key) (*snapshot.Snapshot, string, error) {
 	s.mu.Lock()
-	if c := s.calls[key.Digest]; c != nil {
-		s.mu.Unlock()
-		<-c.done
-		return c.snap, c.digest, c.err
-	}
 	m := s.index[key.Digest]
 	if m == nil {
 		s.mu.Unlock()
@@ -564,25 +517,8 @@ func (s *Store) Load(key snapshot.Key) (*snapshot.Snapshot, string, error) {
 		s.mu.Unlock()
 		return nil, "", &QuarantineError{Digest: m.Digest, Failures: fails}
 	}
-	c := &loadCall{done: make(chan struct{})}
-	s.calls[key.Digest] = c
 	s.mu.Unlock()
-
-	c.snap, c.digest, c.err = s.loadManifest(m)
-	if c.err != nil {
-		// Do not memoize failures: a repaired (or re-saved) store must be
-		// retryable without reopening. Waiters already queued still
-		// observe this error. Only remove the call we installed — a
-		// concurrent Save's invalidate may already have replaced it with
-		// a newer in-flight load we must not evict.
-		s.mu.Lock()
-		if s.calls[key.Digest] == c {
-			delete(s.calls, key.Digest)
-		}
-		s.mu.Unlock()
-	}
-	close(c.done)
-	return c.snap, c.digest, c.err
+	return s.loadManifest(m)
 }
 
 // LoadDigest loads (and verifies) the snapshot with the given content
@@ -658,7 +594,6 @@ func (s *Store) loadManifest(m *Manifest) (*snapshot.Snapshot, string, error) {
 // from its build options).
 func (s *Store) loadManifestPhys(m *Manifest) (*snapshot.Snapshot, string, error) {
 	t0 := time.Now()
-	s.diskLoads.add(1)
 	if got := m.contentDigest(); got != m.Digest {
 		obs.Add(obs.CStoreVerifyFail, 1)
 		return nil, "", &VerifyError{Digest: m.Digest, Part: "manifest", Want: m.Digest, Got: got}
@@ -820,7 +755,6 @@ func (s *Store) Delete(digest string) error {
 	}
 	s.mu.Unlock()
 	s.clearQuarantine(digest)
-	s.invalidate(m.KeyDigest)
 	obs.Add(obs.CStoreEvict, 1)
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"camouflage/internal/codegen"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
+	"camouflage/internal/obs"
 	"camouflage/internal/snapshot"
 )
 
@@ -282,9 +283,11 @@ func TestVerifyErrorIsTyped(t *testing.T) {
 	}
 }
 
-// TestConcurrentLoadDedup: many goroutines loading the same key share
-// one physical read; everyone gets the same immutable snapshot.
-func TestConcurrentLoadDedup(t *testing.T) {
+// TestPoolCoalescesConcurrentLoads: the store keeps no load memo, so
+// the pool's arming is where loads coalesce. Eight concurrent Acquires
+// of a cold key on a store-backed pool cost one physical load and no
+// boot, and every machine is a fork of the one loaded snapshot.
+func TestPoolCoalescesConcurrentLoads(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(105, 1)
 	s, err := Open(dir)
@@ -298,29 +301,44 @@ func TestConcurrentLoadDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := snapshot.NewPool()
+	p.Store = fresh
+	hits, boots := obs.CounterTotal(obs.CStoreHit), obs.CounterTotal(obs.CPoolBoot)
+
 	const n = 8
-	snaps := make([]*snapshot.Snapshot, n)
+	ms := make([]*snapshot.Machine, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sn, _, err := fresh.Load(key)
+			m, err := p.Acquire(key, func() (*kernel.Kernel, error) {
+				return nil, errors.New("boot closure ran despite populated store")
+			})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			snaps[i] = sn
+			ms[i] = m
 		}(i)
 	}
 	wg.Wait()
-	if got := fresh.DiskLoads(); got != 1 {
-		t.Fatalf("%d concurrent loads hit disk %d times, want 1", n, got)
+	if t.Failed() {
+		t.FailNow()
 	}
-	for i := 1; i < n; i++ {
-		if snaps[i] != snaps[0] {
-			t.Fatalf("concurrent loaders got distinct snapshots")
+	if got := obs.CounterTotal(obs.CStoreHit) - hits; got != 1 {
+		t.Fatalf("%d concurrent acquires loaded from the store %d times, want 1", n, got)
+	}
+	if got := obs.CounterTotal(obs.CPoolBoot) - boots; got != 0 {
+		t.Fatalf("%d concurrent acquires paid %d boots, want 0", n, got)
+	}
+	for i, m := range ms {
+		if m.Snap != ms[0].Snap {
+			t.Fatalf("machine %d descends from another snapshot", i)
 		}
+	}
+	if forks := ms[0].Snap.Forks(); forks != n {
+		t.Fatalf("loaded snapshot served %d forks, want %d", forks, n)
 	}
 }
 
@@ -337,14 +355,17 @@ func TestPoolWarmStart(t *testing.T) {
 	}
 	p1 := snapshot.NewPool()
 	p1.Store = st1
+	before := p1.Stats()
 	m1, err := p1.Acquire(key, snapshot.BootOptions(key.Options))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := runFixture(t, m1.K)
 	p1.WaitPersist()
-	if s := p1.Stats(); s.Boots != 1 || s.StorePersists != 1 {
-		t.Fatalf("cold pool stats = %+v, want 1 boot / 1 persist", s)
+	s1 := p1.Stats()
+	boots, persists := s1.Boots-before.Boots, s1.StorePersists-before.StorePersists
+	if boots != 1 || persists != 1 {
+		t.Fatalf("cold pool: %d boots / %d persists, want 1 boot / 1 persist", boots, persists)
 	}
 
 	// "Restart": fresh pool, fresh store handle, same directory.
@@ -354,6 +375,7 @@ func TestPoolWarmStart(t *testing.T) {
 	}
 	p2 := snapshot.NewPool()
 	p2.Store = st2
+	before = p2.Stats()
 	m2, err := p2.Acquire(key, func() (*kernel.Kernel, error) {
 		t.Error("boot closure ran despite populated store")
 		return snapshot.BootOptions(key.Options)()
@@ -364,8 +386,10 @@ func TestPoolWarmStart(t *testing.T) {
 	if got := runFixture(t, m2.K); got != want {
 		t.Fatalf("warm-started machine diverges:\n warm: %+v\n cold: %+v", got, want)
 	}
-	if s := p2.Stats(); s.Boots != 0 || s.StoreLoads != 1 {
-		t.Fatalf("warm pool stats = %+v, want 0 boots / 1 store load", s)
+	s2 := p2.Stats()
+	boots, loads := s2.Boots-before.Boots, s2.StoreLoads-before.StoreLoads
+	if boots != 0 || loads != 1 {
+		t.Fatalf("warm pool: %d boots / %d store loads, want 0 boots / 1 store load", boots, loads)
 	}
 }
 
@@ -399,9 +423,10 @@ func TestCampaignParityWarmStart(t *testing.T) {
 	}
 	p1 := snapshot.NewPool()
 	p1.Store = st1
+	before := p1.Stats()
 	cold := runWith(p1)
 	p1.WaitPersist()
-	if s := p1.Stats(); s.Boots == 0 {
+	if p1.Stats().Boots == before.Boots {
 		t.Fatal("cold campaign paid no boots — store unexpectedly warm")
 	}
 
@@ -411,9 +436,10 @@ func TestCampaignParityWarmStart(t *testing.T) {
 	}
 	p2 := snapshot.NewPool()
 	p2.Store = st2
+	before = p2.Stats()
 	warm := runWith(p2)
-	if s := p2.Stats(); s.Boots != 0 {
-		t.Fatalf("warm campaign paid %d boots, want 0", s.Boots)
+	if boots := p2.Stats().Boots - before.Boots; boots != 0 {
+		t.Fatalf("warm campaign paid %d boots, want 0", boots)
 	}
 	if string(cold) != string(warm) {
 		t.Fatalf("warm-start campaign report differs from cold run:\n cold: %s\n warm: %s", cold, warm)
@@ -514,6 +540,7 @@ func TestCorruptStoreFallsBackToBoot(t *testing.T) {
 	}
 	p := snapshot.NewPool()
 	p.Store = st2
+	before := p.Stats()
 	mach, err := p.Acquire(key, snapshot.BootOptions(key.Options))
 	if err != nil {
 		t.Fatalf("pool failed on corrupt store instead of booting: %v", err)
@@ -522,7 +549,9 @@ func TestCorruptStoreFallsBackToBoot(t *testing.T) {
 	// The fallback boot re-persists in the background; wait so the
 	// TempDir cleanup doesn't race the manifest write.
 	p.WaitPersist()
-	if st := p.Stats(); st.Boots != 1 || st.StoreLoads != 0 {
-		t.Fatalf("stats = %+v, want fallback boot", st)
+	st := p.Stats()
+	boots, loads := st.Boots-before.Boots, st.StoreLoads-before.StoreLoads
+	if boots != 1 || loads != 0 {
+		t.Fatalf("%d boots / %d store loads, want a fallback boot", boots, loads)
 	}
 }
