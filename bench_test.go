@@ -251,7 +251,7 @@ func BenchmarkMemFastPath(b *testing.B) {
 // three ways: the full build+verify+boot pipeline per repetition
 // (baseline), a copy-on-write Fork from a warm snapshot per repetition,
 // and Reset of one dirtied machine per repetition. Fork and Reset are
-// the paths the warm pool, the parallel experiment runner and the attack
+// the paths the warm pool, the experiment cell loop and the attack
 // campaign take; the acceptance floor (fork+run ≥ 5x faster than
 // boot+run) is pinned by TestForkAtLeast5xFasterThanBoot.
 func BenchmarkForkVsBoot(b *testing.B) {

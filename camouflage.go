@@ -24,8 +24,8 @@
 //
 // See DESIGN.md for the system inventory, the fast-path execution
 // pipeline (software TLB + decoded basic-block cache), the cache
-// invalidation contract, and the concurrency model of the parallel
-// experiment runner.
+// invalidation contract, and the concurrency model of the experiment
+// cell loop.
 package camouflage
 
 import (
@@ -65,9 +65,9 @@ func NewSystem(level ProtectionLevel, opts Options) (*System, error) {
 
 // ReplicateSystems builds n isolated Systems with the same level and
 // options: one build+verify+boot per option set (warm-pooled), then
-// copy-on-write forks of its post-boot snapshot, produced concurrently.
-// Every replica is identical to a sequentially built System. Used by the
-// throughput benchmarks.
+// copy-on-write forks of its post-boot snapshot, produced concurrently
+// over the Ps not already running cells. Every replica is identical to a
+// sequentially built System. Used by the throughput benchmarks.
 func ReplicateSystems(level ProtectionLevel, opts Options, n int) ([]*System, error) {
 	return core.Replicate(level, opts, n)
 }
@@ -100,14 +100,15 @@ func RunExperiment(id string, w io.Writer) error {
 type ExperimentStats = figures.RunStats
 
 // ExperimentOptions parameterizes an experiment run: the id selection,
-// parallelism, and the vCPU count of the booted machines.
+// the vCPU count of the booted machines and an optional run trace.
 type ExperimentOptions = figures.RunOptions
 
 // RunExperiments runs the selected experiments (every registered one
 // when opts.IDs is empty), writing the renderings to w in registry order,
-// and returns per-experiment stats. With opts.Parallel, each experiment
-// — and each cell inside it — runs in its own goroutine on an isolated
-// System; the output is byte-identical to a sequential run. With
+// and returns per-experiment stats. Experiments run one at a time; the
+// cells inside one fan out across isolated Systems over the Ps not
+// already running cells (GOMAXPROCS=1 runs them in order), and the
+// output is byte-identical either way. With
 // opts.CPUs: 2 every machine the experiments boot is a true 2-core SMP
 // system (deterministic round-robin scheduler, per-core caches, shared
 // shootdown generations — DESIGN.md §9). Once ctx is done the run

@@ -32,9 +32,6 @@ import (
 type ExperimentsRequest struct {
 	// IDs are experiment IDs in the registry (empty = all, paper order).
 	IDs []string `json:"ids,omitempty"`
-	// Parallel runs experiments (and suite cells) concurrently on
-	// isolated machines; the rendering is byte-identical either way.
-	Parallel bool `json:"parallel,omitempty"`
 	// CPUs is the vCPU count of every machine the experiments boot
 	// (0/1: uniprocessor, byte-identical to pre-SMP renderings; up to
 	// kernel.MaxCPUs, else 400). Runs with different counts overlap
@@ -50,7 +47,6 @@ type ExperimentsRequest struct {
 // and simulated work, and the daemon's warm-pool counters.
 type ExperimentsResponse struct {
 	Output      string             `json:"output"`
-	Parallel    bool               `json:"parallel"`
 	TotalWallNs int64              `json:"total_wall_ns"`
 	Pool        snapshot.Stats     `json:"pool"`
 	Experiments []figures.RunStats `json:"experiments"`
@@ -72,8 +68,6 @@ type CampaignRequest struct {
 	Mutations int `json:"mutations,omitempty"`
 	// Seed drives the mutation PRNGs.
 	Seed uint64 `json:"seed,omitempty"`
-	// Parallel strikes the forks concurrently.
-	Parallel bool `json:"parallel,omitempty"`
 	// Levels filters the §6.2 configurations by name (empty = all).
 	Levels []string `json:"levels,omitempty"`
 	// CPUs is the vCPU count of every cell machine (up to

@@ -8,7 +8,11 @@
 // Usage:
 //
 //	attacksim                      — differential campaign, all levels
-//	attacksim -mutations 64 -levels none,full -seq
+//	attacksim -mutations 64 -levels none,full
+//	attacksim -cpus 2              — add the cross-core replay cell
+//
+// A cell's strikes fan out over the process's Ps; GOMAXPROCS=1 strikes
+// them in order. The output is the same either way.
 package main
 
 import (
@@ -26,7 +30,6 @@ func main() {
 	mutations := flag.Int("mutations", 32, "mutated attempts per (attack, level) cell")
 	seed := flag.Uint64("seed", 1, "campaign mutation seed")
 	levels := flag.String("levels", "", "comma-separated level filter (e.g. none,full); empty = all")
-	seq := flag.Bool("seq", false, "strike forks sequentially instead of in parallel")
 	cpus := flag.Int("cpus", 1,
 		"vCPUs per campaign machine (1 = pre-SMP-identical; 2+ adds the cross-core replay cell)")
 	faults := flag.String("faults", "",
@@ -50,7 +53,6 @@ func main() {
 	rep, err := attack.RunCampaign(attack.CampaignOptions{
 		Mutations: *mutations,
 		Seed:      *seed,
-		Parallel:  !*seq,
 		Levels:    lv,
 		CPUs:      *cpus,
 	})

@@ -6,7 +6,7 @@
 //	experiments                — run everything, in paper order
 //	experiments fig3 fig4      — run selected experiments
 //	experiments -list          — list available experiment IDs
-//	experiments -parallel      — one goroutine per experiment/level
+//	experiments -cpus 2        — boot every machine as a 2-vCPU system
 //	experiments -remote=URL    — run on a camouflaged daemon instead
 //	experiments -store-dir=dir — warm-start from (and persist to) a shared
 //	                             snapshot store: repeated runs skip every
@@ -21,9 +21,11 @@
 // rendering is byte-identical to a local run — pinned by the server
 // tests and the CI server-smoke job.
 //
-// The -parallel run produces byte-identical tables to the sequential
-// run: every concurrent measurement owns an isolated simulated System
-// and results are assembled in paper order.
+// Experiments run one at a time, in paper order. The cells inside one
+// (schemes, suite cells, matrix rows) fan out over the process's Ps;
+// GOMAXPROCS=1 runs them in order, as the repo benchmark does. Every
+// cell owns an isolated simulated System and results are assembled by
+// index, so the tables are byte-identical either way.
 package main
 
 import (
@@ -46,8 +48,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs")
-	parallel := flag.Bool("parallel", false,
-		"run experiments concurrently (isolated Systems; identical output)")
 	cpus := flag.Int("cpus", 1,
 		"vCPUs per booted machine (1 = pre-SMP-identical output; 2+ boots true SMP systems)")
 	remote := flag.String("remote", "",
@@ -133,9 +133,8 @@ func main() {
 	if *remote != "" {
 		cl := client.New(*remote)
 		resp, err := cl.RunExperiments(context.Background(), client.ExperimentsRequest{
-			IDs:      flag.Args(),
-			Parallel: *parallel,
-			CPUs:     *cpus,
+			IDs:  flag.Args(),
+			CPUs: *cpus,
 		})
 		if err != nil {
 			fatal(err)
@@ -156,7 +155,7 @@ func main() {
 			run = obs.BeginRun("experiments", "cmd/experiments")
 		}
 		_, err := camouflage.RunExperiments(context.Background(), os.Stdout, camouflage.ExperimentOptions{
-			IDs: flag.Args(), Parallel: *parallel, CPUs: *cpus, Trace: run,
+			IDs: flag.Args(), CPUs: *cpus, Trace: run,
 		})
 		if err != nil {
 			fatal(err)

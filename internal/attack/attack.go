@@ -705,12 +705,13 @@ func BruteForcePAC(lv Level, cpus, threshold int) (BruteReport, error) {
 // machines with the given vCPU count (the victims stay pinned to the
 // boot core): the §6.2 security-evaluation table, one unmutated strike
 // of each scenario per level. Each row runs on its own forked machine —
-// concurrently when parallel is set — and rows are assembled in
-// (level, scenario) order. Once ctx is done no further row starts.
-func Matrix(ctx context.Context, cpus int, parallel bool) ([]Report, error) {
+// concurrently over the Ps not already running cells (snapshot.ForEach)
+// — and rows are assembled in (level, scenario) order. Once ctx is done
+// no further row starts.
+func Matrix(ctx context.Context, cpus int) ([]Report, error) {
 	levels, scs := Levels(), baseScenarios()
 	out := make([]Report, len(levels)*len(scs))
-	err := snapshot.ForEach(ctx, len(out), parallel, func(i int) error {
+	err := snapshot.ForEach(ctx, len(out), func(i int) error {
 		lv, sc := levels[i/len(scs)], scs[i%len(scs)]
 		var err error
 		out[i], err = sc.report(lv, cpus)

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,7 +19,6 @@ func TestCampaignMatrix(t *testing.T) {
 	rep, err := RunCampaign(CampaignOptions{
 		Mutations: 12,
 		Seed:      7,
-		Parallel:  true,
 		Levels:    []string{"none", "full", "full/zero-mod"},
 	})
 	if err != nil {
@@ -57,21 +57,21 @@ func TestCampaignMatrix(t *testing.T) {
 }
 
 // TestCampaignDeterministic: same options, same matrix — strikes are
-// seeded per mutation and forks are exact, so parallel scheduling cannot
-// leak into the results. The none and backward-edge levels have
-// hijacked ROP and f_ops-swap strikes, which stop once sealed, so the
-// race job also covers sealed strikes run in parallel.
+// seeded per mutation and forks are exact, so the schedule of strikes
+// fanned out over 4 Ps cannot leak into the results of the one-P loop.
+// The none and backward-edge levels have hijacked ROP and f_ops-swap
+// strikes, which stop once sealed, so the race job also covers sealed
+// strikes run in parallel.
 func TestCampaignDeterministic(t *testing.T) {
-	opts := CampaignOptions{Mutations: 6, Seed: 9, Levels: []string{"none", "backward-edge", "full"}}
-	a, err := RunCampaign(opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(procs int) *CampaignReport {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, err := RunCampaign(CampaignOptions{Mutations: 6, Seed: 9, Levels: []string{"none", "backward-edge", "full"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	opts.Parallel = true
-	b, err := RunCampaign(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(1), run(4)
 	if len(a.Cells) != len(b.Cells) {
 		t.Fatalf("cell count differs: %d vs %d", len(a.Cells), len(b.Cells))
 	}
@@ -172,7 +172,10 @@ func TestBruteForceHaltsAtThreshold(t *testing.T) {
 // property: the full build detects everything; the unprotected build is
 // hijacked by everything.
 func TestMatrixComplete(t *testing.T) {
-	reports, err := Matrix(context.Background(), 1, false)
+	// One P strikes the rows in order, the path the repo benchmark
+	// measures; TestUnmutatedStrikeOnForkMatchesMatrix fans them out.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	reports, err := Matrix(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +285,12 @@ func TestVerificationOracle(t *testing.T) {
 // scenario at every level and at 1 and 2 vCPUs, an unmutated strike on
 // a fork of the armed machine must reproduce the matrix row struck on
 // the armed machine itself: outcome, detail (which carries gadget
-// counts) and PAC failures. The matrix strikes its rows in parallel
-// here, so this also pins parallel rows to sequential strikes.
+// counts) and PAC failures. The matrix strikes its rows over 4 Ps here,
+// so this also pins rows run in parallel to sequential strikes.
 func TestUnmutatedStrikeOnForkMatchesMatrix(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, cpus := range []int{1, 2} {
-		rows, err := Matrix(context.Background(), cpus, true)
+		rows, err := Matrix(context.Background(), cpus)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,8 +47,6 @@ type CampaignOptions struct {
 	Mutations int
 	// Seed drives the mutation PRNGs (default 1).
 	Seed uint64
-	// Parallel strikes the forks concurrently.
-	Parallel bool
 	// Levels filters the §6.2 configurations by name (nil = all).
 	Levels []string
 	// CPUs is the vCPU count of every cell machine (0/1: uniprocessor,
@@ -153,7 +151,7 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 			}
 			snap := snapshot.Take(k)
 
-			strikes, err := sc.strikeCell(ctx, snap, w, o.Seed, o.Mutations, o.Parallel)
+			strikes, err := sc.strikeCell(ctx, snap, w, o.Seed, o.Mutations)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", sc.name, lv.Name, err)
 			}
@@ -193,10 +191,10 @@ type strikeResult struct {
 // results in mutation order. A fork whose overlay digest an earlier
 // strike of this call already left is the same machine: it takes that
 // strike's result instead of running. Each distinct overlay runs exactly
-// once, in parallel mode too (a sibling that struck the same overlay
-// waits for the run), and every fork is still made, so snap.Forks()
-// counts every strike.
-func (sc scenario) strikeCell(ctx context.Context, snap *snapshot.Snapshot, w window, seed uint64, n int, parallel bool) ([]strikeResult, error) {
+// once, also when the strikes fan out (a sibling that struck the same
+// overlay waits for the run), and every fork is still made, so
+// snap.Forks() counts every strike.
+func (sc scenario) strikeCell(ctx context.Context, snap *snapshot.Snapshot, w window, seed uint64, n int) ([]strikeResult, error) {
 	type memoRun struct {
 		once sync.Once
 		res  strikeResult
@@ -204,7 +202,7 @@ func (sc scenario) strikeCell(ctx context.Context, snap *snapshot.Snapshot, w wi
 	var mu sync.Mutex
 	memo := make(map[[sha256.Size]byte]*memoRun)
 	res := make([]strikeResult, n)
-	err := snapshot.ForEach(ctx, n, parallel, func(m int) error {
+	err := snapshot.ForEach(ctx, n, func(m int) error {
 		fork, err := snap.Fork()
 		if err != nil {
 			return err

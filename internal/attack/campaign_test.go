@@ -23,8 +23,7 @@ import (
 func TestSMPCampaignDeterminism(t *testing.T) {
 	run := func() (*CampaignReport, string) {
 		rep, err := RunCampaign(CampaignOptions{
-			Mutations: 3, Seed: 5, Parallel: true,
-			Levels: []string{"full"}, CPUs: 2,
+			Mutations: 3, Seed: 5, Levels: []string{"full"}, CPUs: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +65,7 @@ func TestSMPCampaignDeterminism(t *testing.T) {
 // grow the cross-core cell (its scenario list is the pre-SMP one).
 func TestSMPCampaignUniprocessorUnchanged(t *testing.T) {
 	rep, err := RunCampaign(CampaignOptions{
-		Mutations: 2, Seed: 5, Parallel: true, Levels: []string{"none"},
+		Mutations: 2, Seed: 5, Levels: []string{"none"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +159,14 @@ func TestSealedStrikesMatchFullBudgets(t *testing.T) {
 				snap := snapshot.Take(k)
 				var campaign []strikeResult
 				for _, seed := range seeds {
-					res, err := sc.strikeCell(ctx, snap, w, seed, mutations, true)
+					res, err := sc.strikeCell(ctx, snap, w, seed, mutations)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", sc.name, lv.Name, err)
 					}
 					campaign = append(campaign, res...)
 				}
 				full := make([]strikeResult, len(campaign))
-				err = snapshot.ForEach(ctx, len(full), true, func(i int) error {
+				err = snapshot.ForEach(ctx, len(full), func(i int) error {
 					fork, err := snap.Fork()
 					if err != nil {
 						return err

@@ -177,7 +177,8 @@ func (ss *SystemSnapshot) Reset(s *System) error {
 // Replicate builds n isolated Systems with the same level and options.
 // The first System for a given option set pays one build+verify+boot
 // (cached in the shared warm pool); the rest are copy-on-write forks of
-// its post-boot snapshot, produced concurrently. Construction is
+// its post-boot snapshot, produced concurrently over the Ps not already
+// running cells (snapshot.ForEach). Construction is
 // deterministic and forking is exact, so every replica is identical to a
 // sequentially built one (pinned by TestReplicateMatchesNew).
 func Replicate(level ProtectionLevel, opts Options, n int) ([]*System, error) {
@@ -187,7 +188,7 @@ func Replicate(level ProtectionLevel, opts Options, n int) ([]*System, error) {
 		return nil, err
 	}
 	systems := make([]*System, n)
-	err = snapshot.ForEach(context.Background(), n, true, func(i int) error {
+	err = snapshot.ForEach(context.Background(), n, func(i int) error {
 		k, err := snap.Fork()
 		if err != nil {
 			return err

@@ -90,10 +90,11 @@ type RunStats struct {
 	// per-level trajectories comparable across revisions.
 	Levels []string `json:"levels,omitempty"`
 	WallNs int64    `json:"wall_ns"`
-	// Cycles/Instrs are the simulated work retired during the experiment;
-	// attribution is exact in sequential runs. In parallel runs the
-	// counters include concurrently running experiments, so Exact=false
-	// and only WallNs is per-experiment.
+	// Cycles/Instrs are the simulated work retired during the experiment,
+	// read from the process-wide counters. Experiments run one at a time
+	// and every cell has returned before its experiment ends, so the
+	// deltas are exact unless other work shared the process; the daemon
+	// clears Exact for a job that overlapped another (DESIGN.md §6).
 	Cycles      uint64  `json:"cycles"`
 	Instrs      uint64  `json:"instrs"`
 	InstrPerSec float64 `json:"instr_per_sec"`
@@ -107,9 +108,6 @@ type RunStats struct {
 type RunOptions struct {
 	// IDs selects experiments (nil: all).
 	IDs []string
-	// Parallel runs experiments (and the cells inside them)
-	// concurrently.
-	Parallel bool
 	// CPUs is the vCPU count of every machine the experiments boot
 	// (0/1: uniprocessor, byte-identical to pre-SMP renderings).
 	CPUs int
@@ -129,13 +127,14 @@ func (o RunOptions) cpus() int {
 }
 
 // RunAllWith runs the selected experiments (every registered one when
-// opts.IDs is empty), writing each rendering to w in registry order
-// framed by "==== id ====" headers, and returns per-experiment stats.
-// Sequential runs stream each rendering as it completes. With
-// opts.Parallel, experiments execute concurrently into private buffers
-// and are emitted in order — byte-for-byte identical to the sequential
-// run. Once ctx is done no further experiment or cell starts, and the
-// run returns ctx.Err() without emitting the interrupted experiment.
+// opts.IDs is empty) one at a time in registry order, writing each
+// rendering to w framed by a "==== id ====" header as soon as it
+// finishes, and returns per-experiment stats. The cells inside an
+// experiment fan out over idle Ps (snapshot.ForEach); the rendering is
+// the same either way. Once ctx is done no further experiment or cell
+// starts, and the run returns ctx.Err() without writing the interrupted
+// experiment; an experiment that ends after ctx is done counts as
+// interrupted.
 func RunAllWith(ctx context.Context, w io.Writer, opts RunOptions) ([]RunStats, error) {
 	var exps []Experiment
 	if len(opts.IDs) == 0 {
@@ -151,55 +150,37 @@ func RunAllWith(ctx context.Context, w io.Writer, opts RunOptions) ([]RunStats, 
 	}
 
 	stats := make([]RunStats, len(exps))
-	outs := make([]bytes.Buffer, len(exps))
-	emit := func(i int) error {
-		fmt.Fprintf(w, "==== %s ====\n", exps[i].ID)
-		if _, err := w.Write(outs[i].Bytes()); err != nil {
-			return err
+	var buf bytes.Buffer
+	for i, e := range exps {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		_, err := fmt.Fprintln(w)
-		return err
-	}
-	err := snapshot.ForEach(ctx, len(exps), opts.Parallel, func(i int) error {
-		e := exps[i]
+		buf.Reset()
 		c0, r0 := cpu.TotalCounters()
 		t0 := time.Now()
-		err := e.Run(ctx, &outs[i], opts)
+		err := e.Run(ctx, &buf, opts)
 		wall := time.Since(t0)
 		c1, r1 := cpu.TotalCounters()
 		stats[i] = RunStats{
 			ID: e.ID, Title: e.Title, Levels: e.Levels,
 			WallNs: wall.Nanoseconds(),
 			Cycles: c1 - c0, Instrs: r1 - r0,
-			Exact: !opts.Parallel,
+			Exact: true,
 		}
 		if wall > 0 {
 			stats[i].InstrPerSec = float64(r1-r0) / wall.Seconds()
 		}
-		// Parallel experiments record in completion order; their deltas
-		// overlap (same caveat as Exact=false).
 		opts.Trace.Phase("exp:"+e.ID, wall)
 		switch {
-		case err != nil && ctx.Err() != nil:
-			return ctx.Err()
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
 		case err != nil:
-			return fmt.Errorf("%s: %w", e.ID, err)
-		case opts.Parallel:
-			return nil
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
-		// Stream: a sequential run writes each rendering as soon as it
-		// finishes, so partial output survives a later failure or
-		// interrupt.
-		return emit(i)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opts.Parallel {
-		for i := range exps {
-			if err := emit(i); err != nil {
-				return nil, err
-			}
+		// Write each rendering as soon as it finishes, so partial output
+		// survives a later failure or interrupt.
+		if _, err := fmt.Fprintf(w, "==== %s ====\n%s\n", e.ID, buf.Bytes()); err != nil {
+			return nil, err
 		}
 	}
 	return stats, nil
@@ -279,12 +260,16 @@ type KeySwitchStats struct {
 // switch over n trials (§6.1.1 uses n = 20). The trials run in order on
 // one bare CPU: each writes its own program over the last, drops the
 // decoded code and runs to HLT. A trial is about 60 instructions, so
-// building a machine per trial would cost more than all of them, and
-// the run options (parallelism included) do not apply.
-func MeasureKeySwitch(ctx context.Context, _ RunOptions, n int) (KeySwitchStats, error) {
+// building a machine per trial would cost more than all of them. Once
+// ctx is done no further trial starts, and a run whose context ended
+// during its last trial reports ctx.Err() too, as snapshot.ForEach does.
+func MeasureKeySwitch(ctx context.Context, n int) (KeySwitchStats, error) {
 	st := KeySwitchStats{PerKeyCycles: make([]float64, n)}
 	c := cpu.New(cpu.Features{PAuth: true})
-	err := snapshot.ForEach(ctx, n, false, func(trial int) error {
+	for trial := 0; trial < n; trial++ {
+		if err := ctx.Err(); err != nil {
+			return KeySwitchStats{}, err
+		}
 		keys := boot.NewPRNG(uint64(trial) + 100).GenerateKeys()
 		a := asm.New()
 		a.Label("entry")
@@ -308,7 +293,7 @@ func MeasureKeySwitch(ctx context.Context, _ RunOptions, n int) (KeySwitchStats,
 		boot.EmitKeySetter(a, "key_setter", keys, boot.ModeV83)
 		img, err := a.Link(map[string]uint64{".text": uint64(pac.KernelBase) | 0x8_0000})
 		if err != nil {
-			return err
+			return KeySwitchStats{}, err
 		}
 		for _, s := range img.Sections {
 			c.Bus.RAM.WriteBytes(s.Base, s.Bytes)
@@ -320,15 +305,14 @@ func MeasureKeySwitch(ctx context.Context, _ RunOptions, n int) (KeySwitchStats,
 		start := c.Cycles
 		stop := c.Run(10_000)
 		if stop.Kind != cpu.StopHLT {
-			return fmt.Errorf("keyswitch trial: %+v", stop)
+			return KeySwitchStats{}, fmt.Errorf("keyswitch trial: %+v", stop)
 		}
 		// Total minus BL(1) + RET(1) + HLT(1) control overhead, per key,
 		// per direction (3 keys × 2 directions).
 		total := float64(c.Cycles-start) - 3
 		st.PerKeyCycles[trial] = total / float64(2*len(boot.KernelKeys))
-		return nil
-	})
-	if err != nil {
+	}
+	if err := ctx.Err(); err != nil {
 		return KeySwitchStats{}, err
 	}
 	for _, v := range st.PerKeyCycles {
@@ -343,8 +327,8 @@ func MeasureKeySwitch(ctx context.Context, _ RunOptions, n int) (KeySwitchStats,
 }
 
 // RenderKeySwitch reproduces the §6.1.1 measurement.
-func RenderKeySwitch(ctx context.Context, w io.Writer, opts RunOptions) error {
-	st, err := MeasureKeySwitch(ctx, opts, 20)
+func RenderKeySwitch(ctx context.Context, w io.Writer, _ RunOptions) error {
+	st, err := MeasureKeySwitch(ctx, 20)
 	if err != nil {
 		return err
 	}
@@ -364,7 +348,7 @@ type Fig2Row struct {
 
 // MeasureFigure2 measures per-call return-address protection overhead for
 // each scheme.
-func MeasureFigure2(ctx context.Context, opts RunOptions) ([]Fig2Row, error) {
+func MeasureFigure2(ctx context.Context) ([]Fig2Row, error) {
 	const iters = 512
 	measure := func(s codegen.Scheme) (uint64, error) {
 		cfg := &codegen.Config{Scheme: s}
@@ -395,14 +379,14 @@ func MeasureFigure2(ctx context.Context, opts RunOptions) ([]Fig2Row, error) {
 		}
 		return c.Cycles - start, nil
 	}
-	// One measurement per protection variant, each on an isolated CPU;
-	// with opts.Parallel they run concurrently (index 0 is the baseline).
+	// One measurement per protection variant, each on an isolated CPU
+	// (index 0 is the baseline).
 	schemes := []codegen.Scheme{
 		codegen.SchemeNone, codegen.SchemeCamouflage,
 		codegen.SchemePARTS, codegen.SchemeClangSP,
 	}
 	totals := make([]uint64, len(schemes))
-	err := snapshot.ForEach(ctx, len(schemes), opts.Parallel, func(i int) error {
+	err := snapshot.ForEach(ctx, len(schemes), func(i int) error {
 		t, err := measure(schemes[i])
 		totals[i] = t
 		return err
@@ -424,8 +408,8 @@ func MeasureFigure2(ctx context.Context, opts RunOptions) ([]Fig2Row, error) {
 }
 
 // RenderFigure2 reproduces Figure 2 (function call overhead, ns).
-func RenderFigure2(ctx context.Context, w io.Writer, opts RunOptions) error {
-	rows, err := MeasureFigure2(ctx, opts)
+func RenderFigure2(ctx context.Context, w io.Writer, _ RunOptions) error {
+	rows, err := MeasureFigure2(ctx)
 	if err != nil {
 		return err
 	}
@@ -440,7 +424,7 @@ func RenderFigure2(ctx context.Context, w io.Writer, opts RunOptions) error {
 
 // RenderFigure3 reproduces Figure 3 (lmbench relative latencies).
 func RenderFigure3(ctx context.Context, w io.Writer, opts RunOptions) error {
-	results, err := lmbench.RunSuite(ctx, opts.Parallel, opts.cpus())
+	results, err := lmbench.RunSuite(ctx, opts.cpus())
 	if err != nil {
 		return err
 	}
@@ -464,7 +448,7 @@ func RenderFigure3(ctx context.Context, w io.Writer, opts RunOptions) error {
 
 // RenderFigure4 reproduces Figure 4 (user-space workloads).
 func RenderFigure4(ctx context.Context, w io.Writer, opts RunOptions) error {
-	results, err := workload.RunSuite(ctx, opts.Parallel, opts.cpus())
+	results, err := workload.RunSuite(ctx, opts.cpus())
 	if err != nil {
 		return err
 	}
@@ -505,7 +489,7 @@ func RenderCoccinelle(_ context.Context, w io.Writer, _ RunOptions) error {
 
 // RenderAttacks reproduces the §6.2 security matrix.
 func RenderAttacks(ctx context.Context, w io.Writer, opts RunOptions) error {
-	reports, err := attack.Matrix(ctx, opts.cpus(), opts.Parallel)
+	reports, err := attack.Matrix(ctx, opts.cpus())
 	if err != nil {
 		return err
 	}
@@ -581,7 +565,7 @@ func RenderSMPReplay(ctx context.Context, w io.Writer, opts RunOptions) error {
 	cpus := max(opts.cpus(), 2)
 	levels := attack.Levels()
 	reports := make([]attack.Report, len(levels))
-	err := snapshot.ForEach(ctx, len(levels), opts.Parallel, func(i int) error {
+	err := snapshot.ForEach(ctx, len(levels), func(i int) error {
 		var err error
 		reports[i], err = attack.CrossCoreReplay(levels[i], cpus)
 		return err

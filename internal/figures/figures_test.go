@@ -8,9 +8,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,7 +49,7 @@ func TestLookup(t *testing.T) {
 // TestKeySwitchNineCycles pins E1: mean ≈ 9 cycles/key with ~zero
 // variance (paper: 8.88, variance 0.004).
 func TestKeySwitchNineCycles(t *testing.T) {
-	st, err := MeasureKeySwitch(context.Background(), RunOptions{}, 20)
+	st, err := MeasureKeySwitch(context.Background(), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestKeySwitchNineCycles(t *testing.T) {
 
 // TestFigure2Shape pins E2's ordering and magnitudes.
 func TestFigure2Shape(t *testing.T) {
-	rows, err := MeasureFigure2(context.Background(), RunOptions{})
+	rows, err := MeasureFigure2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,43 +108,50 @@ func TestRenderTable2Content(t *testing.T) {
 	}
 }
 
-// TestParallelRunAllMatchesSequential: the parallel runner must produce
-// byte-identical renderings to the sequential one (isolated Systems,
-// index-ordered assembly). A cheap subset keeps the test fast; the
+// TestParallelRunAllMatchesSequential: a run whose cells fan out over 4
+// Ps must render the bytes of the one-P run (isolated Systems,
+// index-ordered assembly) and attribute each experiment the same exact
+// simulated work: experiments run one at a time, and every cell has
+// returned before its experiment ends. Both runs use a fresh pool, so
+// each pays the same boots. A cheap subset keeps the test fast; the
 // fig3/fig4 suites are pinned by TestRunSuiteParallelMatchesSequential
 // in the lmbench and workload packages.
 func TestParallelRunAllMatchesSequential(t *testing.T) {
-	ids := []string{"table1", "table2", "keys", "fig2", "ablation-replay"}
-	var seq, par bytes.Buffer
-	seqStats, err := RunAllWith(context.Background(), &seq, RunOptions{IDs: ids})
-	if err != nil {
-		t.Fatal(err)
+	ids := []string{"table1", "table2", "keys", "fig2", "ablation-keys", "ablation-replay"}
+	prev := snapshot.Shared
+	t.Cleanup(func() { snapshot.Shared = prev })
+	run := func(procs int) (string, []RunStats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		snapshot.Shared = snapshot.NewPool()
+		var buf bytes.Buffer
+		stats, err := RunAllWith(context.Background(), &buf, RunOptions{IDs: ids})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), stats
 	}
-	parStats, err := RunAllWith(context.Background(), &par, RunOptions{IDs: ids, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatalf("parallel output diverges from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-			seq.String(), par.String())
+	seq, seqStats := run(1)
+	par, parStats := run(4)
+	if seq != par {
+		t.Fatalf("4-P output diverges from 1-P:\n--- 1 P ---\n%s\n--- 4 Ps ---\n%s", seq, par)
 	}
 	if len(seqStats) != len(ids) || len(parStats) != len(ids) {
-		t.Fatalf("stats lengths: seq %d, par %d, want %d", len(seqStats), len(parStats), len(ids))
+		t.Fatalf("stats lengths: 1 P %d, 4 Ps %d, want %d", len(seqStats), len(parStats), len(ids))
 	}
-	// Sequential attribution is exact: the key-switch experiment must
-	// have retired simulated work.
-	for _, s := range seqStats {
-		if !s.Exact {
-			t.Errorf("%s: sequential stats not marked exact", s.ID)
+	for i, s := range seqStats {
+		p := parStats[i]
+		if !s.Exact || !p.Exact {
+			t.Errorf("%s: stats not exact (1 P %v, 4 Ps %v)", s.ID, s.Exact, p.Exact)
+		}
+		if s.Cycles != p.Cycles || s.Instrs != p.Instrs {
+			t.Errorf("%s: 1 P retired %d instrs in %d cycles, 4 Ps %d in %d",
+				s.ID, s.Instrs, s.Cycles, p.Instrs, p.Cycles)
 		}
 	}
-	for _, s := range parStats {
-		if s.Exact {
-			t.Errorf("%s: parallel stats wrongly marked exact", s.ID)
+	for _, i := range []int{2, 3, 4} { // keys, fig2 and a pool boot
+		if seqStats[i].Instrs == 0 {
+			t.Errorf("%s stats: %+v, want nonzero simulated instructions", seqStats[i].ID, seqStats[i])
 		}
-	}
-	if seqStats[2].ID != "keys" || seqStats[2].Instrs == 0 {
-		t.Errorf("key-switch stats: %+v, want nonzero simulated instructions", seqStats[2])
 	}
 }
 
@@ -207,8 +216,10 @@ func TestRunAllUnknownID(t *testing.T) {
 // TestCancelStopsRunBetweenCells: a context cancelled while fig3 runs
 // reaches fig3's cell loop. The run returns ctx.Err(), writes no
 // rendering, and starts no cell after the cancellation — only the cell
-// in flight finishes, and an lmbench cell acquires two machines.
+// in flight finishes, and an lmbench cell acquires two machines. One P
+// keeps the cells in order, so exactly one is in flight.
 func TestCancelStopsRunBetweenCells(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prev := snapshot.Shared
 	pool := snapshot.NewPool()
 	snapshot.Shared = pool
@@ -243,6 +254,42 @@ func TestCancelStopsRunBetweenCells(t *testing.T) {
 	}
 	if got := acquired(); got > atCancel+2 {
 		t.Fatalf("cells kept starting after cancellation: %d machines acquired, %d at cancel", got, atCancel)
+	}
+}
+
+// endsAfter is a context that reads live for its first live Err calls
+// and cancelled from then on: a deadline that passes during the work
+// that follows the last check.
+type endsAfter struct {
+	context.Context
+	live  int32
+	calls atomic.Int32
+}
+
+func (c *endsAfter) Err() error {
+	if c.calls.Add(1) > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLoopEndingAfterItsContextFails: the experiment loop and the
+// key-switch trial loop keep snapshot.ForEach's rule that a loop whose
+// context ended while its last item ran reports ctx.Err(). Neither
+// table1 nor the trials check the context inside, so a run that checked
+// it only before each item would succeed here and write the rendering.
+func TestLoopEndingAfterItsContextFails(t *testing.T) {
+	const trials = 3
+	if _, err := MeasureKeySwitch(&endsAfter{Context: context.Background(), live: trials}, trials); err != context.Canceled {
+		t.Errorf("key switch cancelled during its last trial returned %v, want context.Canceled", err)
+	}
+	var buf bytes.Buffer
+	_, err := RunAllWith(&endsAfter{Context: context.Background(), live: 1}, &buf, RunOptions{IDs: []string{"table1"}})
+	if err != context.Canceled {
+		t.Errorf("run cancelled during its last experiment returned %v, want context.Canceled", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("run cancelled during its last experiment wrote a rendering:\n%s", buf.String())
 	}
 }
 

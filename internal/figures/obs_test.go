@@ -82,8 +82,7 @@ func TestFigureBytesUnchangedUnderScrape(t *testing.T) {
 func TestCampaignBytesUnchangedUnderScrape(t *testing.T) {
 	render := func() string {
 		rep, err := attack.RunCampaignContext(context.Background(), attack.CampaignOptions{
-			Mutations: 2, Seed: 5, Parallel: true,
-			Levels: []string{"full"}, CPUs: 2,
+			Mutations: 2, Seed: 5, Levels: []string{"full"}, CPUs: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

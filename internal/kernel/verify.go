@@ -10,7 +10,7 @@ import (
 )
 
 // verifiedSections caches §4.1 verification verdicts keyed by section
-// content hash (sync.Map: pool boots and the parallel runner verify from
+// content hash (sync.Map: pool boots and cells that fan out verify from
 // many goroutines). Only clean verdicts are cached; failures always
 // rescan.
 var verifiedSections sync.Map

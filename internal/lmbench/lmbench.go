@@ -289,14 +289,15 @@ func Measure(opts kernel.Options, level string, b Benchmark) (Result, error) {
 // boot core; secondaries boot, install their keys and idle — the suite
 // measures SMP-build kernel paths). Every (benchmark, level) cell runs
 // on its own isolated machine (a copy-on-write fork from the warm pool)
-// — concurrently when parallel is set — and results are assembled in
-// suite order, so the output does not depend on the schedule. Once ctx
-// is done no further cell starts.
-func RunSuite(ctx context.Context, parallel bool, cpus int) ([]Result, error) {
+// — concurrently over the Ps not already running cells
+// (snapshot.ForEach) — and results are assembled in suite order, so the
+// output does not depend on the schedule. Once ctx is done no further
+// cell starts.
+func RunSuite(ctx context.Context, cpus int) ([]Result, error) {
 	benches := Suite()
 	levels := core.Levels()
 	out := make([]Result, len(benches)*len(levels))
-	err := snapshot.ForEach(ctx, len(out), parallel, func(idx int) error {
+	err := snapshot.ForEach(ctx, len(out), func(idx int) error {
 		b := benches[idx/len(levels)]
 		lv := levels[idx%len(levels)]
 		var err error

@@ -2,6 +2,7 @@ package lmbench
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"camouflage/internal/core"
@@ -132,18 +133,23 @@ func TestCompatBuildRunsFullSuite(t *testing.T) {
 	}
 }
 
-// TestRunSuiteParallelMatchesSequential: the per-(benchmark, level)
-// parallel suite must produce exactly the sequential results — every
-// cell is a pure function of its seed on an isolated kernel.
+// TestRunSuiteParallelMatchesSequential: the suite with its
+// (benchmark, level) cells fanned out over 4 Ps must produce exactly the
+// results of the one-P loop — every cell is a pure function of its seed
+// on an isolated kernel.
 func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite twice")
 	}
-	seq, err := RunSuite(context.Background(), false, 1)
+	run := func(procs int) ([]Result, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return RunSuite(context.Background(), 1)
+	}
+	seq, err := run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSuite(context.Background(), true, 1)
+	par, err := run(4)
 	if err != nil {
 		t.Fatal(err)
 	}

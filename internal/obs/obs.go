@@ -100,6 +100,7 @@ const (
 	CStoreHit
 	CStoreMiss
 	CStoreSave
+	CStoreSaveFail
 	CStoreVerifyFail
 	CStoreChunkWrite
 	CStoreChunkDedup
@@ -192,6 +193,7 @@ var counterMetas = [NumCounters]counterMeta{
 	CStoreHit:        {"camouflage_store_loads_total", "Snapshot loads from the persistent store by result.", `result="hit"`},
 	CStoreMiss:       {"camouflage_store_loads_total", "Snapshot loads from the persistent store by result.", `result="miss"`},
 	CStoreSave:       {"camouflage_store_saves_total", "Snapshots persisted to the store.", ""},
+	CStoreSaveFail:   {"camouflage_store_save_failures_total", "Snapshot persists that failed; the next process boots the key again.", ""},
 	CStoreVerifyFail: {"camouflage_store_verify_failures_total", "Snapshot loads refused because hash verification failed.", ""},
 	CStoreChunkWrite: {"camouflage_store_chunks_total", "Page chunks handled on save by outcome.", `op="written"`},
 	CStoreChunkDedup: {"camouflage_store_chunks_total", "Page chunks handled on save by outcome.", `op="deduped"`},

@@ -157,7 +157,7 @@ func (r *Run) ID() string {
 
 // Phase records one completed phase: its wall duration plus the
 // registry deltas since the previous event. Safe for concurrent use
-// (parallel experiment cells record in completion order).
+// (events record in the order their phases complete).
 func (r *Run) Phase(name string, wall time.Duration) {
 	if r == nil {
 		return

@@ -15,7 +15,7 @@ import (
 
 	"camouflage/client"
 	"camouflage/internal/fault"
-	"camouflage/internal/snapshot"
+	"camouflage/internal/obs"
 	"camouflage/internal/store"
 )
 
@@ -41,28 +41,26 @@ func TestChaosCampaignByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Chaos run: fresh daemon, persistent store behind the shared pool
-	// (campaigns always run on snapshot.Shared), faults armed. The
-	// spec's counts are chosen so every class fires at most as often as
-	// its healing layer absorbs: one boot failure (retried), one store
-	// read failure (boot fallback), one reset + one 5xx (client retry,
-	// 3 attempts), one stall (latency only), one in-job panic (consumed
-	// by the probe request below).
+	// Chaos run: fresh daemon, and a fresh shared pool (campaigns always
+	// run on snapshot.Shared) behind an empty persistent store, so every
+	// cell key boots again with the faults armed. The spec's counts are
+	// chosen so every class fires at most as often as its healing layer
+	// absorbs: one boot failure (retried), one failed persist (counted;
+	// the pool stays warm), one reset + one 5xx (client retry, 3
+	// attempts), one stall (latency only), one in-job panic (consumed by
+	// the probe request below). Each key loads from the store once,
+	// before it has a snapshot there, so store.chunk.read stays armed
+	// without firing.
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevStore := snapshot.Shared.Store
-	snapshot.Shared.Store = st
-	t.Cleanup(func() {
-		snapshot.Shared.WaitPersist()
-		snapshot.Shared.Store = prevStore
-	})
+	pool := withFreshPool(t)
+	pool.Store = st
+	t.Cleanup(pool.WaitPersist)
 	r := withServerFaults(t,
 		"seed=42,server.job=1,pool.boot=1,store.chunk.read=1,store.persist=1,client.reset=1,client.5xx=1,client.stall=1:10ms")
 
-	snapshot.Shared.BootBackoff = time.Millisecond
-	t.Cleanup(func() { snapshot.Shared.BootBackoff = 0 })
 	_, hs, cc := newTestServer(t, Config{Store: st})
 	cc.Retry.BaseDelay = time.Millisecond
 	cc.Retry.MaxDelay = 2 * time.Millisecond
@@ -74,22 +72,27 @@ func TestChaosCampaignByteIdentical(t *testing.T) {
 		t.Fatalf("panic probe = %d, want 500", resp.StatusCode)
 	}
 
+	saveFails := obs.CounterTotal(obs.CStoreSaveFail)
 	chaos, err := cc.RunCampaign(ctx, chaosCampaign)
 	if err != nil {
 		t.Fatalf("campaign under chaos: %v", err)
 	}
+	pool.WaitPersist()
 	if chaos.Output != quiet.Output {
 		t.Fatalf("chaos output differs from quiet run:\n--- quiet ---\n%s\n--- chaos ---\n%s",
 			quiet.Output, chaos.Output)
 	}
 
-	// The client-transport faults fire deterministically (every request
-	// goes through the injection points); one reset and one 5xx were
-	// absorbed by retries, the panic by the barrier.
-	for _, p := range []fault.Point{fault.ClientReset, fault.Client5xx, fault.ServerJob} {
+	// Every injection point is checked deterministically; one reset and
+	// one 5xx were absorbed by retries, the panic by the barrier, the
+	// boot failure by a retry, and the failed persist left its count.
+	for _, p := range []fault.Point{fault.ClientReset, fault.Client5xx, fault.ServerJob, fault.PoolBoot, fault.StorePersist} {
 		if r.Fired(p) != 1 {
 			t.Fatalf("fault %s fired %d times, want 1 (counts: %v)", p, r.Fired(p), r.Counts())
 		}
+	}
+	if got := obs.CounterTotal(obs.CStoreSaveFail) - saveFails; got != 1 {
+		t.Fatalf("camouflage_store_save_failures_total moved by %d, want 1 for the failed persist", got)
 	}
 
 	// And the daemon is still healthy.

@@ -7,11 +7,13 @@ package server
 import (
 	"context"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
 	"camouflage/client"
 	"camouflage/internal/core"
+	"camouflage/internal/figures"
 	"camouflage/internal/obs"
 	"camouflage/internal/snapshot"
 )
@@ -234,34 +236,38 @@ func TestRunTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestServedExactWhenAlone pins the RunStats.Exact fix: a sequential
-// experiments request served with no overlapping jobs keeps exact
-// attribution; a parallel one stays inexact.
+// TestServedExactWhenAlone pins the RunStats.Exact rule: an
+// experiments request served with no overlapping job keeps exact
+// attribution at any GOMAXPROCS. At 4 Ps fig2's scheme cells fan out,
+// yet all of them return before the experiment ends, so the served
+// work equals the one-P run's.
 func TestServedExactWhenAlone(t *testing.T) {
 	_, _, c := newTestServer(t, Config{})
-	resp, err := c.RunExperiments(context.Background(), client.ExperimentsRequest{
-		IDs: []string{"keys"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(procs int) []figures.RunStats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		resp, err := c.RunExperiments(context.Background(), client.ExperimentsRequest{
+			IDs: []string{"keys", "fig2"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Experiments
 	}
-	for _, s := range resp.Experiments {
-		if !s.Exact {
-			t.Errorf("%s: sequential sole-occupancy run served Exact=false", s.ID)
+	one, four := run(1), run(4)
+	if len(one) != 2 || len(four) != 2 {
+		t.Fatalf("served %d and %d experiment stats, want 2 each", len(one), len(four))
+	}
+	for i, s := range one {
+		p := four[i]
+		if !s.Exact || !p.Exact {
+			t.Errorf("%s: sole-occupancy run served Exact=false (1 P %v, 4 Ps %v)", s.ID, s.Exact, p.Exact)
 		}
 		if s.Instrs == 0 {
 			t.Errorf("%s: exact stats carry no instructions", s.ID)
 		}
-	}
-	par, err := c.RunExperiments(context.Background(), client.ExperimentsRequest{
-		IDs: []string{"keys"}, Parallel: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range par.Experiments {
-		if s.Exact {
-			t.Errorf("%s: parallel run wrongly served Exact=true", s.ID)
+		if s.Instrs != p.Instrs || s.Cycles != p.Cycles {
+			t.Errorf("%s: 1 P served %d instrs in %d cycles, 4 Ps %d in %d",
+				s.ID, s.Instrs, s.Cycles, p.Instrs, p.Cycles)
 		}
 	}
 }

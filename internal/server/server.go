@@ -445,7 +445,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	var buf strings.Builder
 	t0 := time.Now()
 	stats, err := figures.RunAllWith(ctx, &buf, figures.RunOptions{
-		IDs: req.IDs, Parallel: req.Parallel, CPUs: req.CPUs, Trace: run,
+		IDs: req.IDs, CPUs: req.CPUs, Trace: run,
 	})
 	if err != nil {
 		failRunCtx(ctx, w, err)
@@ -464,7 +464,6 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, client.ExperimentsResponse{
 		Output:      buf.String(),
-		Parallel:    req.Parallel,
 		TotalWallNs: time.Since(t0).Nanoseconds(),
 		Pool:        snapshot.Shared.Stats(),
 		Experiments: stats,
@@ -520,7 +519,6 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	rep, err := attack.RunCampaignContext(ctx, attack.CampaignOptions{
 		Mutations: req.Mutations,
 		Seed:      req.Seed,
-		Parallel:  req.Parallel,
 		Levels:    req.Levels,
 		CPUs:      req.CPUs,
 	})

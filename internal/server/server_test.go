@@ -363,7 +363,6 @@ func TestCampaignEndpoint(t *testing.T) {
 	resp, err := c.RunCampaign(context.Background(), client.CampaignRequest{
 		Mutations: 2,
 		Levels:    []string{"none"},
-		Parallel:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -561,7 +560,7 @@ func TestSMPLeaseAndCampaignCPUs(t *testing.T) {
 	}
 
 	resp, err := c.RunCampaign(ctx, client.CampaignRequest{
-		Mutations: 2, Levels: []string{"full"}, Parallel: true, CPUs: 2,
+		Mutations: 2, Levels: []string{"full"}, CPUs: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -574,5 +573,36 @@ func TestSMPLeaseAndCampaignCPUs(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("2-vCPU campaign response missing the cross-core cell")
+	}
+}
+
+// TestRetiredParallelFieldIgnored: experiments and campaign bodies from
+// an old client that still carries the retired "parallel" opt-in are
+// answered 200 with the bytes of the same request without it. The cell
+// loop picks its own parallelism, and unknown fields are ignored.
+func TestRetiredParallelFieldIgnored(t *testing.T) {
+	_, hs, _ := newTestServer(t, Config{})
+	for _, tc := range []struct{ path, fields string }{
+		{"/v1/experiments", `"ids":["table1","keys"]`},
+		{"/v1/campaigns", `"mutations":2,"levels":["none"]`},
+	} {
+		output := func(body string) string {
+			hr, resp := postJSON(t, hs.URL+tc.path, body, nil)
+			if hr.StatusCode != http.StatusOK {
+				t.Fatalf("POST %s %s = %d (%s), want 200", tc.path, body, hr.StatusCode, resp)
+			}
+			var out struct {
+				Output string `json:"output"`
+			}
+			if err := json.Unmarshal([]byte(resp), &out); err != nil {
+				t.Fatal(err)
+			}
+			return out.Output
+		}
+		want := output("{" + tc.fields + "}")
+		got := output("{" + tc.fields + `,"parallel":true}`)
+		if want == "" || got != want {
+			t.Fatalf("POST %s with the retired field rendered:\n%s\nwant:\n%s", tc.path, got, want)
+		}
 	}
 }

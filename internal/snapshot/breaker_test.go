@@ -29,7 +29,6 @@ func TestBootRetryHealsTransientFault(t *testing.T) {
 	opts := kernel.Options{Config: codegen.ConfigBackward(), Seed: 71}
 	key := KeyFor(opts)
 	pool := NewPool()
-	pool.BootBackoff = time.Millisecond
 	before := pool.Stats()
 
 	withFaults(t, "pool.boot=2")

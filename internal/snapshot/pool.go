@@ -100,11 +100,9 @@ type Pool struct {
 	Store Store
 
 	// BootAttempts bounds tries per arming (boot + retries); <=0 means
-	// the default of 3. Retries back off exponentially from BootBackoff
-	// (default 25ms) capped at BootBackoffMax (default 1s).
-	BootAttempts   int
-	BootBackoff    time.Duration
-	BootBackoffMax time.Duration
+	// the default of 3. Retries back off exponentially from 25ms,
+	// capped at 1s.
+	BootAttempts int
 
 	// BreakerThreshold consecutive failed armings open the key's
 	// circuit breaker (<=0: default 5): Acquire fast-fails with
@@ -156,11 +154,12 @@ func (p *Pool) entry(key Key) *poolEntry {
 	return e
 }
 
-// defaults for the boot retry loop and the breaker.
+// defaults for the boot retry loop and the breaker, and the retry
+// loop's fixed backoff.
 const (
 	defaultBootAttempts     = 3
-	defaultBootBackoff      = 25 * time.Millisecond
-	defaultBootBackoffMax   = time.Second
+	bootBackoff             = 25 * time.Millisecond
+	bootBackoffMax          = time.Second
 	defaultBreakerThreshold = 5
 	defaultBreakerReset     = 30 * time.Second
 )
@@ -170,17 +169,6 @@ func (p *Pool) bootAttempts() int {
 		return p.BootAttempts
 	}
 	return defaultBootAttempts
-}
-
-func (p *Pool) bootBackoff() (base, max time.Duration) {
-	base, max = p.BootBackoff, p.BootBackoffMax
-	if base <= 0 {
-		base = defaultBootBackoff
-	}
-	if max <= 0 {
-		max = defaultBootBackoffMax
-	}
-	return base, max
 }
 
 func (p *Pool) breakerThreshold() int {
@@ -314,7 +302,7 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 		go func() {
 			defer p.persistWG.Done()
 			// A failed persist leaves the pool warm; the next process
-			// boots the key again.
+			// boots the key again. The store counts the failure.
 			_, _ = p.Store.Save(key, snap)
 		}()
 	}
@@ -329,15 +317,13 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 // here; deterministic ones (a §4.1 verify refusal) fail every attempt
 // and feed the breaker.
 func (p *Pool) bootWithRetry(boot func() (*kernel.Kernel, error)) (*kernel.Kernel, error) {
-	backoff, max := p.bootBackoff()
+	backoff := bootBackoff
 	var lastErr error
 	for attempt := 0; attempt < p.bootAttempts(); attempt++ {
 		if attempt > 0 {
 			obs.Add(obs.CBootRetry, 1)
 			time.Sleep(backoff)
-			if backoff *= 2; backoff > max {
-				backoff = max
-			}
+			backoff = min(2*backoff, bootBackoffMax)
 		}
 		k, err := boot()
 		if err == nil {

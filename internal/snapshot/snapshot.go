@@ -135,67 +135,80 @@ func BootOptions(opts kernel.Options) func() (*kernel.Kernel, error) {
 	}
 }
 
-// ForEach runs f(0) … f(n-1) and returns the lowest-index error:
-// sequentially, or — with parallel set — across a bounded worker pool.
-// Workers are capped well above hardware parallelism but independent of
-// n, so fan-out over a user-controlled count (campaign mutations) keeps
-// at most O(workers) machines live instead of O(n). It is the one cell
-// loop of the experiment runner, the figure suites, the attack matrix
-// and the campaign driver: callers assemble results by index, keeping
-// output independent of schedule.
+// cellWorkers counts the goroutines running ForEach calls process-wide:
+// each loop's caller and each helper it recruited.
+var cellWorkers atomic.Int64
+
+// ForEach runs f(0) … f(n-1) and returns the lowest-index error. It is
+// the one cell loop of the experiment runner, the figure suites, the
+// attack matrix and the campaign driver, and it picks its own
+// parallelism from what it observes: the caller runs indices itself and
+// recruits helpers only while fewer goroutines run cells, process-wide,
+// than there are Ps (runtime.GOMAXPROCS). So a loop at one P, or one that
+// starts while concurrent jobs already keep every P running cells, is a
+// plain loop in index order, and a lone loop on a multi-core host fans
+// out over every P. Cells are CPU-bound and each holds a live machine,
+// so a worker beyond the Ps adds memory and hand-offs for little
+// throughput. Callers assemble results by index, so output does not
+// depend on the schedule, and every f has returned before ForEach does.
 //
 // Once ctx is done no new index starts (indices already running finish
 // normally — machines are never torn down mid-instruction) and
-// ctx.Err() is reported unless an earlier index failed on its own. This
-// is how a request deadline or the daemon's run watchdog reaches every
-// experiment, cell and strike.
-func ForEach(ctx context.Context, n int, parallel bool, f func(i int) error) error {
-	if !parallel {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
+// ctx.Err() is reported unless an earlier index failed on its own. That
+// holds also when ctx ends while the last calls run, after every index
+// has started, as it can once the calls fan out: a loop reports success
+// only if ctx was still live when it ended. This is how a request
+// deadline or the daemon's run watchdog reaches every experiment, cell
+// and strike.
+func ForEach(ctx context.Context, n int, f func(i int) error) error {
+	procs := int64(runtime.GOMAXPROCS(0))
+	cellWorkers.Add(1)
+	defer cellWorkers.Add(-1)
+	helpers := 0
+	for helpers < n-1 && cellWorkers.Add(1) <= procs {
+		helpers++
 	}
-	workers := 8 * runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	if helpers < n-1 {
+		cellWorkers.Add(-1) // the claim that found every P busy
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			// Claim-then-check: a skipped index records ctx.Err() in its
+			// slot, so cancellation surfaces through the same
+			// lowest-index-error scan as real failures. Indices are
+			// claimed in order, so a worker may stop at its first error:
+			// every lower index has been claimed and runs.
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				return
+			}
+			if errs[i] = f(i); errs[i] != nil {
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//camo:nondet worker pool forks independent machines; per-slot error slices keep the result order-stable
+	wg.Add(helpers)
+	for range helpers {
+		//camo:nondet helpers fork independent machines; per-slot error slices keep the result order-stable
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Claim-then-check: a skipped index records ctx.Err() in
-				// its slot, so cancellation surfaces through the same
-				// lowest-index-error scan as real failures — and a run
-				// whose every index completed before the context expired
-				// still reports success.
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				errs[i] = f(i)
-			}
+			defer cellWorkers.Add(-1)
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	return nil
+	return ctx.Err()
 }

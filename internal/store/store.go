@@ -414,8 +414,20 @@ func isChunkName(name string) bool {
 // same image — are deduplicated, not rewritten), then the manifest
 // commits to the whole set under its content digest. Returns the
 // content digest. Saving an already-persisted snapshot is a cheap
-// no-op rewrite of the manifest.
+// no-op rewrite of the manifest. Every call counts once: as a save, or
+// as a save failure (the pool persists in the background and drops
+// the error, so the counter is how an unwritable store shows).
 func (s *Store) Save(key snapshot.Key, snap *snapshot.Snapshot) (string, error) {
+	digest, err := s.save(key, snap)
+	if err != nil {
+		obs.Add(obs.CStoreSaveFail, 1)
+		return "", err
+	}
+	obs.Add(obs.CStoreSave, 1)
+	return digest, nil
+}
+
+func (s *Store) save(key snapshot.Key, snap *snapshot.Snapshot) (string, error) {
 	if err := fault.ErrAt(fault.StorePersist); err != nil {
 		return "", err
 	}
@@ -496,7 +508,6 @@ func (s *Store) Save(key snapshot.Key, snap *snapshot.Snapshot) (string, error) 
 	}
 	s.admit(m)
 	s.clearQuarantine(m.Digest)
-	obs.Add(obs.CStoreSave, 1)
 	return m.Digest, nil
 }
 

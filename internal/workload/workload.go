@@ -191,15 +191,15 @@ func Run(opts kernel.Options, level string, w Workload) (Result, error) {
 // RunSuite measures all workloads under the Figure 4 levels on machines
 // with the given vCPU count and fills in relative costs. Every
 // (workload, level) cell runs on its own isolated machine (a
-// copy-on-write fork from the warm pool) — concurrently when parallel
-// is set — and relative costs are filled in afterwards from the
-// completed grid, so the results do not depend on the schedule. Once
-// ctx is done no further cell starts.
-func RunSuite(ctx context.Context, parallel bool, cpus int) ([]Result, error) {
+// copy-on-write fork from the warm pool) — concurrently over the Ps not
+// already running cells (snapshot.ForEach) — and relative costs
+// are filled in afterwards from the completed grid, so the results do
+// not depend on the schedule. Once ctx is done no further cell starts.
+func RunSuite(ctx context.Context, cpus int) ([]Result, error) {
 	levels := core.Levels()
 	workloads := Suite()
 	out := make([]Result, len(workloads)*len(levels))
-	err := snapshot.ForEach(ctx, len(out), parallel, func(idx int) error {
+	err := snapshot.ForEach(ctx, len(out), func(idx int) error {
 		w := workloads[idx/len(levels)]
 		lv := levels[idx%len(levels)]
 		var err error

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"camouflage/internal/core"
@@ -12,7 +13,7 @@ import (
 // least overhead, the download the most, and the geometric mean under
 // full protection stays below 4 %.
 func TestFigure4Shape(t *testing.T) {
-	results, err := RunSuite(context.Background(), false, 1)
+	results, err := RunSuite(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +105,19 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-// TestRunSuiteParallelMatchesSequential: the per-(workload, level)
-// parallel suite must produce exactly the sequential results, relative
-// costs included.
+// TestRunSuiteParallelMatchesSequential: the suite with its
+// (workload, level) cells fanned out over 4 Ps must produce exactly the
+// results of the one-P loop, relative costs included.
 func TestRunSuiteParallelMatchesSequential(t *testing.T) {
-	seq, err := RunSuite(context.Background(), false, 1)
+	run := func(procs int) ([]Result, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return RunSuite(context.Background(), 1)
+	}
+	seq, err := run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSuite(context.Background(), true, 1)
+	par, err := run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
