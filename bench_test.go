@@ -180,7 +180,7 @@ func BenchmarkFaultOverhead(b *testing.B) {
 		runNoneMix(b)
 	})
 	b.Run("armed", func(b *testing.B) {
-		r, err := fault.ParseSpec("seed=1,store.chunk.read=all,pool.boot=all,client.reset=all")
+		r, err := fault.ParseSpec("seed=1,store.read=all,pool.boot=all,client.reset=all")
 		if err != nil {
 			b.Fatal(err)
 		}

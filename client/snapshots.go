@@ -1,8 +1,8 @@
 package client
 
-// Typed bindings for the daemon's snapshot-store surface (/v1/snapshots,
-// /v1/images): list and inspect persisted snapshots, pin them against
-// eviction, delete unpinned ones, and read the per-image dedup ledger.
+// Typed bindings for the daemon's snapshot-store surface
+// (/v1/snapshots): list and inspect persisted snapshots, pin them
+// against eviction and delete unpinned ones.
 
 import (
 	"context"
@@ -20,7 +20,8 @@ type SnapshotInfo struct {
 	// captures (Key is the human-readable normalized option string).
 	KeyDigest string `json:"key_digest"`
 	Key       string `json:"key"`
-	// ImageDigest groups snapshots built from one kernel image.
+	// ImageDigest identifies the kernel image the snapshot was booted
+	// from; it is informational, as the options rebuild the image.
 	ImageDigest string `json:"image_digest"`
 	Pages       int    `json:"pages"`
 	CPUs        int    `json:"cpus"`
@@ -32,10 +33,6 @@ type SnapshotInfo struct {
 	// machines.
 	Resident     bool `json:"resident"`
 	IdleMachines int  `json:"idle_machines"`
-	// Quarantined marks a snapshot whose loads failed repeatedly; the
-	// daemon fast-fails loads of it (falling back to boot) until it is
-	// re-saved or deleted.
-	Quarantined bool `json:"quarantined,omitempty"`
 }
 
 // SnapshotsResponse is the GET /v1/snapshots reply.
@@ -43,30 +40,18 @@ type SnapshotsResponse struct {
 	Snapshots []SnapshotInfo `json:"snapshots"`
 }
 
-// SnapshotManifest is the store's on-disk manifest, as GET
-// /v1/snapshots/{digest} returns it. Page references are elided from
-// listings but included here, so clients can audit exactly which chunks
-// a snapshot commits to.
+// SnapshotManifest is the header of a snapshot file, as GET
+// /v1/snapshots/{digest} returns it. Listings give only the page count;
+// the header lists the page numbers, so clients can audit exactly which
+// pages a snapshot commits to.
 type SnapshotManifest = store.Manifest
 
-// SnapshotOptions is the manifest's build-options block.
+// SnapshotOptions is the header's build-options block.
 type SnapshotOptions = store.OptionsManifest
-
-// SnapshotPage binds one guest RAM page to its content-addressed chunk.
-type SnapshotPage = store.PageRef
 
 // PinRequest is the POST /v1/snapshots/{digest}/pin body.
 type PinRequest struct {
 	Pinned bool `json:"pinned"`
-}
-
-// ImageInfo aggregates the snapshots of one built kernel image and what
-// page-level dedup saves across them.
-type ImageInfo = store.ImageInfo
-
-// ImagesResponse is the GET /v1/images reply.
-type ImagesResponse struct {
-	Images []ImageInfo `json:"images"`
 }
 
 // Snapshots lists the snapshots persisted in the daemon's store.
@@ -78,7 +63,7 @@ func (c *Client) Snapshots(ctx context.Context) ([]SnapshotInfo, error) {
 	return out.Snapshots, nil
 }
 
-// Snapshot fetches one snapshot's full manifest.
+// Snapshot fetches one snapshot's header.
 func (c *Client) Snapshot(ctx context.Context, digest string) (*SnapshotManifest, error) {
 	var out SnapshotManifest
 	if err := c.do(ctx, http.MethodGet, "/v1/snapshots/"+digest, nil, &out); err != nil {
@@ -87,9 +72,8 @@ func (c *Client) Snapshot(ctx context.Context, digest string) (*SnapshotManifest
 	return &out, nil
 }
 
-// PinSnapshot pins (or unpins) a snapshot: pinned snapshots survive
-// store GC, refuse DELETE, and keep their warm machines through pool
-// eviction.
+// PinSnapshot pins (or unpins) a snapshot: pinned snapshots refuse
+// DELETE.
 func (c *Client) PinSnapshot(ctx context.Context, digest string, pinned bool) error {
 	return c.do(ctx, http.MethodPost, "/v1/snapshots/"+digest+"/pin", PinRequest{Pinned: pinned}, nil)
 }
@@ -99,13 +83,4 @@ func (c *Client) PinSnapshot(ctx context.Context, digest string, pinned bool) er
 // lease.
 func (c *Client) DeleteSnapshot(ctx context.Context, digest string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/snapshots/"+digest, nil, nil)
-}
-
-// Images lists persisted snapshots grouped by built kernel image.
-func (c *Client) Images(ctx context.Context) ([]ImageInfo, error) {
-	var out ImagesResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/images", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Images, nil
 }

@@ -34,7 +34,7 @@ func main() {
 		"vCPUs per campaign machine (1 = pre-SMP-identical; 2+ adds the cross-core replay cell)")
 	faults := flag.String("faults", "",
 		"deterministic fault injection spec for chaos testing, e.g. "+
-			"'seed=42,pool.boot=1,store.chunk.read=1' (empty disables)")
+			"'seed=42,pool.boot=1,pool.acquire=1:10ms' (empty disables)")
 	flag.Parse()
 
 	if *faults != "" {

@@ -26,10 +26,9 @@
 //	POST /v1/machines/{id}/release     — hand the machine back
 //	GET  /v1/runs/{id}/trace           — structured trace of a recent run
 //	GET  /v1/snapshots                 — persisted snapshots (-store-dir)
-//	GET  /v1/snapshots/{digest}        — one snapshot's manifest
+//	GET  /v1/snapshots/{digest}        — one snapshot's header
 //	POST /v1/snapshots/{digest}/pin    — pin/unpin against eviction
 //	DELETE /v1/snapshots/{digest}      — evict from the store
-//	GET  /v1/images                    — snapshots grouped by kernel image
 //	GET  /v1/stats                     — pool / queue / lease counters
 //	                                     plus the full metrics registry
 //	GET  /metrics                      — Prometheus text exposition
@@ -68,8 +67,6 @@ func main() {
 	storeDir := flag.String("store-dir", "",
 		"persist booted snapshots in this directory (content-addressed, verified on load); "+
 			"a restart against a populated store serves its first experiment with zero kernel boots")
-	storeGC := flag.Bool("store-gc", false,
-		"run store garbage collection at startup (delete chunks no manifest references; pinned snapshots are kept)")
 	pprofAddr := flag.String("pprof", "",
 		"serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables). "+
 			"Keeps profiling off the API listener so future perf PRs can profile the daemon under load.")
@@ -84,7 +81,7 @@ func main() {
 		"how long an open breaker fast-fails before allowing a half-open probe boot")
 	faults := flag.String("faults", "",
 		"deterministic fault injection spec for chaos testing, e.g. "+
-			"'seed=42,store.chunk.read=2,pool.boot=every:3,client.stall=1:50ms' (empty disables). "+
+			"'seed=42,store.read=2,pool.boot=every:3,client.stall=1:50ms' (empty disables). "+
 			"TESTING ONLY: injected faults fail real requests")
 	flag.Parse()
 
@@ -116,17 +113,10 @@ func main() {
 		if err != nil {
 			log.Fatalf("camouflaged: %v", err)
 		}
-		if *storeGC {
-			if n, err := st.GC(); err != nil {
-				log.Printf("camouflaged: store gc: %v", err)
-			} else if n > 0 {
-				log.Printf("camouflaged: store gc removed %d unreferenced chunks", n)
-			}
-		}
 		snapshot.Shared.Store = st
 		log.Printf("camouflaged: snapshot store at %s (%d snapshots)", *storeDir, len(st.List()))
 		if rec := st.Recovery(); rec.OrphanTmps > 0 || rec.BadManifests > 0 {
-			log.Printf("camouflaged: store recovery sweep: %d orphaned tmp files removed, %d torn manifests discarded",
+			log.Printf("camouflaged: store recovery sweep: %d orphaned tmp files removed, %d torn snapshot files discarded",
 				rec.OrphanTmps, rec.BadManifests)
 		}
 	}

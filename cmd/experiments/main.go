@@ -61,7 +61,7 @@ func main() {
 			"snapshots booted by this run persist for the next one). Local runs only.")
 	faults := flag.String("faults", "",
 		"deterministic fault injection spec for chaos testing, e.g. "+
-			"'seed=42,store.chunk.read=1,client.reset=1' (empty disables). With -remote, only the "+
+			"'seed=42,store.read=1,client.reset=1' (empty disables). With -remote, only the "+
 			"client.* points apply in this process; arm the daemon's own -faults for the rest")
 	flag.Parse()
 

@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection registry behind
 // the chaos tests and the `-faults` flag of camouflaged and the CLIs
 // (DESIGN.md §13). Injection points are threaded through the cold
-// paths of the store (chunk/manifest reads, writes, renames, a
+// paths of the store (snapshot reads, writes, renames, a
 // crash-before-rename that strands temp files exactly like a process
 // death), the warm pool (boot and §4.1 verify failures, slow guests)
 // and the client transport (connection resets, synthesized 5xx,
@@ -26,6 +26,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -38,20 +39,19 @@ import (
 )
 
 // Point names one injection site. The constants below are the complete
-// set of sites threaded through the tree; Arm accepts any Point so
-// tests can add private ones.
+// set of sites threaded through the tree, and the only ones ParseSpec
+// arms; Arm accepts any Point so tests can add private ones.
 type Point string
 
 // Injection sites, by subsystem.
 const (
 	// internal/store — the persistent snapshot store.
-	StoreChunkRead     Point = "store.chunk.read"     // fail a chunk/manifest read
-	StoreChunkCorrupt  Point = "store.chunk.corrupt"  // flip one deterministic bit in read chunk data
-	StoreChunkWrite    Point = "store.chunk.write"    // fail a chunk write before the temp file exists
-	StoreManifestWrite Point = "store.manifest.write" // fail a manifest write before the temp file exists
-	StoreRename        Point = "store.rename"         // fail the publishing rename (temp file cleaned up)
-	StoreCrash         Point = "store.crash"          // crash-before-rename: temp file written and STRANDED
-	StorePersist       Point = "store.persist"        // delay/fail Save at entry (async persist in flight)
+	StoreRead    Point = "store.read"    // fail a snapshot file read
+	StoreCorrupt Point = "store.corrupt" // flip one deterministic bit in a snapshot file read back
+	StoreWrite   Point = "store.write"   // fail a snapshot write before the temp file exists
+	StoreRename  Point = "store.rename"  // fail the publishing rename (temp file cleaned up)
+	StoreCrash   Point = "store.crash"   // crash-before-rename: temp file written and STRANDED
+	StorePersist Point = "store.persist" // delay/fail Save at entry (async persist in flight)
 
 	// internal/snapshot — the warm pool.
 	PoolBoot    Point = "pool.boot"    // fail machine construction before codegen
@@ -66,6 +66,20 @@ const (
 	// internal/server — job execution.
 	ServerJob Point = "server.job" // panic inside an admitted job
 )
+
+// catalog is every Point above. ParseSpec arms nothing else, so a
+// misspelt or retired name in a -faults plan fails to parse instead of
+// arming a point no site checks.
+var catalog = map[Point]bool{
+	StoreRead: true, StoreCorrupt: true, StoreWrite: true, StoreRename: true, StoreCrash: true, StorePersist: true,
+	PoolBoot: true, PoolVerify: true, PoolAcquire: true,
+	ClientReset: true, Client5xx: true, ClientStall: true,
+	ServerJob: true,
+}
+
+// ErrUnknownPoint reports a -faults plan naming a point outside the
+// catalog.
+var ErrUnknownPoint = errors.New("fault: unknown injection point")
 
 // Rule decides when an armed point fires. The zero Rule fires on every
 // check; First and Every restrict it. Delay is the sleep injected by
@@ -316,10 +330,11 @@ func splitmix64(x uint64) uint64 {
 // ParseSpec builds a registry from a fault plan string — the `-faults`
 // flag format:
 //
-//	seed=42,store.chunk.read=2,client.stall=3:50ms,pool.boot=every:3
+//	seed=42,store.read=2,client.stall=3:50ms,pool.boot=every:3
 //
 // Comma-separated entries; `seed=N` keys the payload PRNG (default 1);
-// every other entry is `<point>=<when>[:<delay>]` where <when> is a
+// every other entry is `<point>=<when>[:<delay>]`, where <point> is one
+// of the Point constants (ErrUnknownPoint otherwise) and <when> is a
 // count ("2" = the first two checks fire), "every:K" (every Kth check),
 // or "all", and <delay> is a non-negative Go duration for sleep points.
 // A plan that parses prints back through Registry.String as a spec that
@@ -347,6 +362,9 @@ func ParseSpec(spec string) (*Registry, error) {
 			}
 			seed = s
 			continue
+		}
+		if !catalog[Point(k)] {
+			return nil, fmt.Errorf("%w %q", ErrUnknownPoint, k)
 		}
 		var ru Rule
 		fields := strings.Split(v, ":")

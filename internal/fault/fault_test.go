@@ -22,14 +22,14 @@ func TestDisabledIsInert(t *testing.T) {
 	if Enabled() {
 		t.Fatal("Enabled() with nil registry")
 	}
-	if Fire(StoreChunkRead) {
+	if Fire(StoreRead) {
 		t.Fatal("Fire with nil registry")
 	}
-	if err := ErrAt(StoreChunkRead); err != nil {
+	if err := ErrAt(StoreRead); err != nil {
 		t.Fatalf("ErrAt with nil registry: %v", err)
 	}
 	data := []byte{0xAA, 0xBB}
-	if Corrupt(StoreChunkCorrupt, data) || data[0] != 0xAA || data[1] != 0xBB {
+	if Corrupt(StoreCorrupt, data) || data[0] != 0xAA || data[1] != 0xBB {
 		t.Fatal("Corrupt mutated data with nil registry")
 	}
 	SleepAt(ClientStall)
@@ -40,13 +40,13 @@ func TestFaultDisabledZeroAllocs(t *testing.T) {
 	install(t, nil)
 	buf := []byte{1, 2, 3, 4}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if Fire(StoreChunkRead) {
+		if Fire(StoreRead) {
 			t.Error("fired")
 		}
-		if ErrAt(StoreChunkWrite) != nil {
+		if ErrAt(StoreWrite) != nil {
 			t.Error("erred")
 		}
-		Corrupt(StoreChunkCorrupt, buf)
+		Corrupt(StoreCorrupt, buf)
 		SleepAt(ClientStall)
 	})
 	if allocs != 0 {
@@ -56,28 +56,28 @@ func TestFaultDisabledZeroAllocs(t *testing.T) {
 
 func TestFirstNRule(t *testing.T) {
 	r := NewRegistry(1)
-	r.Arm(StoreChunkRead, Rule{First: 2})
+	r.Arm(StoreRead, Rule{First: 2})
 	install(t, r)
 	var fired int
 	for i := 0; i < 10; i++ {
-		if err := ErrAt(StoreChunkRead); err != nil {
+		if err := ErrAt(StoreRead); err != nil {
 			fired++
 			var fe *Error
 			if !errors.As(err, &fe) {
 				t.Fatalf("ErrAt returned %T, want *fault.Error", err)
 			}
-			if fe.Point != StoreChunkRead || fe.N != uint64(fired) {
-				t.Fatalf("error = %+v, want point=%s n=%d", fe, StoreChunkRead, fired)
+			if fe.Point != StoreRead || fe.N != uint64(fired) {
+				t.Fatalf("error = %+v, want point=%s n=%d", fe, StoreRead, fired)
 			}
 		}
 	}
 	if fired != 2 {
 		t.Fatalf("First:2 fired %d times, want 2", fired)
 	}
-	if got := r.Fired(StoreChunkRead); got != 2 {
+	if got := r.Fired(StoreRead); got != 2 {
 		t.Fatalf("Fired = %d, want 2", got)
 	}
-	if got := r.Checks(StoreChunkRead); got != 10 {
+	if got := r.Checks(StoreRead); got != 10 {
 		t.Fatalf("Checks = %d, want 10", got)
 	}
 }
@@ -115,7 +115,7 @@ func TestEveryWithFirstCap(t *testing.T) {
 
 func TestUnarmedPointNeverFires(t *testing.T) {
 	r := NewRegistry(1)
-	r.Arm(StoreChunkRead, Rule{})
+	r.Arm(StoreRead, Rule{})
 	install(t, r)
 	if Fire(ClientReset) {
 		t.Fatal("unarmed point fired")
@@ -127,10 +127,10 @@ func TestCorruptIsDeterministic(t *testing.T) {
 
 	flip := func(seed uint64) []byte {
 		r := NewRegistry(seed)
-		r.Arm(StoreChunkCorrupt, Rule{First: 1})
+		r.Arm(StoreCorrupt, Rule{First: 1})
 		install(t, r)
 		data := append([]byte(nil), base...)
-		if !Corrupt(StoreChunkCorrupt, data) {
+		if !Corrupt(StoreCorrupt, data) {
 			t.Fatal("Corrupt did not fire")
 		}
 		return data
@@ -161,11 +161,11 @@ func TestCorruptIsDeterministic(t *testing.T) {
 
 func TestCorruptOrdinalsDiffer(t *testing.T) {
 	r := NewRegistry(7)
-	r.Arm(StoreChunkCorrupt, Rule{First: 2})
+	r.Arm(StoreCorrupt, Rule{First: 2})
 	install(t, r)
 	a := bytes.Repeat([]byte{0}, 512)
 	b := bytes.Repeat([]byte{0}, 512)
-	if !Corrupt(StoreChunkCorrupt, a) || !Corrupt(StoreChunkCorrupt, b) {
+	if !Corrupt(StoreCorrupt, a) || !Corrupt(StoreCorrupt, b) {
 		t.Fatal("corruptions did not fire")
 	}
 	if bytes.Equal(a, b) {
@@ -212,7 +212,7 @@ func TestPanicAt(t *testing.T) {
 
 func TestConcurrentChecksFireExactly(t *testing.T) {
 	r := NewRegistry(1)
-	r.Arm(StoreChunkRead, Rule{First: 100})
+	r.Arm(StoreRead, Rule{First: 100})
 	install(t, r)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -223,7 +223,7 @@ func TestConcurrentChecksFireExactly(t *testing.T) {
 			defer wg.Done()
 			local := 0
 			for i := 0; i < 100; i++ {
-				if Fire(StoreChunkRead) {
+				if Fire(StoreRead) {
 					local++
 				}
 			}
@@ -236,13 +236,13 @@ func TestConcurrentChecksFireExactly(t *testing.T) {
 	if fired != 100 {
 		t.Fatalf("First:100 under 8 goroutines fired %d times", fired)
 	}
-	if r.Checks(StoreChunkRead) != 800 {
-		t.Fatalf("checks = %d, want 800", r.Checks(StoreChunkRead))
+	if r.Checks(StoreRead) != 800 {
+		t.Fatalf("checks = %d, want 800", r.Checks(StoreRead))
 	}
 }
 
 func TestParseSpec(t *testing.T) {
-	r, err := ParseSpec("seed=42, store.chunk.read=2, client.stall=1:50ms, pool.boot=every:3, store.crash=all")
+	r, err := ParseSpec("seed=42, store.read=2, client.stall=1:50ms, pool.boot=every:3, store.crash=all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +250,10 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("seed = %d", r.seed)
 	}
 	wantRules := map[Point]Rule{
-		StoreChunkRead: {First: 2},
-		ClientStall:    {First: 1, Delay: 50 * time.Millisecond},
-		PoolBoot:       {Every: 3},
-		StoreCrash:     {},
+		StoreRead:   {First: 2},
+		ClientStall: {First: 1, Delay: 50 * time.Millisecond},
+		PoolBoot:    {Every: 3},
+		StoreCrash:  {},
 	}
 	for p, want := range wantRules {
 		ru := r.rules[p]
@@ -282,10 +282,10 @@ func TestParseSpecEveryWithDelay(t *testing.T) {
 
 // badSpecs are plans ParseSpec must reject.
 var badSpecs = []string{
-	"storechunkread",        // no =
+	"storeread",             // no =
 	"seed=abc",              // bad seed
-	"store.chunk.read=0",    // zero count
-	"store.chunk.read=x",    // bad count
+	"store.read=0",          // zero count
+	"store.read=x",          // bad count
 	"pool.boot=every",       // every without K
 	"pool.boot=every:0",     // zero K
 	"client.stall=1:nope",   // bad duration
@@ -293,6 +293,8 @@ var badSpecs = []string{
 	"pool.acquire=1:-5ms",   // negative delay (String would drop it)
 	"=3",                    // empty point name (no site checks it)
 	"seed=2, =all",          // empty point name after a seed
+	"store.chunk.raed=1",    // misspelt point: no site checks it
+	"store.chunk.read=1",    // retired point: no site checks it
 }
 
 func TestParseSpecErrors(t *testing.T) {
@@ -309,7 +311,7 @@ func TestParseSpecErrors(t *testing.T) {
 // (Every 0 and 1 both fire on every check).
 func FuzzParseSpec(f *testing.F) {
 	for _, s := range append([]string{
-		"seed=42, store.chunk.read=2, client.stall=1:50ms, pool.boot=every:3, store.crash=all",
+		"seed=42, store.read=2, client.stall=1:50ms, pool.boot=every:3, store.crash=all",
 		"pool.acquire=every:2:10ms",
 		"seed=9,store.crash=all,client.stall=3:50ms,pool.boot=every:4",
 		"seed=42,client.reset=1,client.5xx=1,client.stall=1:50ms",
@@ -382,15 +384,15 @@ func TestStringCanonical(t *testing.T) {
 
 func TestCountsSnapshot(t *testing.T) {
 	r := NewRegistry(1)
-	r.Arm(StoreChunkRead, Rule{First: 3})
+	r.Arm(StoreRead, Rule{First: 3})
 	r.Arm(ClientReset, Rule{First: 1})
 	install(t, r)
 	for i := 0; i < 5; i++ {
-		Fire(StoreChunkRead)
+		Fire(StoreRead)
 	}
 	Fire(ClientReset)
 	counts := r.Counts()
-	if counts[StoreChunkRead] != 3 || counts[ClientReset] != 1 {
+	if counts[StoreRead] != 3 || counts[ClientReset] != 1 {
 		t.Fatalf("Counts = %v", counts)
 	}
 }

@@ -7,13 +7,13 @@ package kernel
 //
 //   - The built image and codegen configuration are NOT serialized.
 //     Construction is deterministic (pinned by the fork≡boot tests), so
-//     the load path re-derives them from the manifest's build options via
+//     the load path re-derives them from the blob's build options via
 //     the same buildLinked pipeline New uses, then re-runs the §4.1
 //     static verifier — a loaded snapshot passes exactly the gates a
 //     fresh boot does.
 //   - Frozen guest RAM is NOT in the blob either: pages are exported
-//     separately so the store can chunk them content-addressed and dedup
-//     across snapshots of the same image.
+//     separately, and the store writes them after the blob in the same
+//     snapshot file.
 //   - Everything else — vCPU register files, MMU tables, hypervisor
 //     latch, device state, PRNG position, host mirrors — is encoded
 //     field-by-field with fixed ordering and sorted map iteration, so
@@ -215,16 +215,15 @@ func (d *wireDec) keys(what string) pac.KeySet {
 func (st *State) Options() Options { return st.opts }
 
 // ForEachFrozenPage iterates the copy-on-write RAM base in ascending
-// page-number order; the store chunks each page content-addressed. Pages
-// must be treated as read-only.
+// page-number order, the order the store writes pages after the state
+// record. Pages must be treated as read-only.
 func (st *State) ForEachFrozenPage(fn func(pn uint64, pg *[mem.PageSize]byte)) {
 	st.frozen.ForEachPage(fn)
 }
 
 // ImageDigest returns the SHA-256 of the built image's linked sections
 // (sorted by name), the identity snapshots of one build share — the
-// store groups snapshots by it for /v1/images and page-chunk dedup
-// reporting.
+// store records it in each snapshot header for operators.
 func (st *State) ImageDigest() string {
 	h := sha256.New()
 	names := make([]string, 0, len(st.img.Sections))

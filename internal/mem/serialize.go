@@ -28,8 +28,8 @@ func (f *Frozen) ForEachPage(fn func(pn uint64, pg *[PageSize]byte)) {
 // NewFrozenFromPages builds a frozen store around the given pages. The
 // map and its page arrays become the shared copy-on-write base of every
 // Phys forked from the result: the caller must hand over ownership and
-// never write them again (the snapshot-load path allocates them fresh
-// from verified chunk contents).
+// never write them again (the snapshot-load path hands over pages of
+// the verified snapshot file it has just read).
 func NewFrozenFromPages(pages map[uint64]*[PageSize]byte) *Frozen {
 	if pages == nil {
 		pages = make(map[uint64]*[PageSize]byte)

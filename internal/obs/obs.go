@@ -102,8 +102,6 @@ const (
 	CStoreSave
 	CStoreSaveFail
 	CStoreVerifyFail
-	CStoreChunkWrite
-	CStoreChunkDedup
 	CStoreEvict
 
 	// internal/server — queue and lease lifecycle.
@@ -121,7 +119,6 @@ const (
 	CPanicRecovered
 	CWatchdogCancel
 	CClientRetry
-	CStoreQuarantined
 	CStoreOrphanSweep
 	CIdemReplay
 
@@ -195,8 +192,6 @@ var counterMetas = [NumCounters]counterMeta{
 	CStoreSave:       {"camouflage_store_saves_total", "Snapshots persisted to the store.", ""},
 	CStoreSaveFail:   {"camouflage_store_save_failures_total", "Snapshot persists that failed; the next process boots the key again.", ""},
 	CStoreVerifyFail: {"camouflage_store_verify_failures_total", "Snapshot loads refused because hash verification failed.", ""},
-	CStoreChunkWrite: {"camouflage_store_chunks_total", "Page chunks handled on save by outcome.", `op="written"`},
-	CStoreChunkDedup: {"camouflage_store_chunks_total", "Page chunks handled on save by outcome.", `op="deduped"`},
 	CStoreEvict:      {"camouflage_store_evictions_total", "Snapshots deleted from the persistent store.", ""},
 
 	CQueueRejected:     {"camouflage_server_queue_rejected_total", "Requests fast-failed because the admission queue was full.", ""},
@@ -212,8 +207,7 @@ var counterMetas = [NumCounters]counterMeta{
 	CPanicRecovered:   {"camouflage_server_panics_recovered_total", "In-job panics caught by the per-request recovery barrier.", ""},
 	CWatchdogCancel:   {"camouflage_server_watchdog_cancels_total", "Jobs cancelled by the run watchdog for exceeding their wall budget.", ""},
 	CClientRetry:      {"camouflage_client_retries_total", "Client requests retried by the transport retry policy.", ""},
-	CStoreQuarantined: {"camouflage_store_quarantines_total", "Snapshot digests quarantined after repeated verification failures.", ""},
-	CStoreOrphanSweep: {"camouflage_store_recovery_orphans_total", "Orphaned temp files and partial manifests removed by the startup recovery sweep.", ""},
+	CStoreOrphanSweep: {"camouflage_store_recovery_orphans_total", "Orphaned temp files and torn snapshot files removed by the startup recovery sweep.", ""},
 	CIdemReplay:       {"camouflage_server_idempotent_replays_total", "POST responses replayed from the idempotency table instead of re-running.", ""},
 }
 

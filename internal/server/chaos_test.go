@@ -33,35 +33,44 @@ var chaosCampaign = client.CampaignRequest{
 // client faults armed — plus an injected in-job panic absorbed before
 // it — renders byte-for-byte what the quiet run rendered.
 func TestChaosCampaignByteIdentical(t *testing.T) {
-	// Quiet baseline through a daemon.
-	_, _, c := newTestServer(t, Config{})
-	ctx := context.Background()
-	quiet, err := c.RunCampaign(ctx, chaosCampaign)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Chaos run: fresh daemon, and a fresh shared pool (campaigns always
-	// run on snapshot.Shared) behind an empty persistent store, so every
-	// cell key boots again with the faults armed. The spec's counts are
-	// chosen so every class fires at most as often as its healing layer
-	// absorbs: one boot failure (retried), one failed persist (counted;
-	// the pool stays warm), one reset + one 5xx (client retry, 3
-	// attempts), one stall (latency only), one in-job panic (consumed by
-	// the probe request below). Each key loads from the store once,
-	// before it has a snapshot there, so store.chunk.read stays armed
-	// without firing.
-	st, err := store.Open(t.TempDir())
+	// Quiet baseline through a daemon, on a fresh shared pool (campaigns
+	// always run on snapshot.Shared) behind an empty persistent store:
+	// every cell key boots, and its snapshot persists.
+	dir := t.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := withFreshPool(t)
 	pool.Store = st
-	t.Cleanup(pool.WaitPersist)
-	r := withServerFaults(t,
-		"seed=42,server.job=1,pool.boot=1,store.chunk.read=1,store.persist=1,client.reset=1,client.5xx=1,client.stall=1:10ms")
+	_, _, c := newTestServer(t, Config{Store: st})
+	ctx := context.Background()
+	quiet, err := c.RunCampaign(ctx, chaosCampaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.WaitPersist()
 
-	_, hs, cc := newTestServer(t, Config{Store: st})
+	// Chaos run: a restart — fresh daemon and fresh shared pool on the
+	// store reopened from the same directory, so every cell key loads
+	// from disk with the faults armed. The spec's counts are chosen so
+	// every class fires at most as often as its healing layer absorbs:
+	// one failed snapshot read (that key falls back to a boot), one
+	// failure of that boot (retried), one failed persist of it
+	// (counted; the pool stays warm), one reset + one 5xx (client
+	// retry, 3 attempts), one stall (latency only), one in-job panic
+	// (consumed by the probe request below).
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool2 := withFreshPool(t)
+	pool2.Store = st2
+	t.Cleanup(pool2.WaitPersist)
+	r := withServerFaults(t,
+		"seed=42,server.job=1,pool.boot=1,store.read=1,store.persist=1,client.reset=1,client.5xx=1,client.stall=1:10ms")
+
+	_, hs, cc := newTestServer(t, Config{Store: st2})
 	cc.Retry.BaseDelay = time.Millisecond
 	cc.Retry.MaxDelay = 2 * time.Millisecond
 
@@ -73,11 +82,12 @@ func TestChaosCampaignByteIdentical(t *testing.T) {
 	}
 
 	saveFails := obs.CounterTotal(obs.CStoreSaveFail)
+	before := pool2.Stats()
 	chaos, err := cc.RunCampaign(ctx, chaosCampaign)
 	if err != nil {
 		t.Fatalf("campaign under chaos: %v", err)
 	}
-	pool.WaitPersist()
+	pool2.WaitPersist()
 	if chaos.Output != quiet.Output {
 		t.Fatalf("chaos output differs from quiet run:\n--- quiet ---\n%s\n--- chaos ---\n%s",
 			quiet.Output, chaos.Output)
@@ -85,11 +95,17 @@ func TestChaosCampaignByteIdentical(t *testing.T) {
 
 	// Every injection point is checked deterministically; one reset and
 	// one 5xx were absorbed by retries, the panic by the barrier, the
-	// boot failure by a retry, and the failed persist left its count.
-	for _, p := range []fault.Point{fault.ClientReset, fault.Client5xx, fault.ServerJob, fault.PoolBoot, fault.StorePersist} {
+	// failed read by a fallback boot, that boot's failure by a retry,
+	// and its failed persist left its count.
+	for _, p := range []fault.Point{fault.ClientReset, fault.Client5xx, fault.ServerJob, fault.StoreRead, fault.PoolBoot, fault.StorePersist} {
 		if r.Fired(p) != 1 {
 			t.Fatalf("fault %s fired %d times, want 1 (counts: %v)", p, r.Fired(p), r.Counts())
 		}
+	}
+	after := pool2.Stats()
+	if boots, loads := after.Boots-before.Boots, after.StoreLoads-before.StoreLoads; boots != 1 || loads != uint64(after.Keys-1) {
+		t.Fatalf("restarted campaign: %d boots / %d store loads over %d keys, want 1 fallback boot and a load of every other key",
+			boots, loads, after.Keys)
 	}
 	if got := obs.CounterTotal(obs.CStoreSaveFail) - saveFails; got != 1 {
 		t.Fatalf("camouflage_store_save_failures_total moved by %d, want 1 for the failed persist", got)

@@ -178,7 +178,6 @@ func New(cfg Config) *Server {
 		{"GET /v1/snapshots/{digest}", s.handleSnapshotManifest},
 		{"POST /v1/snapshots/{digest}/pin", s.handleSnapshotPin},
 		{"DELETE /v1/snapshots/{digest}", s.handleSnapshotDelete},
-		{"GET /v1/images", s.handleListImages},
 		{"GET /v1/stats", s.handleStats},
 		{"GET /metrics", s.handleMetrics},
 	} {

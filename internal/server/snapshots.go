@@ -1,7 +1,7 @@
 package server
 
 // Snapshot-store resource routes (DESIGN.md §12): list persisted
-// snapshots, inspect a manifest, pin/unpin, evict, and group by image.
+// snapshots, inspect a header, pin/unpin and evict.
 // They are read/administer surfaces over the daemon's -store-dir; when
 // the daemon runs without a store they answer 503 so clients can tell
 // "no store" from "empty store".
@@ -53,7 +53,6 @@ func (s *Server) handleListSnapshots(w http.ResponseWriter, r *http.Request) {
 			Pinned:      info.Pinned,
 			CreatedUnix: info.CreatedUnix,
 			Resident:    ok,
-			Quarantined: info.Quarantined,
 			IdleMachines: func() int {
 				if ok {
 					return e.Idle
@@ -128,12 +127,4 @@ func (s *Server) handleSnapshotDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted", "digest": digest})
-}
-
-func (s *Server) handleListImages(w http.ResponseWriter, r *http.Request) {
-	st := s.storeOr503(w)
-	if st == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, client.ImagesResponse{Images: st.Images()})
 }

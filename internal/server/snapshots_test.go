@@ -1,7 +1,7 @@
 package server
 
-// Tests for the /v1/snapshots and /v1/images resource surface: listing,
-// manifest inspect, pin/unpin, delete with its two 409 guards (pinned,
+// Tests for the /v1/snapshots resource surface: listing, header
+// inspect, pin/unpin, delete with its two 409 guards (pinned,
 // lease-backed), and the 503 answer of a store-less daemon.
 
 import (
@@ -27,9 +27,6 @@ func TestSnapshotRoutesWithoutStore(t *testing.T) {
 	ctx := context.Background()
 	if _, err := c.Snapshots(ctx); apiStatus(t, err) != 503 {
 		t.Fatalf("Snapshots without store: %v, want 503", err)
-	}
-	if _, err := c.Images(ctx); apiStatus(t, err) != 503 {
-		t.Fatalf("Images without store: %v, want 503", err)
 	}
 	if err := c.DeleteSnapshot(ctx, "abc"); apiStatus(t, err) != 503 {
 		t.Fatalf("DeleteSnapshot without store: %v, want 503", err)
@@ -71,14 +68,6 @@ func TestSnapshotResourceLifecycle(t *testing.T) {
 	}
 	if mani.Digest != info.Digest || len(mani.Pages) != info.Pages || mani.Key != info.Key {
 		t.Fatalf("manifest disagrees with listing: %+v vs %+v", mani, info)
-	}
-
-	imgs, err := c.Images(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(imgs) != 1 || imgs[0].ImageDigest != info.ImageDigest {
-		t.Fatalf("images = %+v, want one entry for %s", imgs, info.ImageDigest)
 	}
 
 	// Guard 1: the snapshot backs an active lease — DELETE is 409.

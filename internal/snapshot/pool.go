@@ -276,10 +276,10 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 			e.armed.Store(true)
 			return nil
 		case !errors.Is(err, ErrNotFound):
-			// A corrupt, unreadable or quarantined persisted snapshot
-			// must never take the key down: the store already counted
-			// the failure; fall through to a fresh boot, whose persist
-			// will overwrite the bad entry.
+			// A corrupt or unreadable persisted snapshot must never
+			// take the key down: the store already counted the
+			// failure; fall through to a fresh boot, whose persist
+			// rewrites the bad file.
 		}
 	}
 	k, err := p.bootWithRetry(boot)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,7 +10,6 @@ import (
 
 	"camouflage/internal/fault"
 	"camouflage/internal/obs"
-	"camouflage/internal/snapshot"
 )
 
 // withFaults installs a fault plan for the test and restores the
@@ -34,51 +34,11 @@ func physicalLoads() uint64 {
 
 // TestLoadRetryableAfterInjectedFailure: one failed load must leave the
 // key retryable by the very next caller on the same open store — no
-// reopen, and the retry is a second physical load.
+// reopen, the file on disk untouched, and the retry is a second
+// physical load that verifies.
 func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(131, 1)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Save(key, bootSnap(t, key)); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := withFaults(t, "store.chunk.read=1")
-	before := physicalLoads()
-
-	_, _, err = s2.Load(key)
-	var fe *fault.Error
-	if !errors.As(err, &fe) || fe.Point != fault.StoreChunkRead {
-		t.Fatalf("first load error = %v, want injected store.chunk.read", err)
-	}
-	if got := r.Fired(fault.StoreChunkRead); got != 1 {
-		t.Fatalf("fired %d faults, want 1", got)
-	}
-
-	snap, _, err := s2.Load(key)
-	if err != nil {
-		t.Fatalf("retry on the same store handle failed: %v", err)
-	}
-	if snap == nil {
-		t.Fatal("retry returned nil snapshot")
-	}
-	if got := physicalLoads() - before; got != 2 {
-		t.Fatalf("disk loads = %d, want 2 (failed + retried)", got)
-	}
-}
-
-// TestRecoverySweep: stranded temp files and torn manifests are removed
-// at open; intact manifests survive.
-func TestRecoverySweep(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey(132, 1)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -87,22 +47,66 @@ func TestRecoverySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, saved, _, _ := snapFile(t, dir, digest)
 
-	// A crash mid-write strands temp files in both trees, and can tear a
-	// manifest that was written without the atomic publish.
-	for _, p := range []string{
-		filepath.Join(dir, "snapshots", ".tmp-123"),
-		filepath.Join(dir, "chunks", digest[:2], ".tmp-456"),
-	} {
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := withFaults(t, "store.read=1")
+	before := physicalLoads()
+
+	_, _, err = s2.Load(key)
+	var fe *fault.Error
+	if !errors.As(err, &fe) || fe.Point != fault.StoreRead {
+		t.Fatalf("first load error = %v, want injected store.read", err)
+	}
+	if got := r.Fired(fault.StoreRead); got != 1 {
+		t.Fatalf("fired %d faults, want 1", got)
+	}
+	if _, after, _, _ := snapFile(t, dir, digest); !bytes.Equal(after, saved) {
+		t.Fatal("a failed read changed the snapshot file")
+	}
+
+	snap, gotDigest, err := s2.Load(key)
+	if err != nil {
+		t.Fatalf("retry on the same store handle failed: %v", err)
+	}
+	if snap == nil || gotDigest != digest {
+		t.Fatalf("retry returned %v under %s, want the snapshot under %s", snap, gotDigest, digest)
+	}
+	if got := physicalLoads() - before; got != 2 {
+		t.Fatalf("disk loads = %d, want 2 (failed + retried)", got)
+	}
+}
+
+// TestRecoverySweep: stranded temp files and torn snapshot files are
+// removed at open; intact snapshots survive, and files of the old
+// page-chunk layout are left alone.
+func TestRecoverySweep(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(132, 1)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Save(key, bootSnap(t, key)); err != nil {
+		t.Fatal(err)
+	}
+
+	// A crash mid-write strands temp files, and can tear a snapshot
+	// file that was written without the atomic publish.
+	for _, name := range []string{".tmp-123", ".tmp-456"} {
+		if err := os.WriteFile(filepath.Join(dir, "snapshots", name), []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	torn := filepath.Join(dir, "snapshots", strings.Repeat("ab", 32)+".json")
-	if err := os.WriteFile(torn, []byte(`{"version":1,"digest":"tr`), 0o644); err != nil {
+	torn := filepath.Join(dir, "snapshots", strings.Repeat("ab", 32)+".snap")
+	if err := os.WriteFile(torn, []byte(`{"version":2,"digest":"tr`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "snapshots", strings.Repeat("cd", 32)+".json")
+	if err := os.WriteFile(old, []byte(`{"version":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,10 +116,16 @@ func TestRecoverySweep(t *testing.T) {
 	}
 	rec := s2.Recovery()
 	if rec.OrphanTmps != 2 || rec.BadManifests != 1 {
-		t.Fatalf("recovery = %+v, want 2 orphans + 1 bad manifest", rec)
+		t.Fatalf("recovery = %+v, want 2 orphans + 1 torn file", rec)
 	}
 	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("torn manifest survived the sweep")
+		t.Fatal("torn snapshot file survived the sweep")
+	}
+	if _, err := os.Stat(old); err != nil {
+		t.Fatalf("sweep touched a file of the old layout: %v", err)
+	}
+	if n := len(s2.List()); n != 1 {
+		t.Fatalf("Open admitted %d snapshots, want 1", n)
 	}
 	if _, _, err := s2.Load(key); err != nil {
 		t.Fatalf("intact snapshot lost in sweep: %v", err)
@@ -162,84 +172,5 @@ func TestCrashBeforeRenameStrandsTmp(t *testing.T) {
 	}
 	if _, _, err := s2.Load(key); err != nil {
 		t.Fatalf("load after recovery: %v", err)
-	}
-}
-
-// TestQuarantineAfterRepeatedFailures: the third consecutive failed
-// load quarantines the digest; further loads fast-fail with a typed
-// error and no disk work, listings surface it, and a fresh save of the
-// same content lifts it.
-func TestQuarantineAfterRepeatedFailures(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey(134, 1)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := bootSnap(t, key)
-	digest, err := s.Save(key, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	withFaults(t, "store.chunk.read=3")
-	for i := 0; i < QuarantineThreshold; i++ {
-		if _, _, err := s.Load(key); err == nil {
-			t.Fatalf("load %d survived the injected read failure", i)
-		}
-	}
-	if !s.Quarantined(digest) {
-		t.Fatal("digest not quarantined after repeated failures")
-	}
-
-	before := physicalLoads()
-	_, _, err = s.Load(key)
-	var qe *QuarantineError
-	if !errors.As(err, &qe) || qe.Digest != digest || qe.Failures < QuarantineThreshold {
-		t.Fatalf("load of quarantined digest = %v, want *QuarantineError", err)
-	}
-	if physicalLoads() != before {
-		t.Fatal("quarantined load still hit the disk")
-	}
-	if _, err := s.LoadDigest(digest); !errors.As(err, &qe) {
-		t.Fatalf("LoadDigest of quarantined digest = %v", err)
-	}
-
-	found := false
-	for _, info := range s.List() {
-		if info.Digest == digest {
-			found = true
-			if !info.Quarantined {
-				t.Fatal("listing does not surface quarantine")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("digest missing from listing")
-	}
-
-	// A store-backed pool degrades to a fresh boot, it does not fail.
-	p := snapshot.NewPool()
-	p.Store = s
-	ps := p.Stats()
-	m, err := p.Acquire(key, snapshot.BootOptions(key.Options))
-	if err != nil {
-		t.Fatalf("pool failed on quarantined digest instead of booting: %v", err)
-	}
-	m.Release()
-	p.WaitPersist()
-	st := p.Stats()
-	boots, loads := st.Boots-ps.Boots, st.StoreLoads-ps.StoreLoads
-	if boots != 1 || loads != 0 {
-		t.Fatalf("%d boots / %d store loads, want a fallback boot", boots, loads)
-	}
-
-	// The fallback boot's persist re-published the digest: quarantine is
-	// lifted and the next load verifies again (faults are exhausted).
-	if s.Quarantined(digest) {
-		t.Fatal("re-save did not lift quarantine")
-	}
-	if _, _, err := s.Load(key); err != nil {
-		t.Fatalf("load after re-save: %v", err)
 	}
 }

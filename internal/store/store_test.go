@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"camouflage/internal/codegen"
 	"camouflage/internal/insn"
 	"camouflage/internal/kernel"
+	"camouflage/internal/mem"
 	"camouflage/internal/obs"
 	"camouflage/internal/snapshot"
 )
@@ -112,9 +114,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveIsContentAddressed: saving the same configuration twice
-// yields the same content digest and re-uses every chunk; a second
-// snapshot of the same image dedups its pages against the first.
+// TestSaveIsContentAddressed: saving the same configuration twice, from
+// two boots, yields the same content digest and rewrites the one file
+// that names it.
 func TestSaveIsContentAddressed(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(102, 1)
@@ -133,18 +135,77 @@ func TestSaveIsContentAddressed(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("identical snapshots got digests %s and %s", d1, d2)
 	}
-	imgs := s.Images()
-	if len(imgs) != 1 {
-		t.Fatalf("Images() = %d entries, want 1", len(imgs))
+	files, err := filepath.Glob(filepath.Join(dir, "snapshots", "*"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if imgs[0].UniqueChunks > imgs[0].TotalPages {
-		t.Fatalf("unique chunks %d exceed total pages %d", imgs[0].UniqueChunks, imgs[0].TotalPages)
+	if len(files) != 1 || filepath.Base(files[0]) != d1+".snap" {
+		t.Fatalf("store holds %v, want only %s.snap", files, d1)
 	}
 }
 
-// TestTamperedSnapshotRejected: flipping one bit of any chunk, or
-// truncating it, or editing the manifest, must surface as a typed
-// verification error — never a served machine.
+// snapFile returns the path of the snapshot file named digest in the
+// store at dir, its bytes, its header and the header's length, newline
+// included.
+func snapFile(t testing.TB, dir, digest string) (string, []byte, *Manifest, int) {
+	t.Helper()
+	path := filepath.Join(dir, "snapshots", digest+".snap")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, n, err := decodeHeader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, raw, m, n
+}
+
+// encodeFile is a snapshot file holding header m and body, as Save
+// writes one.
+func encodeFile(t testing.TB, m *Manifest, body []byte) []byte {
+	t.Helper()
+	hdr, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append(hdr, '\n'), body...)
+}
+
+// tampers each return an edited copy of a snapshot file (raw, with
+// header m of length n) and the part of it Load must name as corrupt.
+var tampers = []struct {
+	name string
+	edit func(t testing.TB, raw []byte, m *Manifest, n int) []byte
+	part string
+}{
+	{"edited manifest", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
+		e := *m
+		e.BootCycles++
+		return encodeFile(t, &e, raw[n:])
+	}, "content"},
+	{"bit-flipped state", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
+		raw[n+m.StateSize/2] ^= 0x01
+		return raw
+	}, "content"},
+	{"bit-flipped page", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
+		raw[n+m.StateSize+mem.PageSize/2] ^= 0x80
+		return raw
+	}, "content"},
+	{"truncated body", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
+		return raw[:n+m.StateSize+mem.PageSize/2]
+	}, "length"},
+	{"header claims extra page", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
+		e := *m
+		e.Pages = append(append([]uint64(nil), m.Pages...), m.Pages[len(m.Pages)-1]+1)
+		return encodeFile(t, &e, raw[n:])
+	}, "length"},
+}
+
+// TestTamperedSnapshotRejected: editing a header field, flipping a bit
+// of the state record or of a page, truncating the body, or a header
+// claiming more pages than the body holds must each surface as a
+// *VerifyError naming the part — never a served machine.
 func TestTamperedSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(103, 1)
@@ -156,82 +217,29 @@ func TestTamperedSnapshotRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.ManifestFor(digest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, orig, m, n := snapFile(t, dir, digest)
 
-	tamper := func(t *testing.T, mutate func() (restore func())) {
-		t.Helper()
-		restore := mutate()
-		defer restore()
-		fresh, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := fresh.Load(key); err == nil {
-			t.Fatal("tampered snapshot loaded without error")
-		} else if !errors.Is(err, snapshot.ErrNotFound) {
+	for _, c := range tampers {
+		t.Run(c.name, func(t *testing.T) {
+			bad := c.edit(t, append([]byte(nil), orig...), m, n)
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer os.WriteFile(path, orig, 0o644)
+			fresh, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, _, err := fresh.Load(key)
 			var ve *VerifyError
-			if !errors.As(err, &ve) && !os.IsNotExist(errors.Unwrap(err)) {
-				// Any refusal is acceptable as long as it is loud; the
-				// common paths produce *VerifyError or a read error.
-				t.Logf("refused with: %v", err)
+			if !errors.As(err, &ve) {
+				t.Fatalf("Load = %v, %v, want *VerifyError", snap, err)
 			}
-		}
+			if ve.Part != c.part || ve.Want == ve.Got {
+				t.Fatalf("VerifyError %+v, want part %q with want != got", ve, c.part)
+			}
+		})
 	}
-
-	chunkPath := filepath.Join(dir, "chunks", m.Pages[0].Chunk[:2], m.Pages[0].Chunk)
-	statePath := filepath.Join(dir, "chunks", m.StateChunk[:2], m.StateChunk)
-	maniPath := filepath.Join(dir, "snapshots", digest+".json")
-
-	t.Run("bit-flipped page chunk", func(t *testing.T) {
-		tamper(t, func() func() {
-			orig, err := os.ReadFile(chunkPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bad := append([]byte(nil), orig...)
-			bad[len(bad)/2] ^= 0x01
-			if err := os.WriteFile(chunkPath, bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return func() { os.WriteFile(chunkPath, orig, 0o644) }
-		})
-	})
-	t.Run("truncated state chunk", func(t *testing.T) {
-		tamper(t, func() func() {
-			orig, err := os.ReadFile(statePath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(statePath, orig[:len(orig)/3], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return func() { os.WriteFile(statePath, orig, 0o644) }
-		})
-	})
-	t.Run("edited manifest", func(t *testing.T) {
-		tamper(t, func() func() {
-			orig, err := os.ReadFile(maniPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var edited Manifest
-			if err := json.Unmarshal(orig, &edited); err != nil {
-				t.Fatal(err)
-			}
-			// Point page 0 at the state chunk: every chunk still hashes
-			// clean individually, but the whole-snapshot digest no
-			// longer matches the manifest's claim.
-			edited.Pages[0].Chunk = edited.StateChunk
-			raw, _ := json.Marshal(&edited)
-			if err := os.WriteFile(maniPath, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return func() { os.WriteFile(maniPath, orig, 0o644) }
-		})
-	})
 
 	// Untampered store still loads fine afterwards.
 	fresh, err := Open(dir)
@@ -244,7 +252,8 @@ func TestTamperedSnapshotRejected(t *testing.T) {
 }
 
 // TestVerifyErrorIsTyped: a bit-flip produces *VerifyError specifically
-// (clients and the daemon branch on it), naming the corrupt part.
+// (clients and the daemon branch on it), naming the corrupt part, and
+// counts as one verification failure, not a load.
 func TestVerifyErrorIsTyped(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(104, 1)
@@ -256,30 +265,26 @@ func TestVerifyErrorIsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.ManifestFor(digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunkPath := filepath.Join(dir, "chunks", m.Pages[0].Chunk[:2], m.Pages[0].Chunk)
-	raw, err := os.ReadFile(chunkPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[0] ^= 0x80
-	if err := os.WriteFile(chunkPath, raw, 0o644); err != nil {
+	path, raw, m, n := snapFile(t, dir, digest)
+	raw[n+m.StateSize] ^= 0x80
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hits, fails := obs.CounterTotal(obs.CStoreHit), obs.CounterTotal(obs.CStoreVerifyFail)
 	_, _, err = fresh.Load(key)
 	var ve *VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("Load after bit flip = %v, want *VerifyError", err)
 	}
-	if ve.Want == ve.Got {
-		t.Fatalf("VerifyError carries equal want/got hashes: %+v", ve)
+	if ve.Part != "content" || ve.Want != digest || ve.Want == ve.Got {
+		t.Fatalf("VerifyError %+v, want a content mismatch against %s", ve, digest)
+	}
+	if h, f := obs.CounterTotal(obs.CStoreHit)-hits, obs.CounterTotal(obs.CStoreVerifyFail)-fails; h != 0 || f != 1 {
+		t.Fatalf("refused load counted %d hits / %d verify failures, want 0 / 1", h, f)
 	}
 }
 
@@ -446,13 +451,13 @@ func TestCampaignParityWarmStart(t *testing.T) {
 	}
 }
 
-// TestPinDeleteGC: pinned snapshots refuse Delete; unpinned ones
-// delete; GC removes exactly the chunks no surviving manifest
-// references.
-func TestPinDeleteGC(t *testing.T) {
+// TestPinBlocksDelete: pinned snapshots refuse Delete, and the pin
+// survives a reopen; an unpinned snapshot deletes, taking its whole
+// file with it, and leaves every other snapshot loading clean.
+func TestPinBlocksDelete(t *testing.T) {
 	dir := t.TempDir()
 	keyA := testKey(107, 1)
-	keyB := testKey(108, 1) // different seed → different state, same image layout
+	keyB := testKey(108, 1)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -489,17 +494,11 @@ func TestPinDeleteGC(t *testing.T) {
 	if err := s2.Delete(digB); err != nil {
 		t.Fatal(err)
 	}
-	removed, err := s2.GC()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "snapshots", digB+".snap")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("deleted snapshot's file remains: %v", err)
 	}
-	if removed == 0 {
-		t.Fatal("GC removed nothing although a snapshot was deleted")
-	}
-	// A's snapshot must still load clean — GC must not have touched any
-	// chunk a surviving manifest references.
 	if _, _, err := s2.Load(keyA); err != nil {
-		t.Fatalf("surviving snapshot broken after GC: %v", err)
+		t.Fatalf("surviving snapshot broken after delete: %v", err)
 	}
 	if _, _, err := s2.Load(keyB); !errors.Is(err, snapshot.ErrNotFound) {
 		t.Fatalf("deleted snapshot still loads: %v", err)
@@ -508,7 +507,8 @@ func TestPinDeleteGC(t *testing.T) {
 
 // TestCorruptStoreFallsBackToBoot: a store-backed pool whose persisted
 // snapshot fails verification boots fresh instead of failing the key,
-// and the re-persist overwrites cleanly.
+// and that boot's persist rewrites the file: the next process loads the
+// key from the store with no boot.
 func TestCorruptStoreFallsBackToBoot(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(109, 1)
@@ -520,17 +520,9 @@ func TestCorruptStoreFallsBackToBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.ManifestFor(digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statePath := filepath.Join(dir, "chunks", m.StateChunk[:2], m.StateChunk)
-	raw, err := os.ReadFile(statePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[10] ^= 0xFF
-	if err := os.WriteFile(statePath, raw, 0o644); err != nil {
+	path, raw, _, n := snapFile(t, dir, digest)
+	raw[n+10] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -546,12 +538,33 @@ func TestCorruptStoreFallsBackToBoot(t *testing.T) {
 		t.Fatalf("pool failed on corrupt store instead of booting: %v", err)
 	}
 	mach.Release()
-	// The fallback boot re-persists in the background; wait so the
-	// TempDir cleanup doesn't race the manifest write.
+	// The fallback boot re-persists in the background; wait for the
+	// rewrite before the next process opens the store.
 	p.WaitPersist()
 	st := p.Stats()
 	boots, loads := st.Boots-before.Boots, st.StoreLoads-before.StoreLoads
 	if boots != 1 || loads != 0 {
 		t.Fatalf("%d boots / %d store loads, want a fallback boot", boots, loads)
+	}
+
+	// "Restart": fresh store handle, fresh pool, same directory.
+	st3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p3 := snapshot.NewPool()
+	p3.Store = st3
+	before = p3.Stats()
+	mach, err = p3.Acquire(key, func() (*kernel.Kernel, error) {
+		return nil, errors.New("boot closure ran although the re-persist should have healed the store")
+	})
+	if err != nil {
+		t.Fatalf("store not healed by the fallback boot's persist: %v", err)
+	}
+	mach.Release()
+	st = p3.Stats()
+	boots, loads = st.Boots-before.Boots, st.StoreLoads-before.StoreLoads
+	if boots != 0 || loads != 1 {
+		t.Fatalf("after the re-persist: %d boots / %d store loads, want 0 / 1", boots, loads)
 	}
 }

@@ -1,11 +1,13 @@
 package vet
 
 import (
+	"errors"
 	"go/ast"
 	"go/constant"
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
 	"camouflage/internal/fault"
@@ -18,7 +20,8 @@ import (
 //
 //   - every fault.Point constant has a unique string value;
 //   - every value round-trips through the real spec grammar
-//     (fault.ParseSpec), so `-faults <point>=1` can always arm it;
+//     (fault.ParseSpec), so `-faults <point>=1` can always arm it; in
+//     this module that also means the value is in the fault catalog;
 //   - every check site (fault.Fire / ErrAt / SleepAt / PanicAt /
 //     Corrupt) names a declared Point constant — an ad-hoc string
 //     literal at a check site is an unregistered point no spec can
@@ -71,9 +74,20 @@ func runFaultPoint(pass *ModulePass) error {
 		}
 	}
 
-	// Grammar: every name must arm through the real spec parser.
+	// Grammar: every name must arm through the real spec parser. The
+	// parser also refuses a name outside its catalog, which lists the
+	// points of this module's own fault package only.
+	host := faultPkg.Types.Path() == reflect.TypeOf(fault.Point("")).PkgPath()
 	for _, p := range points {
-		if _, err := fault.ParseSpec(p.value + "=1"); err != nil || strings.ContainsAny(p.value, "=,: \t") || p.value == "" || p.value == "seed" {
+		_, err := fault.ParseSpec(p.value + "=1")
+		if errors.Is(err, fault.ErrUnknownPoint) {
+			if host {
+				pass.Reportf(p.obj.Pos(),
+					"fault point %s (%q) is missing from the fault catalog, so no -faults plan can arm it", p.obj.Name(), p.value)
+			}
+			err = nil
+		}
+		if err != nil || strings.ContainsAny(p.value, "=,: \t") || p.value == "" || p.value == "seed" {
 			pass.Reportf(p.obj.Pos(),
 				"fault point %s name %q is not addressable by the -faults spec grammar", p.obj.Name(), p.value)
 		}
