@@ -10,8 +10,6 @@ package client
 import (
 	"bytes"
 	"context"
-	cryptorand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -214,13 +212,15 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("camouflaged: %d %s", e.Status, e.Message)
 }
 
-// RetryPolicy governs transparent request retries. Only safe requests
-// retry: GETs, and POSTs carrying an Idempotency-Key (the daemon
-// replays the stored response instead of re-running the job, so a
-// retry after a dropped response never double-runs). Retryable
-// failures are transport errors (connection reset, timeout short of
-// the context deadline) and 502/503/504 — a 503 with Retry-After (an
-// open circuit breaker, a saturated queue) waits at least that long.
+// RetryPolicy governs transparent request retries. Only requests that
+// may be sent again retry: GETs, and the experiment and campaign POSTs.
+// A job is a deterministic function of its request, so a retry after a
+// dropped response re-runs it and gets the same output bytes; only its
+// timing and run ID are its own. Every other POST (lease, run, reset,
+// release) is sent once. Retryable failures are transport errors
+// (connection reset, timeout short of the context deadline) and
+// 502/503/504 — a 503 with Retry-After (an open circuit breaker, a
+// saturated queue) waits at least that long.
 type RetryPolicy struct {
 	// MaxAttempts is the total tries per request (1 = no retries).
 	MaxAttempts int
@@ -263,26 +263,17 @@ func New(base string) *Client {
 	}
 }
 
-// newIdemKey mints a random Idempotency-Key for job-running POSTs.
-func newIdemKey() string {
-	var b [16]byte
-	if _, err := cryptorand.Read(b[:]); err != nil {
-		return "" // no entropy, no idempotency — the request still runs
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // retryAfterSentinel distinguishes "no server hint" from Retry-After: 0.
 const retryAfterSentinel = time.Duration(-1)
 
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	return c.doIdem(ctx, method, path, in, out, "")
+	return c.send(ctx, method, path, in, out, method == http.MethodGet)
 }
 
-// doIdem is the request core: marshal once, then attempt with
-// backoff. idemKey marks a POST safe to retry; empty means only GETs
-// retry.
-func (c *Client) doIdem(ctx context.Context, method, path string, in, out any, idemKey string) error {
+// send is the request core: marshal once, then attempt with backoff.
+// retryable marks a request that may be sent again; any other request
+// gets one attempt.
+func (c *Client) send(ctx context.Context, method, path string, in, out any, retryable bool) error {
 	var body []byte
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -291,7 +282,6 @@ func (c *Client) doIdem(ctx context.Context, method, path string, in, out any, i
 		}
 		body = b
 	}
-	retryable := method == http.MethodGet || idemKey != ""
 	attempts := c.Retry.MaxAttempts
 	if attempts < 1 || !retryable {
 		attempts = 1
@@ -307,7 +297,7 @@ func (c *Client) doIdem(ctx context.Context, method, path string, in, out any, i
 				return ctx.Err()
 			}
 		}
-		err, hint, retry := c.attempt(ctx, method, path, body, in != nil, out, idemKey)
+		err, hint, retry := c.attempt(ctx, method, path, body, in != nil, out)
 		if err == nil {
 			return nil
 		}
@@ -342,7 +332,7 @@ func (c *Client) backoff(attempt int, serverHint time.Duration) time.Duration {
 // attempt runs one HTTP exchange. retry reports whether the failure
 // class is safe to try again; hint carries a Retry-After the server
 // sent (retryAfterSentinel when absent).
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hasBody bool, out any, idemKey string) (err error, hint time.Duration, retry bool) {
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hasBody bool, out any) (err error, hint time.Duration, retry bool) {
 	fault.SleepAt(fault.ClientStall)
 	if ferr := fault.ErrAt(fault.ClientReset); ferr != nil {
 		return fmt.Errorf("client: connection reset: %w", ferr), retryAfterSentinel, true
@@ -361,13 +351,11 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if hasBody {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if idemKey != "" {
-		req.Header.Set("Idempotency-Key", idemKey)
-	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		// Transport-level failure: nothing reached the handler (or the
-		// response was lost) — safe to retry idempotent requests.
+		// Transport-level failure: nothing reached the handler, or the
+		// response was lost — safe to retry a request that may be sent
+		// again.
 		return err, retryAfterSentinel, true
 	}
 	defer closeBody(resp.Body)
@@ -424,22 +412,22 @@ func (c *Client) Experiments(ctx context.Context) ([]ExperimentInfo, error) {
 	return out, nil
 }
 
-// RunExperiments runs a figures.All() selection on the daemon. The
-// request carries a fresh Idempotency-Key, so retries after a dropped
-// response replay the original run instead of re-running it.
+// RunExperiments runs a figures.All() selection on the daemon. A retry
+// after a dropped response runs the selection again, which renders the
+// same output.
 func (c *Client) RunExperiments(ctx context.Context, req ExperimentsRequest) (*ExperimentsResponse, error) {
 	var out ExperimentsResponse
-	if err := c.doIdem(ctx, http.MethodPost, "/v1/experiments", req, &out, newIdemKey()); err != nil {
+	if err := c.send(ctx, http.MethodPost, "/v1/experiments", req, &out, true); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
 // RunCampaign runs a differential attack campaign on the daemon,
-// idempotency-keyed like RunExperiments.
+// retried like RunExperiments.
 func (c *Client) RunCampaign(ctx context.Context, req CampaignRequest) (*CampaignResponse, error) {
 	var out CampaignResponse
-	if err := c.doIdem(ctx, http.MethodPost, "/v1/campaigns", req, &out, newIdemKey()); err != nil {
+	if err := c.send(ctx, http.MethodPost, "/v1/campaigns", req, &out, true); err != nil {
 		return nil, err
 	}
 	return &out, nil

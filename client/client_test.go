@@ -2,8 +2,7 @@ package client
 
 // Client resilience: the default per-request timeout, the retry policy
 // (which requests retry, which failure classes, the Retry-After
-// floor), auto-minted idempotency keys, and injected transport faults
-// healing transparently.
+// floor), and injected transport faults healing transparently.
 
 import (
 	"context"
@@ -91,8 +90,9 @@ func TestRetry503ThenSuccess(t *testing.T) {
 	}
 }
 
-// TestNonIdempotentPostNeverRetries: a POST without an Idempotency-Key
-// must not retry even on a retryable status class.
+// TestNonIdempotentPostNeverRetries: a POST other than a job
+// submission (here a lease) is sent once, even on a retryable status
+// class.
 func TestNonIdempotentPostNeverRetries(t *testing.T) {
 	var hits atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -101,9 +101,8 @@ func TestNonIdempotentPostNeverRetries(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	err := fastClient(hs.URL).PinSnapshot(context.Background(), "abc", true)
-	if err == nil {
-		t.Fatal("PinSnapshot against a 503 server succeeded")
+	if _, err := fastClient(hs.URL).Lease(context.Background(), MachineRequest{}); err == nil {
+		t.Fatal("Lease against a 503 server succeeded")
 	}
 	if hits.Load() != 1 {
 		t.Fatalf("non-idempotent POST was retried: %d requests", hits.Load())
@@ -125,33 +124,6 @@ func TestClientErrors4xxNotRetried(t *testing.T) {
 	}
 	if hits.Load() != 1 {
 		t.Fatalf("4xx was retried: %d requests", hits.Load())
-	}
-}
-
-// TestRunsCarryIdempotencyKeys: RunExperiments and RunCampaign mint a
-// key per call, so the daemon can replay a response the network
-// dropped.
-func TestRunsCarryIdempotencyKeys(t *testing.T) {
-	var keys []string
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		keys = append(keys, r.Header.Get("Idempotency-Key"))
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{}`))
-	}))
-	defer hs.Close()
-	c := fastClient(hs.URL)
-
-	if _, err := c.RunExperiments(context.Background(), ExperimentsRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunCampaign(context.Background(), CampaignRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 || keys[0] == "" || keys[1] == "" {
-		t.Fatalf("requests missing idempotency keys: %q", keys)
-	}
-	if keys[0] == keys[1] {
-		t.Fatalf("distinct calls shared an idempotency key: %q", keys[0])
 	}
 }
 

@@ -1,8 +1,9 @@
 package client
 
 // Typed bindings for the daemon's snapshot-store surface
-// (/v1/snapshots): list and inspect persisted snapshots, pin them
-// against eviction and delete unpinned ones.
+// (/v1/snapshots): list and inspect persisted snapshots, and delete
+// them. A delete needs no guard: the daemon serves every machine from
+// in-memory snapshots, so leases and warm keys outlive their files.
 
 import (
 	"context"
@@ -14,7 +15,7 @@ import (
 // SnapshotInfo is one persisted snapshot as listed by GET /v1/snapshots.
 type SnapshotInfo struct {
 	// Digest is the whole-snapshot content address; every administer
-	// call (inspect, pin, delete) takes it.
+	// call (inspect, delete) takes it.
 	Digest string `json:"digest"`
 	// KeyDigest/Key identify the build configuration the snapshot
 	// captures (Key is the human-readable normalized option string).
@@ -26,7 +27,6 @@ type SnapshotInfo struct {
 	Pages       int    `json:"pages"`
 	CPUs        int    `json:"cpus"`
 	BootCycles  uint64 `json:"boot_cycles"`
-	Pinned      bool   `json:"pinned"`
 	CreatedUnix int64  `json:"created_unix"`
 	// Resident reports whether the daemon currently holds this
 	// configuration armed in a warm pool; IdleMachines counts its parked
@@ -49,11 +49,6 @@ type SnapshotManifest = store.Manifest
 // SnapshotOptions is the header's build-options block.
 type SnapshotOptions = store.OptionsManifest
 
-// PinRequest is the POST /v1/snapshots/{digest}/pin body.
-type PinRequest struct {
-	Pinned bool `json:"pinned"`
-}
-
 // Snapshots lists the snapshots persisted in the daemon's store.
 func (c *Client) Snapshots(ctx context.Context) ([]SnapshotInfo, error) {
 	var out SnapshotsResponse
@@ -72,15 +67,9 @@ func (c *Client) Snapshot(ctx context.Context, digest string) (*SnapshotManifest
 	return &out, nil
 }
 
-// PinSnapshot pins (or unpins) a snapshot: pinned snapshots refuse
-// DELETE.
-func (c *Client) PinSnapshot(ctx context.Context, digest string, pinned bool) error {
-	return c.do(ctx, http.MethodPost, "/v1/snapshots/"+digest+"/pin", PinRequest{Pinned: pinned}, nil)
-}
-
-// DeleteSnapshot evicts a snapshot from the store. The daemon answers
-// 409 when the snapshot is pinned or is backing an active machine
-// lease.
+// DeleteSnapshot removes a snapshot from the store; the daemon answers
+// 404 for a digest it does not hold. Machines already serving from the
+// snapshot keep running, and a warm key keeps its in-memory copy.
 func (c *Client) DeleteSnapshot(ctx context.Context, digest string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/snapshots/"+digest, nil, nil)
 }

@@ -27,8 +27,7 @@
 //	GET  /v1/runs/{id}/trace           — structured trace of a recent run
 //	GET  /v1/snapshots                 — persisted snapshots (-store-dir)
 //	GET  /v1/snapshots/{digest}        — one snapshot's header
-//	POST /v1/snapshots/{digest}/pin    — pin/unpin against eviction
-//	DELETE /v1/snapshots/{digest}      — evict from the store
+//	DELETE /v1/snapshots/{digest}      — delete from the store
 //	GET  /v1/stats                     — pool / queue / lease counters
 //	                                     plus the full metrics registry
 //	GET  /metrics                      — Prometheus text exposition
@@ -115,9 +114,10 @@ func main() {
 		}
 		snapshot.Shared.Store = st
 		log.Printf("camouflaged: snapshot store at %s (%d snapshots)", *storeDir, len(st.List()))
-		if rec := st.Recovery(); rec.OrphanTmps > 0 || rec.BadManifests > 0 {
-			log.Printf("camouflaged: store recovery sweep: %d orphaned tmp files removed, %d torn snapshot files discarded",
-				rec.OrphanTmps, rec.BadManifests)
+		if rec := st.Recovery(); rec != (store.RecoveryStats{}) {
+			log.Printf("camouflaged: store recovery sweep: %d orphaned tmp files removed, %d torn snapshot files discarded, "+
+				"%d files of retired layouts deleted (version 1 page chunks and manifests, pin markers)",
+				rec.OrphanTmps, rec.BadManifests, rec.RetiredFiles)
 		}
 	}
 	snapshot.Shared.BootAttempts = *bootRetries

@@ -168,7 +168,7 @@ func RunCampaignContext(ctx context.Context, o CampaignOptions) (*CampaignReport
 				totalDirty += r.dirty
 			}
 			cell.DirtyPages = totalDirty / o.Mutations
-			rep.Forks += snap.Forks()
+			rep.Forks += uint64(o.Mutations) // strikeCell forks every strike
 			rep.Cells = append(rep.Cells, cell)
 		}
 	}
@@ -192,8 +192,8 @@ type strikeResult struct {
 // strike of this call already left is the same machine: it takes that
 // strike's result instead of running. Each distinct overlay runs exactly
 // once, also when the strikes fan out (a sibling that struck the same
-// overlay waits for the run), and every fork is still made, so
-// snap.Forks() counts every strike.
+// overlay waits for the run), and every fork is still made, so the
+// report's Forks counts every strike.
 func (sc scenario) strikeCell(ctx context.Context, snap *snapshot.Snapshot, w window, seed uint64, n int) ([]strikeResult, error) {
 	type memoRun struct {
 		once sync.Once

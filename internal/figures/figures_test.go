@@ -224,11 +224,11 @@ func TestCancelStopsRunBetweenCells(t *testing.T) {
 	pool := snapshot.NewPool()
 	snapshot.Shared = pool
 	t.Cleanup(func() { snapshot.Shared = prev })
-	// Boots and reuses are process totals; count from here.
+	// Boots, forks and reuses are process totals; count from here.
 	base := pool.Stats()
 	acquired := func() uint64 {
 		st := pool.Stats()
-		return st.Boots - base.Boots + st.Forks + st.Reuses - base.Reuses
+		return st.Boots - base.Boots + st.Forks - base.Forks + st.Reuses - base.Reuses
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -99,6 +99,7 @@ const (
 	// internal/store — persistent snapshot store.
 	CStoreHit
 	CStoreMiss
+	CStoreLoadError
 	CStoreSave
 	CStoreSaveFail
 	CStoreVerifyFail
@@ -120,7 +121,6 @@ const (
 	CWatchdogCancel
 	CClientRetry
 	CStoreOrphanSweep
-	CIdemReplay
 
 	// NumCounters sizes every counter array; keep it last.
 	NumCounters
@@ -187,11 +187,12 @@ var counterMetas = [NumCounters]counterMeta{
 	CCampaignStrikeRun:  {"camouflage_campaign_strikes_total", "Campaign strikes by path: run in the guest, or answered by the run of an earlier strike of the cell that left the same copy-on-write overlay.", `path="run"`},
 	CCampaignStrikeMemo: {"camouflage_campaign_strikes_total", "Campaign strikes by path: run in the guest, or answered by the run of an earlier strike of the cell that left the same copy-on-write overlay.", `path="memo"`},
 
-	CStoreHit:        {"camouflage_store_loads_total", "Snapshot loads from the persistent store by result.", `result="hit"`},
-	CStoreMiss:       {"camouflage_store_loads_total", "Snapshot loads from the persistent store by result.", `result="miss"`},
+	CStoreHit:        {"camouflage_store_loads_total", "Snapshot loads from the persistent store by result: verified, no snapshot for the key, or a file that could not be read.", `result="hit"`},
+	CStoreMiss:       {"camouflage_store_loads_total", "Snapshot loads from the persistent store by result: verified, no snapshot for the key, or a file that could not be read.", `result="miss"`},
+	CStoreLoadError:  {"camouflage_store_loads_total", "Snapshot loads from the persistent store by result: verified, no snapshot for the key, or a file that could not be read.", `result="error"`},
 	CStoreSave:       {"camouflage_store_saves_total", "Snapshots persisted to the store.", ""},
 	CStoreSaveFail:   {"camouflage_store_save_failures_total", "Snapshot persists that failed; the next process boots the key again.", ""},
-	CStoreVerifyFail: {"camouflage_store_verify_failures_total", "Snapshot loads refused because hash verification failed.", ""},
+	CStoreVerifyFail: {"camouflage_store_verify_failures_total", "Snapshot loads refused because the file's content failed verification or its state did not decode.", ""},
 	CStoreEvict:      {"camouflage_store_evictions_total", "Snapshots deleted from the persistent store.", ""},
 
 	CQueueRejected:     {"camouflage_server_queue_rejected_total", "Requests fast-failed because the admission queue was full.", ""},
@@ -207,8 +208,7 @@ var counterMetas = [NumCounters]counterMeta{
 	CPanicRecovered:   {"camouflage_server_panics_recovered_total", "In-job panics caught by the per-request recovery barrier.", ""},
 	CWatchdogCancel:   {"camouflage_server_watchdog_cancels_total", "Jobs cancelled by the run watchdog for exceeding their wall budget.", ""},
 	CClientRetry:      {"camouflage_client_retries_total", "Client requests retried by the transport retry policy.", ""},
-	CStoreOrphanSweep: {"camouflage_store_recovery_orphans_total", "Orphaned temp files and torn snapshot files removed by the startup recovery sweep.", ""},
-	CIdemReplay:       {"camouflage_server_idempotent_replays_total", "POST responses replayed from the idempotency table instead of re-running.", ""},
+	CStoreOrphanSweep: {"camouflage_store_recovery_orphans_total", "Files removed by the store's startup recovery sweep: stranded temp files, torn snapshot files and files of retired store layouts.", ""},
 }
 
 // SampleName returns the full exposition sample name of a counter

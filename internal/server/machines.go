@@ -207,21 +207,6 @@ func (t *leaseTable) releaseAll(ctx context.Context) {
 	}
 }
 
-// keyDigestInUse reports whether any active lease's machine descends
-// from the configuration with the given key digest (the DELETE
-// /v1/snapshots guard: a snapshot backing a checked-out machine must
-// not be evicted from under its client).
-func (t *leaseTable) keyDigestInUse(keyDigest string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, l := range t.leases {
-		if l.m.Key().Digest == keyDigest {
-			return true
-		}
-	}
-	return false
-}
-
 // stats snapshots lease lifecycle counters for /v1/stats: Active from
 // the table, the event counts as process totals from the obs registry.
 func (t *leaseTable) stats() client.LeaseStats {

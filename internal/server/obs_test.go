@@ -164,6 +164,7 @@ func TestStatsCountsAreRegistryCounts(t *testing.T) {
 		id   obs.CounterID
 	}{
 		{"pool.boots", st.Pool.Boots, obs.CPoolBoot},
+		{"pool.forks", st.Pool.Forks, obs.CPoolMiss},
 		{"pool.reuses", st.Pool.Reuses, obs.CPoolHit},
 		{"pool.dropped", st.Pool.Dropped, obs.CPoolDrop},
 		{"pool.evicted", st.Pool.Evicted, obs.CPoolEvict},

@@ -1,10 +1,10 @@
 package server
 
 // Robustness surface of the daemon: the per-job panic barrier, the
-// /healthz + /readyz probes, idempotent experiment replay, breaker
-// errors mapped to 503 + Retry-After, request-body validation, and the
-// run watchdog — both the job-context cancellation path and the lease
-// force-expiry sweep.
+// /healthz + /readyz probes, a job retried after its response was lost,
+// breaker errors mapped to 503 + Retry-After, request-body validation,
+// and the run watchdog — both the job-context cancellation path and the
+// lease force-expiry sweep.
 
 import (
 	"bytes"
@@ -14,11 +14,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"camouflage/client"
 	"camouflage/internal/fault"
+	"camouflage/internal/figures"
 )
 
 func withServerFaults(t *testing.T, spec string) *fault.Registry {
@@ -138,62 +140,52 @@ func TestReadyzDegradesOnDrain(t *testing.T) {
 	}
 }
 
-// TestIdempotentReplay: a repeated POST with the same Idempotency-Key
-// answers from the stored response — byte-identical body, replay
-// header set, and the job itself runs exactly once.
-func TestIdempotentReplay(t *testing.T) {
-	s, hs, _ := newTestServer(t, Config{})
-	hdr := map[string]string{"Idempotency-Key": "idem-test-1"}
+// TestRetryReRunsJobWhoseResponseWasLost: a job POST whose response
+// never reaches the client is sent again, and the daemon runs the job
+// again. A wrapper hands the first POST /v1/experiments to the daemon,
+// lets the job run to completion, then closes the connection without
+// answering. The retry's output is the bytes of a local run, and the
+// queue started two jobs: the lost one and the retry.
+func TestRetryReRunsJobWhoseResponseWasLost(t *testing.T) {
+	s := New(Config{})
+	var dropped atomic.Bool
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/experiments" || !dropped.CompareAndSwap(false, true) {
+			s.ServeHTTP(w, r)
+			return
+		}
+		s.ServeHTTP(httptest.NewRecorder(), r)
+		conn, _, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	t.Cleanup(hs.Close)
+	c := client.New(hs.URL)
+	c.Retry.BaseDelay = time.Millisecond
+	c.Retry.MaxDelay = 2 * time.Millisecond
 
-	resp1, body1 := postJSON(t, hs.URL+"/v1/experiments", `{"ids":["keys"]}`, hdr)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("first request = %d (body %s)", resp1.StatusCode, body1)
+	ids := []string{"table1", "keys"}
+	var local bytes.Buffer
+	if _, err := figures.RunAllWith(context.Background(), &local, figures.RunOptions{IDs: ids}); err != nil {
+		t.Fatal(err)
 	}
-	startsAfterFirst := s.queue.starts.Load()
-
-	resp2, body2 := postJSON(t, hs.URL+"/v1/experiments", `{"ids":["keys"]}`, hdr)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("replayed request = %d", resp2.StatusCode)
+	starts := s.queue.starts.Load()
+	resp, err := c.RunExperiments(context.Background(), client.ExperimentsRequest{IDs: ids})
+	if err != nil {
+		t.Fatalf("job whose first response was lost: %v", err)
 	}
-	if resp2.Header.Get("Idempotency-Replay") != "true" {
-		t.Fatal("replay did not set Idempotency-Replay: true")
+	if !dropped.Load() {
+		t.Fatal("the wrapper dropped no response")
 	}
-	if body2 != body1 {
-		t.Fatalf("replayed body differs:\n--- first ---\n%s\n--- replay ---\n%s", body1, body2)
+	if resp.Output != local.String() {
+		t.Fatalf("retried job's output differs from the local run:\n--- served ---\n%s\n--- local ---\n%s",
+			resp.Output, local.String())
 	}
-	if got := s.queue.starts.Load(); got != startsAfterFirst {
-		t.Fatalf("replay re-ran the job: %d starts, want %d", got, startsAfterFirst)
-	}
-
-	// A different key runs fresh.
-	resp3, _ := postJSON(t, hs.URL+"/v1/experiments", `{"ids":["keys"]}`,
-		map[string]string{"Idempotency-Key": "idem-test-2"})
-	if resp3.StatusCode != http.StatusOK || resp3.Header.Get("Idempotency-Replay") == "true" {
-		t.Fatalf("fresh key was replayed (status %d)", resp3.StatusCode)
-	}
-	if got := s.queue.starts.Load(); got != startsAfterFirst+1 {
-		t.Fatalf("fresh key did not run: %d starts, want %d", got, startsAfterFirst+1)
-	}
-}
-
-// TestIdempotentFailureNotCached: a failed run (here: an injected in-job
-// panic answered 500) must not be replayed — the retry with the same
-// key actually re-runs, and succeeds once the fault is exhausted.
-func TestIdempotentFailureNotCached(t *testing.T) {
-	_, hs, _ := newTestServer(t, Config{})
-	withServerFaults(t, "server.job=1")
-	hdr := map[string]string{"Idempotency-Key": "idem-fail-1"}
-
-	resp, _ := postJSON(t, hs.URL+"/v1/experiments", `{"ids":["keys"]}`, hdr)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("faulted request = %d, want 500", resp.StatusCode)
-	}
-	resp, body := postJSON(t, hs.URL+"/v1/experiments", `{"ids":["keys"]}`, hdr)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retry after cached failure = %d (body %s)", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Idempotency-Replay") == "true" {
-		t.Fatal("failure was replayed instead of re-run")
+	if n := s.queue.starts.Load() - starts; n != 2 {
+		t.Fatalf("the queue started %d jobs, want 2: the run whose response was lost and its retry", n)
 	}
 }
 
@@ -333,7 +325,7 @@ func FuzzReadJSON(f *testing.F) {
 		`{"mutations":1000000000000,"levels":["none"]}`,
 		`{"level":"none","seed":81,"cpus":2,"` + retired + `":true}`,
 		`{"max_instrs":1000}`,
-		`{"pinned":true}`,
+		`{"pinned":true}`, // the body of the retired pin route
 		``,
 	} {
 		f.Add([]byte(seed))
@@ -343,7 +335,6 @@ func FuzzReadJSON(f *testing.F) {
 		func() any { return new(client.CampaignRequest) },
 		func() any { return new(client.MachineRequest) },
 		func() any { return new(client.MachineRunRequest) },
-		func() any { return new(client.PinRequest) },
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, mk := range types {
@@ -425,35 +416,5 @@ func TestWatchdogForceExpiresWedgedLease(t *testing.T) {
 	}
 	if idle := pool.Stats().Idle; idle != idleBefore {
 		t.Fatalf("abandoned machine was parked (%d -> %d idle)", idleBefore, idle)
-	}
-}
-
-// TestIdemTableUnit drives the table directly: FIFO eviction skips
-// in-flight entries, and a status-0 finish (handler died before
-// writing) leaves the key retryable.
-func TestIdemTableUnit(t *testing.T) {
-	tbl := newIdemTable(2)
-
-	e1, owner := tbl.begin("a")
-	if !owner {
-		t.Fatal("first begin not owner")
-	}
-	tbl.finish("a", e1, http.StatusOK, []byte("ok-a"))
-	if e, owner := tbl.begin("a"); owner || string(e.body) != "ok-a" {
-		t.Fatalf("stored 2xx not replayed (owner=%v body=%q)", owner, e.body)
-	}
-
-	// Handler died before writing: status 0 drops the entry.
-	e2, _ := tbl.begin("b")
-	tbl.finish("b", e2, 0, nil)
-	if _, owner := tbl.begin("b"); !owner {
-		t.Fatal("status-0 entry was cached; key not retryable")
-	}
-
-	// Cap is 2: key "a" (finished) is evicted FIFO, in-flight "b" stays.
-	e3, _ := tbl.begin("c")
-	tbl.finish("c", e3, http.StatusOK, []byte("ok-c"))
-	if _, owner := tbl.begin("a"); !owner {
-		t.Fatal("evicted key still replayed")
 	}
 }

@@ -129,7 +129,6 @@ type Server struct {
 	mux    *http.ServeMux
 	queue  *queue
 	leases *leaseTable
-	idem   *idemTable
 	start  time.Time
 
 	drainMu  sync.Mutex
@@ -156,7 +155,6 @@ func New(cfg Config) *Server {
 		mux:    http.NewServeMux(),
 		queue:  newQueue(cfg.Concurrency, cfg.MaxQueue),
 		leases: newLeaseTable(cfg.MaxLeases, cfg.LeaseIdle, cfg.JobTimeout),
-		idem:   newIdemTable(256),
 		start:  time.Now(),
 	}
 	for _, route := range []struct {
@@ -176,7 +174,6 @@ func New(cfg Config) *Server {
 		{"GET /v1/runs/{id}/trace", s.handleRunTrace},
 		{"GET /v1/snapshots", s.handleListSnapshots},
 		{"GET /v1/snapshots/{digest}", s.handleSnapshotManifest},
-		{"POST /v1/snapshots/{digest}/pin", s.handleSnapshotPin},
 		{"DELETE /v1/snapshots/{digest}", s.handleSnapshotDelete},
 		{"GET /v1/stats", s.handleStats},
 		{"GET /metrics", s.handleMetrics},
@@ -403,11 +400,6 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	w, finish, run0 := s.withIdempotency(w, r)
-	if !run0 {
-		return
-	}
-	defer finish()
 	var req client.ExperimentsRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -473,11 +465,6 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // --- campaigns ---
 
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	w, finish, run0 := s.withIdempotency(w, r)
-	if !run0 {
-		return
-	}
-	defer finish()
 	var req client.CampaignRequest
 	if !readJSON(w, r, &req) {
 		return

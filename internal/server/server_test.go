@@ -97,6 +97,7 @@ func TestHandlerErrors(t *testing.T) {
 		{"unknown lease state", "GET", "/v1/machines/m-999", ``, http.StatusNotFound},
 		{"unknown lease run", "POST", "/v1/machines/m-999/run", `{}`, http.StatusNotFound},
 		{"unknown route", "GET", "/v1/nope", ``, http.StatusNotFound},
+		{"retired pin route", "POST", "/v1/snapshots/abc/pin", `{"pinned":true}`, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

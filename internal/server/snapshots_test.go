@@ -1,8 +1,8 @@
 package server
 
 // Tests for the /v1/snapshots resource surface: listing, header
-// inspect, pin/unpin, delete with its two 409 guards (pinned,
-// lease-backed), and the 503 answer of a store-less daemon.
+// inspect, delete (also of a snapshot backing a lease), and the 503
+// answer of a store-less daemon.
 
 import (
 	"context"
@@ -70,27 +70,11 @@ func TestSnapshotResourceLifecycle(t *testing.T) {
 		t.Fatalf("manifest disagrees with listing: %+v vs %+v", mani, info)
 	}
 
-	// Guard 1: the snapshot backs an active lease — DELETE is 409.
-	if err := c.DeleteSnapshot(ctx, info.Digest); apiStatus(t, err) != 409 {
-		t.Fatalf("DeleteSnapshot under lease: %v, want 409", err)
-	}
 	if err := m.Release(ctx); err != nil {
 		t.Fatal(err)
 	}
-
-	// Guard 2: pinned — DELETE stays 409 even with no lease.
-	if err := c.PinSnapshot(ctx, info.Digest, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DeleteSnapshot(ctx, info.Digest); apiStatus(t, err) != 409 {
-		t.Fatalf("DeleteSnapshot while pinned: %v, want 409", err)
-	}
-
-	if err := c.PinSnapshot(ctx, info.Digest, false); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.DeleteSnapshot(ctx, info.Digest); err != nil {
-		t.Fatalf("DeleteSnapshot unpinned, unleased: %v", err)
+		t.Fatalf("DeleteSnapshot: %v", err)
 	}
 	snaps, err = c.Snapshots(ctx)
 	if err != nil {
@@ -104,5 +88,75 @@ func TestSnapshotResourceLifecycle(t *testing.T) {
 	}
 	if _, err := c.Snapshot(ctx, info.Digest); apiStatus(t, err) != 404 {
 		t.Fatalf("manifest after delete: %v, want 404", err)
+	}
+}
+
+// TestDeleteSnapshotUnderLease: DELETE removes a snapshot that backs an
+// active lease. The lease runs, reads its state and resets from the
+// in-memory snapshot, and the pool's armed key serves the next lease
+// with no boot and no store load.
+func TestDeleteSnapshotUnderLease(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := withFreshPool(t)
+	pool.Store = st
+	_, _, c := newTestServer(t, Config{Store: st})
+	ctx := context.Background()
+	req := client.MachineRequest{Level: "backward-edge"}
+
+	m, err := c.Lease(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.WaitPersist()
+	snaps, err := c.Snapshots(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 {
+		t.Fatalf("listed %d snapshots, want 1", len(snaps))
+	}
+	if err := c.DeleteSnapshot(ctx, snaps[0].Digest); err != nil {
+		t.Fatalf("DeleteSnapshot under lease: %v, want 200", err)
+	}
+
+	leased, err := m.State(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(ctx, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reset(ctx); err != nil {
+		t.Fatal(err)
+	}
+	reset, err := m.State(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reset.PC != leased.PC || reset.Cycles != leased.Cycles {
+		t.Fatalf("reset after delete landed at pc %#x cycle %d, lease began at pc %#x cycle %d",
+			reset.PC, reset.Cycles, leased.PC, leased.Cycles)
+	}
+	if err := m.Release(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	before := pool.Stats()
+	m2, err := c.Lease(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := pool.Stats()
+	if boots, loads := after.Boots-before.Boots, after.StoreLoads-before.StoreLoads; boots != 0 || loads != 0 {
+		t.Fatalf("second lease of the key paid %d boots and %d store loads, want 0 and 0", boots, loads)
+	}
+	if err := m2.Release(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, err := c.Snapshots(ctx); err != nil || len(snaps) != 0 {
+		t.Fatalf("listing after delete = %d snapshots (%v), want none", len(snaps), err)
 	}
 }

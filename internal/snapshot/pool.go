@@ -476,10 +476,11 @@ func (p *Pool) EvictIdle(keep int) int {
 // arms a key with zero boots); StorePersists counts snapshots written
 // to it.
 //
-// Keys, Idle and Forks describe this pool. The other fields are process
+// Keys and Idle describe this pool. The other fields are process
 // totals, read from the obs registry that counts each event once
 // (DESIGN.md §11); in a process that runs one pool, as the daemon does,
-// they are that pool's counts.
+// they are that pool's counts. Forks counts every copy-on-write fork
+// the process made, the pool's and those of campaign strikes alike.
 type Stats struct {
 	Keys          int    `json:"keys"`
 	Idle          int    `json:"idle"`
@@ -497,13 +498,11 @@ type Stats struct {
 	BreakerFastFails uint64 `json:"breaker_fast_fails,omitempty"`
 }
 
-// Stats returns current counters. Forks aggregates every fork taken
-// from the pool's snapshots — through Acquire and through holders of a
-// SnapshotFor result alike — so the boots-vs-machines-served ratio
-// reflects all pool-derived machines.
+// Stats returns current counters.
 func (p *Pool) Stats() Stats {
 	st := Stats{
 		Boots:            obs.CounterTotal(obs.CPoolBoot),
+		Forks:            obs.CounterTotal(obs.CPoolMiss),
 		Reuses:           obs.CounterTotal(obs.CPoolHit),
 		Dropped:          obs.CounterTotal(obs.CPoolDrop),
 		Evicted:          obs.CounterTotal(obs.CPoolEvict),
@@ -520,9 +519,6 @@ func (p *Pool) Stats() Stats {
 	for _, e := range p.entries {
 		e.mu.Lock()
 		st.Idle += len(e.idle)
-		if e.snap != nil {
-			st.Forks += e.snap.Forks()
-		}
 		e.mu.Unlock()
 	}
 	return st

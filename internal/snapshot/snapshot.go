@@ -52,10 +52,6 @@ var (
 // concurrently.
 type Snapshot struct {
 	st *kernel.State
-
-	// forks counts machines forked from the snapshot (pool stats and
-	// the campaign report).
-	forks atomic.Uint64
 }
 
 // Take captures the kernel's complete state — CPU, PAuth keys, MMU
@@ -75,7 +71,6 @@ func (s *Snapshot) Fork() (*kernel.Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.forks.Add(1)
 	obs.Add(obs.CPoolMiss, 1)
 	forkHist.ObserveSince(t0)
 	return k, nil
@@ -93,9 +88,6 @@ func (s *Snapshot) Reset(k *kernel.Kernel) error {
 	resetHist.ObserveSince(t0)
 	return nil
 }
-
-// Forks returns how many machines have been forked from the snapshot.
-func (s *Snapshot) Forks() uint64 { return s.forks.Load() }
 
 // FrozenPages returns the size of the copy-on-write base in pages.
 func (s *Snapshot) FrozenPages() int { return s.st.FrozenPages() }

@@ -27,15 +27,18 @@ func withFaults(t *testing.T, spec string) *fault.Registry {
 }
 
 // physicalLoads counts the snapshot loads that reached the disk, process
-// wide: each one ends in exactly one verified hit or verify failure.
+// wide: each one ends in exactly one verified hit, verify failure or
+// read error.
 func physicalLoads() uint64 {
-	return obs.CounterTotal(obs.CStoreHit) + obs.CounterTotal(obs.CStoreVerifyFail)
+	return obs.CounterTotal(obs.CStoreHit) + obs.CounterTotal(obs.CStoreVerifyFail) +
+		obs.CounterTotal(obs.CStoreLoadError)
 }
 
 // TestLoadRetryableAfterInjectedFailure: one failed load must leave the
 // key retryable by the very next caller on the same open store — no
 // reopen, the file on disk untouched, and the retry is a second
-// physical load that verifies.
+// physical load that verifies. The failed read counts as a load error,
+// not as a verify failure: the file's content was never refused.
 func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(131, 1)
@@ -55,6 +58,7 @@ func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 	}
 	r := withFaults(t, "store.read=1")
 	before := physicalLoads()
+	verifyFails, loadErrors := obs.CounterTotal(obs.CStoreVerifyFail), obs.CounterTotal(obs.CStoreLoadError)
 
 	_, _, err = s2.Load(key)
 	var fe *fault.Error
@@ -66,6 +70,9 @@ func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 	}
 	if _, after, _, _ := snapFile(t, dir, digest); !bytes.Equal(after, saved) {
 		t.Fatal("a failed read changed the snapshot file")
+	}
+	if v, e := obs.CounterTotal(obs.CStoreVerifyFail)-verifyFails, obs.CounterTotal(obs.CStoreLoadError)-loadErrors; v != 0 || e != 1 {
+		t.Fatalf("failed read counted %d verify failures and %d load errors, want 0 and 1", v, e)
 	}
 
 	snap, gotDigest, err := s2.Load(key)
@@ -81,8 +88,7 @@ func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 }
 
 // TestRecoverySweep: stranded temp files and torn snapshot files are
-// removed at open; intact snapshots survive, and files of the old
-// page-chunk layout are left alone.
+// removed at open, and intact snapshots survive.
 func TestRecoverySweep(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(132, 1)
@@ -105,30 +111,97 @@ func TestRecoverySweep(t *testing.T) {
 	if err := os.WriteFile(torn, []byte(`{"version":2,"digest":"tr`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := filepath.Join(dir, "snapshots", strings.Repeat("cd", 32)+".json")
-	if err := os.WriteFile(old, []byte(`{"version":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := s2.Recovery()
-	if rec.OrphanTmps != 2 || rec.BadManifests != 1 {
+	if rec != (RecoveryStats{OrphanTmps: 2, BadManifests: 1}) {
 		t.Fatalf("recovery = %+v, want 2 orphans + 1 torn file", rec)
 	}
 	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("torn snapshot file survived the sweep")
-	}
-	if _, err := os.Stat(old); err != nil {
-		t.Fatalf("sweep touched a file of the old layout: %v", err)
 	}
 	if n := len(s2.List()); n != 1 {
 		t.Fatalf("Open admitted %d snapshots, want 1", n)
 	}
 	if _, _, err := s2.Load(key); err != nil {
 		t.Fatalf("intact snapshot lost in sweep: %v", err)
+	}
+}
+
+// TestSweepDeletesRetiredLayouts: Open deletes each file it can name as
+// a retired layout's (a version 1 manifest, a version 1 page chunk, a
+// pin marker) and the directories they leave empty, counts them, and
+// keeps every other file, look-alikes included.
+func TestSweepDeletesRetiredLayouts(t *testing.T) {
+	write := func(dir string, names ...string) {
+		t.Helper()
+		for _, name := range names {
+			p := filepath.Join(dir, name)
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	files := func(dir string) []string {
+		t.Helper()
+		var out []string
+		err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
+			if err == nil && p != dir {
+				rel, _ := filepath.Rel(dir, p)
+				if info.IsDir() {
+					rel += "/"
+				}
+				out = append(out, rel)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	d := strings.Repeat("cd", 32)
+
+	dir := t.TempDir()
+	write(dir, "snapshots/"+d+".json", "chunks/cd/"+d, "pins/"+d, "README")
+	swept := obs.CounterTotal(obs.CStoreOrphanSweep)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := s.Recovery(); rec != (RecoveryStats{RetiredFiles: 3}) {
+		t.Fatalf("recovery = %+v, want 3 retired files", rec)
+	}
+	if got := obs.CounterTotal(obs.CStoreOrphanSweep) - swept; got != 3 {
+		t.Fatalf("camouflage_store_recovery_orphans_total moved by %d, want 3", got)
+	}
+	if got, want := strings.Join(files(dir), " "), "README snapshots/"; got != want {
+		t.Fatalf("after Open the store holds %q, want %q", got, want)
+	}
+
+	// Names a retired layout never wrote: a chunk under another prefix,
+	// an upper-case marker, a short manifest name, a directory.
+	dir = t.TempDir()
+	keep := []string{"chunks/ab/" + d, "pins/" + strings.ToUpper(d), "snapshots/" + d[2:] + ".json"}
+	write(dir, keep...)
+	if err := os.MkdirAll(filepath.Join(dir, "pins", d), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := files(dir)
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := s.Recovery(); rec != (RecoveryStats{}) {
+		t.Fatalf("recovery = %+v, want nothing swept", rec)
+	}
+	if got, want := strings.Join(files(dir), " "), strings.Join(before, " "); got != want {
+		t.Fatalf("after Open the store holds %q, want %q", got, want)
 	}
 }
 

@@ -12,13 +12,12 @@
 //	                            every frozen 4KiB RAM page in page-number
 //	                            order. <digest> is the SHA-256 the file
 //	                            commits to.
-//	pins/<digest>               pin markers: pinned snapshots refuse
-//	                            Delete.
 //
 // Snapshots share no bytes: every (build, seed) boot links its own
 // kernel image, whose §4.1 key setter carries that boot's keys in its
 // immediates. So each file stands alone, Delete frees all of it, and a
-// re-save of the same content rewrites the whole file.
+// re-save of the same content rewrites the whole file. Nothing reads a
+// file after its load, so any snapshot may be deleted at any time.
 //
 // Nothing is trusted on the way back in. Every Load reads the file
 // once, checks the header's lengths against the body and recomputes
@@ -57,7 +56,7 @@ var loadHist = obs.NewHistogram("camouflage_store_load_seconds",
 
 // fileVersion guards the snapshot file layout; bump on layout changes.
 // Version 1 was a layout of shared page chunks (chunks/ and
-// snapshots/*.json), which Open ignores.
+// snapshots/*.json), whose files Open deletes.
 const fileVersion = 2
 
 // maxHeaderSize bounds a header line, newline included: Open reads no
@@ -174,27 +173,30 @@ type Store struct {
 	recovery RecoveryStats
 }
 
-// RecoveryStats reports what the startup recovery sweep found: temp
-// files stranded by a crash mid-write, and snapshot files whose header
+// RecoveryStats reports what the startup recovery sweep removed: temp
+// files stranded by a crash mid-write, snapshot files whose header
 // does not parse (only possible on filesystem damage — every file is
-// published by atomic rename).
+// published by atomic rename), and files of retired layouts.
 type RecoveryStats struct {
 	OrphanTmps   int `json:"orphan_tmps"`
 	BadManifests int `json:"bad_manifests"`
+	// RetiredFiles counts version 1's page chunks and manifests and the
+	// pin markers of earlier stores.
+	RetiredFiles int `json:"retired_files"`
 }
 
 // Open opens (creating if needed) a store rooted at dir, runs the
 // crash-recovery sweep, and indexes the snapshot headers. The sweep
-// removes temp files stranded by a crash mid-write and snapshot files
-// whose header does not parse (a torn write); both are safe to delete,
+// removes temp files stranded by a crash mid-write, snapshot files
+// whose header does not parse (a torn write), and the files it can
+// name as a retired layout's (sweepRetired); all are safe to delete,
 // as a stranded temp was never published. Headers that parse but do
 // not name their file are skipped, not deleted (they may belong to a
-// newer layout), and verification still guards every load.
+// newer layout), and verification still guards every load. Every
+// other file stays.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"snapshots", "pins"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("store: open %s: %w", dir, err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "snapshots"), 0o755); err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	s := &Store{
 		dir:   dir,
@@ -215,6 +217,11 @@ func Open(dir string) (*Store, error) {
 			if os.Remove(filepath.Join(dir, "snapshots", name)) == nil {
 				s.recovery.OrphanTmps++
 			}
+		case ent.Type().IsRegular() && strings.HasSuffix(name, ".json") && isDigest(strings.TrimSuffix(name, ".json")):
+			// A version 1 manifest.
+			if os.Remove(filepath.Join(dir, "snapshots", name)) == nil {
+				s.recovery.RetiredFiles++
+			}
 		case strings.HasSuffix(name, ".snap"):
 			digest := strings.TrimSuffix(name, ".snap")
 			m, err := s.readHeader(digest)
@@ -229,10 +236,57 @@ func Open(dir string) (*Store, error) {
 			}
 		}
 	}
-	if n := s.recovery.OrphanTmps + s.recovery.BadManifests; n > 0 {
+	s.recovery.RetiredFiles += sweepRetired(dir)
+	if n := s.recovery.OrphanTmps + s.recovery.BadManifests + s.recovery.RetiredFiles; n > 0 {
 		obs.Add(obs.CStoreOrphanSweep, uint64(n))
 	}
 	return s, nil
+}
+
+// sweepRetired deletes the files outside snapshots/ that a retired
+// layout of this store wrote, and returns how many it deleted: version
+// 1's page chunks, chunks/<aa>/<digest> where aa is the digest's first
+// two digits, and the pin markers pins/<digest>. Each directory goes
+// too once they leave it empty.
+func sweepRetired(dir string) int {
+	n := removeEmptied(filepath.Join(dir, "pins"), isDigest)
+	chunks := filepath.Join(dir, "chunks")
+	subs, err := os.ReadDir(chunks)
+	for _, sub := range subs {
+		if aa := sub.Name(); sub.IsDir() {
+			n += removeEmptied(filepath.Join(chunks, aa), func(name string) bool {
+				return isDigest(name) && name[:2] == aa
+			})
+		}
+	}
+	if err == nil {
+		os.Remove(chunks) // fails, keeping it, unless it is now empty
+	}
+	return n
+}
+
+// removeEmptied deletes the regular files of dir whose names match,
+// then dir itself if that left it empty, and returns how many files it
+// deleted.
+func removeEmptied(dir string, match func(name string) bool) int {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for _, ent := range ents {
+		if ent.Type().IsRegular() && match(ent.Name()) && os.Remove(filepath.Join(dir, ent.Name())) == nil {
+			n++
+		}
+	}
+	os.Remove(dir) // fails, keeping it, unless it is now empty
+	return n
+}
+
+// isDigest reports whether name is a SHA-256 in lower-case hex, the
+// form of every digest the store writes.
+func isDigest(name string) bool {
+	return len(name) == 2*sha256.Size && strings.Trim(name, "0123456789abcdef") == ""
 }
 
 func (s *Store) readHeader(digest string) (*Manifest, error) {
@@ -266,10 +320,6 @@ func (s *Store) admit(m *Manifest) {
 
 func (s *Store) snapPath(digest string) string {
 	return filepath.Join(s.dir, "snapshots", digest+".snap")
-}
-
-func (s *Store) pinPath(digest string) string {
-	return filepath.Join(s.dir, "pins", digest)
 }
 
 // writeFileAtomic publishes the concatenated parts at path
@@ -392,7 +442,9 @@ func (s *Store) save(key snapshot.Key, snap *snapshot.Snapshot) (string, error) 
 // Load returns the newest verified snapshot persisted for the key's
 // configuration, plus its content digest, or snapshot.ErrNotFound.
 // Every call is a physical, verified load: the pool arms each key once
-// and serves its forks from the result, so it never asks twice.
+// and serves its forks from the result, so it never asks twice. A
+// failed load counts as a verify failure only when the file's content
+// was refused; a file that could not be read is a load error.
 func (s *Store) Load(key snapshot.Key) (*snapshot.Snapshot, string, error) {
 	s.mu.Lock()
 	m := s.index[key.Digest]
@@ -404,7 +456,13 @@ func (s *Store) Load(key snapshot.Key) (*snapshot.Snapshot, string, error) {
 	t0 := time.Now()
 	snap, err := s.load(m.Digest)
 	if err != nil {
-		obs.Add(obs.CStoreVerifyFail, 1)
+		var ve *VerifyError
+		var de *kernel.StateDecodeError
+		if errors.As(err, &ve) || errors.As(err, &de) {
+			obs.Add(obs.CStoreVerifyFail, 1)
+		} else {
+			obs.Add(obs.CStoreLoadError, 1)
+		}
 		return nil, "", err
 	}
 	obs.Add(obs.CStoreHit, 1)
@@ -467,7 +525,6 @@ type Info struct {
 	Pages       int    `json:"pages"`
 	CPUs        int    `json:"cpus"`
 	BootCycles  uint64 `json:"boot_cycles"`
-	Pinned      bool   `json:"pinned"`
 	CreatedUnix int64  `json:"created_unix"`
 }
 
@@ -495,7 +552,6 @@ func (s *Store) List() []Info {
 			Pages:       len(m.Pages),
 			CPUs:        m.CPUs,
 			BootCycles:  m.BootCycles,
-			Pinned:      s.Pinned(m.Digest),
 			CreatedUnix: m.CreatedUnix,
 		})
 	}
@@ -516,49 +572,15 @@ func (s *Store) ManifestFor(digest string) (*Manifest, error) {
 	return &cp, nil
 }
 
-// Pin marks or unmarks the snapshot as pinned. Pins persist on disk, so
-// they survive restarts and guard Delete.
-func (s *Store) Pin(digest string, pinned bool) error {
-	s.mu.Lock()
-	m := s.byDig[digest]
-	s.mu.Unlock()
-	if m == nil {
-		return snapshot.ErrNotFound
-	}
-	if pinned {
-		f, err := os.OpenFile(s.pinPath(digest), os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("store: pin %s: %w", digest, err)
-		}
-		return f.Close()
-	}
-	if err := os.Remove(s.pinPath(digest)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: unpin %s: %w", digest, err)
-	}
-	return nil
-}
-
-// Pinned reports whether the snapshot is pinned.
-func (s *Store) Pinned(digest string) bool {
-	_, err := os.Stat(s.pinPath(digest))
-	return err == nil
-}
-
-// ErrPinned reports a Delete refused because the snapshot is pinned.
-var ErrPinned = errors.New("store: snapshot is pinned")
-
 // Delete removes the snapshot's file, and with it every byte the
-// snapshot held. Pinned snapshots are refused with ErrPinned — unpin
-// first.
+// snapshot held. A snapshot already loaded lives on in memory: the
+// pool's armed key and every machine forked from it keep running.
 func (s *Store) Delete(digest string) error {
 	s.mu.Lock()
 	m := s.byDig[digest]
 	s.mu.Unlock()
 	if m == nil {
 		return snapshot.ErrNotFound
-	}
-	if s.Pinned(digest) {
-		return ErrPinned
 	}
 	if err := os.Remove(s.snapPath(digest)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("store: delete %s: %w", digest, err)

@@ -308,7 +308,7 @@ func TestPoolCoalescesConcurrentLoads(t *testing.T) {
 	}
 	p := snapshot.NewPool()
 	p.Store = fresh
-	hits, boots := obs.CounterTotal(obs.CStoreHit), obs.CounterTotal(obs.CPoolBoot)
+	hits, boots, forks := obs.CounterTotal(obs.CStoreHit), obs.CounterTotal(obs.CPoolBoot), obs.CounterTotal(obs.CPoolMiss)
 
 	const n = 8
 	ms := make([]*snapshot.Machine, n)
@@ -342,8 +342,8 @@ func TestPoolCoalescesConcurrentLoads(t *testing.T) {
 			t.Fatalf("machine %d descends from another snapshot", i)
 		}
 	}
-	if forks := ms[0].Snap.Forks(); forks != n {
-		t.Fatalf("loaded snapshot served %d forks, want %d", forks, n)
+	if got := obs.CounterTotal(obs.CPoolMiss) - forks; got != n {
+		t.Fatalf("loaded snapshot served %d forks, want %d", got, n)
 	}
 }
 
@@ -451,10 +451,10 @@ func TestCampaignParityWarmStart(t *testing.T) {
 	}
 }
 
-// TestPinBlocksDelete: pinned snapshots refuse Delete, and the pin
-// survives a reopen; an unpinned snapshot deletes, taking its whole
-// file with it, and leaves every other snapshot loading clean.
-func TestPinBlocksDelete(t *testing.T) {
+// TestDeleteRemovesItsFile: Delete takes the snapshot's whole file with
+// it and leaves every other snapshot loading clean; a second Delete of
+// the digest finds nothing.
+func TestDeleteRemovesItsFile(t *testing.T) {
 	dir := t.TempDir()
 	keyA := testKey(107, 1)
 	keyB := testKey(108, 1)
@@ -462,8 +462,7 @@ func TestPinBlocksDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digA, err := s.Save(keyA, bootSnap(t, keyA))
-	if err != nil {
+	if _, err := s.Save(keyA, bootSnap(t, keyA)); err != nil {
 		t.Fatal(err)
 	}
 	digB, err := s.Save(keyB, bootSnap(t, keyB))
@@ -471,36 +470,19 @@ func TestPinBlocksDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := s.Pin(digA, true); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Pinned(digA) {
-		t.Fatal("Pinned(digA) = false after Pin")
-	}
-	if err := s.Delete(digA); !errors.Is(err, ErrPinned) {
-		t.Fatalf("Delete(pinned) = %v, want ErrPinned", err)
-	}
-	// Pins survive reopen (restart).
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Pinned(digA) {
-		t.Fatal("pin lost across reopen")
-	}
-	if err := s2.Pin(digA, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Delete(digB); err != nil {
+	if err := s.Delete(digB); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "snapshots", digB+".snap")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("deleted snapshot's file remains: %v", err)
 	}
-	if _, _, err := s2.Load(keyA); err != nil {
+	if err := s.Delete(digB); !errors.Is(err, snapshot.ErrNotFound) {
+		t.Fatalf("second Delete = %v, want snapshot.ErrNotFound", err)
+	}
+	if _, _, err := s.Load(keyA); err != nil {
 		t.Fatalf("surviving snapshot broken after delete: %v", err)
 	}
-	if _, _, err := s2.Load(keyB); !errors.Is(err, snapshot.ErrNotFound) {
+	if _, _, err := s.Load(keyB); !errors.Is(err, snapshot.ErrNotFound) {
 		t.Fatalf("deleted snapshot still loads: %v", err)
 	}
 }
