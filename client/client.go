@@ -178,9 +178,6 @@ type LeaseStats struct {
 	Released uint64 `json:"released"`
 	// Expired counts leases reclaimed by the idle reaper.
 	Expired uint64 `json:"expired"`
-	// ForceExpired counts leases the drain path gave up waiting for
-	// (their machines were abandoned, not parked — see Server.Drain).
-	ForceExpired uint64 `json:"force_expired,omitempty"`
 }
 
 // StatsResponse is the GET /v1/stats document. The event counts in Pool
@@ -219,8 +216,9 @@ func (e *APIError) Error() string {
 // timing and run ID are its own. Every other POST (lease, run, reset,
 // release) is sent once. Retryable failures are transport errors
 // (connection reset, timeout short of the context deadline) and
-// 502/503/504 — a 503 with Retry-After (an open circuit breaker, a
-// saturated queue) waits at least that long.
+// 502/503/504. A Retry-After on the response floors the wait: a proxy
+// in front of the daemon may send one, and the client.5xx fault point
+// synthesizes a 503 with Retry-After: 0; the daemon itself sends none.
 type RetryPolicy struct {
 	// MaxAttempts is the total tries per request (1 = no retries).
 	MaxAttempts int

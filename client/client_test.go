@@ -67,8 +67,9 @@ func TestRetryHealsInjectedResets(t *testing.T) {
 	}
 }
 
-// TestRetry503ThenSuccess: a 503 (Retry-After: 0) from the daemon —
-// breaker open, queue full — retries and succeeds on the next attempt.
+// TestRetry503ThenSuccess: a 503 with Retry-After: 0, such as a proxy
+// in front of the daemon may send, retries and succeeds on the next
+// attempt.
 func TestRetry503ThenSuccess(t *testing.T) {
 	var hits atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

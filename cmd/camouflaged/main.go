@@ -32,9 +32,11 @@
 //	                                     plus the full metrics registry
 //	GET  /metrics                      — Prometheus text exposition
 //
-// SIGTERM or SIGINT drains gracefully: in-flight jobs finish, leases
-// return to the pool, idle machines are evicted, then the listener
-// closes.
+// SIGTERM or SIGINT drains gracefully: in-flight jobs finish within
+// -drain-timeout, each lease returns to the pool once its operation in
+// flight (always short) ends, idle machines are evicted, then the
+// listener closes. A pool key whose every boot fails answers its own
+// requests 500 and leaves /readyz and every other key alone.
 package main
 
 import (
@@ -70,14 +72,7 @@ func main() {
 		"serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables). "+
 			"Keeps profiling off the API listener so future perf PRs can profile the daemon under load.")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute,
-		"run watchdog wall budget: an experiment/campaign past it is cancelled (504) and a "+
-			"wedged lease operation force-expired (0 disables)")
-	bootRetries := flag.Int("boot-retries", 3,
-		"boot attempts per pool key before the failure feeds the circuit breaker")
-	breakerThreshold := flag.Int("breaker-threshold", 5,
-		"consecutive boot/verify failures that open a key's circuit breaker (fast-fail 503 + Retry-After)")
-	breakerReset := flag.Duration("breaker-reset", 30*time.Second,
-		"how long an open breaker fast-fails before allowing a half-open probe boot")
+		"run watchdog wall budget: an experiment or campaign running past it is cancelled with 504 (0 disables)")
 	faults := flag.String("faults", "",
 		"deterministic fault injection spec for chaos testing, e.g. "+
 			"'seed=42,store.read=2,pool.boot=every:3,client.stall=1:50ms' (empty disables). "+
@@ -120,9 +115,6 @@ func main() {
 				rec.OrphanTmps, rec.BadManifests, rec.RetiredFiles)
 		}
 	}
-	snapshot.Shared.BootAttempts = *bootRetries
-	snapshot.Shared.BreakerThreshold = *breakerThreshold
-	snapshot.Shared.BreakerReset = *breakerReset
 	srv := server.New(server.Config{
 		Concurrency: *concurrency,
 		MaxQueue:    *maxQueue,
@@ -148,10 +140,9 @@ func main() {
 			log.Printf("camouflaged: drain incomplete: %v", err)
 		}
 		// The listener gets its own small budget: a drain that spent its
-		// whole allowance force-expiring wedged leases must not leave
-		// Shutdown with an already-expired context (the daemon would
-		// never close the listener and never exit — the shutdown leak
-		// this drain path is designed to prevent).
+		// whole allowance waiting for jobs must not leave Shutdown with an
+		// already-expired context (the daemon would never close the
+		// listener and never exit).
 		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer scancel()
 		if err := hs.Shutdown(sctx); err != nil {
@@ -159,8 +150,8 @@ func main() {
 		}
 		st := snapshot.Shared.Stats()
 		ls := srv.LeaseStats()
-		log.Printf("camouflaged: done (boots %d, forks %d, reuses %d, evicted %d, store loads %d, store persists %d, leases released %d, force-expired %d)",
-			st.Boots, st.Forks, st.Reuses, st.Evicted, st.StoreLoads, st.StorePersists, ls.Released, ls.ForceExpired)
+		log.Printf("camouflaged: done (boots %d, forks %d, reuses %d, evicted %d, store loads %d, store persists %d, leases released %d)",
+			st.Boots, st.Forks, st.Reuses, st.Evicted, st.StoreLoads, st.StorePersists, ls.Released)
 		if r := fault.Active(); r != nil {
 			log.Printf("camouflaged: injected faults fired: %v", r.Counts())
 		}

@@ -1,12 +1,12 @@
 // Package fault is the deterministic fault-injection registry behind
 // the chaos tests and the `-faults` flag of camouflaged and the CLIs
 // (DESIGN.md §13). Injection points are threaded through the cold
-// paths of the store (snapshot reads, writes, renames, a
-// crash-before-rename that strands temp files exactly like a process
-// death), the warm pool (boot and §4.1 verify failures, slow guests)
-// and the client transport (connection resets, synthesized 5xx,
-// stalls); the layers above are hardened to survive them, and the
-// chaos suite pins that whenever retries succeed, output is
+// paths of the store (snapshot reads and corruptions, a failed persist,
+// a failed publishing rename, a crash-before-rename that strands temp
+// files exactly like a process death), the warm pool's boot, the client
+// transport (connection resets, synthesized 5xx, stalls) and job
+// execution (a panic); the layers above are hardened to survive them,
+// and the chaos suite pins that whenever retries succeed, output is
 // byte-identical to a quiet run.
 //
 // Determinism is the whole point: a fault plan is a seed plus a set of
@@ -48,15 +48,12 @@ const (
 	// internal/store — the persistent snapshot store.
 	StoreRead    Point = "store.read"    // fail a snapshot file read
 	StoreCorrupt Point = "store.corrupt" // flip one deterministic bit in a snapshot file read back
-	StoreWrite   Point = "store.write"   // fail a snapshot write before the temp file exists
 	StoreRename  Point = "store.rename"  // fail the publishing rename (temp file cleaned up)
 	StoreCrash   Point = "store.crash"   // crash-before-rename: temp file written and STRANDED
 	StorePersist Point = "store.persist" // delay/fail Save at entry (async persist in flight)
 
 	// internal/snapshot — the warm pool.
-	PoolBoot    Point = "pool.boot"    // fail machine construction before codegen
-	PoolVerify  Point = "pool.verify"  // fail the §4.1 static verification gate
-	PoolAcquire Point = "pool.acquire" // delay Acquire (slow or wedged guest)
+	PoolBoot Point = "pool.boot" // fail machine construction before codegen
 
 	// client — the HTTP transport.
 	ClientReset Point = "client.reset" // connection reset before the request is sent
@@ -71,8 +68,8 @@ const (
 // misspelt or retired name in a -faults plan fails to parse instead of
 // arming a point no site checks.
 var catalog = map[Point]bool{
-	StoreRead: true, StoreCorrupt: true, StoreWrite: true, StoreRename: true, StoreCrash: true, StorePersist: true,
-	PoolBoot: true, PoolVerify: true, PoolAcquire: true,
+	StoreRead: true, StoreCorrupt: true, StoreRename: true, StoreCrash: true, StorePersist: true,
+	PoolBoot:    true,
 	ClientReset: true, Client5xx: true, ClientStall: true,
 	ServerJob: true,
 }
@@ -266,8 +263,8 @@ func ErrAt(p Point) error {
 	return &Error{Point: p, N: n}
 }
 
-// SleepAt sleeps the armed delay when the point fires (slow guests,
-// transport stalls). Points armed without a delay simply fire-count.
+// SleepAt sleeps the armed delay when the point fires (transport
+// stalls). Points armed without a delay simply fire-count.
 func SleepAt(p Point) {
 	r := active.Load()
 	if r == nil {

@@ -43,7 +43,7 @@ func TestFaultDisabledZeroAllocs(t *testing.T) {
 		if Fire(StoreRead) {
 			t.Error("fired")
 		}
-		if ErrAt(StoreWrite) != nil {
+		if ErrAt(StoreRename) != nil {
 			t.Error("erred")
 		}
 		Corrupt(StoreCorrupt, buf)
@@ -270,11 +270,11 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestParseSpecEveryWithDelay(t *testing.T) {
-	r, err := ParseSpec("pool.acquire=every:2:10ms")
+	r, err := ParseSpec("client.stall=every:2:10ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru := r.rules[PoolAcquire]
+	ru := r.rules[ClientStall]
 	if ru == nil || ru.spec.Every != 2 || ru.spec.Delay != 10*time.Millisecond {
 		t.Fatalf("rule = %+v", ru)
 	}
@@ -290,11 +290,14 @@ var badSpecs = []string{
 	"pool.boot=every:0",     // zero K
 	"client.stall=1:nope",   // bad duration
 	"client.stall=1:1ms:2s", // trailing fields
-	"pool.acquire=1:-5ms",   // negative delay (String would drop it)
+	"client.stall=1:-5ms",   // negative delay (String would drop it)
 	"=3",                    // empty point name (no site checks it)
 	"seed=2, =all",          // empty point name after a seed
 	"store.chunk.raed=1",    // misspelt point: no site checks it
 	"store.chunk.read=1",    // retired point: no site checks it
+	"pool.verify=1",         // retired point: no site checks it
+	"pool.acquire=1:10ms",   // retired point: no site checks it
+	"store.write=1",         // retired point: no site checks it
 }
 
 func TestParseSpecErrors(t *testing.T) {
@@ -312,7 +315,7 @@ func TestParseSpecErrors(t *testing.T) {
 func FuzzParseSpec(f *testing.F) {
 	for _, s := range append([]string{
 		"seed=42, store.read=2, client.stall=1:50ms, pool.boot=every:3, store.crash=all",
-		"pool.acquire=every:2:10ms",
+		"client.stall=every:2:10ms",
 		"seed=9,store.crash=all,client.stall=3:50ms,pool.boot=every:4",
 		"seed=42,client.reset=1,client.5xx=1,client.stall=1:50ms",
 		"pool.boot=every:1,pool.boot=2:0s",

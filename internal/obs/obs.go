@@ -110,13 +110,10 @@ const (
 	CLeaseIssued
 	CLeaseReleased
 	CLeaseExpired
-	CLeaseForceExpired
 
 	// Failure model (DESIGN.md §13): injection, recovery, degradation.
 	CFaultInjected
 	CBootRetry
-	CBreakerTrip
-	CBreakerFastFail
 	CPanicRecovered
 	CWatchdogCancel
 	CClientRetry
@@ -180,7 +177,7 @@ var counterMetas = [NumCounters]counterMeta{
 
 	CPoolBoot:  {"camouflage_snapshot_pool_boots_total", "Machines built+verified+booted from scratch (pool misses that paid a boot).", ""},
 	CPoolHit:   {"camouflage_snapshot_pool_hits_total", "Machines served from the warm pool (idle reuse).", ""},
-	CPoolMiss:  {"camouflage_snapshot_pool_misses_total", "Machines served as copy-on-write forks (no idle machine available).", ""},
+	CPoolMiss:  {"camouflage_snapshot_pool_misses_total", "Copy-on-write snapshot forks of every kind: pool machines served with no idle one parked, campaign strikes, attack runs and replicas.", ""},
 	CPoolDrop:  {"camouflage_snapshot_pool_drops_total", "Released machines dropped because the per-key idle cap was reached.", ""},
 	CPoolEvict: {"camouflage_snapshot_pool_evictions_total", "Idle machines evicted from the warm pool.", ""},
 
@@ -195,16 +192,13 @@ var counterMetas = [NumCounters]counterMeta{
 	CStoreVerifyFail: {"camouflage_store_verify_failures_total", "Snapshot loads refused because the file's content failed verification or its state did not decode.", ""},
 	CStoreEvict:      {"camouflage_store_evictions_total", "Snapshots deleted from the persistent store.", ""},
 
-	CQueueRejected:     {"camouflage_server_queue_rejected_total", "Requests fast-failed because the admission queue was full.", ""},
-	CLeaseIssued:       {"camouflage_server_leases_total", "Machine lease lifecycle events.", `event="issued"`},
-	CLeaseReleased:     {"camouflage_server_leases_total", "Machine lease lifecycle events.", `event="released"`},
-	CLeaseExpired:      {"camouflage_server_leases_total", "Machine lease lifecycle events.", `event="expired"`},
-	CLeaseForceExpired: {"camouflage_server_leases_total", "Machine lease lifecycle events.", `event="force_expired"`},
+	CQueueRejected: {"camouflage_server_queue_rejected_total", "Requests fast-failed because the admission queue was full.", ""},
+	CLeaseIssued:   {"camouflage_server_leases_total", "Machine lease lifecycle events.", `event="issued"`},
+	CLeaseReleased: {"camouflage_server_leases_total", "Machine lease lifecycle events.", `event="released"`},
+	CLeaseExpired:  {"camouflage_server_leases_total", "Machine lease lifecycle events.", `event="expired"`},
 
 	CFaultInjected:    {"camouflage_faults_injected_total", "Faults fired by the deterministic injection registry.", ""},
 	CBootRetry:        {"camouflage_snapshot_pool_boot_retries_total", "Warm-pool boot attempts retried after a transient failure.", ""},
-	CBreakerTrip:      {"camouflage_snapshot_pool_breaker_events_total", "Per-key boot circuit breaker events.", `event="trip"`},
-	CBreakerFastFail:  {"camouflage_snapshot_pool_breaker_events_total", "Per-key boot circuit breaker events.", `event="fast_fail"`},
 	CPanicRecovered:   {"camouflage_server_panics_recovered_total", "In-job panics caught by the per-request recovery barrier.", ""},
 	CWatchdogCancel:   {"camouflage_server_watchdog_cancels_total", "Jobs cancelled by the run watchdog for exceeding their wall budget.", ""},
 	CClientRetry:      {"camouflage_client_retries_total", "Client requests retried by the transport retry policy.", ""},

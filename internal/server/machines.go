@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -23,7 +22,10 @@ var errLeaseLimit = errors.New("server: lease limit reached")
 // released is written under mu when the machine goes back to the pool;
 // every operation that looked the lease up before that must re-check it
 // after locking, or it would step a machine another client may already
-// hold.
+// hold. Every operation is short: no route loads a program into a
+// leased machine, so a /run ends after a few dozen instructions
+// (TestLeaseRunEndsAtOnce, DESIGN.md §8), and whoever waits on mu —
+// the idle reaper, Drain — waits briefly.
 type lease struct {
 	id string
 	m  *snapshot.Machine
@@ -31,17 +33,18 @@ type lease struct {
 	mu       sync.Mutex
 	released bool
 	lastUsed atomic.Int64 // unix nanos, for the idle reaper
-
-	// opStart is non-zero while an operation holds mu (unix nanos); the
-	// run watchdog force-expires leases whose operation outlives the
-	// budget. watchdogged tells the operation, when it finally finishes,
-	// to abandon the machine instead of keeping the lease live — the
-	// lease is already gone from the table.
-	opStart     atomic.Int64
-	watchdogged atomic.Bool
 }
 
 func (l *lease) touch() { l.lastUsed.Store(time.Now().UnixNano()) }
+
+// release hands the machine back to the pool once the operation in
+// flight, if any, has finished.
+func (l *lease) release() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.m.Release()
+	l.released = true
+}
 
 // leaseTable tracks active leases and reclaims abandoned ones: a lease
 // idle past maxIdle is released back to the warm pool (its state is
@@ -55,17 +58,13 @@ type leaseTable struct {
 
 	maxLeases int
 	maxIdle   time.Duration
-	// runBudget is the watchdog's per-operation wall budget (0 disables):
-	// a lease whose single operation runs past it is force-expired.
-	runBudget time.Duration
 }
 
-func newLeaseTable(maxLeases int, maxIdle, runBudget time.Duration) *leaseTable {
+func newLeaseTable(maxLeases int, maxIdle time.Duration) *leaseTable {
 	return &leaseTable{
 		leases:    make(map[string]*lease),
 		maxLeases: maxLeases,
 		maxIdle:   maxIdle,
-		runBudget: runBudget,
 	}
 }
 
@@ -104,11 +103,8 @@ func (t *leaseTable) take(id string) (*lease, bool) {
 	return l, ok
 }
 
-// reap releases leases idle past maxIdle back to the pool, after the
-// watchdog sweep has cleared any over-budget operations (a wedged op
-// holds its lease's mu; the idle reaper must not block behind it).
+// reap releases leases idle past maxIdle back to the pool.
 func (t *leaseTable) reap() {
-	t.watchdog()
 	if t.maxIdle <= 0 {
 		return
 	}
@@ -116,94 +112,27 @@ func (t *leaseTable) reap() {
 	t.mu.Lock()
 	var stale []*lease
 	for id, l := range t.leases {
-		if l.lastUsed.Load() < cutoff && l.opStart.Load() == 0 {
+		if l.lastUsed.Load() < cutoff {
 			delete(t.leases, id)
 			stale = append(stale, l)
 		}
 	}
 	t.mu.Unlock()
 	for _, l := range stale {
-		l.mu.Lock() // wait out any in-flight operation
-		l.m.Release()
-		l.released = true
-		l.mu.Unlock()
+		l.release()
 		obs.Add(obs.CLeaseExpired, 1)
 	}
 }
 
-// watchdog force-expires leases whose in-flight operation has run past
-// the budget: the lease leaves the table immediately (the id answers
-// 404 from here on) and the operation, when it eventually returns,
-// abandons its machine rather than keeping the lease. It never takes a
-// lease's mu — the whole point is that the operation holding it is
-// wedged.
-func (t *leaseTable) watchdog() {
-	if t.runBudget <= 0 {
-		return
-	}
-	cutoff := time.Now().Add(-t.runBudget).UnixNano()
+// releaseAll hands every active lease back (graceful drain).
+func (t *leaseTable) releaseAll() {
 	t.mu.Lock()
-	for id, l := range t.leases {
-		if start := l.opStart.Load(); start != 0 && start < cutoff {
-			delete(t.leases, id)
-			l.watchdogged.Store(true)
-			obs.Add(obs.CWatchdogCancel, 1)
-			obs.Add(obs.CLeaseForceExpired, 1)
-		}
-	}
-	t.mu.Unlock()
-}
-
-// releaseAll hands every active lease back (graceful drain), bounded
-// by ctx. The pre-fix behaviour blocked unconditionally on each lease's
-// operation lock: one wedged /run step (up to 500M instructions) made
-// SIGTERM hang past its drain budget, so leases held at shutdown were
-// effectively never released and the pool's idle/evicted accounting
-// never saw their machines. Now a lease whose in-flight operation
-// outlives ctx is *force-expired*: removed from the table immediately
-// and counted in ForceExpired; when its operation eventually finishes,
-// the machine is abandoned rather than parked (a machine must never
-// join the warm pool mid-run — and the pool has already been evicted by
-// then). Pinned by TestDrainForceExpiresWedgedLease.
-func (t *leaseTable) releaseAll(ctx context.Context) {
-	t.mu.Lock()
-	all := make([]*lease, 0, len(t.leases))
-	for id, l := range t.leases {
-		delete(t.leases, id)
-		all = append(all, l)
-	}
+	all := t.leases
+	t.leases = make(map[string]*lease)
 	t.mu.Unlock()
 	for _, l := range all {
-		// Fast path: an idle lease (no operation in flight) releases
-		// synchronously even when ctx has already expired — only leases
-		// whose operation lock is actually held get the bounded wait, so
-		// a drain whose budget was eaten by the in-flight-job phase does
-		// not mislabel healthy leases as wedged.
-		if l.mu.TryLock() {
-			l.m.Release()
-			l.released = true
-			l.mu.Unlock()
-			obs.Add(obs.CLeaseReleased, 1)
-			continue
-		}
-		abandon := new(atomic.Bool)
-		done := make(chan struct{})
-		go func(l *lease) {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			l.released = true
-			if !abandon.Load() {
-				l.m.Release()
-			}
-			close(done)
-		}(l)
-		select {
-		case <-done:
-			obs.Add(obs.CLeaseReleased, 1)
-		case <-ctx.Done():
-			abandon.Store(true)
-			obs.Add(obs.CLeaseForceExpired, 1)
-		}
+		l.release()
+		obs.Add(obs.CLeaseReleased, 1)
 	}
 }
 
@@ -214,11 +143,10 @@ func (t *leaseTable) stats() client.LeaseStats {
 	active := len(t.leases)
 	t.mu.Unlock()
 	return client.LeaseStats{
-		Active:       active,
-		Issued:       obs.CounterTotal(obs.CLeaseIssued),
-		Released:     obs.CounterTotal(obs.CLeaseReleased),
-		Expired:      obs.CounterTotal(obs.CLeaseExpired),
-		ForceExpired: obs.CounterTotal(obs.CLeaseForceExpired),
+		Active:   active,
+		Issued:   obs.CounterTotal(obs.CLeaseIssued),
+		Released: obs.CounterTotal(obs.CLeaseReleased),
+		Expired:  obs.CounterTotal(obs.CLeaseExpired),
 	}
 }
 

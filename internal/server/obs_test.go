@@ -171,12 +171,9 @@ func TestStatsCountsAreRegistryCounts(t *testing.T) {
 		{"pool.store_loads", st.Pool.StoreLoads, obs.CStoreHit},
 		{"pool.store_persists", st.Pool.StorePersists, obs.CStoreSave},
 		{"pool.boot_retries", st.Pool.BootRetries, obs.CBootRetry},
-		{"pool.breaker_trips", st.Pool.BreakerTrips, obs.CBreakerTrip},
-		{"pool.breaker_fast_fails", st.Pool.BreakerFastFails, obs.CBreakerFastFail},
 		{"leases.issued", st.Leases.Issued, obs.CLeaseIssued},
 		{"leases.released", st.Leases.Released, obs.CLeaseReleased},
 		{"leases.expired", st.Leases.Expired, obs.CLeaseExpired},
-		{"leases.force_expired", st.Leases.ForceExpired, obs.CLeaseForceExpired},
 	} {
 		if want := st.Metrics.Counters[cnt.id.SampleName()]; cnt.got != want {
 			t.Errorf("%s = %d, registry %s = %d", cnt.name, cnt.got, cnt.id.SampleName(), want)

@@ -2,9 +2,8 @@ package server
 
 // Robustness surface of the daemon: the per-job panic barrier, the
 // /healthz + /readyz probes, a job retried after its response was lost,
-// breaker errors mapped to 503 + Retry-After, request-body validation,
-// and the run watchdog — both the job-context cancellation path and the
-// lease force-expiry sweep.
+// a key whose every boot fails, request-body validation, and the run
+// watchdog.
 
 import (
 	"bytes"
@@ -189,29 +188,73 @@ func TestRetryReRunsJobWhoseResponseWasLost(t *testing.T) {
 	}
 }
 
-// TestBreakerAnswers503RetryAfter: once a key's circuit breaker opens,
-// lease requests for it fast-fail with 503 and a Retry-After hint.
-func TestBreakerAnswers503RetryAfter(t *testing.T) {
-	pool := withFreshPool(t)
-	pool.BootAttempts = 1
-	pool.BreakerThreshold = 1
-	pool.BreakerReset = time.Minute
+// TestFailedBootFailsOnlyItsRequests: a key whose every boot fails
+// answers each lease request 500 with its boot error, after the pool's
+// three attempts. Nothing turns it into a fast-fail: no request carries
+// Retry-After, every request pays its own three boots, and /readyz
+// stays 200.
+func TestFailedBootFailsOnlyItsRequests(t *testing.T) {
+	withFreshPool(t)
 	_, hs, _ := newTestServer(t, Config{})
-	withServerFaults(t, "pool.boot=all")
+	r := withServerFaults(t, "pool.boot=all")
 
-	resp, _ := postJSON(t, hs.URL+"/v1/machines", `{"level":"backward-edge","seed":91}`, nil)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("first faulted lease = %d, want 500", resp.StatusCode)
+	for i := 0; i < 6; i++ {
+		resp, body := postJSON(t, hs.URL+"/v1/machines", `{"level":"backward-edge","seed":91}`, nil)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body, string(fault.PoolBoot)) {
+			t.Fatalf("lease %d of a key that cannot boot = %d %s, want 500 naming %s", i, resp.StatusCode, body, fault.PoolBoot)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Fatalf("lease %d carries Retry-After %q", i, ra)
+		}
 	}
-	resp, body := postJSON(t, hs.URL+"/v1/machines", `{"level":"backward-edge","seed":91}`, nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("open-breaker lease = %d, want 503 (body %s)", resp.StatusCode, body)
+	if n := r.Fired(fault.PoolBoot); n != 18 {
+		t.Fatalf("%s fired %d times, want 18: three attempts for each of six requests", fault.PoolBoot, n)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 breaker response missing Retry-After")
+	resp, err := http.Get(hs.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(body, "breaker open") {
-		t.Fatalf("breaker 503 body: %s", body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after six failed boots = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestLeaseRunEndsAtOnce pins what keeps every lease operation short:
+// no route loads a program into a leased machine, so a /run at the
+// maxRunBudget cap finds the machine at its post-boot halt and retires a
+// few dozen instructions. Drain and the idle reaper lock each lease and
+// rely on this; a route that loads a program must bound lease
+// operations itself.
+func TestLeaseRunEndsAtOnce(t *testing.T) {
+	_, _, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	for _, req := range []client.MachineRequest{
+		{Level: "none", Seed: 93},
+		{Level: "full", Seed: 93, CPUs: 2},
+	} {
+		m, err := c.Lease(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.State(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := st.Instrs
+		for i := 0; i < 2; i++ {
+			run, err := m.Run(ctx, maxRunBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := run.Instrs - prev; n > 100 {
+				t.Fatalf("%+v: /run %d retired %d instructions, want at most 100", req, i, n)
+			}
+			prev = run.Instrs
+		}
+		if err := m.Release(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -239,8 +282,7 @@ func TestWatchdogCancelsOverBudgetJob(t *testing.T) {
 // that takes one, and so does a campaign mutation count above
 // maxCampaignMutations (10^12 strikes would exhaust memory before any
 // deadline could stop the job). Nothing is admitted and nothing boots,
-// so repeating the request never trips a circuit breaker and the
-// daemon stays ready.
+// and the daemon stays ready.
 func TestOutOfRangeCPUsRejected(t *testing.T) {
 	pool := withFreshPool(t)
 	s, hs, _ := newTestServer(t, Config{})
@@ -367,54 +409,4 @@ func FuzzReadJSON(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestWatchdogForceExpiresWedgedLease: a lease whose operation runs
-// past the budget is swept from the table (its id answers 404 while
-// still wedged) and its machine abandoned when the operation finally
-// returns — never parked back into the pool.
-func TestWatchdogForceExpiresWedgedLease(t *testing.T) {
-	pool := withFreshPool(t)
-	s, _, c := newTestServer(t, Config{JobTimeout: 40 * time.Millisecond})
-	ctx := context.Background()
-
-	m, err := c.Lease(ctx, client.MachineRequest{Level: "backward-edge", Seed: 92})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, ok := s.leases.get(m.ID)
-	if !ok {
-		t.Fatal("lease not found")
-	}
-
-	// Simulate a wedged operation: mark it started, hold the op lock.
-	l.mu.Lock()
-	l.opStart.Store(time.Now().Add(-time.Second).UnixNano())
-
-	before := s.leases.stats()
-	s.leases.reap() // the watchdog rides the reap path
-	if _, ok := s.leases.get(m.ID); ok {
-		t.Fatal("watchdog left the wedged lease in the table")
-	}
-	if n := s.leases.stats().ForceExpired - before.ForceExpired; n != 1 {
-		t.Fatalf("force-expired = %d, want 1", n)
-	}
-	if !l.watchdogged.Load() {
-		t.Fatal("lease not marked watchdogged")
-	}
-
-	// The operation finishes: withLease's epilogue abandons the machine.
-	l.opStart.Store(0)
-	if l.watchdogged.Load() {
-		l.released = true
-	}
-	l.mu.Unlock()
-
-	idleBefore := pool.Stats().Idle
-	if _, err := m.State(ctx); err == nil {
-		t.Fatal("watchdogged lease still answers state reads")
-	}
-	if idle := pool.Stats().Idle; idle != idleBefore {
-		t.Fatalf("abandoned machine was parked (%d -> %d idle)", idleBefore, idle)
-	}
 }

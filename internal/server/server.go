@@ -19,7 +19,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -116,10 +115,8 @@ type Config struct {
 	// The caller wires the same store into snapshot.Shared.
 	Store *store.Store
 	// JobTimeout is the run watchdog's wall budget: an experiment or
-	// campaign running past it is cancelled (504), and a lease operation
-	// past it is force-expired — its machine abandoned on completion
-	// rather than parked. 0 disables the watchdog (tests, ad-hoc use);
-	// the daemon defaults it on.
+	// campaign running past it is cancelled (504). 0 disables the
+	// watchdog (tests, ad-hoc use); the daemon defaults it on.
 	JobTimeout time.Duration
 }
 
@@ -154,7 +151,7 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
 		queue:  newQueue(cfg.Concurrency, cfg.MaxQueue),
-		leases: newLeaseTable(cfg.MaxLeases, cfg.LeaseIdle, cfg.JobTimeout),
+		leases: newLeaseTable(cfg.MaxLeases, cfg.LeaseIdle),
 		start:  time.Now(),
 	}
 	for _, route := range []struct {
@@ -211,10 +208,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Drain stops admitting work, waits for in-flight jobs (bounded by
-// ctx), hands every active lease back to the pool — force-expiring
-// leases whose operations outlive the budget, so Drain itself always
-// returns within it — and evicts the pool's idle machines. After Drain
-// the Server answers reads but rejects all mutating requests with 503.
+// ctx), hands every active lease back to the pool and evicts the pool's
+// idle machines. After Drain the Server answers reads but rejects all
+// mutating requests with 503.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining = true
@@ -231,8 +227,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	s.leases.releaseAll(ctx)
-	snapshot.Shared.EvictIdle(0)
+	s.leases.releaseAll()
+	snapshot.Shared.EvictIdle()
 	// Background snapshot persists must land before the process exits,
 	// or the next start pays boots the store was meant to absorb.
 	snapshot.Shared.WaitPersist()
@@ -313,18 +309,11 @@ func (s *Server) watchJob(ctx context.Context) (context.Context, context.CancelF
 	return context.WithTimeoutCause(ctx, s.cfg.JobTimeout, errWatchdog)
 }
 
-// failRun maps a job error to its HTTP status: an open circuit breaker
-// is 503 + Retry-After (the client's retry policy honors it), deadline
-// expiry and client cancellation are 504/499-ish (both reported 504 for
-// simplicity), everything else 500.
+// failRun maps a job error to its HTTP status: deadline expiry and
+// client cancellation are 504/499-ish (both reported 504 for
+// simplicity), everything else — a boot that failed every attempt
+// included — 500.
 func failRun(w http.ResponseWriter, err error) {
-	var be *snapshot.BreakerOpenError
-	if errors.As(err, &be) {
-		secs := int(be.RetryAfter/time.Second) + 1
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeErr(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		writeErr(w, http.StatusGatewayTimeout, err.Error())
 		return
@@ -377,8 +366,8 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (done func())
 
 // validCPUs answers 400 unless n is a vCPU count a machine can boot
 // with (0..kernel.MaxCPUs, 0 meaning uniprocessor). A bad count is the
-// client's mistake: admitted, it would only fail every boot attempt and
-// trip the key's circuit breaker, taking the daemon out of /readyz.
+// client's mistake: admitted, it would take a queue slot only to fail
+// every boot attempt.
 func validCPUs(w http.ResponseWriter, n int) bool {
 	if n < 0 || n > kernel.MaxCPUs {
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("cpus %d out of range 0..%d", n, kernel.MaxCPUs))
@@ -592,16 +581,7 @@ func (s *Server) withLease(w http.ResponseWriter, r *http.Request, f func(l *lea
 		return
 	}
 	l.touch()
-	// Publish the operation start for the run watchdog; if the watchdog
-	// force-expired the lease while f ran, the machine is abandoned (a
-	// machine mid-run never parks — and the lease is already gone from
-	// the table, so nothing else will release it).
-	l.opStart.Store(time.Now().UnixNano())
 	f(l)
-	l.opStart.Store(0)
-	if l.watchdogged.Load() {
-		l.released = true
-	}
 	l.touch()
 }
 
@@ -715,10 +695,7 @@ func (s *Server) handleMachineRelease(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no such machine lease")
 		return
 	}
-	l.mu.Lock()
-	l.m.Release()
-	l.released = true
-	l.mu.Unlock()
+	l.release()
 	obs.Add(obs.CLeaseReleased, 1)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 }
@@ -742,9 +719,9 @@ type readyCheck struct {
 
 // handleReadyz is readiness: should a load balancer send this daemon
 // work right now? Degraded (503) while draining, while the admission
-// queue is saturated, when the snapshot store directory is unreachable,
-// or when every key with boot failures has an open circuit breaker (the
-// daemon cannot arm anything it knows about).
+// queue is saturated, or when the snapshot store directory is
+// unreachable. A key whose boots fail answers its own requests 500 and
+// leaves the daemon ready for every other key.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	checks := map[string]readyCheck{}
 
@@ -767,17 +744,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	checks["store"] = storeCheck
-
-	breakers := snapshot.Shared.Breakers()
-	open := 0
-	for _, b := range breakers {
-		if b.Open {
-			open++
-		}
-	}
-	allOpen := len(breakers) > 0 && open == len(breakers)
-	checks["breakers"] = readyCheck{OK: !allOpen,
-		Detail: fmt.Sprintf("%d open of %d degraded keys", open, len(breakers))}
 
 	ready := true
 	for _, c := range checks {

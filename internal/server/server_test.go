@@ -435,76 +435,6 @@ func TestStatsAndDrain(t *testing.T) {
 	}
 }
 
-// TestDrainForceExpiresWedgedLease pins the drain-path fix: a lease
-// whose operation lock is held past the drain budget must not hang
-// Drain (the pre-fix releaseAll blocked unconditionally on each lease's
-// mutex, so a wedged 500M-instruction /run step made SIGTERM hang
-// indefinitely and the lease's machine was never accounted for). The
-// wedged lease is force-expired within the budget and its machine
-// abandoned, never parked mid-run.
-func TestDrainForceExpiresWedgedLease(t *testing.T) {
-	pool := withFreshPool(t)
-	s, _, c := newTestServer(t, Config{})
-	ctx := context.Background()
-
-	m, err := c.Lease(ctx, client.MachineRequest{Level: "backward-edge", Seed: 71})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wedge the lease: hold its operation lock like a long /run would.
-	l, ok := s.leases.get(m.ID)
-	if !ok {
-		t.Fatal("lease not found")
-	}
-	l.mu.Lock()
-	unwedged := make(chan struct{})
-	go func() {
-		<-unwedged
-		l.mu.Unlock()
-	}()
-
-	before := s.leases.stats()
-	dctx, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
-	defer cancel()
-	t0 := time.Now()
-	_ = s.Drain(dctx) // in-flight jobs: none; the wedge is the lease lock
-	if took := time.Since(t0); took > 5*time.Second {
-		t.Fatalf("Drain blocked on the wedged lease for %v", took)
-	}
-
-	st := s.leases.stats()
-	if st.Active != 0 {
-		t.Fatalf("drain left %d leases active", st.Active)
-	}
-	if n := st.ForceExpired - before.ForceExpired; n != 1 {
-		t.Fatalf("force-expired = %d, want 1", n)
-	}
-	if idle := pool.Stats().Idle; idle != 0 {
-		t.Fatalf("drain left %d idle machines", idle)
-	}
-
-	// Un-wedge: the background path marks the lease released and
-	// abandons the machine — the pool must NOT gain an idle machine
-	// after the drain already evicted everything.
-	close(unwedged)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		l.mu.Lock()
-		released := l.released
-		l.mu.Unlock()
-		if released {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("wedged lease never marked released")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if idle := pool.Stats().Idle; idle != 0 {
-		t.Fatalf("abandoned machine was parked: %d idle after un-wedge", idle)
-	}
-}
-
 // TestSMPLeaseAndCampaignCPUs: the `cpus` request field reaches the
 // pool key (SMP leases never share machines with uniprocessor ones)
 // and the campaign driver (the cross-core cell appears). A lease body

@@ -2,12 +2,10 @@ package snapshot
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"camouflage/internal/fault"
 	"camouflage/internal/kernel"
 	"camouflage/internal/obs"
 )
@@ -99,19 +97,6 @@ type Pool struct {
 	// live.
 	Store Store
 
-	// BootAttempts bounds tries per arming (boot + retries); <=0 means
-	// the default of 3. Retries back off exponentially from 25ms,
-	// capped at 1s.
-	BootAttempts int
-
-	// BreakerThreshold consecutive failed armings open the key's
-	// circuit breaker (<=0: default 5): Acquire fast-fails with
-	// *BreakerOpenError instead of paying doomed boots, until
-	// BreakerReset (default 30s) elapses and one half-open probe boot
-	// is allowed through.
-	BreakerThreshold int
-	BreakerReset     time.Duration
-
 	persistWG sync.WaitGroup
 }
 
@@ -120,18 +105,14 @@ type poolEntry struct {
 
 	// armed flips once e.snap is published; the Acquire fast path is one
 	// atomic load. armMu serializes arming attempts (store load, boot
-	// retries, half-open breaker probes) without blocking readers of the
-	// breaker state, which lives under mu.
+	// retries) and is held across a boot, so the idle list and the
+	// readers of Stats and Entries take mu instead.
 	armed atomic.Bool
 	armMu sync.Mutex
 	snap  *Snapshot
 
 	mu   sync.Mutex
 	idle []*Machine
-	// fails counts consecutive failed armings; at the breaker threshold
-	// the key opens until openUntil.
-	fails     int
-	openUntil time.Time
 }
 
 // NewPool returns an empty in-memory pool.
@@ -154,88 +135,13 @@ func (p *Pool) entry(key Key) *poolEntry {
 	return e
 }
 
-// defaults for the boot retry loop and the breaker, and the retry
-// loop's fixed backoff.
+// The boot retry loop: tries per arming (boot + retries) and the
+// capped exponential backoff between them.
 const (
-	defaultBootAttempts     = 3
-	bootBackoff             = 25 * time.Millisecond
-	bootBackoffMax          = time.Second
-	defaultBreakerThreshold = 5
-	defaultBreakerReset     = 30 * time.Second
+	bootAttempts   = 3
+	bootBackoff    = 25 * time.Millisecond
+	bootBackoffMax = time.Second
 )
-
-func (p *Pool) bootAttempts() int {
-	if p.BootAttempts > 0 {
-		return p.BootAttempts
-	}
-	return defaultBootAttempts
-}
-
-func (p *Pool) breakerThreshold() int {
-	if p.BreakerThreshold > 0 {
-		return p.BreakerThreshold
-	}
-	return defaultBreakerThreshold
-}
-
-func (p *Pool) breakerReset() time.Duration {
-	if p.BreakerReset > 0 {
-		return p.BreakerReset
-	}
-	return defaultBreakerReset
-}
-
-// BreakerOpenError fast-fails an Acquire whose key's circuit breaker is
-// open: the last Failures armings in a row failed, and the next probe
-// boot is RetryAfter away. The daemon maps it to 503 + Retry-After.
-type BreakerOpenError struct {
-	Key        Key
-	Failures   int
-	RetryAfter time.Duration
-}
-
-func (e *BreakerOpenError) Error() string {
-	return fmt.Sprintf("snapshot: breaker open for key %.12s after %d consecutive boot failures (retry in %s)",
-		e.Key.Digest, e.Failures, e.RetryAfter.Round(time.Millisecond))
-}
-
-// breakerCheck gates an arming attempt: nil means proceed (closed, or
-// half-open probe), otherwise the typed fast-fail error.
-func (p *Pool) breakerCheck(e *poolEntry, key Key) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.fails < p.breakerThreshold() {
-		return nil
-	}
-	//camo:nondet breaker timing is host-side resilience policy, never guest-visible state
-	if wait := time.Until(e.openUntil); wait > 0 {
-		obs.Add(obs.CBreakerFastFail, 1)
-		return &BreakerOpenError{Key: key, Failures: e.fails, RetryAfter: wait}
-	}
-	// Past the reset timer: half-open. armMu already serializes, so
-	// exactly one probe boot runs; its outcome re-opens or closes.
-	return nil
-}
-
-// breakerFail records a failed arming, (re-)opening the breaker at the
-// threshold.
-func (p *Pool) breakerFail(e *poolEntry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.fails++
-	if e.fails >= p.breakerThreshold() {
-		e.openUntil = time.Now().Add(p.breakerReset()) //camo:nondet breaker reset deadline is host-side resilience policy
-		obs.Add(obs.CBreakerTrip, 1)
-	}
-}
-
-// breakerOK closes the breaker after a successful arming.
-func (p *Pool) breakerOK(e *poolEntry) {
-	e.mu.Lock()
-	e.fails = 0
-	e.openUntil = time.Time{}
-	e.mu.Unlock()
-}
 
 // ensureBooted arms the entry: a store hit serves the persisted
 // snapshot with zero boots; otherwise the boot runs — retried with
@@ -245,10 +151,10 @@ func (p *Pool) breakerOK(e *poolEntry) {
 // background.
 //
 // Unlike the sync.Once arming this replaces, a failed arming never
-// poisons the key: the next Acquire tries again, subject to the per-key
-// circuit breaker — after BreakerThreshold consecutive failures the key
-// fast-fails with *BreakerOpenError until BreakerReset allows a
-// half-open probe.
+// poisons the key: the next Acquire tries again. Boots are
+// deterministic functions of validated options, so a key whose every
+// boot fails fails each request with its boot error and touches no
+// other key.
 //
 // armMu makes arming the one place store loads coalesce: concurrent
 // Acquires of a cold key wait here for one Store.Load, and every later
@@ -262,9 +168,6 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 	if e.armed.Load() {
 		return nil
 	}
-	if err := p.breakerCheck(e, key); err != nil {
-		return err
-	}
 	if p.Store != nil {
 		snap, _, err := p.Store.Load(key)
 		switch {
@@ -272,7 +175,6 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 			e.mu.Lock()
 			e.snap = snap
 			e.mu.Unlock()
-			p.breakerOK(e)
 			e.armed.Store(true)
 			return nil
 		case !errors.Is(err, ErrNotFound):
@@ -282,9 +184,8 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 			// rewrites the bad file.
 		}
 	}
-	k, err := p.bootWithRetry(boot)
+	k, err := bootWithRetry(boot)
 	if err != nil {
-		p.breakerFail(e)
 		return err
 	}
 	obs.Add(obs.CPoolBoot, 1)
@@ -306,20 +207,18 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 			_, _ = p.Store.Save(key, snap)
 		}()
 	}
-	p.breakerOK(e)
 	e.armed.Store(true)
 	return nil
 }
 
-// bootWithRetry runs the boot closure up to BootAttempts times with
+// bootWithRetry runs the boot closure up to bootAttempts times with
 // capped exponential backoff between tries, returning the last error.
 // Transient faults (an injected boot failure, a racing resource) heal
-// here; deterministic ones (a §4.1 verify refusal) fail every attempt
-// and feed the breaker.
-func (p *Pool) bootWithRetry(boot func() (*kernel.Kernel, error)) (*kernel.Kernel, error) {
+// here; deterministic ones (a §4.1 verify refusal) fail every attempt.
+func bootWithRetry(boot func() (*kernel.Kernel, error)) (*kernel.Kernel, error) {
 	backoff := bootBackoff
 	var lastErr error
-	for attempt := 0; attempt < p.bootAttempts(); attempt++ {
+	for attempt := 0; attempt < bootAttempts; attempt++ {
 		if attempt > 0 {
 			obs.Add(obs.CBootRetry, 1)
 			time.Sleep(backoff)
@@ -342,7 +241,6 @@ func (p *Pool) WaitPersist() { p.persistWG.Wait() }
 // key. The boot closure runs at most once per key, and not at all when
 // the store already holds the key's snapshot.
 func (p *Pool) Acquire(key Key, boot func() (*kernel.Kernel, error)) (*Machine, error) {
-	fault.SleepAt(fault.PoolAcquire) // wedged/slow-guest injection
 	e := p.entry(key)
 	if err := p.ensureBooted(e, key, boot); err != nil {
 		return nil, err
@@ -379,39 +277,6 @@ func (p *Pool) SnapshotFor(key Key, boot func() (*kernel.Kernel, error)) (*Snaps
 	return e.snap, nil
 }
 
-// BreakerInfo describes one key's circuit-breaker state for readiness
-// checks and operator inspection.
-type BreakerInfo struct {
-	Key        Key
-	Failures   int
-	Open       bool
-	RetryAfter time.Duration
-}
-
-// Breakers lists the breaker state of every key that has failed at
-// least once (healthy keys are omitted). /readyz degrades when every
-// known key is open.
-func (p *Pool) Breakers() []BreakerInfo {
-	var out []BreakerInfo
-	thr := p.breakerThreshold()
-	for _, e := range p.snapshotEntries() {
-		e.mu.Lock()
-		if e.fails > 0 {
-			info := BreakerInfo{Key: e.key, Failures: e.fails}
-			if e.fails >= thr {
-				//camo:nondet reporting the live breaker deadline; diagnostics only
-				if wait := time.Until(e.openUntil); wait > 0 {
-					info.Open = true
-					info.RetryAfter = wait
-				}
-			}
-			out = append(out, info)
-		}
-		e.mu.Unlock()
-	}
-	return out
-}
-
 // EntryInfo describes one resident pool key for inspection APIs.
 type EntryInfo struct {
 	Key  Key
@@ -441,24 +306,18 @@ func (p *Pool) snapshotEntries() []*poolEntry {
 	return entries
 }
 
-// EvictIdle trims every key's idle list down to keep parked machines
-// (keep <= 0 empties them), returning how many machines were let go.
-// Evictions are counted separately from Release-time drops so Stats can
-// distinguish deliberate shrinking from parking pressure. The
-// copy-on-write bases stay cached: the next Acquire of an evicted key
-// forks, it does not re-boot.
-func (p *Pool) EvictIdle(keep int) int {
-	if keep < 0 {
-		keep = 0
-	}
+// EvictIdle empties every key's idle list, returning how many machines
+// were let go. Evictions are counted separately from Release-time drops
+// so Stats can distinguish deliberate shrinking from parking pressure.
+// The copy-on-write bases stay cached: the next Acquire of an evicted
+// key forks, it does not re-boot.
+func (p *Pool) EvictIdle() int {
 	n := 0
 	for _, e := range p.snapshotEntries() {
 		e.mu.Lock()
-		for len(e.idle) > keep {
-			e.idle[len(e.idle)-1] = nil
-			e.idle = e.idle[:len(e.idle)-1]
-			n++
-		}
+		n += len(e.idle)
+		clear(e.idle)
+		e.idle = e.idle[:0]
 		e.mu.Unlock()
 	}
 	if n > 0 {
@@ -491,26 +350,21 @@ type Stats struct {
 	Evicted       uint64 `json:"evicted"`
 	StoreLoads    uint64 `json:"store_loads"`
 	StorePersists uint64 `json:"store_persists"`
-	// Failure-path counters (DESIGN.md §13): boot attempts retried,
-	// breaker trips, and Acquires fast-failed by an open breaker.
-	BootRetries      uint64 `json:"boot_retries,omitempty"`
-	BreakerTrips     uint64 `json:"breaker_trips,omitempty"`
-	BreakerFastFails uint64 `json:"breaker_fast_fails,omitempty"`
+	// BootRetries counts boot attempts retried (DESIGN.md §13).
+	BootRetries uint64 `json:"boot_retries,omitempty"`
 }
 
 // Stats returns current counters.
 func (p *Pool) Stats() Stats {
 	st := Stats{
-		Boots:            obs.CounterTotal(obs.CPoolBoot),
-		Forks:            obs.CounterTotal(obs.CPoolMiss),
-		Reuses:           obs.CounterTotal(obs.CPoolHit),
-		Dropped:          obs.CounterTotal(obs.CPoolDrop),
-		Evicted:          obs.CounterTotal(obs.CPoolEvict),
-		StoreLoads:       obs.CounterTotal(obs.CStoreHit),
-		StorePersists:    obs.CounterTotal(obs.CStoreSave),
-		BootRetries:      obs.CounterTotal(obs.CBootRetry),
-		BreakerTrips:     obs.CounterTotal(obs.CBreakerTrip),
-		BreakerFastFails: obs.CounterTotal(obs.CBreakerFastFail),
+		Boots:         obs.CounterTotal(obs.CPoolBoot),
+		Forks:         obs.CounterTotal(obs.CPoolMiss),
+		Reuses:        obs.CounterTotal(obs.CPoolHit),
+		Dropped:       obs.CounterTotal(obs.CPoolDrop),
+		Evicted:       obs.CounterTotal(obs.CPoolEvict),
+		StoreLoads:    obs.CounterTotal(obs.CStoreHit),
+		StorePersists: obs.CounterTotal(obs.CStoreSave),
+		BootRetries:   obs.CounterTotal(obs.CBootRetry),
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

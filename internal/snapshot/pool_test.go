@@ -1,12 +1,74 @@
 package snapshot
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"camouflage/internal/codegen"
+	"camouflage/internal/fault"
 	"camouflage/internal/kernel"
 )
+
+func withFaults(t *testing.T, spec string) *fault.Registry {
+	t.Helper()
+	r, err := fault.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := fault.Active()
+	fault.Install(r)
+	t.Cleanup(func() { fault.Install(prev) })
+	return r
+}
+
+// TestBootRetryHealsTransientFault: the first two boot attempts fail by
+// injection; the third succeeds inside one Acquire, invisibly to the
+// caller.
+func TestBootRetryHealsTransientFault(t *testing.T) {
+	opts := kernel.Options{Config: codegen.ConfigBackward(), Seed: 71}
+	key := KeyFor(opts)
+	pool := NewPool()
+	before := pool.Stats()
+
+	withFaults(t, "pool.boot=2")
+	m, err := pool.Acquire(key, BootOptions(opts))
+	if err != nil {
+		t.Fatalf("Acquire with transient boot faults: %v", err)
+	}
+	m.Release()
+	st := pool.Stats()
+	boots, retries := st.Boots-before.Boots, st.BootRetries-before.BootRetries
+	if boots != 1 || retries != 2 {
+		t.Fatalf("%d boots after %d retries, want 1 boot after 2 retries", boots, retries)
+	}
+}
+
+// TestFailedBootDoesNotPoisonKey is the sync.Once-poisoning regression:
+// an arming that fails every retry must leave the key retryable, so the
+// next Acquire — with the cause healed — succeeds.
+func TestFailedBootDoesNotPoisonKey(t *testing.T) {
+	opts := kernel.Options{Config: codegen.ConfigBackward(), Seed: 72}
+	key := KeyFor(opts)
+	pool := NewPool()
+	before := pool.Stats()
+
+	bootErr := errors.New("transient resource failure")
+	if _, err := pool.Acquire(key, func() (*kernel.Kernel, error) {
+		return nil, bootErr
+	}); !errors.Is(err, bootErr) {
+		t.Fatalf("failing Acquire = %v, want bootErr", err)
+	}
+
+	m, err := pool.Acquire(key, BootOptions(opts))
+	if err != nil {
+		t.Fatalf("Acquire after healed failure: %v (key poisoned)", err)
+	}
+	m.Release()
+	if boots := pool.Stats().Boots - before.Boots; boots != 1 {
+		t.Fatalf("%d boots, want exactly 1", boots)
+	}
+}
 
 // TestMaxIdlePerKeyEnforcedUnderConcurrentRelease: hammering Release
 // from many goroutines must never park more than MaxIdlePerKey machines
@@ -54,7 +116,7 @@ func TestMaxIdlePerKeyEnforcedUnderConcurrentRelease(t *testing.T) {
 	}
 }
 
-// TestEvictIdle: trimming the idle list is accounted separately from
+// TestEvictIdle: emptying the idle lists is accounted separately from
 // Release drops, an evicted key still answers the next Acquire from the
 // cached snapshot (a fork, not a re-boot), and evictions racing
 // Acquire/Release of the key are safe.
@@ -79,16 +141,12 @@ func TestEvictIdle(t *testing.T) {
 		t.Fatalf("idle = %d, want 4", before.Idle)
 	}
 
-	if n := pool.EvictIdle(1); n != 3 {
-		t.Fatalf("EvictIdle(1) = %d, want 3", n)
+	if n := pool.EvictIdle(); n != 4 {
+		t.Fatalf("EvictIdle() = %d, want 4", n)
 	}
 	st := pool.Stats()
-	if evicted := st.Evicted - before.Evicted; st.Idle != 1 || evicted != 3 {
-		t.Fatalf("after eviction: idle = %d evicted = %d, want 1 and 3", st.Idle, evicted)
-	}
-
-	if n := pool.EvictIdle(0); n != 1 {
-		t.Fatalf("EvictIdle(0) = %d, want 1", n)
+	if evicted := st.Evicted - before.Evicted; st.Idle != 0 || evicted != 4 {
+		t.Fatalf("after eviction: idle = %d evicted = %d, want 0 and 4", st.Idle, evicted)
 	}
 	bootsBefore := pool.Stats().Boots
 	m, err := pool.Acquire(key, BootOptions(opts))
@@ -102,7 +160,7 @@ func TestEvictIdle(t *testing.T) {
 
 	// Evictions racing Acquire/Release of the same key (run under
 	// -race): every Acquire still gets a machine, nothing re-boots, and
-	// a last EvictIdle(0) empties the key.
+	// a last EvictIdle empties the key.
 	stop := make(chan struct{})
 	evictorDone := make(chan struct{})
 	go func() {
@@ -112,7 +170,7 @@ func TestEvictIdle(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				pool.EvictIdle(0)
+				pool.EvictIdle()
 			}
 		}
 	}()
@@ -134,7 +192,7 @@ func TestEvictIdle(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-evictorDone
-	pool.EvictIdle(0)
+	pool.EvictIdle()
 	if st := pool.Stats(); st.Idle != 0 || st.Boots != bootsBefore {
 		t.Fatalf("after racing evictions: idle = %d, boots %d -> %d", st.Idle, bootsBefore, st.Boots)
 	}

@@ -112,9 +112,6 @@ func BootOptions(opts kernel.Options) func() (*kernel.Kernel, error) {
 			return nil, err
 		}
 		tv := time.Now() //camo:nondet verify latency histogram sample; guest state is untouched
-		if err := fault.ErrAt(fault.PoolVerify); err != nil {
-			return nil, err
-		}
 		if err := kernel.VerifyImage(k.Img); err != nil {
 			return nil, err
 		}

@@ -37,8 +37,10 @@ func physicalLoads() uint64 {
 // TestLoadRetryableAfterInjectedFailure: one failed load must leave the
 // key retryable by the very next caller on the same open store — no
 // reopen, the file on disk untouched, and the retry is a second
-// physical load that verifies. The failed read counts as a load error,
-// not as a verify failure: the file's content was never refused.
+// physical load that verifies. A failed read counts as a load error,
+// not as a verify failure: the file's content was never refused. A bit
+// flipped in the bytes read back is refused as content: a verify
+// failure, not a load error.
 func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(131, 1)
@@ -52,38 +54,53 @@ func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 	}
 	_, saved, _, _ := snapFile(t, dir, digest)
 
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := withFaults(t, "store.read=1")
-	before := physicalLoads()
-	verifyFails, loadErrors := obs.CounterTotal(obs.CStoreVerifyFail), obs.CounterTotal(obs.CStoreLoadError)
+	for _, c := range []struct {
+		spec    string
+		point   fault.Point
+		refused bool // content refused (*VerifyError) rather than a read error
+	}{
+		{"store.read=1", fault.StoreRead, false},
+		{"store.corrupt=1", fault.StoreCorrupt, true},
+	} {
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := withFaults(t, c.spec)
+		before := physicalLoads()
+		verifyFails, loadErrors := obs.CounterTotal(obs.CStoreVerifyFail), obs.CounterTotal(obs.CStoreLoadError)
 
-	_, _, err = s2.Load(key)
-	var fe *fault.Error
-	if !errors.As(err, &fe) || fe.Point != fault.StoreRead {
-		t.Fatalf("first load error = %v, want injected store.read", err)
-	}
-	if got := r.Fired(fault.StoreRead); got != 1 {
-		t.Fatalf("fired %d faults, want 1", got)
-	}
-	if _, after, _, _ := snapFile(t, dir, digest); !bytes.Equal(after, saved) {
-		t.Fatal("a failed read changed the snapshot file")
-	}
-	if v, e := obs.CounterTotal(obs.CStoreVerifyFail)-verifyFails, obs.CounterTotal(obs.CStoreLoadError)-loadErrors; v != 0 || e != 1 {
-		t.Fatalf("failed read counted %d verify failures and %d load errors, want 0 and 1", v, e)
-	}
+		_, _, err = s2.Load(key)
+		var fe *fault.Error
+		var ve *VerifyError
+		if c.refused && !errors.As(err, &ve) || !c.refused && !(errors.As(err, &fe) && fe.Point == c.point) {
+			t.Fatalf("%s: first load error = %v, want the injected failure", c.spec, err)
+		}
+		if got := r.Fired(c.point); got != 1 {
+			t.Fatalf("%s: fired %d faults, want 1", c.spec, got)
+		}
+		if _, after, _, _ := snapFile(t, dir, digest); !bytes.Equal(after, saved) {
+			t.Fatalf("%s: a failed load changed the snapshot file", c.spec)
+		}
+		wantVerify, wantErrors := uint64(0), uint64(1)
+		if c.refused {
+			wantVerify, wantErrors = 1, 0
+		}
+		if v, e := obs.CounterTotal(obs.CStoreVerifyFail)-verifyFails, obs.CounterTotal(obs.CStoreLoadError)-loadErrors; v != wantVerify || e != wantErrors {
+			t.Fatalf("%s: failed load counted %d verify failures and %d load errors, want %d and %d",
+				c.spec, v, e, wantVerify, wantErrors)
+		}
 
-	snap, gotDigest, err := s2.Load(key)
-	if err != nil {
-		t.Fatalf("retry on the same store handle failed: %v", err)
-	}
-	if snap == nil || gotDigest != digest {
-		t.Fatalf("retry returned %v under %s, want the snapshot under %s", snap, gotDigest, digest)
-	}
-	if got := physicalLoads() - before; got != 2 {
-		t.Fatalf("disk loads = %d, want 2 (failed + retried)", got)
+		snap, gotDigest, err := s2.Load(key)
+		if err != nil {
+			t.Fatalf("%s: retry on the same store handle failed: %v", c.spec, err)
+		}
+		if snap == nil || gotDigest != digest {
+			t.Fatalf("%s: retry returned %v under %s, want the snapshot under %s", c.spec, snap, gotDigest, digest)
+		}
+		if got := physicalLoads() - before; got != 2 {
+			t.Fatalf("%s: disk loads = %d, want 2 (failed + retried)", c.spec, got)
+		}
 	}
 }
 
@@ -245,5 +262,49 @@ func TestCrashBeforeRenameStrandsTmp(t *testing.T) {
 	}
 	if _, _, err := s2.Load(key); err != nil {
 		t.Fatalf("load after recovery: %v", err)
+	}
+}
+
+// TestRenameFailureLeavesNoFile: a failed publishing rename
+// (store.rename) fails the Save and counts it, removes the temp file and
+// publishes nothing, so the store lists no snapshot; the next Save and
+// Load succeed.
+func TestRenameFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(134, 1)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := bootSnap(t, key)
+
+	withFaults(t, "store.rename=1")
+	saveFails := obs.CounterTotal(obs.CStoreSaveFail)
+	_, err = s.Save(key, snap)
+	var fe *fault.Error
+	if !errors.As(err, &fe) || fe.Point != fault.StoreRename {
+		t.Fatalf("Save = %v, want the injected store.rename failure", err)
+	}
+	if n := obs.CounterTotal(obs.CStoreSaveFail) - saveFails; n != 1 {
+		t.Fatalf("camouflage_store_save_failures_total moved by %d, want 1", n)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".tmp-") || strings.HasSuffix(e.Name(), ".snap") {
+			t.Fatalf("a failed rename left %s behind", e.Name())
+		}
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("the store lists %d snapshots after a failed rename, want 0", n)
+	}
+
+	if _, err := s.Save(key, snap); err != nil {
+		t.Fatalf("save after the failed rename: %v", err)
+	}
+	if _, _, err := s.Load(key); err != nil {
+		t.Fatalf("load after the failed rename: %v", err)
 	}
 }

@@ -429,9 +429,6 @@ func (s *Store) save(key snapshot.Key, snap *snapshot.Snapshot) (string, error) 
 	if len(hdr) >= maxHeaderSize {
 		return "", fmt.Errorf("store: header of %d pages exceeds %d bytes", len(m.Pages), maxHeaderSize)
 	}
-	if err := fault.ErrAt(fault.StoreWrite); err != nil {
-		return "", fmt.Errorf("store: write snapshot: %w", err)
-	}
 	if err := writeFileAtomic(s.snapPath(m.Digest), append(hdr, '\n'), body); err != nil {
 		return "", fmt.Errorf("store: write snapshot: %w", err)
 	}
