@@ -133,6 +133,10 @@ type Kernel struct {
 	// and cores whose last task exited. Parked cores are skipped by the
 	// scheduler until SpawnOn hands them work.
 	parked []bool
+	// bootHalt is the HLT code that last parked the boot core. While
+	// every core stays parked, runSMP answers each Run with that stop
+	// again; StopLimit would read as a spent budget.
+	bootHalt uint16
 
 	heapNext uint64
 	nextPID  int
@@ -1100,7 +1104,10 @@ func (k *Kernel) loadUserSpace(t *Task, prog *Program) {
 }
 
 // cloneUserSpace maps the child's address space: text shared read-only
-// with the parent, stack and data copied.
+// with the parent, stack and data copied. Only the pages the parent
+// holds are copied, page to page: a page it never touched reads as zero
+// in both, and the child's window is empty at fork (PIDs only grow, and
+// nextPID is captured and restored with RAM), so it needs no write.
 func (k *Kernel) cloneUserSpace(parent, child *Task) {
 	src := k.tables[parent.PID]
 	tbl := mmu.NewTable()
@@ -1119,8 +1126,9 @@ func (k *Kernel) cloneUserSpace(parent, child *Task) {
 	copyRange := func(va, size uint64) {
 		for off := uint64(0); off < size; off += mmu.PageSize {
 			tbl.Map(va+off, UVAToPA(child.PID, va+off), mmu.UserData)
-			data := ram.ReadBytes(UVAToPA(parent.PID, va+off), mmu.PageSize)
-			ram.WriteBytes(UVAToPA(child.PID, va+off), data)
+			if pg := ram.PageForLoad(UVAToPA(parent.PID, va+off)); pg != nil {
+				*ram.PageForStore(UVAToPA(child.PID, va+off)) = *pg
+			}
 		}
 	}
 	copyRange(UserDataBase, 0x10000)
@@ -1257,6 +1265,9 @@ func (k *Kernel) runSMP(maxInstrs uint64, done func() bool) cpu.Stop {
 				// The core finished (workload exit, park request, panic):
 				// retire it from the rotation. SpawnOn revives it.
 				k.parked[i] = true
+				if i == 0 {
+					k.bootHalt = stop.Code
+				}
 				if i == 0 || k.Halted {
 					k.active = 0
 					return stop
@@ -1264,7 +1275,10 @@ func (k *Kernel) runSMP(maxInstrs uint64, done func() bool) cpu.Stop {
 			}
 		}
 		if !ranAny {
-			break // every core parked
+			// Every core is parked, the boot core among them: answer
+			// the stop that parked it.
+			k.active = 0
+			return cpu.Stop{Kind: cpu.StopHLT, Code: k.bootHalt}
 		}
 		if done != nil && done() {
 			break // only between rotations, so the run is a prefix of Run's

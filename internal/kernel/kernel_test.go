@@ -1,12 +1,14 @@
 package kernel
 
 import (
+	"bytes"
 	"testing"
 
 	"camouflage/internal/boot"
 	"camouflage/internal/codegen"
 	"camouflage/internal/cpu"
 	"camouflage/internal/insn"
+	"camouflage/internal/mem"
 	"camouflage/internal/pac"
 )
 
@@ -210,6 +212,85 @@ func TestForkRunsChild(t *testing.T) {
 	}
 	if !k.Halted {
 		t.Fatal("kernel not halted after last exit")
+	}
+}
+
+// TestForkCopiesOnlyParentPages: fork copies the data- and stack-window
+// pages the parent holds and populates no other. The parent writes
+// markers into data pages 0 and 5 and into one stack page, forks and
+// exits without another write; the child reads the three markers back
+// into its page 0. The child's 33 window pages are then populated
+// exactly where the parent's are, hold the parent's bytes, and every
+// other one reads zero.
+func TestForkCopiesOnlyParentPages(t *testing.T) {
+	const (
+		m0, m5, ms = 0xA0A0, 0xA5A5, 0x5757
+		page5      = UserDataBase + 5*mem.PageSize
+		stackVA    = UserStackTop - 16
+	)
+	var window []uint64
+	for off := uint64(0); off < 0x10000; off += mem.PageSize {
+		window = append(window, UserDataBase+off)
+	}
+	for off := uint64(0); off <= UserStackSize; off += mem.PageSize {
+		window = append(window, UserStackTop-off)
+	}
+	held := map[uint64]bool{UserDataBase: true, page5: true, stackVA &^ (mem.PageSize - 1): true}
+	for _, cpus := range []int{1, 2} {
+		k := bootSMP(t, cpus, 42)
+		prog, err := BuildProgram("fork-pages", func(u *UserASM) {
+			for _, w := range []struct{ va, v uint64 }{{UserDataBase, m0}, {page5 + 8, m5}, {stackVA, ms}} {
+				u.MovImm(insn.X1, w.va)
+				u.MovImm(insn.X2, w.v)
+				u.A.I(insn.STR(insn.X2, insn.X1, 0))
+			}
+			u.SyscallReg(SysClone)
+			u.A.CBZ(insn.X0, "child")
+			u.Exit(0)
+			u.A.Label("child")
+			u.MovImm(insn.X9, UserDataBase)
+			for i, va := range []uint64{UserDataBase, page5 + 8, stackVA} {
+				u.MovImm(insn.X1, va)
+				u.A.I(insn.LDR(insn.X2, insn.X1, 0))
+				u.A.I(insn.STR(insn.X2, insn.X9, uint16(0x10+8*i)))
+			}
+			u.Exit(0)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.RegisterProgram(1, prog)
+		if _, err := k.Spawn(1); err != nil {
+			t.Fatal(err)
+		}
+		if stop := k.Run(50_000_000); stop.Kind != cpu.StopHLT || !k.Halted {
+			t.Fatalf("%d vCPU: did not halt: %+v", cpus, stop)
+		}
+		parent, child := &Task{PID: 1}, &Task{PID: 2}
+		for i, want := range []uint64{m0, m5, ms} {
+			if got := userWord(k, child, uint64(0x10+8*i)); got != want {
+				t.Errorf("%d vCPU: child read marker %d as %#x, want %#x", cpus, i, got, want)
+			}
+		}
+		ram := k.CPU.Bus.RAM
+		zero := make([]byte, mem.PageSize)
+		for _, va := range window {
+			pp := ram.PageForLoad(UVAToPA(parent.PID, va))
+			cp := ram.PageForLoad(UVAToPA(child.PID, va))
+			if (pp != nil) != held[va] {
+				t.Errorf("%d vCPU: parent page %#x populated = %v, want %v", cpus, va, pp != nil, held[va])
+			}
+			switch {
+			case (cp != nil) != (pp != nil):
+				t.Errorf("%d vCPU: child page %#x populated = %v, parent's %v", cpus, va, cp != nil, pp != nil)
+			case cp == nil:
+				if !bytes.Equal(ram.ReadBytes(UVAToPA(child.PID, va), mem.PageSize), zero) {
+					t.Errorf("%d vCPU: absent child page %#x does not read zero", cpus, va)
+				}
+			case va != UserDataBase && *cp != *pp:
+				t.Errorf("%d vCPU: child page %#x differs from the parent's", cpus, va)
+			}
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"camouflage/internal/boot"
@@ -42,7 +43,7 @@ import (
 // stateWireMagic and stateWireVersion head every serialized state blob.
 const (
 	stateWireMagic   = "camoSTATE"
-	stateWireVersion = 1
+	stateWireVersion = 2
 )
 
 // ErrStateNotPortable marks a State that cannot be serialized: it holds
@@ -463,6 +464,7 @@ func (st *State) Serialize() ([]byte, error) {
 	for _, p := range st.parked {
 		e.boolean(p)
 	}
+	e.u64(uint64(st.bootHalt))
 	e.i64(st.activeCPU)
 
 	e.i64(len(st.tables))
@@ -643,6 +645,11 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 	nParked := d.count("parked.len", 1)
 	for i := 0; i < nParked && d.err == nil; i++ {
 		st.parked = append(st.parked, d.boolean("parked"))
+	}
+	if v := d.u64("bootHalt"); d.err == nil && v > math.MaxUint16 {
+		d.failf("bootHalt", "HLT code %#x exceeds 16 bits", v)
+	} else {
+		st.bootHalt = uint16(v)
 	}
 	st.activeCPU = d.i64("activeCPU")
 

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"camouflage/internal/codegen"
+	"camouflage/internal/cpu"
 	"camouflage/internal/insn"
+	"camouflage/internal/mem"
 )
 
 // smpOptions returns full-protection build options for n vCPUs.
@@ -134,6 +136,50 @@ func TestSMPDeterministicRuns(t *testing.T) {
 	if c1 != c2 || r1 != r2 || h1 != h2 {
 		t.Fatalf("SMP run not deterministic:\n run1 cyc=%v ret=%v heap=%#x\n run2 cyc=%v ret=%v heap=%#x",
 			c1, r1, h1, c2, r2, h2)
+	}
+}
+
+// TestSMPIdleRunsAnswerHLT: once every core of an SMP machine is
+// parked, each further Run answers the HLT that parked the boot core
+// and retires nothing, as a uniprocessor answers a HLT every time; it
+// never reports a spent budget. A fork of the parked machine, direct or
+// through the wire form, answers the same.
+func TestSMPIdleRunsAnswerHLT(t *testing.T) {
+	for _, n := range []int{2, 8} {
+		k := bootSMP(t, n, 7)
+		first := k.Run(500_000_000)
+		if first.Kind != cpu.StopHLT {
+			t.Fatalf("%d vCPU: first run stopped with %+v, want hlt", n, first)
+		}
+		st := k.CaptureState()
+		blob, err := st.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := make(map[uint64]*[mem.PageSize]byte)
+		st.ForEachFrozenPage(func(pn uint64, pg *[mem.PageSize]byte) {
+			cp := *pg
+			pages[pn] = &cp
+		})
+		decoded, err := DeserializeState(blob, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []struct {
+			name string
+			k    *Kernel
+		}{{"machine", k}, {"fork", forkState(t, st)}, {"decoded fork", forkState(t, decoded)}} {
+			for run := 2; run <= 3; run++ {
+				before := retiredAll(m.k)
+				stop := m.k.Run(500_000_000)
+				if stop.Kind != cpu.StopHLT || stop.Code != first.Code {
+					t.Errorf("%d vCPU %s, run %d: stopped with %+v, want hlt %d", n, m.name, run, stop, first.Code)
+				}
+				if got := retiredAll(m.k) - before; got != 0 {
+					t.Errorf("%d vCPU %s, run %d: retired %d instructions, want 0", n, m.name, run, got)
+				}
+			}
+		}
 	}
 }
 

@@ -48,10 +48,12 @@ type State struct {
 	tasks    map[int]Task
 	// currentPIDs/currents mirror each core's current task (deep
 	// copies; kept even when zombied out of tasks). parked mirrors the
-	// scheduler rotation; activeCPU the core executing at capture.
+	// scheduler rotation and bootHalt the HLT code that parked the
+	// boot core; activeCPU the core executing at capture.
 	currentPIDs []int
 	currents    []*Task
 	parked      []bool
+	bootHalt    uint16
 	activeCPU   int
 	tables      map[int]*mmu.Table
 	programs    map[int]*Program
@@ -97,6 +99,7 @@ func (k *Kernel) CaptureState() *State {
 		blk:    k.Blk.CaptureState(),
 
 		parked:    append([]bool(nil), k.parked...),
+		bootHalt:  k.bootHalt,
 		activeCPU: k.active,
 
 		heapNext:    k.heapNext,
@@ -177,6 +180,7 @@ func (k *Kernel) restoreHostMirrors(st *State) {
 		}
 	}
 	k.parked = append([]bool(nil), st.parked...)
+	k.bootHalt = st.bootHalt
 	k.active = st.activeCPU
 	k.tables = make(map[int]*mmu.Table, len(st.tables))
 	//camo:nondet Clone is a pure deep copy; map-rebuild order is irrelevant to the result

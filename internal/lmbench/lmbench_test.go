@@ -7,6 +7,7 @@ import (
 
 	"camouflage/internal/core"
 	"camouflage/internal/kernel"
+	"camouflage/internal/snapshot"
 )
 
 // levelOptions returns the options of a Figure 3 machine at one level.
@@ -160,5 +161,33 @@ func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 		if seq[i] != par[i] {
 			t.Errorf("cell %d: sequential %+v != parallel %+v", i, seq[i], par[i])
 		}
+	}
+}
+
+// TestForkCopiesFewPages: a guest fork copies only the user pages its
+// parent holds, so the fork+exit row at 80 iterations leaves its
+// machine a few copy-on-write overlay pages per fork. Copying every
+// data- and stack-window page would leave 33 or more.
+func TestForkCopiesFewPages(t *testing.T) {
+	var forkExit Benchmark
+	for _, b := range Suite() {
+		if b.Name == "fork+exit" {
+			forkExit = b
+		}
+	}
+	opts := levelOptions(core.LevelFull)
+	m, err := snapshot.Shared.Acquire(snapshot.KeyFor(opts), snapshot.BootOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	before := m.K.ServiceCalls[kernel.SvcFork]
+	if _, err := m.K.RunProgram(forkExit.Name, func(u *kernel.UserASM) { forkExit.Build(u, 80) }, nil, 400_000_000); err != nil {
+		t.Fatal(err)
+	}
+	forks := m.K.ServiceCalls[kernel.SvcFork] - before
+	dirty := uint64(m.K.CPU.Bus.RAM.DirtyPages())
+	if forks == 0 || dirty > 4*forks {
+		t.Fatalf("%d overlay pages after %d forks, want at most 4 per fork", dirty, forks)
 	}
 }

@@ -225,7 +225,9 @@ func TestFailedBootFailsOnlyItsRequests(t *testing.T) {
 // maxRunBudget cap finds the machine at its post-boot halt and retires a
 // few dozen instructions. Drain and the idle reaper lock each lease and
 // rely on this; a route that loads a program must bound lease
-// operations itself.
+// operations itself. Each run answers a HLT, on the 2-vCPU lease too,
+// where the second run finds every core parked: an idle machine never
+// reports a spent budget.
 func TestLeaseRunEndsAtOnce(t *testing.T) {
 	_, _, c := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -249,6 +251,9 @@ func TestLeaseRunEndsAtOnce(t *testing.T) {
 			}
 			if n := run.Instrs - prev; n > 100 {
 				t.Fatalf("%+v: /run %d retired %d instructions, want at most 100", req, i, n)
+			}
+			if run.Stop != "hlt" {
+				t.Fatalf("%+v: /run %d answered stop %q (code %d), want hlt", req, i, run.Stop, run.StopCode)
 			}
 			prev = run.Instrs
 		}
