@@ -223,10 +223,14 @@ type RetryPolicy struct {
 	// MaxAttempts is the total tries per request (1 = no retries).
 	MaxAttempts int
 	// BaseDelay seeds the exponential backoff; each retry doubles it up
-	// to MaxDelay, with ±50% jitter to spread synchronized retriers.
+	// to MaxDelay (one minute when zero), with ±50% jitter to spread
+	// synchronized retriers.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
 }
+
+// maxBackoff caps the backoff of a policy without a MaxDelay.
+const maxBackoff = time.Minute
 
 // DefaultRetryPolicy is what New installs: 3 attempts, 100ms doubling
 // to 2s.
@@ -309,16 +313,19 @@ func (c *Client) send(ctx context.Context, method, path string, in, out any, ret
 
 // backoff computes the pre-attempt sleep: exponential with ±50%
 // jitter, floored by the server's Retry-After hint when one was given.
+// Each doubling stops at the cap, so no attempt count overflows it.
 func (c *Client) backoff(attempt int, serverHint time.Duration) time.Duration {
 	d := c.Retry.BaseDelay
 	if d <= 0 {
 		d = 100 * time.Millisecond
 	}
-	for i := 1; i < attempt; i++ {
-		d *= 2
+	limit := c.Retry.MaxDelay
+	if limit <= 0 {
+		limit = maxBackoff
 	}
-	if max := c.Retry.MaxDelay; max > 0 && d > max {
-		d = max
+	d = min(d, limit)
+	for i := 1; i < attempt && d < limit; i++ {
+		d += min(d, limit-d)
 	}
 	d = d/2 + time.Duration(rand.Int63n(int64(d)))
 	if serverHint > d {

@@ -146,6 +146,27 @@ func TestBackoffHonorsRetryAfterFloor(t *testing.T) {
 	}
 }
 
+// TestBackoffCapsLongRetryBudgets: however many attempts a policy
+// allows, the doubling stops at its cap — MaxDelay, or maxBackoff when
+// that is zero — so no call panics and every wait lies within the
+// cap's jitter band.
+func TestBackoffCapsLongRetryBudgets(t *testing.T) {
+	noCap := DefaultRetryPolicy()
+	noCap.MaxDelay = 0
+	for _, c := range []struct {
+		policy RetryPolicy
+		cap    time.Duration
+	}{{DefaultRetryPolicy(), DefaultRetryPolicy().MaxDelay}, {noCap, maxBackoff}} {
+		cl := New("http://example.invalid")
+		cl.Retry = c.policy
+		for attempt := 1; attempt <= 200; attempt++ {
+			if d := cl.backoff(attempt, retryAfterSentinel); d < 0 || d > c.cap*3/2 {
+				t.Fatalf("MaxDelay %v, attempt %d: backoff %v, want within [0, %v]", c.policy.MaxDelay, attempt, d, c.cap*3/2)
+			}
+		}
+	}
+}
+
 // TestStallFaultDelays: an injected stall slows the request without
 // failing it.
 func TestStallFaultDelays(t *testing.T) {

@@ -1,13 +1,11 @@
 package kernel
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"camouflage/internal/cpu"
 	"camouflage/internal/insn"
-	"camouflage/internal/mem"
 )
 
 // abortingProg forks children that branch into unmapped user memory, a
@@ -58,26 +56,12 @@ func forkState(t *testing.T, st *State) *Kernel {
 	return k
 }
 
-// machineDigest hashes what CaptureState freezes: the state's wire form
-// (every core's registers and counters, the host-side mirrors) and every
-// RAM page.
-func machineDigest(t *testing.T, k *Kernel) [sha256.Size]byte {
-	t.Helper()
-	st := k.CaptureState()
-	st.programs = nil // caller-owned images, outside the wire form
-	blob, err := st.Serialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	h.Write(blob)
-	var pn [8]byte
-	st.ForEachFrozenPage(func(n uint64, pg *[mem.PageSize]byte) {
-		binary.LittleEndian.PutUint64(pn[:], n)
-		h.Write(pn[:])
-		h.Write(pg[:])
-	})
-	return [sha256.Size]byte(h.Sum(nil))
+// sameMachine reports whether two kernels hold the same machine: what
+// CaptureState freezes, every core's registers and counters, every
+// host-side mirror (tasks, user tables, pipes, files, oops records) and
+// every RAM page.
+func sameMachine(a, b *Kernel) bool {
+	return reflect.DeepEqual(a.CaptureState(), b.CaptureState())
 }
 
 func retiredAll(k *Kernel) uint64 {
@@ -109,7 +93,7 @@ func TestRunUntilNeverDoneMatchesRun(t *testing.T) {
 			if calls == 0 {
 				t.Errorf("%d vCPU, budget %d: the predicate was never consulted", cpus, budget)
 			}
-			if machineDigest(t, k) != machineDigest(t, ref) {
+			if !sameMachine(k, ref) {
 				t.Errorf("%d vCPU, budget %d: RunUntil left a different machine than Run", cpus, budget)
 			}
 			if cpus == 1 && budget == 250_001 {
@@ -144,7 +128,7 @@ func TestRunUntilStopsWithinOneRotation(t *testing.T) {
 		if cpus == 1 {
 			ref := forkState(t, st)
 			ref.Run(uint64(calls) * SMPQuantum)
-			if machineDigest(t, k) != machineDigest(t, ref) {
+			if !sameMachine(k, ref) {
 				t.Errorf("stopped after %d slices, but the machine differs from Run(%d)", calls, calls*SMPQuantum)
 			}
 		}

@@ -14,11 +14,15 @@ package kernel
 //   - Frozen guest RAM is NOT in the blob either: pages are exported
 //     separately, and the store writes them after the blob in the same
 //     snapshot file.
-//   - Everything else — vCPU register files, MMU tables, hypervisor
-//     latch, device state, PRNG position, host mirrors — is encoded
-//     field-by-field with fixed ordering and sorted map iteration, so
-//     equal states produce equal bytes and the store's whole-snapshot
-//     SHA-256 is a stable content address across processes and restarts.
+//   - What a booted machine holds — vCPU register files, MMU tables,
+//     hypervisor latch, PRNG position, the host scalars — is encoded
+//     field-by-field in a fixed order, so equal states produce equal
+//     bytes and the store's whole-snapshot SHA-256 is a stable content
+//     address across processes and restarts.
+//   - What only a running machine holds — tasks, user page tables,
+//     pipes, open files, driver ops, oops records, service counts and
+//     device queues — has no wire form: Serialize refuses a state that
+//     holds any of it, and DeserializeState rebuilds it empty.
 //
 // The codec is versioned; any layout change must bump stateWireVersion
 // (old blobs are refused, never misparsed).
@@ -30,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"camouflage/internal/boot"
@@ -43,14 +48,15 @@ import (
 // stateWireMagic and stateWireVersion head every serialized state blob.
 const (
 	stateWireMagic   = "camoSTATE"
-	stateWireVersion = 2
+	stateWireVersion = 3
 )
 
 // ErrStateNotPortable marks a State that cannot be serialized: it holds
-// registered user programs, whose built images live outside the
-// deterministic kernel build (callers register them per fork). The pool
-// only persists post-boot snapshots, which never carry programs.
-var ErrStateNotPortable = errors.New("kernel: state holds registered user programs; only program-free (post-boot) snapshots are serializable")
+// what only a running machine holds (registered user programs, tasks,
+// user page tables, pipes, open files, driver ops, oops records,
+// service counts or device queues). The store only persists post-boot
+// snapshots, which hold none of it.
+var ErrStateNotPortable = errors.New("kernel: state is not a booted machine's; only post-boot snapshots are serializable")
 
 // --- little-endian append/consume helpers ---
 
@@ -64,10 +70,6 @@ func (e *wireEnc) boolean(b bool) {
 	} else {
 		e.buf = append(e.buf, 0)
 	}
-}
-func (e *wireEnc) bytes(b []byte) {
-	e.u64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
 }
 func (e *wireEnc) keys(ks pac.KeySet) {
 	for _, k := range ks.Keys {
@@ -112,18 +114,8 @@ func (e *StateDecodeError) Unwrap() error { return e.Err }
 // prefix is checked against the bytes left at its entry's size before
 // anything is allocated for it.
 const (
-	keySetWire  = pac.NumKeys * 16
-	pteWire     = 3 * 8 // pn, pa, perm
-	s2Wire      = 8 + 3 // pn, r, w, x
-	bytesWire   = 8     // an empty byte string is its length
-	sectorWire  = 8 + mem.SectorSize
-	taskWire    = 9*8 + keySetWire
-	currentWire = 1     // the present flag of an idle core
-	tableWire   = 8 + 8 // pid, entry count
-	pipeWire    = 8 + bytesWire
-	fileWire    = 5 * 8
-	opsWire     = 8 + 8
-	oopsWire    = 3*8 + 2 + 8
+	pteWire = 3 * 8 // pn, pa, perm
+	s2Wire  = 8 + 3 // pn, r, w, x
 )
 
 type wireDec struct {
@@ -183,21 +175,6 @@ func (d *wireDec) boolean(what string) bool {
 	v := d.buf[d.off]
 	d.off++
 	return v != 0
-}
-
-func (d *wireDec) bytes(what string) []byte {
-	n := d.u64(what)
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail(what)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
-	return out
 }
 
 func (d *wireDec) keys(what string) pac.KeySet {
@@ -343,50 +320,46 @@ func decodeCPU(d *wireDec) cpu.State {
 	return cs
 }
 
-func encodeTask(e *wireEnc, t Task) {
-	e.i64(t.PID)
-	e.i64(t.PPID)
-	e.u64(t.Addr)
-	e.u64(t.StackTop)
-	e.i64(t.State)
-	e.keys(t.Keys)
-	e.u64(t.SigHandler)
-	e.u64(t.SavedELR)
-	e.i64(t.ProgID)
-	e.i64(t.CPU)
-}
-
-func decodeTask(d *wireDec) Task {
-	var t Task
-	t.PID = d.i64("task.pid")
-	t.PPID = d.i64("task.ppid")
-	t.Addr = d.u64("task.addr")
-	t.StackTop = d.u64("task.stacktop")
-	t.State = d.i64("task.state")
-	t.Keys = d.keys("task.keys")
-	t.SigHandler = d.u64("task.sighandler")
-	t.SavedELR = d.u64("task.savedelr")
-	t.ProgID = d.i64("task.progid")
-	t.CPU = d.i64("task.cpu")
-	return t
-}
-
-func sortedInts[K int | uint64, V any](m map[K]V) []K {
-	ks := make([]K, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// runningState names the first thing the state holds that only a
+// running machine holds, or returns "" for a booted machine's state:
+// none of it has a wire form.
+func (st *State) runningState() string {
+	switch {
+	case len(st.programs) > 0:
+		return "registered user programs"
+	case len(st.tasks) > 0:
+		return "tasks"
+	case slices.ContainsFunc(st.currents, func(t *Task) bool { return t != nil }):
+		return "current tasks"
+	case len(st.tables) > 0:
+		return "user page tables"
+	case len(st.pipes) > 0:
+		return "pipes"
+	case len(st.files) > 0:
+		return "open files"
+	case len(st.extraOps) > 0:
+		return "driver ops"
+	case len(st.oops) > 0:
+		return "oops records"
+	case st.svcCalls != [SvcMax]uint64{}:
+		return "service-call counts"
+	case len(st.uart) > 0:
+		return "UART output"
+	case !st.net.Idle():
+		return "NIC state"
+	case !st.blk.Idle():
+		return "block-device state"
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
+	return ""
 }
 
 // Serialize encodes the state (minus frozen RAM pages and the derivable
 // image) into the deterministic wire form: equal states yield equal
-// bytes. States holding registered user programs are refused with
-// ErrStateNotPortable.
+// bytes. A state holding anything only a running machine holds is
+// refused with ErrStateNotPortable.
 func (st *State) Serialize() ([]byte, error) {
-	if len(st.programs) > 0 {
-		return nil, ErrStateNotPortable
+	if what := st.runningState(); what != "" {
+		return nil, fmt.Errorf("%w (it holds %s)", ErrStateNotPortable, what)
 	}
 	e := &wireEnc{buf: make([]byte, 0, 4096)}
 	e.buf = append(e.buf, stateWireMagic...)
@@ -426,111 +399,36 @@ func (st *State) Serialize() ([]byte, error) {
 	e.keys(st.hyp.Escrow)
 	e.u64(st.hyp.TrapInstalls)
 
-	e.bytes(st.uart)
-	nw := st.net.Wire()
-	e.i64(len(nw.RX))
-	for _, pkt := range nw.RX {
-		e.bytes(pkt)
-	}
-	e.i64(nw.RXOff)
-	e.u64(nw.RXCount)
-	e.u64(nw.TXBytes)
-	bw := st.blk.Wire()
-	e.i64(len(bw.Sectors))
-	for i := range bw.Sectors {
-		e.u64(bw.Sectors[i].N)
-		e.buf = append(e.buf, bw.Sectors[i].Data[:]...)
-	}
-	e.u64(bw.Cur)
-	e.i64(bw.Off)
-	e.u64(bw.Reads)
-	e.u64(bw.Writes)
-
 	e.u64(st.heapNext)
 	e.i64(st.nextPID)
-	e.i64(len(st.tasks))
-	for _, pid := range sortedInts(st.tasks) {
-		encodeTask(e, st.tasks[pid])
-	}
-	e.i64(len(st.currents))
-	for i, cur := range st.currents {
-		e.boolean(cur != nil)
-		if cur != nil {
-			e.i64(st.currentPIDs[i])
-			encodeTask(e, *cur)
-		}
-	}
 	e.i64(len(st.parked))
 	for _, p := range st.parked {
 		e.boolean(p)
 	}
 	e.u64(uint64(st.bootHalt))
 	e.i64(st.activeCPU)
-
-	e.i64(len(st.tables))
-	for _, pid := range sortedInts(st.tables) {
-		e.i64(pid)
-		entries := st.tables[pid].Export()
-		e.i64(len(entries))
-		for _, en := range entries {
-			e.u64(en.PN)
-			e.u64(en.PTE.PA)
-			e.u64(uint64(en.PTE.Perm))
-		}
-	}
-
-	e.i64(len(st.pipes))
-	for _, id := range sortedInts(st.pipes) {
-		e.u64(id)
-		e.bytes(st.pipes[id])
-	}
 	e.u64(st.nextPipe)
-	e.i64(len(st.files))
-	for _, va := range sortedInts(st.files) {
-		f := st.files[va]
-		e.u64(va)
-		e.u64(f.addr)
-		e.u64(f.opsVA)
-		e.i64(f.pathID)
-		e.u64(f.inode)
-	}
 	e.u64(st.credObj)
-	e.i64(len(st.extraOps))
-	for _, path := range sortedInts(st.extraOps) {
-		e.i64(path)
-		e.u64(st.extraOps[path])
-	}
 	e.u64(st.modNext)
 	e.i64(st.pacFailures)
 	e.i64(st.threshold)
-	e.i64(len(st.oops))
-	for _, o := range st.oops {
-		e.u64(o.ESR)
-		e.u64(o.FAR)
-		e.u64(o.ELR)
-		e.boolean(o.Kernel)
-		e.boolean(o.PACFailure)
-		e.i64(o.PID)
-	}
 	e.boolean(st.halted)
-	for _, v := range st.svcCalls {
-		e.u64(v)
-	}
 	e.u64(st.bootCycles)
 	return e.buf, nil
 }
 
 // DeserializeState rebuilds a State from its wire form plus the frozen
-// RAM pages the store reassembled from verified chunks. The blob is
-// decoded in full first — every length prefix checked against the bytes
-// left before anything is allocated — so a corrupt blob fails fast with
-// a *StateDecodeError. The immutable half — built image, codegen config
-// — is then re-derived from the encoded options through the same
-// deterministic pipeline New uses, and §4.1 re-verified; the blob's
-// kernel keys must match the rebuilt image's (they are a pure function
-// of the seed), which catches blobs paired with the wrong options.
-// Pages are owned by the result: callers must hand over fresh arrays and
-// never write them again.
+// RAM pages the store read from the snapshot file. The blob is decoded
+// in full first — every length prefix checked against the bytes left
+// before anything is allocated — so a corrupt blob fails fast with a
+// *StateDecodeError. What only a running machine holds comes back
+// empty, as a booted machine holds it. The immutable half — built
+// image, codegen config — is then re-derived from the encoded options
+// through the same deterministic pipeline New uses, and §4.1
+// re-verified; the blob's kernel keys must match the rebuilt image's
+// (they are a pure function of the seed), which catches blobs paired
+// with the wrong options. Pages are owned by the result: callers must
+// hand over fresh arrays and never write them again.
 func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State, error) {
 	if len(blob) < len(stateWireMagic) || string(blob[:len(stateWireMagic)]) != stateWireMagic {
 		return nil, &StateDecodeError{Msg: "not a state blob (bad magic)"}
@@ -560,8 +458,8 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 	}
 
 	ncpus := d.i64("ncpus")
-	if d.err == nil && (ncpus < 1 || ncpus > MaxCPUs) {
-		d.failf("ncpus", "%d vCPUs (max %d)", ncpus, MaxCPUs)
+	if d.err == nil && ncpus != opts.Config.CPUs() {
+		d.failf("ncpus", "%d vCPUs, the options build %d", ncpus, opts.Config.CPUs())
 	}
 	for i := 0; i < ncpus && d.err == nil; i++ {
 		st.cpus = append(st.cpus, decodeCPU(d))
@@ -595,53 +493,8 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 	st.hyp.Escrow = d.keys("hyp.escrow")
 	st.hyp.TrapInstalls = d.u64("hyp.traps")
 
-	st.uart = d.bytes("uart")
-	var nw mem.NetDevWire
-	nRX := d.count("net.rx.len", bytesWire)
-	for i := 0; i < nRX && d.err == nil; i++ {
-		nw.RX = append(nw.RX, d.bytes("net.rx"))
-	}
-	nw.RXOff = d.i64("net.rxoff")
-	nw.RXCount = d.u64("net.rxcount")
-	nw.TXBytes = d.u64("net.txbytes")
-	st.net = nw.State()
-	var bw mem.BlockDevWire
-	nSec := d.count("blk.len", sectorWire)
-	for i := 0; i < nSec && d.err == nil; i++ {
-		var s mem.BlockSectorWire
-		s.N = d.u64("blk.n")
-		if d.off+mem.SectorSize > len(d.buf) {
-			d.fail("blk.data")
-			break
-		}
-		copy(s.Data[:], d.buf[d.off:d.off+mem.SectorSize])
-		d.off += mem.SectorSize
-		bw.Sectors = append(bw.Sectors, s)
-	}
-	bw.Cur = d.u64("blk.cur")
-	bw.Off = d.i64("blk.off")
-	bw.Reads = d.u64("blk.reads")
-	bw.Writes = d.u64("blk.writes")
-	st.blk = bw.State()
-
 	st.heapNext = d.u64("heapNext")
 	st.nextPID = d.i64("nextPID")
-	nTasks := d.count("tasks.len", taskWire)
-	st.tasks = make(map[int]Task, nTasks)
-	for i := 0; i < nTasks && d.err == nil; i++ {
-		t := decodeTask(d)
-		st.tasks[t.PID] = t
-	}
-	nCur := d.count("currents.len", currentWire)
-	st.currentPIDs = make([]int, nCur)
-	st.currents = make([]*Task, nCur)
-	for i := 0; i < nCur && d.err == nil; i++ {
-		if d.boolean("currents.present") {
-			st.currentPIDs[i] = d.i64("currents.pid")
-			t := decodeTask(d)
-			st.currents[i] = &t
-		}
-	}
 	nParked := d.count("parked.len", 1)
 	for i := 0; i < nParked && d.err == nil; i++ {
 		st.parked = append(st.parked, d.boolean("parked"))
@@ -652,78 +505,24 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 		st.bootHalt = uint16(v)
 	}
 	st.activeCPU = d.i64("activeCPU")
-
-	nTables := d.count("tables.len", tableWire)
-	st.tables = make(map[int]*mmu.Table, nTables)
-	for i := 0; i < nTables && d.err == nil; i++ {
-		pid := d.i64("tables.pid")
-		n := d.count("tables.entries", pteWire)
-		entries := make([]mmu.TableEntryWire, 0, n)
-		for j := 0; j < n && d.err == nil; j++ {
-			pn := d.u64("tables.pn")
-			pa := d.u64("tables.pa")
-			perm := mmu.Perm(d.u64("tables.perm"))
-			entries = append(entries, mmu.TableEntryWire{PN: pn, PTE: mmu.PTE{PA: pa, Perm: perm}})
-		}
-		st.tables[pid] = mmu.NewTableFromEntries(entries)
-	}
-
-	nPipes := d.count("pipes.len", pipeWire)
-	st.pipes = make(map[uint64][]byte, nPipes)
-	for i := 0; i < nPipes && d.err == nil; i++ {
-		id := d.u64("pipes.id")
-		st.pipes[id] = d.bytes("pipes.buf")
-	}
 	st.nextPipe = d.u64("nextPipe")
-	nFiles := d.count("files.len", fileWire)
-	st.files = make(map[uint64]fileState, nFiles)
-	for i := 0; i < nFiles && d.err == nil; i++ {
-		va := d.u64("files.va")
-		var f fileState
-		f.addr = d.u64("files.addr")
-		f.opsVA = d.u64("files.opsva")
-		f.pathID = d.i64("files.pathid")
-		f.inode = d.u64("files.inode")
-		st.files[va] = f
-	}
 	st.credObj = d.u64("credObj")
-	nOps := d.count("extraOps.len", opsWire)
-	st.extraOps = make(map[int]uint64, nOps)
-	for i := 0; i < nOps && d.err == nil; i++ {
-		path := d.i64("extraOps.path")
-		st.extraOps[path] = d.u64("extraOps.ops")
-	}
 	st.modNext = d.u64("modNext")
 	st.pacFailures = d.i64("pacFailures")
 	st.threshold = d.i64("threshold")
-	nOops := d.count("oops.len", oopsWire)
-	for i := 0; i < nOops && d.err == nil; i++ {
-		var o OopsRecord
-		o.ESR = d.u64("oops.esr")
-		o.FAR = d.u64("oops.far")
-		o.ELR = d.u64("oops.elr")
-		o.Kernel = d.boolean("oops.kernel")
-		o.PACFailure = d.boolean("oops.pacfailure")
-		o.PID = d.i64("oops.pid")
-		st.oops = append(st.oops, o)
-	}
 	st.halted = d.boolean("halted")
-	for i := range st.svcCalls {
-		st.svcCalls[i] = d.u64("svcCalls")
-	}
 	st.bootCycles = d.u64("bootCycles")
-	st.programs = make(map[int]*Program)
 
 	if d.err == nil && d.off != len(d.buf) {
 		d.failf("end", "%d trailing bytes", len(d.buf)-d.off)
 	}
-	if d.err == nil && (len(st.cpus) != len(st.currents) || len(st.cpus) != len(st.parked)) {
-		d.failf("end", "core-count mismatch (%d cpus, %d currents, %d parked)",
-			len(st.cpus), len(st.currents), len(st.parked))
+	if d.err == nil && len(st.cpus) != len(st.parked) {
+		d.failf("end", "core-count mismatch (%d cpus, %d parked)", len(st.cpus), len(st.parked))
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
+	st.currents = make([]*Task, len(st.cpus)) // every core idle
 
 	img, keys, _, err := buildLinked(opts)
 	if err != nil {

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"camouflage/internal/codegen"
 	"camouflage/internal/cpu"
 	"camouflage/internal/mem"
+	"camouflage/internal/mmu"
+	"camouflage/internal/pac"
 )
 
 func bootState(t *testing.T, opts Options) *State {
@@ -120,8 +125,123 @@ func TestSerializeRefusesPrograms(t *testing.T) {
 	}
 }
 
+// TestSerializeRefusesRunningState: the wire form holds what a booted
+// machine holds, so Serialize refuses each thing only a running machine
+// holds, with ErrStateNotPortable naming it: set alone on a booted
+// state, and as running machines leave it (a spawned task whose
+// programs are cleared; a uniprocessor's idle run, which leaves an oops
+// record and a service count). Registered programs are refused in
+// TestSerializeRefusesPrograms, a loaded module's driver ops in
+// internal/module's TestLoadedModuleNotPortable.
+func TestSerializeRefusesRunningState(t *testing.T) {
+	booted := bootState(t, Options{Config: codegen.ConfigFull(), Seed: 5})
+	kinds := []struct {
+		what string
+		set  func(st *State)
+	}{
+		{"tasks", func(st *State) { st.tasks = map[int]Task{1: {PID: 1}} }},
+		{"current tasks", func(st *State) { st.currents = []*Task{{PID: 1}} }},
+		{"user page tables", func(st *State) { st.tables = map[int]*mmu.Table{1: mmu.NewTable()} }},
+		{"pipes", func(st *State) { st.pipes = map[uint64][]byte{1: nil} }},
+		{"open files", func(st *State) { st.files = map[uint64]fileState{UserDataBase: {}} }},
+		{"driver ops", func(st *State) { st.extraOps = map[int]uint64{90: ModuleBase} }},
+		{"oops records", func(st *State) { st.oops = []OopsRecord{{PID: 1}} }},
+		{"service-call counts", func(st *State) { st.svcCalls[SvcOpen] = 1 }},
+		{"UART output", func(st *State) { st.uart = []byte("!") }},
+		{"NIC state", func(st *State) {
+			n := &mem.NetDev{}
+			n.InjectPacket([]byte("pkt"))
+			st.net = n.CaptureState()
+		}},
+		{"block-device state", func(st *State) {
+			b := mem.NewBlockDev()
+			b.WriteSector(0, []byte("sector"))
+			st.blk = b.CaptureState()
+		}},
+	}
+	refused := func(name, what string, st *State) {
+		t.Helper()
+		_, err := st.Serialize()
+		if !errors.Is(err, ErrStateNotPortable) || !strings.Contains(err.Error(), "holds "+what) {
+			t.Errorf("%s: Serialize = %v, want ErrStateNotPortable naming %s", name, err, what)
+		}
+	}
+	for _, c := range kinds {
+		st := *booted
+		c.set(&st)
+		refused(c.what, c.what, &st)
+	}
+	if _, err := booted.Serialize(); err != nil {
+		t.Fatalf("booted state: %v", err)
+	}
+
+	k := bootSMP(t, 1, 5)
+	prog, err := BuildProgram("p", func(u *UserASM) { u.Exit(0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.RegisterProgram(1, prog)
+	if _, err := k.Spawn(1); err != nil {
+		t.Fatal(err)
+	}
+	st := k.CaptureState()
+	st.programs = nil
+	refused("spawned task, programs cleared", "tasks", st)
+
+	idle := bootSMP(t, 1, 5)
+	if stop := idle.Run(500_000_000); stop.Kind != cpu.StopHLT || len(idle.Oops) == 0 || idle.ServiceCalls == [SvcMax]uint64{} {
+		t.Fatalf("idle run stopped with %+v, %d oops records, service counts %v: want a HLT, an oops and a count",
+			stop, len(idle.Oops), idle.ServiceCalls)
+	}
+	refused("uniprocessor idle run", "oops records", idle.CaptureState())
+}
+
+// TestEveryBuildPersists: every build's post-boot state serializes,
+// decodes and re-encodes to the same bytes — at each protection level,
+// the compat build and the zero-modifier build, at 0 (the uniprocessor
+// default), 1, 2, 3 and 8 vCPUs, under two seeds. It fails when a boot
+// path leaves a task, a device queue or a service count behind: the
+// store could no longer persist that build, and every restart would
+// boot it again.
+func TestEveryBuildPersists(t *testing.T) {
+	zeroMod := codegen.ConfigFull()
+	zeroMod.ZeroModifier = true
+	builds := map[string]*codegen.Config{
+		"none":          codegen.ConfigNone(),
+		"backward-edge": codegen.ConfigBackward(),
+		"full":          codegen.ConfigFull(),
+		"compat":        {Scheme: codegen.SchemeCamouflageCompat},
+		"full-zero-mod": zeroMod,
+	}
+	for name, base := range builds {
+		for _, cpus := range []int{0, 1, 2, 3, MaxCPUs} {
+			for _, seed := range []uint64{1, 0xC0FFEE} {
+				cfg := *base
+				cfg.NumCPUs = cpus
+				st := bootState(t, Options{Config: &cfg, Seed: seed})
+				blob, err := st.Serialize()
+				if err != nil {
+					t.Errorf("%s, %d vCPUs, seed %#x: %v", name, cpus, seed, err)
+					continue
+				}
+				got, err := DeserializeState(blob, nil)
+				if err != nil {
+					t.Errorf("%s, %d vCPUs, seed %#x: %v", name, cpus, seed, err)
+					continue
+				}
+				again, err := got.Serialize()
+				if err != nil || !bytes.Equal(again, blob) {
+					t.Errorf("%s, %d vCPUs, seed %#x: decoded state re-encodes differently (%v)", name, cpus, seed, err)
+				}
+			}
+		}
+	}
+}
+
 // TestDeserializeRejectsGarbage: truncated or corrupted blobs fail
-// loudly, never yield a machine.
+// loudly, never yield a machine, and say why in the terms an operator
+// reads: the field and offset decoding stopped at, or the cause of a
+// failed rebuild.
 func TestDeserializeRejectsGarbage(t *testing.T) {
 	st := bootState(t, Options{Config: codegen.ConfigBackward(), Seed: 3})
 	blob, err := st.Serialize()
@@ -130,6 +250,21 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DeserializeState(blob[:len(blob)/2], nil); err == nil {
 		t.Fatal("truncated blob accepted")
+	}
+	// One byte short: the last field, bootCycles, is cut.
+	_, err = DeserializeState(blob[:len(blob)-1], nil)
+	want := fmt.Sprintf("kernel: bad state blob at bootCycles (offset %d): truncated (%d bytes)", len(blob)-8, len(blob)-1)
+	if err == nil || err.Error() != want {
+		t.Fatalf("blob one byte short: %v, want %q", err, want)
+	}
+	// A blob of the previous wire version names the version it holds.
+	old := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(old[len(stateWireMagic):], stateWireVersion-1)
+	_, err = DeserializeState(old, nil)
+	want = fmt.Sprintf("kernel: bad state blob at version (offset %d): version %d, want %d",
+		len(stateWireMagic)+8, stateWireVersion-1, stateWireVersion)
+	if err == nil || err.Error() != want {
+		t.Fatalf("previous wire version: %v, want %q", err, want)
 	}
 	if _, err := DeserializeState([]byte("not a snapshot"), nil); err == nil {
 		t.Fatal("garbage blob accepted")
@@ -140,6 +275,20 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 	bad[len(stateWireMagic)+8+73] ^= 0x40 // inside the options/keys region
 	if _, err := DeserializeState(bad, nil); err == nil {
 		t.Fatal("bit-flipped blob accepted")
+	}
+	// A failed rebuild carries its cause, and callers reach it through
+	// the store's wrapping. No blob of decodable options fails to
+	// rebuild, so the error is made as DeserializeState makes it.
+	cause := &os.PathError{Op: "link", Path: ".text", Err: os.ErrInvalid}
+	err = fmt.Errorf("store: snapshot 0123: %w",
+		&StateDecodeError{Msg: "rebuild image from snapshot options", Err: cause})
+	var de *StateDecodeError
+	var pe *os.PathError
+	if !errors.As(err, &de) || !errors.Is(err, os.ErrInvalid) || !errors.As(err, &pe) || pe != cause {
+		t.Fatalf("rebuild failure %v does not unwrap to its cause", err)
+	}
+	if want := "kernel: bad state blob: rebuild image from snapshot options: " + cause.Error(); de.Error() != want {
+		t.Fatalf("rebuild failure reads %q, want %q", de.Error(), want)
 	}
 }
 
@@ -201,7 +350,8 @@ func oversizedTT1(tb testing.TB, blob []byte) []byte {
 	e.buf = append(e.buf, stateWireMagic...)
 	e.u64(stateWireVersion)
 	encodeOptions(e, Options{Config: codegen.ConfigFull()})
-	e.buf = append(e.buf, make([]byte, keySetWire+4*8)...) // keys, rng
+	e.keys(pac.KeySet{})
+	e.buf = append(e.buf, make([]byte, 4*8)...) // rng
 	e.i64(1)
 	encodeCPU(e, cpu.State{})
 	e.boolean(false) // mmuOn

@@ -1,12 +1,14 @@
 package mem
 
 // Persistence hooks for the content-addressed snapshot store: the frozen
-// copy-on-write base and the captured device states are the only
-// mem-owned pieces of a kernel snapshot, and their internals are
-// deliberately unexported. The store serializes through the explicit
-// export/import surface below instead of reaching into them, keeping the
+// copy-on-write base is the only mem-owned piece of a kernel snapshot
+// that a snapshot file holds, and its internals are deliberately
+// unexported. The store serializes through the explicit export/import
+// surface below instead of reaching into them, keeping the
 // copy-on-write invariants (base pages are never written through) intact
-// for loaded snapshots exactly as for captured ones.
+// for loaded snapshots exactly as for captured ones. A booted machine's
+// devices are idle, so the file holds no device state; Idle tells the
+// state codec so.
 
 import "sort"
 
@@ -37,61 +39,16 @@ func NewFrozenFromPages(pages map[uint64]*[PageSize]byte) *Frozen {
 	return &Frozen{pages: pages}
 }
 
-// NetDevWire is the exported wire form of a captured NetDev snapshot.
-type NetDevWire struct {
-	RX      [][]byte
-	RXOff   int
-	RXCount uint64
-	TXBytes uint64
+// Idle reports whether the captured NIC holds nothing a booted
+// machine lacks: no queued packet and no traffic counted. The state
+// codec refuses a snapshot whose NIC is not idle.
+func (st NetDevState) Idle() bool {
+	return len(st.rx) == 0 && st.rxOff == 0 && st.rxCount == 0 && st.txBytes == 0
 }
 
-// Wire exports the captured state. Packet payloads are shared with the
-// snapshot; callers serializing them must copy, not alias.
-func (st NetDevState) Wire() NetDevWire {
-	return NetDevWire{RX: st.rx, RXOff: st.rxOff, RXCount: st.rxCount, TXBytes: st.txBytes}
-}
-
-// State imports a wire form back into a restorable device snapshot.
-func (w NetDevWire) State() NetDevState {
-	return NetDevState{rx: w.RX, rxOff: w.RXOff, rxCount: w.RXCount, txBytes: w.TXBytes}
-}
-
-// BlockDevWire is the exported wire form of a captured BlockDev
-// snapshot, with sectors in ascending order for deterministic encoding.
-type BlockDevWire struct {
-	Sectors []BlockSectorWire
-	Cur     uint64
-	Off     int
-	Reads   uint64
-	Writes  uint64
-}
-
-// BlockSectorWire is one disk sector.
-type BlockSectorWire struct {
-	N    uint64
-	Data [SectorSize]byte
-}
-
-// Wire exports the captured state (sector contents copied by value).
-func (st BlockDevState) Wire() BlockDevWire {
-	w := BlockDevWire{Cur: st.cur, Off: st.off, Reads: st.reads, Writes: st.writes}
-	ns := make([]uint64, 0, len(st.sectors))
-	for n := range st.sectors {
-		ns = append(ns, n)
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	for _, n := range ns {
-		w.Sectors = append(w.Sectors, BlockSectorWire{N: n, Data: *st.sectors[n]})
-	}
-	return w
-}
-
-// State imports a wire form back into a restorable device snapshot.
-func (w BlockDevWire) State() BlockDevState {
-	sectors := make(map[uint64]*[SectorSize]byte, len(w.Sectors))
-	for i := range w.Sectors {
-		cp := w.Sectors[i].Data
-		sectors[w.Sectors[i].N] = &cp
-	}
-	return BlockDevState{sectors: sectors, cur: w.Cur, off: w.Off, reads: w.Reads, writes: w.Writes}
+// Idle reports whether the captured disk holds nothing a booted machine
+// lacks: no sector, no position and no transfer counted. The state
+// codec refuses a snapshot whose disk is not idle.
+func (st BlockDevState) Idle() bool {
+	return len(st.sectors) == 0 && st.cur == 0 && st.off == 0 && st.reads == 0 && st.writes == 0
 }

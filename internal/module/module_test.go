@@ -1,6 +1,7 @@
 package module
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -126,6 +127,20 @@ func TestLoadModuleAndUseDriver(t *testing.T) {
 	}
 	if k.CPU.PACFailures != 0 {
 		t.Fatalf("PAC failures during module driver use: %d", k.CPU.PACFailures)
+	}
+}
+
+// TestLoadedModuleNotPortable: a loaded module registers its driver's
+// ops with the kernel, state no snapshot file holds, so the state
+// codec refuses the machine, naming them.
+func TestLoadedModuleNotPortable(t *testing.T) {
+	k := bootFull(t)
+	if _, err := Load(k, buildEchoDriver(k.Cfg)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := k.CaptureState().Serialize()
+	if !errors.Is(err, kernel.ErrStateNotPortable) || !strings.Contains(err.Error(), "holds driver ops") {
+		t.Fatalf("Serialize after a module load = %v, want ErrStateNotPortable naming driver ops", err)
 	}
 }
 

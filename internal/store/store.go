@@ -373,9 +373,12 @@ func writeFileAtomic(path string, parts ...[]byte) error {
 // Save persists the snapshot as one file, named by the digest it
 // commits to, and returns that digest. Saving content already on disk
 // rewrites the whole file, so a re-save heals a file that fails
-// verification. Every call counts once: as a save, or as a save
-// failure (the pool persists in the background and drops the error, so
-// the counter is how an unwritable store shows).
+// verification. The saved file becomes its key's snapshot, and Save
+// removes every other file the store holds for the key: Load serves
+// only the key's snapshot, so the others are dead, such as a file
+// refused for an older state wire version. Every call counts once: as
+// a save, or as a save failure (the pool persists in the background and
+// drops the error, so the counter is how an unwritable store shows).
 func (s *Store) Save(key snapshot.Key, snap *snapshot.Snapshot) (string, error) {
 	digest, err := s.save(key, snap)
 	if err != nil {
@@ -432,7 +435,21 @@ func (s *Store) save(key snapshot.Key, snap *snapshot.Snapshot) (string, error) 
 	if err := writeFileAtomic(s.snapPath(m.Digest), append(hdr, '\n'), body); err != nil {
 		return "", fmt.Errorf("store: write snapshot: %w", err)
 	}
-	s.admit(m)
+	s.mu.Lock()
+	var superseded []string
+	for digest, other := range s.byDig {
+		if other.KeyDigest == m.KeyDigest && digest != m.Digest {
+			superseded = append(superseded, digest)
+		}
+	}
+	s.byDig[m.Digest] = m
+	s.index[m.KeyDigest] = m
+	s.mu.Unlock()
+	for _, digest := range superseded {
+		// The save stands either way: a file that cannot be removed
+		// stays listed, and the index no longer names it.
+		_ = s.Delete(digest)
+	}
 	return m.Digest, nil
 }
 

@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -205,7 +208,10 @@ var tampers = []struct {
 // TestTamperedSnapshotRejected: editing a header field, flipping a bit
 // of the state record or of a page, truncating the body, or a header
 // claiming more pages than the body holds must each surface as a
-// *VerifyError naming the part — never a served machine.
+// *VerifyError naming the part — never a served machine. Its message
+// names the part, what was wanted and what the file holds. A header
+// line torn under an open store is refused the same way, quoting the
+// parse error, which unwraps to the JSON decoder's.
 func TestTamperedSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(103, 1)
@@ -238,7 +244,35 @@ func TestTamperedSnapshotRejected(t *testing.T) {
 			if ve.Part != c.part || ve.Want == ve.Got {
 				t.Fatalf("VerifyError %+v, want part %q with want != got", ve, c.part)
 			}
+			want := fmt.Sprintf("store: snapshot %s: %s mismatch: want %s, file holds %s", digest[:12], ve.Part, ve.Want, ve.Got)
+			if msg := err.Error(); msg != want {
+				t.Fatalf("Load error reads %q, want %q", msg, want)
+			}
 		})
+	}
+
+	// Open deletes a file whose header does not parse as a torn write,
+	// so tear the header under an open store.
+	live, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append([]byte("{torn\n"), orig[n:]...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = live.Load(key)
+	var ve *VerifyError
+	if !errors.As(err, &ve) || ve.Part != "header" || ve.Want != "a JSON header line" || !strings.Contains(ve.Got, "invalid character") {
+		t.Fatalf("Load of a torn header = %v, want a header mismatch quoting the parse error", err)
+	}
+	_, _, herr := decodeHeader(bytes.NewReader(torn))
+	var syntax *json.SyntaxError
+	if herr == nil || herr.Error() != ve.Got || !errors.As(herr, &syntax) {
+		t.Fatalf("torn header decodes to %v, want the JSON syntax error %q", herr, ve.Got)
+	}
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// Untampered store still loads fine afterwards.
@@ -548,5 +582,87 @@ func TestCorruptStoreFallsBackToBoot(t *testing.T) {
 	boots, loads = st.Boots-before.Boots, st.StoreLoads-before.StoreLoads
 	if boots != 0 || loads != 1 {
 		t.Fatalf("after the re-persist: %d boots / %d store loads, want 0 / 1", boots, loads)
+	}
+}
+
+// TestSupersededSnapshotRemoved: a snapshot whose state record has the
+// previous wire version, as every file saved before a version bump
+// has, is refused at load with one verify failure. The pool boots the
+// key once and saves it under its new digest, and that save removes
+// the refused file: the store holds one file and lists one snapshot
+// for the key, and the next process loads it with no boot.
+func TestSupersededSnapshotRemoved(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(110, 1)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := s.Save(key, bootSnap(t, key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the file as the previous wire version saved it: the state
+	// record opens with the 9-byte magic "camoSTATE", then the version.
+	path, raw, m, n := snapFile(t, dir, digest)
+	body := raw[n:]
+	const versionOff = len("camoSTATE")
+	binary.LittleEndian.PutUint64(body[versionOff:], binary.LittleEndian.Uint64(body[versionOff:])-1)
+	old := *m
+	old.Digest = old.contentDigest(body)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshots", old.Digest+".snap"), encodeFile(t, &old, body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := snapshot.NewPool()
+	p.Store = st2
+	before, fails := p.Stats(), obs.CounterTotal(obs.CStoreVerifyFail)
+	mach, err := p.Acquire(key, snapshot.BootOptions(key.Options))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach.Release()
+	p.WaitPersist()
+	if f, boots := obs.CounterTotal(obs.CStoreVerifyFail)-fails, p.Stats().Boots-before.Boots; f != 1 || boots != 1 {
+		t.Fatalf("%d verify failures / %d boots, want 1 / 1", f, boots)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "snapshots", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || filepath.Base(files[0]) != digest+".snap" {
+		t.Fatalf("store holds %v, want only %s.snap", files, digest)
+	}
+	if l := st2.List(); len(l) != 1 || l[0].Digest != digest {
+		t.Fatalf("List = %+v, want only %s", l, digest)
+	}
+
+	// "Restart": fresh store handle, fresh pool, same directory.
+	st3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := st3.List(); len(l) != 1 || l[0].Digest != digest {
+		t.Fatalf("reopened List = %+v, want only %s", l, digest)
+	}
+	p3 := snapshot.NewPool()
+	p3.Store = st3
+	before = p3.Stats()
+	mach, err = p3.Acquire(key, func() (*kernel.Kernel, error) {
+		return nil, errors.New("boot closure ran although the store holds the re-saved snapshot")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach.Release()
+	if st := p3.Stats(); st.Boots-before.Boots != 0 || st.StoreLoads-before.StoreLoads != 1 {
+		t.Fatalf("reopened store: %d boots / %d loads, want 0 / 1", st.Boots-before.Boots, st.StoreLoads-before.StoreLoads)
 	}
 }
