@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"camouflage/internal/analysis"
@@ -256,20 +257,16 @@ type KeySwitchStats struct {
 	Variance     float64
 }
 
-// MeasureKeySwitch measures the per-key cost of a kernel entry/exit key
-// switch over n trials (§6.1.1 uses n = 20). The trials run in order on
-// one bare CPU: each writes its own program over the last, drops the
-// decoded code and runs to HLT. A trial is about 60 instructions, so
-// building a machine per trial would cost more than all of them. Once
-// ctx is done no further trial starts, and a run whose context ended
-// during its last trial reports ctx.Err() too, as snapshot.ForEach does.
-func MeasureKeySwitch(ctx context.Context, n int) (KeySwitchStats, error) {
-	st := KeySwitchStats{PerKeyCycles: make([]float64, n)}
-	c := cpu.New(cpu.Features{PAuth: true})
-	for trial := 0; trial < n; trial++ {
-		if err := ctx.Err(); err != nil {
-			return KeySwitchStats{}, err
-		}
+// keySwitchTrials is the §6.1.1 trial count. Trial i installs the
+// kernel keys that PRNG seed 100+i generates.
+const keySwitchTrials = 20
+
+// keySwitchImages links the trial programs. Their keys are fixed, so
+// they are built once per process and every MeasureKeySwitch shares
+// them read-only.
+var keySwitchImages = sync.OnceValues(func() ([]*asm.Image, error) {
+	imgs := make([]*asm.Image, keySwitchTrials)
+	for trial := range imgs {
 		keys := boot.NewPRNG(uint64(trial) + 100).GenerateKeys()
 		a := asm.New()
 		a.Label("entry")
@@ -293,6 +290,33 @@ func MeasureKeySwitch(ctx context.Context, n int) (KeySwitchStats, error) {
 		boot.EmitKeySetter(a, "key_setter", keys, boot.ModeV83)
 		img, err := a.Link(map[string]uint64{".text": uint64(pac.KernelBase) | 0x8_0000})
 		if err != nil {
+			return nil, err
+		}
+		imgs[trial] = img
+	}
+	return imgs, nil
+})
+
+// MeasureKeySwitch measures the per-key cost of a kernel entry/exit key
+// switch over n trials, at most keySwitchTrials (§6.1.1 uses n = 20).
+// The trials run in order on one bare CPU: each copies its program over
+// the last, drops the decoded code and runs to HLT. A trial is about 60
+// instructions, so building a machine per trial would cost more than
+// all of them. Once ctx is done no further trial starts, and a run whose
+// context ended during its last trial reports ctx.Err() too, as
+// snapshot.ForEach does.
+func MeasureKeySwitch(ctx context.Context, n int) (KeySwitchStats, error) {
+	imgs, err := keySwitchImages()
+	if err != nil {
+		return KeySwitchStats{}, err
+	}
+	if n > len(imgs) {
+		return KeySwitchStats{}, fmt.Errorf("keyswitch: %d trials, at most %d", n, len(imgs))
+	}
+	st := KeySwitchStats{PerKeyCycles: make([]float64, n)}
+	c := cpu.New(cpu.Features{PAuth: true})
+	for trial, img := range imgs[:n] {
+		if err := ctx.Err(); err != nil {
 			return KeySwitchStats{}, err
 		}
 		for _, s := range img.Sections {
@@ -328,7 +352,7 @@ func MeasureKeySwitch(ctx context.Context, n int) (KeySwitchStats, error) {
 
 // RenderKeySwitch reproduces the §6.1.1 measurement.
 func RenderKeySwitch(ctx context.Context, w io.Writer, _ RunOptions) error {
-	st, err := MeasureKeySwitch(ctx, 20)
+	st, err := MeasureKeySwitch(ctx, keySwitchTrials)
 	if err != nil {
 		return err
 	}

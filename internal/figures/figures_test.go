@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -47,7 +48,10 @@ func TestLookup(t *testing.T) {
 }
 
 // TestKeySwitchNineCycles pins E1: mean ≈ 9 cycles/key with ~zero
-// variance (paper: 8.88, variance 0.004).
+// variance (paper: 8.88, variance 0.004). The trial programs are shared
+// by every measurement in the process, so four measurements at once get
+// equal stats, and a run asking for more trials than there are programs
+// is refused.
 func TestKeySwitchNineCycles(t *testing.T) {
 	st, err := MeasureKeySwitch(context.Background(), 20)
 	if err != nil {
@@ -58,6 +62,27 @@ func TestKeySwitchNineCycles(t *testing.T) {
 	}
 	if st.Variance > 0.1 {
 		t.Fatalf("variance = %.3f; the deterministic model should be ≈0", st.Variance)
+	}
+
+	var wg sync.WaitGroup
+	got := make([]KeySwitchStats, 4)
+	errs := make([]error, len(got))
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = MeasureKeySwitch(context.Background(), 20)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || !reflect.DeepEqual(got[i], st) {
+			t.Errorf("concurrent measurement %d = %+v (err %v), want %+v", i, got[i], errs[i], st)
+		}
+	}
+
+	if _, err := MeasureKeySwitch(context.Background(), keySwitchTrials+1); err == nil {
+		t.Errorf("%d trials accepted, want at most %d", keySwitchTrials+1, keySwitchTrials)
 	}
 }
 
@@ -224,11 +249,12 @@ func TestCancelStopsRunBetweenCells(t *testing.T) {
 	pool := snapshot.NewPool()
 	snapshot.Shared = pool
 	t.Cleanup(func() { snapshot.Shared = prev })
-	// Boots, forks and reuses are process totals; count from here.
+	// Every Acquire forks or reuses a machine (a boot only arms the
+	// key). Forks and reuses are process totals; count from here.
 	base := pool.Stats()
 	acquired := func() uint64 {
 		st := pool.Stats()
-		return st.Boots - base.Boots + st.Forks - base.Forks + st.Reuses - base.Reuses
+		return st.Forks - base.Forks + st.Reuses - base.Reuses
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -10,7 +10,9 @@ package kernel
 //     the load path re-derives them from the blob's build options via
 //     the same buildLinked pipeline New uses, then re-runs the §4.1
 //     static verifier — a loaded snapshot passes exactly the gates a
-//     fresh boot does.
+//     fresh boot does — and requires the frozen pages under the
+//     image's read-only sections to hold that image, since forks run
+//     those pages.
 //   - Frozen guest RAM is NOT in the blob either: pages are exported
 //     separately, and the store writes them after the blob in the same
 //     snapshot file.
@@ -37,6 +39,7 @@ import (
 	"slices"
 	"sort"
 
+	"camouflage/internal/asm"
 	"camouflage/internal/boot"
 	"camouflage/internal/codegen"
 	"camouflage/internal/cpu"
@@ -427,8 +430,10 @@ func (st *State) Serialize() ([]byte, error) {
 // through the same deterministic pipeline New uses, and §4.1
 // re-verified; the blob's kernel keys must match the rebuilt image's
 // (they are a pure function of the seed), which catches blobs paired
-// with the wrong options. Pages are owned by the result: callers must
-// hand over fresh arrays and never write them again.
+// with the wrong options, and the pages under the image's read-only
+// sections must hold the image (checkImagePages). Pages are owned by
+// the result: callers must hand over fresh arrays and never write them
+// again.
 func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State, error) {
 	if len(blob) < len(stateWireMagic) || string(blob[:len(stateWireMagic)]) != stateWireMagic {
 		return nil, &StateDecodeError{Msg: "not a state blob (bad magic)"}
@@ -534,6 +539,42 @@ func DeserializeState(blob []byte, pages map[uint64]*[mem.PageSize]byte) (*State
 	if keys != wireKeys {
 		return nil, &StateDecodeError{Msg: "keys do not match the image rebuilt from its options (blob/options mismatch)"}
 	}
+	if err := checkImagePages(img, pages); err != nil {
+		return nil, err
+	}
 	st.img, st.keys = img, keys
 	return st, nil
+}
+
+// imageSections are the sections no booted machine writes: their RAM
+// pages must equal the rebuilt image, which is what §4.1 verified.
+// Forks execute the frozen pages, not the image, so without this check
+// a snapshot file could carry code the verifier never saw. .data is
+// left out, since boot writes it.
+var imageSections = []string{".vectors", ".xom", ".text", ".rodata"}
+
+// checkImagePages compares every page the image sections map (each
+// section rounded up to whole pages, as New maps it) with the image's
+// bytes, zero past the section's end. A page the file lacks reads as
+// zeros.
+func checkImagePages(img *asm.Image, pages map[uint64]*[mem.PageSize]byte) error {
+	var want, zero [mem.PageSize]byte
+	for _, name := range imageSections {
+		s := img.Sections[name]
+		if s == nil {
+			continue
+		}
+		pa := KVAToPA(s.Base)
+		for off := 0; off < len(s.Bytes); off += mem.PageSize {
+			clear(want[copy(want[:], s.Bytes[off:]):])
+			got := pages[(pa+uint64(off))/mem.PageSize]
+			if got == nil {
+				got = &zero
+			}
+			if *got != want {
+				return &StateDecodeError{Msg: fmt.Sprintf("%s page at PA %#x differs from the image rebuilt from its options", name, pa+uint64(off))}
+			}
+		}
+	}
+	return nil
 }

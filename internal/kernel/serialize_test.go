@@ -28,6 +28,17 @@ func bootState(t *testing.T, opts Options) *State {
 	return k.CaptureState()
 }
 
+// frozenPages copies the state's frozen RAM, as the store reads it back
+// from a snapshot file.
+func frozenPages(st *State) map[uint64]*[mem.PageSize]byte {
+	pages := make(map[uint64]*[mem.PageSize]byte)
+	st.ForEachFrozenPage(func(pn uint64, pg *[mem.PageSize]byte) {
+		cp := *pg
+		pages[pn] = &cp
+	})
+	return pages
+}
+
 // TestSerializeDeterministic: the wire form is a pure function of the
 // state — two captures of identically built machines, and two encodes
 // of one capture, produce identical bytes. Content addressing depends
@@ -68,12 +79,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages := make(map[uint64]*[mem.PageSize]byte)
-		st.ForEachFrozenPage(func(pn uint64, pg *[mem.PageSize]byte) {
-			cp := *pg
-			pages[pn] = &cp
-		})
-		got, err := DeserializeState(blob, pages)
+		got, err := DeserializeState(blob, frozenPages(st))
 		if err != nil {
 			t.Fatalf("cpus=%d: %v", cpus, err)
 		}
@@ -224,7 +230,7 @@ func TestEveryBuildPersists(t *testing.T) {
 					t.Errorf("%s, %d vCPUs, seed %#x: %v", name, cpus, seed, err)
 					continue
 				}
-				got, err := DeserializeState(blob, nil)
+				got, err := DeserializeState(blob, frozenPages(st))
 				if err != nil {
 					t.Errorf("%s, %d vCPUs, seed %#x: %v", name, cpus, seed, err)
 					continue
@@ -297,11 +303,12 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 // whose bytes disagree with its scheme is refused with the typed error.
 func TestDeserializeChecksCompatBytes(t *testing.T) {
 	compat := &codegen.Config{Scheme: codegen.SchemeCamouflageCompat}
-	blob, err := bootState(t, Options{Config: compat, Seed: 3}).Serialize()
+	booted := bootState(t, Options{Config: compat, Seed: 3})
+	blob, err := booted.Serialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := DeserializeState(blob, nil); err != nil || !st.Options().V80() {
+	if st, err := DeserializeState(blob, frozenPages(booted)); err != nil || !st.Options().V80() {
 		t.Fatalf("compat blob: err %v", err)
 	}
 	e := &wireEnc{}
@@ -321,9 +328,11 @@ func TestDeserializeChecksCompatBytes(t *testing.T) {
 }
 
 // postBootBlobs serializes the post-boot states of a 1- and a 2-vCPU
-// full-protection machine, the blobs the store persists.
-func postBootBlobs(tb testing.TB) [][]byte {
+// full-protection machine, the blobs the store persists, and returns
+// each with its frozen RAM.
+func postBootBlobs(tb testing.TB) ([][]byte, []map[uint64]*[mem.PageSize]byte) {
 	var blobs [][]byte
+	var pages []map[uint64]*[mem.PageSize]byte
 	for _, cpus := range []int{1, 2} {
 		cfg := codegen.ConfigFull()
 		cfg.NumCPUs = cpus
@@ -334,13 +343,15 @@ func postBootBlobs(tb testing.TB) [][]byte {
 		if err := k.Boot(); err != nil {
 			tb.Fatal(err)
 		}
-		blob, err := k.CaptureState().Serialize()
+		st := k.CaptureState()
+		blob, err := st.Serialize()
 		if err != nil {
 			tb.Fatal(err)
 		}
 		blobs = append(blobs, blob)
+		pages = append(pages, frozenPages(st))
 	}
-	return blobs
+	return blobs, pages
 }
 
 // oversizedTT1 rewrites the tt1.len prefix of a 1-vCPU blob to 2^33
@@ -368,7 +379,8 @@ func oversizedTT1(tb testing.TB, blob []byte) []byte {
 // rest of the blob could hold is refused with the typed error before
 // anything is allocated for it.
 func TestDeserializeRefusesOversizedLength(t *testing.T) {
-	bad := oversizedTT1(t, postBootBlobs(t)[0])
+	blobs, _ := postBootBlobs(t)
+	bad := oversizedTT1(t, blobs[0])
 	_, err := DeserializeState(bad, nil)
 	var de *StateDecodeError
 	if !errors.As(err, &de) || de.Field != "tt1.len" {
@@ -379,15 +391,24 @@ func TestDeserializeRefusesOversizedLength(t *testing.T) {
 // FuzzDeserializeState: whatever the bytes, DeserializeState returns a
 // *StateDecodeError or a State whose wire form decodes again and
 // re-encodes to the same bytes. It never panics and never allocates
-// from an unchecked count.
+// from an unchecked count. Each input is decoded with the frozen RAM of
+// each seed machine in turn, so a blob of a seed's build decodes with
+// that seed's pages.
 func FuzzDeserializeState(f *testing.F) {
-	blobs := postBootBlobs(f)
+	blobs, seedPages := postBootBlobs(f)
 	for _, blob := range blobs {
 		f.Add(blob)
 	}
 	f.Add(oversizedTT1(f, blobs[0]))
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		st, err := DeserializeState(blob, nil)
+		var st *State
+		var err error
+		var pages map[uint64]*[mem.PageSize]byte
+		for _, pages = range seedPages {
+			if st, err = DeserializeState(blob, pages); err == nil {
+				break
+			}
+		}
 		if err != nil {
 			var de *StateDecodeError
 			if !errors.As(err, &de) {
@@ -399,7 +420,7 @@ func FuzzDeserializeState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := DeserializeState(once, nil)
+		again, err := DeserializeState(once, pages)
 		if err != nil {
 			t.Fatalf("re-encoded state does not decode: %v", err)
 		}

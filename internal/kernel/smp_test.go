@@ -7,7 +7,6 @@ import (
 	"camouflage/internal/codegen"
 	"camouflage/internal/cpu"
 	"camouflage/internal/insn"
-	"camouflage/internal/mem"
 )
 
 // smpOptions returns full-protection build options for n vCPUs.
@@ -156,12 +155,7 @@ func TestSMPIdleRunsAnswerHLT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages := make(map[uint64]*[mem.PageSize]byte)
-		st.ForEachFrozenPage(func(pn uint64, pg *[mem.PageSize]byte) {
-			cp := *pg
-			pages[pn] = &cp
-		})
-		decoded, err := DeserializeState(blob, pages)
+		decoded, err := DeserializeState(blob, frozenPages(st))
 		if err != nil {
 			t.Fatal(err)
 		}

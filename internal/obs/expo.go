@@ -22,7 +22,7 @@ func Inf64() float64 { return inf64 }
 // # TYPE lines. Output is deterministic: static families appear in
 // enum order, everything else in name order.
 func WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	ew := expoWriter{w: bufio.NewWriter(w)}
 	totals := CounterTotals()
 
 	// Static counter families, grouped in enum order (IDs of one family
@@ -31,75 +31,86 @@ func WritePrometheus(w io.Writer) error {
 	for id := CounterID(0); id < NumCounters; id++ {
 		m := &counterMetas[id]
 		if m.family != prevFamily {
-			writeHeader(bw, m.family, m.help, "counter")
+			ew.header(m.family, m.help, "counter")
 			prevFamily = m.family
 		}
-		writeSample(bw, m.family, m.labels, strconv.FormatUint(totals[id], 10))
+		ew.uint(m.family, "", m.labels, totals[id])
 	}
 
 	for _, v := range sortedVecs() {
-		writeHeader(bw, v.name, v.help, "counter")
+		ew.header(v.name, v.help, "counter")
 		for _, s := range v.snapshotCells() {
-			writeSample(bw, v.name, s.labels, strconv.FormatUint(s.value, 10))
+			ew.uint(v.name, "", s.labels, s.value)
 		}
 	}
 
 	for _, g := range sortedGauges() {
-		writeHeader(bw, g.name, g.help, "gauge")
-		writeSample(bw, g.name, "", formatFloat(g.fn()))
+		ew.header(g.name, g.help, "gauge")
+		ew.float(g.name, "", "", g.fn())
 	}
 
 	prevFamily = ""
-	for _, h := range sortedHists() {
+	_, byFamily := histTable()
+	for _, h := range byFamily {
 		if h.name != prevFamily {
-			writeHeader(bw, h.name, h.help, "histogram")
+			ew.header(h.name, h.help, "histogram")
 			prevFamily = h.name
 		}
-		s := h.snapshot()
-		for _, b := range s.Buckets {
-			le := "+Inf"
-			if b.LE < inf64 {
-				le = formatFloat(b.LE)
-			}
-			labels := `le="` + le + `"`
-			if h.labels != "" {
-				labels = h.labels + "," + labels
-			}
-			writeSample(bw, h.name+"_bucket", labels, strconv.FormatUint(b.Count, 10))
+		count, sumNs := h.count.Load(), h.sumNs.Load()
+		var cum uint64
+		for i := range h.counts {
+			cum += h.counts[i].Load()
+			ew.uint(h.name, "_bucket", h.bucketLabels[i], cum)
 		}
-		writeSample(bw, h.name+"_sum", h.labels, formatFloat(s.SumSeconds))
-		writeSample(bw, h.name+"_count", h.labels, strconv.FormatUint(s.Count, 10))
+		ew.float(h.name, "_sum", h.labels, float64(sumNs)/1e9)
+		ew.uint(h.name, "_count", h.labels, count)
 	}
 
-	return bw.Flush()
+	return ew.w.Flush()
 }
 
-func writeHeader(w *bufio.Writer, name, help, typ string) {
-	w.WriteString("# HELP ")
-	w.WriteString(name)
-	w.WriteByte(' ')
-	w.WriteString(help)
-	w.WriteString("\n# TYPE ")
-	w.WriteString(name)
-	w.WriteByte(' ')
-	w.WriteString(typ)
-	w.WriteByte('\n')
+// expoWriter renders exposition lines, formatting each value into one
+// reused buffer.
+type expoWriter struct {
+	w   *bufio.Writer
+	num []byte
 }
 
-func writeSample(w *bufio.Writer, name, labels, value string) {
-	w.WriteString(name)
+func (e *expoWriter) header(name, help, typ string) {
+	e.w.WriteString("# HELP ")
+	e.w.WriteString(name)
+	e.w.WriteByte(' ')
+	e.w.WriteString(help)
+	e.w.WriteString("\n# TYPE ")
+	e.w.WriteString(name)
+	e.w.WriteByte(' ')
+	e.w.WriteString(typ)
+	e.w.WriteByte('\n')
+}
+
+func (e *expoWriter) uint(name, suffix, labels string, v uint64) {
+	e.num = strconv.AppendUint(e.num[:0], v, 10)
+	e.sample(name, suffix, labels)
+}
+
+func (e *expoWriter) float(name, suffix, labels string, v float64) {
+	e.num = strconv.AppendFloat(e.num[:0], v, 'g', -1, 64)
+	e.sample(name, suffix, labels)
+}
+
+// sample writes the line name+suffix{labels} with the value already in
+// e.num.
+func (e *expoWriter) sample(name, suffix, labels string) {
+	e.w.WriteString(name)
+	e.w.WriteString(suffix)
 	if labels != "" {
-		w.WriteByte('{')
-		w.WriteString(labels)
-		w.WriteByte('}')
+		e.w.WriteByte('{')
+		e.w.WriteString(labels)
+		e.w.WriteByte('}')
 	}
-	w.WriteByte(' ')
-	w.WriteString(value)
-	w.WriteByte('\n')
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	e.w.WriteByte(' ')
+	e.w.Write(e.num)
+	e.w.WriteByte('\n')
 }
 
 // Snapshot is the JSON form of the registry, embedded in /v1/stats so
@@ -132,8 +143,9 @@ func TakeSnapshot() Snapshot {
 	for _, g := range sortedGauges() {
 		s.Gauges[g.name] = g.fn()
 	}
-	for _, h := range sortedHists() {
-		s.Histograms[h.sampleName()] = h.snapshot()
+	_, byFamily := histTable()
+	for _, h := range byFamily {
+		s.Histograms[h.sample] = h.snapshot()
 	}
 	return s
 }

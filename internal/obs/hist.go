@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,15 +27,36 @@ type Histogram struct {
 	labels     string    // pre-rendered label set without braces ("" for none)
 	bounds     []float64 // upper bounds in seconds, ascending
 
+	// Rendered once at registration: the sample name (family plus
+	// braced label set), the run-trace delta keys, and the label text
+	// of each _bucket line (the label set plus le="bound").
+	sample, countKey, sumKey string
+	bucketLabels             []string
+
 	counts []atomic.Uint64 // per-bucket (non-cumulative); len(bounds)+1, last is +Inf
 	count  atomic.Uint64
 	sumNs  atomic.Uint64
 }
 
+// The histogram table. histReg is append-only in registration order,
+// so index i names the same histogram in every later reading and a run
+// trace captures (count, sum) pairs by index. histByFamily is the
+// exposition order (family, then label set); a registration replaces
+// it with a new slice and never edits one a reader may hold.
 var (
-	histMu sync.Mutex
-	hists  = map[string]*Histogram{}
+	histMu       sync.Mutex
+	histByKey    = map[string]*Histogram{}
+	histReg      []*Histogram
+	histByFamily []*Histogram
 )
+
+// histTable returns the current registration-order table and
+// family-order view. Both are read-only to the caller.
+func histTable() (reg, byFamily []*Histogram) {
+	histMu.Lock()
+	defer histMu.Unlock()
+	return histReg, histByFamily
+}
 
 // NewHistogram returns the histogram of that name, creating it with
 // the given bucket upper bounds (in seconds, ascending) on first use.
@@ -47,24 +71,51 @@ func NewHistogram(name, help string, bounds []float64) *Histogram {
 // set (no braces), e.g. `endpoint="/v1/experiments"`. Idempotent by
 // name+labels.
 func NewHistogramLabels(name, help, labels string, bounds []float64) *Histogram {
+	sample := name
+	if labels != "" {
+		sample = name + "{" + labels + "}"
+	}
 	histMu.Lock()
 	defer histMu.Unlock()
-	key := name
-	if labels != "" {
-		key = name + "{" + labels + "}"
-	}
-	if h, ok := hists[key]; ok {
+	if h, ok := histByKey[sample]; ok {
 		return h
 	}
 	h := &Histogram{
-		name:   name,
-		help:   help,
-		labels: labels,
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
+		name:         name,
+		help:         help,
+		labels:       labels,
+		bounds:       append([]float64(nil), bounds...),
+		sample:       sample,
+		countKey:     sample + "_count",
+		sumKey:       sample + "_sum_ns",
+		bucketLabels: make([]string, len(bounds)+1),
+		counts:       make([]atomic.Uint64, len(bounds)+1),
 	}
-	hists[key] = h
+	for i := range h.bucketLabels {
+		le := "+Inf"
+		if i < len(bounds) {
+			le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
+		}
+		h.bucketLabels[i] = `le="` + le + `"`
+		if labels != "" {
+			h.bucketLabels[i] = labels + "," + h.bucketLabels[i]
+		}
+	}
+	histByKey[sample] = h
+	histReg = append(histReg, h)
+	i, _ := slices.BinarySearchFunc(histByFamily, h, cmpFamily)
+	histByFamily = slices.Insert(slices.Clip(histByFamily), i, h)
 	return h
+}
+
+// cmpFamily orders histograms by family, labeled siblings adjacent in
+// label order, so the exposition writer emits HELP/TYPE once per
+// family.
+func cmpFamily(a, b *Histogram) int {
+	if c := strings.Compare(a.name, b.name); c != 0 {
+		return c
+	}
+	return strings.Compare(a.labels, b.labels)
 }
 
 // Observe records one duration.
@@ -84,15 +135,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
 
 // Name returns the metric family name.
 func (h *Histogram) Name() string { return h.name }
-
-// sampleName returns the full sample identity (family plus label set),
-// the key used by JSON snapshots and run-trace deltas.
-func (h *Histogram) sampleName() string {
-	if h.labels == "" {
-		return h.name
-	}
-	return h.name + "{" + h.labels + "}"
-}
 
 // HistSnapshot is a point-in-time read of a histogram, used by the
 // JSON stats embedding and the run-trace layer.
@@ -125,23 +167,4 @@ func (h *Histogram) snapshot() HistSnapshot {
 		s.Buckets[i] = BucketCount{LE: le, Count: cum}
 	}
 	return s
-}
-
-// sortedHists snapshots the histogram table in family order, labeled
-// siblings adjacent in label order (so the exposition writer can emit
-// HELP/TYPE once per family).
-func sortedHists() []*Histogram {
-	histMu.Lock()
-	defer histMu.Unlock()
-	out := make([]*Histogram, 0, len(hists))
-	for _, h := range hists {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].name != out[j].name {
-			return out[i].name < out[j].name
-		}
-		return out[i].labels < out[j].labels
-	})
-	return out
 }

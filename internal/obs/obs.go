@@ -205,16 +205,21 @@ var counterMetas = [NumCounters]counterMeta{
 	CStoreOrphanSweep: {"camouflage_store_recovery_orphans_total", "Files removed by the store's startup recovery sweep: stranded temp files, torn snapshot files and files of retired store layouts.", ""},
 }
 
+// counterSamples holds each counter's sample name, rendered once.
+var counterSamples = func() (names [NumCounters]string) {
+	for id, m := range counterMetas {
+		names[id] = m.family
+		if m.labels != "" {
+			names[id] += "{" + m.labels + "}"
+		}
+	}
+	return names
+}()
+
 // SampleName returns the full exposition sample name of a counter
 // (family plus pre-rendered label set), the key used by JSON snapshots
 // and run-trace deltas.
-func (id CounterID) SampleName() string {
-	m := &counterMetas[id]
-	if m.labels == "" {
-		return m.family
-	}
-	return m.family + "{" + m.labels + "}"
-}
+func (id CounterID) SampleName() string { return counterSamples[id] }
 
 // Local is a per-core block of plain uint64 counter cells. Exactly one
 // goroutine bumps it at a time (the one running the owning CPU), so

@@ -3,6 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +167,36 @@ func TestWritePrometheus(t *testing.T) {
 			t.Errorf("PAC key %s sample missing", key)
 		}
 	}
+
+	// Histograms registered between two scrapes take their place in
+	// family order: a new family before the labeled one, and a sibling
+	// whose label set sorts first ahead of its elders.
+	NewHistogram("camouflage_test_early_seconds", "Family registered between scrapes.", []float64{1})
+	NewHistogramLabels("camouflage_test_labeled_seconds", "Labeled test histogram.",
+		`shard="0"`, []float64{1}).Observe(time.Millisecond)
+	b.Reset()
+	if err := WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out = b.String()
+	var at []int
+	for _, line := range []string{
+		"# TYPE camouflage_test_early_seconds histogram\n",
+		`camouflage_test_early_seconds_bucket{le="1"} `,
+		"# TYPE camouflage_test_labeled_seconds histogram\n",
+		`camouflage_test_labeled_seconds_bucket{shard="0",le="1"} `,
+		`camouflage_test_labeled_seconds_count{shard="0"} `,
+		`camouflage_test_labeled_seconds_bucket{shard="a",le="1"} `,
+	} {
+		i := strings.Index(out, line)
+		if i < 0 || strings.Count(out, line) != 1 {
+			t.Fatalf("second scrape holds %q %d times, want once:\n%s", line, strings.Count(out, line), out)
+		}
+		at = append(at, i)
+	}
+	if !slices.IsSorted(at) {
+		t.Fatalf("histograms registered between scrapes are out of family order (offsets %v)", at)
+	}
 }
 
 // TestSnapshotJSON pins that the JSON embedding marshals (no +Inf
@@ -187,14 +219,28 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
+// TestRunTrace pins a run's event log: each phase carries the counter
+// deltas and the _count/_sum_ns deltas of each histogram observed since
+// the previous event, keyed by sample name, and nothing that did not
+// change; a histogram registered mid-run counts from zero. A traced run
+// costs a bounded number of allocations however many histograms the
+// registry holds.
 func TestRunTrace(t *testing.T) {
+	seen := NewHistogramLabels("camouflage_test_trace_seconds", "Trace test histogram.",
+		`phase="a"`, []float64{1})
 	r := BeginRun("test", "label-1")
 	if r.ID() == "" {
 		t.Fatal("empty run ID")
 	}
 	Add(CPoolHit, 7)
+	seen.Observe(3 * time.Microsecond)
 	r.Phase("phase-a", 5*time.Millisecond)
 	r.Phase("phase-b", 0) // no deltas accrued
+	late := NewHistogramLabels("camouflage_test_trace_seconds", "Trace test histogram.",
+		`phase="c"`, []float64{1})
+	late.Observe(2 * time.Microsecond)
+	late.Observe(2 * time.Microsecond)
+	r.Phase("phase-c", 0)
 	r.End()
 
 	tr, ok := RunTraceByID(r.ID())
@@ -204,14 +250,39 @@ func TestRunTrace(t *testing.T) {
 	if !tr.Done || tr.Kind != "test" || tr.Label != "label-1" {
 		t.Fatalf("trace header: %+v", tr)
 	}
-	if len(tr.Events) != 2 {
-		t.Fatalf("events = %d, want 2", len(tr.Events))
+	if len(tr.Events) != 3 {
+		t.Fatalf("events = %d, want 3", len(tr.Events))
 	}
-	if got := tr.Events[0].Counters[CPoolHit.SampleName()]; got != 7 {
-		t.Fatalf("phase-a CPoolHit delta = %d, want 7", got)
+	for i, want := range []map[string]uint64{
+		{
+			CPoolHit.SampleName():                             7,
+			`camouflage_test_trace_seconds{phase="a"}_count`:  1,
+			`camouflage_test_trace_seconds{phase="a"}_sum_ns`: 3000,
+		},
+		nil,
+		{
+			`camouflage_test_trace_seconds{phase="c"}_count`:  2,
+			`camouflage_test_trace_seconds{phase="c"}_sum_ns`: 4000,
+		},
+	} {
+		if got := tr.Events[i].Counters; !maps.Equal(got, want) {
+			t.Errorf("%s deltas = %v, want %v", tr.Events[i].Name, got, want)
+		}
 	}
-	if tr.Events[1].Counters[CPoolHit.SampleName()] != 0 {
-		t.Fatalf("phase-b should carry no CPoolHit delta")
+
+	for i := 0; i < 64; i++ {
+		NewHistogramLabels("camouflage_test_trace_seconds", "Trace test histogram.",
+			fmt.Sprintf(`phase="fill-%02d"`, i), DefaultLatencyBuckets)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r := BeginRun("test", "allocs")
+		Add(CPoolHit, 1)
+		seen.Observe(time.Microsecond)
+		r.Phase("phase", 0)
+		r.End()
+	})
+	if allocs > 10 {
+		t.Errorf("BeginRun + Phase + End made %v allocations, want at most 10", allocs)
 	}
 
 	// Nil runs are inert.
@@ -239,8 +310,8 @@ func TestRunStoreBounded(t *testing.T) {
 	}
 }
 
-// TestConcurrentFlushAndScrape exercises flush/Add/scrape under the
-// race detector.
+// TestConcurrentFlushAndScrape exercises flush/Add/histogram
+// registration against scrapes and run traces under the race detector.
 func TestConcurrentFlushAndScrape(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -256,15 +327,20 @@ func TestConcurrentFlushAndScrape(t *testing.T) {
 			l.V[CTraceEnter]++
 			l.Flush(i)
 			Add(CPoolMiss, 1)
+			NewHistogramLabels("camouflage_test_concurrent_seconds", "Concurrent test histogram.",
+				fmt.Sprintf(`n="%d"`, i%32), []float64{1}).Observe(time.Microsecond)
 		}
 	}()
+	r := BeginRun("test", "concurrent")
 	for i := 0; i < 50; i++ {
 		var b strings.Builder
 		if err := WritePrometheus(&b); err != nil {
 			t.Error(err)
 		}
 		TakeSnapshot()
+		r.Phase("scrape", 0)
 	}
+	r.End()
 	close(stop)
 	<-done
 }

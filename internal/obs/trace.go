@@ -64,51 +64,52 @@ type RunTrace struct {
 	Events      []TraceEvent `json:"events"`
 }
 
-// capture is a registry reading used to compute per-phase deltas.
+// capture is a registry reading used to compute per-phase deltas:
+// every counter, and the (count, sum) pair of each histogram in
+// registration order.
 type capture struct {
 	counters [NumCounters]uint64
-	hists    []histCapture
+	hists    []histReading
 }
 
-type histCapture struct {
-	name  string
-	count uint64
-	sumNs uint64
+type histReading struct {
+	h            *Histogram
+	count, sumNs uint64
 }
 
 func captureTotals() capture {
-	c := capture{counters: CounterTotals()}
-	for _, h := range sortedHists() {
-		c.hists = append(c.hists, histCapture{name: h.sampleName(), count: h.count.Load(), sumNs: h.sumNs.Load()})
+	reg, _ := histTable()
+	c := capture{counters: CounterTotals(), hists: make([]histReading, len(reg))}
+	for i, h := range reg {
+		c.hists[i] = histReading{h, h.count.Load(), h.sumNs.Load()}
 	}
 	return c
 }
 
 // delta returns the non-zero differences now-prev as sample-name keyed
-// counts. Histograms registered after prev was captured count from
-// zero.
+// counts. The table only grows, so a histogram registered after prev
+// was captured sits past prev's readings and counts from zero.
 func (now *capture) delta(prev *capture) map[string]uint64 {
-	d := map[string]uint64{}
+	var d map[string]uint64
+	put := func(name string, v uint64) {
+		if v == 0 {
+			return
+		}
+		if d == nil {
+			d = map[string]uint64{}
+		}
+		d[name] = v
+	}
 	for id := CounterID(0); id < NumCounters; id++ {
-		if v := now.counters[id] - prev.counters[id]; v != 0 {
-			d[id.SampleName()] = v
-		}
+		put(counterSamples[id], now.counters[id]-prev.counters[id])
 	}
-	prevH := map[string]histCapture{}
-	for _, h := range prev.hists {
-		prevH[h.name] = h
-	}
-	for _, h := range now.hists {
-		p := prevH[h.name]
-		if v := h.count - p.count; v != 0 {
-			d[h.name+"_count"] = v
+	for i, r := range now.hists {
+		var p histReading
+		if i < len(prev.hists) {
+			p = prev.hists[i]
 		}
-		if v := h.sumNs - p.sumNs; v != 0 {
-			d[h.name+"_sum_ns"] = v
-		}
-	}
-	if len(d) == 0 {
-		return nil
+		put(r.h.countKey, r.count-p.count)
+		put(r.h.sumKey, r.sumNs-p.sumNs)
 	}
 	return d
 }

@@ -22,10 +22,6 @@ type Machine struct {
 
 	key  Key
 	pool *Pool
-	// fresh marks the just-booted origin machine: its first Acquire is
-	// part of the boot, not a boot avoided, so it is not counted as a
-	// reuse.
-	fresh bool
 }
 
 // Key returns the pool key the machine was acquired under (zero for a
@@ -74,10 +70,10 @@ func (p *Pool) release(m *Machine) {
 }
 
 // Pool hands out warm pre-booted machines keyed by build options. The
-// first Acquire of a key pays one boot and snapshots it; later Acquires
-// reuse a reset idle machine or fork a new one in O(1). All methods are
-// safe for concurrent use; concurrent Acquires of a cold key block until
-// its one boot (or store load) completes.
+// first Acquire of a key pays one boot and snapshots it; every Acquire
+// then reuses a reset idle machine or forks a new one in O(1). All
+// methods are safe for concurrent use; concurrent Acquires of a cold key
+// block until its one boot (or store load) completes.
 //
 // With Store set, a cold key consults the persistent snapshot store
 // before booting: a verified hit arms the key in milliseconds with zero
@@ -145,10 +141,12 @@ const (
 
 // ensureBooted arms the entry: a store hit serves the persisted
 // snapshot with zero boots; otherwise the boot runs — retried with
-// capped exponential backoff — the booted kernel becomes both the
-// snapshot source and (since after Take it is indistinguishable from a
-// fork) the first warm machine, and the capture is persisted in the
-// background.
+// capped exponential backoff — the booted kernel becomes the snapshot
+// source, and the capture is persisted in the background. The booted
+// kernel itself is not parked: many keys are armed only to be forked
+// through SnapshotFor, and a parked origin would hold its CPU, MMU and
+// device state for as long as the pool lives. The first Acquire forks
+// like any other.
 //
 // Unlike the sync.Once arming this replaces, a failed arming never
 // poisons the key: the next Acquire tries again. Boots are
@@ -194,7 +192,6 @@ func (p *Pool) ensureBooted(e *poolEntry, key Key, boot func() (*kernel.Kernel, 
 	// Stats reads it under e.mu only.
 	e.mu.Lock()
 	e.snap = Take(k)
-	e.idle = append(e.idle, &Machine{K: k, Snap: e.snap, key: key, pool: p, fresh: true})
 	e.mu.Unlock()
 	if p.Store != nil {
 		snap := e.snap
@@ -250,9 +247,7 @@ func (p *Pool) Acquire(key Key, boot func() (*kernel.Kernel, error)) (*Machine, 
 		m := e.idle[n-1]
 		e.idle = e.idle[:n-1]
 		e.mu.Unlock()
-		if !m.fresh {
-			obs.Add(obs.CPoolHit, 1)
-		}
+		obs.Add(obs.CPoolHit, 1)
 		// Hand out a fresh handle around the parked kernel: the previous
 		// owner's released handle stays permanently inert, so a stale
 		// double-Release can never reset a machine a new owner is using.

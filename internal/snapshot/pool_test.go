@@ -116,15 +116,24 @@ func TestMaxIdlePerKeyEnforcedUnderConcurrentRelease(t *testing.T) {
 	}
 }
 
-// TestEvictIdle: emptying the idle lists is accounted separately from
-// Release drops, an evicted key still answers the next Acquire from the
-// cached snapshot (a fork, not a re-boot), and evictions racing
-// Acquire/Release of the key are safe.
+// TestEvictIdle: arming a key parks no machine, so the booted origin
+// does not outlive its capture and every Acquire of a cold key forks;
+// emptying the idle lists is accounted separately from Release drops,
+// an evicted key still answers the next Acquire from the cached
+// snapshot (a fork, not a re-boot), and evictions racing Acquire/Release
+// of the key are safe.
 func TestEvictIdle(t *testing.T) {
 	pool := NewPool()
 	opts := kernel.Options{Config: codegen.ConfigBackward(), Seed: 52}
 	key := KeyFor(opts)
 
+	if _, err := pool.SnapshotFor(key, BootOptions(opts)); err != nil {
+		t.Fatal(err)
+	}
+	armed := pool.Stats()
+	if armed.Idle != 0 {
+		t.Fatalf("arming the key parked %d machines, want 0", armed.Idle)
+	}
 	ms := make([]*Machine, 4)
 	for i := range ms {
 		m, err := pool.Acquire(key, BootOptions(opts))
@@ -132,6 +141,10 @@ func TestEvictIdle(t *testing.T) {
 			t.Fatal(err)
 		}
 		ms[i] = m
+	}
+	if st := pool.Stats(); st.Forks-armed.Forks != 4 || st.Reuses != armed.Reuses {
+		t.Fatalf("4 Acquires of an armed key forked %d and reused %d, want 4 and 0",
+			st.Forks-armed.Forks, st.Reuses-armed.Reuses)
 	}
 	for _, m := range ms {
 		m.Release()

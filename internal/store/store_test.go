@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -176,7 +177,9 @@ func encodeFile(t testing.TB, m *Manifest, body []byte) []byte {
 }
 
 // tampers each return an edited copy of a snapshot file (raw, with
-// header m of length n) and the part of it Load must name as corrupt.
+// header m of length n) and the part of it Load must name as corrupt,
+// or "" for a file whose content verifies and whose state the kernel
+// refuses.
 var tampers = []struct {
 	name string
 	edit func(t testing.TB, raw []byte, m *Manifest, n int) []byte
@@ -203,15 +206,32 @@ var tampers = []struct {
 		e.Pages = append(append([]uint64(nil), m.Pages...), m.Pages[len(m.Pages)-1]+1)
 		return encodeFile(t, &e, raw[n:])
 	}, "length"},
+	// A key-reading instruction patched into the kernel text, the file
+	// re-stamped with the digest its header commits to: the content
+	// verifies, and only the comparison with the rebuilt image refuses
+	// it.
+	{"patched kernel text", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
+		i := slices.Index(m.Pages, kernel.KVAToPA(kernel.TextBase)/mem.PageSize)
+		if i < 0 {
+			t.Fatal("the snapshot file holds no kernel text page")
+		}
+		off := n + m.StateSize + i*mem.PageSize + 0x40
+		binary.LittleEndian.PutUint32(raw[off:], insn.MRS(insn.X0, insn.APIAKeyLo_EL1).Encode())
+		e := *m
+		e.Digest = e.contentDigest(raw[n:])
+		return encodeFile(t, &e, raw[n:])
+	}, ""},
 }
 
 // TestTamperedSnapshotRejected: editing a header field, flipping a bit
 // of the state record or of a page, truncating the body, or a header
 // claiming more pages than the body holds must each surface as a
 // *VerifyError naming the part — never a served machine. Its message
-// names the part, what was wanted and what the file holds. A header
-// line torn under an open store is refused the same way, quoting the
-// parse error, which unwraps to the JSON decoder's.
+// names the part, what was wanted and what the file holds. Patched
+// kernel text under a digest that matches surfaces as the kernel's
+// *StateDecodeError naming the page. Each refusal counts as one verify
+// failure. A header line torn under an open store is refused the same
+// way, quoting the parse error, which unwraps to the JSON decoder's.
 func TestTamperedSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(103, 1)
@@ -228,15 +248,44 @@ func TestTamperedSnapshotRejected(t *testing.T) {
 	for _, c := range tampers {
 		t.Run(c.name, func(t *testing.T) {
 			bad := c.edit(t, append([]byte(nil), orig...), m, n)
-			if err := os.WriteFile(path, bad, 0o644); err != nil {
+			// A re-stamped file is named by its new digest, as Save
+			// names one.
+			badPath, badDigest := path, digest
+			if bm, _, err := decodeHeader(bytes.NewReader(bad)); err == nil && bm.Digest != digest {
+				badDigest = bm.Digest
+				badPath = filepath.Join(dir, "snapshots", badDigest+".snap")
+			}
+			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
 			}
-			defer os.WriteFile(path, orig, 0o644)
+			if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				os.Remove(badPath)
+				os.WriteFile(path, orig, 0o644)
+			}()
 			fresh, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fails := obs.CounterTotal(obs.CStoreVerifyFail)
 			snap, _, err := fresh.Load(key)
+			if f := obs.CounterTotal(obs.CStoreVerifyFail) - fails; f != 1 {
+				t.Fatalf("refused load counted %d verify failures, want 1", f)
+			}
+			if c.part == "" {
+				var de *kernel.StateDecodeError
+				if !errors.As(err, &de) {
+					t.Fatalf("Load = %v, %v, want *kernel.StateDecodeError", snap, err)
+				}
+				want := fmt.Sprintf("store: snapshot %s: kernel: bad state blob: .text page at PA %#x differs from the image rebuilt from its options",
+					badDigest[:12], kernel.KVAToPA(kernel.TextBase))
+				if msg := err.Error(); msg != want {
+					t.Fatalf("Load error reads %q, want %q", msg, want)
+				}
+				return
+			}
 			var ve *VerifyError
 			if !errors.As(err, &ve) {
 				t.Fatalf("Load = %v, %v, want *VerifyError", snap, err)
