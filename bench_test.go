@@ -128,7 +128,8 @@ func runNoneMix(b *testing.B) {
 // registry (DESIGN.md §11): the none/fastpath ExecThroughput mix run
 // quiet, then again while a scraper goroutine continuously renders the
 // Prometheus exposition and takes JSON snapshots. The hot path only
-// bumps per-core plain cells and flushes at Run exit, so the scraped
+// bumps per-core plain cells and flushes them into the atomic totals
+// at Run exit, and a scrape reads only the totals, so the scraped
 // variant's ns/op must stay within a small budget of the quiet one —
 // cmd/benchgate's obs-overhead row gates the ratio.
 func BenchmarkObsOverhead(b *testing.B) {

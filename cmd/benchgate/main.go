@@ -69,7 +69,7 @@ var gates = []gate{
 	// measure ~1.0x) with margin for canary error across runner
 	// generations.
 	{"speedup", canarySpeedup("BenchmarkExecThroughput/none/fastpath", "BenchmarkExecThroughput/none/baseline"), atLeast, 1.10},
-	// DESIGN.md §11: scrapes read only the atomic shards, never the
+	// DESIGN.md §11: scrapes read only the atomic totals, never the
 	// per-core cells the hot path bumps, so continuous scraping must be
 	// invisible to execution.
 	{"obs-overhead", minRatio("BenchmarkObsOverhead/scraped", "BenchmarkObsOverhead/quiet"), atMost, 1.02},

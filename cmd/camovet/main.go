@@ -1,9 +1,8 @@
 // Command camovet runs the engine's project-specific invariant
 // analyzers (internal/vet, DESIGN.md §14) over the module: the
-// machine-checked contracts behind the hand-maintained invariants of
-// PRs 4–9 — atomic publication discipline, byte-determinism, the
-// 0 allocs/op hot path, the obs.CounterID exposition registry and the
-// fault-point catalog. It is wired into CI as a required job alongside
+// machine-checked contracts behind the engine's hand-maintained
+// invariants — byte-determinism, the 0 allocs/op hot path, the
+// obs.CounterID exposition registry and the fault-point catalog. It is wired into CI as a required job alongside
 // go vet and staticcheck; a clean tree exits 0 with no output.
 //
 // Usage:
@@ -11,7 +10,7 @@
 //	camovet ./...                 — analyze packages (patterns as for go list)
 //	camovet -json ./...           — machine-readable findings (stable order,
 //	                                for diffing across commits)
-//	camovet -run atomicfield ./…  — run a comma-separated analyzer subset
+//	camovet -run determinism ./…  — run a comma-separated analyzer subset
 //	camovet -list                 — print the suite and each contract
 //
 // Exit status: 0 when no findings, 1 when findings, 2 on load errors.

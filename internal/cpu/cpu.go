@@ -153,9 +153,9 @@ type CPU struct {
 	ID int
 
 	// cluster is the shared invalidation domain: code-page generation
-	// cells, the execution generation and the memo epoch, published
-	// atomically so stores on one CPU invalidate cached blocks, entry
-	// memo slots and memo verdicts on its peers (DESIGN.md §9).
+	// cells, the execution generation and the memo epoch, through which
+	// stores on one CPU invalidate cached blocks, entry memo slots and
+	// memo verdicts on its peers (DESIGN.md §9).
 	cluster *Cluster
 
 	// blocks caches decoded straight-line runs keyed by entry PA — a
@@ -189,7 +189,7 @@ type CPU struct {
 	// a fresh page moves the epoch, storeCellMemo then distrusts every
 	// slot, and noteGuestStore empties the memo before refilling it.
 	sgenPN    [8]uint64
-	sgenCell  [8]*atomic.Uint64
+	sgenCell  [8]*uint64
 	memoEpoch uint64
 
 	// legacyDecode is the seed's per-word decode cache, active only under
@@ -198,12 +198,12 @@ type CPU struct {
 
 	// obsLocal is this core's block of observability counter cells:
 	// plain unsynchronized increments while the core runs (one
-	// goroutine owns a running CPU, the same discipline its registers
-	// rely on), drained into the process-wide obs registry by flushObs
-	// when Run returns. obsBase snapshots the pre-existing cumulative
-	// diagnostics (Cycles, Retired, memo/trace counts, MMU and PAC
-	// counters) at the last flush so only deltas are published; a
-	// counter that moved backwards (snapshot restore rewound it)
+	// goroutine drives the core's machine, the same discipline its
+	// registers rely on), drained into the process-wide obs registry by
+	// flushObs when Run returns. obsBase snapshots the pre-existing
+	// cumulative diagnostics (Cycles, Retired, memo/trace counts, MMU
+	// and PAC counters) at the last flush so only deltas are published;
+	// a counter that moved backwards (snapshot restore rewound it)
 	// re-baselines instead of underflowing.
 	obsLocal obs.Local
 	obsBase  obsBaseline
@@ -257,7 +257,7 @@ func (c *CPU) flushObs() {
 		}
 		l.V[obs.CPACQARMARun] += obsDelta(s.QARMARuns, &b.qarmaRuns)
 	}
-	l.Flush(c.ID)
+	l.Flush()
 }
 
 // codeBlock is one decoded straight-line run: the instructions from the
@@ -266,11 +266,11 @@ func (c *CPU) flushObs() {
 type codeBlock struct {
 	instrs []insn.Instr
 	gen    uint64
-	// genp points at the page's shared generation cell; genp.Load() ==
-	// gen while the block is valid (the same condition fetchBlock checks
+	// genp points at the page's shared generation cell; *genp == gen
+	// while the block is valid (the same condition fetchBlock checks
 	// via the cluster map, without the map). The cell is shared across
 	// the machine's CPUs, so a peer's store invalidates this block too.
-	genp *atomic.Uint64
+	genp *uint64
 	// heat counts entries into the block; at hotThreshold the run of
 	// blocks starting here is fused into tr, a superblock trace
 	// (superblock.go).
@@ -368,10 +368,6 @@ func (c *CPU) NewPeer(id int) *CPU {
 	return p
 }
 
-// Cluster returns the CPU's shared invalidation domain (tests and
-// diagnostics).
-func (c *CPU) Cluster() *Cluster { return c.cluster }
-
 // clearStoreGenMemo empties the cell lookup memo (no physical page
 // number is all-ones, so ^0 marks a slot empty) and re-synchronises it
 // with the cluster's cell epoch.
@@ -380,7 +376,7 @@ func (c *CPU) clearStoreGenMemo() {
 		c.sgenPN[i] = ^uint64(0)
 		c.sgenCell[i] = nil
 	}
-	c.memoEpoch = c.cluster.cellEpoch.Load()
+	c.memoEpoch = c.cluster.cellEpoch
 }
 
 // Reg reads Xn (register 31 reads as zero).
@@ -614,15 +610,15 @@ func (c *CPU) storeMem(va uint64, size int, v uint64) (*mmu.Fault, error) {
 func (c *CPU) noteGuestStore(pn uint64) {
 	g, ok := c.storeCellMemo(pn)
 	if !ok {
-		if c.cluster.cellEpoch.Load() != c.memoEpoch {
+		if c.cluster.cellEpoch != c.memoEpoch {
 			c.clearStoreGenMemo()
 		}
 		g = c.cluster.lookup(pn)
 		c.sgenPN[pn&7], c.sgenCell[pn&7] = pn, g
 	}
 	if g != nil {
-		g.Add(1)
-		c.cluster.execGen.Add(1)
+		*g++
+		c.cluster.execGen++
 		c.obsLocal.V[obs.CBlockSever]++
 	}
 }
@@ -633,9 +629,9 @@ func (c *CPU) noteGuestStore(pn uint64) {
 // moved since the memo was last emptied, because a peer decoding from a
 // fresh page turns a memoized nil verdict stale. Small enough to inline,
 // so the trace's stores to data pages cost no call.
-func (c *CPU) storeCellMemo(pn uint64) (*atomic.Uint64, bool) {
+func (c *CPU) storeCellMemo(pn uint64) (*uint64, bool) {
 	i := pn & 7
-	return c.sgenCell[i], c.sgenPN[i] == pn && c.cluster.cellEpoch.Load() == c.memoEpoch
+	return c.sgenCell[i], c.sgenPN[i] == pn && c.cluster.cellEpoch == c.memoEpoch
 }
 
 // fetchBlock translates PC and returns the decoded basic block starting
@@ -646,7 +642,7 @@ func (c *CPU) fetchBlock() (*codeBlock, *mmu.Fault, error) {
 		return nil, f, nil
 	}
 	if b, ok := c.blocks[pa]; ok {
-		if b.gen == b.genp.Load() {
+		if b.gen == *b.genp {
 			return b, nil, nil
 		}
 		// The re-decode replaces the stale block; a trace fused onto it
@@ -668,7 +664,7 @@ func (c *CPU) decodeBlock(pa uint64) (*codeBlock, *mmu.Fault, error) {
 	// cell epoch then, which invalidates every CPU's memoized "no cell"
 	// verdict for this page.
 	genp := c.cluster.cell(page)
-	b := &codeBlock{gen: genp.Load(), genp: genp}
+	b := &codeBlock{gen: *genp, genp: genp}
 	end := (page + 1) << mmu.PageShift
 	for a := pa; a < end && len(b.instrs) < maxBlockInstrs; a += insn.Size {
 		w, err := c.Bus.Load(a, 4)

@@ -120,7 +120,7 @@ func (c *CPU) dispatch(maxInstrs uint64) Stop {
 		entryVA := c.PC
 		slot := &c.entryMemo[(entryVA>>2)&(entryMemoSize-1)]
 		b := slot.to
-		if b != nil && slot.pc == entryVA && b.gen == b.genp.Load() && c.regimeHolds(&slot.rg) {
+		if b != nil && slot.pc == entryVA && b.gen == *b.genp && c.regimeHolds(&slot.rg) {
 			c.EntryMemoHits++
 		} else {
 			var fault *mmu.Fault

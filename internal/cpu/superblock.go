@@ -114,7 +114,7 @@ type trace struct {
 	// constituent-block validation (build time, or a re-arm in
 	// traceValid): while execGen is unmoved no generation cell anywhere
 	// can have moved either — every cell bump also bumps execGen — so
-	// entry validation is one atomic load instead of a per-block walk.
+	// entry validation is one load instead of a per-block walk.
 	lastGen uint64
 
 	rg regime
@@ -134,16 +134,13 @@ func (c *CPU) traceValid(t *trace, entryVA uint64) bool {
 	if entryVA != t.entryVA {
 		return false
 	}
-	if g := c.cluster.execGen.Load(); g != t.lastGen {
+	if g := c.cluster.execGen; g != t.lastGen {
 		for _, b := range t.blocks {
-			if b.gen != b.genp.Load() {
+			if b.gen != *b.genp {
 				return false
 			}
 		}
-		// All cells individually unmoved: re-arm the one-load fast check
-		// with the execGen value read before the walk (a bump landing
-		// mid-walk re-triggers the walk on the next entry — conservative,
-		// never stale).
+		// All cells individually unmoved: re-arm the one-load fast check.
 		t.lastGen = g
 	}
 	return c.regimeHolds(&t.rg)
@@ -154,7 +151,7 @@ func (c *CPU) traceValid(t *trace, entryVA uint64) bool {
 // really dead and worth dropping for a rebuild.
 func traceStale(t *trace) bool {
 	for _, b := range t.blocks {
-		if b.gen != b.genp.Load() {
+		if b.gen != *b.genp {
 			return true
 		}
 	}
@@ -176,16 +173,13 @@ func traceStale(t *trace) bool {
 // block that branches back to itself still becomes a looping trace.
 func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 	t := &trace{entryVA: entryVA, rg: c.captureRegime(entryVA), at: []uint64{0}}
-	// Snapshot execGen before walking the constituents: a bump landing
-	// mid-build leaves lastGen behind the cell state, which only costs
-	// one full re-validation at the first entry.
-	t.lastGen = c.cluster.execGen.Load()
+	// The constituents need no staleness check: the caller has just
+	// validated b, lookupBlock returns only valid blocks, and nothing
+	// runs mid-build.
+	t.lastGen = c.cluster.execGen
 	va := entryVA
 	cur := b
 	for {
-		if cur.gen != cur.genp.Load() {
-			return // constituent went stale mid-build; don't attach
-		}
 		t.blocks = append(t.blocks, cur)
 		for k := range cur.instrs {
 			t.instrs = append(t.instrs, cur.instrs[k])
@@ -258,7 +252,7 @@ func (c *CPU) lookupBlock(va uint64, r *regime) *codeBlock {
 		return nil
 	}
 	b := c.blocks[pa]
-	if b == nil || b.gen != b.genp.Load() {
+	if b == nil || b.gen != *b.genp {
 		return nil
 	}
 	return b
@@ -507,7 +501,7 @@ func (c *CPU) storeRunPage(s *runState, addr, size uint64) (pg *[mem.PageSize]by
 func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (stop Stop, done bool) {
 	s := runState{
 		entry:    c.PC,
-		startGen: c.cluster.execGen.Load(),
+		startGen: c.cluster.execGen,
 		canIRQ:   c.EL == 0 && !c.IRQMasked,
 		ldVP:     ^uint64(0),
 		stVP:     ^uint64(0),
@@ -929,9 +923,9 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 		hazard:
 			// Store hazards: the store may have patched code anywhere in
 			// the cluster (execGen) or hit a device that raised an IRQ.
-			if c.cluster.execGen.Load() != s.startGen || (s.canIRQ && c.IRQPending) {
+			if c.cluster.execGen != s.startGen || (s.canIRQ && c.IRQPending) {
 				c.flush(&s, n, idx+1, s.pc(idx+1))
-				if c.cluster.execGen.Load() != s.startGen {
+				if c.cluster.execGen != s.startGen {
 					c.obsLocal.V[obs.CTraceExitHazard]++
 				} else {
 					c.obsLocal.V[obs.CTraceExitIRQ]++
@@ -952,7 +946,7 @@ func (c *CPU) runTrace(b *codeBlock, t *trace, n *uint64, maxInstrs uint64) (sto
 		// entry VA, so only the IRQ and cross-CPU invalidation clauses
 		// need re-checking (the next lap caps itself at the budget).
 		if end == len(code) && s.looping && !(s.canIRQ && c.IRQPending) &&
-			c.cluster.execGen.Load() == s.startGen {
+			c.cluster.execGen == s.startGen {
 			s.mark -= uint64(len(code))
 			continue
 		}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"camouflage/internal/obs"
 )
@@ -44,12 +43,12 @@ type Phys struct {
 	// backing array changes from the shared base copy, or from implicit
 	// zeroes, to a fresh private array). A cached *[PageSize]byte obtained
 	// from PageForLoad/PageForStore is valid only while gen is unchanged.
-	// It is an atomically published cell: on an SMP machine every CPU's
-	// host-pointer TLB validates against the one shared generation, so a
-	// copy-on-write materialization triggered by CPU 0 invalidates warm
-	// pointers on CPU 1 at its next probe (the memory-side half of the
-	// DESIGN.md §9 shootdown protocol).
-	gen atomic.Uint64
+	// On an SMP machine every CPU's host-pointer TLB validates against
+	// the one shared generation, so a copy-on-write materialization
+	// triggered by CPU 0 invalidates warm pointers on CPU 1 at its next
+	// probe (the memory-side half of the DESIGN.md §9 shootdown
+	// protocol).
+	gen uint64
 }
 
 // NewPhys returns an empty physical memory.
@@ -81,7 +80,7 @@ func (p *Phys) Freeze() *Frozen {
 	}
 	p.base = merged
 	p.pages = make(map[uint64]*[PageSize]byte)
-	p.gen.Add(1)
+	p.gen++
 	return &Frozen{pages: merged}
 }
 
@@ -97,7 +96,7 @@ func NewPhysFrom(f *Frozen) *Phys {
 func (p *Phys) ResetTo(f *Frozen) {
 	p.base = f.pages
 	p.pages = make(map[uint64]*[PageSize]byte)
-	p.gen.Add(1)
+	p.gen++
 }
 
 // DirtyPages returns the number of overlay pages written since the last
@@ -147,14 +146,17 @@ func (p *Phys) page(addr uint64, create bool) *[PageSize]byte {
 		*pg = *shared
 	}
 	p.pages[pn] = pg
-	p.gen.Add(1)
+	p.gen++
 	obs.Add(obs.CCOWMaterialize, 1)
 	return pg
 }
 
 // Gen returns the host-pointer generation. Cached page pointers are
-// valid only while it is unchanged (see the gen field's doc).
-func (p *Phys) Gen() uint64 { return p.gen.Load() }
+// valid only while it is unchanged (see the gen field's doc). Callers
+// that swap a Bus's RAM wholesale must flush any cache keyed by this
+// value themselves (the kernel snapshot paths do, via
+// MMU.InvalidateTLBAll).
+func (p *Phys) Gen() uint64 { return p.gen }
 
 // PageForLoad returns the backing page for reads of the page containing
 // addr — possibly a shared copy-on-write base page — or nil when the
@@ -353,11 +355,8 @@ type Bus struct {
 	// last caches the most recently hit device window: device accesses
 	// cluster (a driver hammers one window), so the cache short-circuits
 	// the binary search. Invalidated by Map (the slice is re-sorted and
-	// pointers into it move). It is an atomic pointer because the cache
-	// index is *written on every lookup*: two CPUs of one machine — or
-	// goroutines sharing a Bus any other way — would otherwise race on
-	// it (caught by -race; pinned by TestSMPBusFindRace).
-	last atomic.Pointer[mapping]
+	// pointers into it move).
+	last *mapping
 }
 
 // NewBus returns a bus backed by fresh RAM.
@@ -374,12 +373,12 @@ func (b *Bus) Map(base, size uint64, dev Device) error {
 	}
 	b.maps = append(b.maps, mapping{base, size, dev})
 	sort.Slice(b.maps, func(i, j int) bool { return b.maps[i].base < b.maps[j].base })
-	b.last.Store(nil)
+	b.last = nil
 	// Mapping a window changes address routing: any host pointer cached
 	// for a page the window now overlaps must die, exactly like a
 	// Freeze/ResetTo. Today windows are only mapped at construction, but
 	// the invalidation contract should not depend on that.
-	b.RAM.gen.Add(1)
+	b.RAM.gen++
 	return nil
 }
 
@@ -388,7 +387,7 @@ func (b *Bus) Map(base, size uint64, dev Device) error {
 // followed by binary search for the rightmost window at or below addr —
 // O(log n) in the number of devices instead of the seed's linear scan.
 func (b *Bus) find(addr uint64) *mapping {
-	if m := b.last.Load(); m != nil && addr-m.base < m.size {
+	if m := b.last; m != nil && addr-m.base < m.size {
 		return m
 	}
 	lo, hi := 0, len(b.maps)
@@ -405,7 +404,7 @@ func (b *Bus) find(addr uint64) *mapping {
 	}
 	m := &b.maps[lo-1]
 	if addr-m.base < m.size {
-		b.last.Store(m)
+		b.last = m
 		return m
 	}
 	return nil
@@ -452,7 +451,7 @@ func (b *Bus) PageForLoad(pa uint64) *[PageSize]byte {
 
 // PageForStore is PageForLoad for writes: it returns the private
 // writable page (materializing a copy-on-write copy, which bumps
-// MemGen), or nil when a device window overlaps the page.
+// RAM.Gen), or nil when a device window overlaps the page.
 func (b *Bus) PageForStore(pa uint64) *[PageSize]byte {
 	page := pa &^ uint64(PageSize-1)
 	if b.findOverlap(page, page+PageSize) {
@@ -460,11 +459,6 @@ func (b *Bus) PageForStore(pa uint64) *[PageSize]byte {
 	}
 	return b.RAM.PageForStore(pa)
 }
-
-// MemGen returns the RAM host-pointer generation (see Phys.Gen). Callers
-// that swap b.RAM wholesale must flush any cache keyed by this value
-// themselves (the kernel snapshot paths do, via MMU.InvalidateTLBAll).
-func (b *Bus) MemGen() uint64 { return b.RAM.gen.Load() }
 
 // Store writes size bytes (1, 4 or 8) at physical address addr.
 func (b *Bus) Store(addr uint64, size int, v uint64) error {

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -350,36 +349,4 @@ func TestBusHostPagesDeclineDevices(t *testing.T) {
 	if b.PageForStore(0x0901_0000) == nil {
 		t.Fatal("RAM page next to a device window refused")
 	}
-}
-
-// TestSMPBusFindRace pins the Bus.find last-hit-cache fix: the cache
-// slot is written on every lookup, so two CPUs of one SMP machine (or
-// any goroutines sharing a Bus) racing through different device windows
-// used to be a data race on the plain pointer field (caught by -race
-// before the slot became atomic). The accesses alternate windows so
-// every lookup both reads and overwrites the cache.
-func TestSMPBusFindRace(t *testing.T) {
-	b := NewBus()
-	for i := uint64(0); i < 4; i++ {
-		if err := b.Map(0x0900_0000+i*0x10000, 0x1000, &fixedDev{id: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10000; i++ {
-				want := uint64((g + i) % 4)
-				v, err := b.Load(0x0900_0000+want*0x10000, 8)
-				if err != nil || v != want {
-					t.Errorf("load via racing cache: v=%d err=%v want %d", v, err, want)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -478,16 +478,16 @@ func (m *MMU) Translate(va uint64, kind AccessKind, el int) (uint64, *Fault) {
 			m.Hits++
 			// The translation is still valid but the host pointer may
 			// have gone stale (Freeze/ResetTo/COW materialization bump
-			// memGen without touching the tables). Re-arm it here so the
+			// RAM.Gen without touching the tables). Re-arm it here so the
 			// fast path recovers without waiting for an entry eviction.
 			if m.Mem != nil && !m.NoHostPtr && kind != Fetch &&
-				e.memgen != m.Mem.MemGen() {
+				e.memgen != m.Mem.RAM.Gen() {
 				if kind == Load {
 					e.hptr = m.Mem.PageForLoad(e.pa)
 				} else {
 					e.hptr = m.Mem.PageForStore(e.pa)
 				}
-				e.memgen = m.Mem.MemGen()
+				e.memgen = m.Mem.RAM.Gen()
 				m.Rearms++
 			}
 			return e.pa | (eva & (PageSize - 1)), nil
@@ -540,10 +540,10 @@ func (m *MMU) Translate(va uint64, kind AccessKind, el int) (uint64, *Fault) {
 			switch kind {
 			case Load:
 				e.hptr = m.Mem.PageForLoad(pte.PA)
-				e.memgen = m.Mem.MemGen()
+				e.memgen = m.Mem.RAM.Gen()
 			case Store:
 				e.hptr = m.Mem.PageForStore(pte.PA)
-				e.memgen = m.Mem.MemGen()
+				e.memgen = m.Mem.RAM.Gen()
 			}
 		}
 	}

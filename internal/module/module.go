@@ -18,6 +18,7 @@ package module
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"camouflage/internal/analysis"
 	"camouflage/internal/asm"
@@ -133,6 +134,25 @@ func Load(k *kernel.Kernel, img *Image) (*Loaded, error) {
 		return nil, fmt.Errorf("module %s: %w", img.name, err)
 	}
 
+	// Every exported ops table must be defined before anything is
+	// written or mapped, so a module that fails here registers no
+	// driver. Path-ID order makes the first undefined label, and so the
+	// error, the same on every load.
+	paths := make([]int, 0, len(img.opsExports))
+	for pathID := range img.opsExports {
+		paths = append(paths, pathID)
+	}
+	slices.Sort(paths)
+	opsVAs := make([]uint64, len(paths))
+	for i, pathID := range paths {
+		label := img.opsExports[pathID]
+		va, ok := linked.Symbols[label]
+		if !ok {
+			return nil, fmt.Errorf("module %s: exported ops label %q undefined", img.name, label)
+		}
+		opsVAs[i] = va
+	}
+
 	// 3. Map and install.
 	k.WriteKernelMemory(textVA, text)
 	k.MapKernelRange(textVA, uint64(len(text))+mmu.PageSize, mmu.KernelText)
@@ -156,12 +176,8 @@ func Load(k *kernel.Kernel, img *Image) (*Loaded, error) {
 	}
 
 	// 5. Register exported drivers.
-	for pathID, label := range img.opsExports {
-		va, ok := linked.Symbols[label]
-		if !ok {
-			return nil, fmt.Errorf("module %s: exported ops label %q undefined", img.name, label)
-		}
-		k.RegisterDriverOps(pathID, va)
+	for i, pathID := range paths {
+		k.RegisterDriverOps(pathID, opsVAs[i])
 	}
 
 	return &Loaded{

@@ -247,3 +247,28 @@ func TestTwoModulesGetDistinctRanges(t *testing.T) {
 		t.Fatal("modules share a load address")
 	}
 }
+
+// TestFailedLoadRegistersNoDriver: a module exporting one defined and
+// two undefined ops labels fails every load with the error naming the
+// first undefined label in path-ID order, and registers none of its
+// drivers, so the state codec still accepts the kernel as a booted
+// machine's.
+func TestFailedLoadRegistersNoDriver(t *testing.T) {
+	k := bootFull(t)
+	b := NewBuilder("partial", k.Cfg)
+	b.A.Label("defined_ops")
+	b.A.I(insn.RET())
+	b.ExportDriver(90, "defined_ops")
+	b.ExportDriver(91, "missing_ops")
+	b.ExportDriver(92, "absent_ops")
+	img := b.Build()
+	for i := 0; i < 20; i++ {
+		_, err := Load(k, img)
+		if err == nil || err.Error() != `module partial: exported ops label "missing_ops" undefined` {
+			t.Fatalf("load %d: err = %v, want the undefined missing_ops label", i, err)
+		}
+	}
+	if _, err := k.CaptureState().Serialize(); err != nil {
+		t.Fatalf("failed loads left kernel state behind: %v", err)
+	}
+}

@@ -8,15 +8,15 @@
 // byte-identical with observability enabled):
 //
 //   - Hot paths bump plain, unsynchronized uint64 cells in a per-core
-//     Local block owned by exactly one goroutine while a CPU runs
-//     (the same ownership discipline as the CPU's registers).
+//     Local block owned by the one goroutine driving its machine (the
+//     same ownership discipline as the CPU's registers).
 //   - At CPU.Run exit the Local block is flushed with atomic adds into
-//     a small set of cache-line-padded shard accumulators; scrapes read
-//     only those atomics, so a concurrent /metrics scrape is race-free
-//     and sees counters that are stale by at most one run budget.
+//     the process-wide totals array; scrapes read only those atomics,
+//     so a concurrent /metrics scrape is race-free and sees counters
+//     that are stale by at most one run budget.
 //   - Cold paths (COW materialization, pool events, HTTP handling) add
-//     atomically straight into a shard — off the instruction loop, the
-//     atomic costs nothing that matters.
+//     atomically straight into the totals — off the instruction loop,
+//     the atomic costs nothing that matters.
 //
 // Counters are identified by a static CounterID enum with a metadata
 // table mapping each ID to its Prometheus family, help text and
@@ -33,7 +33,7 @@ import (
 )
 
 // CounterID names one engine counter cell. The enum is static: hot
-// paths index Local.V and the shard accumulators by it directly.
+// paths index Local.V and the totals array by it directly.
 type CounterID int
 
 // Engine counters. Grouped by subsystem; IDs sharing a family differ
@@ -222,65 +222,41 @@ var counterSamples = func() (names [NumCounters]string) {
 func (id CounterID) SampleName() string { return counterSamples[id] }
 
 // Local is a per-core block of plain uint64 counter cells. Exactly one
-// goroutine bumps it at a time (the one running the owning CPU), so
-// increments need no synchronization; the trailing pad keeps adjacent
-// Locals of sibling cores off each other's cache lines. Flush drains
-// it into the shared shard accumulators.
+// goroutine bumps it at a time (the one driving the owning CPU's
+// machine), so increments need no synchronization. Flush drains it into
+// the process-wide totals.
 type Local struct {
 	V [NumCounters]uint64
-	_ [64]byte
 }
 
-// Flush adds every non-zero cell into the shard accumulators and
-// zeroes it. It allocates nothing and is safe to call concurrently
-// with scrapes (the shard side is atomic). shard selects the
-// accumulator stripe, typically the owning CPU's ID.
-func (l *Local) Flush(shard int) {
-	s := &shards[shard&(numShards-1)]
+// Flush adds every non-zero cell into the totals and zeroes it. It
+// allocates nothing and is safe to call concurrently with scrapes and
+// with other machines' flushes (the totals are atomic).
+func (l *Local) Flush() {
 	for i := range l.V {
 		if v := l.V[i]; v != 0 {
-			s.v[i].Add(v)
+			totals[i].Add(v)
 			l.V[i] = 0
 		}
 	}
 }
 
-// numShards stripes the global accumulators so concurrent flushes from
-// many machines' CPUs don't serialize on one cache line per counter.
-const numShards = 8
-
-// shard is one accumulator stripe; the pad keeps stripes from sharing
-// a cache line at their boundaries.
-type shard struct {
-	v [NumCounters]atomic.Uint64
-	_ [64]byte
-}
-
-var shards [numShards]shard
+// totals are the process-wide counter values: every machine's flushes
+// and every cold-path Add land here.
+var totals [NumCounters]atomic.Uint64
 
 // Add atomically adds n to a counter — the cold-path entry point
-// (COW materialization, pool events, HTTP accounting). Striped by ID
-// so unrelated cold counters don't contend.
-func Add(id CounterID, n uint64) {
-	shards[int(id)&(numShards-1)].v[id].Add(n)
-}
+// (COW materialization, pool events, HTTP accounting).
+func Add(id CounterID, n uint64) { totals[id].Add(n) }
 
 // CounterTotal returns the flushed total of one counter.
-func CounterTotal(id CounterID) uint64 {
-	var t uint64
-	for i := range shards {
-		t += shards[i].v[id].Load()
-	}
-	return t
-}
+func CounterTotal(id CounterID) uint64 { return totals[id].Load() }
 
 // CounterTotals snapshots every flushed counter total.
 func CounterTotals() [NumCounters]uint64 {
 	var t [NumCounters]uint64
-	for i := range shards {
-		for id := range t {
-			t[id] += shards[i].v[id].Load()
-		}
+	for id := range t {
+		t[id] = totals[id].Load()
 	}
 	return t
 }

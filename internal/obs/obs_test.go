@@ -44,7 +44,7 @@ func TestLocalFlush(t *testing.T) {
 	if got := CounterTotal(CTraceBuild); got != before {
 		t.Fatalf("unflushed increment visible: %d != %d", got, before)
 	}
-	l.Flush(5)
+	l.Flush()
 	if got := CounterTotal(CTraceBuild); got != before+3 {
 		t.Fatalf("after flush: got %d, want %d", got, before+3)
 	}
@@ -73,26 +73,30 @@ func TestSampleName(t *testing.T) {
 	}
 }
 
+// TestHistogramBuckets pins bucket placement and the cumulative
+// snapshot. Like TestVecCells it reads deltas, as the registry is
+// process-wide and `go test -count=N` reruns it in one process.
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram("camouflage_test_hist_seconds", "Test histogram.", []float64{0.001, 1})
+	before := h.snapshot()
 	h.Observe(500 * time.Microsecond) // bucket 0 (<= 1ms)
 	h.Observe(500 * time.Millisecond) // bucket 1 (<= 1s)
 	h.Observe(2 * time.Second)        // +Inf bucket
 	s := h.snapshot()
-	if s.Count != 3 {
-		t.Fatalf("count = %d, want 3", s.Count)
+	if d := s.Count - before.Count; d != 3 {
+		t.Fatalf("count delta = %d, want 3", d)
 	}
 	wantCum := []uint64{1, 2, 3}
 	for i, b := range s.Buckets {
-		if b.Count != wantCum[i] {
-			t.Fatalf("bucket %d cumulative = %d, want %d", i, b.Count, wantCum[i])
+		if d := b.Count - before.Buckets[i].Count; d != wantCum[i] {
+			t.Fatalf("bucket %d cumulative delta = %d, want %d", i, d, wantCum[i])
 		}
 	}
 	if last := s.Buckets[len(s.Buckets)-1]; last.LE < inf64 {
 		t.Fatalf("last bucket bound %v is not the +Inf sentinel", last.LE)
 	}
-	if s.SumSeconds < 2.5 || s.SumSeconds > 2.6 {
-		t.Fatalf("sum = %v, want ~2.5005", s.SumSeconds)
+	if d := s.SumSeconds - before.SumSeconds; d < 2.5 || d > 2.6 {
+		t.Fatalf("sum delta = %v, want ~2.5005", d)
 	}
 	// Idempotent by name: same pointer back, no reset.
 	if h2 := NewHistogram("camouflage_test_hist_seconds", "x", nil); h2 != h {
@@ -106,25 +110,35 @@ func TestVecCells(t *testing.T) {
 		t.Fatalf("NewVec is not idempotent")
 	}
 	c := v.Cell(`op="a"`)
+	a0, b0 := c.Load(), v.Cell(`op="b"`).Load()
 	c.Add(2)
 	if c2 := v.Cell(`op="a"`); c2 != c {
 		t.Fatalf("Cell is not memoized")
 	}
 	v.Cell(`op="b"`).Add(1)
 	cells := v.snapshotCells()
-	if len(cells) != 2 || cells[0].labels != `op="a"` || cells[0].value != 2 {
-		t.Fatalf("snapshotCells = %+v", cells)
+	if len(cells) != 2 || cells[0].labels != `op="a"` || cells[0].value-a0 != 2 ||
+		cells[1].labels != `op="b"` || cells[1].value-b0 != 1 {
+		t.Fatalf("snapshotCells = %+v (before: a=%d b=%d)", cells, a0, b0)
 	}
 }
+
+// writePrometheusRuns numbers TestWritePrometheus's runs in this
+// process, so each run registers histogram families no earlier run
+// observed into.
+var writePrometheusRuns int
 
 // TestWritePrometheus checks exposition shape: every counter family
 // appears exactly once as HELP+TYPE, samples parse as "name value" or
 // "name{labels} value", histograms end with _sum and _count.
 func TestWritePrometheus(t *testing.T) {
+	writePrometheusRuns++
+	labeled := fmt.Sprintf("camouflage_test_labeled_%d_seconds", writePrometheusRuns)
+	early := fmt.Sprintf("camouflage_test_early_%d_seconds", writePrometheusRuns)
 	RegisterGauge("camouflage_test_gauge", "Test gauge.", func() float64 { return 42 })
-	NewHistogramLabels("camouflage_test_labeled_seconds", "Labeled test histogram.",
+	NewHistogramLabels(labeled, "Labeled test histogram.",
 		`shard="a"`, []float64{1}).Observe(time.Millisecond)
-	NewHistogramLabels("camouflage_test_labeled_seconds", "Labeled test histogram.",
+	NewHistogramLabels(labeled, "Labeled test histogram.",
 		`shard="b"`, []float64{1}).Observe(2 * time.Second)
 
 	var b strings.Builder
@@ -152,13 +166,13 @@ func TestWritePrometheus(t *testing.T) {
 	if !strings.Contains(out, "camouflage_test_gauge 42\n") {
 		t.Errorf("gauge sample missing")
 	}
-	if n := strings.Count(out, "# TYPE camouflage_test_labeled_seconds histogram"); n != 1 {
+	if n := strings.Count(out, "# TYPE "+labeled+" histogram"); n != 1 {
 		t.Errorf("labeled histogram family emitted %d TYPE lines, want 1", n)
 	}
-	if !strings.Contains(out, `camouflage_test_labeled_seconds_bucket{shard="a",le="+Inf"} 1`) {
+	if !strings.Contains(out, labeled+`_bucket{shard="a",le="+Inf"} 1`) {
 		t.Errorf("labeled +Inf bucket missing:\n%s", out)
 	}
-	if !strings.Contains(out, `camouflage_test_labeled_seconds_count{shard="b"} 1`) {
+	if !strings.Contains(out, labeled+`_count{shard="b"} 1`) {
 		t.Errorf("labeled _count missing")
 	}
 	// The PAC family must carry all five key labels.
@@ -171,8 +185,8 @@ func TestWritePrometheus(t *testing.T) {
 	// Histograms registered between two scrapes take their place in
 	// family order: a new family before the labeled one, and a sibling
 	// whose label set sorts first ahead of its elders.
-	NewHistogram("camouflage_test_early_seconds", "Family registered between scrapes.", []float64{1})
-	NewHistogramLabels("camouflage_test_labeled_seconds", "Labeled test histogram.",
+	NewHistogram(early, "Family registered between scrapes.", []float64{1})
+	NewHistogramLabels(labeled, "Labeled test histogram.",
 		`shard="0"`, []float64{1}).Observe(time.Millisecond)
 	b.Reset()
 	if err := WritePrometheus(&b); err != nil {
@@ -181,12 +195,12 @@ func TestWritePrometheus(t *testing.T) {
 	out = b.String()
 	var at []int
 	for _, line := range []string{
-		"# TYPE camouflage_test_early_seconds histogram\n",
-		`camouflage_test_early_seconds_bucket{le="1"} `,
-		"# TYPE camouflage_test_labeled_seconds histogram\n",
-		`camouflage_test_labeled_seconds_bucket{shard="0",le="1"} `,
-		`camouflage_test_labeled_seconds_count{shard="0"} `,
-		`camouflage_test_labeled_seconds_bucket{shard="a",le="1"} `,
+		"# TYPE " + early + " histogram\n",
+		early + `_bucket{le="1"} `,
+		"# TYPE " + labeled + " histogram\n",
+		labeled + `_bucket{shard="0",le="1"} `,
+		labeled + `_count{shard="0"} `,
+		labeled + `_bucket{shard="a",le="1"} `,
 	} {
 		i := strings.Index(out, line)
 		if i < 0 || strings.Count(out, line) != 1 {
@@ -325,7 +339,7 @@ func TestConcurrentFlushAndScrape(t *testing.T) {
 			default:
 			}
 			l.V[CTraceEnter]++
-			l.Flush(i)
+			l.Flush()
 			Add(CPoolMiss, 1)
 			NewHistogramLabels("camouflage_test_concurrent_seconds", "Concurrent test histogram.",
 				fmt.Sprintf(`n="%d"`, i%32), []float64{1}).Observe(time.Microsecond)

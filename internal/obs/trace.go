@@ -17,7 +17,7 @@ import (
 // `cmd/experiments -trace`.
 //
 // Tracing is strictly host-side bookkeeping off the execution fast
-// path: counter deltas are read from the flushed shard accumulators,
+// path: counter deltas are read from the flushed counter totals,
 // so a run's numbers include everything its CPUs flushed at Run exit
 // (experiment work completes all its CPU.Run calls before the phase is
 // recorded, so per-phase deltas are exact for sequential runs and

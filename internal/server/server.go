@@ -564,10 +564,11 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 // withLease looks up a lease and runs f while holding the lease's
-// operation lock (machines are single-core; operations serialize). The
-// released flag is re-checked under the lock: a release or reap racing
-// with the lookup must not let f step a machine already handed back to
-// the pool — and possibly re-issued to another client.
+// operation lock (a machine is driven by one goroutine at a time,
+// DESIGN.md §9; operations serialize). The released flag is re-checked
+// under the lock: a release or reap racing with the lookup must not let
+// f step a machine already handed back to the pool — and possibly
+// re-issued to another client.
 func (s *Server) withLease(w http.ResponseWriter, r *http.Request, f func(l *lease)) {
 	l, ok := s.leases.get(r.PathValue("id"))
 	if !ok {

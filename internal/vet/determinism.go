@@ -32,10 +32,11 @@ var Determinism = &Analyzer{
 }
 
 // deterministicPkgs are the critical packages, matched by the last
-// element of the import path.
+// element of the import path: every package that holds machine state.
 var deterministicPkgs = map[string]bool{
 	"cpu": true, "mmu": true, "mem": true, "kernel": true,
-	"insn": true, "snapshot": true,
+	"insn": true, "snapshot": true, "hyp": true, "pac": true,
+	"qarma": true, "boot": true, "module": true,
 }
 
 // wallClockFuncs are the time package functions whose results differ
@@ -311,4 +312,18 @@ func rootedInVars(e ast.Expr, vars map[string]bool) bool {
 			return false
 		}
 	}
+}
+
+// excused reports whether pos carries the named line-level directive or
+// sits in a function whose doc comment carries it.
+func excused(m *Module, file *ast.File, pos token.Pos, directive string) bool {
+	if _, ok := m.Annotated(pos, directive); ok {
+		return true
+	}
+	if fn := EnclosingFunc(file, pos); fn != nil {
+		if _, ok := m.FuncAnnotated(fn, directive); ok {
+			return true
+		}
+	}
+	return false
 }

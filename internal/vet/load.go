@@ -2,11 +2,11 @@
 // (the go command owns build tags, module resolution and file
 // selection), then go/parser + go/types type-check every package —
 // dependencies included — from source into one shared FileSet and
-// types.Info. One universe means a struct field's *types.Var is the
-// same object in every package that touches it, which is what lets the
-// atomicfield analyzer match an atomic publication in internal/cpu
-// against a plain read in internal/snapshot without a facts
-// serialization layer.
+// types.Info. One universe means a declared object is the same
+// types.Object in every package that uses it, which is what lets the
+// faultpoint and obscounter analyzers match a constant declared in
+// internal/fault or internal/obs against its uses everywhere else
+// without a facts serialization layer.
 //
 // Loading is offline and hermetic: no network, no export data, no
 // build cache dependency beyond what `go list` itself consults.

@@ -1,8 +1,7 @@
 // Package vet is the engine's project-specific invariant checker: a
 // small go/analysis-style framework plus the camovet analyzer suite
 // (DESIGN.md §14). The host engine rests on contracts that ordinary
-// tests cannot see — atomically-published generation cells that must
-// never be read plainly, determinism-critical packages that must never
+// tests cannot see — determinism-critical packages that must never
 // consult wall clocks or iterate maps into output, hot-path functions
 // benchgate's allocs row holds to 0 allocs/op, the obs.CounterID
 // exposition registry, the fault-point spec grammar — and this package
@@ -24,8 +23,6 @@
 //
 //	//camo:nondet <reason>   — allow wall-clock/goroutine/map-order
 //	                           nondeterminism at this line or function
-//	//camo:atomicok <reason> — allow a plain access to an
-//	                           atomically-published field
 //	//camo:alloc <reason>    — allow an allocating construct inside a
 //	                           //camo:hotpath function
 //	//camo:hotpath           — mark a function as covered by the
@@ -186,7 +183,6 @@ func RunAnalyzers(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 // All returns the full camovet analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicField,
 		Determinism,
 		HotAlloc,
 		ObsCounter,
@@ -198,7 +194,7 @@ func All() []*Analyzer {
 
 // directive is one parsed //camo: comment.
 type directive struct {
-	name   string // "nondet", "atomicok", "alloc", "hotpath"
+	name   string // "nondet", "alloc", "hotpath"
 	reason string
 	pos    token.Pos
 	line   int
@@ -218,10 +214,10 @@ var directiveRE = regexp.MustCompile(`^//camo:([a-z]+)(?:[ \t]+(.*))?$`)
 
 // reasonRequired lists the directives that suppress a finding and so
 // must say why.
-var reasonRequired = map[string]bool{"nondet": true, "atomicok": true, "alloc": true}
+var reasonRequired = map[string]bool{"nondet": true, "alloc": true}
 
 var knownDirectives = map[string]bool{
-	"nondet": true, "atomicok": true, "alloc": true, "hotpath": true,
+	"nondet": true, "alloc": true, "hotpath": true,
 }
 
 // collectAnnotations indexes every //camo: directive in the module's
@@ -316,7 +312,7 @@ func (m *Module) annotationErrors() []Diagnostic {
 		switch {
 		case !knownDirectives[d.name]:
 			out = append(out, diag(m.Fset, "camoannotation", d.pos,
-				"unknown directive //camo:%s (known: alloc, atomicok, hotpath, nondet)", d.name))
+				"unknown directive //camo:%s (known: alloc, hotpath, nondet)", d.name))
 		case reasonRequired[d.name] && d.reason == "":
 			out = append(out, diag(m.Fset, "camoannotation", d.pos,
 				"//camo:%s requires a reason string", d.name))

@@ -10,11 +10,6 @@ import (
 	"camouflage/internal/vet/vettest"
 )
 
-func TestAtomicField(t *testing.T) {
-	t.Parallel()
-	vettest.Run(t, "atomicfield", vet.AtomicField)
-}
-
 func TestDeterminism(t *testing.T) {
 	t.Parallel()
 	vettest.Run(t, "determinism", vet.Determinism)
