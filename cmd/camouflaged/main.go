@@ -26,8 +26,8 @@
 //	POST /v1/machines/{id}/release     — hand the machine back
 //	GET  /v1/runs/{id}/trace           — structured trace of a recent run
 //	GET  /v1/snapshots                 — persisted snapshots (-store-dir)
-//	GET  /v1/snapshots/{digest}        — one snapshot's header
-//	DELETE /v1/snapshots/{digest}      — delete from the store
+//	GET  /v1/snapshots/{key}           — one snapshot's header, by key digest
+//	DELETE /v1/snapshots/{key}         — delete from the store
 //	GET  /v1/stats                     — pool / queue / lease counters
 //	                                     plus the full metrics registry
 //	GET  /metrics                      — Prometheus text exposition
@@ -63,10 +63,9 @@ func main() {
 	maxQueue := flag.Int("queue", 32, "jobs allowed to wait for a slot (503 beyond)")
 	maxLeases := flag.Int("max-leases", 64, "machine leases checked out at once")
 	leaseIdle := flag.Duration("lease-idle", 10*time.Minute, "idle time before a lease is reaped")
-	idlePerKey := flag.Int("idle-per-key", 16, "warm machines parked per pool key")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 	storeDir := flag.String("store-dir", "",
-		"persist booted snapshots in this directory (content-addressed, verified on load); "+
+		"persist booted snapshots in this directory (one file per configuration, verified on load); "+
 			"a restart against a populated store serves its first experiment with zero kernel boots")
 	pprofAddr := flag.String("pprof", "",
 		"serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables). "+
@@ -99,7 +98,6 @@ func main() {
 		}()
 	}
 
-	snapshot.Shared.MaxIdlePerKey = *idlePerKey
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
@@ -109,10 +107,8 @@ func main() {
 		}
 		snapshot.Shared.Store = st
 		log.Printf("camouflaged: snapshot store at %s (%d snapshots)", *storeDir, len(st.List()))
-		if rec := st.Recovery(); rec != (store.RecoveryStats{}) {
-			log.Printf("camouflaged: store recovery sweep: %d orphaned tmp files removed, %d torn snapshot files discarded, "+
-				"%d files of retired layouts deleted (version 1 page chunks and manifests, pin markers)",
-				rec.OrphanTmps, rec.BadManifests, rec.RetiredFiles)
+		if rec := st.Recovery(); rec.OrphanTmps > 0 {
+			log.Printf("camouflaged: store recovery sweep: %d orphaned tmp files removed", rec.OrphanTmps)
 		}
 	}
 	srv := server.New(server.Config{

@@ -93,9 +93,6 @@ func (a *Assembler) Section(name string) {
 	a.cur = s
 }
 
-// CurrentSection returns the name of the active section.
-func (a *Assembler) CurrentSection() string { return a.cur.Name }
-
 // Offset returns the current offset within the active section.
 func (a *Assembler) Offset() uint64 { return a.cur.size }
 

@@ -12,7 +12,6 @@ package codegen
 import (
 	"camouflage/internal/asm"
 	"camouflage/internal/insn"
-	"camouflage/internal/pac"
 )
 
 // Scheme selects the return-address (backward-edge) instrumentation.
@@ -268,12 +267,6 @@ func (c *Config) protects(fnPtr bool) bool {
 func emitObjectModifier(a *asm.Assembler, rd, objReg insn.Reg, tc uint16) {
 	a.I(insn.MOVZW(rd, tc, 0))
 	a.I(insn.BFI(rd, objReg, 16, 48))
-}
-
-// ObjectModifierValue mirrors emitObjectModifier for host-side computation
-// (boot-time signing of the static pointer table, §4.6).
-func ObjectModifierValue(objAddr uint64, tc uint16) uint64 {
-	return pac.ObjectModifier(objAddr, tc)
 }
 
 // FramePush and FramePop are the paper's frame_push/frame_pop assembler

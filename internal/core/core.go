@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 
-	"camouflage/internal/analysis"
 	"camouflage/internal/codegen"
 	"camouflage/internal/kernel"
 	"camouflage/internal/pac"
@@ -234,16 +233,4 @@ func (s *System) Stats() Stats {
 // bootloader-generated kernel key (sanity for examples and tests).
 func (s *System) KernelKeyInstalled(id pac.KeyID) bool {
 	return s.Kernel.CPU.Signer.Key(id) == s.Kernel.KernelKeysForTest().Keys[id]
-}
-
-// scanForKeyReads returns the key-read findings in a code image (exposed
-// for the verifier's own tests).
-func scanForKeyReads(text []byte) []analysis.Finding {
-	var out []analysis.Finding
-	for _, f := range analysis.ScanBytes(text) {
-		if f.Kind == analysis.FindingKeyRead {
-			out = append(out, f)
-		}
-	}
-	return out
 }

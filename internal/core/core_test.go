@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"camouflage/internal/analysis"
 	"camouflage/internal/boot"
 	"camouflage/internal/codegen"
 	"camouflage/internal/insn"
@@ -109,6 +110,17 @@ func TestLevelTable(t *testing.T) {
 	if _, err := LevelByName("maximal"); err == nil {
 		t.Error("LevelByName accepted an unknown level")
 	}
+}
+
+// scanForKeyReads returns the key-read findings in a code image.
+func scanForKeyReads(text []byte) []analysis.Finding {
+	var out []analysis.Finding
+	for _, f := range analysis.ScanBytes(text) {
+		if f.Kind == analysis.FindingKeyRead {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // TestVerifierRejectsKeyReadingKernel plants an MRS-of-key in the built

@@ -566,6 +566,10 @@ func (k *Kernel) RegisterDriverOps(pathID int, opsVA uint64) {
 	k.extraOps[pathID] = opsVA
 }
 
+// NextModuleVA returns the module VA the next AllocModuleRange
+// returns, without reserving it.
+func (k *Kernel) NextModuleVA() uint64 { return k.modNext }
+
 // AllocModuleRange reserves module VA space (64 KiB aligned).
 func (k *Kernel) AllocModuleRange(size uint64) uint64 {
 	va := k.modNext
@@ -916,9 +920,6 @@ func (k *Kernel) svcPipe() {
 	k.setArg(4, wfile)
 	k.setArg(5, rops)
 }
-
-// CredObjVA exposes the shared credentials object (examples/attacks).
-func (k *Kernel) CredObjVA() uint64 { return k.credObj }
 
 // userPA resolves a user VA of the current task for host-side copies.
 func (k *Kernel) userPA(va uint64) uint64 {
@@ -1287,9 +1288,6 @@ func (k *Kernel) runSMP(maxInstrs uint64, done func() bool) cpu.Stop {
 	k.active = 0
 	return cpu.Stop{Kind: cpu.StopLimit}
 }
-
-// Current returns the boot core's current task.
-func (k *Kernel) Current() *Task { return k.currents[0] }
 
 // CurrentOn returns the given core's current task.
 func (k *Kernel) CurrentOn(cpuID int) *Task { return k.currents[cpuID] }

@@ -1,7 +1,7 @@
 package kernel
 
 // Snapshot persistence: the deterministic wire codec for State, the
-// kernel half of the content-addressed snapshot store (DESIGN.md §12).
+// kernel half of the persistent snapshot store (DESIGN.md §12).
 //
 // The format splits a snapshot along the mutable/derivable line:
 //
@@ -30,14 +30,11 @@ package kernel
 // (old blobs are refused, never misparsed).
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"camouflage/internal/asm"
 	"camouflage/internal/boot"
@@ -189,10 +186,11 @@ func (d *wireDec) keys(what string) pac.KeySet {
 	return ks
 }
 
-// --- accessors the store builds manifests from ---
+// --- accessors the store reads ---
 
 // Options returns the normalized build options the captured machine was
-// constructed with (the manifest's identity half).
+// constructed with; a loaded snapshot's must derive the key its file is
+// named by.
 func (st *State) Options() Options { return st.opts }
 
 // ForEachFrozenPage iterates the copy-on-write RAM base in ascending
@@ -200,29 +198,6 @@ func (st *State) Options() Options { return st.opts }
 // record. Pages must be treated as read-only.
 func (st *State) ForEachFrozenPage(fn func(pn uint64, pg *[mem.PageSize]byte)) {
 	st.frozen.ForEachPage(fn)
-}
-
-// ImageDigest returns the SHA-256 of the built image's linked sections
-// (sorted by name), the identity snapshots of one build share — the
-// store records it in each snapshot header for operators.
-func (st *State) ImageDigest() string {
-	h := sha256.New()
-	names := make([]string, 0, len(st.img.Sections))
-	for name := range st.img.Sections {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var tmp [8]byte
-	for _, name := range names {
-		s := st.img.Sections[name]
-		h.Write([]byte(name))
-		binary.LittleEndian.PutUint64(tmp[:], s.Base)
-		h.Write(tmp[:])
-		binary.LittleEndian.PutUint64(tmp[:], uint64(len(s.Bytes)))
-		h.Write(tmp[:])
-		h.Write(s.Bytes)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // --- encode ---

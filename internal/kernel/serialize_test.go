@@ -41,8 +41,8 @@ func frozenPages(st *State) map[uint64]*[mem.PageSize]byte {
 
 // TestSerializeDeterministic: the wire form is a pure function of the
 // state — two captures of identically built machines, and two encodes
-// of one capture, produce identical bytes. Content addressing depends
-// on this.
+// of one capture, produce identical bytes. A re-save of a key writes
+// the same file, and the same content digest, because of this.
 func TestSerializeDeterministic(t *testing.T) {
 	opts := Options{Config: codegen.ConfigFull(), Seed: 1234}
 	a, err := bootState(t, opts).Serialize()

@@ -15,9 +15,6 @@ type Program struct {
 	entryVA uint64
 }
 
-// EntryVA returns the program's entry point.
-func (p *Program) EntryVA() uint64 { return p.entryVA }
-
 // UserASM is the builder handed to user-program constructors. It wraps the
 // assembler with syscall conveniences; benchmarks use the raw assembler
 // for loops.

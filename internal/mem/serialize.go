@@ -1,6 +1,6 @@
 package mem
 
-// Persistence hooks for the content-addressed snapshot store: the frozen
+// Persistence hooks for the persistent snapshot store: the frozen
 // copy-on-write base is the only mem-owned piece of a kernel snapshot
 // that a snapshot file holds, and its internals are deliberately
 // unexported. The store serializes through the explicit export/import
@@ -14,7 +14,7 @@ import "sort"
 
 // ForEachPage calls f for every page of the frozen store in ascending
 // page-number order — the deterministic iteration the store's
-// content-addressed manifests require. The page arrays are the live
+// content digests require. The page arrays are the live
 // copy-on-write base: callers must treat them as read-only.
 func (f *Frozen) ForEachPage(fn func(pn uint64, pg *[PageSize]byte)) {
 	pns := make([]uint64, 0, len(f.pages))

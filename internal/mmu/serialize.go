@@ -1,6 +1,6 @@
 package mmu
 
-// Persistence hooks for the content-addressed snapshot store: stage-1
+// Persistence hooks for the persistent snapshot store: stage-1
 // tables and the stage-2 overlay keep their maps unexported, so snapshot
 // serialization goes through the deterministic export/import surface
 // below (ascending page-number order, the store's manifest requirement).

@@ -16,7 +16,6 @@
 package module
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -111,12 +110,18 @@ type Loaded struct {
 	TextBase, DataBase uint64
 }
 
+// moduleRange is the module VA each of a module's three sections
+// (text, data, .pauth_ptrs) is linked into.
+const moduleRange = 0x10000
+
 // Load links, verifies, maps and initialises the module in the kernel.
 func Load(k *kernel.Kernel, img *Image) (*Loaded, error) {
-	// 1. Run-time relocation: link at freshly allocated addresses.
-	textVA := k.AllocModuleRange(0x10000)
-	dataVA := k.AllocModuleRange(0x10000)
-	pauthVA := k.AllocModuleRange(0x10000)
+	// 1. Run-time relocation: link at the next free module addresses.
+	// They are taken only once every check below passes, so a refused
+	// load leaves the kernel as it found it.
+	textVA := k.NextModuleVA()
+	dataVA := textVA + moduleRange
+	pauthVA := dataVA + moduleRange
 	linked, err := img.asm.Link(map[string]uint64{
 		".modtext":  textVA,
 		".moddata":  dataVA,
@@ -154,6 +159,7 @@ func Load(k *kernel.Kernel, img *Image) (*Loaded, error) {
 	}
 
 	// 3. Map and install.
+	k.AllocModuleRange(3 * moduleRange)
 	k.WriteKernelMemory(textVA, text)
 	k.MapKernelRange(textVA, uint64(len(text))+mmu.PageSize, mmu.KernelText)
 	if d := linked.Sections[".moddata"]; d != nil && len(d.Bytes) > 0 {
@@ -190,11 +196,6 @@ func Load(k *kernel.Kernel, img *Image) (*Loaded, error) {
 
 func (img *Image) cfgDFI(k *kernel.Kernel) bool { return k.Cfg.DFI }
 func (img *Image) cfgFwd(k *kernel.Kernel) bool { return k.Cfg.ForwardCFI }
-
-// ReadWord is a test helper to fetch a module text word after load.
-func ReadWord(k *kernel.Kernel, va uint64) uint32 {
-	return binary.LittleEndian.Uint32(k.CPU.Bus.RAM.ReadBytes(kernel.KVAToPA(va), 4))
-}
 
 // SignedPtrAuthenticates checks (host-side) that a module slot was signed
 // correctly during load.

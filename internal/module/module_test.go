@@ -1,6 +1,7 @@
 package module
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -270,5 +271,52 @@ func TestFailedLoadRegistersNoDriver(t *testing.T) {
 	}
 	if _, err := k.CaptureState().Serialize(); err != nil {
 		t.Fatalf("failed loads left kernel state behind: %v", err)
+	}
+}
+
+// TestRefusedLoadLeavesStateUnchanged: a load refused at link, at the
+// §4.1 gate or at the exported-label check takes no module address
+// space, so the booted machine's state serializes to the same bytes
+// before and after it.
+func TestRefusedLoadLeavesStateUnchanged(t *testing.T) {
+	k := bootFull(t)
+	before, err := k.CaptureState().Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	undefinedOps := NewBuilder("undefined-ops", k.Cfg)
+	undefinedOps.A.Label("undefined_init")
+	undefinedOps.A.I(insn.RET())
+	undefinedOps.ExportDriver(90, "missing_ops")
+
+	keyReader := NewBuilder("key-reader", k.Cfg)
+	keyReader.A.Label("spy_init")
+	keyReader.A.I(insn.MRS(insn.X0, insn.APIBKeyLo_EL1))
+	keyReader.A.I(insn.RET())
+
+	unresolved := NewBuilder("unresolved", k.Cfg)
+	unresolved.A.Label("unresolved_init")
+	unresolved.A.BL("no_such_symbol")
+	unresolved.A.I(insn.RET())
+
+	for _, c := range []struct {
+		b    *Builder
+		want string
+	}{
+		{undefinedOps, `exported ops label "missing_ops" undefined`},
+		{keyReader, "PAuth key read"},
+		{unresolved, "link"},
+	} {
+		if _, err := Load(k, c.b.Build()); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Load(%s) = %v, want a refusal naming %q", c.b.name, err, c.want)
+		}
+	}
+	after, err := k.CaptureState().Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("refused module loads changed the serialized kernel state")
 	}
 }

@@ -202,7 +202,7 @@ var counterMetas = [NumCounters]counterMeta{
 	CPanicRecovered:   {"camouflage_server_panics_recovered_total", "In-job panics caught by the per-request recovery barrier.", ""},
 	CWatchdogCancel:   {"camouflage_server_watchdog_cancels_total", "Jobs cancelled by the run watchdog for exceeding their wall budget.", ""},
 	CClientRetry:      {"camouflage_client_retries_total", "Client requests retried by the transport retry policy.", ""},
-	CStoreOrphanSweep: {"camouflage_store_recovery_orphans_total", "Files removed by the store's startup recovery sweep: stranded temp files, torn snapshot files and files of retired store layouts.", ""},
+	CStoreOrphanSweep: {"camouflage_store_recovery_orphans_total", "Stranded temp files removed by the store's startup recovery sweep.", ""},
 }
 
 // counterSamples holds each counter's sample name, rendered once.

@@ -170,8 +170,8 @@ func New(cfg Config) *Server {
 		{"POST /v1/machines/{id}/release", s.handleMachineRelease},
 		{"GET /v1/runs/{id}/trace", s.handleRunTrace},
 		{"GET /v1/snapshots", s.handleListSnapshots},
-		{"GET /v1/snapshots/{digest}", s.handleSnapshotManifest},
-		{"DELETE /v1/snapshots/{digest}", s.handleSnapshotDelete},
+		{"GET /v1/snapshots/{key}", s.handleSnapshotManifest},
+		{"DELETE /v1/snapshots/{key}", s.handleSnapshotDelete},
 		{"GET /v1/stats", s.handleStats},
 		{"GET /metrics", s.handleMetrics},
 	} {

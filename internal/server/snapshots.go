@@ -1,10 +1,10 @@
 package server
 
 // Snapshot-store resource routes (DESIGN.md §12): list persisted
-// snapshots, inspect a header and delete one. They are
-// read/administer surfaces over the daemon's -store-dir; when the
-// daemon runs without a store they answer 503 so clients can tell "no
-// store" from "empty store".
+// snapshots, inspect a header and delete one, each addressed by its
+// configuration's key digest. They are read/administer surfaces over
+// the daemon's -store-dir; when the daemon runs without a store they
+// answer 503 so clients can tell "no store" from "empty store".
 
 import (
 	"errors"
@@ -46,11 +46,8 @@ func (s *Server) handleListSnapshots(w http.ResponseWriter, r *http.Request) {
 			Digest:       info.Digest,
 			KeyDigest:    info.KeyDigest,
 			Key:          info.Key,
-			ImageDigest:  info.ImageDigest,
 			Pages:        info.Pages,
-			CPUs:         info.CPUs,
 			BootCycles:   info.BootCycles,
-			CreatedUnix:  info.CreatedUnix,
 			Resident:     ok,
 			IdleMachines: e.Idle,
 		})
@@ -63,9 +60,9 @@ func (s *Server) handleSnapshotManifest(w http.ResponseWriter, r *http.Request) 
 	if st == nil {
 		return
 	}
-	m, err := st.ManifestFor(r.PathValue("digest"))
+	m, err := st.ManifestFor(r.PathValue("key"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "no such snapshot")
+		writeStoreErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, m)
@@ -80,14 +77,21 @@ func (s *Server) handleSnapshotDelete(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	digest := r.PathValue("digest")
-	if err := st.Delete(digest); err != nil {
-		if errors.Is(err, snapshot.ErrNotFound) {
-			writeErr(w, http.StatusNotFound, "no such snapshot")
-		} else {
-			writeErr(w, http.StatusInternalServerError, err.Error())
-		}
+	key := r.PathValue("key")
+	if err := st.Delete(key); err != nil {
+		writeStoreErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted", "digest": digest})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted", "key_digest": key})
+}
+
+// writeStoreErr answers 404 for a key the store holds no file for,
+// including every key that is not a digest, and 500 for any other
+// failure, such as a header that does not parse.
+func writeStoreErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, snapshot.ErrNotFound) {
+		writeErr(w, http.StatusNotFound, "no such snapshot")
+	} else {
+		writeErr(w, http.StatusInternalServerError, err.Error())
+	}
 }

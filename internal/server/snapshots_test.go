@@ -7,6 +7,10 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"camouflage/client"
@@ -62,18 +66,18 @@ func TestSnapshotResourceLifecycle(t *testing.T) {
 		t.Fatal("persisted snapshot not marked resident while its pool entry is armed")
 	}
 
-	mani, err := c.Snapshot(ctx, info.Digest)
+	mani, err := c.Snapshot(ctx, info.KeyDigest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mani.Digest != info.Digest || len(mani.Pages) != info.Pages || mani.Key != info.Key {
+	if mani.Digest != info.Digest || mani.KeyDigest != info.KeyDigest || len(mani.Pages) != info.Pages || mani.Key != info.Key {
 		t.Fatalf("manifest disagrees with listing: %+v vs %+v", mani, info)
 	}
 
 	if err := m.Release(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteSnapshot(ctx, info.Digest); err != nil {
+	if err := c.DeleteSnapshot(ctx, info.KeyDigest); err != nil {
 		t.Fatalf("DeleteSnapshot: %v", err)
 	}
 	snaps, err = c.Snapshots(ctx)
@@ -83,11 +87,52 @@ func TestSnapshotResourceLifecycle(t *testing.T) {
 	if len(snaps) != 0 {
 		t.Fatalf("%d snapshots listed after delete, want 0", len(snaps))
 	}
-	if err := c.DeleteSnapshot(ctx, info.Digest); apiStatus(t, err) != 404 {
+	if err := c.DeleteSnapshot(ctx, info.KeyDigest); apiStatus(t, err) != 404 {
 		t.Fatalf("second delete: %v, want 404", err)
 	}
-	if _, err := c.Snapshot(ctx, info.Digest); apiStatus(t, err) != 404 {
+	if _, err := c.Snapshot(ctx, info.KeyDigest); apiStatus(t, err) != 404 {
 		t.Fatalf("manifest after delete: %v, want 404", err)
+	}
+}
+
+// TestSnapshotRoutesRefuseNonDigestKeys: GET and DELETE
+// /v1/snapshots/{key} answer 404 for a key that is not a lower-case
+// SHA-256, escaped path separators included, and touch no file: the
+// files such keys would name outside snapshots/ survive.
+func TestSnapshotRoutesRefuseNonDigestKeys(t *testing.T) {
+	root := t.TempDir()
+	st, err := store.Open(filepath.Join(root, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := []string{filepath.Join(root, "x.snap"), filepath.Join(root, "store", "x.snap")}
+	for _, p := range planted {
+		if err := os.WriteFile(p, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, hs, _ := newTestServer(t, Config{Store: st})
+	digest := strings.Repeat("ab", 32)
+	for _, key := range []string{"..%2F..%2Fx", "..%2Fx", "x", strings.ToUpper(digest), digest[1:], digest + "0"} {
+		for _, method := range []string{http.MethodGet, http.MethodDelete} {
+			req, err := http.NewRequest(method, hs.URL+"/v1/snapshots/"+key, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s /v1/snapshots/%s answered %d, want 404", method, key, resp.StatusCode)
+			}
+		}
+	}
+	for _, p := range planted {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("a request with a non-digest key removed %s: %v", p, err)
+		}
 	}
 }
 
@@ -118,7 +163,7 @@ func TestDeleteSnapshotUnderLease(t *testing.T) {
 	if len(snaps) != 1 {
 		t.Fatalf("listed %d snapshots, want 1", len(snaps))
 	}
-	if err := c.DeleteSnapshot(ctx, snaps[0].Digest); err != nil {
+	if err := c.DeleteSnapshot(ctx, snaps[0].KeyDigest); err != nil {
 		t.Fatalf("DeleteSnapshot under lease: %v, want 200", err)
 	}
 

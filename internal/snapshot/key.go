@@ -11,15 +11,15 @@ import (
 
 // Key identifies a pool/store entry: machines built with the same Key
 // are interchangeable. The Digest is the SHA-256 of the normalized
-// option string, known before any boot — it names the *configuration*;
-// the store separately content-addresses each persisted snapshot, and
-// its index maps configuration digests to snapshot content digests.
+// option string, known before any boot — it names the *configuration*,
+// and with it the pool entry and the store's snapshot file, since every
+// boot of one configuration is the same machine.
 type Key struct {
 	// Digest is the hex SHA-256 of the normalized option string.
 	Digest string
 	// Options are the (normalized) build options behind the digest, so
-	// store misses can boot and store saves can write manifests without
-	// re-threading options through every call site.
+	// store misses can boot without re-threading options through every
+	// call site.
 	Options kernel.Options
 }
 
@@ -35,7 +35,7 @@ func KeyFor(opts kernel.Options) Key {
 }
 
 // Norm returns the human-readable normalized option string the digest
-// is computed over (also the legacy pool-key format).
+// is computed over.
 func (k Key) Norm() string {
 	o := k.Options.Normalized()
 	return fmt.Sprintf("scheme=%d fwd=%t dfi=%t zmod=%t seed=%d thr=%d compat=%t v80=%t cpus=%d",
@@ -44,7 +44,7 @@ func (k Key) Norm() string {
 }
 
 // ErrNotFound reports that a store holds no snapshot for the requested
-// key or digest.
+// key.
 var ErrNotFound = errors.New("snapshot: not found in store")
 
 // Store is the persistence surface the pool consults before booting. A

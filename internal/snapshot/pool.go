@@ -47,7 +47,7 @@ func (m *Machine) Release() {
 func (p *Pool) release(m *Machine) {
 	e := p.entry(m.key)
 	e.mu.Lock()
-	full := len(e.idle) >= p.MaxIdlePerKey
+	full := len(e.idle) >= maxIdlePerKey
 	e.mu.Unlock()
 	if full {
 		obs.Add(obs.CPoolDrop, 1)
@@ -62,7 +62,7 @@ func (p *Pool) release(m *Machine) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.idle) >= p.MaxIdlePerKey {
+	if len(e.idle) >= maxIdlePerKey {
 		obs.Add(obs.CPoolDrop, 1)
 		return
 	}
@@ -83,10 +83,6 @@ func (p *Pool) release(m *Machine) {
 type Pool struct {
 	mu      sync.Mutex
 	entries map[string]*poolEntry // by Key.Digest
-
-	// MaxIdlePerKey bounds parked machines per key (further Releases
-	// drop the machine; its copy-on-write base stays shared).
-	MaxIdlePerKey int
 
 	// Store, when non-nil, backs cold keys with persisted snapshots.
 	// Set it before first use; it must not change while the pool is
@@ -111,9 +107,13 @@ type poolEntry struct {
 	idle []*Machine
 }
 
+// maxIdlePerKey bounds parked machines per key (further Releases drop
+// the machine; its copy-on-write base stays shared).
+const maxIdlePerKey = 16
+
 // NewPool returns an empty in-memory pool.
 func NewPool() *Pool {
-	return &Pool{entries: make(map[string]*poolEntry), MaxIdlePerKey: 16}
+	return &Pool{entries: make(map[string]*poolEntry)}
 }
 
 // Shared is the process-wide pool used by the experiment suites, the
@@ -324,7 +324,7 @@ func (p *Pool) EvictIdle() int {
 // Stats is a point-in-time view of pool effectiveness: every reuse,
 // fork or store load is a full build+verify+boot avoided. A nonzero
 // Dropped under low parallelism signals misuse (reset failures); under
-// high parallelism it just means Releases exceeded MaxIdlePerKey.
+// high parallelism it just means Releases exceeded maxIdlePerKey.
 // Evicted counts idle machines deliberately let go through EvictIdle.
 // StoreLoads counts verified loads from the persistent store (each
 // arms a key with zero boots); StorePersists counts snapshots written

@@ -71,18 +71,17 @@ func TestFailedBootDoesNotPoisonKey(t *testing.T) {
 }
 
 // TestMaxIdlePerKeyEnforcedUnderConcurrentRelease: hammering Release
-// from many goroutines must never park more than MaxIdlePerKey machines
+// from many goroutines must never park more than maxIdlePerKey machines
 // — the bound is rechecked under the entry lock after the reset, so the
 // check-reset-park race cannot overshoot. Machines beyond the bound are
 // accounted as Dropped.
 func TestMaxIdlePerKeyEnforcedUnderConcurrentRelease(t *testing.T) {
 	pool := NewPool()
-	pool.MaxIdlePerKey = 3
 	opts := kernel.Options{Config: codegen.ConfigBackward(), Seed: 51}
 	key := KeyFor(opts)
 	before := pool.Stats()
 
-	const machines = 12
+	const machines = maxIdlePerKey + 8
 	ms := make([]*Machine, machines)
 	for i := range ms {
 		m, err := pool.Acquire(key, BootOptions(opts))
@@ -103,8 +102,8 @@ func TestMaxIdlePerKeyEnforcedUnderConcurrentRelease(t *testing.T) {
 	wg.Wait()
 
 	st := pool.Stats()
-	if st.Idle > pool.MaxIdlePerKey {
-		t.Fatalf("idle = %d, want <= MaxIdlePerKey = %d", st.Idle, pool.MaxIdlePerKey)
+	if st.Idle > maxIdlePerKey {
+		t.Fatalf("idle = %d, want <= maxIdlePerKey = %d", st.Idle, maxIdlePerKey)
 	}
 	dropped := st.Dropped - before.Dropped
 	if got := st.Idle + int(dropped); got != machines {

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"camouflage/internal/fault"
+	"camouflage/internal/kernel"
 	"camouflage/internal/obs"
+	"camouflage/internal/snapshot"
 )
 
 // withFaults installs a fault plan for the test and restores the
@@ -52,7 +54,7 @@ func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, saved, _, _ := snapFile(t, dir, digest)
+	_, saved, _, _ := snapFile(t, dir, key.Digest)
 
 	for _, c := range []struct {
 		spec    string
@@ -79,7 +81,7 @@ func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 		if got := r.Fired(c.point); got != 1 {
 			t.Fatalf("%s: fired %d faults, want 1", c.spec, got)
 		}
-		if _, after, _, _ := snapFile(t, dir, digest); !bytes.Equal(after, saved) {
+		if _, after, _, _ := snapFile(t, dir, key.Digest); !bytes.Equal(after, saved) {
 			t.Fatalf("%s: a failed load changed the snapshot file", c.spec)
 		}
 		wantVerify, wantErrors := uint64(0), uint64(1)
@@ -104,8 +106,8 @@ func TestLoadRetryableAfterInjectedFailure(t *testing.T) {
 	}
 }
 
-// TestRecoverySweep: stranded temp files and torn snapshot files are
-// removed at open, and intact snapshots survive.
+// TestRecoverySweep: stranded temp files are removed at open, and
+// intact snapshots and every other file survive.
 func TestRecoverySweep(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(132, 1)
@@ -117,108 +119,88 @@ func TestRecoverySweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A crash mid-write strands temp files, and can tear a snapshot
-	// file that was written without the atomic publish.
+	// A crash mid-write strands temp files.
 	for _, name := range []string{".tmp-123", ".tmp-456"} {
 		if err := os.WriteFile(filepath.Join(dir, "snapshots", name), []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	torn := filepath.Join(dir, "snapshots", strings.Repeat("ab", 32)+".snap")
-	if err := os.WriteFile(torn, []byte(`{"version":2,"digest":"tr`), 0o644); err != nil {
+	other := filepath.Join(dir, "snapshots", "README")
+	if err := os.WriteFile(other, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	swept := obs.CounterTotal(obs.CStoreOrphanSweep)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := s2.Recovery()
-	if rec != (RecoveryStats{OrphanTmps: 2, BadManifests: 1}) {
-		t.Fatalf("recovery = %+v, want 2 orphans + 1 torn file", rec)
+	if rec := s2.Recovery(); rec != (RecoveryStats{OrphanTmps: 2}) {
+		t.Fatalf("recovery = %+v, want 2 orphans", rec)
 	}
-	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("torn snapshot file survived the sweep")
+	if got := obs.CounterTotal(obs.CStoreOrphanSweep) - swept; got != 2 {
+		t.Fatalf("camouflage_store_recovery_orphans_total moved by %d, want 2", got)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("Open removed a file that is not a temp file: %v", err)
 	}
 	if n := len(s2.List()); n != 1 {
-		t.Fatalf("Open admitted %d snapshots, want 1", n)
+		t.Fatalf("the store lists %d snapshots, want 1", n)
 	}
 	if _, _, err := s2.Load(key); err != nil {
 		t.Fatalf("intact snapshot lost in sweep: %v", err)
 	}
 }
 
-// TestSweepDeletesRetiredLayouts: Open deletes each file it can name as
-// a retired layout's (a version 1 manifest, a version 1 page chunk, a
-// pin marker) and the directories they leave empty, counts them, and
-// keeps every other file, look-alikes included.
-func TestSweepDeletesRetiredLayouts(t *testing.T) {
-	write := func(dir string, names ...string) {
-		t.Helper()
-		for _, name := range names {
-			p := filepath.Join(dir, name)
-			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	files := func(dir string) []string {
-		t.Helper()
-		var out []string
-		err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-			if err == nil && p != dir {
-				rel, _ := filepath.Rel(dir, p)
-				if info.IsDir() {
-					rel += "/"
-				}
-				out = append(out, rel)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	d := strings.Repeat("cd", 32)
-
+// TestTornFileHealedByResave: a file whose header does not parse, left
+// under a key's name, stays through Open and is refused at load as a
+// verify failure. The pool boots the key once, the persist overwrites
+// the file under the same name, and a reopened store loads it with no
+// boot.
+func TestTornFileHealedByResave(t *testing.T) {
 	dir := t.TempDir()
-	write(dir, "snapshots/"+d+".json", "chunks/cd/"+d, "pins/"+d, "README")
-	swept := obs.CounterTotal(obs.CStoreOrphanSweep)
+	key := testKey(135, 1)
+	path := filepath.Join(dir, "snapshots", key.Digest+".snap")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(`{"version":3,"digest":"tr`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := s.Recovery(); rec != (RecoveryStats{RetiredFiles: 3}) {
-		t.Fatalf("recovery = %+v, want 3 retired files", rec)
-	}
-	if got := obs.CounterTotal(obs.CStoreOrphanSweep) - swept; got != 3 {
-		t.Fatalf("camouflage_store_recovery_orphans_total moved by %d, want 3", got)
-	}
-	if got, want := strings.Join(files(dir), " "), "README snapshots/"; got != want {
-		t.Fatalf("after Open the store holds %q, want %q", got, want)
-	}
-
-	// Names a retired layout never wrote: a chunk under another prefix,
-	// an upper-case marker, a short manifest name, a directory.
-	dir = t.TempDir()
-	keep := []string{"chunks/ab/" + d, "pins/" + strings.ToUpper(d), "snapshots/" + d[2:] + ".json"}
-	write(dir, keep...)
-	if err := os.MkdirAll(filepath.Join(dir, "pins", d), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	before := files(dir)
-	s, err = Open(dir)
+	p := snapshot.NewPool()
+	p.Store = s
+	before, fails := p.Stats(), obs.CounterTotal(obs.CStoreVerifyFail)
+	mach, err := p.Acquire(key, snapshot.BootOptions(key.Options))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := s.Recovery(); rec != (RecoveryStats{}) {
-		t.Fatalf("recovery = %+v, want nothing swept", rec)
+	mach.Release()
+	p.WaitPersist()
+	st := p.Stats()
+	if f, boots, saves := obs.CounterTotal(obs.CStoreVerifyFail)-fails, st.Boots-before.Boots, st.StorePersists-before.StorePersists; f != 1 || boots != 1 || saves != 1 {
+		t.Fatalf("%d verify failures / %d boots / %d persists, want 1 / 1 / 1", f, boots, saves)
 	}
-	if got, want := strings.Join(files(dir), " "), strings.Join(before, " "); got != want {
-		t.Fatalf("after Open the store holds %q, want %q", got, want)
+
+	// "Restart": fresh store handle, fresh pool, same directory.
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2 := snapshot.NewPool()
+	p2.Store = s2
+	before = p2.Stats()
+	mach, err = p2.Acquire(key, func() (*kernel.Kernel, error) {
+		return nil, errors.New("boot closure ran although the persist overwrote the torn file")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach.Release()
+	if st := p2.Stats(); st.Boots-before.Boots != 0 || st.StoreLoads-before.StoreLoads != 1 {
+		t.Fatalf("reopened store: %d boots / %d loads, want 0 / 1", st.Boots-before.Boots, st.StoreLoads-before.StoreLoads)
 	}
 }
 

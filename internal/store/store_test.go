@@ -28,6 +28,10 @@ func testKey(seed uint64, cpus int) snapshot.Key {
 	return snapshot.KeyFor(kernel.Options{Config: cfg, Seed: seed})
 }
 
+// otherKey names a configuration no test saves: the tampers that move
+// a file to another key's name move it to this one's.
+var otherKey = testKey(199, 1)
+
 func bootSnap(t testing.TB, key snapshot.Key) *snapshot.Snapshot {
 	t.Helper()
 	k, err := snapshot.BootOptions(key.Options)()
@@ -118,10 +122,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveIsContentAddressed: saving the same configuration twice, from
-// two boots, yields the same content digest and rewrites the one file
-// that names it.
-func TestSaveIsContentAddressed(t *testing.T) {
+// TestSaveNamesFileByKey: saving the same configuration twice, from
+// two boots, yields the same content digest and leaves one file, named
+// by the key digest and holding a version 3 header that names it.
+func TestSaveNamesFileByKey(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(102, 1)
 	s, err := Open(dir)
@@ -143,17 +147,20 @@ func TestSaveIsContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 1 || filepath.Base(files[0]) != d1+".snap" {
-		t.Fatalf("store holds %v, want only %s.snap", files, d1)
+	if len(files) != 1 || filepath.Base(files[0]) != key.Digest+".snap" {
+		t.Fatalf("store holds %v, want only %s.snap", files, key.Digest)
+	}
+	if _, _, m, _ := snapFile(t, dir, key.Digest); m.Version != 3 || m.KeyDigest != key.Digest || m.Key != key.Norm() || m.Digest != d1 {
+		t.Fatalf("header %+v, want version 3 naming key %s (%s) with digest %s", m, key.Digest, key.Norm(), d1)
 	}
 }
 
-// snapFile returns the path of the snapshot file named digest in the
-// store at dir, its bytes, its header and the header's length, newline
-// included.
-func snapFile(t testing.TB, dir, digest string) (string, []byte, *Manifest, int) {
+// snapFile returns the path of the snapshot file of the key digest in
+// the store at dir, its bytes, its header and the header's length,
+// newline included.
+func snapFile(t testing.TB, dir, key string) (string, []byte, *Manifest, int) {
 	t.Helper()
-	path := filepath.Join(dir, "snapshots", digest+".snap")
+	path := filepath.Join(dir, "snapshots", key+".snap")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -179,33 +186,35 @@ func encodeFile(t testing.TB, m *Manifest, body []byte) []byte {
 // tampers each return an edited copy of a snapshot file (raw, with
 // header m of length n) and the part of it Load must name as corrupt,
 // or "" for a file whose content verifies and whose state the kernel
-// refuses.
+// refuses. A tamper marked moved is written under otherKey's name, and
+// that key is loaded.
 var tampers = []struct {
-	name string
-	edit func(t testing.TB, raw []byte, m *Manifest, n int) []byte
-	part string
+	name  string
+	edit  func(t testing.TB, raw []byte, m *Manifest, n int) []byte
+	part  string
+	moved bool
 }{
 	{"edited manifest", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
 		e := *m
 		e.BootCycles++
 		return encodeFile(t, &e, raw[n:])
-	}, "content"},
+	}, "content", false},
 	{"bit-flipped state", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
 		raw[n+m.StateSize/2] ^= 0x01
 		return raw
-	}, "content"},
+	}, "content", false},
 	{"bit-flipped page", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
 		raw[n+m.StateSize+mem.PageSize/2] ^= 0x80
 		return raw
-	}, "content"},
+	}, "content", false},
 	{"truncated body", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
 		return raw[:n+m.StateSize+mem.PageSize/2]
-	}, "length"},
+	}, "length", false},
 	{"header claims extra page", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
 		e := *m
 		e.Pages = append(append([]uint64(nil), m.Pages...), m.Pages[len(m.Pages)-1]+1)
 		return encodeFile(t, &e, raw[n:])
-	}, "length"},
+	}, "length", false},
 	// A key-reading instruction patched into the kernel text, the file
 	// re-stamped with the digest its header commits to: the content
 	// verifies, and only the comparison with the rebuilt image refuses
@@ -220,18 +229,31 @@ var tampers = []struct {
 		e := *m
 		e.Digest = e.contentDigest(raw[n:])
 		return encodeFile(t, &e, raw[n:])
-	}, ""},
+	}, "", false},
+	{"file copied under another key's name", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
+		return raw
+	}, "header", true},
+	// A header re-stamped to name another key: the file verifies, and
+	// only the options in its state record tell it apart.
+	{"header re-stamped under another key", func(t testing.TB, raw []byte, m *Manifest, n int) []byte {
+		e := *m
+		e.KeyDigest, e.Key = otherKey.Digest, otherKey.Norm()
+		e.Digest = e.contentDigest(raw[n:])
+		return encodeFile(t, &e, raw[n:])
+	}, "options", true},
 }
 
 // TestTamperedSnapshotRejected: editing a header field, flipping a bit
-// of the state record or of a page, truncating the body, or a header
-// claiming more pages than the body holds must each surface as a
-// *VerifyError naming the part — never a served machine. Its message
-// names the part, what was wanted and what the file holds. Patched
-// kernel text under a digest that matches surfaces as the kernel's
-// *StateDecodeError naming the page. Each refusal counts as one verify
-// failure. A header line torn under an open store is refused the same
-// way, quoting the parse error, which unwraps to the JSON decoder's.
+// of the state record or of a page, truncating the body, a header
+// claiming more pages than the body holds, or a file copied under
+// another key's name must each surface as a *VerifyError naming the
+// part — never a served machine. Its message names the part, what was
+// wanted and what the file holds. Patched kernel text under a content
+// digest that matches surfaces as the kernel's *StateDecodeError naming
+// the page, and a header re-stamped to name another key as a mismatch
+// of the state's options. Each refusal counts as one verify failure. A
+// torn header line is refused the same way, quoting the parse error,
+// which unwraps to the JSON decoder's.
 func TestTamperedSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(103, 1)
@@ -239,38 +261,28 @@ func TestTamperedSnapshotRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest, err := s.Save(key, bootSnap(t, key))
-	if err != nil {
+	if _, err := s.Save(key, bootSnap(t, key)); err != nil {
 		t.Fatal(err)
 	}
-	path, orig, m, n := snapFile(t, dir, digest)
+	path, orig, m, n := snapFile(t, dir, key.Digest)
 
 	for _, c := range tampers {
 		t.Run(c.name, func(t *testing.T) {
 			bad := c.edit(t, append([]byte(nil), orig...), m, n)
-			// A re-stamped file is named by its new digest, as Save
-			// names one.
-			badPath, badDigest := path, digest
-			if bm, _, err := decodeHeader(bytes.NewReader(bad)); err == nil && bm.Digest != digest {
-				badDigest = bm.Digest
-				badPath = filepath.Join(dir, "snapshots", badDigest+".snap")
-			}
-			if err := os.Remove(path); err != nil {
-				t.Fatal(err)
+			badKey, badPath := key, path
+			if c.moved {
+				badKey = otherKey
+				badPath = filepath.Join(dir, "snapshots", otherKey.Digest+".snap")
 			}
 			if err := os.WriteFile(badPath, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			defer func() {
-				os.Remove(badPath)
+				os.Remove(filepath.Join(dir, "snapshots", otherKey.Digest+".snap"))
 				os.WriteFile(path, orig, 0o644)
 			}()
-			fresh, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
 			fails := obs.CounterTotal(obs.CStoreVerifyFail)
-			snap, _, err := fresh.Load(key)
+			snap, _, err := s.Load(badKey)
 			if f := obs.CounterTotal(obs.CStoreVerifyFail) - fails; f != 1 {
 				t.Fatalf("refused load counted %d verify failures, want 1", f)
 			}
@@ -280,7 +292,7 @@ func TestTamperedSnapshotRejected(t *testing.T) {
 					t.Fatalf("Load = %v, %v, want *kernel.StateDecodeError", snap, err)
 				}
 				want := fmt.Sprintf("store: snapshot %s: kernel: bad state blob: .text page at PA %#x differs from the image rebuilt from its options",
-					badDigest[:12], kernel.KVAToPA(kernel.TextBase))
+					key.Digest[:12], kernel.KVAToPA(kernel.TextBase))
 				if msg := err.Error(); msg != want {
 					t.Fatalf("Load error reads %q, want %q", msg, want)
 				}
@@ -293,24 +305,18 @@ func TestTamperedSnapshotRejected(t *testing.T) {
 			if ve.Part != c.part || ve.Want == ve.Got {
 				t.Fatalf("VerifyError %+v, want part %q with want != got", ve, c.part)
 			}
-			want := fmt.Sprintf("store: snapshot %s: %s mismatch: want %s, file holds %s", digest[:12], ve.Part, ve.Want, ve.Got)
+			want := fmt.Sprintf("store: snapshot %s: %s mismatch: want %s, file holds %s", badKey.Digest[:12], ve.Part, ve.Want, ve.Got)
 			if msg := err.Error(); msg != want {
 				t.Fatalf("Load error reads %q, want %q", msg, want)
 			}
 		})
 	}
 
-	// Open deletes a file whose header does not parse as a torn write,
-	// so tear the header under an open store.
-	live, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	torn := append([]byte("{torn\n"), orig[n:]...)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = live.Load(key)
+	_, _, err = s.Load(key)
 	var ve *VerifyError
 	if !errors.As(err, &ve) || ve.Part != "header" || ve.Want != "a JSON header line" || !strings.Contains(ve.Got, "invalid character") {
 		t.Fatalf("Load of a torn header = %v, want a header mismatch quoting the parse error", err)
@@ -348,7 +354,7 @@ func TestVerifyErrorIsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, raw, m, n := snapFile(t, dir, digest)
+	path, raw, m, n := snapFile(t, dir, key.Digest)
 	raw[n+m.StateSize] ^= 0x80
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -534,9 +540,9 @@ func TestCampaignParityWarmStart(t *testing.T) {
 	}
 }
 
-// TestDeleteRemovesItsFile: Delete takes the snapshot's whole file with
-// it and leaves every other snapshot loading clean; a second Delete of
-// the digest finds nothing.
+// TestDeleteRemovesItsFile: Delete takes the key's whole file with it
+// and leaves every other snapshot loading clean; a second Delete of the
+// key finds nothing, and neither does a key that is not a digest.
 func TestDeleteRemovesItsFile(t *testing.T) {
 	dir := t.TempDir()
 	keyA := testKey(107, 1)
@@ -548,19 +554,20 @@ func TestDeleteRemovesItsFile(t *testing.T) {
 	if _, err := s.Save(keyA, bootSnap(t, keyA)); err != nil {
 		t.Fatal(err)
 	}
-	digB, err := s.Save(keyB, bootSnap(t, keyB))
-	if err != nil {
+	if _, err := s.Save(keyB, bootSnap(t, keyB)); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := s.Delete(digB); err != nil {
+	if err := s.Delete(keyB.Digest); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshots", digB+".snap")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(dir, "snapshots", keyB.Digest+".snap")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("deleted snapshot's file remains: %v", err)
 	}
-	if err := s.Delete(digB); !errors.Is(err, snapshot.ErrNotFound) {
-		t.Fatalf("second Delete = %v, want snapshot.ErrNotFound", err)
+	for _, k := range []string{keyB.Digest, "../snapshots/" + keyA.Digest, strings.ToUpper(keyA.Digest)} {
+		if err := s.Delete(k); !errors.Is(err, snapshot.ErrNotFound) {
+			t.Fatalf("Delete(%q) = %v, want snapshot.ErrNotFound", k, err)
+		}
 	}
 	if _, _, err := s.Load(keyA); err != nil {
 		t.Fatalf("surviving snapshot broken after delete: %v", err)
@@ -581,11 +588,10 @@ func TestCorruptStoreFallsBackToBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest, err := s.Save(key, bootSnap(t, key))
-	if err != nil {
+	if _, err := s.Save(key, bootSnap(t, key)); err != nil {
 		t.Fatal(err)
 	}
-	path, raw, _, n := snapFile(t, dir, digest)
+	path, raw, _, n := snapFile(t, dir, key.Digest)
 	raw[n+10] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -637,9 +643,9 @@ func TestCorruptStoreFallsBackToBoot(t *testing.T) {
 // TestSupersededSnapshotRemoved: a snapshot whose state record has the
 // previous wire version, as every file saved before a version bump
 // has, is refused at load with one verify failure. The pool boots the
-// key once and saves it under its new digest, and that save removes
-// the refused file: the store holds one file and lists one snapshot
-// for the key, and the next process loads it with no boot.
+// key once and saves it, and the rename replaces the refused file: the
+// store holds one file and lists one snapshot for the key, and the
+// next process loads it with no boot.
 func TestSupersededSnapshotRemoved(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(110, 1)
@@ -653,16 +659,13 @@ func TestSupersededSnapshotRemoved(t *testing.T) {
 	}
 	// Rewrite the file as the previous wire version saved it: the state
 	// record opens with the 9-byte magic "camoSTATE", then the version.
-	path, raw, m, n := snapFile(t, dir, digest)
+	path, raw, m, n := snapFile(t, dir, key.Digest)
 	body := raw[n:]
 	const versionOff = len("camoSTATE")
 	binary.LittleEndian.PutUint64(body[versionOff:], binary.LittleEndian.Uint64(body[versionOff:])-1)
 	old := *m
 	old.Digest = old.contentDigest(body)
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshots", old.Digest+".snap"), encodeFile(t, &old, body), 0o644); err != nil {
+	if err := os.WriteFile(path, encodeFile(t, &old, body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -686,20 +689,17 @@ func TestSupersededSnapshotRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 1 || filepath.Base(files[0]) != digest+".snap" {
-		t.Fatalf("store holds %v, want only %s.snap", files, digest)
+	if len(files) != 1 || filepath.Base(files[0]) != key.Digest+".snap" {
+		t.Fatalf("store holds %v, want only %s.snap", files, key.Digest)
 	}
-	if l := st2.List(); len(l) != 1 || l[0].Digest != digest {
-		t.Fatalf("List = %+v, want only %s", l, digest)
+	if l := st2.List(); len(l) != 1 || l[0].Digest != digest || l[0].KeyDigest != key.Digest {
+		t.Fatalf("List = %+v, want only %s under key %s", l, digest, key.Digest)
 	}
 
 	// "Restart": fresh store handle, fresh pool, same directory.
 	st3, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if l := st3.List(); len(l) != 1 || l[0].Digest != digest {
-		t.Fatalf("reopened List = %+v, want only %s", l, digest)
 	}
 	p3 := snapshot.NewPool()
 	p3.Store = st3
